@@ -3,13 +3,16 @@ CSV/JSON artifact export.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error,
 3 I/O error. Reports are JSON lists of rows
-{check_id, anchor, value, bound, pass}; outputs are deterministic for a
-fixed configuration and zero cache.
+{check_id, anchor, value, bound, pass}; outputs are bitwise deterministic
+for a fixed configuration, zero cache and BLAS thread count (the grid
+transforms run as BLAS matmuls, whose summation order follows the thread
+count; across thread counts values agree to roundoff).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -54,7 +57,9 @@ class RunConfig:
     def tol(self, check_id: str, default: float) -> float:
         return float(self.tolerances.get(check_id, default))
 
+    @functools.cached_property
     def catalog(self) -> zc.ZeroSet:
+        """The zero catalog, computed or loaded once per configuration."""
         if self.zero_source == "compute":
             return zc.compute_zeros(self.height_T, cache_dir=self.cache_dir)
         return zc.load_zeros(self.zero_source, self.height_T)
@@ -100,15 +105,6 @@ def _row(check_id: str, anchor: str, value: float, bound: float) -> CheckRow:
     value = float(value)
     bound = float(bound)
     return CheckRow(check_id, anchor, value, bound, value <= bound)
-
-
-def _band_exact_grid(x_min: float, x_max: float, Z: float,
-                     gamma_max: float) -> nu.Grid:
-    # spacing above the Nyquist rate of a [-Z, Z]-band-limited build, with
-    # slack so trapezoid transforms at |z| <= gamma_max see no alias images
-    tau = 2.0 * math.pi / (Z + gamma_max + 50.0) * 0.98
-    n = int(math.ceil((x_max - x_min) / tau)) + 1
-    return nu.Grid(x_min, x_max, n)
 
 
 # ----------------------------------------------------------------------
@@ -164,14 +160,14 @@ def suite_special(cfg: RunConfig) -> List[CheckRow]:
 
 def suite_weil(cfg: RunConfig) -> List[CheckRow]:
     rng = np.random.default_rng(_SEED + 1)
-    zs = cfg.catalog()
+    zs = cfg.catalog
     rows = []
     gmax = zs.ordinates[-1] if len(zs) else 50.0
 
     if len(zs):
         g1 = zs.ordinates[0]
         Z = max(cfg.cutoff_Z, 500.0)
-        grid = _band_exact_grid(-8.0, 38.0, Z, gmax)
+        grid = nu.band_exact_grid(-8.0, 38.0, Z + gmax, 50.0)
         p1 = db.psi_gamma(g1, zs, Z, grid)
         fv = wf.weil_pairing(p1, p1, zs)
         rows.append(_row("basis_pairing_diagonal",
@@ -217,7 +213,7 @@ def suite_weil(cfg: RunConfig) -> List[CheckRow]:
 
 def suite_screw(cfg: RunConfig) -> List[CheckRow]:
     rng = np.random.default_rng(_SEED + 2)
-    zs = cfg.catalog()
+    zs = cfg.catalog
     rows = []
 
     rows.append(_row("screw_origin", "g(0) = 0", abs(wf.screw_g(0.0, zs)),
@@ -267,7 +263,7 @@ def suite_screw(cfg: RunConfig) -> List[CheckRow]:
 
 
 def suite_debranges(cfg: RunConfig) -> List[CheckRow]:
-    zs = cfg.catalog()
+    zs = cfg.catalog
     rows = []
     worst = 0.0
     for g in zs.ordinates:
@@ -308,7 +304,7 @@ def suite_debranges(cfg: RunConfig) -> List[CheckRow]:
         Z = max(cfg.cutoff_Z, 500.0)
         # K pushes content up to the full band [-Z, Z], so sample above the
         # 2Z Nyquist rate (psi_gamma alone only needs Z + gamma_max)
-        grid = _band_exact_grid(-6.0, 38.0, 2.0 * Z, 150.0)
+        grid = nu.band_exact_grid(-6.0, 38.0, 2.0 * Z, 200.0)
         psi = db.psi_gamma(g1, zs, Z, grid)
         defect = abs(2 * math.pi * nu.grid_norm_sq(psi) - 1.0)
         rows.append(_row("psi_norm", "2 pi ||psi_gamma||^2 = 1", defect,
@@ -324,7 +320,7 @@ def suite_debranges(cfg: RunConfig) -> List[CheckRow]:
 
 def suite_hilbert_polya(cfg: RunConfig) -> List[CheckRow]:
     rng = np.random.default_rng(_SEED + 4)
-    zs = cfg.catalog()
+    zs = cfg.catalog
     rows = []
 
     z = 3.0
@@ -352,8 +348,8 @@ def suite_hilbert_polya(cfg: RunConfig) -> List[CheckRow]:
                      cfg.tol("eigen_perturbed", 0.0)))
 
     bank = db.build_basis_bank(zs, 500.0,
-                               _band_exact_grid(-4.0, 18.0, 500.0,
-                                                zs.ordinates[-1]))
+                               nu.band_exact_grid(-4.0, 18.0,
+                                                  500.0 + zs.ordinates[-1], 50.0))
     worst_coeff = 0.0
     worst_pair = 0.0
     for _ in range(2):
@@ -455,7 +451,7 @@ def run_zeros(action: str, cfg: RunConfig, table: Optional[str]) -> int:
 
 def run_export(what: str, arg: Optional[str], cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
-    zs = cfg.catalog()
+    zs = cfg.catalog
 
     def out_path(name: str) -> str:
         return os.path.join(cfg.out_dir, name)
@@ -469,7 +465,8 @@ def run_export(what: str, arg: Optional[str], cfg: RunConfig) -> int:
         if cfg.grid_spec:
             grid = nu.Grid(*cfg.grid_spec)
         else:
-            grid = _band_exact_grid(-6.0, 38.0, cfg.cutoff_Z, zs.ordinates[-1])
+            grid = nu.band_exact_grid(-6.0, 38.0,
+                                      cfg.cutoff_Z + zs.ordinates[-1], 50.0)
         psi = db.psi_gamma(g, zs, cfg.cutoff_Z, grid)
         path = out_path("psi_gamma_%d.csv" % idx)
         nu.write_grid_csv(psi, path)

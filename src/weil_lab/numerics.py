@@ -20,10 +20,10 @@ from typing import Callable, Tuple
 import numpy as np
 
 __all__ = [
-    "Grid", "GridFunction", "QuadratureResult", "AliasingGuardError",
-    "GridMismatchError", "fourier_at", "fourier_integral",
-    "inverse_fourier_grid", "fourier_grid_at", "forward_fourier_grid",
-    "inner_product_grid", "grid_norm_sq", "symmetric_grid", "write_grid_csv",
+    "Grid", "GridFunction", "AliasingGuardError", "GridMismatchError",
+    "panel_rule", "fourier_at", "fourier_integral", "inverse_fourier_grid",
+    "fourier_grid_at", "forward_fourier_grid", "inner_product_grid",
+    "grid_norm_sq", "symmetric_grid", "band_exact_grid", "write_grid_csv",
     "ALIAS_GUARD",
 ]
 
@@ -66,6 +66,17 @@ def symmetric_grid(half_range: float, spacing: float) -> Grid:
     return Grid(-m * (half_range / m), m * (half_range / m), 2 * m + 1)
 
 
+def band_exact_grid(x_min: float, x_max: float, band: float,
+                    margin: float = 150.0) -> Grid:
+    """Grid on [x_min, x_max] whose trapezoid alias images (spaced 2pi/h)
+    clear band + margin by 2%. For content limited to [-Z, Z], band = 2Z is
+    the Nyquist rate and band = Z + zmax keeps transforms at |z| <= zmax
+    alias-free."""
+    tau = 2.0 * math.pi / (band + margin) * 0.98
+    n = int(math.ceil((x_max - x_min) / tau)) + 1
+    return Grid(x_min, x_max, n)
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Complex samples on a uniform grid, tagged time- or frequency-domain."""
@@ -86,27 +97,30 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: complex
-    error_estimate: float
-
-    def __post_init__(self):
-        if self.error_estimate < 0:
-            raise ValueError("error_estimate must be nonnegative")
-
-
-def _gauss_legendre(order: int):
+def panel_rule(a: float, b: float, width: float, order: int):
+    """Gauss-Legendre rule of the given order on each of ceil((b-a)/width)
+    equal panels of [a, b] (at least one); returns (nodes, weights), each of
+    shape (n_panels, order)."""
     if order not in _GL_CACHE:
         _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+    nodes, weights = _GL_CACHE[order]
+    n_panels = max(1, int(math.ceil((b - a) / width)))
+    edges = np.linspace(a, b, n_panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return mid[:, None] + half[:, None] * nodes, half[:, None] * weights
+
+
+def _trapezoid_weights(n: int) -> np.ndarray:
+    w = np.ones(n)
+    w[0] = w[-1] = 0.5
+    return w
 
 
 def fourier_integral(f: Callable[[np.ndarray], np.ndarray],
                      support: Tuple[float, float],
-                     z: complex,
-                     order: int = 32) -> complex:
-    """integral_a^b f(x) e^{izx} dx by Gauss-Legendre panels.
+                     z: complex) -> complex:
+    """integral_a^b f(x) e^{izx} dx by 32-point Gauss-Legendre panels.
 
     Panel width <= 1/(1+|z|) keeps the phase advance per panel below one
     radian, so the fixed-order rule stays at spectral accuracy for any z.
@@ -119,13 +133,7 @@ def fourier_integral(f: Callable[[np.ndarray], np.ndarray],
         raise ValueError("fourier_integral: |Im z| > 50 growth guard")
     # the (b-a)/8 cap keeps edge-flat integrands (bumps) at spectral accuracy
     width = min(1.0 / (1.0 + abs(z)), (b - a) / 8.0)
-    n_panels = int(math.ceil((b - a) / width))
-    nodes, weights = _gauss_legendre(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
+    x, w = (p.ravel() for p in panel_rule(a, b, width, 32))
     vals = np.asarray(f(x), dtype=complex)
     return complex(np.sum(w * vals * np.exp(1j * z * x)))
 
@@ -183,9 +191,8 @@ def inverse_fourier_grid(F: GridFunction, out: Grid) -> GridFunction:
     if F.grid.h * x_absmax > ALIAS_GUARD * (1 + 1e-12):
         raise AliasingGuardError(
             "h_freq * max|x| = %.3g exceeds pi/4" % (F.grid.h * x_absmax))
-    w = np.ones(F.grid.n_points)
-    w[0] = w[-1] = 0.5
-    coeff = F.values * w * (F.grid.h / (2.0 * math.pi))
+    coeff = (F.values * _trapezoid_weights(F.grid.n_points)
+             * (F.grid.h / (2.0 * math.pi)))
     vals = _phase_matrix_apply(coeff, F.grid.nodes(), -1.0,
                                out.x_min, out.h, out.n_points)
     return GridFunction(out, vals, "time")
@@ -212,9 +219,7 @@ def forward_fourier_grid(psi: GridFunction, out: Grid,
             raise AliasingGuardError(
                 "alias images at spacing %.3g overlap the declared band"
                 % (2.0 * math.pi / psi.grid.h))
-    w = np.ones(psi.grid.n_points)
-    w[0] = w[-1] = 0.5
-    coeff = psi.values * w * psi.grid.h
+    coeff = psi.values * _trapezoid_weights(psi.grid.n_points) * psi.grid.h
     vals = _phase_matrix_apply(coeff, psi.grid.nodes(), +1.0,
                                out.x_min, out.h, out.n_points)
     return GridFunction(out, vals, "frequency")
@@ -225,9 +230,7 @@ def fourier_grid_at(psi: GridFunction, z) -> np.ndarray:
     if psi.domain_tag != "time":
         raise GridMismatchError("fourier_grid_at expects a time-domain input")
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    w = np.ones(psi.grid.n_points)
-    w[0] = w[-1] = 0.5
-    coeff = psi.values * w * psi.grid.h
+    coeff = psi.values * _trapezoid_weights(psi.grid.n_points) * psi.grid.h
     x = psi.grid.nodes()
     out = np.empty(len(z_arr), dtype=complex)
     for i0 in range(0, len(z_arr), 64):
@@ -240,8 +243,7 @@ def inner_product_grid(f: GridFunction, g: GridFunction) -> complex:
     """Trapezoid approximation of integral f(x) conj(g(x)) dx."""
     if f.grid != g.grid or f.domain_tag != g.domain_tag:
         raise GridMismatchError("inner_product_grid requires identical grids and tags")
-    w = np.ones(f.grid.n_points)
-    w[0] = w[-1] = 0.5
+    w = _trapezoid_weights(f.grid.n_points)
     return complex(np.sum(w * f.values * np.conj(g.values)) * f.grid.h)
 
 

@@ -22,15 +22,14 @@ import math
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 __all__ = [
-    "EvalPoint", "XiValue", "log_gamma", "digamma", "zeta", "zeta_pair",
-    "xi", "E_xi", "theta_xi", "omega_profile", "xi_log_derivative",
-    "critical_line_log_derivative", "theta_on_axis", "xi_on_critical_line",
-    "E_on_axis", "VALIDATED_IM", "VALIDATED_RE",
+    "XiValue", "log_gamma", "digamma", "zeta", "zeta_pair", "xi", "E_xi",
+    "theta_xi", "omega_profile", "critical_line_log_derivative",
+    "theta_on_axis", "xi_on_critical_line", "E_on_axis", "VALIDATED_IM",
+    "VALIDATED_RE",
 ]
 
 VALIDATED_IM = 120.0
@@ -49,21 +48,6 @@ _B2K_FLOAT = np.array([float(b) for b in _B2K])
 _EM_TERMS = 15          # Bernoulli corrections kept in Euler-Maclaurin
 _LN_PI = math.log(math.pi)
 _LN_2PI = math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class EvalPoint:
-    """A point z in the frequency plane; the zeta-side argument is s = 1/2 - iz."""
-    z: complex
-    regime_hint: Optional[str] = None   # 'small' | 'asymptotic'
-
-    @property
-    def s(self) -> complex:
-        return 0.5 - 1j * self.z
-
-    @classmethod
-    def from_s(cls, s: complex) -> "EvalPoint":
-        return cls(z=1j * (s - 0.5))
 
 
 @dataclass(frozen=True)
@@ -221,15 +205,16 @@ def _w_pair_direct(s: np.ndarray):
     return w, wp
 
 
-def _w_pair(s):
-    """Vectorized ((s-1)zeta(s), derivative); requires Re(s) >= 0."""
-    s_arr = np.asarray(s, dtype=complex)
-    shp = s_arr.shape
-    flat = s_arr.ravel()
-    if np.any(flat.real < 0):
-        raise ValueError("_w_pair requires Re(s) >= 0; reflect first")
-    w, wp = _w_pair_direct(flat)
-    return w.reshape(shp), wp.reshape(shp)
+def _em_chunks(s: np.ndarray):
+    """Yield (idx, s[idx], w, w') over chunks of 8192 points of the flat
+    array s, taken in order of |Im s| so the Euler-Maclaurin N of each chunk
+    tracks its local height (|Im s| = |x| on the critical line)."""
+    s = s.ravel()
+    order = np.argsort(np.abs(s.imag), kind="stable")
+    for i0 in range(0, len(s), 8192):
+        idx = order[i0:i0 + 8192]
+        sc = s[idx]
+        yield (idx, sc) + _w_pair_direct(sc)
 
 
 def _chi_pair(s: complex):
@@ -255,7 +240,7 @@ def zeta_pair(s: complex):
     if s == 1.0:
         raise ValueError("zeta pole at s = 1")
     if s.real >= 0.0:
-        w, wp = _w_pair(np.array([s]))
+        w, wp = _w_pair_direct(np.array([s]))
         sm1 = s - 1.0
         return w[0] / sm1, (wp[0] * sm1 - w[0]) / (sm1 * sm1)
     zu, zup = zeta_pair(1.0 - s)
@@ -280,19 +265,31 @@ def _xi_rel_error(s: complex) -> float:
     return est
 
 
-def _xi_value_right(s: complex) -> complex:
-    # Re(s) >= 1/2; pole/zero cancellation at s = 1 handled by the w-form
-    w, _ = _w_pair(np.array([s]))
-    lg = complex(log_gamma(s / 2.0 + 1.0))
-    return cmath.exp(-0.5 * s * _LN_PI + lg) * w[0]
+def _xi_from_w(s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.exp(-0.5 * s * _LN_PI + log_gamma(s / 2.0 + 1.0)) * w
 
 
-def _xi_prime_fd(s: complex, h: float = 1e-3) -> complex:
-    # cubic-accurate derivative from 4 nearby xi values; used within
-    # distance ~1e-3 of a zero of xi where the log-derivative route degrades
-    f1 = _xi_value_right(s + h) - _xi_value_right(s - h)
-    f2 = _xi_value_right(s + 2 * h) - _xi_value_right(s - 2 * h)
-    return (8.0 * f1 - f2) / (12.0 * h)
+def _log_derivative(s: np.ndarray, w: np.ndarray, wp: np.ndarray) -> np.ndarray:
+    return -0.5 * _LN_PI + 0.5 * digamma(s / 2.0 + 1.0) + wp / w
+
+
+def _xi_pair(s: np.ndarray, w: np.ndarray, wp: np.ndarray):
+    """(xi, xi') at an array of s with Re(s) >= 1/2, given (w, w') there.
+
+    Within ~1e-3 of a zero of w the log-derivative route degrades, so xi'
+    falls back to a cubic-accurate central difference of 4 nearby xi values.
+    """
+    xi_val = _xi_from_w(s, w)
+    xi_p = xi_val * _log_derivative(s, w, wp)
+    near = np.flatnonzero(np.abs(w) < 1e-3 * np.maximum(np.abs(wp), 1e-30))
+    if near.size:
+        def xi_at(u):
+            return _xi_from_w(u, _w_pair_direct(u)[0])
+        h, sn = 1e-3, s[near]
+        f1 = xi_at(sn + h) - xi_at(sn - h)
+        f2 = xi_at(sn + 2 * h) - xi_at(sn - 2 * h)
+        xi_p[near] = (8.0 * f1 - f2) / (12.0 * h)
+    return xi_val, xi_p
 
 
 def xi(s: complex) -> XiValue:
@@ -309,17 +306,9 @@ def xi(s: complex) -> XiValue:
     if s.real < 0.5:
         v = xi(1.0 - s)
         return XiValue(v.xi, -v.xi_prime, v.rel_error)
-    w_arr, wp_arr = _w_pair(np.array([s]))
-    w, wp = w_arr[0], wp_arr[0]
-    lg = complex(log_gamma(s / 2.0 + 1.0))
-    pref = cmath.exp(-0.5 * s * _LN_PI + lg)
-    xi_val = pref * w
-    if abs(w) < 1e-3 * max(abs(wp), 1e-30):
-        xi_p = _xi_prime_fd(s)
-    else:
-        lam = -0.5 * _LN_PI + 0.5 * complex(digamma(s / 2.0 + 1.0)) + wp / w
-        xi_p = xi_val * lam
-    return XiValue(xi_val, xi_p, _xi_rel_error(s))
+    s_arr = np.array([s])
+    xi_val, xi_p = _xi_pair(s_arr, *_w_pair_direct(s_arr))
+    return XiValue(xi_val[0], xi_p[0], _xi_rel_error(s))
 
 
 def E_xi(z: complex) -> complex:
@@ -342,20 +331,10 @@ def theta_xi(z: complex) -> complex:
 
 
 # ----------------------------------------------------------------------
-# stable critical-line route (used for large frequency grids)
+# vectorized critical-line routes (used for large frequency grids)
 # ----------------------------------------------------------------------
 
-def xi_log_derivative(s: complex) -> complex:
-    """xi'(s)/xi(s) away from zeros of xi; reflection for Re(s) < 1/2."""
-    s = complex(s)
-    if s.real < 0.5:
-        return -xi_log_derivative(1.0 - s)
-    w_arr, wp_arr = _w_pair(np.array([s]))
-    return (-0.5 * _LN_PI + 0.5 * complex(digamma(s / 2.0 + 1.0))
-            + wp_arr[0] / w_arr[0])
-
-
-def critical_line_log_derivative(x, chunk: int = 8192):
+def critical_line_log_derivative(x):
     """d/dz log xi(1/2 - iz) at real z = x, vectorized.
 
     Returns -i * (xi'/xi)(1/2 - ix); real-valued up to roundoff since
@@ -365,20 +344,11 @@ def critical_line_log_derivative(x, chunk: int = 8192):
     zeros of xi the value blows up like m/(x - gamma); callers that need the
     limit there use the basis-function limit branch instead.
     """
-    x_arr = np.asarray(x, dtype=float)
-    shp = x_arr.shape
-    flat = x_arr.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    # batch contiguous chunks so Euler-Maclaurin N tracks the local height
-    order = np.argsort(np.abs(flat), kind="stable")
-    sorted_x = flat[order]
-    for i0 in range(0, len(sorted_x), chunk):
-        xs = sorted_x[i0:i0 + chunk]
-        s = 0.5 - 1j * xs
-        w, wp = _w_pair_direct(s.astype(complex))
-        lam = -0.5 * _LN_PI + 0.5 * digamma(s / 2.0 + 1.0) + wp / w
-        out[order[i0:i0 + chunk]] = -1j * lam
-    return out.reshape(shp)
+    s = 0.5 - 1j * np.asarray(x, dtype=float)
+    out = np.empty(s.shape, dtype=complex)
+    for idx, sc, w, wp in _em_chunks(s):
+        out.flat[idx] = -1j * _log_derivative(sc, w, wp)
+    return out
 
 
 def theta_on_axis(x, log_deriv=None):
@@ -397,46 +367,26 @@ def theta_on_axis(x, log_deriv=None):
     return (1.0 - 1j * a) / (1.0 + 1j * a)
 
 
-def xi_on_critical_line(t, chunk: int = 8192):
+def xi_on_critical_line(t):
     """xi(1/2 + it) for real t, vectorized; real-valued up to roundoff."""
-    t_arr = np.asarray(t, dtype=float)
-    shp = t_arr.shape
-    flat = t_arr.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    order = np.argsort(np.abs(flat), kind="stable")
-    sorted_t = flat[order]
-    for i0 in range(0, len(sorted_t), chunk):
-        s = 0.5 + 1j * sorted_t[i0:i0 + chunk]
-        w, _ = _w_pair_direct(s.astype(complex))
-        lg = log_gamma(s / 2.0 + 1.0)
-        out[order[i0:i0 + chunk]] = np.exp(-0.5 * s * _LN_PI + lg) * w
-    return out.reshape(shp)
+    s = 0.5 + 1j * np.asarray(t, dtype=float)
+    out = np.empty(s.shape, dtype=complex)
+    for idx, sc, w, _ in _em_chunks(s):
+        out.flat[idx] = _xi_from_w(sc, w)
+    return out
 
 
-def E_on_axis(x, chunk: int = 8192):
+def E_on_axis(x):
     """E(x) = xi(1/2 - ix) + xi'(1/2 - ix) for real x, vectorized.
 
     Value form: underflows for |x| beyond ~900 where |xi| drops below the
     double-precision range; use the ratio helpers for larger grids."""
-    x_arr = np.asarray(x, dtype=float)
-    shp = x_arr.shape
-    flat = x_arr.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    order = np.argsort(np.abs(flat), kind="stable")
-    sorted_x = flat[order]
-    for i0 in range(0, len(sorted_x), chunk):
-        s = 0.5 - 1j * sorted_x[i0:i0 + chunk]
-        w, wp = _w_pair_direct(s.astype(complex))
-        pref = np.exp(-0.5 * s * _LN_PI + log_gamma(s / 2.0 + 1.0))
-        xi_val = pref * w
-        lam = -0.5 * _LN_PI + 0.5 * digamma(s / 2.0 + 1.0) + wp / w
-        xi_p = xi_val * lam
-        near = np.abs(w) < 1e-3 * np.maximum(np.abs(wp), 1e-30)
-        if np.any(near):
-            for j in np.where(near)[0]:
-                xi_p[j] = _xi_prime_fd(complex(s[j]))
-        out[order[i0:i0 + chunk]] = xi_val + xi_p
-    return out.reshape(shp)
+    s = 0.5 - 1j * np.asarray(x, dtype=float)
+    out = np.empty(s.shape, dtype=complex)
+    for idx, sc, w, wp in _em_chunks(s):
+        xi_val, xi_p = _xi_pair(sc, w, wp)
+        out.flat[idx] = xi_val + xi_p
+    return out
 
 
 # ----------------------------------------------------------------------

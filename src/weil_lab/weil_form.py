@@ -122,30 +122,27 @@ class TestFunction:
         raise ValueError("unknown kind %r" % self.kind)
 
     def _cumulative(self, x: np.ndarray) -> np.ndarray:
+        """Running integral of the part: whole 24-point Gauss-Legendre panels
+        of width <= 1/4 up to the panel holding x, then the same rule on the
+        partial panel [panel start, x]."""
         base = self.parts[0]
+
+        def f(pts):
+            return base._eval(pts.ravel()).reshape(pts.shape)
+
         a, b = base.support()
-        nodes, weights = np.polynomial.legendre.leggauss(24)
-        n_panels = max(1, int(math.ceil((b - a) / 0.25)))
-        edges = np.linspace(a, b, n_panels + 1)
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        halfs = 0.5 * (edges[1:] - edges[:-1])
-        pts = mids[:, None] + halfs[:, None] * nodes[None, :]
-        vals = base._eval(pts.ravel()).reshape(pts.shape)
-        panel_ints = (vals * weights[None, :]).sum(axis=1) * halfs
+        nodes, weights = numerics.panel_rule(a, b, 0.25, 24)
+        n_panels = len(nodes)
+        panel_ints = (f(nodes) * weights).sum(axis=1)
         cum = np.concatenate([[0.0 + 0.0j], np.cumsum(panel_ints)])
-        out = np.zeros(len(x), dtype=complex)
-        for i, xv in enumerate(x):
-            if xv <= a:
-                continue
-            if xv >= b:
-                out[i] = cum[-1]
-                continue
-            k = int((xv - a) / (b - a) * n_panels)
-            k = min(k, n_panels - 1)
-            lo = edges[k]
-            half = 0.5 * (xv - lo)
-            mid = lo + half
-            out[i] = cum[k] + np.sum(base._eval(mid + half * nodes) * weights) * half
+        out = np.where(x >= b, cum[-1], 0.0j)
+        inside = (x > a) & (x < b)
+        k = ((x[inside] - a) / (b - a) * n_panels).astype(int)
+        k = np.minimum(k, n_panels - 1)
+        lo = np.linspace(a, b, n_panels + 1)[k][:, None]
+        span = x[inside][:, None] - lo
+        u, wu = numerics.panel_rule(0.0, 1.0, 1.0, 24)    # one panel on [0, 1]
+        out[inside] = cum[k] + (f(lo + span * u) * (span * wu)).sum(axis=1)
         return out
 
     # -- calculus ------------------------------------------------------
@@ -322,19 +319,6 @@ def screw_kernel(t: float, s: float, zs) -> complex:
     return complex(vals[0] - vals[1] - vals[2] + vals[3])
 
 
-def _panel_rule(a: float, b: float, gamma_max: float, order: int = 64):
-    """Gauss-Legendre nodes/weights resolving e^{i gamma t} up to gamma_max."""
-    width = max(1e-3, min(b - a, 72.0 / (gamma_max + 1.0)))
-    n_panels = max(1, int(math.ceil((b - a) / width)))
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    x = (mids[:, None] + halfs[:, None] * nodes[None, :]).ravel()
-    w = (halfs[:, None] * weights[None, :]).ravel()
-    return x, w
-
-
 def screw_form(phi1: TestFunction, phi2: TestFunction, zs) -> FormValue:
     """Double quadrature of G(t,s) phi1(s) conj(phi2(t)) over the support box.
 
@@ -354,10 +338,12 @@ def screw_form(phi1: TestFunction, phi2: TestFunction, zs) -> FormValue:
         return FormValue(0.0j, 0.0, 0.0)
     gmax = max(abs(p[0]) for p in pairs)
 
-    a1, b1 = phi1.support()
-    a2, b2 = phi2.support()
-    s_nodes, s_w = _panel_rule(a1, b1, gmax)
-    t_nodes, t_w = _panel_rule(a2, b2, gmax)
+    # 64-point panels resolving e^{i gamma t} up to gmax
+    width = max(1e-3, 72.0 / (gmax + 1.0))
+    s_nodes, s_w = (p.ravel()
+                    for p in numerics.panel_rule(*phi1.support(), width, 64))
+    t_nodes, t_w = (p.ravel()
+                    for p in numerics.panel_rule(*phi2.support(), width, 64))
 
     g_diff = screw_g_array(np.subtract.outer(t_nodes, s_nodes).ravel(), zs)
     g_diff = g_diff.reshape(len(t_nodes), len(s_nodes))

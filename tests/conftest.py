@@ -1,7 +1,6 @@
 """Shared fixtures. The zero catalog and the expensive frequency-axis
 artifacts are built once per session and reused across test modules."""
 
-import math
 import os
 
 import pytest
@@ -24,19 +23,12 @@ def table_catalog():
     return zc.load_zeros(ZERO_TABLE, 100.0)
 
 
-def band_exact_grid(x_min, x_max, band, margin=150.0):
-    """Uniform grid sampled above the Nyquist rate of a band-limited build."""
-    tau = 2.0 * math.pi / (band + margin) * 0.98
-    n = int(math.ceil((x_max - x_min) / tau)) + 1
-    return nu.Grid(x_min, x_max, n)
-
-
 @pytest.fixture(scope="session")
 def small_psi(catalog):
     """psi_gamma artifacts at Z = 500 for the light checks."""
     zs = catalog
     Z = 500.0
-    grid = band_exact_grid(-4.0, 30.0, 2.0 * Z)
+    grid = nu.band_exact_grid(-4.0, 30.0, 2.0 * Z)
     return {
         "Z": Z,
         "grid": grid,
@@ -52,7 +44,7 @@ def heavy_psi(catalog):
     zs = catalog
     g1, g2 = zs.ordinates[0], zs.ordinates[1]
     Z1, Z2 = 5000.0, 10000.0
-    grid = band_exact_grid(-6.0, 38.0, 2.0 * Z2, margin=2.0 * Z2 * 0.02)
+    grid = nu.band_exact_grid(-6.0, 38.0, 2.0 * Z2, margin=2.0 * Z2 * 0.02)
     psi1_z1 = db.psi_gamma(g1, zs, Z1, grid)
     psi2_z1 = db.psi_gamma(g2, zs, Z1, grid)
     psi1_z2 = db.psi_gamma(g1, zs, Z2, grid)
@@ -65,5 +57,5 @@ def heavy_psi(catalog):
 @pytest.fixture(scope="session")
 def basis_bank(catalog):
     zs = catalog
-    grid = band_exact_grid(-4.0, 18.0, 500.0 + zs.ordinates[-1])
+    grid = nu.band_exact_grid(-4.0, 18.0, 500.0 + zs.ordinates[-1])
     return db.build_basis_bank(zs, 500.0, grid)

@@ -18,7 +18,6 @@ from weil_lab import special_fn as sf
 from weil_lab import weil_form as wf
 from weil_lab import zero_catalog as zc
 
-from conftest import band_exact_grid
 
 XI_HALF = 0.4971207781883141099127737
 
@@ -116,7 +115,7 @@ def test_criterion_05_l2_identity_and_tail_scaling(heavy_psi, catalog):
 def test_criterion_06_k_operator(heavy_psi, catalog):
     rng = np.random.default_rng(106)
     Z = 300.0
-    grid = band_exact_grid(-30.0, 30.0, 2 * Z)
+    grid = nu.band_exact_grid(-30.0, 30.0, 2 * Z)
     worst_inv = worst_iso = 0.0
     for _ in range(20):
         b = wf.random_bump(rng)

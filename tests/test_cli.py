@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from weil_lab import cli
+from weil_lab import zero_catalog as zc
 
 from conftest import ZERO_TABLE
 
@@ -117,6 +120,34 @@ def test_export_screw_g_deterministic(tmp_path, monkeypatch):
     assert len(lines) == 502            # 501 rows for [0, 5] step 0.01
 
 
+def _export_psi_gamma_subprocess(out_dir, blas_threads):
+    env = {k: v for k, v in os.environ.items() if k != "WEIL_LAB_CACHE"}
+    env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__))]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    subprocess.run([sys.executable, "-m", "weil_lab.cli", "export", "psi_gamma",
+                    "1", "--height-T", "50", "--cutoff-Z", "500",
+                    "--out", str(out_dir)], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+    return (out_dir / "psi_gamma_1.csv").read_bytes()
+
+
+def test_export_bitwise_at_fixed_blas_threads(tmp_path):
+    # the documented guarantee: equal bytes for a fixed configuration, cache
+    # and BLAS thread count; across thread counts, agreement to roundoff
+    one_a = _export_psi_gamma_subprocess(tmp_path / "a", 1)
+    one_b = _export_psi_gamma_subprocess(tmp_path / "b", 1)
+    two = _export_psi_gamma_subprocess(tmp_path / "c", 2)
+    assert one_a == one_b
+    rows_1 = np.loadtxt(one_a.decode().splitlines(), delimiter=",", skiprows=1)
+    rows_2 = np.loadtxt(two.decode().splitlines(), delimiter=",", skiprows=1)
+    assert np.array_equal(rows_1[:, 0], rows_2[:, 0])
+    psi_1 = rows_1[:, 1] + 1j * rows_1[:, 2]
+    psi_2 = rows_2[:, 1] + 1j * rows_2[:, 2]
+    assert np.max(np.abs(psi_1 - psi_2)) <= 1e-14 * np.max(np.abs(psi_1))
+
+
 def test_export_omega_range(tmp_path, monkeypatch):
     monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
     # global flags go before the subcommand so the leading-dash range can
@@ -166,9 +197,14 @@ def test_export_f_gamma_with_grid_spec(tmp_path, monkeypatch):
 
 def test_verify_all_writes_combined_report(tmp_path, monkeypatch):
     monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
+    calls = []
+    real = zc.compute_zeros
+    monkeypatch.setattr(zc, "compute_zeros",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
     rc = cli.main(["verify", "all", "--out", str(tmp_path),
                    "--height-T", "40", "--cutoff-Z", "500"])
     assert rc == 0
+    assert len(calls) == 1        # one catalog serves every suite
     rows = json.load(open(tmp_path / "report_all.json"))
     ids = {r["check_id"] for r in rows}
     assert {"xi_half_reference", "basis_pairing_diagonal", "gram_psd",

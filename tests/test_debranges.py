@@ -8,7 +8,7 @@ from weil_lab import numerics as nu
 from weil_lab import special_fn as sf
 from weil_lab import zero_catalog as zc
 
-from conftest import ZERO_TABLE, band_exact_grid
+from conftest import ZERO_TABLE
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +152,7 @@ def test_psi_gamma_l2_identity_with_pairing(small_psi, catalog):
 def test_axis_cache_reuse(catalog):
     db.clear_axis_cache()
     g1, g2 = catalog.ordinates[:2]
-    grid = band_exact_grid(-2.0, 16.0, 700.0)
+    grid = nu.band_exact_grid(-2.0, 16.0, 700.0)
     db.psi_gamma(g1, catalog, 520.0, grid)
     assert len(db._AXIS_CACHE) == 1
     db.psi_gamma(g2, catalog, 520.0, grid)
@@ -167,7 +167,7 @@ def test_K_involution_and_isometry_on_bumps(catalog):
     from weil_lab import weil_form as wf
     rng = np.random.default_rng(31)
     Z = 300.0
-    grid = band_exact_grid(-30.0, 30.0, 2 * Z)
+    grid = nu.band_exact_grid(-30.0, 30.0, 2 * Z)
     for _ in range(5):
         b = wf.random_bump(rng)
         psi = nu.GridFunction(grid, b(grid.nodes()), "time")
@@ -183,7 +183,7 @@ def test_K_involution_and_isometry_on_bumps(catalog):
 def test_K_conjugate_linearity(catalog):
     from weil_lab import weil_form as wf
     Z = 300.0
-    grid = band_exact_grid(-30.0, 30.0, 2 * Z)
+    grid = nu.band_exact_grid(-30.0, 30.0, 2 * Z)
     b = wf.TestFunction.bump(0.4, 0.9)
     psi = nu.GridFunction(grid, b(grid.nodes()), "time")
     psi_i = nu.GridFunction(grid, 1j * psi.values, "time")
@@ -215,7 +215,7 @@ def test_v_membership_basis_function(small_psi):
 def test_v_membership_rejects_negative_bump(catalog):
     from weil_lab import weil_form as wf
     Z = 300.0
-    grid = band_exact_grid(-30.0, 30.0, 2 * Z)
+    grid = nu.band_exact_grid(-30.0, 30.0, 2 * Z)
     b = wf.TestFunction.bump(-1.5, 0.5)     # support [-2, -1]
     psi = nu.GridFunction(grid, b(grid.nodes()), "time")
     rep = db.v_membership(psi, 0.0, Z=Z, band_limit=Z)

@@ -67,6 +67,22 @@ def test_fourier_growth_guard():
         nu.fourier_at(b, 60j)
 
 
+def test_gauss_legendre_panels_integrate_polynomials_exactly():
+    x, w = nu.panel_rule(-0.3, 1.9, 0.25, 8)
+    assert x.shape == w.shape == (9, 8)
+    exact = (1.9 ** 16 - 0.3 ** 16) / 16.0      # 8 points are exact to degree 15
+    assert abs(np.sum(w * x ** 15) - exact) <= 1e-13 * exact
+    x1, w1 = nu.panel_rule(0.0, 1e-4, 1.0, 4)   # never fewer than one panel
+    assert x1.shape == (1, 4) and abs(np.sum(w1) - 1e-4) <= 1e-19
+
+
+def test_band_exact_spacing_clears_alias_images():
+    g = nu.band_exact_grid(-4.0, 18.0, 600.0, 50.0)
+    assert (g.x_min, g.x_max) == (-4.0, 18.0)
+    assert 2.0 * math.pi / g.h >= 650.0 / 0.98 * (1 - 1e-12)
+    assert g.n_points == nu.band_exact_grid(-4.0, 18.0, 650.0, 0.0).n_points
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         nu.Grid(1.0, 0.0, 10)
@@ -87,11 +103,6 @@ def test_gridfunction_validation():
     f = nu.GridFunction(g, np.zeros(4), "time")
     with pytest.raises(ValueError):
         f.values[0] = 1.0  # immutable after construction
-
-
-def test_quadrature_result_validation():
-    with pytest.raises(ValueError):
-        nu.QuadratureResult(0.0, -1.0)
 
 
 def test_inverse_fourier_zero_input():

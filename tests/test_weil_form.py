@@ -9,6 +9,8 @@ from weil_lab import numerics as nu
 from weil_lab import weil_form as wf
 from weil_lab import zero_catalog as zc
 
+from conftest import ZERO_TABLE
+
 
 def direct_pairing(psi1, psi2, zs):
     """Independent oracle: the zero sum assembled by hand from transforms."""
@@ -67,12 +69,15 @@ def test_antiderivative_evaluates_running_integral():
     phi = wf.random_mean_zero(np.random.default_rng(5))
     psi = wf.antiderivative(phi)
     assert psi.compact_support
-    x = 0.7
-    ref, _ = integrate.quad(lambda y: phi(y).real, phi.support()[0], x,
-                            epsabs=1e-12, limit=200)
-    ref_im, _ = integrate.quad(lambda y: phi(y).imag, phi.support()[0], x,
-                               epsabs=1e-12, limit=200)
-    assert abs(psi(x) - complex(ref, ref_im)) < 1e-9
+    a, b = phi.support()
+    x = np.array([a - 0.5, a, 0.7, -0.3, 0.5 * (a + b), b, b + 1.0])
+    for xv, gv in zip(x, psi(x)):
+        hi = min(max(xv, a), b)
+        ref, _ = integrate.quad(lambda y: phi(y).real, a, hi,
+                                epsabs=1e-12, limit=200)
+        ref_im, _ = integrate.quad(lambda y: phi(y).imag, a, hi,
+                                   epsabs=1e-12, limit=200)
+        assert abs(gv - complex(ref, ref_im)) < 1e-9
 
 
 def test_antiderivative_transform_identity():
@@ -129,6 +134,21 @@ def test_pairing_positivity_random(catalog):
         psi = wf.random_combination(rng)
         fv = wf.weil_pairing(psi, psi, catalog)
         assert fv.value.real >= -(fv.tail_bound + fv.quad_error)
+
+
+def test_pairing_declared_tail_bounds_the_omitted_zeros():
+    # the zeros in (50, 110] are part of what the T = 50 tail model declares
+    # it may miss: the pairing over them must stay within that bound
+    short = zc.compute_zeros(50.0)
+    longer = zc.load_zeros(ZERO_TABLE, 110.0)
+    rng = np.random.default_rng(2024)
+    inputs = ([wf.random_bump(rng) for _ in range(20)]
+              + [wf.random_combination(rng, 3) for _ in range(20)])
+    for psi in inputs:
+        fv = wf.weil_pairing(psi, psi, short)
+        omitted = wf.weil_pairing(psi, psi, longer).value - fv.value
+        assert fv.tail_bound > 0.0
+        assert abs(omitted) <= fv.tail_bound
 
 
 def test_pairing_synthetic_nonreal_catalog_is_indefinite():
