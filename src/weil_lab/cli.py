@@ -4,9 +4,7 @@ CSV/JSON artifact export.
 Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error,
 3 I/O error. Reports are JSON lists of rows
 {check_id, anchor, value, bound, pass}; outputs are bitwise deterministic
-for a fixed configuration, zero cache and BLAS thread count (the grid
-transforms run as BLAS matmuls, whose summation order follows the thread
-count; across thread counts values agree to roundoff).
+for a fixed configuration and zero cache.
 """
 
 from __future__ import annotations

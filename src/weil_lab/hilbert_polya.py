@@ -66,16 +66,20 @@ def m_theta_apply(p: ExtensionParams, F: Callable[[complex], complex],
     F must be evaluable at arbitrary complex points (w0 is off the real
     axis); at z = w0 the removable singularity is taken by a symmetric
     difference."""
-    z = complex(z)
-    s_w0 = p.s(p.w0)
-    f_w0 = complex(F(p.w0))
+    return _m_theta(p, F, complex(z), p.s(p.w0), complex(F(p.w0)))
+
+
+def _m_theta(p: ExtensionParams, F: Callable[[complex], complex], z: complex,
+             s_w0: complex, f_w0: complex) -> Tuple[complex, complex]:
+    """m_theta_apply with S(w0) and F(w0) supplied; S(z) is evaluated once."""
+    s_z = p.s(z)
     if abs(z - p.w0) < 1e-9:
         h = 1e-6
         num = lambda u: s_w0 * complex(F(u)) - p.s(u) * f_w0
         G = (num(z + h) - num(z - h)) / (2.0 * h)
     else:
-        G = (s_w0 * complex(F(z)) - p.s(z) * f_w0) / (z - p.w0)
-    MG = z * G + f_w0 * p.s(z)
+        G = (s_w0 * complex(F(z)) - s_z * f_w0) / (z - p.w0)
+    MG = z * G + f_w0 * s_z
     return G, MG
 
 
@@ -115,13 +119,14 @@ def eigen_residual(p: ExtensionParams, gamma: float, samples: Sequence[complex],
             raise ZeroDivisionError("sample coincides with gamma")
         return (p.s(z) / s_w0) * (gamma - p.w0) / (z - gamma)
 
+    f_w0 = complex(F(p.w0))
     worst = 0.0
     scale = 0.0
     for z in samples:
         z = complex(z)
         if abs(z - gamma) < 1e-9 or abs(z - p.w0) < 1e-9:
             raise ValueError("sample too close to gamma or w0")
-        G, MG = m_theta_apply(p, F, z)
+        G, MG = _m_theta(p, F, z, s_w0, f_w0)
         worst = max(worst, abs(MG - lam * G))
         scale = max(scale, abs(G))
     return EigenCheck(float(gamma), lam, worst, scale,

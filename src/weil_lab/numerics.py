@@ -8,7 +8,8 @@ depend on the signs):
     Plancherel ||f^||^2 = 2 pi ||f||^2
 
 Frequency truncation windows and output grids are always caller-supplied;
-nothing here chooses a cutoff silently.
+nothing here chooses a cutoff silently. Uniform-to-uniform grid transforms
+are chirp-z FFT convolutions: the trapezoid sums themselves, no interpolation.
 """
 
 from __future__ import annotations
@@ -150,33 +151,36 @@ def fourier_at(f, z: complex) -> complex:
 # grid transforms
 # ----------------------------------------------------------------------
 
-def _phase_matrix_apply(coeff: np.ndarray, z: np.ndarray, sign: float,
-                        x0: float, dx: float, n_out: int,
-                        chunk: int = 16384) -> np.ndarray:
-    """out[k] = sum_j coeff_j * exp(sign * i * z_j * (x0 + k dx)).
-
-    Exact evaluation through a coarse/fine factorization of the output
-    index: phase rows are built by geometric recurrences and the heavy
-    inner product runs as a BLAS matmul. No FFT involved.
-    """
-    k2 = max(1, int(math.ceil(math.sqrt(n_out))))
-    k1 = int(math.ceil(n_out / k2))
-    acc = np.zeros((k1, k2), dtype=complex)
-    for j0 in range(0, len(z), chunk):
-        zc = z[j0:j0 + chunk]
-        u = coeff[j0:j0 + chunk] * np.exp(1j * sign * zc * x0)
-        r_coarse = np.exp(1j * sign * zc * (k2 * dx))
-        r_fine = np.exp(1j * sign * zc * dx)
-        W = np.empty((k1, len(zc)), dtype=complex)
-        W[0] = u
-        for i in range(1, k1):
-            np.multiply(W[i - 1], r_coarse, out=W[i])
-        A = np.empty((len(zc), k2), dtype=complex)
-        A[:, 0] = 1.0
-        for i in range(1, k2):
-            np.multiply(A[:, i - 1], r_fine, out=A[:, i])
-        acc += W @ A
-    return acc.reshape(-1)[:n_out]
+def _chirp_z(f: GridFunction, sign: float, scale: float, out: Grid,
+             tag: str) -> GridFunction:
+    """scale * sum_j w_j f_j exp(sign i z_j x_k), w the trapezoid weights, at
+    every node x_k of out by Bluestein's chirp-z transform: on uniform grids
+    j k dz dx = (j^2 + k^2 - (k - j)^2) dz dx / 2 makes the sum one FFT
+    convolution of chirped terms, with no interpolation. The chirp phase
+    tau l^2 (in turns) is reduced mod 1 exactly: l^2 is an exact float64
+    integer and tau is peeled into heads of 53 - bits(l^2) bits."""
+    n, m = f.grid.n_points, out.n_points
+    q = np.arange(max(n, m), dtype=float) ** 2
+    bits = 53 - int(q[-1]).bit_length()
+    rest, turns = sign * f.grid.h * out.h / (4.0 * math.pi), np.zeros(len(q))
+    while rest != 0.0 and abs(rest) * q[-1] >= 1.0:
+        mant, e = math.frexp(rest)
+        head = math.ldexp(round(math.ldexp(mant, bits)), e - bits)
+        rest -= head
+        turns += head * q - np.rint(head * q)
+    turns += rest * q
+    c = np.exp(-2j * math.pi * (turns - np.rint(turns)))     # conjugate chirp
+    size = 1 << (n + m - 2).bit_length()      # >= n + m - 1: no wrap-around
+    a = np.zeros(size, dtype=complex)
+    a[:n] = (f.values * _trapezoid_weights(n) * scale
+             * np.exp(1j * sign * out.x_min * f.grid.nodes()) * np.conj(c[:n]))
+    b = np.concatenate([c[:m], np.zeros(size - n - m + 1), c[n - 1:0:-1]])
+    a = np.fft.fft(a, out=a)
+    a *= np.fft.fft(b, out=b)
+    del b
+    y = np.fft.ifft(a, out=a)[:m] * np.conj(c[:m])
+    return GridFunction(out, y * np.exp(1j * sign * f.grid.x_min * out.h
+                                        * np.arange(m)), tag)
 
 
 def inverse_fourier_grid(F: GridFunction, out: Grid) -> GridFunction:
@@ -191,11 +195,7 @@ def inverse_fourier_grid(F: GridFunction, out: Grid) -> GridFunction:
     if F.grid.h * x_absmax > ALIAS_GUARD * (1 + 1e-12):
         raise AliasingGuardError(
             "h_freq * max|x| = %.3g exceeds pi/4" % (F.grid.h * x_absmax))
-    coeff = (F.values * _trapezoid_weights(F.grid.n_points)
-             * (F.grid.h / (2.0 * math.pi)))
-    vals = _phase_matrix_apply(coeff, F.grid.nodes(), -1.0,
-                               out.x_min, out.h, out.n_points)
-    return GridFunction(out, vals, "time")
+    return _chirp_z(F, -1.0, F.grid.h / (2.0 * math.pi), out, "time")
 
 
 def forward_fourier_grid(psi: GridFunction, out: Grid,
@@ -219,10 +219,7 @@ def forward_fourier_grid(psi: GridFunction, out: Grid,
             raise AliasingGuardError(
                 "alias images at spacing %.3g overlap the declared band"
                 % (2.0 * math.pi / psi.grid.h))
-    coeff = psi.values * _trapezoid_weights(psi.grid.n_points) * psi.grid.h
-    vals = _phase_matrix_apply(coeff, psi.grid.nodes(), +1.0,
-                               out.x_min, out.h, out.n_points)
-    return GridFunction(out, vals, "frequency")
+    return _chirp_z(psi, 1.0, psi.grid.h, out, "frequency")
 
 
 def fourier_grid_at(psi: GridFunction, z) -> np.ndarray:

@@ -107,6 +107,26 @@ def test_eigen_residual_detects_perturbed_eigenvalue(catalog):
     assert chk.residual >= 1e-2 * chk.g_scale
 
 
+def test_eigen_residual_evaluates_s_theta_once_per_sample(catalog, monkeypatch):
+    p = hp.ExtensionParams(math.pi / 3)
+    g1 = catalog.ordinates[0]
+    samples = _samples(np.random.default_rng(35), [g1, p.w0], n=7)
+    s_w0 = p.s(p.w0)
+
+    def F(z):
+        return (p.s(z) / s_w0) * (g1 - p.w0) / (complex(z) - g1)
+
+    per_call = [hp.m_theta_apply(p, F, z) for z in samples]
+    calls = []
+    real_E_xi = sf.E_xi
+    monkeypatch.setattr(sf, "E_xi", lambda z: calls.append(z) or real_E_xi(z))
+    chk = hp.eigen_residual(p, g1, samples, eigenvalue=g1 + 0.01)
+    assert len(calls) <= 4 * len(samples) + 8
+    # the same values as the public one-sample route, bit for bit
+    assert chk.residual == max(abs(MG - (g1 + 0.01) * G) for G, MG in per_call)
+    assert chk.g_scale == max(abs(G) for G, _ in per_call)
+
+
 def test_eigen_residual_rejects_bad_samples(catalog):
     p = hp.ExtensionParams(math.pi / 2)
     g1 = catalog.ordinates[0]

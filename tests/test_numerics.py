@@ -156,6 +156,63 @@ def test_forward_guard_and_band_limit():
         nu.forward_fourier_grid(psi, fg, band_limit=40.0)
 
 
+def _direct_sum(vals, grid, sign, scale, x):
+    """Oracle: the trapezoid sum scale * sum_j w_j vals_j exp(sign i z_j x)
+    per x by an explicit exp matrix, with the sum of |terms|."""
+    w = np.ones(grid.n_points)
+    w[0] = w[-1] = 0.5
+    terms = vals * w * scale * np.exp(1j * sign * np.multiply.outer(x, grid.nodes()))
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 9), (9, 2), (40, 301),
+                                  (301, 40), (1000, 1000)])
+@pytest.mark.parametrize("zs, xs", [((-30.0, 30.0), (-2.0, 3.0)),
+                                    ((5.5, 80.25), (-7.3, -1.1)),
+                                    ((-100.0, -20.0), (3.0, 11.0))])
+def test_chirp_z_matches_direct_sum(sign, n, m, zs, xs):
+    zgrid, out = nu.Grid(*zs, n), nu.Grid(*xs, m)
+    rng = np.random.default_rng(n + 7 * m)
+    vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    f = nu.GridFunction(zgrid, vals, "frequency")
+    got = nu._chirp_z(f, sign, 0.3, out, "time")
+    assert got.grid == out and got.domain_tag == "time"
+    ref, mag = _direct_sum(vals, zgrid, sign, 0.3, out.nodes())
+    assert np.max(np.abs(got.values - ref) / mag) <= 1e-12
+
+
+def test_grid_transforms_are_trapezoid_sums():
+    fg = nu.Grid(-37.0, 52.0, 700)
+    tg = nu.Grid(-1.5, 0.9, 333)
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal(700) + 1j * rng.standard_normal(700)
+    inv = nu.inverse_fourier_grid(nu.GridFunction(fg, vals, "frequency"), tg)
+    ref, mag = _direct_sum(vals, fg, -1.0, fg.h / (2 * math.pi), tg.nodes())
+    assert np.max(np.abs(inv.values - ref) / mag) <= 1e-12
+    fwd = nu.forward_fourier_grid(inv, fg, band_limit=60.0)
+    ref, mag = _direct_sum(inv.values, tg, 1.0, tg.h, fg.nodes())
+    assert np.max(np.abs(fwd.values - ref) / mag) <= 1e-12
+
+
+def test_grid_transforms_at_acceptance_size():
+    # the heavy_psi shapes: 968,633 frequency nodes on [-10^4, 10^4] onto the
+    # 145,774-node window [-6, 38] and back; the chirp phase reaches ~3e6 rad
+    fg = nu.symmetric_grid(10000.0, 0.999 * nu.ALIAS_GUARD / 38.0)
+    tg = nu.band_exact_grid(-6.0, 38.0, 20000.0, margin=400.0)
+    assert (fg.n_points, tg.n_points) == (968633, 145774)
+    rng = np.random.default_rng(2024)
+    vals = rng.standard_normal(fg.n_points) + 1j * rng.standard_normal(fg.n_points)
+    inv = nu.inverse_fourier_grid(nu.GridFunction(fg, vals, "frequency"), tg)
+    fwd = nu.forward_fourier_grid(inv, fg, band_limit=10000.0)
+    for src, dst, sign, scale in ((vals, inv, -1.0, fg.h / (2 * math.pi)),
+                                  (inv.values, fwd, 1.0, tg.h)):
+        grid = fg if sign < 0 else tg
+        k = rng.choice(dst.grid.n_points, 6, replace=False)
+        ref, mag = _direct_sum(src, grid, sign, scale, dst.grid.nodes()[k])
+        assert np.max(np.abs(dst.values[k] - ref) / mag) <= 1e-10
+
+
 def test_inner_product_constant():
     g = nu.Grid(0.0, 1.0, 101)
     one = nu.GridFunction(g, np.ones(101), "time")
