@@ -425,9 +425,7 @@ def run_zeros(action: str, cfg: RunConfig, table: Optional[str]) -> int:
         zs = zc.load_zeros(table, cfg.height_T)
         os.makedirs(cache, exist_ok=True)
         dest = os.path.join(cache, "zeros_T%s.txt" % ("%g" % cfg.height_T))
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            for g in zs.ordinates:
-                fh.write("%.9f\n" % g)
+        zc.save_zeros(dest, zs)
         print("imported %d ordinates -> %s" % (len(zs), dest))
         return 0
     if action == "list":
@@ -440,7 +438,8 @@ def run_zeros(action: str, cfg: RunConfig, table: Optional[str]) -> int:
             print("(empty cache)")
         for f in entries:
             with open(os.path.join(cache, f), "r", encoding="utf-8") as fh:
-                n = sum(1 for line in fh if line.strip())
+                n = sum(1 for line in fh
+                        if line.strip() and not line.startswith("#"))
             print("%s: %d ordinates" % (f, n))
         return 0
     print("unknown zeros action %r" % action, file=sys.stderr)

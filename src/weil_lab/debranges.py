@@ -17,7 +17,9 @@ both finite and stable arbitrarily far out.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -34,6 +36,8 @@ __all__ = [
     "build_basis_bank",
 ]
 
+_log = logging.getLogger("weil_lab")
+
 # cached critical-line log-derivative arrays, keyed by the frequency grid
 _AXIS_CACHE: Dict[Tuple[float, int], Tuple[numerics.Grid, np.ndarray]] = {}
 
@@ -48,12 +52,16 @@ def axis_samples(Z: float, spacing: float):
     grid = numerics.symmetric_grid(Z, spacing)
     key = (round(grid.x_max, 9), grid.n_points)
     if key not in _AXIS_CACHE:
+        t0 = time.perf_counter()
         x = grid.nodes()
         half = x[x >= 0.0]
         L_half = sf.critical_line_log_derivative(half)
         # L(-x) = -conj(L(x)): xi(1/2-iz) is real on the axis
         L = np.concatenate([-np.conj(L_half[:0:-1]), L_half])
         _AXIS_CACHE[key] = (grid, L)
+        _log.debug("axis sweep Z=%g: %d nodes, %d on the half-grid, "
+                   "step %.6g, %.3f s", Z, grid.n_points, half.size, grid.h,
+                   time.perf_counter() - t0)
     return _AXIS_CACHE[key]
 
 

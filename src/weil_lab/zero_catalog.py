@@ -20,12 +20,13 @@ import numpy as np
 from . import special_fn as sf
 
 __all__ = [
-    "ZeroSet", "CountingReport", "load_zeros", "compute_zeros",
+    "ZeroSet", "CountingReport", "load_zeros", "save_zeros", "compute_zeros",
     "counting_check", "iterate_symmetric", "tail_coefficient",
 ]
 
 MAX_HEIGHT = 120.0
 _SCAN_STEP = 0.25
+_SOURCE_HEADER = "# source="
 
 
 @dataclass(frozen=True)
@@ -65,12 +66,13 @@ class CountingReport:
 
 
 def load_zeros(path, T: float) -> ZeroSet:
-    """Parse a plain-text ordinate table (one decimal per line, ascending)."""
+    """Parse a plain-text ordinate table (one decimal per line, ascending;
+    blank lines and lines starting with '#' are skipped)."""
     ordinates: List[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
+            if not line or line.startswith("#"):
                 continue
             try:
                 val = float(line)
@@ -110,11 +112,34 @@ def _refine_root(f, a: float, b: float, fa: float, fb: float,
     return 0.5 * (a + b)
 
 
+def save_zeros(path, zs: ZeroSet) -> None:
+    """Write a catalog cache file: a '# source=computed|table' header, then
+    one %.9f ordinate per line (byte-stable for equal inputs)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("%s%s\n" % (_SOURCE_HEADER, zs.source))
+        for g in zs.ordinates:
+            fh.write("%.9f\n" % g)
+
+
+def _cached_source(path):
+    """The source a cache file's header names; None without file or header."""
+    if not os.path.exists(path):
+        return None
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline().strip()
+    source = first[len(_SOURCE_HEADER):]
+    if first.startswith(_SOURCE_HEADER) and source in ("computed", "table"):
+        return source
+    return None
+
+
 def compute_zeros(T: float, cache_dir=None) -> ZeroSet:
     """Sign-change sweep of t -> xi(1/2 + it) on (0, T], refined per bracket.
 
-    Results are cached (one %.9f ordinate per line) keyed by T when a cache
-    directory is given; the cache file is byte-stable across runs.
+    Results are cached in zeros_T{T}.txt when a cache directory is given (see
+    save_zeros; the file is byte-stable across runs). A cached file reports
+    the source its header names, so a table written by `weil-lab zeros
+    import` comes back as 'table'; a file without the header is recomputed.
     """
     if T > MAX_HEIGHT:
         raise ValueError("compute_zeros supports T <= %g" % MAX_HEIGHT)
@@ -122,9 +147,10 @@ def compute_zeros(T: float, cache_dir=None) -> ZeroSet:
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
         cache_path = os.path.join(cache_dir, "zeros_T%s.txt" % ("%g" % T))
-        if os.path.exists(cache_path):
+        source = _cached_source(cache_path)
+        if source is not None:
             zs = load_zeros(cache_path, T)
-            return ZeroSet(zs.ordinates, zs.multiplicities, float(T), "computed")
+            return ZeroSet(zs.ordinates, zs.multiplicities, float(T), source)
 
     t_grid = np.arange(2.0, T + _SCAN_STEP, _SCAN_STEP)
     t_grid = t_grid[t_grid <= T]
@@ -142,15 +168,14 @@ def compute_zeros(T: float, cache_dir=None) -> ZeroSet:
             roots.append(_refine_root(f, float(t_grid[i]), float(t_grid[i + 1]),
                                       fa, fb))
     roots = [r for r in roots if r <= T]
+    zs = ZeroSet(tuple(roots), tuple([1] * len(roots)), float(T), "computed")
 
     if cache_path is not None:
-        with open(cache_path, "w", encoding="utf-8", newline="\n") as fh:
-            for r in roots:
-                fh.write("%.9f\n" % r)
+        save_zeros(cache_path, zs)
         # serve the round-tripped values so later cache hits are bit-identical
         zs = load_zeros(cache_path, T)
         return ZeroSet(zs.ordinates, zs.multiplicities, float(T), "computed")
-    return ZeroSet(tuple(roots), tuple([1] * len(roots)), float(T), "computed")
+    return zs
 
 
 def counting_check(zs: ZeroSet) -> CountingReport:

@@ -98,6 +98,16 @@ def test_zeros_import_compute_list(tmp_path, monkeypatch, capsys):
     assert "zeros_T20.txt: 1 ordinates" in listing
 
 
+def test_imported_table_keeps_its_source(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("WEIL_LAB_CACHE", str(cache))
+    assert cli.main(["zeros", "import", "--zeros", ZERO_TABLE,
+                     "--height-T", "30"]) == 0
+    zs = zc.compute_zeros(30.0, cache_dir=str(cache))
+    assert zs.source == "table"
+    assert len(zs) == 3
+
+
 def test_zeros_import_missing_table_is_io_error(tmp_path, monkeypatch):
     monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
     rc = cli.main(["zeros", "import", "--zeros", str(tmp_path / "nope.txt"),

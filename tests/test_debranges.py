@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -157,6 +158,25 @@ def test_axis_cache_reuse(catalog):
     assert len(db._AXIS_CACHE) == 1
     db.psi_gamma(g2, catalog, 520.0, grid)
     assert len(db._AXIS_CACHE) == 1       # second build reuses the sweep
+
+
+def test_axis_sweep_miss_is_logged(caplog):
+    Z, spacing = 61.0, 0.05
+    key = (round(nu.symmetric_grid(Z, spacing).x_max, 9),
+           nu.symmetric_grid(Z, spacing).n_points)
+    db._AXIS_CACHE.pop(key, None)
+    with caplog.at_level(logging.DEBUG, logger="weil_lab"):
+        db.axis_samples(Z, spacing)
+        db.axis_samples(Z, spacing)      # a hit logs nothing
+    msgs = [r.getMessage() for r in caplog.records if r.name == "weil_lab"]
+    db._AXIS_CACHE.pop(key, None)
+    assert len(msgs) == 2
+    assert msgs[0].startswith("critical-line sweep: 1221 points, largest "
+                              "Euler-Maclaurin N 47, 1 chunks factored, "
+                              "0 point by point, ")
+    assert msgs[1].startswith("axis sweep Z=61: 2441 nodes, 1221 on the "
+                              "half-grid, step 0.05, ")
+    assert msgs[1].endswith(" s")
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -256,6 +257,81 @@ def test_critical_line_log_derivative_against_oracle():
         ref = complex(-1j * mp.diff(_mp_xi, s) / _mp_xi(s))
         assert abs(L - ref) <= 1e-10 * max(1.0, abs(ref))
         assert abs(L.imag) <= 1e-9 * max(1.0, abs(L))
+
+
+def _exp_matrix_sums(s, N):
+    """Oracle for the Dirichlet sums of the Euler-Maclaurin evaluator: one
+    complex exponential per (point, n), summed directly."""
+    ln_n = np.log(np.arange(1, N, dtype=float))
+    S = np.zeros(s.size, dtype=complex)
+    Sp = np.zeros(s.size, dtype=complex)
+    for i0 in range(0, ln_n.size, 256):
+        ln_c = ln_n[i0:i0 + 256]
+        E = np.exp(-np.multiply.outer(s, ln_c))
+        S += E.sum(axis=1)
+        Sp -= E @ ln_c
+    return S, Sp
+
+
+def _sum_cases():
+    rng = np.random.default_rng(21)
+    yield "2 nodes at 1e4", 0.5 - 1j * np.linspace(1e4, 1e4 + 0.02, 2)
+    yield "95 nodes, negative x", 0.5 - 1j * np.linspace(-1e4, -9998.6, 95)
+    yield "8191 nodes to 3819", 0.5 - 1j * np.linspace(3000.0, 3819.0, 8191)
+    x = np.linspace(-200.0, 200.0, 16385)
+    yield "8192-node half-grid from ~0", 0.5 - 1j * x[x >= 0.0][:8192]
+    yield "8193 nodes", 0.5 - 1j * np.linspace(2000.5, 2246.26, 8193)
+    yield "seeded points", 0.5 - 1j * rng.uniform(1000.0, 2000.0, 3000)
+
+
+@pytest.mark.parametrize("name,s", list(_sum_cases()))
+def test_dirichlet_sums_match_exp_matrix_oracle(name, s):
+    # chunked as the evaluator chunks; every chunk of a uniform grid with at
+    # least two nodes takes the factored branch, scattered points do not
+    for idx, sc, _, _, step in sf._em_chunks(s):
+        assert (step is not None) == (name != "seeded points" and sc.size > 1)
+        N = sf._em_length(sc)
+        S, Sp = sf._dirichlet_sums(sc, N, step)
+        S_ref, Sp_ref = _exp_matrix_sums(sc, N)
+        terms = np.arange(1, N, dtype=float) ** -0.5      # |n^{-s}|
+        ln_n = np.log(np.arange(1, N, dtype=float))
+        assert np.max(np.abs(S - S_ref)) <= 1e-12 * np.sum(terms)
+        assert np.max(np.abs(Sp - Sp_ref)) <= 1e-12 * np.sum(ln_n * terms)
+
+
+def test_factored_sweep_near_a_zero_against_oracle():
+    # the x >= 0 part of a grid over ~[-1000, 1000] has node values off its
+    # lattice by ~1e-13; one node sits within 1e-6 of gamma_1, where
+    # |L| ~ 1e6 and that offset would show without the per-node correction
+    h = 0.02
+    x0 = GAMMA1 - 3e-7 - 50000 * h
+    x = np.linspace(x0, x0 + 100000 * h, 100001)
+    half = x[x >= 0.0]
+    k = int(np.argmin(np.abs(half - GAMMA1)))
+    assert abs(half[k] - GAMMA1) <= 1e-6
+    L = sf.critical_line_log_derivative(half[:8192])
+    assert sf._lattice_step(0.5 - 1j * half[:8192]) is not None
+    s = mp.mpc(mp.mpf(1) / 2, -mp.mpf(half[k]))
+    ref = complex(-1j * (1 / s + 1 / (s - 1) - mp.log(mp.pi) / 2
+                         + mp.digamma(s / 2) / 2
+                         + mp.zeta(s, derivative=1) / mp.zeta(s)))
+    assert abs(ref) > 1e6
+    # the oracle test's 1e-10 relative bound plus the roundoff of w itself:
+    # an absolute error ~1e-14 |w'| in w becomes ~1e-14 |L|^2 in L = w'/w + ...
+    assert abs(L[k] - ref) <= 1e-10 * abs(ref) + 1e-14 * abs(ref) ** 2
+
+
+def test_point_by_point_working_set_is_bounded():
+    # 8,192 scattered points at heights up to 2000 take N ~ 1016 terms: the
+    # exponential table is built in column blocks, not as one 8192 x N array
+    x = np.random.default_rng(5).uniform(1000.0, 2000.0, 8192)
+    tracemalloc.start()
+    try:
+        sf.critical_line_log_derivative(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2 ** 20
 
 
 def test_xi_on_critical_line_real():

@@ -255,6 +255,21 @@ def test_screw_form_two_routes_agree(catalog):
         assert sv.value.real >= -1e-10
 
 
+def test_screw_form_declared_tail_bounds_the_omitted_zeros():
+    # the screw form over the zeros in (50, 110] is part of what the T = 50
+    # tail model declares it may miss; each form's quadrature gap is added
+    short = zc.compute_zeros(50.0)
+    longer = zc.load_zeros(ZERO_TABLE, 110.0)
+    rng = np.random.default_rng(2025)
+    for _ in range(12):
+        phi = wf.random_mean_zero(rng)
+        fv = wf.screw_form(phi, phi, short)
+        fl = wf.screw_form(phi, phi, longer)
+        assert fv.tail_bound > 0.0
+        assert abs(fl.value - fv.value) <= (fv.tail_bound + fv.quad_error
+                                            + fl.quad_error)
+
+
 def test_screw_tail_bound_model(catalog):
     assert wf.screw_tail_bound(0.0, catalog) == 0.0
     assert wf.screw_tail_bound(1.0, catalog) == pytest.approx(

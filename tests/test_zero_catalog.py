@@ -148,5 +148,26 @@ def test_cache_roundtrip_and_byte_stability(tmp_path):
     assert abs(zs1.ordinates[0] - zs2.ordinates[0]) < 1e-9
 
 
+def test_cache_header_names_the_source(tmp_path):
+    cache = str(tmp_path / "cache")
+    zc.compute_zeros(20.0, cache_dir=cache)
+    path = os.path.join(cache, "zeros_T20.txt")
+    assert open(path).readline() == "# source=computed\n"
+    table = zc.ZeroSet((G1,), (1,), 20.0, "table")
+    zc.save_zeros(path, table)
+    assert zc.compute_zeros(20.0, cache_dir=cache).source == "table"
+
+
+def test_cache_without_header_is_recomputed(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "zeros_T20.txt").write_text("14.0\n")
+    zs = zc.compute_zeros(20.0, cache_dir=str(cache))
+    assert zs.source == "computed"
+    assert abs(zs.ordinates[0] - G1) < 1e-8
+    header = (cache / "zeros_T20.txt").read_text().splitlines()[0]
+    assert header == "# source=computed"
+
+
 def test_tail_coefficient(catalog):
     assert zc.tail_coefficient(catalog) == pytest.approx(math.log(100.0) / 100.0)
