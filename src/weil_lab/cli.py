@@ -227,10 +227,7 @@ def suite_screw(cfg: RunConfig) -> List[CheckRow]:
     worst = -1e30
     for _ in range(20):
         nodes = rng.uniform(-3, 3, size=8)
-        M = np.empty((8, 8), dtype=complex)
-        for i in range(8):
-            for j in range(8):
-                M[i, j] = wf.screw_kernel(nodes[i], nodes[j], zs)
+        M = wf.screw_kernel(nodes[:, None], nodes[None, :], zs)
         ev = np.linalg.eigvalsh(M)
         worst = max(worst, -(ev[0] + 1e-8 * np.trace(M).real))
     rows.append(_row("gram_psd",

@@ -108,7 +108,13 @@ class BasisFunction:
         return self._limit_value
 
     def values_on_axis(self, x, log_deriv=None) -> np.ndarray:
-        """Vectorized values at real x via the stable log-derivative form."""
+        """Vectorized values at real x via the stable log-derivative form.
+
+        Within 1e-6 of another zero gamma' (|L| >~ 1e6) L carries the error
+        ~1e-14 |L|^2 of theta_on_axis, i.e. gamma' moved by ~1e-14. Then
+        1/(1 + iL) is off by ~1e-14, so a value there (~0) is off by
+        ~1e-14 sqrt(m/pi)/|x - gamma|, far below the 1e-6 off-diagonal bound.
+        """
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         L = (sf.critical_line_log_derivative(x_arr)
              if log_deriv is None else log_deriv)

@@ -10,6 +10,12 @@ and its kernel G(t,s) = g(t-s) - g(t) - g(-s) + g(0) induces the quadratic
 form <phi1, phi2>_G = integral G(t,s) phi1(s) conj(phi2(t)) ds dt on
 mean-zero test functions. The two forms are linked by phi = psi'.
 
+Transforms of test functions take whole arrays of z through one 32-point
+Gauss-Legendre node set per call and part (numerics.fourier_integral). The
+screw form's quadrature route is a separable 64-point Gauss-Legendre double
+sum; its spectral route uses those transforms at the zeros. They share the
+catalog and the inputs but no nodes, so their gap estimates quadrature error.
+
 Truncation of the infinite catalog is surfaced on every FormValue through a
 declared tail model (sum_{gamma > T} m/gamma^2 <= log(T)/T times a sampled
 decay envelope of the transforms); it is an engineering estimate, not a
@@ -160,8 +166,9 @@ class TestFunction:
         """integral of the function over the line."""
         return self.fourier(0.0)
 
-    def fourier(self, z: complex) -> complex:
-        """f^(z) = integral f(x) e^{izx} dx (Gauss-Legendre panels).
+    def fourier(self, z):
+        """f^(z) = integral f(x) e^{izx} dx at a scalar or an array of z
+        (Gauss-Legendre panels, one node set per call and part).
 
         Combinations transform by linearity (each part over its own
         support), so cancellations arranged in the coefficients survive at
@@ -169,17 +176,20 @@ class TestFunction:
         if self.kind == _ANTI:
             if not self.compact_support:
                 raise ValueError("transform of a non-compact antiderivative")
-            z = complex(z)
             base = self.parts[0]
-            if abs(z) > 1e-8:
-                return base.fourier(z) / (-1j * z)
-            # psi^(0) = -integral y phi(y) dy for mean-zero phi
-            a, b = base.support()
-            return -numerics.fourier_integral(
-                lambda y: y * base._eval(np.asarray(y, dtype=float)), (a, b), 0.0)
+            z_arr = np.asarray(z, dtype=complex)
+            small = np.abs(z_arr) <= 1e-8
+            out = np.empty(z_arr.shape, dtype=complex)
+            out[~small] = base.fourier(z_arr[~small]) / (-1j * z_arr[~small])
+            if np.any(small):
+                # psi^(0) = -integral y phi(y) dy for mean-zero phi
+                out[small] = -numerics.fourier_integral(
+                    lambda y: y * base._eval(np.asarray(y, dtype=float)),
+                    base.support(), 0.0)
+            return complex(out) if out.ndim == 0 else out
         if self.kind == _COMBO:
-            return complex(sum(c * p.fourier(z)
-                               for c, p in zip(self.coefficients, self.parts)))
+            return sum(c * p.fourier(z)
+                       for c, p in zip(self.coefficients, self.parts))
         return numerics.fourier_at(self, z)
 
 
@@ -227,7 +237,7 @@ def transform_at(psi, z):
     """psihat at (array of) z for a TestFunction or a time GridFunction."""
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if isinstance(psi, TestFunction):
-        out = np.array([psi.fourier(zi) for zi in z_arr])
+        out = psi.fourier(z_arr)
     elif isinstance(psi, numerics.GridFunction):
         out = np.atleast_1d(numerics.fourier_grid_at(psi, z_arr))
     else:
@@ -262,8 +272,12 @@ def weil_pairing(psi1, psi2, zs) -> FormValue:
         return FormValue(0.0j, 0.0, 0.0)
     g = np.array([p[0] for p in pairs], dtype=complex)
     m = np.array([p[1] for p in pairs], dtype=float)
+    same = psi2 is psi1
     f1 = transform_at(psi1, g)
-    f2c = np.conj(transform_at(psi2, np.conj(g)))
+    if same and not np.any(g.imag):
+        f2c = np.conj(f1)                # conj(g) == g on a real catalog
+    else:
+        f2c = np.conj(transform_at(psi2, np.conj(g)))
     value = complex(np.sum(m * f1 * f2c))
 
     tail = 0.0
@@ -271,12 +285,12 @@ def weil_pairing(psi1, psi2, zs) -> FormValue:
         T = zs.height_T
         zp = _sup_samples(T)
         p1 = transform_at(psi1, zp.astype(complex))
-        p2 = transform_at(psi2, zp.astype(complex))
+        p2 = p1 if same else transform_at(psi2, zp.astype(complex))
         envelope = float(np.max(np.abs(zp) ** 2 * np.abs(p1) * np.abs(p2)))
         tail = 2.0 * zc.tail_coefficient(zs) * envelope
 
     e1 = 1e-12 * _transform_scale(psi1)
-    e2 = 1e-12 * _transform_scale(psi2)
+    e2 = e1 if same else 1e-12 * _transform_scale(psi2)
     quad = float(np.sum(m * (np.abs(f1) * e2 + np.abs(f2c) * e1 + e1 * e2)))
     return FormValue(value, tail, quad)
 
@@ -285,14 +299,19 @@ def weil_pairing(psi1, psi2, zs) -> FormValue:
 # screw function and kernel
 # ----------------------------------------------------------------------
 
+def _real_catalog(zs):
+    """(gamma, m) arrays of the symmetric catalog, which must be real."""
+    pairs = zc.iterate_symmetric(zs)
+    g = np.array([p[0] for p in pairs], dtype=complex)
+    if np.any(g.imag):
+        raise ValueError("the screw kernel needs real ordinates")
+    return g.real, np.array([p[1] for p in pairs], dtype=float)
+
+
 def screw_g_array(t, zs) -> np.ndarray:
     """g(t) = sum_gamma m (e^{i gamma t} - 1)/gamma^2 over the symmetric catalog."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    pairs = zc.iterate_symmetric(zs)
-    if not pairs:
-        return np.zeros(t_arr.shape, dtype=complex)
-    g = np.array([p[0] for p in pairs], dtype=float)
-    m = np.array([p[1] for p in pairs], dtype=float)
+    g, m = _real_catalog(zs)
     out = np.zeros(len(t_arr), dtype=complex)
     for i0 in range(0, len(t_arr), 4096):
         tc = t_arr[i0:i0 + 4096]
@@ -313,59 +332,60 @@ def screw_tail_bound(t: float, zs) -> float:
     return 2.0 * zc.tail_coefficient(zs) * min(1.0, abs(t) * T)
 
 
-def screw_kernel(t: float, s: float, zs) -> complex:
-    """G(t,s) = g(t-s) - g(t) - g(-s) + g(0)."""
-    vals = screw_g_array(np.array([t - s, t, -s, 0.0]), zs)
-    return complex(vals[0] - vals[1] - vals[2] + vals[3])
+def screw_kernel(t, s, zs):
+    """G(t,s) = g(t-s) - g(t) - g(-s) + g(0), broadcast over arrays t and s
+    (a complex for scalar t and s)."""
+    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), s)
+    vals = screw_g_array(np.stack([t - s, t, -s, 0.0 * t]).ravel(),
+                         zs).reshape((4,) + t.shape)
+    G = vals[0] - vals[1] - vals[2] + vals[3]
+    return complex(G) if G.ndim == 0 else G
 
 
 def screw_form(phi1: TestFunction, phi2: TestFunction, zs) -> FormValue:
     """Double quadrature of G(t,s) phi1(s) conj(phi2(t)) over the support box.
 
-    Requires mean-zero inputs. The same finite catalog also gives the form
-    spectrally as sum m phihat1(gamma) conj(phihat2(gamma)) / gamma^2; the
-    two routes are computed independently and their gap is reported as the
-    quadrature-error estimate.
+    Requires mean-zero inputs and real ordinates. As g(0) = 0,
+    G(t,s) = sum m/gamma^2 (e^{i gamma t} - 1)(e^{-i gamma s} - 1), so on
+    64-point Gauss-Legendre panels the double sum separates into
+    sum m/gamma^2 (sum_t w_t conj(phi2(t)) (e^{i gamma t} - 1))
+    (sum_s w_s phi1(s) (e^{-i gamma s} - 1)): two |Gamma| x n products. The
+    catalog also gives the form spectrally, sum m phihat1 conj(phihat2)/gamma^2
+    from the 32-point transforms; the routes share no nodes or exponentials,
+    and their gap is reported as the quadrature-error estimate.
     """
+    same = phi2 is phi1
     scale1 = _transform_scale(phi1)
-    scale2 = _transform_scale(phi2)
+    scale2 = scale1 if same else _transform_scale(phi2)
     if abs(phi1.fourier(0.0)) > 1e-8 * max(scale1, 1e-30):
         raise ValueError("screw_form requires mean-zero phi1")
-    if abs(phi2.fourier(0.0)) > 1e-8 * max(scale2, 1e-30):
+    if not same and abs(phi2.fourier(0.0)) > 1e-8 * max(scale2, 1e-30):
         raise ValueError("screw_form requires mean-zero phi2")
-    pairs = zc.iterate_symmetric(zs)
-    if not pairs:
+    gam, m = _real_catalog(zs)
+    if not len(gam):
         return FormValue(0.0j, 0.0, 0.0)
-    gmax = max(abs(p[0]) for p in pairs)
 
-    # 64-point panels resolving e^{i gamma t} up to gmax
-    width = max(1e-3, 72.0 / (gmax + 1.0))
+    # 64-point panels resolving e^{i gamma t} up to max|gamma|
+    width = max(1e-3, 72.0 / (np.max(np.abs(gam)) + 1.0))
     s_nodes, s_w = (p.ravel()
                     for p in numerics.panel_rule(*phi1.support(), width, 64))
     t_nodes, t_w = (p.ravel()
                     for p in numerics.panel_rule(*phi2.support(), width, 64))
+    u = (np.exp(1j * np.multiply.outer(gam, t_nodes)) - 1.0) @ (
+        np.conj(phi2._eval(t_nodes)) * t_w)
+    v = (np.exp(-1j * np.multiply.outer(gam, s_nodes)) - 1.0) @ (
+        phi1._eval(s_nodes) * s_w)
+    value = complex(np.sum(m / (gam * gam) * u * v))
 
-    g_diff = screw_g_array(np.subtract.outer(t_nodes, s_nodes).ravel(), zs)
-    g_diff = g_diff.reshape(len(t_nodes), len(s_nodes))
-    g_t = screw_g_array(t_nodes, zs)
-    g_ms = screw_g_array(-s_nodes, zs)
-    G = g_diff - g_t[:, None] - g_ms[None, :]   # g(0) = 0 for this catalog sum
-
-    f1 = phi1._eval(s_nodes) * s_w
-    f2 = np.conj(phi2._eval(t_nodes)) * t_w
-    value = complex(f2 @ G @ f1)
-
-    gam = np.array([p[0] for p in pairs], dtype=complex)
-    m = np.array([p[1] for p in pairs], dtype=float)
     h1 = transform_at(phi1, gam)
-    h2 = np.conj(transform_at(phi2, np.conj(gam)))
-    spectral = complex(np.sum(m * h1 * h2 / (gam.real ** 2 + gam.imag ** 2)))
+    h2 = np.conj(h1) if same else np.conj(transform_at(phi2, gam))
+    spectral = complex(np.sum(m * h1 * h2 / gam ** 2))
 
     tail = 0.0
     if isinstance(zs, zc.ZeroSet) and len(zs):
         zp = _sup_samples(zs.height_T)
         p1 = transform_at(phi1, zp.astype(complex))
-        p2 = transform_at(phi2, zp.astype(complex))
+        p2 = p1 if same else transform_at(phi2, zp.astype(complex))
         tail = 2.0 * zc.tail_coefficient(zs) * float(np.max(np.abs(p1) * np.abs(p2)))
     quad = abs(value - spectral) + 1e-12 * scale1 * scale2
     return FormValue(value, tail, quad)

@@ -1,6 +1,7 @@
 import logging
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -68,6 +69,25 @@ def test_basis_limit_branch_matches_nearby_values(catalog):
     near = F1(g1 + 5e-7)           # limit branch
     outside = F1(g1 + 5e-5)        # quotient branch
     assert abs(near - outside) < 1e-4 * abs(near)
+
+
+def test_values_near_another_zero_follow_the_error_model(catalog):
+    # within 1e-6 of gamma_2, L carries ~1e-14 |L|^2 (gamma_2 moved by
+    # ~1e-14): Theta stays within ~2e-14 and F_gamma1 within
+    # ~1e-14 sqrt(m/pi)/|x - gamma_1| of their 30-digit values
+    g1, g2 = catalog.ordinates[:2]
+    F = db.BasisFunction(g1, catalog)
+    x = g2 + np.array([3e-7, -8e-7])
+    theta, vals = sf.theta_on_axis(x), F.values_on_axis(x)
+    with mp.workdps(30):
+        for xk, th, v in zip(x, theta, vals):
+            s = mp.mpc(mp.mpf(1) / 2, -mp.mpf(xk))
+            L = (-1j * (1 / s + 1 / (s - 1) - mp.log(mp.pi) / 2 + mp.digamma(s / 2) / 2
+                        + mp.zeta(s, derivative=1) / mp.zeta(s))).real
+            assert abs(L) > 1e6
+            assert abs(th - complex((1 - 1j * L) / (1 + 1j * L))) <= 2e-14
+            exact = complex(F.normalization / ((1 + 1j * L) * (mp.mpf(xk) - g1)))
+            assert abs(v - exact) <= 1e-14 * F.normalization / abs(xk - g1)
 
 
 def test_basis_h2_proxy_bounded_decreasing(catalog):
@@ -277,7 +297,7 @@ def test_debranges_norm_cancellation(catalog):
     from weil_lab import weil_form as wf
     b = wf.TestFunction.bump(0.0, 1.0)
     fg = nu.symmetric_grid(60.0, 0.05)
-    psi_hat = np.array([b.fourier(z) for z in fg.nodes()])
+    psi_hat = b.fourier(fg.nodes())
     E = sf.E_on_axis(fg.nodes())
     F = nu.GridFunction(fg, E * psi_hat, "frequency")
     got = db.debranges_norm(F)

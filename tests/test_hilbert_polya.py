@@ -250,7 +250,7 @@ def test_generator_is_i_d_dx_on_smooth_grids(catalog):
     Z = 250.0
     fg = nu.symmetric_grid(Z, 0.05)
     tg = nu.Grid(-2.0, 2.0, 801)
-    spec = np.array([b.fourier(z) for z in fg.nodes()])
+    spec = b.fourier(fg.nodes())
     mult = nu.GridFunction(fg, fg.nodes() * spec, "frequency")
     a_psi = nu.inverse_fourier_grid(mult, tg)
     x = tg.nodes()

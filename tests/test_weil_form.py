@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -27,6 +28,50 @@ def direct_screw_g(t, zs):
     for g, m in zc.iterate_symmetric(zs):
         total += m * (cmath.exp(1j * g * t) - 1.0) / g ** 2
     return total
+
+
+def per_z_fourier_integral(f, support, z, zmax=0.0):
+    """Oracle: the scalar panel route, one z at a time with whole phases
+    e^{izx}, on the node set for max(|z|, zmax) (zmax = 0: each z's own
+    node set, as before arrays). Returns (value, sum of |terms|)."""
+    a, b = support
+    z = complex(z)
+    width = min(1.0 / (1.0 + max(abs(z), zmax)), (b - a) / 8.0)
+    x, w = (p.ravel() for p in nu.panel_rule(a, b, width, 32))
+    terms = w * np.asarray(f(x), dtype=complex) * np.exp(1j * z * x)
+    return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+
+def per_z_transform(psi, z, zmax=0.0):
+    """Oracle for TestFunction.fourier, one per-z call per part:
+    (value, sum of |terms|)."""
+    if psi.kind == "antiderivative_of_bump":
+        base = psi.parts[0]
+        if abs(z) > 1e-8:
+            v, s = per_z_transform(base, z, zmax)
+            return v / (-1j * z), s / abs(z)
+        v, s = per_z_fourier_integral(lambda y: y * base._eval(y),
+                                      base.support(), 0.0)
+        return -v, s
+    if psi.kind == "finite_combination":
+        vs = [per_z_transform(p, z, zmax) for p in psi.parts]
+        return (sum(c * v for c, (v, _) in zip(psi.coefficients, vs)),
+                sum(abs(c) * s for c, (_, s) in zip(psi.coefficients, vs)))
+    return per_z_fourier_integral(psi, psi.support(), z, zmax)
+
+
+def g_matrix_screw_form(phi1, phi2, zs):
+    """Oracle: the screw-form quadrature through the t x s matrix of
+    G(t,s) = g(t-s) - g(t) - g(-s). Returns (value, sum of |terms|)."""
+    gmax = max(abs(g) for g, _ in zc.iterate_symmetric(zs))
+    width = max(1e-3, 72.0 / (gmax + 1.0))
+    s, s_w = (p.ravel() for p in nu.panel_rule(*phi1.support(), width, 64))
+    t, t_w = (p.ravel() for p in nu.panel_rule(*phi2.support(), width, 64))
+    G = (wf.screw_g_array(np.subtract.outer(t, s).ravel(), zs).reshape(len(t), len(s))
+         - wf.screw_g_array(t, zs)[:, None] - wf.screw_g_array(-s, zs)[None, :])
+    f1 = phi1._eval(s) * s_w
+    f2 = np.conj(phi2._eval(t)) * t_w
+    return complex(f2 @ G @ f1), float(np.abs(f2) @ np.abs(G) @ np.abs(f1))
 
 
 # ----------------------------------------------------------------------
@@ -85,6 +130,81 @@ def test_antiderivative_transform_identity():
     psi = wf.antiderivative(phi)
     lam = 3.0
     assert abs(psi.fourier(lam) - phi.fourier(lam) / (-1j * lam)) <= 1e-10
+
+
+def _transform_inputs():
+    rng = np.random.default_rng(61)
+    return [wf.TestFunction.bump(0.3, 0.8),
+            wf.TestFunction.bump(-1.2, 0.45).derivative(),
+            wf.random_combination(rng, 3),
+            wf.antiderivative(wf.random_mean_zero(rng, 3)),
+            wf.antiderivative(wf.random_combination(rng, 2).derivative())]
+
+
+def test_array_transform_matches_per_z_oracle(catalog):
+    # one array call against one per-z call per node: z = 0, |z| <= 1e-8
+    # (the antiderivative's moment branch), complex z, the catalog nodes
+    # and the sup samples up to 2T, alone and all in one node set
+    special = np.array([0.0, 1e-9, -1e-8, 3e-8, 0.5, 3.0 + 2.0j,
+                        -7.0 - 1.5j, 12.0 + 40.0j, -30.0 + 49.0j])
+    gam = np.array([g for g, _ in zc.iterate_symmetric(catalog)], dtype=complex)
+    sup = wf._sup_samples(catalog.height_T).astype(complex)
+    inputs = _transform_inputs()
+    assert [psi.kind for psi in inputs] == [
+        "bump", "bump_derivative", "finite_combination",
+        "antiderivative_of_bump", "finite_combination"]
+    for psi in inputs:
+        for zs in (special, gam, sup, np.concatenate([special, gam, sup])):
+            got = psi.fourier(zs)
+            assert got.shape == zs.shape
+            zmax = float(np.max(np.abs(zs)))
+            for z, v in zip(zs, got):
+                # the factored phases and blocked sums, on the call's nodes
+                ref, size = per_z_transform(psi, z, zmax)
+                assert abs(v - ref) <= 1e-14 * size, (psi.kind, z)
+                # each z's own node set; finer panels move a bump derivative
+                # off it by that node set's quadrature error (next test)
+                if psi.kind != "bump_derivative":
+                    ref, size = per_z_transform(psi, z)
+                    assert abs(v - ref) <= 1e-14 * size, (psi.kind, z)
+    for z in (0.0, 5e-9, 2.5, 1.0 - 3.0j):
+        for psi in inputs:
+            got = psi.fourier(z)
+            assert isinstance(got, complex)
+            ref, size = per_z_transform(psi, z)
+            assert abs(got - ref) <= 1e-14 * size
+
+
+def test_bump_derivative_transform_on_finer_panels_against_mpmath():
+    # with the (b-a)/8 panel cap, a narrow bump derivative at small |z| has
+    # a quadrature error ~1e-12 of sum|terms| on its own node set; in a call
+    # whose largest |z| is 200 the panels are finer and the value is closer
+    # to a 30-digit reference
+    c, hw = -1.2, 0.45
+    d = wf.TestFunction.bump(c, hw).derivative()
+
+    def p_prime(x):
+        u = (x - c) / hw
+        one = 1 - u * u
+        return mp.exp(-1 / one) * (-2 * u / one ** 2) / hw if one > 0 else 0
+
+    zs = np.array([0.5, 3.0 + 2.0j, 200.0])
+    got = d.fourier(zs)
+    with mp.workdps(30):
+        for z, v in zip(zs[:2], got):
+            exact = complex(mp.quad(lambda x: p_prime(x) * mp.exp(1j * z * x),
+                                    mp.linspace(c - hw, c + hw, 17)))
+            own, size = per_z_transform(d, z)
+            assert abs(v - exact) <= 1e-15 * size
+            assert abs(v - exact) < abs(own - exact)
+
+
+def test_transform_guard_applies_to_every_element():
+    b = wf.TestFunction.bump(0.0, 1.0)
+    with pytest.raises(ValueError):
+        b.fourier(np.array([1.0, 2.0 + 60.0j, 3.0]))
+    with pytest.raises(ValueError):
+        nu.fourier_integral(b, b.support(), np.array([[0.0], [-51.0j]]))
 
 
 def test_combination_transform_linearity():
@@ -151,6 +271,22 @@ def test_pairing_declared_tail_bounds_the_omitted_zeros():
         assert abs(omitted) <= fv.tail_bound
 
 
+def test_pairing_with_itself_makes_two_transform_calls_per_part(catalog, monkeypatch):
+    psi = wf.random_combination(np.random.default_rng(12), 3)
+    twin = wf.TestFunction.combination(psi.coefficients, psi.parts)
+    assert twin == psi and twin is not psi
+    unshared = wf.weil_pairing(psi, twin, catalog)
+    calls = []
+    real_fourier_integral = nu.fourier_integral
+    monkeypatch.setattr(nu, "fourier_integral",
+                        lambda *a: calls.append(a) or real_fourier_integral(*a))
+    fv = wf.weil_pairing(psi, psi, catalog)
+    # the catalog nodes and the sup samples, once each per part
+    assert len(calls) <= 2 * len(psi.parts)
+    # reusing conj(psihat(gamma)) on a real catalog changes no bit
+    assert fv == unshared
+
+
 def test_pairing_synthetic_nonreal_catalog_is_indefinite():
     # a conjugation- and negation-symmetric set of non-real "zeros": the
     # conj(gamma) form keeps the quadratic form real but indefinite
@@ -211,6 +347,25 @@ def test_screw_kernel_identities(catalog):
     assert diag.real >= 0.0
 
 
+def test_screw_kernel_broadcasts(catalog):
+    t = np.array([-2.1, 0.0, 0.4, 1.1, 2.9])
+    s = np.array([1.3, -0.7, 0.0])
+    M = wf.screw_kernel(t[:, None], s[None, :], catalog)
+    assert M.shape == (5, 3)
+    ref = np.array([[wf.screw_kernel(ti, sj, catalog) for sj in s] for ti in t])
+    assert np.max(np.abs(M - ref)) <= 1e-15
+
+
+def test_screw_kernel_rejects_nonreal_catalog():
+    pairs = [(14 + 0.5j, 1), (-14 - 0.5j, 1)]
+    phi = wf.TestFunction.bump(0.0, 1.0).derivative()
+    for call in (lambda: wf.screw_g(1.0, pairs),
+                 lambda: wf.screw_kernel(1.0, 0.5, pairs),
+                 lambda: wf.screw_form(phi, phi, pairs)):
+        with pytest.raises(ValueError, match="real ordinates"):
+            call()
+
+
 def test_gram_matrices_positive_semidefinite(catalog):
     rng = np.random.default_rng(10)
     for _ in range(10):
@@ -253,6 +408,19 @@ def test_screw_form_two_routes_agree(catalog):
         # routes; for smooth inputs it sits at quadrature precision
         assert sv.quad_error <= 1e-8
         assert sv.value.real >= -1e-10
+
+
+@pytest.mark.parametrize("T", [50.0, 110.0])
+def test_separable_screw_form_matches_g_matrix_oracle(T):
+    zs = zc.compute_zeros(T) if T == 50.0 else zc.load_zeros(ZERO_TABLE, T)
+    rng = np.random.default_rng(2026)
+    phis = [wf.random_mean_zero(rng) for _ in range(3)]
+    phis.append(wf.TestFunction.bump(0.4, 0.7).derivative())
+    for phi1, phi2 in [(p, p) for p in phis] + [(phis[0], phis[1]),
+                                                 (phis[3], phis[2])]:
+        got = wf.screw_form(phi1, phi2, zs).value
+        ref, size = g_matrix_screw_form(phi1, phi2, zs)
+        assert abs(got - ref) <= 1e-14 * size
 
 
 def test_screw_form_declared_tail_bounds_the_omitted_zeros():
