@@ -246,7 +246,7 @@ def debranges_norm(F: numerics.GridFunction) -> float:
     """
     if F.domain_tag != "frequency":
         raise numerics.GridMismatchError("debranges_norm expects frequency samples")
-    E = sf.E_on_axis(F.grid.nodes())
+    E = sf.E_xi(F.grid.nodes())
     if np.any(np.abs(E) < 1e-300):
         raise ZeroDivisionError("E vanishes/underflows on a grid node; re-grid")
     ratio = numerics.GridFunction(F.grid, F.values / E, "frequency")

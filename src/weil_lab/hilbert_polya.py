@@ -25,14 +25,20 @@ __all__ = [
 ]
 
 
-def s_theta(theta: float, z: complex) -> complex:
-    """S_theta(z) = (i/2) (e^{i theta} E(z) - e^{-i theta} E^#(z)).
+def s_theta(theta: float, z):
+    """S_theta(z) = (i/2) (e^{i theta} E(z) - e^{-i theta} E^#(z)) at a
+    scalar z (a complex) or an array of z (an array of its shape), with E
+    at z and at conj z from one E_xi call.
 
     Real-valued for real z and any theta; at theta = pi/2 it equals
     -xi(1/2 - iz)."""
-    z = complex(z)
-    E = sf.E_xi(z)
-    E_sharp = np.conj(sf.E_xi(np.conj(z)))
+    z_arr = np.asarray(z, dtype=complex)
+    E = sf.E_xi(np.stack([z_arr, np.conj(z_arr)]))
+    out = _s_from_E(theta, E[0], np.conj(E[1]))
+    return complex(out) if np.ndim(out) == 0 else out
+
+
+def _s_from_E(theta: float, E, E_sharp):
     return 0.5j * (cmath.exp(1j * theta) * E - cmath.exp(-1j * theta) * E_sharp)
 
 
@@ -47,12 +53,13 @@ class ExtensionParams:
     def __post_init__(self):
         if not (0.0 <= self.theta < math.pi):
             raise ValueError("theta must lie in [0, pi)")
-        scale = abs(sf.E_xi(self.w0)) + abs(sf.E_xi(np.conj(self.w0))) + 1e-300
-        if abs(s_theta(self.theta, self.w0)) < 1e-10 * scale:
+        E, E_conj = sf.E_xi(np.array([self.w0, np.conj(self.w0)]))
+        scale = abs(E) + abs(E_conj) + 1e-300
+        if abs(_s_from_E(self.theta, E, np.conj(E_conj))) < 1e-10 * scale:
             raise ValueError("S_theta(w0) = 0 (to working precision); "
                              "choose a different w0")
 
-    def s(self, z: complex) -> complex:
+    def s(self, z):
         return s_theta(self.theta, z)
 
 
@@ -66,13 +73,8 @@ def m_theta_apply(p: ExtensionParams, F: Callable[[complex], complex],
     F must be evaluable at arbitrary complex points (w0 is off the real
     axis); at z = w0 the removable singularity is taken by a symmetric
     difference."""
-    return _m_theta(p, F, complex(z), p.s(p.w0), complex(F(p.w0)))
-
-
-def _m_theta(p: ExtensionParams, F: Callable[[complex], complex], z: complex,
-             s_w0: complex, f_w0: complex) -> Tuple[complex, complex]:
-    """m_theta_apply with S(w0) and F(w0) supplied; S(z) is evaluated once."""
-    s_z = p.s(z)
+    z = complex(z)
+    s_w0, f_w0, s_z = p.s(p.w0), complex(F(p.w0)), p.s(z)
     if abs(z - p.w0) < 1e-9:
         h = 1e-6
         num = lambda u: s_w0 * complex(F(u)) - p.s(u) * f_w0
@@ -109,28 +111,26 @@ def eigen_residual(p: ExtensionParams, gamma: float, samples: Sequence[complex],
     With lambda = gamma the identity M_theta G = gamma G is algebraically
     exact, so the residual measures pure roundoff; lambda = gamma + d
     instead reports |d| max|G|, which is how a non-eigenvalue is detected.
+
+    The samples are checked first (none within 1e-9 of gamma or w0); then
+    S at w0 and at every sample comes from one s_theta call, and G and
+    M_theta G are formed for all samples at once (the formulas of
+    m_theta_apply with this F).
     """
     lam = gamma if eigenvalue is None else float(eigenvalue)
-    s_w0 = p.s(p.w0)
-
-    def F(z: complex) -> complex:
-        z = complex(z)
-        if abs(z - gamma) < 1e-12:
-            raise ZeroDivisionError("sample coincides with gamma")
-        return (p.s(z) / s_w0) * (gamma - p.w0) / (z - gamma)
-
-    f_w0 = complex(F(p.w0))
-    worst = 0.0
-    scale = 0.0
-    for z in samples:
-        z = complex(z)
-        if abs(z - gamma) < 1e-9 or abs(z - p.w0) < 1e-9:
-            raise ValueError("sample too close to gamma or w0")
-        G, MG = _m_theta(p, F, z, s_w0, f_w0)
-        worst = max(worst, abs(MG - lam * G))
-        scale = max(scale, abs(G))
-    return EigenCheck(float(gamma), lam, worst, scale,
-                      tuple(complex(z) for z in samples))
+    z = np.array(samples, dtype=complex).ravel()
+    if np.any(np.abs(z - gamma) < 1e-9) or np.any(np.abs(z - p.w0) < 1e-9):
+        raise ValueError("sample too close to gamma or w0")
+    S = p.s(np.concatenate([[p.w0], z]))
+    s_w0, s_z = S[0], S[1:]
+    f_w0 = (gamma - p.w0) / (p.w0 - gamma)      # F(w0), with S(w0)/S(w0) = 1
+    F_z = (s_z / s_w0) * (gamma - p.w0) / (z - gamma)
+    G = (s_w0 * F_z - s_z * f_w0) / (z - p.w0)
+    MG = z * G + f_w0 * s_z
+    return EigenCheck(float(gamma), lam,
+                      float(np.max(np.abs(MG - lam * G), initial=0.0)),
+                      float(np.max(np.abs(G), initial=0.0)),
+                      tuple(complex(v) for v in z))
 
 
 def spectral_coeffs(psi, zs: zc.ZeroSet) -> wf.SpectralCoefficients:

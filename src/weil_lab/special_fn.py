@@ -2,8 +2,11 @@
 function E(z) = xi(1/2-iz) + xi'(1/2-iz), its inner-function ratio Theta,
 and the omega profile (the time-domain inverse transform of xi(1/2-iz)).
 
-All evaluators are double precision, vectorized over numpy arrays where it
-matters, and validated against high-precision references in the test suite.
+All evaluators are double precision and validated against high-precision
+references in the test suite. xi, E_xi, theta_xi, omega_profile,
+log_gamma and digamma take a scalar (and return scalars) or an array (and
+return arrays of its shape); critical_line_log_derivative, theta_on_axis and
+xi_on_critical_line take real arrays; zeta and zeta_pair take one point.
 Validated box: |Im s| <= 120, |Re s| <= 10. Outside it values are still
 computed but the reported error estimate degrades.
 
@@ -42,8 +45,7 @@ import numpy as np
 __all__ = [
     "XiValue", "log_gamma", "digamma", "zeta", "zeta_pair", "xi", "E_xi",
     "theta_xi", "omega_profile", "critical_line_log_derivative",
-    "theta_on_axis", "xi_on_critical_line", "E_on_axis", "VALIDATED_IM",
-    "VALIDATED_RE",
+    "theta_on_axis", "xi_on_critical_line", "VALIDATED_IM", "VALIDATED_RE",
 ]
 
 _log = logging.getLogger("weil_lab")
@@ -212,14 +214,15 @@ def _dirichlet_sums(s: np.ndarray, N: int, step):
     n^{-s} = n^{-a_b} n^{-o_r} costs one exponential per anchor a_b and one
     per offset o_r. On a lattice s_k = s_0 + k d (step = d) the anchors are
     every _ANCHOR_STRIDE-th point and the offsets are r d, with eps_k the
-    roundoff of the lattice; otherwise (step None) every point is its own
+    roundoff of the lattice (a lattice of fewer points has one anchor and
+    one offset per point); otherwise (step None) every point is its own
     anchor with the single offset 0. Both sums are matrix-vector products
     of the anchor table with one offset row (per-row products, not one
     matrix product, keep the bytes independent of the BLAS thread count).
     One Taylor step S += eps_k S' carries the sums from the evaluated point
     a_b + o_r to s_k itself.
     """
-    R = _ANCHOR_STRIDE if step is not None else 1
+    R = min(_ANCHOR_STRIDE, s.size) if step is not None else 1
     anchors = s[::R]
     offsets = np.arange(R) * (step if step is not None else 0j)
     cols = min(_BLOCK_COLS, _TABLE_ELEMS // anchors.size)
@@ -329,12 +332,12 @@ def zeta(s: complex) -> complex:
 # xi and its derivative
 # ----------------------------------------------------------------------
 
-def _xi_rel_error(s: complex) -> float:
-    t = abs(s.imag)
+def _xi_rel_error(s: np.ndarray) -> np.ndarray:
+    t = np.abs(s.imag)
     est = 5e-13 + 2e-15 * t
-    if t > VALIDATED_IM or abs(s.real) > VALIDATED_RE:
-        est *= 10.0 * (1.0 + (max(0.0, t - VALIDATED_IM) / VALIDATED_IM) ** 2)
-    return est
+    outside = (t > VALIDATED_IM) | (np.abs(s.real) > VALIDATED_RE)
+    grow = 10.0 * (1.0 + (np.maximum(0.0, t - VALIDATED_IM) / VALIDATED_IM) ** 2)
+    return np.where(outside, est * grow, est)
 
 
 def _xi_from_w(s: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -364,8 +367,9 @@ def _xi_pair(s: np.ndarray, w: np.ndarray, wp: np.ndarray):
     return xi_val, xi_p
 
 
-def xi(s: complex) -> XiValue:
-    """xi(s) and xi'(s).
+def xi(s) -> XiValue:
+    """xi(s) and xi'(s) at a scalar s (an XiValue of complex, complex and
+    float) or at an array of s (an XiValue of arrays of its shape).
 
     xi is computed as pi^(-s/2) Gamma(s/2+1) (s-1) zeta(s) with the factor
     (s-1) zeta(s) evaluated in pole-free form; s with Re(s) < 1/2 is
@@ -373,33 +377,47 @@ def xi(s: complex) -> XiValue:
     uses the logarithmic derivative
         xi'/xi = -log(pi)/2 + psi(s/2+1)/2 + w'/w,   w = (s-1) zeta(s),
     with a finite-difference fallback within ~1e-3 of the zeros of w.
+    The reflected points are summed in chunks of comparable height (see the
+    module docstring); a scalar is a chunk of one point.
     """
-    s = complex(s)
-    if s.real < 0.5:
-        v = xi(1.0 - s)
-        return XiValue(v.xi, -v.xi_prime, v.rel_error)
-    s_arr = np.array([s])
-    xi_val, xi_p = _xi_pair(s_arr, *_w_pair(s_arr))
-    return XiValue(xi_val[0], xi_p[0], _xi_rel_error(s))
+    s_arr = np.asarray(s, dtype=complex)
+    refl = s_arr.real < 0.5
+    u = np.where(refl, 1.0 - s_arr, s_arr).ravel()
+    val = np.empty(u.shape, dtype=complex)
+    der = np.empty_like(val)
+    for idx, sc, w, wp, _ in _em_chunks(u):
+        val[idx], der[idx] = _xi_pair(sc, w, wp)
+    der = np.where(refl.ravel(), -der, der)
+    err = _xi_rel_error(u)
+    if s_arr.ndim == 0:
+        return XiValue(complex(val[0]), complex(der[0]), float(err[0]))
+    return XiValue(val.reshape(s_arr.shape), der.reshape(s_arr.shape),
+                   err.reshape(s_arr.shape))
 
 
-def E_xi(z: complex) -> complex:
-    """E(z) = xi(1/2 - iz) + xi'(1/2 - iz)."""
-    v = xi(0.5 - 1j * complex(z))
+def E_xi(z):
+    """E(z) = xi(1/2 - iz) + xi'(1/2 - iz) at a scalar z (a complex) or an
+    array of z (an array of its shape), through xi.
+
+    Value form: on the real axis it underflows for |z| beyond ~900, where
+    |xi| drops below the double-precision range; use the ratio helpers
+    (critical_line_log_derivative, theta_on_axis) for larger grids."""
+    v = xi(0.5 - 1j * np.asarray(z, dtype=complex))
     return v.xi + v.xi_prime
 
 
-def theta_xi(z: complex) -> complex:
-    """Theta(z) = E^#(z)/E(z) with E^#(z) = conj(E(conj z)).
+def theta_xi(z):
+    """Theta(z) = E^#(z)/E(z) with E^#(z) = conj(E(conj z)), at a scalar z
+    (a complex) or an array of z; E and E^# come from one E_xi call.
 
-    Raises when |E(z)| underflows (a real zero of E would sit at a multiple
-    zero of xi; none occur in the validated range)."""
-    z = complex(z)
-    den = E_xi(z)
-    if abs(den) < 1e-300:
+    Raises when |E(z)| underflows at any z (a real zero of E would sit at a
+    multiple zero of xi; none occur in the validated range)."""
+    z_arr = np.asarray(z, dtype=complex)
+    E = E_xi(np.stack([z_arr, np.conj(z_arr)]))
+    if np.any(np.abs(E[0]) < 1e-300):
         raise ZeroDivisionError("theta_xi: E vanishes (or underflows) at z = %r" % (z,))
-    num = np.conj(E_xi(np.conj(z)))
-    return num / den
+    out = np.conj(E[1]) / E[0]
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 # ----------------------------------------------------------------------
@@ -466,24 +484,11 @@ def xi_on_critical_line(t):
     return out
 
 
-def E_on_axis(x):
-    """E(x) = xi(1/2 - ix) + xi'(1/2 - ix) for real x, vectorized.
-
-    Value form: underflows for |x| beyond ~900 where |xi| drops below the
-    double-precision range; use the ratio helpers for larger grids."""
-    s = 0.5 - 1j * np.asarray(x, dtype=float)
-    out = np.empty(s.shape, dtype=complex)
-    for idx, sc, w, wp, _ in _em_chunks(s):
-        xi_val, xi_p = _xi_pair(sc, w, wp)
-        out.flat[idx] = xi_val + xi_p
-    return out
-
-
 # ----------------------------------------------------------------------
 # omega profile
 # ----------------------------------------------------------------------
 
-def omega_profile(x: float) -> float:
+def omega_profile(x):
     """Time-domain profile whose transform is xi(1/2 - iz):
 
         omega(x) = sum_{n>=1} (4 pi^2 n^4 e^{9x/2} - 6 pi n^2 e^{5x/2})
@@ -494,22 +499,28 @@ def omega_profile(x: float) -> float:
     quadrature oracle; the half-size normalization seen in some references
     pairs with a one-sided cosine transform instead).
 
-    Series validated for |x| <= 5; terms below 1e-16 are dropped. Even in
-    exact arithmetic; for x < -1 the evenness holds only up to absolute
-    (not relative) double-precision residue, which is what the declared
-    range needs.
+    At a scalar x (a float) or an array of x (an array of its shape); each
+    x sums its own n <= sqrt(40/(pi e^{2x})) + 10 terms. Series validated
+    for |x| <= 5, which every element must satisfy. A value whose terms all
+    lie below 1e-16 is its leading term. Even in exact arithmetic; for
+    x < -1 the evenness holds only up to absolute (not relative)
+    double-precision residue, which is what the declared range needs.
     """
-    x = float(x)
-    if abs(x) > 5.0:
+    x_arr = np.asarray(x, dtype=float)
+    if np.any(np.abs(x_arr) > 5.0):
         raise ValueError("omega_profile validated for |x| <= 5")
-    a = math.exp(2.0 * x)
-    n_max = int(math.ceil(math.sqrt(40.0 / (math.pi * a)))) + 10
-    n = np.arange(1, n_max + 1, dtype=float)
-    decay = np.exp(-math.pi * n * n * a)
-    terms = (4.0 * math.pi ** 2 * n ** 4 * math.exp(4.5 * x)
-             - 6.0 * math.pi * n ** 2 * math.exp(2.5 * x)) * decay
-    keep = np.abs(terms) >= 1e-16
-    if not np.any(keep):
+    xf = x_arr.ravel()
+    n_max = np.ceil(np.sqrt(40.0 / (math.pi * np.exp(2.0 * xf)))) + 10
+    out = np.empty(xf.shape)
+    rows = max(1, _TABLE_ELEMS // int(n_max.max(initial=1)))    # tables <= 8 MB
+    for i0 in range(0, xf.size, rows):
+        x, top = xf[i0:i0 + rows, None], n_max[i0:i0 + rows, None]
+        n, a = np.arange(1, top.max() + 1), np.exp(2.0 * x)
+        terms = (4.0 * math.pi ** 2 * n ** 4 * np.exp(4.5 * x)
+                 - 6.0 * math.pi * n ** 2 * np.exp(2.5 * x)) * np.exp(-math.pi * n * n * a)
+        terms[n > top] = 0.0
         # retain the leading term so superexponentially small values decay smoothly
-        return float(terms[0])
-    return float(np.sum(terms))
+        keep = np.any(np.abs(terms) >= 1e-16, axis=1)
+        out[i0:i0 + rows] = np.where(keep, np.sum(terms, axis=1), terms[:, 0])
+    out = out.reshape(x_arr.shape)
+    return float(out) if out.ndim == 0 else out

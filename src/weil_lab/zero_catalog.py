@@ -9,8 +9,10 @@ the critical line refined by bracketed bisection/secant.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
+import time
 import warnings
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -23,6 +25,8 @@ __all__ = [
     "ZeroSet", "CountingReport", "load_zeros", "save_zeros", "compute_zeros",
     "counting_check", "iterate_symmetric", "tail_coefficient",
 ]
+
+_log = logging.getLogger("weil_lab")
 
 MAX_HEIGHT = 120.0
 _SCAN_STEP = 0.25
@@ -89,27 +93,30 @@ def load_zeros(path, T: float) -> ZeroSet:
     return ZeroSet(tuple(kept), tuple([1] * len(kept)), float(T), "table")
 
 
-def _refine_root(f, a: float, b: float, fa: float, fb: float,
-                 tol: float = 1e-11) -> float:
-    """Bracketed secant with bisection fallback."""
+def _refine_brackets(f, a, b, fa, fb, tol: float = 1e-11):
+    """Roots of f in the brackets [a_i, b_i] (f of opposite signs at the
+    ends), refined together: (roots, steps, points evaluated). Each bracket
+    takes its own bracketed-secant steps (the midpoint where the secant is
+    undefined or leaves (a, b)) until width < tol, 200 steps or an exact
+    f(x) == 0, and returns that x or its midpoint. f takes an array and is
+    called once per step, on the brackets still active."""
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    hit_at = np.full(a.shape, np.nan)        # x where f(x) == 0 exactly
+    steps = points = 0
     for _ in range(200):
-        if b - a < tol:
+        i = np.flatnonzero(np.isnan(hit_at) & ~(b - a < tol))
+        if not i.size:
             break
-        denom = fb - fa
-        if denom != 0.0:
-            x = b - fb * (b - a) / denom
-        else:
-            x = 0.5 * (a + b)
-        if not (a < x < b):
-            x = 0.5 * (a + b)
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fa < 0) == (fx < 0):
-            a, fa = x, fx
-        else:
-            b, fb = x, fx
-    return 0.5 * (a + b)
+        denom = fb[i] - fa[i]
+        x = b[i] - fb[i] * (b[i] - a[i]) / np.where(denom != 0.0, denom, 1.0)
+        x = np.where((denom != 0.0) & (a[i] < x) & (x < b[i]), x, 0.5 * (a[i] + b[i]))
+        fx = np.asarray(f(x), dtype=float)
+        steps, points = steps + 1, points + i.size
+        hit_at[i[fx == 0.0]] = x[fx == 0.0]
+        left = (fa[i] < 0) == (fx < 0)
+        a[i[left]], fa[i[left]] = x[left], fx[left]
+        b[i[~left]], fb[i[~left]] = x[~left], fx[~left]
+    return np.where(np.isnan(hit_at), 0.5 * (a + b), hit_at), steps, points
 
 
 def save_zeros(path, zs: ZeroSet) -> None:
@@ -134,7 +141,11 @@ def _cached_source(path):
 
 
 def compute_zeros(T: float, cache_dir=None) -> ZeroSet:
-    """Sign-change sweep of t -> xi(1/2 + it) on (0, T], refined per bracket.
+    """Sign-change sweep of t -> xi(1/2 + it) on [2, T] at step 1/4, all
+    brackets refined together (_refine_brackets); a scan point where xi is
+    exactly 0 is a root. Logs one DEBUG record on the "weil_lab" logger,
+    with extra= fields catalog_T, scan_points, brackets, refine_steps,
+    xi_points and elapsed_s; a cache hit logs nothing.
 
     Results are cached in zeros_T{T}.txt when a cache directory is given (see
     save_zeros; the file is byte-stable across runs). A cached file reports
@@ -152,21 +163,23 @@ def compute_zeros(T: float, cache_dir=None) -> ZeroSet:
             zs = load_zeros(cache_path, T)
             return ZeroSet(zs.ordinates, zs.multiplicities, float(T), source)
 
+    t0 = time.perf_counter()
     t_grid = np.arange(2.0, T + _SCAN_STEP, _SCAN_STEP)
     t_grid = t_grid[t_grid <= T]
     vals = np.real(sf.xi_on_critical_line(t_grid))
-
-    def f(t):
-        return float(np.real(sf.xi_on_critical_line(np.array([t]))[0]))
-
-    roots: List[float] = []
-    for i in range(len(t_grid) - 1):
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(float(t_grid[i]))
-        elif (fa < 0) != (fb < 0):
-            roots.append(_refine_root(f, float(t_grid[i]), float(t_grid[i + 1]),
-                                      fa, fb))
+    fa, fb = vals[:-1], vals[1:]
+    on_grid = fa == 0.0
+    br = np.flatnonzero(~on_grid & ((fa < 0) != (fb < 0)))
+    refined, steps, points = _refine_brackets(
+        lambda t: np.real(sf.xi_on_critical_line(t)),
+        t_grid[br], t_grid[br + 1], fa[br], fb[br])
+    roots = [float(r) for r in np.sort(np.concatenate([t_grid[:-1][on_grid], refined]))]
+    stats = {"catalog_T": float(T), "scan_points": t_grid.size, "brackets": br.size,
+             "refine_steps": steps, "xi_points": t_grid.size + points,
+             "elapsed_s": time.perf_counter() - t0}
+    _log.debug("catalog sweep: T %(catalog_T)g, %(scan_points)d scan points, "
+               "%(brackets)d brackets, %(refine_steps)d refinement steps, "
+               "%(xi_points)d xi points, %(elapsed_s).3f s", stats, extra=stats)
     roots = [r for r in roots if r <= T]
     zs = ZeroSet(tuple(roots), tuple([1] * len(roots)), float(T), "computed")
 

@@ -298,7 +298,7 @@ def test_debranges_norm_cancellation(catalog):
     b = wf.TestFunction.bump(0.0, 1.0)
     fg = nu.symmetric_grid(60.0, 0.05)
     psi_hat = b.fourier(fg.nodes())
-    E = sf.E_on_axis(fg.nodes())
+    E = sf.E_xi(fg.nodes())
     F = nu.GridFunction(fg, E * psi_hat, "frequency")
     got = db.debranges_norm(F)
     ref = math.sqrt(nu.grid_norm_sq(nu.GridFunction(fg, psi_hat, "frequency")))
@@ -309,7 +309,7 @@ def test_debranges_norm_of_basis(catalog):
     g1 = catalog.ordinates[0]
     fg = nu.symmetric_grid(800.0, 0.05)
     F1 = db.BasisFunction(g1, catalog)
-    E = sf.E_on_axis(fg.nodes())
+    E = sf.E_xi(fg.nodes())
     F = nu.GridFunction(fg, E * F1.values_on_axis(fg.nodes()), "frequency")
     assert abs(db.debranges_norm(F) - 1.0) <= db.psi_gamma_tail_bound(g1, 800.0)
 

@@ -204,13 +204,128 @@ def test_theta_value_route_underflow_guard():
         sf.theta_xi(1500.0)
 
 
-def test_E_on_axis_matches_value_route():
-    # GAMMA1 sits on a zero of xi, where xi' comes from the finite-difference
-    # fallback
-    x = np.array([-40.0, -3.2, 0.0, 7.7, 90.0, GAMMA1])
-    vec = sf.E_on_axis(x)
-    direct = np.array([sf.E_xi(float(v)) for v in x])
-    assert np.max(np.abs(vec - direct) / np.abs(direct)) <= 1e-10
+# ----------------------------------------------------------------------
+# array routes against the per-point route
+# ----------------------------------------------------------------------
+
+def _per_point_xi(s):
+    """Oracle: the scalar xi route, one point per Euler-Maclaurin sum, with
+    Re(s) < 1/2 reflected. Returns (xi, xi', tolerance on xi, on xi') for a
+    route that sums in another order: 1e-13 of the local scale
+    max(|xi|, |xi'|), which near a zero is what the cancelling sums carry,
+    and for xi' on the finite-difference branch that over the step h = 1e-3
+    (a difference quotient of xi values divides their roundoff by h)."""
+    s = complex(s)
+    if s.real < 0.5:
+        v, vp, tol, tol_p = _per_point_xi(1.0 - s)
+        return v, -vp, tol, tol_p
+    one = np.array([s])
+    w, wp = sf._w_pair(one)
+    v, vp = (complex(a[0]) for a in sf._xi_pair(one, w, wp))
+    tol = 1e-13 * max(abs(v), abs(vp))
+    return v, vp, tol, tol / 1e-3 if abs(w[0]) < 1e-3 * abs(wp[0]) else tol
+
+
+def _per_point_E(z):
+    """(E(z), tolerance) from the per-point xi oracle."""
+    v, vp, tol, tol_p = _per_point_xi(0.5 - 1j * complex(z))
+    return v + vp, tol + tol_p
+
+
+def _per_point_omega(x):
+    """Oracle: the scalar omega series; returns (omega(x), sum of |terms|)."""
+    a = math.exp(2.0 * x)
+    n = np.arange(1, int(math.ceil(math.sqrt(40.0 / (math.pi * a)))) + 11, dtype=float)
+    terms = (4.0 * math.pi ** 2 * n ** 4 * math.exp(4.5 * x)
+             - 6.0 * math.pi * n ** 2 * math.exp(2.5 * x)) * np.exp(-math.pi * n * n * a)
+    if not np.any(np.abs(terms) >= 1e-16):
+        return float(terms[0]), float(abs(terms[0]))
+    return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+
+# s = 1/2, 1, 2; points within 1e-3 of 1/2 + i gamma_1 and of its mirror
+# 1/2 - i gamma_1 (the finite-difference branch); Re(s) < 1/2; seeded points
+_XI_POINTS = np.concatenate([
+    [0.5, 1.0, 2.0, complex(0.5, GAMMA1 + 4e-4), complex(0.5, -GAMMA1 + 2e-4),
+     complex(-3.0, 7.0), complex(0.2, -40.0), complex(0.4999, 101.0)],
+    np.random.default_rng(41).uniform(-6.0, 7.0, 16)
+    + 1j * np.random.default_rng(42).uniform(-110.0, 110.0, 16)])
+
+# real z, |Im z| <= 2 on both sides of the axis (Im z < 0 reflects), and
+# z at or within 1e-3 of gamma_1
+_Z_POINTS = np.concatenate([
+    [0.0, 3.0, -40.0, -3.2, 7.7, 90.0, GAMMA1, GAMMA1 + 3e-4, -GAMMA1,
+     complex(GAMMA1, 5e-4), 1j, -2j, complex(10.0, 1.5), complex(-55.0, -1.9)],
+    np.random.default_rng(43).uniform(-100.0, 100.0, 12)
+    + 1j * np.random.default_rng(44).uniform(-2.0, 2.0, 12)])
+
+
+def test_xi_array_matches_per_point_oracle():
+    near = _XI_POINTS[3:5]
+    w, wp = sf._w_pair(near)
+    assert np.all(np.abs(w) < 1e-3 * np.abs(wp))          # the fallback branch
+    worst = 0.0
+    for s in (_XI_POINTS, _XI_POINTS.reshape(4, 6)):
+        v = sf.xi(s)
+        assert v.xi.shape == v.xi_prime.shape == v.rel_error.shape == s.shape
+        for sk, a, ap, err in zip(s.ravel(), v.xi.ravel(), v.xi_prime.ravel(),
+                                  v.rel_error.ravel()):
+            ref, ref_p, tol, tol_p = _per_point_xi(sk)
+            assert abs(a - ref) <= tol, sk
+            assert abs(ap - ref_p) <= tol_p, sk
+            assert err == sf.xi(sk).rel_error
+            if tol_p == tol:       # away from the zeros: plain relative
+                worst = max(worst, abs(a - ref) / abs(ref))
+    assert worst <= 1e-13
+
+
+def test_E_and_theta_arrays_match_per_point_oracle():
+    E = sf.E_xi(_Z_POINTS)
+    th = sf.theta_xi(_Z_POINTS)
+    assert E.shape == th.shape == _Z_POINTS.shape
+    for z, e, t in zip(_Z_POINTS, E, th):
+        ref, tol = _per_point_E(z)
+        assert abs(e - ref) <= tol, z
+        ref_sharp, tol_sharp = _per_point_E(np.conj(z))
+        ref_t = np.conj(ref_sharp) / ref
+        assert abs(t - ref_t) <= abs(ref_t) * (tol / abs(ref) + tol_sharp / abs(ref_sharp)), z
+    with pytest.raises(ZeroDivisionError):
+        sf.theta_xi(np.array([3.0, 1500.0]))
+
+
+def test_omega_array_matches_per_point_oracle():
+    x = np.concatenate([[-5.0, -3.7, -1.3, 0.0, 0.3, -0.3, 2.0, 5.0],
+                        np.random.default_rng(45).uniform(-5.0, 5.0, 40)])
+    got = sf.omega_profile(x.reshape(6, 8))
+    assert got.shape == (6, 8)
+    for xv, v in zip(x, got.ravel()):
+        ref, size = _per_point_omega(xv)
+        assert abs(v - ref) <= 1e-13 * size, xv
+    with pytest.raises(ValueError):
+        sf.omega_profile(np.array([0.0, -5.5]))
+
+
+def test_omega_array_working_set_is_bounded():
+    # 20,001 points take up to 540 series terms each: the term table is
+    # built in row blocks, not as one 20001 x 540 array (86 MB)
+    x = np.linspace(-5.0, 5.0, 20001)
+    tracemalloc.start()
+    try:
+        sf.omega_profile(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2 ** 20
+
+
+def test_scalar_inputs_return_scalars():
+    v = sf.xi(0.5)
+    assert all(type(f) is complex for f in (v.xi, v.xi_prime))
+    assert type(v.rel_error) is float
+    assert (v.xi, v.xi_prime) == _per_point_xi(0.5)[:2]
+    assert type(sf.E_xi(3.0)) is complex and sf.E_xi(3.0) == _per_point_E(3.0)[0]
+    assert type(sf.theta_xi(1j)) is complex
+    assert type(sf.omega_profile(0.3)) is float
 
 
 # ----------------------------------------------------------------------

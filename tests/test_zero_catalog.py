@@ -1,3 +1,4 @@
+import logging
 import math
 import os
 
@@ -71,6 +72,124 @@ def test_computed_ordinates_are_roots(catalog):
     for g in catalog.ordinates:
         v = sf.xi(complex(0.5, g))
         assert abs(v.xi) <= 1e-8 * max(1.0, abs(v.xi_prime))
+
+
+def _refine_root(f, a, b, fa, fb, tol=1e-11):
+    """Oracle: the one-bracket secant with bisection fallback that the
+    batched refiner follows step for step."""
+    for _ in range(200):
+        if b - a < tol:
+            break
+        denom = fb - fa
+        if denom != 0.0:
+            x = b - fb * (b - a) / denom
+        else:
+            x = 0.5 * (a + b)
+        if not (a < x < b):
+            x = 0.5 * (a + b)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fa < 0) == (fx < 0):
+            a, fa = x, fx
+        else:
+            b, fb = x, fx
+    return 0.5 * (a + b)
+
+
+def _synthetic(x):
+    # brackets [1, 2]: exact hit at the first secant point; [3, 3.4]: a
+    # simple root; [5, 5.5]: a triple root (the secant creeps: 200-step cap);
+    # [7, 8]: a jump (the width stop ends it); [9, 10]: a steep line
+    x = np.asarray(x, dtype=float)
+    d = x - 5.123
+    return np.select([x < 2.5, x < 4.0, x < 6.0, x < 8.5],
+                     [x - 1.5, (x - math.pi) * (1.0 + x * x), d * d * d,
+                      np.where(x > 7.3, 2.0, -1.0)], 1e3 * (x - 9.0001))
+
+
+def _per_bracket(f, a, b, tol=1e-11):
+    """Oracle roots and f-call counts, one bracket at a time."""
+    roots, calls = [], []
+    for ai, bi in zip(a, b):
+        n = [0]
+
+        def f1(x):
+            n[0] += 1
+            return float(f(np.array([x]))[0])
+        roots.append(_refine_root(f1, ai, bi, f1(ai), f1(bi), tol))
+        calls.append(n[0] - 2)
+    return np.array(roots), calls
+
+
+@pytest.mark.parametrize("tol", [1e-11, 0.0])
+def test_refine_brackets_matches_scalar_oracle(tol):
+    # tol = 0 also runs the jump to the 200-step cap
+    a = np.array([1.0, 3.0, 5.0, 7.0, 9.0])
+    b = a + np.array([1.0, 0.4, 0.5, 1.0, 1.0])
+    ref, calls = _per_bracket(_synthetic, a, b, tol)
+    assert calls[0] == 1 and len(set(calls)) >= (4 if tol else 2)
+    roots, steps, points = zc._refine_brackets(_synthetic, a, b, _synthetic(a),
+                                               _synthetic(b), tol)
+    assert np.array_equal(roots, ref)
+    assert roots[0] == 1.5
+    assert steps == max(calls) and points == sum(calls)
+    if tol == 0.0:
+        assert steps == 200
+
+
+def test_compute_zeros_grid_point_zero_with_brackets(monkeypatch):
+    # xi replaced by a polynomial that vanishes exactly at the scan point
+    # 3.0 and has simple roots at 5.1 and 8.37 inside scan brackets
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return -(t - 3.0) * (t - 5.1) * (t - 8.37) + 0j
+    monkeypatch.setattr(sf, "xi_on_critical_line", f)
+    zs = zc.compute_zeros(10.0)
+    t_grid = np.arange(2.0, 10.25, 0.25)
+    vals = f(t_grid).real
+    ref = []
+    for i in range(len(t_grid) - 1):          # the per-bracket loop
+        if vals[i] == 0.0:
+            ref.append(float(t_grid[i]))
+        elif (vals[i] < 0) != (vals[i + 1] < 0):
+            ref.append(_refine_root(lambda t: float(f(np.array([t]))[0].real),
+                                    float(t_grid[i]), float(t_grid[i + 1]),
+                                    vals[i], vals[i + 1]))
+    assert zs.ordinates == tuple(ref)
+    assert zs.ordinates[0] == 3.0 and len(zs) == 3
+
+
+def test_compute_zeros_t110_against_table_and_per_bracket_route():
+    zs = zc.compute_zeros(110.0)
+    table = zc.load_zeros(os.path.join(os.path.dirname(__file__), "data",
+                                       "zeros_t110.txt"), 110.0)
+    assert len(zs) == len(table) == 33
+    assert np.max(np.abs(np.array(zs.ordinates) - table.ordinates)) <= 1e-11
+    t_grid = np.arange(2.0, 110.25, 0.25)
+    vals = np.real(sf.xi_on_critical_line(t_grid))
+    f = lambda t: float(np.real(sf.xi_on_critical_line(np.array([t]))[0]))
+    ref = [_refine_root(f, t_grid[i], t_grid[i + 1], vals[i], vals[i + 1])
+           for i in range(len(t_grid) - 1) if (vals[i] < 0) != (vals[i + 1] < 0)]
+    assert np.max(np.abs(np.array(zs.ordinates) - ref)) <= 1e-11
+
+
+def test_compute_zeros_logs_one_debug_record(tmp_path, caplog):
+    cache = str(tmp_path / "cache")
+    with caplog.at_level(logging.DEBUG, logger="weil_lab"):
+        zc.compute_zeros(30.0, cache_dir=cache)
+    records = [r for r in caplog.records if r.name == "weil_lab"]
+    assert len(records) == 1
+    r = records[0]
+    assert r.levelno == logging.DEBUG and r.getMessage().startswith("catalog sweep")
+    assert (r.catalog_T, r.scan_points, r.brackets) == (30.0, 113, 3)
+    assert 1 <= r.refine_steps <= 200
+    assert r.scan_points + 3 <= r.xi_points <= r.scan_points + 3 * r.refine_steps
+    assert r.elapsed_s >= 0.0
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="weil_lab"):
+        zc.compute_zeros(30.0, cache_dir=cache)           # a cache hit
+    assert not [r for r in caplog.records if r.name == "weil_lab"]
 
 
 def test_counting_check_t100(catalog):
