@@ -1,0 +1,154 @@
+"""Evaluators for the identities that both `weil-lab verify` and the
+acceptance suite check. Each returns the value or worst-over-draws margin
+that its caller compares with a bound (a margin <= 0 holds for every draw).
+Parameters are what the callers choose differently: rng and sample count,
+the draw, the Theta range, the psi_gamma inputs, the eigen sample sets."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from . import debranges as db
+from . import hilbert_polya as hp
+from . import numerics as nu
+from . import special_fn as sf
+from . import weil_form as wf
+
+# frozen 25-digit reference for xi(1/2), from an independent high-precision
+# evaluation of (1/2) s (s-1) pi^(-s/2) Gamma(s/2) zeta(s)
+XI_HALF_REF = 0.4971207781883141099127737
+
+
+def xi_theta_values(rng, theta_range: float):
+    """(relative error of xi(1/2), worst relative gap between xi(s) and
+    (1/2)s(s-1)pi^(-s/2)Gamma(s/2)zeta(s) at 100 random s, worst
+    ||Theta(x)| - 1| at 100 random |x| <= theta_range, |Theta(0) - 1|).
+    xi reflects Re s < 1/2 to 1 - s, while the product takes zeta at s
+    itself (through chi(s) zeta(1-s) for Re s < 0)."""
+    rel_half = abs(sf.xi(0.5).xi - XI_HALF_REF) / XI_HALF_REF
+    s = np.array([complex(rng.uniform(-8, 9), rng.uniform(-110, 110))
+                  for _ in range(100)])
+    a = sf.xi(s).xi
+    b = (0.5 * s * (s - 1.0) * sf.zeta_pair(s)[0]
+         * np.exp(-0.5 * s * math.log(math.pi) + sf.log_gamma(s / 2.0)))
+    worst_sym = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300)))
+    x = rng.uniform(-theta_range, theta_range, size=100)
+    worst_mod = float(np.max(np.abs(np.abs(sf.theta_on_axis(x)) - 1.0)))
+    return rel_half, worst_sym, worst_mod, abs(sf.theta_xi(0.0) - 1.0)
+
+
+def theta_prime_at_zeros(zs) -> float:
+    """Worst |Theta'(gamma) + 2i| over the catalog (m = 1 throughout)."""
+    return max(abs(db.theta_prime_at_zero(g) + 2j) for g in zs.ordinates)
+
+
+def basis_value_table(zs):
+    """(worst |F_gamma(gamma) + i/sqrt(m pi)|, worst |F_gamma(gamma')|)."""
+    gam = np.array(zs.ordinates)
+    worst_diag = worst_off = 0.0
+    for g in zs.ordinates:
+        F = db.BasisFunction(g, zs)
+        vals = F.values_on_axis(gam)
+        i = int(np.argmin(np.abs(gam - g)))
+        worst_diag = max(worst_diag,
+                         abs(vals[i] + 1j / math.sqrt(math.pi * F.m_gamma)))
+        off = np.abs(np.delete(vals, i))
+        if len(off):
+            worst_off = max(worst_off, float(off.max()))
+    return worst_diag, worst_off
+
+
+def basis_pairing(psis, zs):
+    """|<psi_1, psi_k>_W - delta_1k/pi| for the psi_gamma of the first zeros."""
+    return [abs(wf.weil_pairing(psis[0], p, zs).value
+                - (1.0 / math.pi if k == 0 else 0.0))
+            for k, p in enumerate(psis)]
+
+
+def l2_defect(psi) -> float:
+    """|2 pi ||psi||^2 - 1|: zero for a normalized psi_gamma."""
+    return abs(2 * math.pi * nu.grid_norm_sq(psi) - 1.0)
+
+
+def grid_distance(a, b) -> float:
+    """||a - b|| for time-domain functions on one grid."""
+    diff = nu.GridFunction(a.grid, a.values - b.values, "time")
+    return math.sqrt(max(nu.grid_norm_sq(diff), 0.0))
+
+
+def k_fixes_basis(psi, Z: float) -> float:
+    """||K psi - psi|| for a psi_gamma cut off at Z (K at the same band)."""
+    return grid_distance(db.K_apply(psi, Z, band_limit=Z), psi)
+
+
+def gram_psd_margin(rng, n: int, zs) -> float:
+    """Worst -(lowest eigenvalue + 1e-8 trace) of n screw-kernel Gram
+    matrices at 8 random nodes in [-3, 3]."""
+    worst = -1e30
+    for _ in range(n):
+        nodes = rng.uniform(-3, 3, size=8)
+        M = wf.screw_kernel(nodes[:, None], nodes[None, :], zs)
+        ev = np.linalg.eigvalsh(M)
+        worst = max(worst, -(ev[0] + 1e-8 * np.trace(M).real))
+    return worst
+
+
+def screw_weil_margin(rng, n: int, zs) -> float:
+    """Worst |<phi,phi>_G - <psi,psi>_W| - (declared errors + 1e-10) over n
+    random mean-zero phi, psi = antiderivative(phi)."""
+    worst = -1e30
+    for _ in range(n):
+        phi = wf.random_mean_zero(rng)
+        psi = wf.antiderivative(phi)
+        sv = wf.screw_form(phi, phi, zs)
+        pv = wf.weil_pairing(psi, psi, zs)
+        budget = (sv.quad_error + sv.tail_bound + pv.tail_bound
+                  + pv.quad_error + 1e-10)
+        worst = max(worst, abs(sv.value - pv.value) - budget)
+    return worst
+
+
+def positivity_margin(rng, n: int, zs, draw) -> float:
+    """Worst -(Re <psi,psi>_W + tail + quad) over n psi = draw(rng)."""
+    worst = -1e30
+    for _ in range(n):
+        psi = draw(rng)
+        fv = wf.weil_pairing(psi, psi, zs)
+        worst = max(worst, -(fv.value.real + fv.tail_bound + fv.quad_error))
+    return worst
+
+
+def restriction_isometry(zs):
+    """(worst |lhs/rhs - 1|, worst |rhs - 1|) over the first three zeros."""
+    worst_ratio = worst_rhs = 0.0
+    for g in zs.ordinates[:3]:
+        lhs, rhs = db.restriction_isometry_check(g, zs)
+        worst_ratio = max(worst_ratio, abs(lhs / rhs - 1.0))
+        worst_rhs = max(worst_rhs, abs(rhs - 1.0))
+    return worst_ratio, worst_rhs
+
+
+def eigen_residuals(p, sample_sets, shifted):
+    """Relative residuals of M_theta G = gamma G: the worst over the
+    (gamma, samples) pairs, and that of the pair shifted at gamma + 0.1."""
+    def rel(g, pts, ev=None):
+        chk = hp.eigen_residual(p, g, pts, eigenvalue=ev)
+        return chk.residual / max(chk.g_scale, 1e-300)
+    worst = max(0.0, *(rel(g, pts) for g, pts in sample_sets))
+    return worst, rel(shifted[0], shifted[1], shifted[0] + 0.1)
+
+
+def decomposition_null(rng, n: int, zs, bank, draw):
+    """Worst |S_psi0(gamma)| over n psi = draw(rng) = psi0 + psi1, and the
+    (psi, decomposition, psi0 coefficients) triples."""
+    worst = 0.0
+    out = []
+    for _ in range(n):
+        psi = draw(rng)
+        dec = hp.decompose_LW(psi, zs, bank=bank)
+        res = dec.residual_coeffs()
+        worst = max(worst, float(np.max(np.abs(res.entries))))
+        out.append((psi, dec, res))
+    return worst, out

@@ -4,9 +4,9 @@ and the omega profile (the time-domain inverse transform of xi(1/2-iz)).
 
 All evaluators are double precision and validated against high-precision
 references in the test suite. xi, E_xi, theta_xi, omega_profile,
-log_gamma and digamma take a scalar (and return scalars) or an array (and
-return arrays of its shape); critical_line_log_derivative, theta_on_axis and
-xi_on_critical_line take real arrays; zeta and zeta_pair take one point.
+log_gamma, digamma, zeta and zeta_pair take a scalar (and return scalars) or
+an array (and return arrays of its shape); critical_line_log_derivative,
+theta_on_axis and xi_on_critical_line take real arrays.
 Validated box: |Im s| <= 120, |Re s| <= 10. Outside it values are still
 computed but the reported error estimate degrades.
 
@@ -33,7 +33,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 import time
@@ -292,39 +291,44 @@ def _em_chunks(s: np.ndarray):
         yield (idx, sc) + _w_pair(sc, step) + (step,)
 
 
-def _chi_pair(s: complex):
+def _chi_pair(s: np.ndarray):
     """(chi(s), chi'(s)) for the functional equation zeta(s) = chi(s) zeta(1-s),
     chi(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s). Finite at the trivial zeros."""
     u = 1.0 - s
-    g = cmath.exp(complex(log_gamma(u)))
-    pref = cmath.exp(s * math.log(2.0) + (s - 1.0) * _LN_PI) * g
-    sn = cmath.sin(math.pi * s / 2.0)
-    cs = cmath.cos(math.pi * s / 2.0)
-    chi = pref * sn
-    chi_p = pref * ((_LN_2PI - complex(digamma(u))) * sn + (math.pi / 2.0) * cs)
-    return chi, chi_p
+    pref = np.exp(s * math.log(2.0) + (s - 1.0) * _LN_PI + log_gamma(u))
+    sn = np.sin(math.pi * s / 2.0)
+    cs = np.cos(math.pi * s / 2.0)
+    return pref * sn, pref * ((_LN_2PI - digamma(u)) * sn + (math.pi / 2.0) * cs)
 
 
-def zeta_pair(s: complex):
-    """(zeta(s), zeta'(s)) for complex s != 1.
+def zeta_pair(s):
+    """(zeta(s), zeta'(s)) at a scalar s != 1 (two complex numbers) or an
+    array of s (two arrays of its shape).
 
-    Euler-Maclaurin with the termwise derivative for Re(s) >= 0; the
-    functional equation (with its differentiated form) for Re(s) < 0.
+    Euler-Maclaurin with the termwise derivative for Re(s) >= 0, summed in
+    chunks of comparable height like xi; the functional equation (with its
+    differentiated form) for Re(s) < 0.
     """
-    s = complex(s)
-    if s == 1.0:
+    s_arr = np.asarray(s, dtype=complex)
+    if np.any(s_arr == 1.0):
         raise ValueError("zeta pole at s = 1")
-    if s.real >= 0.0:
-        w, wp = _w_pair(np.array([s]))
-        sm1 = s - 1.0
-        return w[0] / sm1, (wp[0] * sm1 - w[0]) / (sm1 * sm1)
-    zu, zup = zeta_pair(1.0 - s)
-    chi, chi_p = _chi_pair(s)
-    return chi * zu, chi_p * zu - chi * zup
+    flat = s_arr.ravel()
+    refl = flat.real < 0.0
+    u = np.where(refl, 1.0 - flat, flat)
+    val = np.empty_like(u)
+    der = np.empty_like(u)
+    for idx, sc, w, wp, _ in _em_chunks(u):
+        sm1 = sc - 1.0
+        val[idx], der[idx] = w / sm1, (wp * sm1 - w) / (sm1 * sm1)
+    chi, chi_p = _chi_pair(flat[refl])
+    val[refl], der[refl] = chi * val[refl], chi_p * val[refl] - chi * der[refl]
+    if s_arr.ndim == 0:
+        return complex(val[0]), complex(der[0])
+    return val.reshape(s_arr.shape), der.reshape(s_arr.shape)
 
 
-def zeta(s: complex) -> complex:
-    """Riemann zeta at complex s != 1."""
+def zeta(s):
+    """Riemann zeta at a scalar or an array of s != 1."""
     return zeta_pair(s)[0]
 
 

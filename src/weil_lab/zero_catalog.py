@@ -143,7 +143,8 @@ def _cached_source(path):
 def compute_zeros(T: float, cache_dir=None) -> ZeroSet:
     """Sign-change sweep of t -> xi(1/2 + it) on [2, T] at step 1/4, all
     brackets refined together (_refine_brackets); a scan point where xi is
-    exactly 0 is a root. Logs one DEBUG record on the "weil_lab" logger,
+    exactly 0 is a root, and a bracket is opened only between nonzero values
+    of opposite sign. Logs one DEBUG record on the "weil_lab" logger,
     with extra= fields catalog_T, scan_points, brackets, refine_steps,
     xi_points and elapsed_s; a cache hit logs nothing.
 
@@ -168,12 +169,11 @@ def compute_zeros(T: float, cache_dir=None) -> ZeroSet:
     t_grid = t_grid[t_grid <= T]
     vals = np.real(sf.xi_on_critical_line(t_grid))
     fa, fb = vals[:-1], vals[1:]
-    on_grid = fa == 0.0
-    br = np.flatnonzero(~on_grid & ((fa < 0) != (fb < 0)))
+    br = np.flatnonzero((fa != 0.0) & (fb != 0.0) & ((fa < 0) != (fb < 0)))
     refined, steps, points = _refine_brackets(
         lambda t: np.real(sf.xi_on_critical_line(t)),
         t_grid[br], t_grid[br + 1], fa[br], fb[br])
-    roots = [float(r) for r in np.sort(np.concatenate([t_grid[:-1][on_grid], refined]))]
+    roots = [float(r) for r in np.sort(np.concatenate([t_grid[vals == 0.0], refined]))]
     stats = {"catalog_T": float(T), "scan_points": t_grid.size, "brackets": br.size,
              "refine_steps": steps, "xi_points": t_grid.size + points,
              "elapsed_s": time.perf_counter() - t0}

@@ -13,6 +13,16 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 ZERO_TABLE = os.path.join(DATA_DIR, "zeros_t110.txt")
 
 
+def eigen_samples(rng, exclude, n=20):
+    """n random points of [-30, 30] x [-2, 2]i, all > 0.5 from exclude."""
+    out = []
+    while len(out) < n:
+        z = complex(rng.uniform(-30, 30), rng.uniform(-2, 2))
+        if all(abs(z - e) > 0.5 for e in exclude):
+            out.append(z)
+    return out
+
+
 @pytest.fixture(scope="session")
 def catalog():
     return zc.compute_zeros(100.0)
@@ -40,7 +50,7 @@ def small_psi(catalog):
 @pytest.fixture(scope="session")
 def heavy_psi(catalog):
     """The acceptance-scale artifacts: psi_gamma at Z = 5000 and 10000 on a
-    window long enough for the slow e^{-delta x} modes, plus K psi."""
+    window long enough for the slow e^{-delta x} modes."""
     zs = catalog
     g1, g2 = zs.ordinates[0], zs.ordinates[1]
     Z1, Z2 = 5000.0, 10000.0
@@ -48,10 +58,8 @@ def heavy_psi(catalog):
     psi1_z1 = db.psi_gamma(g1, zs, Z1, grid)
     psi2_z1 = db.psi_gamma(g2, zs, Z1, grid)
     psi1_z2 = db.psi_gamma(g1, zs, Z2, grid)
-    k_psi1 = db.K_apply(psi1_z1, Z1, band_limit=Z1)
     return {"Z1": Z1, "Z2": Z2, "grid": grid,
-            "psi1_z1": psi1_z1, "psi2_z1": psi2_z1, "psi1_z2": psi1_z2,
-            "k_psi1": k_psi1}
+            "psi1_z1": psi1_z1, "psi2_z1": psi2_z1, "psi1_z2": psi1_z2}
 
 
 @pytest.fixture(scope="session")

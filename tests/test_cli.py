@@ -59,13 +59,30 @@ def test_config_flag_overrides_file(tmp_path):
     assert cfg.cutoff_Z == 700.0      # file value survives
 
 
-def test_height_guard_is_config_error(capsys):
-    assert cli.main(["verify", "special", "--height-T", "200"]) == 2
-    assert "config error" in capsys.readouterr().err
+def test_height_guard_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("tol.psi_norm_ = 1\n")
+    for argv, named in [
+            (["verify", "special", "--height-T", "200"], "height_T"),
+            # tolerance ids that name no check, from a flag or the file
+            (["verify", "special", "--tol", "xi_halfreference=1e-30"],
+             "xi_halfreference"),
+            (["verify", "special", "--config", str(cfg_file)], "psi_norm_"),
+            # no ordinate below T = 10 for a catalog suite
+            (["verify", "hilbert_polya", "--height-T", "10"], "T = 10"),
+            (["verify", "all", "--height-T", "10"], "T = 10")]:
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
+    assert not list(tmp_path.glob("report_*.json"))
 
 
 def test_verify_special_passes_and_writes_report(tmp_path):
-    rc = cli.main(["verify", "special", "--out", str(tmp_path)])
+    # the special suite needs no catalog (none lies below T = 10), and a
+    # tolerance id of another suite is accepted
+    rc = cli.main(["verify", "special", "--out", str(tmp_path),
+                   "--height-T", "10", "--tol", "gram_psd=1e-3"])
     assert rc == 0
     rows = json.load(open(tmp_path / "report_special.json"))
     assert {"check_id", "anchor", "value", "bound", "pass"} == set(rows[0])
@@ -157,7 +174,8 @@ def test_export_omega_range(tmp_path, monkeypatch):
     monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
     # global flags go before the subcommand so the leading-dash range can
     # sit behind the "--" separator
-    assert cli.main(["--out", str(tmp_path), "--height-T", "20",
+    # T = 10 leaves an empty catalog, which omega does not use
+    assert cli.main(["--out", str(tmp_path), "--height-T", "10",
                      "export", "omega", "--", "-2:2:0.5"]) == 0
     lines = (tmp_path / "omega.csv").read_text().splitlines()
     assert len(lines) == 10

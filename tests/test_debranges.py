@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from weil_lab import debranges as db
+from weil_lab import identities as ids
 from weil_lab import numerics as nu
 from weil_lab import special_fn as sf
 from weil_lab import zero_catalog as zc
@@ -128,9 +129,8 @@ def test_psi_gamma_requires_large_Z(catalog):
 
 
 def test_psi_gamma_norm_within_tail_bound(small_psi, catalog):
-    g1 = catalog.ordinates[0]
-    defect = abs(2 * math.pi * nu.grid_norm_sq(small_psi["psi1"]) - 1.0)
-    assert defect <= max(db.psi_gamma_tail_bound(g1, small_psi["Z"]), 1e-2)
+    bound = max(db.psi_gamma_tail_bound(catalog.ordinates[0], small_psi["Z"]), 1e-2)
+    assert ids.l2_defect(small_psi["psi1"]) <= bound
 
 
 def test_psi_gamma_supported_on_positive_axis(small_psi):
@@ -214,9 +214,7 @@ def test_K_involution_and_isometry_on_bumps(catalog):
         k_psi = db.K_apply(psi, Z, band_limit=Z)
         kk_psi = db.K_apply(k_psi, Z, band_limit=Z)
         n0 = math.sqrt(nu.grid_norm_sq(psi))
-        err_inv = math.sqrt(nu.grid_norm_sq(
-            nu.GridFunction(grid, kk_psi.values - psi.values, "time")))
-        assert err_inv / n0 <= 1e-3
+        assert ids.grid_distance(kk_psi, psi) / n0 <= 1e-3
         assert abs(math.sqrt(nu.grid_norm_sq(k_psi)) / n0 - 1.0) <= 1e-3
 
 
@@ -232,12 +230,8 @@ def test_K_conjugate_linearity(catalog):
     assert np.max(np.abs(k1.values + 1j * k2.values)) <= 1e-12
 
 
-def test_K_fixes_basis_function(small_psi, catalog):
-    psi = small_psi["psi1"]
-    k_psi = db.K_apply(psi, small_psi["Z"], band_limit=small_psi["Z"])
-    diff = math.sqrt(nu.grid_norm_sq(
-        nu.GridFunction(psi.grid, k_psi.values - psi.values, "time")))
-    assert diff <= 5e-3
+def test_K_fixes_basis_function(small_psi):
+    assert ids.k_fixes_basis(small_psi["psi1"], small_psi["Z"]) <= 5e-3
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,8 @@ from weil_lab import special_fn as sf
 from weil_lab import weil_form as wf
 from weil_lab import zero_catalog as zc
 
+from conftest import eigen_samples
+
 
 # ----------------------------------------------------------------------
 # S_theta
@@ -97,20 +99,11 @@ def test_m_theta_limit_branch_at_w0():
 # eigenfunction residuals
 # ----------------------------------------------------------------------
 
-def _samples(rng, exclude, n=20):
-    out = []
-    while len(out) < n:
-        z = complex(rng.uniform(-30, 30), rng.uniform(-2, 2))
-        if all(abs(z - e) > 0.5 for e in exclude):
-            out.append(z)
-    return out
-
-
 def test_eigen_residual_first_two_zeros(catalog):
     p = hp.ExtensionParams(math.pi / 2)
     rng = np.random.default_rng(33)
     for g in catalog.ordinates[:2]:
-        chk = hp.eigen_residual(p, g, _samples(rng, [g, p.w0]))
+        chk = hp.eigen_residual(p, g, eigen_samples(rng, [g, p.w0]))
         assert chk.residual <= 1e-7 * chk.g_scale
 
 
@@ -118,7 +111,7 @@ def test_eigen_residual_detects_perturbed_eigenvalue(catalog):
     p = hp.ExtensionParams(math.pi / 2)
     rng = np.random.default_rng(34)
     g1 = catalog.ordinates[0]
-    chk = hp.eigen_residual(p, g1, _samples(rng, [g1, p.w0]),
+    chk = hp.eigen_residual(p, g1, eigen_samples(rng, [g1, p.w0]),
                             eigenvalue=g1 + 0.1)
     assert chk.residual >= 1e-2 * chk.g_scale
 
@@ -126,7 +119,7 @@ def test_eigen_residual_detects_perturbed_eigenvalue(catalog):
 def test_eigen_residual_evaluates_s_theta_once_per_sample(catalog, monkeypatch):
     p = hp.ExtensionParams(math.pi / 3)
     g1 = catalog.ordinates[0]
-    samples = _samples(np.random.default_rng(35), [g1, p.w0], n=7)
+    samples = eigen_samples(np.random.default_rng(35), [g1, p.w0], n=7)
     s_w0 = p.s(p.w0)
 
     def F(z):

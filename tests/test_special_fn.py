@@ -7,11 +7,11 @@ import pytest
 
 from weil_lab import numerics as nu
 from weil_lab import special_fn as sf
+from weil_lab.identities import XI_HALF_REF
 
 mp.mp.dps = 30
 
-# frozen references (25+ digits, independent high-precision evaluations)
-XI_HALF = 0.4971207781883141099127737
+# frozen reference from an independent high-precision evaluation
 GAMMA1 = 14.134725141734693790  # first ordinate, from a high-precision root find
 
 
@@ -70,6 +70,8 @@ def test_zeta_classics():
 def test_zeta_pole():
     with pytest.raises(ValueError):
         sf.zeta(1.0)
+    with pytest.raises(ValueError):
+        sf.zeta_pair(np.array([2.0, 1.0]))
 
 
 def test_zeta_vanishes_at_first_ordinate():
@@ -78,8 +80,12 @@ def test_zeta_vanishes_at_first_ordinate():
 
 def test_zeta_and_derivative_against_oracle():
     rng = np.random.default_rng(13)
-    for _ in range(25):
-        s = complex(rng.uniform(-9, 10), rng.uniform(-120, 120))
+    pts = [complex(rng.uniform(-9, 10), rng.uniform(-120, 120))
+           for _ in range(25)] + [0.25 + 30j, -2.0, -4.0]
+    # the array route against the one-point loop: one Euler-Maclaurin N per
+    # chunk, so equal to roundoff rather than bitwise
+    zb, zpb = sf.zeta_pair(np.array(pts))
+    for s, z_arr, zp_arr in zip(pts, zb, zpb):
         z, zp = sf.zeta_pair(s)
         ref = complex(mp.zeta(mp.mpc(s)))
         refp = complex(mp.zeta(mp.mpc(s), derivative=1))
@@ -88,6 +94,8 @@ def test_zeta_and_derivative_against_oracle():
         scale = max(abs(ref), 1e-2)
         assert abs(z - ref) <= 1e-12 * scale
         assert abs(zp - refp) <= 1e-12 * max(abs(refp), 1e-2)
+        assert abs(z_arr - z) <= 1e-12 * scale
+        assert abs(zp_arr - zp) <= 1e-12 * max(abs(refp), 1e-2)
 
 
 # ----------------------------------------------------------------------
@@ -96,7 +104,7 @@ def test_zeta_and_derivative_against_oracle():
 
 def test_xi_at_half():
     v = sf.xi(0.5)
-    assert abs(v.xi - XI_HALF) <= 1e-12 * XI_HALF
+    assert abs(v.xi - XI_HALF_REF) <= 1e-12 * XI_HALF_REF
     assert abs(v.xi_prime) <= 1e-12
     assert v.rel_error <= 1e-9
 
@@ -340,7 +348,7 @@ def test_omega_integral_matches_xi_half():
     val = nu.fourier_integral(
         lambda u: np.array([sf.omega_profile(t) for t in np.atleast_1d(u)]),
         (-5.0, 5.0), 0.0)
-    assert abs(val - XI_HALF) <= 1e-10
+    assert abs(val - XI_HALF_REF) <= 1e-10
 
 
 @pytest.mark.parametrize("z", [0.0, 1.0, 2.0])
@@ -453,5 +461,5 @@ def test_xi_on_critical_line_real():
     t = np.array([0.0, 5.0, 14.0, 60.0])
     vals = sf.xi_on_critical_line(t)
     assert np.max(np.abs(vals.imag)) <= 1e-13 * np.max(np.abs(vals.real))
-    assert abs(vals[0] - XI_HALF) <= 1e-12
+    assert abs(vals[0] - XI_HALF_REF) <= 1e-12
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from weil_lab import identities as ids
 from weil_lab import numerics as nu
 from weil_lab import weil_form as wf
 from weil_lab import zero_catalog as zc
@@ -247,11 +248,8 @@ def test_pairing_hermitian_and_sesquilinear(catalog):
 
 
 def test_pairing_positivity_random(catalog):
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        psi = wf.random_combination(rng)
-        fv = wf.weil_pairing(psi, psi, catalog)
-        assert fv.value.real >= -(fv.tail_bound + fv.quad_error)
+    assert ids.positivity_margin(np.random.default_rng(9), 10, catalog,
+                                 wf.random_combination) <= 0.0
 
 
 def test_pairing_declared_tail_bounds_the_omitted_zeros():
@@ -365,13 +363,7 @@ def test_screw_kernel_rejects_nonreal_catalog():
 
 
 def test_gram_matrices_positive_semidefinite(catalog):
-    rng = np.random.default_rng(10)
-    for _ in range(10):
-        nodes = rng.uniform(-3, 3, size=8)
-        M = np.array([[wf.screw_kernel(ti, tj, catalog) for tj in nodes]
-                      for ti in nodes])
-        ev = np.linalg.eigvalsh(M)
-        assert ev[0] >= -1e-8 * np.trace(M).real
+    assert ids.gram_psd_margin(np.random.default_rng(10), 10, catalog) <= 0.0
 
 
 def test_screw_form_zero_input(catalog):

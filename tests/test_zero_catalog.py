@@ -139,25 +139,27 @@ def test_refine_brackets_matches_scalar_oracle(tol):
 
 
 def test_compute_zeros_grid_point_zero_with_brackets(monkeypatch):
-    # xi replaced by a polynomial that vanishes exactly at the scan point
-    # 3.0 and has simple roots at 5.1 and 8.37 inside scan brackets
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        return -(t - 3.0) * (t - 5.1) * (t - 8.37) + 0j
-    monkeypatch.setattr(sf, "xi_on_critical_line", f)
-    zs = zc.compute_zeros(10.0)
-    t_grid = np.arange(2.0, 10.25, 0.25)
-    vals = f(t_grid).real
-    ref = []
-    for i in range(len(t_grid) - 1):          # the per-bracket loop
-        if vals[i] == 0.0:
-            ref.append(float(t_grid[i]))
-        elif (vals[i] < 0) != (vals[i + 1] < 0):
-            ref.append(_refine_root(lambda t: float(f(np.array([t]))[0].real),
-                                    float(t_grid[i]), float(t_grid[i + 1]),
-                                    vals[i], vals[i + 1]))
-    assert zs.ordinates == tuple(ref)
-    assert zs.ordinates[0] == 3.0 and len(zs) == 3
+    # xi replaced by polynomials: a scan-point zero is reported once and
+    # exactly, the roots inside scan brackets as the per-bracket loop finds
+    cases = [
+        # the scan point 3.0 approached from above
+        (lambda t: -(t - 3.0) * (t - 5.1) * (t - 8.37), 10.0, [3.0, 5.1, 8.37]),
+        # the scan point 3.0 approached from below
+        (lambda t: -(t - 3.0) * (t - 5.1), 6.0, [3.0, 5.1]),
+        # a zero at the last scan point
+        (lambda t: (t - 5.1) * (t - 6.0), 6.0, [5.1, 6.0]),
+    ]
+    for poly, T, roots in cases:
+        monkeypatch.setattr(sf, "xi_on_critical_line", lambda t, poly=poly: poly(t) + 0j)
+        zs = zc.compute_zeros(T)
+        t_grid = np.arange(2.0, T + 0.25, 0.25)
+        vals = poly(t_grid)
+        br = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+        refined, _ = _per_bracket(poly, t_grid[br], t_grid[br + 1])
+        assert zs.ordinates == tuple(np.sort(np.concatenate([t_grid[vals == 0.0], refined])))
+        assert len(zs) == len(roots)
+        assert np.max(np.abs(np.array(zs.ordinates) - roots)) <= 1e-9
+        assert {3.0, 6.0} & set(roots) <= set(zs.ordinates)
 
 
 def test_compute_zeros_t110_against_table_and_per_bracket_route():
