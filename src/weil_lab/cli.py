@@ -338,13 +338,14 @@ def run_zeros(action: str, cfg: RunConfig, table: Optional[str]) -> int:
 
 
 def run_export(what: str, arg: Optional[str], cfg: RunConfig) -> int:
+    """Write one CSV artifact; omega needs no catalog, so it reads none."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    zs = cfg.catalog
 
     def out_path(name: str) -> str:
         return os.path.join(cfg.out_dir, name)
 
     if what == "psi_gamma":
+        zs = cfg.catalog
         idx = int(arg or "1")
         if not (1 <= idx <= len(zs)):
             print("psi_gamma index out of range", file=sys.stderr)
@@ -370,7 +371,7 @@ def run_export(what: str, arg: Optional[str], cfg: RunConfig) -> int:
             return 2
         xs = np.arange(a, b + step / 2, step)
         if what == "screw_g":
-            vals = wf.screw_g_array(xs, zs)
+            vals = wf.screw_g_array(xs, cfg.catalog)
         else:
             vals = sf.omega_profile(xs).astype(complex)
         path = out_path("%s.csv" % what)
@@ -382,6 +383,7 @@ def run_export(what: str, arg: Optional[str], cfg: RunConfig) -> int:
         return 0
 
     if what == "F_gamma":
+        zs = cfg.catalog
         idx = int(arg or "1")
         if not (1 <= idx <= len(zs)):
             print("F_gamma index out of range", file=sys.stderr)

@@ -144,12 +144,6 @@ class MembershipReport:
     """Continuous diagnostics for psi in V(t); never a boolean verdict."""
     negative_mass: float      # L2 mass of psi below the cut
     k_residual: float         # L2 norm of (K psi) below the cut
-    verdict_threshold: float
-
-    def to_json_dict(self) -> dict:
-        return {"negative_mass": self.negative_mass,
-                "k_residual": self.k_residual,
-                "verdict_threshold": self.verdict_threshold}
 
 
 def psi_gamma_tail_bound(gamma: float, Z: float) -> float:
@@ -159,7 +153,7 @@ def psi_gamma_tail_bound(gamma: float, Z: float) -> float:
     return 2.0 / (math.pi * (Z - abs(gamma)))
 
 
-def _default_freq_spacing(Z: float, x_absmax: float) -> float:
+def _default_freq_spacing(x_absmax: float) -> float:
     return min(0.999 * numerics.ALIAS_GUARD / max(x_absmax, 1e-6), 0.1)
 
 
@@ -179,7 +173,7 @@ def psi_gamma(gamma: float, zs: zc.ZeroSet, Z: float, out: numerics.Grid,
     if Z < 500.0:
         raise ValueError("psi_gamma requires Z >= 500")
     x_absmax = max(abs(out.x_min), abs(out.x_max))
-    h = freq_spacing if freq_spacing is not None else _default_freq_spacing(Z, x_absmax)
+    h = freq_spacing if freq_spacing is not None else _default_freq_spacing(x_absmax)
     fgrid, L = axis_samples(Z, h)
     F = BasisFunction(gamma, zs)
     samples = numerics.GridFunction(fgrid, F.values_on_axis(fgrid.nodes(), L),
@@ -198,7 +192,7 @@ def K_apply(psi: numerics.GridFunction, Z: float,
     to the transform truncation errors.
     """
     x_absmax = max(abs(psi.grid.x_min), abs(psi.grid.x_max))
-    h = freq_spacing if freq_spacing is not None else _default_freq_spacing(Z, x_absmax)
+    h = freq_spacing if freq_spacing is not None else _default_freq_spacing(x_absmax)
     fgrid, L = axis_samples(Z, h)
     spectrum = numerics.forward_fourier_grid(psi, fgrid, band_limit=band_limit)
     theta = sf.theta_on_axis(fgrid.nodes(), log_deriv=L)
@@ -219,8 +213,8 @@ def _mass_below(f: numerics.GridFunction, cut: float) -> float:
 
 
 def v_membership(psi: numerics.GridFunction, t: float,
-                 Z: float = 300.0, band_limit: Optional[float] = None,
-                 threshold: float = 1e-3) -> MembershipReport:
+                 Z: float = 300.0,
+                 band_limit: Optional[float] = None) -> MembershipReport:
     """Diagnostics for psi in V(t) = L^2(t,inf) ^ K L^2(t,inf).
 
     Reports the L2 mass of psi below t and the L2 norm of K psi below t (the
@@ -233,7 +227,6 @@ def v_membership(psi: numerics.GridFunction, t: float,
     return MembershipReport(
         negative_mass=_mass_below(psi, t),
         k_residual=math.sqrt(max(_mass_below(k_psi, t), 0.0)),
-        verdict_threshold=threshold,
     )
 
 
@@ -254,29 +247,28 @@ def debranges_norm(F: numerics.GridFunction) -> float:
 
 
 def restriction_isometry_check(gamma: float, zs: zc.ZeroSet,
-                               Z: float = 1500.0, spacing: float = 0.05):
+                               Z: float = 1500.0):
     """(lhs, rhs) for the restriction isometry at F_gamma:
 
-    lhs = grid ||F_gamma||^2 over [-Z, Z]; rhs = sum over catalog zeros of
-    |F_gamma(gamma')|^2 * pi * m' (the point mass 2 pi/|Theta'| equals
-    pi m at a multiplicity-m zero). Exact value of both sides is 1.
+    lhs = grid ||F_gamma||^2 over [-Z, Z] at spacing 0.05; rhs = sum over
+    catalog zeros of |F_gamma(gamma')|^2 * pi * m' (the point mass
+    2 pi/|Theta'| equals pi m at a multiplicity-m zero). Both are exactly 1.
     """
-    fgrid, L = axis_samples(Z, spacing)
+    fgrid, L = axis_samples(Z, 0.05)
     F = BasisFunction(gamma, zs)
     vals = F.values_on_axis(fgrid.nodes(), L)
     Fg = numerics.GridFunction(fgrid, vals, "frequency")
     lhs = numerics.grid_norm_sq(Fg)
+    gp, mp_ = (np.array(v) for v in zip(*zc.iterate_symmetric(zs)))
     rhs = 0.0
-    for gp, mp_ in zc.iterate_symmetric(zs):
-        rhs += abs(F(gp)) ** 2 * math.pi * mp_
-    return lhs, rhs
+    for term in np.abs(F.values_on_axis(gp)) ** 2 * math.pi * mp_:
+        rhs += term
+    return lhs, float(rhs)
 
 
 @dataclass
 class BasisBank:
     """psi_gamma grids for the full symmetric catalog on a shared output grid."""
-    zs: zc.ZeroSet
-    Z: float
     out: numerics.Grid
     gammas: List[float]
     mults: List[int]
@@ -284,8 +276,8 @@ class BasisBank:
     psis: List[numerics.GridFunction]
 
 
-def build_basis_bank(zs: zc.ZeroSet, Z: float, out: numerics.Grid,
-                     freq_spacing: Optional[float] = None) -> BasisBank:
+def build_basis_bank(zs: zc.ZeroSet, Z: float,
+                     out: numerics.Grid) -> BasisBank:
     """Inverse-transform every F_gamma (both signs of gamma) onto one grid.
 
     All entries share one axis sweep; the per-entry cost is a single
@@ -298,5 +290,5 @@ def build_basis_bank(zs: zc.ZeroSet, Z: float, out: numerics.Grid,
         gammas.append(g)
         mults.append(m)
         basis.append(BasisFunction(g, zs))
-        psis.append(psi_gamma(g, zs, Z, out, freq_spacing=freq_spacing))
-    return BasisBank(zs, Z, out, gammas, mults, basis, psis)
+        psis.append(psi_gamma(g, zs, Z, out))
+    return BasisBank(out, gammas, mults, basis, psis)

@@ -93,13 +93,6 @@ class EigenCheck:
     g_scale: float
     samples: Tuple[complex, ...]
 
-    def to_json_dict(self) -> dict:
-        return {"gamma": self.gamma,
-                "eigenvalue": self.eigenvalue,
-                "residual": self.residual,
-                "g_scale": self.g_scale,
-                "samples": [[z.real, z.imag] for z in self.samples]}
-
 
 def eigen_residual(p: ExtensionParams, gamma: float, samples: Sequence[complex],
                    eigenvalue: Optional[float] = None) -> EigenCheck:
@@ -162,18 +155,13 @@ class LWDecomposition:
         return wf.SpectralCoefficients(tuple(complex(v) for v in out))
 
 
-def decompose_LW(psi, zs: zc.ZeroSet, Z: float = 500.0,
-                 out: Optional[numerics.Grid] = None,
-                 bank: Optional[debranges.BasisBank] = None) -> LWDecomposition:
+def decompose_LW(psi, zs: zc.ZeroSet,
+                 bank: debranges.BasisBank) -> LWDecomposition:
     """Split psi into its catalog span component and the transform-null rest.
 
-    psi may be a TestFunction (sampled on the output grid) or a GridFunction
-    living on the bank's grid. Building the basis bank dominates the cost;
-    pass one in to amortize it across calls."""
-    if bank is None:
-        if out is None:
-            out = numerics.Grid(-2.0, 18.0, 4001)
-        bank = debranges.build_basis_bank(zs, Z, out)
+    The bank (debranges.build_basis_bank of zs) is required: it dominates
+    the cost, so callers build it once. psi may be a TestFunction (sampled
+    on the bank's grid) or a GridFunction living on that grid."""
     grid = bank.out
 
     if isinstance(psi, wf.TestFunction):

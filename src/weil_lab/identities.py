@@ -45,12 +45,14 @@ def theta_prime_at_zeros(zs) -> float:
 
 
 def basis_value_table(zs):
-    """(worst |F_gamma(gamma) + i/sqrt(m pi)|, worst |F_gamma(gamma')|)."""
+    """(worst |F_gamma(gamma) + i/sqrt(m pi)|, worst |F_gamma(gamma')|);
+    L at the ordinates is evaluated once for every F_gamma."""
     gam = np.array(zs.ordinates)
+    L = sf.critical_line_log_derivative(gam)
     worst_diag = worst_off = 0.0
     for g in zs.ordinates:
         F = db.BasisFunction(g, zs)
-        vals = F.values_on_axis(gam)
+        vals = F.values_on_axis(gam, L)
         i = int(np.argmin(np.abs(gam - g)))
         worst_diag = max(worst_diag,
                          abs(vals[i] + 1j / math.sqrt(math.pi * F.m_gamma)))

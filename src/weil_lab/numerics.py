@@ -22,7 +22,7 @@ import numpy as np
 
 __all__ = [
     "Grid", "GridFunction", "AliasingGuardError", "GridMismatchError",
-    "panel_rule", "fourier_at", "fourier_integral", "inverse_fourier_grid",
+    "panel_rule", "fourier_integral", "inverse_fourier_grid",
     "fourier_grid_at", "forward_fourier_grid", "inner_product_grid",
     "grid_norm_sq", "symmetric_grid", "band_exact_grid", "write_grid_csv",
     "ALIAS_GUARD",
@@ -158,15 +158,6 @@ def fourier_integral(f: Callable[[np.ndarray], np.ndarray],
                 np.exp(1j * zc * mid) * (np.exp(1j * zc * ht) @ fw), axis=1)
     out = out.reshape(z_arr.shape)
     return complex(out) if out.ndim == 0 else out
-
-
-def fourier_at(f, z):
-    """Fourier transform of a compactly supported function object at a
-    scalar or an array of z (see fourier_integral).
-
-    Accepts anything exposing support() -> (a, b) and vectorized __call__.
-    """
-    return fourier_integral(f, f.support(), z)
 
 
 # ----------------------------------------------------------------------

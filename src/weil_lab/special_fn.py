@@ -7,8 +7,6 @@ references in the test suite. xi, E_xi, theta_xi, omega_profile,
 log_gamma, digamma, zeta and zeta_pair take a scalar (and return scalars) or
 an array (and return arrays of its shape); critical_line_log_derivative,
 theta_on_axis and xi_on_critical_line take real arrays.
-Validated box: |Im s| <= 120, |Re s| <= 10. Outside it values are still
-computed but the reported error estimate degrades.
 
 The vector routes sum zeta by Euler-Maclaurin in chunks of 8192 points of
 comparable height. A chunk whose points lie on a lattice s_k = s_0 + k d up
@@ -25,7 +23,8 @@ one anchor per point with the single offset 0, through the same code.
 Conventions used throughout the package:
 
     xi(s)    = (1/2) s (s-1) pi^(-s/2) Gamma(s/2) zeta(s)
-             = (s-1) pi^(-s/2) Gamma(s/2 + 1) zeta(s)
+             = P(s) w(s),   P = pi^(-s/2) Gamma(s/2 + 1),  w = (s-1) zeta(s)
+    xi'(s)   = P(s) (w(s) (psi(s/2 + 1) - log pi)/2 + w'(s))
     E(z)     = xi(1/2 - iz) + xi'(1/2 - iz)        (' = d/ds)
     F^#(z)   = conj(F(conj(z)))
     Theta(z) = E^#(z) / E(z)
@@ -44,13 +43,10 @@ import numpy as np
 __all__ = [
     "XiValue", "log_gamma", "digamma", "zeta", "zeta_pair", "xi", "E_xi",
     "theta_xi", "omega_profile", "critical_line_log_derivative",
-    "theta_on_axis", "xi_on_critical_line", "VALIDATED_IM", "VALIDATED_RE",
+    "theta_on_axis", "xi_on_critical_line",
 ]
 
 _log = logging.getLogger("weil_lab")
-
-VALIDATED_IM = 120.0
-VALIDATED_RE = 10.0
 
 # Bernoulli numbers B_{2k}, k = 1..16, exact.
 _B2K = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
@@ -71,7 +67,6 @@ _LN_2PI = math.log(2.0 * math.pi)
 class XiValue:
     xi: complex
     xi_prime: complex
-    rel_error: float
 
 
 # ----------------------------------------------------------------------
@@ -336,16 +331,9 @@ def zeta(s):
 # xi and its derivative
 # ----------------------------------------------------------------------
 
-def _xi_rel_error(s: np.ndarray) -> np.ndarray:
-    t = np.abs(s.imag)
-    est = 5e-13 + 2e-15 * t
-    outside = (t > VALIDATED_IM) | (np.abs(s.real) > VALIDATED_RE)
-    grow = 10.0 * (1.0 + (np.maximum(0.0, t - VALIDATED_IM) / VALIDATED_IM) ** 2)
-    return np.where(outside, est * grow, est)
-
-
-def _xi_from_w(s: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * s * _LN_PI + log_gamma(s / 2.0 + 1.0)) * w
+def _xi_factor(s: np.ndarray) -> np.ndarray:
+    """P = pi^(-s/2) Gamma(s/2+1), so that xi = P (s-1) zeta(s)."""
+    return np.exp(-0.5 * s * _LN_PI + log_gamma(s / 2.0 + 1.0))
 
 
 def _log_derivative(s: np.ndarray, w: np.ndarray, wp: np.ndarray) -> np.ndarray:
@@ -353,34 +341,24 @@ def _log_derivative(s: np.ndarray, w: np.ndarray, wp: np.ndarray) -> np.ndarray:
 
 
 def _xi_pair(s: np.ndarray, w: np.ndarray, wp: np.ndarray):
-    """(xi, xi') at an array of s with Re(s) >= 1/2, given (w, w') there.
-
-    Within ~1e-3 of a zero of w the log-derivative route degrades, so xi'
-    falls back to a cubic-accurate central difference of 4 nearby xi values.
-    """
-    xi_val = _xi_from_w(s, w)
-    xi_p = xi_val * _log_derivative(s, w, wp)
-    near = np.flatnonzero(np.abs(w) < 1e-3 * np.maximum(np.abs(wp), 1e-30))
-    if near.size:
-        def xi_at(u):
-            return _xi_from_w(u, _w_pair(u)[0])
-        h, sn = 1e-3, s[near]
-        f1 = xi_at(sn + h) - xi_at(sn - h)
-        f2 = xi_at(sn + 2 * h) - xi_at(sn - 2 * h)
-        xi_p[near] = (8.0 * f1 - f2) / (12.0 * h)
-    return xi_val, xi_p
+    """(xi, xi') at an array of s with Re(s) >= 1/2, given (w, w') there:
+    xi = P w and xi' = P (w (psi(s/2+1) - log pi)/2 + w'), with
+    P = pi^(-s/2) Gamma(s/2+1). Nothing divides by w, so the zeros of w
+    need no other route."""
+    P = _xi_factor(s)
+    return P * w, P * (0.5 * w * (digamma(s / 2.0 + 1.0) - _LN_PI) + wp)
 
 
 def xi(s) -> XiValue:
-    """xi(s) and xi'(s) at a scalar s (an XiValue of complex, complex and
-    float) or at an array of s (an XiValue of arrays of its shape).
+    """xi(s) and xi'(s) at a scalar s (an XiValue of two complex numbers)
+    or at an array of s (an XiValue of two arrays of its shape).
 
     xi is computed as pi^(-s/2) Gamma(s/2+1) (s-1) zeta(s) with the factor
     (s-1) zeta(s) evaluated in pole-free form; s with Re(s) < 1/2 is
-    reflected through xi(s) = xi(1-s), xi'(s) = -xi'(1-s). The derivative
-    uses the logarithmic derivative
-        xi'/xi = -log(pi)/2 + psi(s/2+1)/2 + w'/w,   w = (s-1) zeta(s),
-    with a finite-difference fallback within ~1e-3 of the zeros of w.
+    reflected through xi(s) = xi(1-s), xi'(s) = -xi'(1-s). With
+    w = (s-1) zeta(s) and P = pi^(-s/2) Gamma(s/2+1) the derivative is
+        xi'(s) = P (w (psi(s/2+1) - log pi)/2 + w'),
+    one formula at every s, zeros of xi included.
     The reflected points are summed in chunks of comparable height (see the
     module docstring); a scalar is a chunk of one point.
     """
@@ -392,11 +370,9 @@ def xi(s) -> XiValue:
     for idx, sc, w, wp, _ in _em_chunks(u):
         val[idx], der[idx] = _xi_pair(sc, w, wp)
     der = np.where(refl.ravel(), -der, der)
-    err = _xi_rel_error(u)
     if s_arr.ndim == 0:
-        return XiValue(complex(val[0]), complex(der[0]), float(err[0]))
-    return XiValue(val.reshape(s_arr.shape), der.reshape(s_arr.shape),
-                   err.reshape(s_arr.shape))
+        return XiValue(complex(val[0]), complex(der[0]))
+    return XiValue(val.reshape(s_arr.shape), der.reshape(s_arr.shape))
 
 
 def E_xi(z):
@@ -415,7 +391,7 @@ def theta_xi(z):
     (a complex) or an array of z; E and E^# come from one E_xi call.
 
     Raises when |E(z)| underflows at any z (a real zero of E would sit at a
-    multiple zero of xi; none occur in the validated range)."""
+    multiple zero of xi)."""
     z_arr = np.asarray(z, dtype=complex)
     E = E_xi(np.stack([z_arr, np.conj(z_arr)]))
     if np.any(np.abs(E[0]) < 1e-300):
@@ -434,7 +410,7 @@ def critical_line_log_derivative(x):
     Returns -i * (xi'/xi)(1/2 - ix); real-valued up to roundoff since
     xi(1/2 - iz) is real on the real axis.  The ratio form stays finite
     through the exponentially small range of xi (no underflow), which makes
-    it usable on frequency grids far beyond the validated |Im s| box.  At
+    it usable on frequency grids far beyond |x| ~ 900, where xi does.  At
     zeros of xi the value blows up like m/(x - gamma); callers that need the
     limit there use the basis-function limit branch instead.
 
@@ -484,7 +460,7 @@ def xi_on_critical_line(t):
     s = 0.5 + 1j * np.asarray(t, dtype=float)
     out = np.empty(s.shape, dtype=complex)
     for idx, sc, w, _, _ in _em_chunks(s):
-        out.flat[idx] = _xi_from_w(sc, w)
+        out.flat[idx] = _xi_factor(sc) * w
     return out
 
 

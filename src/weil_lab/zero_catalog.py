@@ -69,9 +69,9 @@ class CountingReport:
     passed: bool
 
 
-def load_zeros(path, T: float) -> ZeroSet:
-    """Parse a plain-text ordinate table (one decimal per line, ascending;
-    blank lines and lines starting with '#' are skipped)."""
+def _read_table(path, T: float, source: str) -> ZeroSet:
+    """The ordinates <= T of a plain-text table (one decimal per line,
+    ascending; blank lines and lines starting with '#' are skipped)."""
     ordinates: List[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -88,9 +88,16 @@ def load_zeros(path, T: float) -> ZeroSet:
                 raise ValueError("non-ascending ordinate at line %d" % lineno)
             ordinates.append(val)
     kept = [g for g in ordinates if g <= T]
-    if not kept:
+    return ZeroSet(tuple(kept), tuple([1] * len(kept)), float(T), source)
+
+
+def load_zeros(path, T: float) -> ZeroSet:
+    """Parse a user's ordinate table (see _read_table); warns when no
+    ordinate lies below T."""
+    zs = _read_table(path, T, "table")
+    if not len(zs):
         warnings.warn("zero table contains no ordinates below T = %g" % T)
-    return ZeroSet(tuple(kept), tuple([1] * len(kept)), float(T), "table")
+    return zs
 
 
 def _refine_brackets(f, a, b, fa, fb, tol: float = 1e-11):
@@ -161,8 +168,7 @@ def compute_zeros(T: float, cache_dir=None) -> ZeroSet:
         cache_path = os.path.join(cache_dir, "zeros_T%s.txt" % ("%g" % T))
         source = _cached_source(cache_path)
         if source is not None:
-            zs = load_zeros(cache_path, T)
-            return ZeroSet(zs.ordinates, zs.multiplicities, float(T), source)
+            return _read_table(cache_path, T, source)
 
     t0 = time.perf_counter()
     t_grid = np.arange(2.0, T + _SCAN_STEP, _SCAN_STEP)
@@ -186,8 +192,7 @@ def compute_zeros(T: float, cache_dir=None) -> ZeroSet:
     if cache_path is not None:
         save_zeros(cache_path, zs)
         # serve the round-tripped values so later cache hits are bit-identical
-        zs = load_zeros(cache_path, T)
-        return ZeroSet(zs.ordinates, zs.multiplicities, float(T), "computed")
+        return _read_table(cache_path, T, "computed")
     return zs
 
 

@@ -172,11 +172,16 @@ def test_export_bitwise_at_fixed_blas_threads(tmp_path):
 
 def test_export_omega_range(tmp_path, monkeypatch):
     monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
-    # global flags go before the subcommand so the leading-dash range can
-    # sit behind the "--" separator
-    # T = 10 leaves an empty catalog, which omega does not use
+
+    def no_catalog(*args, **kwargs):
+        raise AssertionError("export omega computed a catalog")
+    # omega uses no catalog, so it neither computes nor caches one; global
+    # flags go before the subcommand so the leading-dash range can sit
+    # behind the "--" separator
+    monkeypatch.setattr(zc, "compute_zeros", no_catalog)
     assert cli.main(["--out", str(tmp_path), "--height-T", "10",
                      "export", "omega", "--", "-2:2:0.5"]) == 0
+    assert not (tmp_path / "cache").exists()
     lines = (tmp_path / "omega.csv").read_text().splitlines()
     assert len(lines) == 10
     mid = [float(v) for v in lines[5].split(",")]     # x = 0.5 row

@@ -276,13 +276,6 @@ def test_v_membership_coverage_guard(small_psi):
         db.v_membership(small_psi["psi1"], -5.0, Z=small_psi["Z"])
 
 
-def test_membership_report_json(small_psi):
-    rep = db.v_membership(small_psi["psi1"], 0.0, Z=small_psi["Z"],
-                          band_limit=small_psi["Z"])
-    d = rep.to_json_dict()
-    assert set(d) == {"negative_mass", "k_residual", "verdict_threshold"}
-
-
 # ----------------------------------------------------------------------
 # de Branges norm and restriction isometry
 # ----------------------------------------------------------------------

@@ -146,14 +146,6 @@ def test_eigen_residual_rejects_bad_samples(catalog):
         hp.eigen_residual(p, g1, [complex(g1, 0.0)])
 
 
-def test_eigen_check_json(catalog):
-    p = hp.ExtensionParams(math.pi / 2)
-    chk = hp.eigen_residual(p, catalog.ordinates[0], [5.0 + 1.0j])
-    d = chk.to_json_dict()
-    assert set(d) == {"gamma", "eigenvalue", "residual", "g_scale", "samples"}
-    assert d["samples"] == [[5.0, 1.0]]
-
-
 def test_eigenbasis_orthogonality_on_axis(catalog):
     # grid inner products of S(z)/((z-gamma) E(z)) = F_gamma/norm vanish
     # off the diagonal up to the truncation tail

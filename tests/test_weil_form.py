@@ -474,11 +474,10 @@ def test_tau_norm_alignment_guard(catalog):
 # ----------------------------------------------------------------------
 
 def test_selector_witness(catalog):
-    witness, report = wf.selector_witness(catalog.ordinates[0], catalog,
-                                          Z=800.0)
+    witness, report = wf.selector_witness(catalog.ordinates[0], catalog)
     assert abs(report.value_at_gamma - 1.0) <= 1e-6
     assert report.max_off_value <= 1e-6
-    assert report.bound_ok            # eps = 1e-3, delta = 1
+    assert report.bound_ok            # off values <= 1e-3/|gamma - gamma'|^2
     assert witness.domain_tag == "time"
     norm_sq = nu.grid_norm_sq(witness)
     # ||i sqrt(pi) psi_gamma||^2 = pi /(2 pi) = 1/2 up to truncation
@@ -490,10 +489,9 @@ def test_selector_witness_requires_catalog_member(catalog):
         wf.selector_witness(15.0, catalog)
 
 
-def test_form_value_json_roundtrip():
-    fv = wf.FormValue(1.5 - 0.25j, 1e-3, 1e-6)
-    d = fv.to_json_dict()
-    assert d == {"value_re": 1.5, "value_im": -0.25,
-                 "tail_bound": 1e-3, "quad_error": 1e-6}
+def test_form_value_rejects_negative_bounds():
+    wf.FormValue(1.5 - 0.25j, 1e-3, 1e-6)
     with pytest.raises(ValueError):
         wf.FormValue(0.0, -1.0, 0.0)
+    with pytest.raises(ValueError):
+        wf.FormValue(0.0, 0.0, -1e-6)
