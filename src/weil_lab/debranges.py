@@ -17,6 +17,7 @@ both finite and stable arbitrarily far out.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -78,9 +79,13 @@ def _lookup_zero(gamma: float, zs: zc.ZeroSet) -> Tuple[float, int]:
     return g, zs.multiplicities[idx]
 
 
+@functools.lru_cache(maxsize=4096)
 def theta_prime_at_zero(gamma: float) -> complex:
     """Theta'(gamma) by Richardson-extrapolated central differences
-    (h = 1e-4 and 5e-5). Equals -2i/m at a zero of multiplicity m."""
+    (h = 1e-4 and 5e-5). Equals -2i/m at a zero of multiplicity m.
+
+    A pure function of gamma, computed once per gamma: every basis function
+    and check at the same ordinate shares its one 4-point sweep."""
     h = 1e-4
     x = np.array([gamma - h, gamma + h, gamma - h / 2, gamma + h / 2])
     th = sf.theta_on_axis(x)
@@ -99,13 +104,9 @@ class BasisFunction:
     def __init__(self, gamma: float, zs: zc.ZeroSet):
         self.gamma, self.m_gamma = _lookup_zero(gamma, zs)
         self.normalization = math.sqrt(self.m_gamma / math.pi)
-        self._limit_value: Optional[complex] = None
 
     def limit_value(self) -> complex:
-        if self._limit_value is None:
-            self._limit_value = (self.normalization
-                                 * theta_prime_at_zero(self.gamma) / 2.0)
-        return self._limit_value
+        return self.normalization * theta_prime_at_zero(self.gamma) / 2.0
 
     def values_on_axis(self, x, log_deriv=None) -> np.ndarray:
         """Vectorized values at real x via the stable log-derivative form.

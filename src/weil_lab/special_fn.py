@@ -9,16 +9,26 @@ an array (and return arrays of its shape); critical_line_log_derivative,
 theta_on_axis and xi_on_critical_line take real arrays.
 
 The vector routes sum zeta by Euler-Maclaurin in chunks of 8192 points of
-comparable height. A chunk whose points lie on a lattice s_k = s_0 + k d up
-to roundoff (a uniform grid on the critical line) shares its phases:
-n^{-s_k} = n^{-s_b} n^{-r d} with anchors s_b every 96 points and one
-offset table n^{-r d}, so it needs (8192/96 + 96) complex exponentials per n
-instead of 8192 (the idea of Odlyzko and Schoenhage's multiple evaluation).
-The evaluated point s_b + r d differs from the node s_k by its lattice
-roundoff eps_k (~1e-13 on a grid over [-1000, 1000]); one Taylor step with
-the derivative sum already at hand moves the sums to s_k itself, which
-matters within ~1e-6 of a zero. Other chunks are summed point by point, as
-one anchor per point with the single offset 0, through the same code.
+comparable height, each to its own N. When the whole height-sorted input is
+a lattice s_k = s_0 + k d up to roundoff (a uniform grid on the critical
+line), every chunk shares one set of phase tables:
+
+    n^{-s_k} = n^{-c_j} n^{-b R d} n^{-r d},
+
+with c_j the chunk's first point, anchors b every R = 96 points and offsets
+r < 96. The anchor and offset tables are built once per block of n for all
+chunks, and a chunk adds one exponential row n^{-c_j}: a sweep of J chunks
+takes 86 + 96 + J complex exponentials per n instead of 8192 J (the idea of
+Odlyzko and Schoenhage's multiple evaluation). The sums are per-row
+matrix-vector products (gemv), not one matrix product (gemm): a zgemm does
+an 86 x 256 x 192 block ~2.7x faster, but with OpenBLAS 0.3.31 its sweep
+bytes differ between 1 and 2 threads, while the gemv bytes agree and
+exports are byte-equal across thread counts. The evaluated point
+c_j + b R d + r d differs from the node s_k by its lattice roundoff eps_k
+(~1e-13 on a grid over [-1000, 1000]); one Taylor step with the derivative
+sum already at hand moves the sums to s_k itself, which matters within
+~1e-6 of a zero. Other inputs are summed point by point. The Bernoulli tail
+factors out N^{-s}, leaving the polynomial sums Q and Q'.
 
 Conventions used throughout the package:
 
@@ -137,8 +147,10 @@ def log_gamma(z):
 def digamma(z):
     """psi_0(z), the logarithmic derivative of Gamma.
 
-    Asymptotic Bernoulli series after lifting Re(z) above 12 by the
-    recurrence psi(z) = psi(z+1) - 1/z; reflection for Re(z) < 0.
+    Asymptotic Bernoulli series after lifting |z| above 12 by the
+    recurrence psi(z) = psi(z+1) - 1/z; reflection for Re(z) < 0. After the
+    reflection Re(z) >= 0, so the series runs only in |arg z| <= pi/2; at
+    |z| >= 12 its first omitted term, |B_18|/(18 |z|^18), is below 1.2e-19.
     """
     z_arr = np.asarray(z, dtype=complex)
     scalar = z_arr.ndim == 0
@@ -152,9 +164,9 @@ def digamma(z):
         w = z_arr[refl]
         out[refl] -= math.pi / np.tan(math.pi * w)
         z_arr[refl] = 1.0 - w
-    # lift to Re >= 12
+    # lift to |z| >= 12 (Re z >= 0 here: at most 12 steps)
     for _ in range(14):
-        low = z_arr.real < 12.0
+        low = np.abs(z_arr) < 12.0
         if not np.any(low):
             break
         out[low] -= 1.0 / z_arr[low]
@@ -174,11 +186,16 @@ def digamma(z):
 # zeta by Euler-Maclaurin, with the termwise s-derivative
 # ----------------------------------------------------------------------
 
-# Points per shared offset table in the factored sum.
+# Points per Euler-Maclaurin chunk (one N each), and per anchor of a lattice.
+_CHUNK = 8192
 _ANCHOR_STRIDE = 96
-# The sums run over blocks of at most 512 ln n columns and 2**20 complex
-# table elements (16 MB): a factored chunk's two tables then fit in L2 cache,
-# and a point-by-point chunk of 8192 points takes 128 columns at a time.
+# The sums run over blocks of ln n columns. A lattice takes 256 at a time:
+# its largest table (192 x 256, 0.75 MB) then stays smaller than the 1.5 MB
+# arrays of a Z = 2000 sweep. At 512 columns the sweep ran as fast, but the
+# freed 1.5 MB tables left perfbench's cutoff_ladder at a 3 MB higher peak
+# RSS. A point-by-point chunk takes at most 512 columns and 2**20 table
+# elements (16 MB): 128 columns for 8192 points.
+_LATTICE_COLS = 256
 _BLOCK_COLS = 512
 _TABLE_ELEMS = 1 << 20
 
@@ -191,99 +208,148 @@ def _em_length(s: np.ndarray) -> int:
 
 
 def _lattice_step(s: np.ndarray):
-    """The step d when the points are s_0 + k d up to roundoff, else None."""
+    """The step d when the points are s_0 + k d up to roundoff, else None.
+    The deviation is taken chunk by chunk: no temporary is input-sized."""
     if s.size < 2:
         return None
     d = (s[-1] - s[0]) / (s.size - 1)
-    dev = np.max(np.abs(s - (s[0] + np.arange(s.size) * d)))
+    k = np.arange(_CHUNK)
+    dev = np.max([np.max(np.abs(s[i0:i0 + _CHUNK]
+                                - (s[0] + (i0 + k[:s.size - i0]) * d)))
+                  for i0 in range(0, s.size, _CHUNK)])
     if d == 0 or not dev <= 64 * np.finfo(float).eps * np.max(np.abs(s)):
         return None
     return d
 
 
-def _dirichlet_sums(s: np.ndarray, N: int, step):
-    """(S, S') = (sum n^{-s}, -sum ln n n^{-s}) over n < N at the flat s.
+def _dirichlet_sums(s: np.ndarray, Ns, step):
+    """Yield (S, S') = (sum n^{-s}, -sum ln n n^{-s}) over n < Ns[j] for each
+    chunk j of _CHUNK points of the flat s.
 
-    Each point is split as s_k = a_b + o_r + eps_k, so that
-    n^{-s} = n^{-a_b} n^{-o_r} costs one exponential per anchor a_b and one
-    per offset o_r. On a lattice s_k = s_0 + k d (step = d) the anchors are
-    every _ANCHOR_STRIDE-th point and the offsets are r d, with eps_k the
-    roundoff of the lattice (a lattice of fewer points has one anchor and
-    one offset per point); otherwise (step None) every point is its own
-    anchor with the single offset 0. Both sums are matrix-vector products
-    of the anchor table with one offset row (per-row products, not one
+    On a lattice s_k = s_0 + k d (step = d), point m = b R + r of chunk j
+    (R = _ANCHOR_STRIDE, or the point count if smaller) is evaluated at
+    c_j + b R d + r d, c_j the chunk's first point:
+        n^{-s} = n^{-c_j} n^{-b R d} n^{-r d}.
+    The anchor table n^{-b R d} and the offset table n^{-r d}, with its
+    ln n-weighted copy, are the same in every chunk, so each column block
+    builds them once for the whole input. A chunk takes one exponential row
+    n^{-c_j}, scales the anchor rows by it, and sums each anchor row against
+    the offset tables by a matrix-vector product (per-row products, not one
     matrix product, keep the bytes independent of the BLAS thread count).
-    One Taylor step S += eps_k S' carries the sums from the evaluated point
-    a_b + o_r to s_k itself.
+    One Taylor step S += eps S' carries the sums from the evaluated point to
+    s_k itself, eps = s_k - (c_j + b R d + r d) being the lattice roundoff.
+    Otherwise (step None) every point is summed by itself, chunk by chunk.
     """
-    R = min(_ANCHOR_STRIDE, s.size) if step is not None else 1
-    anchors = s[::R]
-    offsets = np.arange(R) * (step if step is not None else 0j)
-    cols = min(_BLOCK_COLS, _TABLE_ELEMS // anchors.size)
-    S = np.zeros((anchors.size, R), dtype=complex)
-    Sp = np.zeros_like(S)
-    ln_n = np.log(np.arange(1, N, dtype=float))
-    for i0 in range(0, ln_n.size, cols):
-        ln_c = ln_n[i0:i0 + cols]
+    starts = range(0, s.size, _CHUNK)
+    if step is None:
+        for i0, N in zip(starts, Ns):
+            sc = s[i0:i0 + _CHUNK]
+            cols = min(_BLOCK_COLS, _TABLE_ELEMS // sc.size)
+            S = np.zeros(sc.size, dtype=complex)
+            Sp = np.zeros_like(S)
+            ln_n = np.log(np.arange(1, N, dtype=float))
+            for c0 in range(0, ln_n.size, cols):
+                ln_c = ln_n[c0:c0 + cols]
+                tab = np.multiply.outer(-sc, ln_c)
+                np.exp(tab, out=tab)
+                S += tab @ np.ones(ln_c.size, dtype=complex)
+                Sp -= tab @ ln_c
+            yield S, Sp
+        return
+    R = min(_ANCHOR_STRIDE, s.size)
+    anchors = np.arange(-(-min(_CHUNK, s.size) // R)) * (R * step)
+    offsets = np.arange(R) * step
+    bases = s[::_CHUNK]
+    # per chunk: rows b of [S at b R + r for r < R, S' likewise]
+    acc = [np.zeros((-(-min(_CHUNK, s.size - i0) // R), 2 * R), dtype=complex)
+           for i0 in starts]
+    ln_n = np.log(np.arange(1, max(Ns), dtype=float))
+    for c0 in range(0, ln_n.size, _LATTICE_COLS):
+        ln_c = ln_n[c0:c0 + _LATTICE_COLS]
         anchor_tab = np.multiply.outer(-anchors, ln_c)
         np.exp(anchor_tab, out=anchor_tab)
-        offset_tab = np.exp(np.multiply.outer(-offsets, ln_c))
-        for r in range(R):
-            S[:, r] += anchor_tab @ offset_tab[r]
-            Sp[:, r] -= anchor_tab @ (ln_c * offset_tab[r])
-    S = S.ravel()[:s.size]
-    Sp = Sp.ravel()[:s.size]
-    k = np.arange(s.size)
-    eps = (s - anchors[k // R]) - offsets[k % R]
-    return S + eps * Sp, Sp
+        offset_tab = np.empty((2 * R, ln_c.size), dtype=complex)
+        np.multiply.outer(-offsets, ln_c, out=offset_tab[:R])
+        np.exp(offset_tab[:R], out=offset_tab[:R])
+        np.multiply(offset_tab[:R], -ln_c, out=offset_tab[R:])
+        for j, (i0, N) in enumerate(zip(starts, Ns)):
+            nc = N - 1 - c0
+            if nc <= 0:
+                continue
+            rows = anchor_tab[:len(acc[j]), :nc] * np.exp(-bases[j] * ln_c[:nc])
+            tab = offset_tab[:, :nc]
+            for b, row in enumerate(rows):
+                acc[j][b] += tab @ row
+    m = np.arange(min(_CHUNK, s.size))
+    a_m, o_m = anchors[m // R], offsets[m % R]
+    for j, i0 in enumerate(starts):
+        sc = s[i0:i0 + _CHUNK]
+        k = sc.size
+        S = acc[j][:, :R].ravel()[:k]
+        Sp = acc[j][:, R:].ravel()[:k]
+        acc[j] = None
+        # on the critical line each subtraction is exact (Sterbenz's lemma)
+        eps = ((sc - bases[j]) - a_m[:k]) - o_m[:k]
+        yield S + eps * Sp, Sp
 
 
-def _w_pair(s: np.ndarray, step=None):
-    """((s-1) zeta(s), d/ds[(s-1) zeta(s)]) for Re(s) >= 0; regular at s = 1.
+def _w_pair(s: np.ndarray, N: int, S: np.ndarray, Sp: np.ndarray):
+    """((s-1) zeta(s), d/ds[(s-1) zeta(s)]) for Re(s) >= 0 from the Dirichlet
+    sums (S, S') to N; regular at s = 1.
 
-    step is the lattice step of s (see _lattice_step), or None to sum point
-    by point.
+    The Bernoulli tail sum_k B_{2k}/(2k)! P_k N^{1-s-2k}, k <= _EM_TERMS,
+    with P_k = prod_{j=0}^{2k-2} (s+j), is N^{-s} Q for the polynomial sum
+    Q = sum_k c_k P_k, c_k = B_{2k}/(2k)! N^{1-2k}, and its s-derivative is
+    N^{-s} (Q' - ln N Q): the tail takes one exponential, N^{-s}. Q and Q'
+    run by Horner's rule in P_{k+1} = P_k m_k, m_k = (s+2k-1)(s+2k).
     """
-    s = s.ravel()
-    N = _em_length(s)
-    S, Sp = _dirichlet_sums(s, N, step)
-
+    c = _B2K_OVER_FACT[:_EM_TERMS] * float(N) ** (-1.0 - 2.0 * np.arange(_EM_TERMS))
+    # h_k = c_k + m_k h_{k+1}, so Q = s h_1 and Q' = h_1 + s h_1'; with
+    # t = s - 1/2, m_k = t^2 + 4k t + 4k^2 - 1/4 and m_k' = 2t + 4k
+    # (in place: fresh chunk-sized temporaries at every step left perfbench's
+    # cutoff_ladder at a 3 MB higher peak RSS)
+    t = s - 0.5
+    t2 = t * t
+    h = np.full_like(s, c[-1])
+    hp = np.zeros_like(s)
+    m = np.empty_like(s)
+    mp = np.empty_like(s)
+    for k in range(_EM_TERMS - 1, 0, -1):
+        np.multiply(t, 4.0 * k, out=m)
+        m += t2
+        m += 4.0 * k * k - 0.25
+        np.multiply(t, 2.0, out=mp)
+        mp += 4.0 * k
+        mp *= h
+        hp *= m
+        hp += mp
+        h *= m
+        h += c[k - 1]
+    Q = s * h + 0.5                  # with the 1/2 N^{-s} boundary term
+    Qp = h + s * hp
     lnN = math.log(N)
     NmS = np.exp(-s * lnN)
     sm1 = s - 1.0
-    w = sm1 * S + N * NmS + 0.5 * sm1 * NmS
-    wp = S + sm1 * Sp - lnN * N * NmS + 0.5 * NmS - 0.5 * lnN * sm1 * NmS
-
-    # Bernoulli tail: T_k = B_{2k}/(2k)! * P_k * N^{1-s-2k},
-    # P_k = prod_{j=0}^{2k-2}(s+j), D_k = dP_k/ds.
-    P = s.copy()
-    D = np.ones_like(s)
-    Npow = NmS / N
-    for k in range(1, _EM_TERMS + 1):
-        c = _B2K_OVER_FACT[k - 1]
-        T = c * P * Npow
-        w += sm1 * T
-        wp += T + sm1 * c * Npow * (D - P * lnN)
-        a = s + (2 * k - 1)
-        b = s + (2 * k)
-        D = D * a * b + P * (a + b)
-        P = P * a * b
-        Npow = Npow / (N * N)
+    w = sm1 * S + NmS * (N + sm1 * Q)
+    wp = S + sm1 * Sp + NmS * (Q - N * lnN + sm1 * (Qp - lnN * Q))
     return w, wp
 
 
 def _em_chunks(s: np.ndarray):
-    """Yield (idx, s[idx], w, w', step) over chunks of 8192 points of the flat
-    array s, taken in order of |Im s| so the Euler-Maclaurin N of each chunk
-    tracks its local height (|Im s| = |x| on the critical line). step is the
-    chunk's lattice step, or None when it was summed point by point."""
+    """Yield (idx, s[idx], w, w', step) over chunks of _CHUNK points of the
+    flat array s, taken in order of |Im s| so the Euler-Maclaurin N of each
+    chunk tracks its local height (|Im s| = |x| on the critical line). step
+    is the lattice step of the whole sorted input, or None when it was
+    summed point by point."""
     s = s.ravel()
     order = np.argsort(np.abs(s.imag), kind="stable")
-    for i0 in range(0, len(s), 8192):
-        idx = order[i0:i0 + 8192]
-        sc = s[idx]
-        step = _lattice_step(sc)
-        yield (idx, sc) + _w_pair(sc, step) + (step,)
+    s = s[order]
+    step = _lattice_step(s)
+    starts = range(0, s.size, _CHUNK)
+    Ns = [_em_length(s[i0:i0 + _CHUNK]) for i0 in starts]
+    for i0, N, (S, Sp) in zip(starts, Ns, _dirichlet_sums(s, Ns, step)):
+        sc = s[i0:i0 + _CHUNK]
+        yield (order[i0:i0 + _CHUNK], sc) + _w_pair(sc, N, S, Sp) + (step,)
 
 
 def _chi_pair(s: np.ndarray):

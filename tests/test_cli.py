@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from weil_lab import cli
+from weil_lab import debranges as db
+from weil_lab import special_fn as sf
 from weil_lab import zero_catalog as zc
 
 from conftest import ZERO_TABLE
@@ -238,6 +240,32 @@ def test_verify_all_writes_combined_report(tmp_path, monkeypatch):
     assert {"xi_half_reference", "basis_pairing_diagonal", "gram_psd",
             "theta_prime_zeros", "eigen_residual"} <= ids
     assert all(r["pass"] for r in rows)
+
+
+def test_verify_all_sweeps_theta_prime_once_per_ordinate(tmp_path, monkeypatch):
+    # Theta'(gamma) is one 4-point sweep per distinct +-gamma (20 at T = 50),
+    # however many basis functions and checks ask for it; the rows are the
+    # bytes of the route that sweeps at every request
+    monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
+    argv = ["verify", "all", "--height-T", "50", "--cutoff-Z", "500", "--out"]
+    sweeps = []
+    real = sf.theta_on_axis
+
+    def counted(x, log_deriv=None):
+        if sys._getframe(1).f_code.co_name == "theta_prime_at_zero":
+            sweeps.append(tuple(x))
+        return real(x, log_deriv)
+    monkeypatch.setattr(sf, "theta_on_axis", counted)
+    with monkeypatch.context() as m:
+        m.setattr(db, "theta_prime_at_zero", db.theta_prime_at_zero.__wrapped__)
+        assert cli.main(argv + [str(tmp_path / "every")]) == 0
+    every = len(sweeps)
+    del sweeps[:]
+    db.theta_prime_at_zero.cache_clear()
+    assert cli.main(argv + [str(tmp_path / "once")]) == 0
+    assert len(set(sweeps)) == len(sweeps) <= 20 < every
+    assert ((tmp_path / "once" / "report_all.json").read_bytes()
+            == (tmp_path / "every" / "report_all.json").read_bytes())
 
 
 def test_export_bad_range_is_usage_error(tmp_path, monkeypatch):

@@ -57,6 +57,23 @@ def test_digamma_against_oracle():
         assert abs(sf.digamma(z) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
+def test_digamma_at_the_lift_boundary():
+    # the series runs unlifted wherever |z| >= 12: on the sweep's argument
+    # 1.25 - ix/2 for |x| >= 23.9, at Re z = 0.01 and 5 up to |Im z| = 1e4,
+    # and (after reflection) at Re z < 0
+    r = np.array([11.0, 11.99, 12.0, 12.01, 13.0, 100.0, 5000.0])
+    x = 2.0 * np.sqrt(r * r - 1.25 ** 2)
+    im = np.array([1.0, 11.9, 11.99, 12.0, 12.1, 100.0, 1e4])
+    z = np.concatenate([1.25 - 0.5j * x, 1.25 + 0.5j * x,
+                        0.01 + 1j * im, 0.01 - 1j * im, 5.0 + 1j * im,
+                        [-0.5 + 11.9j, -0.01 - 11.99j, -3.3 + 12.5j,
+                         -7.2 - 1e3j, -11.5 + 4.0j]])
+    got = sf.digamma(z)
+    for zk, g in zip(z, got):
+        ref = complex(mp.digamma(zk))
+        assert abs(g - ref) <= 1e-12 * max(1.0, abs(ref)), zk
+
+
 # ----------------------------------------------------------------------
 # zeta
 # ----------------------------------------------------------------------
@@ -227,6 +244,13 @@ def test_theta_value_route_underflow_guard():
 # array routes against the per-point route
 # ----------------------------------------------------------------------
 
+def _w_pair(s):
+    """(w, w') = ((s-1) zeta(s), its s-derivative) at up to one chunk of s,
+    in the evaluator's height order."""
+    _, _, w, wp, _ = next(sf._em_chunks(s))
+    return w, wp
+
+
 def _per_point_xi(s):
     """Oracle: the scalar xi route, one point per Euler-Maclaurin sum, with
     Re(s) < 1/2 reflected. Returns (xi, xi', tolerance) for a route that
@@ -238,7 +262,7 @@ def _per_point_xi(s):
         v, vp, tol = _per_point_xi(1.0 - s)
         return v, -vp, tol
     one = np.array([s])
-    v, vp = (complex(a[0]) for a in sf._xi_pair(one, *sf._w_pair(one)))
+    v, vp = (complex(a[0]) for a in sf._xi_pair(one, *_w_pair(one)))
     return v, vp, 1e-13 * max(abs(v), abs(vp))
 
 
@@ -278,7 +302,7 @@ _Z_POINTS = np.concatenate([
 
 def test_xi_array_matches_per_point_oracle():
     near = _XI_POINTS[3:5]
-    w, wp = sf._w_pair(near)
+    w, wp = _w_pair(near)
     assert np.all(np.abs(w) < 1e-3 * np.abs(wp))          # w nearly 0
     worst = 0.0
     for s in (_XI_POINTS, _XI_POINTS.reshape(4, 6)):
@@ -410,27 +434,96 @@ def _sum_cases():
     yield "8192-node half-grid from ~0", 0.5 - 1j * x[x >= 0.0][:8192]
     yield "8193 nodes", 0.5 - 1j * np.linspace(2000.5, 2246.26, 8193)
     yield "seeded points", 0.5 - 1j * rng.uniform(1000.0, 2000.0, 3000)
+    # 3 full chunks and one of 1,000 nodes, with N = 221, 426, 631 and 657:
+    # every chunk slices the shared tables to its own N, the last three
+    # across two or three column blocks
+    x = np.linspace(-1280.0, 1280.0, 51151)
+    yield "25,576-node half-grid from 0", 0.5 - 1j * x[x >= 0.0]
+    # nodes up to 1e-11 off their lattice, inside its tolerance: the Taylor
+    # step must carry S from each lattice point to the node itself
+    x = np.linspace(1000.0, 1170.0, 8192) + rng.uniform(-1e-11, 1e-11, 8192)
+    yield "8192 nodes 1e-11 off a lattice", 0.5 - 1j * x
 
 
 @pytest.mark.parametrize("name,s", list(_sum_cases()))
 def test_dirichlet_sums_match_exp_matrix_oracle(name, s):
-    # chunked as the evaluator chunks; every chunk of a uniform grid with at
-    # least two nodes takes the factored branch, scattered points do not
-    for idx, sc, _, _, step in sf._em_chunks(s):
-        assert (step is not None) == (name != "seeded points" and sc.size > 1)
-        N = sf._em_length(sc)
-        S, Sp = sf._dirichlet_sums(sc, N, step)
+    # summed as the evaluator sums: in height order, in chunks of their own
+    # N. A uniform grid of at least two nodes is a lattice as a whole and
+    # takes the factored branch in every chunk; scattered points do not
+    s = s[np.argsort(np.abs(s.imag), kind="stable")]
+    step = sf._lattice_step(s)
+    assert (step is not None) == (name != "seeded points")
+    starts = range(0, s.size, sf._CHUNK)
+    Ns = [sf._em_length(s[i0:i0 + sf._CHUNK]) for i0 in starts]
+    if name.startswith("25,576"):
+        assert Ns == [221, 426, 631, 657]
+    sums = list(sf._dirichlet_sums(s, Ns, step))
+    assert len(sums) == len(Ns)
+    for i0, N, (S, Sp) in zip(starts, Ns, sums):
+        sc = s[i0:i0 + sf._CHUNK]
         S_ref, Sp_ref = _exp_matrix_sums(sc, N)
         terms = np.arange(1, N, dtype=float) ** -0.5      # |n^{-s}|
         ln_n = np.log(np.arange(1, N, dtype=float))
         assert np.max(np.abs(S - S_ref)) <= 1e-12 * np.sum(terms)
-        assert np.max(np.abs(Sp - Sp_ref)) <= 1e-12 * np.sum(ln_n * terms)
+        # S' stays at the lattice point, off by up to |eps| sum ln^2 n |n^{-s}|
+        off = 1e-11 * np.sum(ln_n ** 2 * terms) if "off a lattice" in name else 0.0
+        assert np.max(np.abs(Sp - Sp_ref)) <= 1e-12 * np.sum(ln_n * terms) + off
+
+
+def _per_term_w_pair(s, N, S, Sp):
+    """Oracle for the factored Euler-Maclaurin tail: the Bernoulli terms
+    T_k = B_{2k}/(2k)! P_k N^{1-s-2k} and their s-derivatives summed one by
+    one, each with its own power of N. Returns (w, w', scale of w, scale of
+    w'), a scale being the sum of |terms| with S and S' counted by the sums
+    of their own |terms|, sum n^{-Re s} and sum ln n n^{-Re s}."""
+    n = np.arange(1, N, dtype=float)
+    sigma, inv = np.unique(s.real, return_inverse=True)
+    tab = n ** -sigma[:, None]
+    a, a_ln = tab.sum(axis=1)[inv], (tab @ np.log(n))[inv]
+    lnN = math.log(N)
+    NmS = np.exp(-s * lnN)
+    sm1 = s - 1.0
+    w_terms = [sm1 * S, N * NmS, 0.5 * sm1 * NmS]
+    wp_terms = [S, sm1 * Sp, -lnN * N * NmS, 0.5 * NmS, -0.5 * lnN * sm1 * NmS]
+    P = s.copy()
+    D = np.ones_like(s)
+    Npow = NmS / N
+    for k in range(1, sf._EM_TERMS + 1):
+        c = sf._B2K_OVER_FACT[k - 1]
+        T = c * P * Npow
+        w_terms.append(sm1 * T)
+        wp_terms += [T, sm1 * c * Npow * D, -sm1 * c * Npow * P * lnN]
+        a_k = s + (2 * k - 1)
+        b_k = s + (2 * k)
+        D = D * a_k * b_k + P * (a_k + b_k)
+        P = P * a_k * b_k
+        Npow = Npow / (N * N)
+    w_scale = np.abs(sm1) * a + sum(np.abs(t) for t in w_terms[1:])
+    wp_scale = a + np.abs(sm1) * a_ln + sum(np.abs(t) for t in wp_terms[2:])
+    return sum(w_terms), sum(wp_terms), w_scale, wp_scale
+
+
+def test_factored_tail_matches_per_term_oracle():
+    # bound fixed before measuring: both routes round ~30 times along the
+    # longest product P_15 N^{-29}, ~3.3e-15 of each term; the two routes
+    # together stay below 1e-14 of the sum scale
+    cases = [0.5 - 1j * np.linspace(0.0, 170.0, 8192),
+             0.5 - 1j * np.linspace(1830.0, 2000.0, 8192),
+             np.array([0.5, 1.0, 2.0, 3.0, 1e-3 + 5j, 0.2 - 40j, 2.5 + 90j,
+                       0.5 + 1j * GAMMA1, 0.5 - 1e4j])]
+    for s in cases:
+        N = sf._em_length(s)
+        S, Sp = next(sf._dirichlet_sums(s, [N], sf._lattice_step(s)))
+        w, wp = sf._w_pair(s, N, S, Sp)
+        w_ref, wp_ref, w_scale, wp_scale = _per_term_w_pair(s, N, S, Sp)
+        assert np.max(np.abs(w - w_ref) / w_scale) <= 1e-14
+        assert np.max(np.abs(wp - wp_ref) / wp_scale) <= 1e-14
 
 
 def test_factored_sweep_near_a_zero_against_oracle():
-    # the x >= 0 part of a grid over ~[-1000, 1000] has node values off its
-    # lattice by ~1e-13; one node sits within 1e-6 of gamma_1, where
-    # |L| ~ 1e6 and that offset would show without the per-node correction
+    # the x >= 0 part of a grid over ~[-1000, 1000]: one node sits within
+    # 1e-6 of gamma_1, where |L| ~ 1e6 magnifies any error of the factored
+    # sums (the per-node lattice correction is checked with the sums alone)
     h = 0.02
     x0 = GAMMA1 - 3e-7 - 50000 * h
     x = np.linspace(x0, x0 + 100000 * h, 100001)
