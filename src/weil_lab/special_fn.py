@@ -23,12 +23,18 @@ Odlyzko and Schoenhage's multiple evaluation). The sums are per-row
 matrix-vector products (gemv), not one matrix product (gemm): a zgemm does
 an 86 x 256 x 192 block ~2.7x faster, but with OpenBLAS 0.3.31 its sweep
 bytes differ between 1 and 2 threads, while the gemv bytes agree and
-exports are byte-equal across thread counts. The evaluated point
-c_j + b R d + r d differs from the node s_k by its lattice roundoff eps_k
-(~1e-13 on a grid over [-1000, 1000]); one Taylor step with the derivative
-sum already at hand moves the sums to s_k itself, which matters within
-~1e-6 of a zero. Other inputs are summed point by point. The Bernoulli tail
-factors out N^{-s}, leaving the polynomial sums Q and Q'.
+exports are byte-equal across thread counts. The tables' phases are
+compensated for the rounding of ln n and of its product with Im s (see
+_powers), so each power is good to a few ulps at any height: near a zero
+the sums cancel to |w| << |w'|, and fl(s ln n) alone would leave an error
+~1e-14 |L|^2 in L. All chunks share the tables, so this costs little. A
+lattice whose step has Re d < 0 is not factored (its anchor factors would
+grow). The evaluated point c_j + b R d + r d differs from the node s_k by
+its lattice roundoff eps_k (~1e-13 on a grid over [-1000, 1000]); one
+Taylor step with the derivative sum already at hand moves the sums to s_k
+itself, which matters within ~1e-6 of a zero. Other inputs are summed
+point by point, with plain fl(s ln n). The Bernoulli tail factors out
+N^{-s}, leaving the polynomial sums Q and Q'.
 
 Conventions used throughout the package:
 
@@ -209,17 +215,60 @@ def _em_length(s: np.ndarray) -> int:
 
 def _lattice_step(s: np.ndarray):
     """The step d when the points are s_0 + k d up to roundoff, else None.
-    The deviation is taken chunk by chunk: no temporary is input-sized."""
+
+    A step with Re d < 0 is refused: the lattice sums factor each power as
+    n^{-c} n^{-b R d} n^{-r d}, and those factors stay at most 1 in modulus
+    only when Re d >= 0 (on the critical line Re d = 0)."""
     if s.size < 2:
         return None
     d = (s[-1] - s[0]) / (s.size - 1)
-    k = np.arange(_CHUNK)
-    dev = np.max([np.max(np.abs(s[i0:i0 + _CHUNK]
-                                - (s[0] + (i0 + k[:s.size - i0]) * d)))
-                  for i0 in range(0, s.size, _CHUNK)])
-    if d == 0 or not dev <= 64 * np.finfo(float).eps * np.max(np.abs(s)):
+    dev = np.max(np.abs(s - (s[0] + np.arange(s.size) * d)))
+    if d == 0 or d.real < 0 or not dev <= 64 * np.finfo(float).eps * np.max(np.abs(s)):
         return None
     return d
+
+
+def _ln_parts(n: np.ndarray):
+    """(hi, lo) with ln n = hi + lo: hi = fl(ln n) and lo its rounding
+    error, taken from the long double logarithm (0 where long double is
+    double)."""
+    hi = np.log(n)
+    return hi, (np.log(n.astype(np.longdouble)) - hi).astype(float)
+
+
+def _split(x):
+    """Veltkamp's split x = h + l into halves of 26 bits, so that products
+    of halves are exact."""
+    c = 134217729.0 * x
+    h = c - (c - x)
+    return h, x - h
+
+
+def _powers(a: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """The table exp(-a_i ln n_j), ln n = hi + lo (see _ln_parts), with the
+    rounding of its phase compensated: p = fl(-Im a hi), the exact error of
+    that product (Dekker's) and -Im a lo give the phase to a few ulps, where
+    fl(-a ln n) alone is off by ~1e-16 |Im a| ln n, an error that the
+    cancelling sums near a zero of zeta magnify. The modulus keeps
+    fl(-Re a ln n), off by ~1e-16 Re a ln n relative."""
+    x = -a.imag
+    xh, xl = _split(x)
+    hh, hl = _split(hi)
+    tab = np.empty((a.size, hi.size), dtype=complex)
+    np.multiply.outer(-a.real, hi, out=tab.real)
+    np.multiply.outer(x, hi, out=tab.imag)
+    err = np.multiply.outer(xh, hh)
+    err -= tab.imag
+    tmp = np.empty_like(err)
+    for u, v in ((xh, hl), (xl, hh), (xl, hl), (x, lo)):
+        err += np.multiply.outer(u, v, out=tmp)
+    np.exp(tab, out=tab)
+    # tab *= 1 + i err
+    np.multiply(tab.imag, err, out=tmp)
+    err *= tab.real
+    tab.real -= tmp
+    tab.imag += err
+    return tab
 
 
 def _dirichlet_sums(s: np.ndarray, Ns, step):
@@ -232,10 +281,11 @@ def _dirichlet_sums(s: np.ndarray, Ns, step):
         n^{-s} = n^{-c_j} n^{-b R d} n^{-r d}.
     The anchor table n^{-b R d} and the offset table n^{-r d}, with its
     ln n-weighted copy, are the same in every chunk, so each column block
-    builds them once for the whole input. A chunk takes one exponential row
-    n^{-c_j}, scales the anchor rows by it, and sums each anchor row against
-    the offset tables by a matrix-vector product (per-row products, not one
-    matrix product, keep the bytes independent of the BLAS thread count).
+    builds them once for the whole input, with one row n^{-c_j} per chunk
+    (all by _powers). A chunk scales the anchor rows by its row n^{-c_j}
+    and sums each against the offset tables by a matrix-vector product
+    (per-row products, not one matrix product, keep the bytes independent
+    of the BLAS thread count).
     One Taylor step S += eps S' carries the sums from the evaluated point to
     s_k itself, eps = s_k - (c_j + b R d + r d) being the lattice roundoff.
     Otherwise (step None) every point is summed by itself, chunk by chunk.
@@ -263,20 +313,19 @@ def _dirichlet_sums(s: np.ndarray, Ns, step):
     # per chunk: rows b of [S at b R + r for r < R, S' likewise]
     acc = [np.zeros((-(-min(_CHUNK, s.size - i0) // R), 2 * R), dtype=complex)
            for i0 in starts]
-    ln_n = np.log(np.arange(1, max(Ns), dtype=float))
-    for c0 in range(0, ln_n.size, _LATTICE_COLS):
-        ln_c = ln_n[c0:c0 + _LATTICE_COLS]
-        anchor_tab = np.multiply.outer(-anchors, ln_c)
-        np.exp(anchor_tab, out=anchor_tab)
-        offset_tab = np.empty((2 * R, ln_c.size), dtype=complex)
-        np.multiply.outer(-offsets, ln_c, out=offset_tab[:R])
-        np.exp(offset_tab[:R], out=offset_tab[:R])
-        np.multiply(offset_tab[:R], -ln_c, out=offset_tab[R:])
+    hi, lo = _ln_parts(np.arange(1, max(Ns), dtype=float))
+    for c0 in range(0, hi.size, _LATTICE_COLS):
+        hi_c, lo_c = hi[c0:c0 + _LATTICE_COLS], lo[c0:c0 + _LATTICE_COLS]
+        anchor_tab = _powers(anchors, hi_c, lo_c)
+        base_tab = _powers(bases, hi_c, lo_c)
+        offset_tab = np.empty((2 * R, hi_c.size), dtype=complex)
+        offset_tab[:R] = _powers(offsets, hi_c, lo_c)
+        np.multiply(offset_tab[:R], -hi_c, out=offset_tab[R:])
         for j, (i0, N) in enumerate(zip(starts, Ns)):
             nc = N - 1 - c0
             if nc <= 0:
                 continue
-            rows = anchor_tab[:len(acc[j]), :nc] * np.exp(-bases[j] * ln_c[:nc])
+            rows = anchor_tab[:len(acc[j]), :nc] * base_tab[j, :nc]
             tab = offset_tab[:, :nc]
             for b, row in enumerate(rows):
                 acc[j][b] += tab @ row
@@ -300,8 +349,10 @@ def _w_pair(s: np.ndarray, N: int, S: np.ndarray, Sp: np.ndarray):
     The Bernoulli tail sum_k B_{2k}/(2k)! P_k N^{1-s-2k}, k <= _EM_TERMS,
     with P_k = prod_{j=0}^{2k-2} (s+j), is N^{-s} Q for the polynomial sum
     Q = sum_k c_k P_k, c_k = B_{2k}/(2k)! N^{1-2k}, and its s-derivative is
-    N^{-s} (Q' - ln N Q): the tail takes one exponential, N^{-s}. Q and Q'
-    run by Horner's rule in P_{k+1} = P_k m_k, m_k = (s+2k-1)(s+2k).
+    N^{-s} (Q' - ln N Q): the tail takes one exponential, N^{-s}, formed
+    with the compensated exponent of the lattice tables (see _powers): near
+    a zero its terms cancel against (s-1) S. Q and Q' run by Horner's rule
+    in P_{k+1} = P_k m_k, m_k = (s+2k-1)(s+2k).
     """
     c = _B2K_OVER_FACT[:_EM_TERMS] * float(N) ** (-1.0 - 2.0 * np.arange(_EM_TERMS))
     # h_k = c_k + m_k h_{k+1}, so Q = s h_1 and Q' = h_1 + s h_1'; with
@@ -327,8 +378,9 @@ def _w_pair(s: np.ndarray, N: int, S: np.ndarray, Sp: np.ndarray):
         h += c[k - 1]
     Q = s * h + 0.5                  # with the 1/2 N^{-s} boundary term
     Qp = h + s * hp
-    lnN = math.log(N)
-    NmS = np.exp(-s * lnN)
+    hi, lo = _ln_parts(np.array([float(N)]))
+    NmS = _powers(s, hi, lo)[:, 0]
+    lnN = float(hi[0])
     sm1 = s - 1.0
     w = sm1 * S + NmS * (N + sm1 * Q)
     wp = S + sm1 * Sp + NmS * (Q - N * lnN + sm1 * (Qp - lnN * Q))

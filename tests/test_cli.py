@@ -149,14 +149,14 @@ def test_export_screw_g_deterministic(tmp_path, monkeypatch):
     assert len(lines) == 502            # 501 rows for [0, 5] step 0.01
 
 
-def _export_psi_gamma_subprocess(out_dir, blas_threads):
+def _export_psi_gamma_subprocess(out_dir, blas_threads, cutoff):
     env = {k: v for k, v in os.environ.items() if k != "WEIL_LAB_CACHE"}
     env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(cli.__file__))]
         + [p for p in [env.get("PYTHONPATH")] if p])
     subprocess.run([sys.executable, "-m", "weil_lab.cli", "export", "psi_gamma",
-                    "1", "--height-T", "50", "--cutoff-Z", "500",
+                    "1", "--height-T", "50", "--cutoff-Z", str(cutoff),
                     "--out", str(out_dir)], env=env, check=True,
                    stdout=subprocess.DEVNULL)
     return (out_dir / "psi_gamma_1.csv").read_bytes()
@@ -164,12 +164,14 @@ def _export_psi_gamma_subprocess(out_dir, blas_threads):
 
 def test_export_bitwise_at_fixed_blas_threads(tmp_path):
     # the documented guarantee: equal bytes for a fixed configuration and
-    # cache, whatever the BLAS thread count
-    one_a = _export_psi_gamma_subprocess(tmp_path / "a", 1)
-    one_b = _export_psi_gamma_subprocess(tmp_path / "b", 1)
-    two = _export_psi_gamma_subprocess(tmp_path / "c", 2)
-    assert one_a == one_b
-    assert one_a == two
+    # cache, whatever the BLAS thread count. The axis sweep spans 3 chunks
+    # of its shared phase tables at Z = 500 and 12 at Z = 2000
+    for Z in (500, 2000):
+        one_a = _export_psi_gamma_subprocess(tmp_path / f"a{Z}", 1, Z)
+        one_b = _export_psi_gamma_subprocess(tmp_path / f"b{Z}", 1, Z)
+        two = _export_psi_gamma_subprocess(tmp_path / f"c{Z}", 2, Z)
+        assert one_a == one_b
+        assert one_a == two
 
 
 def test_export_omega_range(tmp_path, monkeypatch):

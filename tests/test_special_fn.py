@@ -317,6 +317,22 @@ def test_xi_array_matches_per_point_oracle():
     assert worst <= 1e-13
 
 
+def test_real_lattice_left_of_the_strip_matches_per_point_route():
+    # s in [-180, -2] reflects to u = 1 - s in [181, 3]: a real lattice with
+    # a negative step in height order, which the lattice sums refuse (their
+    # factors n^{-b R d} would overflow), so it matches the scalar route
+    s = np.linspace(-180.0, -2.0, 1000)
+    z, zp = sf.zeta_pair(s)
+    v = sf.xi(s)
+    assert sf._lattice_step(1.0 - s) is None
+    assert np.all(np.isfinite(z)) and np.all(np.isfinite(v.xi_prime))
+    for k in range(0, s.size, 4):
+        sk, got = s[k], (z[k], zp[k], v.xi[k], v.xi_prime[k])
+        x = sf.xi(sk)
+        for a, ref in zip(got, sf.zeta_pair(sk) + (x.xi, x.xi_prime)):
+            assert abs(a - ref) <= 1e-13 * abs(ref), sk
+
+
 def test_E_and_theta_arrays_match_per_point_oracle():
     E = sf.E_xi(_Z_POINTS)
     th = sf.theta_xi(_Z_POINTS)
@@ -523,23 +539,25 @@ def test_factored_tail_matches_per_term_oracle():
 def test_factored_sweep_near_a_zero_against_oracle():
     # the x >= 0 part of a grid over ~[-1000, 1000]: one node sits within
     # 1e-6 of gamma_1, where |L| ~ 1e6 magnifies any error of the factored
-    # sums (the per-node lattice correction is checked with the sums alone)
-    h = 0.02
-    x0 = GAMMA1 - 3e-7 - 50000 * h
-    x = np.linspace(x0, x0 + 100000 * h, 100001)
-    half = x[x >= 0.0]
-    k = int(np.argmin(np.abs(half - GAMMA1)))
-    assert abs(half[k] - GAMMA1) <= 1e-6
-    L = sf.critical_line_log_derivative(half[:8192])
-    assert sf._lattice_step(0.5 - 1j * half[:8192]) is not None
-    s = mp.mpc(mp.mpf(1) / 2, -mp.mpf(half[k]))
-    ref = complex(-1j * (1 / s + 1 / (s - 1) - mp.log(mp.pi) / 2
-                         + mp.digamma(s / 2) / 2
-                         + mp.zeta(s, derivative=1) / mp.zeta(s)))
-    assert abs(ref) > 1e6
-    # the oracle test's 1e-10 relative bound plus the roundoff of w itself:
-    # an absolute error ~1e-14 |w'| in w becomes ~1e-14 |L|^2 in L = w'/w + ...
-    assert abs(L[k] - ref) <= 1e-10 * abs(ref) + 1e-14 * abs(ref) ** 2
+    # sums (the per-node lattice correction is checked with the sums alone).
+    # Four spacings, so that the bound does not hold by the choice of grid
+    for h in (0.019, 0.02, 0.021, 0.022):
+        x0 = GAMMA1 - 3e-7 - 50000 * h
+        x = np.linspace(x0, x0 + 100000 * h, 100001)
+        half = x[x >= 0.0]
+        k = int(np.argmin(np.abs(half - GAMMA1)))
+        assert abs(half[k] - GAMMA1) <= 1e-6
+        L = sf.critical_line_log_derivative(half[:8192])
+        assert sf._lattice_step(0.5 - 1j * half[:8192]) is not None
+        s = mp.mpc(mp.mpf(1) / 2, -mp.mpf(half[k]))
+        ref = complex(-1j * (1 / s + 1 / (s - 1) - mp.log(mp.pi) / 2
+                             + mp.digamma(s / 2) / 2
+                             + mp.zeta(s, derivative=1) / mp.zeta(s)))
+        assert abs(ref) > 1e6
+        # the oracle test's 1e-10 relative bound plus the roundoff of w
+        # itself: an absolute error ~1e-14 |w'| in w becomes ~1e-14 |L|^2
+        # in L = w'/w + ...
+        assert abs(L[k] - ref) <= 1e-10 * abs(ref) + 1e-14 * abs(ref) ** 2, h
 
 
 def test_point_by_point_working_set_is_bounded():
