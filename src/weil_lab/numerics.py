@@ -164,36 +164,87 @@ def fourier_integral(f: Callable[[np.ndarray], np.ndarray],
 # grid transforms
 # ----------------------------------------------------------------------
 
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n: an FFT length pocketfft runs in
+    radix-2/3/4/5 passes only."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _conjugate_chirp(length: int, tau: float) -> np.ndarray:
+    """exp(-2 pi i tau l^2) for l < length, the phase tau l^2 (in turns)
+    reduced mod 1 exactly: l^2 is an exact float64 integer and tau is peeled
+    into heads of 53 - bits(max l^2) bits. Built in blocks of 2^14, so the
+    temporaries stay a few hundred kB at any length."""
+    q_max = float((length - 1) ** 2)
+    bits = 53 - int(q_max).bit_length()
+    heads, rest = [], tau
+    while rest != 0.0 and abs(rest) * q_max >= 1.0:
+        mant, e = math.frexp(rest)
+        heads.append(math.ldexp(round(math.ldexp(mant, bits)), e - bits))
+        rest -= heads[-1]
+    c = np.empty(length, dtype=complex)
+    for l0 in range(0, length, 1 << 14):
+        q = np.arange(l0, min(length, l0 + (1 << 14)), dtype=float) ** 2
+        turns = np.zeros(len(q))
+        for head in heads:
+            turns += head * q - np.rint(head * q)
+        turns += rest * q
+        block = c[l0:l0 + len(q)]
+        block.real = 0.0
+        np.multiply(-2.0 * math.pi, turns - np.rint(turns), out=block.imag)
+        np.exp(block, out=block)
+    return c
+
+
 def _chirp_z(f: GridFunction, sign: float, scale: float, out: Grid,
              tag: str) -> GridFunction:
     """scale * sum_j w_j f_j exp(sign i z_j x_k), w the trapezoid weights, at
     every node x_k of out by Bluestein's chirp-z transform: on uniform grids
     j k dz dx = (j^2 + k^2 - (k - j)^2) dz dx / 2 makes the sum one FFT
-    convolution of chirped terms, with no interpolation. The chirp phase
-    tau l^2 (in turns) is reduced mod 1 exactly: l^2 is an exact float64
-    integer and tau is peeled into heads of 53 - bits(l^2) bits."""
+    convolution of chirped terms (_conjugate_chirp), with no interpolation.
+
+    The convolution runs at length L = _fast_len(n + m - 1), the smallest
+    5-smooth length without wrap-around (at most 25% above n + m - 1 where a
+    power of two can be 100% above). The chirped input and the kernel are
+    assembled in place, so working memory is two complex arrays of length L
+    and the chirp (max(n, m) complex), plus one transient of n reals."""
     n, m = f.grid.n_points, out.n_points
-    q = np.arange(max(n, m), dtype=float) ** 2
-    bits = 53 - int(q[-1]).bit_length()
-    rest, turns = sign * f.grid.h * out.h / (4.0 * math.pi), np.zeros(len(q))
-    while rest != 0.0 and abs(rest) * q[-1] >= 1.0:
-        mant, e = math.frexp(rest)
-        head = math.ldexp(round(math.ldexp(mant, bits)), e - bits)
-        rest -= head
-        turns += head * q - np.rint(head * q)
-    turns += rest * q
-    c = np.exp(-2j * math.pi * (turns - np.rint(turns)))     # conjugate chirp
-    size = 1 << (n + m - 2).bit_length()      # >= n + m - 1: no wrap-around
-    a = np.zeros(size, dtype=complex)
-    a[:n] = (f.values * _trapezoid_weights(n) * scale
-             * np.exp(1j * sign * out.x_min * f.grid.nodes()) * np.conj(c[:n]))
-    b = np.concatenate([c[:m], np.zeros(size - n - m + 1), c[n - 1:0:-1]])
+    c = _conjugate_chirp(max(n, m), sign * f.grid.h * out.h / (4.0 * math.pi))
+    size = _fast_len(n + m - 1)
+    b = np.empty(size, dtype=complex)
+    e = b[:n]                        # b's storage holds the input phase first
+    e.real = 0.0
+    np.multiply(sign * out.x_min, f.grid.nodes(), out=e.imag)
+    np.exp(e, out=e)
+    a = np.empty(size, dtype=complex)
+    t = a[:n]
+    t[:] = f.values
+    t[[0, -1]] *= 0.5                # the trapezoid weights, without an array
+    t *= scale
+    t *= e
+    t *= np.conjugate(c[:n], out=e)
+    a[n:] = 0.0
+    b[:m] = c[:m]
+    b[m:size - n + 1] = 0.0
+    b[size - n + 1:] = c[n - 1:0:-1]
     a = np.fft.fft(a, out=a)
     a *= np.fft.fft(b, out=b)
     del b
-    y = np.fft.ifft(a, out=a)[:m] * np.conj(c[:m])
-    return GridFunction(out, y * np.exp(1j * sign * f.grid.x_min * out.h
-                                        * np.arange(m)), tag)
+    y = np.fft.ifft(a, out=a)[:m]
+    y *= np.conjugate(c[:m], out=c[:m])
+    del c
+    e = np.zeros(m, dtype=complex)
+    np.multiply(sign * f.grid.x_min * out.h, np.arange(m), out=e.imag)
+    y *= np.exp(e, out=e)
+    return GridFunction(out, y, tag)
 
 
 def inverse_fourier_grid(F: GridFunction, out: Grid) -> GridFunction:
@@ -236,17 +287,34 @@ def forward_fourier_grid(psi: GridFunction, out: Grid,
 
 
 def fourier_grid_at(psi: GridFunction, z) -> np.ndarray:
-    """Trapezoid transform of a time-domain grid at arbitrary z (vectorized)."""
+    """Trapezoid transform sum_j w_j h psi_j e^{i z x_j} of a time-domain
+    grid at a scalar z (returns a complex) or an array of z (an array).
+
+    With B = ceil(sqrt(n)) the node index is j = pB + r, and the phase
+    factors as e^{iz(x_0 + pBh)} e^{iz rh}: per z two exponential rows of
+    about sqrt(n) entries and one matrix-vector product against the
+    coefficients reshaped to (P, B), one gemv per z (so each sum is
+    ordered the same at any BLAS thread count). Working memory is one
+    padded copy of the n coefficients plus rows for a block of 64 z."""
     if psi.domain_tag != "time":
         raise GridMismatchError("fourier_grid_at expects a time-domain input")
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    coeff = psi.values * _trapezoid_weights(psi.grid.n_points) * psi.grid.h
-    x = psi.grid.nodes()
+    z_arr = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+    n, h = psi.grid.n_points, psi.grid.h
+    B = int(math.ceil(math.sqrt(n)))
+    P = -(-n // B)
+    coeff = np.zeros(P * B, dtype=complex)
+    np.multiply(psi.values, _trapezoid_weights(n), out=coeff[:n])
+    coeff[:n] *= h
+    coeff = coeff.reshape(P, B)
+    x_row = psi.grid.x_min + (B * h) * np.arange(P)
+    r_row = h * np.arange(B)
     out = np.empty(len(z_arr), dtype=complex)
     for i0 in range(0, len(z_arr), 64):
-        zc = z_arr[i0:i0 + 64]
-        out[i0:i0 + 64] = np.exp(1j * np.multiply.outer(zc, x)) @ coeff
-    return out if np.ndim(z) else complex(out[0])
+        zc = z_arr[i0:i0 + 64, None]
+        rows_p, rows_r = np.exp(1j * zc * x_row), np.exp(1j * zc * r_row)
+        for k in range(len(zc)):
+            out[i0 + k] = np.dot(rows_p[k], coeff @ rows_r[k])
+    return out.reshape(np.shape(z)) if np.ndim(z) else complex(out[0])
 
 
 def inner_product_grid(f: GridFunction, g: GridFunction) -> complex:

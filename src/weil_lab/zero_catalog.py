@@ -103,26 +103,38 @@ def load_zeros(path, T: float) -> ZeroSet:
 def _refine_brackets(f, a, b, fa, fb, tol: float = 1e-11):
     """Roots of f in the brackets [a_i, b_i] (f of opposite signs at the
     ends), refined together: (roots, steps, points evaluated). Each bracket
-    takes its own bracketed-secant steps (the midpoint where the secant is
-    undefined or leaves (a, b)) until width < tol, 200 steps or an exact
-    f(x) == 0, and returns that x or its midpoint. f takes an array and is
-    called once per step, on the brackets still active."""
+    takes its own Illinois steps: the secant point (the midpoint where the
+    secant is undefined or leaves (a, b)) replaces the end of its sign, and
+    after two replacements of the same end in a row the kept end's f is
+    halved, so one-sided convergence cannot stall. A bracket stops at
+    width < tol, at adjacent floats or at an exact f(x) == 0, and returns
+    that x or its midpoint; a bracket still open after 200 steps raises
+    RuntimeError. f takes an array and is called once per step, on the
+    brackets still active."""
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     hit_at = np.full(a.shape, np.nan)        # x where f(x) == 0 exactly
+    side = np.zeros(a.shape, dtype=int)      # end replaced last: -1 a, +1 b
     steps = points = 0
-    for _ in range(200):
-        i = np.flatnonzero(np.isnan(hit_at) & ~(b - a < tol))
+    while True:
+        mid = 0.5 * (a + b)
+        i = np.flatnonzero(np.isnan(hit_at) & ~(b - a < tol) & (a < mid) & (mid < b))
         if not i.size:
             break
+        if steps == 200:
+            raise RuntimeError("bracketed root refinement did not converge in "
+                               "200 steps (%d brackets open)" % i.size)
         denom = fb[i] - fa[i]
         x = b[i] - fb[i] * (b[i] - a[i]) / np.where(denom != 0.0, denom, 1.0)
-        x = np.where((denom != 0.0) & (a[i] < x) & (x < b[i]), x, 0.5 * (a[i] + b[i]))
+        x = np.where((denom != 0.0) & (a[i] < x) & (x < b[i]), x, mid[i])
         fx = np.asarray(f(x), dtype=float)
         steps, points = steps + 1, points + i.size
         hit_at[i[fx == 0.0]] = x[fx == 0.0]
         left = (fa[i] < 0) == (fx < 0)
+        fb[i[left & (side[i] == -1)]] *= 0.5
+        fa[i[~left & (side[i] == 1)]] *= 0.5
         a[i[left]], fa[i[left]] = x[left], fx[left]
         b[i[~left]], fb[i[~left]] = x[~left], fx[~left]
+        side[i] = np.where(left, -1, 1)
     return np.where(np.isnan(hit_at), 0.5 * (a + b), hit_at), steps, points
 
 

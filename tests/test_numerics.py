@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,53 @@ def test_grid_transforms_at_acceptance_size():
         k = rng.choice(dst.grid.n_points, 6, replace=False)
         ref, mag = _direct_sum(src, grid, sign, scale, dst.grid.nodes()[k])
         assert np.max(np.abs(dst.values[k] - ref) / mag) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, 1001, 29157])
+def test_fourier_grid_at_matches_direct_sum(n):
+    grid = nu.Grid(-6.0, 38.0, n) if n > 1001 else nu.Grid(-1.5, 2.25, n)
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    psi = nu.GridFunction(grid, vals, "time")
+    z = np.concatenate([rng.uniform(-200.0, 200.0, 40), [0.0, 200.0, -200.0],
+                        rng.uniform(-200.0, 200.0, 20) + 1j * rng.uniform(-2.0, 2.0, 20)])
+    got = nu.fourier_grid_at(psi, z)
+    ref, mag = _direct_sum(vals, grid, 1.0, grid.h, z)
+    assert got.shape == z.shape
+    assert np.max(np.abs(got - ref) / mag) <= 1e-12
+    one = nu.fourier_grid_at(psi, z[-1])
+    assert isinstance(one, complex) and abs(one - ref[-1]) <= 1e-12 * mag[-1]
+    assert nu.fourier_grid_at(psi, np.array([])).shape == (0,)
+
+
+def test_fourier_grid_at_memory_is_linear_in_the_grid():
+    # the weil_pairing shape: 58 catalog points and 18 sup probes on the
+    # heavy_psi window; the exp-matrix route peaked at 288 MB here
+    grid = nu.band_exact_grid(-6.0, 38.0, 20000.0, margin=400.0)
+    assert grid.n_points == 145774
+    x = grid.nodes()
+    psi = nu.GridFunction(grid, np.exp(-(x - 3.0) ** 2) * np.cos(14.1 * x), "time")
+    z = np.concatenate([np.linspace(-100.0, 100.0, 58), np.linspace(100.0, 200.0, 18)])
+    tracemalloc.start()
+    try:
+        nu.fourier_grid_at(psi, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 16 * grid.n_points
+
+
+def test_fast_len_is_the_smallest_5_smooth_length():
+    smooth = np.zeros(20001, dtype=bool)
+    for p2 in 2 ** np.arange(15):
+        for p3 in 3 ** np.arange(10):
+            for p5 in 5 ** np.arange(7):
+                if p2 * p3 * p5 <= 20000:
+                    smooth[p2 * p3 * p5] = True
+    nxt = 32768                  # 2^15, the smallest 5-smooth length > 20000
+    for n in range(20000, 0, -1):
+        nxt = n if smooth[n] else nxt
+        assert nu._fast_len(n) == nxt
 
 
 def test_inner_product_constant():

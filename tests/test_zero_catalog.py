@@ -76,32 +76,34 @@ def test_computed_ordinates_are_roots(catalog):
 
 
 def _refine_root(f, a, b, fa, fb, tol=1e-11):
-    """Oracle: the one-bracket secant with bisection fallback that the
-    batched refiner follows step for step."""
-    for _ in range(200):
-        if b - a < tol:
-            break
+    """Oracle: the one-bracket Illinois iteration with bisection fallback
+    that the batched refiner follows step for step."""
+    side = 0
+    for _ in range(201):
+        mid = 0.5 * (a + b)
+        if b - a < tol or not a < mid < b:
+            return mid
+        if _ == 200:
+            raise RuntimeError("no convergence")
         denom = fb - fa
-        if denom != 0.0:
-            x = b - fb * (b - a) / denom
-        else:
-            x = 0.5 * (a + b)
+        x = b - fb * (b - a) / denom if denom != 0.0 else mid
         if not (a < x < b):
-            x = 0.5 * (a + b)
+            x = mid
         fx = f(x)
         if fx == 0.0:
             return x
         if (fa < 0) == (fx < 0):
-            a, fa = x, fx
+            fb *= 0.5 if side == -1 else 1.0
+            a, fa, side = x, fx, -1
         else:
-            b, fb = x, fx
-    return 0.5 * (a + b)
+            fa *= 0.5 if side == 1 else 1.0
+            b, fb, side = x, fx, 1
 
 
 def _synthetic(x):
     # brackets [1, 2]: exact hit at the first secant point; [3, 3.4]: a
-    # simple root; [5, 5.5]: a triple root (the secant creeps: 200-step cap);
-    # [7, 8]: a jump (the width stop ends it); [9, 10]: a steep line
+    # simple root; [5, 5.5]: a triple root; [7, 8]: a jump (the width stop
+    # ends it, or with tol = 0 the adjacent-float stop); [9, 10]: a steep line
     x = np.asarray(x, dtype=float)
     d = x - 5.123
     return np.select([x < 2.5, x < 4.0, x < 6.0, x < 8.5],
@@ -125,18 +127,39 @@ def _per_bracket(f, a, b, tol=1e-11):
 
 @pytest.mark.parametrize("tol", [1e-11, 0.0])
 def test_refine_brackets_matches_scalar_oracle(tol):
-    # tol = 0 also runs the jump to the 200-step cap
+    # tol = 0 runs every bracket down to adjacent floats
     a = np.array([1.0, 3.0, 5.0, 7.0, 9.0])
     b = a + np.array([1.0, 0.4, 0.5, 1.0, 1.0])
     ref, calls = _per_bracket(_synthetic, a, b, tol)
-    assert calls[0] == 1 and len(set(calls)) >= (4 if tol else 2)
+    assert calls[0] == 1 and len(set(calls)) >= 4
     roots, steps, points = zc._refine_brackets(_synthetic, a, b, _synthetic(a),
                                                _synthetic(b), tol)
     assert np.array_equal(roots, ref)
     assert roots[0] == 1.5
-    assert steps == max(calls) and points == sum(calls)
+    assert steps == max(calls) < 200 and points == sum(calls)
+    assert abs(roots[2] - 5.123) <= 1e-5 and abs(roots[3] - 7.3) <= max(tol, 1e-15)
     if tol == 0.0:
-        assert steps == 200
+        assert all(np.nextafter(r, np.inf) >= ref_r for r, ref_r in zip(roots, ref))
+
+
+@pytest.mark.parametrize("f, a, b, root", [
+    (lambda x: np.exp(x) - 2.0, -5.0, 5.0, math.log(2.0)),
+    (lambda x: x ** 3 - 1e-3, -1.0, 2.0, 0.1),
+], ids=["exp", "cube"])
+def test_refine_brackets_two_sided_convergence(f, a, b, root):
+    # a plain secant converges from one side here and was still 2.15 and
+    # 0.86 from the root after 200 steps; the Illinois step needs <= 20
+    roots, steps, points = zc._refine_brackets(f, [a], [b], [f(a)], [f(b)])
+    assert abs(roots[0] - root) <= 1e-11
+    assert steps == points <= 20
+
+
+def test_refine_brackets_raises_at_step_cap():
+    # a jump whose right side is 1e12 times the left: each time the secant
+    # crosses it the kept end needs ~40 halvings, and 200 steps run out
+    f = lambda x: np.where(x < 0.3, -1.0, 1e12)
+    with pytest.raises(RuntimeError):
+        zc._refine_brackets(f, [0.0], [1.0], [-1.0], [1e12])
 
 
 def test_compute_zeros_grid_point_zero_with_brackets(monkeypatch):
