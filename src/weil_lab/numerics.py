@@ -230,21 +230,17 @@ def _chirp_z(f: GridFunction, sign: float, scale: float, out: Grid,
     t[[0, -1]] *= 0.5                # the trapezoid weights, without an array
     t *= scale
     t *= e
-    t *= np.conjugate(c[:n], out=e)
+    t *= np.conj(c[:n], out=e)
     a[n:] = 0.0
     b[:m] = c[:m]
     b[m:size - n + 1] = 0.0
     b[size - n + 1:] = c[n - 1:0:-1]
     a = np.fft.fft(a, out=a)
     a *= np.fft.fft(b, out=b)
-    del b
-    y = np.fft.ifft(a, out=a)[:m]
-    y *= np.conjugate(c[:m], out=c[:m])
-    del c
-    e = np.zeros(m, dtype=complex)
-    np.multiply(sign * f.grid.x_min * out.h, np.arange(m), out=e.imag)
-    y *= np.exp(e, out=e)
-    return GridFunction(out, y, tag)
+    del b, e, t
+    y = np.fft.ifft(a, out=a)[:m] * np.conj(c[:m])
+    return GridFunction(out, y * np.exp(1j * sign * f.grid.x_min * out.h
+                                        * np.arange(m)), tag)
 
 
 def inverse_fourier_grid(F: GridFunction, out: Grid) -> GridFunction:
