@@ -294,7 +294,7 @@ def fourier_grid_at(psi: GridFunction, z) -> np.ndarray:
     padded copy of the n coefficients plus rows for a block of 64 z."""
     if psi.domain_tag != "time":
         raise GridMismatchError("fourier_grid_at expects a time-domain input")
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+    z_arr = np.asarray(z, dtype=complex).ravel()
     n, h = psi.grid.n_points, psi.grid.h
     B = int(math.ceil(math.sqrt(n)))
     P = -(-n // B)
