@@ -30,6 +30,7 @@ __all__ = [
 
 ALIAS_GUARD = math.pi / 4.0
 _GL_CACHE: dict = {}
+_BLOCK = 1 << 14                # elements per block of the chirp-z assembly
 
 
 class AliasingGuardError(ValueError):
@@ -178,11 +179,12 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _conjugate_chirp(length: int, tau: float) -> np.ndarray:
-    """exp(-2 pi i tau l^2) for l < length, the phase tau l^2 (in turns)
-    reduced mod 1 exactly: l^2 is an exact float64 integer and tau is peeled
-    into heads of 53 - bits(max l^2) bits. Built in blocks of 2^14, so the
-    temporaries stay a few hundred kB at any length."""
+def _conjugate_chirp(tau: float, out: np.ndarray) -> None:
+    """exp(-2 pi i tau l^2) into out[l], l < len(out), the phase tau l^2 (in
+    turns) reduced mod 1 exactly: l^2 is an exact float64 integer and tau is
+    peeled into heads of 53 - bits(max l^2) bits. Built in blocks of 2^14, so
+    the temporaries stay a few hundred kB at any length."""
+    length = len(out)
     q_max = float((length - 1) ** 2)
     bits = 53 - int(q_max).bit_length()
     heads, rest = [], tau
@@ -190,18 +192,16 @@ def _conjugate_chirp(length: int, tau: float) -> np.ndarray:
         mant, e = math.frexp(rest)
         heads.append(math.ldexp(round(math.ldexp(mant, bits)), e - bits))
         rest -= heads[-1]
-    c = np.empty(length, dtype=complex)
-    for l0 in range(0, length, 1 << 14):
-        q = np.arange(l0, min(length, l0 + (1 << 14)), dtype=float) ** 2
+    for l0 in range(0, length, _BLOCK):
+        q = np.arange(l0, min(length, l0 + _BLOCK), dtype=float) ** 2
         turns = np.zeros(len(q))
         for head in heads:
             turns += head * q - np.rint(head * q)
         turns += rest * q
-        block = c[l0:l0 + len(q)]
+        block = out[l0:l0 + len(q)]
         block.real = 0.0
         np.multiply(-2.0 * math.pi, turns - np.rint(turns), out=block.imag)
         np.exp(block, out=block)
-    return c
 
 
 def _chirp_z(f: GridFunction, sign: float, scale: float, out: Grid,
@@ -213,32 +213,46 @@ def _chirp_z(f: GridFunction, sign: float, scale: float, out: Grid,
 
     The convolution runs at length L = _fast_len(n + m - 1), the smallest
     5-smooth length without wrap-around (at most 25% above n + m - 1 where a
-    power of two can be 100% above). The chirped input and the kernel are
-    assembled in place, so working memory is two complex arrays of length L
-    and the chirp (max(n, m) complex), plus one transient of n reals."""
+    power of two can be 100% above). The chirp is built in the input's FFT
+    buffer, copied into the kernel's and overwritten block by block by the
+    chirped input, so working memory is two complex arrays of length L, the
+    output chirp (m complex) and the input nodes (n reals)."""
     n, m = f.grid.n_points, out.n_points
-    c = _conjugate_chirp(max(n, m), sign * f.grid.h * out.h / (4.0 * math.pi))
     size = _fast_len(n + m - 1)
-    b = np.empty(size, dtype=complex)
-    e = b[:n]                        # b's storage holds the input phase first
-    e.real = 0.0
-    np.multiply(sign * out.x_min, f.grid.nodes(), out=e.imag)
-    np.exp(e, out=e)
     a = np.empty(size, dtype=complex)
-    t = a[:n]
-    t[:] = f.values
-    t[[0, -1]] *= 0.5                # the trapezoid weights, without an array
-    t *= scale
-    t *= e
-    t *= np.conj(c[:n], out=e)
-    a[n:] = 0.0
+    c = a[:max(n, m)]                # a's storage holds the chirp first
+    _conjugate_chirp(sign * f.grid.h * out.h / (4.0 * math.pi), c)
+    b = np.empty(size, dtype=complex)
     b[:m] = c[:m]
     b[m:size - n + 1] = 0.0
     b[size - n + 1:] = c[n - 1:0:-1]
+    c_m = c[:m].copy()
+    x = f.grid.nodes()
+    # blocks of _BLOCK nodes, the last taking the rest: a one-node block
+    # would take numpy's scalar loop, which rounds complex products
+    # differently from its array loops
+    starts = list(range(0, n - _BLOCK, _BLOCK)) or [0]
+    for j0, j1 in zip(starts, starts[1:] + [n]):
+        j = slice(j0, j1)
+        t = f.values[j].copy()
+        if j0 == 0:
+            t[0] *= 0.5              # the trapezoid weights, without an array
+        if j1 == n:
+            t[-1] *= 0.5
+        t *= scale
+        e = np.empty(len(t), dtype=complex)
+        e.real = 0.0
+        np.multiply(sign * out.x_min, x[j], out=e.imag)
+        np.exp(e, out=e)
+        t *= e
+        t *= np.conj(c[j], out=e)
+        a[j] = t
+    a[n:] = 0.0
+    del c, x, t, e
     a = np.fft.fft(a, out=a)
     a *= np.fft.fft(b, out=b)
-    del b, e, t
-    y = np.fft.ifft(a, out=a)[:m] * np.conj(c[:m])
+    del b
+    y = np.fft.ifft(a, out=a)[:m] * np.conj(c_m)
     return GridFunction(out, y * np.exp(1j * sign * f.grid.x_min * out.h
                                         * np.arange(m)), tag)
 

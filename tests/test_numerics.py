@@ -168,7 +168,9 @@ def _direct_sum(vals, grid, sign, scale, x):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("n, m", [(2, 2), (2, 9), (9, 2), (40, 301),
-                                  (301, 40), (1000, 1000)])
+                                  (301, 40), (1000, 1000),
+                                  # one node past one and two assembly blocks
+                                  (16385, 7), (32769, 20)])
 @pytest.mark.parametrize("zs, xs", [((-30.0, 30.0), (-2.0, 3.0)),
                                     ((5.5, 80.25), (-7.3, -1.1)),
                                     ((-100.0, -20.0), (3.0, 11.0))])
