@@ -243,7 +243,7 @@ def suite_hilbert_polya(cfg: RunConfig) -> Dict[str, float]:
                                nu.band_exact_grid(-4.0, 18.0,
                                                   500.0 + zs.ordinates[-1], 50.0))
     v["decompose_null"], decs = ids.decomposition_null(
-        rng, 2, zs, bank, wf.random_combination)
+        rng, 2, bank, wf.random_combination)
     worst_pair = 0.0
     for psi, dec, _ in decs:
         pv = wf.weil_pairing(psi, psi, zs).value
@@ -337,71 +337,58 @@ def run_zeros(action: str, cfg: RunConfig, table: Optional[str]) -> int:
     return 2
 
 
+def _write_csv(path: str, x, values) -> None:
+    """CSV export: header x,re,im; one row per point; 17 significant digits."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("x,re,im\n")
+        for x_, v in zip(x, values):
+            fh.write("%.17g,%.17g,%.17g\n" % (x_, v.real, v.imag))
+
+
 def run_export(what: str, arg: Optional[str], cfg: RunConfig) -> int:
     """Write one CSV artifact; omega needs no catalog, so it reads none."""
     os.makedirs(cfg.out_dir, exist_ok=True)
 
-    def out_path(name: str) -> str:
-        return os.path.join(cfg.out_dir, name)
-
-    if what == "psi_gamma":
+    if what in ("psi_gamma", "F_gamma"):
         zs = cfg.catalog
         idx = int(arg or "1")
         if not (1 <= idx <= len(zs)):
-            print("psi_gamma index out of range", file=sys.stderr)
+            print("%s index out of range" % what, file=sys.stderr)
             return 2
         g = zs.ordinates[idx - 1]
         if cfg.grid_spec:
             grid = nu.Grid(*cfg.grid_spec)
-        else:
+        elif what == "psi_gamma":
             grid = nu.band_exact_grid(-6.0, 38.0,
                                       cfg.cutoff_Z + zs.ordinates[-1], 50.0)
-        psi = db.psi_gamma(g, zs, cfg.cutoff_Z, grid)
-        path = out_path("psi_gamma_%d.csv" % idx)
-        nu.write_grid_csv(psi, path)
-        print("wrote %s" % path)
-        return 0
-
-    if what in ("screw_g", "omega"):
+        else:
+            grid = nu.Grid(-120.0, 120.0, 4801)
+        x = grid.nodes()
+        vals = (db.psi_gamma(g, zs, cfg.cutoff_Z, grid).values
+                if what == "psi_gamma"
+                else db.BasisFunction(g, zs).values_on_axis(x))
+        name = "%s_%d.csv" % (what, idx)
+    elif what in ("screw_g", "omega"):
         spec = arg or ("0:5:0.01" if what == "screw_g" else "-5:5:0.01")
         try:
             a, b, step = (float(v) for v in spec.split(":"))
         except Exception:
             print("range must look like 'a:b:step'", file=sys.stderr)
             return 2
-        xs = np.arange(a, b + step / 2, step)
+        x = np.arange(a, b + step / 2, step)
         if what == "screw_g":
-            vals = wf.screw_g_array(xs, cfg.catalog)
+            vals = wf.screw_g_array(x, cfg.catalog)
         else:
-            vals = sf.omega_profile(xs).astype(complex)
-        path = out_path("%s.csv" % what)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x,re,im\n")
-            for x, v in zip(xs, vals):
-                fh.write("%.17g,%.17g,%.17g\n" % (x, v.real, v.imag))
-        print("wrote %s" % path)
-        return 0
+            vals = sf.omega_profile(x).astype(complex)
+        name = "%s.csv" % what
+    else:
+        print("unknown export object %r" % what, file=sys.stderr)
+        return 2
 
-    if what == "F_gamma":
-        zs = cfg.catalog
-        idx = int(arg or "1")
-        if not (1 <= idx <= len(zs)):
-            print("F_gamma index out of range", file=sys.stderr)
-            return 2
-        g = zs.ordinates[idx - 1]
-        if cfg.grid_spec:
-            grid = nu.Grid(*cfg.grid_spec)
-        else:
-            grid = nu.Grid(-120.0, 120.0, 4801)
-        F = db.BasisFunction(g, zs)
-        gf = nu.GridFunction(grid, F.values_on_axis(grid.nodes()), "frequency")
-        path = out_path("F_gamma_%d.csv" % idx)
-        nu.write_grid_csv(gf, path)
-        print("wrote %s" % path)
-        return 0
-
-    print("unknown export object %r" % what, file=sys.stderr)
-    return 2
+    path = os.path.join(cfg.out_dir, name)
+    _write_csv(path, x, vals)
+    print("wrote %s" % path)
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -413,10 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="key = value configuration file")
     common.add_argument("--zeros", default=argparse.SUPPRESS,
-                        help="ordinate table path (else computed)")
-    common.add_argument("--compute-zeros", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="force computing ordinates instead of a table")
+                        help="ordinate table path, or 'compute' to sweep")
     common.add_argument("--height-T", type=float, default=argparse.SUPPRESS)
     common.add_argument("--cutoff-Z", type=float, default=argparse.SUPPRESS)
     common.add_argument("--grid", default=argparse.SUPPRESS,
@@ -462,12 +446,7 @@ def make_config(args: argparse.Namespace) -> RunConfig:
             return cast(file_vals[key])
         return default
 
-    zero_source = "compute"
-    if not get("compute_zeros", False):
-        if get("zeros"):
-            zero_source = get("zeros")
-        elif "zeros" in file_vals and file_vals["zeros"] != "compute":
-            zero_source = file_vals["zeros"]
+    zero_source = get("zeros") or file_vals.get("zeros") or "compute"
 
     tols: Dict[str, float] = {}
     for key, val in file_vals.items():

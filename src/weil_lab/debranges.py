@@ -22,7 +22,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -31,10 +31,10 @@ from . import special_fn as sf
 from . import zero_catalog as zc
 
 __all__ = [
-    "BasisFunction", "MembershipReport", "BasisBank", "theta_prime_at_zero",
-    "psi_gamma", "psi_gamma_tail_bound", "K_apply", "v_membership",
-    "debranges_norm", "restriction_isometry_check", "axis_samples",
-    "build_basis_bank",
+    "basis_table", "BasisFunction", "MembershipReport", "BasisBank",
+    "theta_prime_at_zero", "psi_gamma", "psi_gamma_tail_bound", "K_apply",
+    "v_membership", "debranges_norm", "restriction_isometry_check",
+    "axis_samples", "build_basis_bank",
 ]
 
 _log = logging.getLogger("weil_lab")
@@ -70,15 +70,6 @@ def clear_axis_cache() -> None:
     _AXIS_CACHE.clear()
 
 
-def _lookup_zero(gamma: float, zs: zc.ZeroSet) -> Tuple[float, int]:
-    arr = np.array(zs.ordinates)
-    idx = int(np.argmin(np.abs(arr - abs(gamma)))) if len(arr) else -1
-    if idx < 0 or abs(arr[idx] - abs(gamma)) > 1e-8:
-        raise ValueError("gamma = %r is not in the catalog" % (gamma,))
-    g = float(math.copysign(arr[idx], gamma))
-    return g, zs.multiplicities[idx]
-
-
 @functools.lru_cache(maxsize=4096)
 def theta_prime_at_zero(gamma: float) -> complex:
     """Theta'(gamma) by Richardson-extrapolated central differences
@@ -94,47 +85,59 @@ def theta_prime_at_zero(gamma: float) -> complex:
     return complex((4.0 * d_h2 - d_h) / 3.0)
 
 
-class BasisFunction:
-    """F_gamma(z) = sqrt(m/pi) (1 + Theta(z)) / (2 (z - gamma)).
+def basis_table(gammas, mults, x, log_deriv=None) -> np.ndarray:
+    """F_gamma(x) at real x for each (gamma, m): one row per pair, with L
+    evaluated once for all rows (or taken from log_deriv).
 
-    Within 1e-6 of gamma the removable singularity is replaced by the limit
+    Within 1e-6 of its own gamma a row takes the limit
     sqrt(m/pi) Theta'(gamma)/2 (= -i/sqrt(m pi) at a multiplicity-m zero).
+    Within 1e-6 of another zero gamma' (|L| >~ 1e6) L carries the error
+    ~1e-14 |L|^2 of theta_on_axis, i.e. gamma' moved by ~1e-14. Then
+    1/(1 + iL) is off by ~1e-14, so a value there (~0) is off by
+    ~1e-14 sqrt(m/pi)/|x - gamma|, far below the 1e-6 off-diagonal bound.
     """
+    g = np.asarray(gammas, dtype=float)
+    m = np.asarray(mults)
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    # L as a (1, n) row: a one-row table (every psi_gamma) then forms its
+    # products in place, as a 1-D evaluation would, with no broadcast copy
+    L = np.reshape(sf.critical_line_log_derivative(x_arr)
+                   if log_deriv is None else log_deriv, (1, -1))
+    dx = x_arr - g[:, None]
+    near = np.abs(dx) < 1e-6
+    dx_safe = np.where(near, 1.0, dx)
+    # (1 + Theta)/2 = 1/(1 + iL) with L taken exactly real (it is real on
+    # the axis); the quotient survives L -> inf at the other catalog
+    # zeros, where 1 + Theta cancels.
+    vals = (np.sqrt(m / math.pi)[:, None]
+            / ((1.0 + 1j * np.real(L)) * dx_safe))
+    rows, cols = np.nonzero(near)
+    vals[rows, cols] = [math.sqrt(m[r] / math.pi)
+                        * theta_prime_at_zero(float(g[r])) / 2.0 for r in rows]
+    return vals
+
+
+class BasisFunction:
+    """F_gamma(z) = sqrt(m/pi) (1 + Theta(z)) / (2 (z - gamma)) for a catalog
+    ordinate gamma (either sign), with the basis_table limit near gamma."""
 
     def __init__(self, gamma: float, zs: zc.ZeroSet):
-        self.gamma, self.m_gamma = _lookup_zero(gamma, zs)
+        arr = np.array(zs.ordinates)
+        idx = int(np.argmin(np.abs(arr - abs(gamma)))) if len(arr) else -1
+        if idx < 0 or abs(arr[idx] - abs(gamma)) > 1e-8:
+            raise ValueError("gamma = %r is not in the catalog" % (gamma,))
+        self.gamma = float(math.copysign(arr[idx], gamma))
+        self.m_gamma = zs.multiplicities[idx]
         self.normalization = math.sqrt(self.m_gamma / math.pi)
 
-    def limit_value(self) -> complex:
-        return self.normalization * theta_prime_at_zero(self.gamma) / 2.0
-
     def values_on_axis(self, x, log_deriv=None) -> np.ndarray:
-        """Vectorized values at real x via the stable log-derivative form.
-
-        Within 1e-6 of another zero gamma' (|L| >~ 1e6) L carries the error
-        ~1e-14 |L|^2 of theta_on_axis, i.e. gamma' moved by ~1e-14. Then
-        1/(1 + iL) is off by ~1e-14, so a value there (~0) is off by
-        ~1e-14 sqrt(m/pi)/|x - gamma|, far below the 1e-6 off-diagonal bound.
-        """
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        L = (sf.critical_line_log_derivative(x_arr)
-             if log_deriv is None else log_deriv)
-        dx = x_arr - self.gamma
-        near = np.abs(dx) < 1e-6
-        dx_safe = np.where(near, 1.0, dx)
-        # (1 + Theta)/2 = 1/(1 + iL) with L taken exactly real (it is real on
-        # the axis); the quotient survives L -> inf at the other catalog
-        # zeros, where 1 + Theta cancels.
-        vals = self.normalization / ((1.0 + 1j * np.real(L)) * dx_safe)
-        if np.any(near):
-            vals = np.where(near, self.limit_value(), vals)
-        return vals
+        """Values at real x: the one-row basis_table."""
+        return basis_table([self.gamma], [self.m_gamma], x, log_deriv)[0]
 
     def __call__(self, z):
         z = complex(z)
-        if abs(z - self.gamma) < 1e-6:
-            return self.limit_value()
-        if z.imag == 0.0:
+        if z.imag == 0.0 or abs(z - self.gamma) < 1e-6:
+            # within 1e-6 of gamma, Re z is too: the table takes the limit
             return complex(self.values_on_axis(np.array([z.real]))[0])
         theta = sf.theta_xi(z)
         return self.normalization * (1.0 + theta) / (2.0 * (z - self.gamma))
@@ -269,27 +272,25 @@ def restriction_isometry_check(gamma: float, zs: zc.ZeroSet,
 
 @dataclass
 class BasisBank:
-    """psi_gamma grids for the full symmetric catalog on a shared output grid."""
+    """psi_gamma for the full symmetric catalog on one output grid: row k
+    of psis holds psi_gamma for (gammas[k], mults[k]), in iterate_symmetric
+    order, so the bank carries its own catalog."""
     out: numerics.Grid
-    gammas: List[float]
-    mults: List[int]
-    basis: List[BasisFunction]
-    psis: List[numerics.GridFunction]
+    gammas: np.ndarray        # (k,) float
+    mults: np.ndarray         # (k,) int
+    psis: np.ndarray          # (k, out.n_points) complex
 
 
 def build_basis_bank(zs: zc.ZeroSet, Z: float,
                      out: numerics.Grid) -> BasisBank:
     """Inverse-transform every F_gamma (both signs of gamma) onto one grid.
-
-    All entries share one axis sweep; the per-entry cost is a single
-    inverse transform."""
-    gammas: List[float] = []
-    mults: List[int] = []
-    basis: List[BasisFunction] = []
-    psis: List[numerics.GridFunction] = []
-    for g, m in zc.iterate_symmetric(zs):
-        gammas.append(g)
-        mults.append(m)
-        basis.append(BasisFunction(g, zs))
-        psis.append(psi_gamma(g, zs, Z, out))
-    return BasisBank(out, gammas, mults, basis, psis)
+    All rows share one axis sweep; each is one inverse transform, written
+    into psis as it is made, so the build holds one row's frequency samples
+    at a time."""
+    pairs = zc.iterate_symmetric(zs)
+    gammas = np.array([g for g, _ in pairs], dtype=float)
+    mults = np.array([m for _, m in pairs], dtype=int)
+    psis = np.empty((len(pairs), out.n_points), dtype=complex)
+    for k, g in enumerate(gammas):
+        psis[k] = psi_gamma(float(g), zs, Z, out).values
+    return BasisBank(out, gammas, mults, psis)

@@ -126,12 +126,10 @@ def eigen_residual(p: ExtensionParams, gamma: float, samples: Sequence[complex],
                       tuple(complex(v) for v in z))
 
 
-def spectral_coeffs(psi, zs: zc.ZeroSet) -> wf.SpectralCoefficients:
-    """S_gamma = psihat(gamma) over the symmetric catalog iteration."""
-    pairs = zc.iterate_symmetric(zs)
-    g = np.array([p[0] for p in pairs], dtype=complex)
-    vals = wf.transform_at(psi, g) if len(pairs) else np.array([], dtype=complex)
-    return wf.SpectralCoefficients(tuple(complex(v) for v in np.atleast_1d(vals)))
+def spectral_coeffs(psi, zs: zc.ZeroSet) -> np.ndarray:
+    """S_gamma = psihat(gamma), a complex array in iterate_symmetric order."""
+    g = np.array([p[0] for p in zc.iterate_symmetric(zs)], dtype=complex)
+    return wf.transform_at(psi, g)
 
 
 @dataclass
@@ -139,46 +137,36 @@ class LWDecomposition:
     """psi = psi0 + psi1 with psi1 = sum_gamma i S_gamma sqrt(m pi) psi_gamma."""
     psi0: numerics.GridFunction
     psi1: numerics.GridFunction
-    coeffs: wf.SpectralCoefficients          # S_psi at the catalog zeros
-    expansion: Tuple[complex, ...]           # i S sqrt(m pi) per entry
+    coeffs: np.ndarray           # S_psi at bank.gammas
+    expansion: np.ndarray        # i S sqrt(m pi) per bank row
     bank: debranges.BasisBank
 
-    def residual_coeffs(self) -> wf.SpectralCoefficients:
-        """Transforms of psi0 at the catalog zeros, evaluated through the
-        expansion's defining frequency-side basis values (the grid route
-        carries an aliasing floor well above these residuals)."""
-        gam = np.array(self.bank.gammas)
-        L = sf.critical_line_log_derivative(gam)
-        out = np.array(self.coeffs.entries, dtype=complex)
-        for c, B in zip(self.expansion, self.bank.basis):
-            out -= c * B.values_on_axis(gam, L)
-        return wf.SpectralCoefficients(tuple(complex(v) for v in out))
+    def residual_coeffs(self) -> np.ndarray:
+        """Transforms of psi0 at bank.gammas through the expansion's defining
+        frequency-side values, one F_gamma table of the bank at its own
+        ordinates (the grid route has an aliasing floor well above these).
+        A ufunc reduction, not a BLAS product, subtracts the rows in order,
+        so the bits do not depend on the BLAS build or thread count."""
+        gam = self.bank.gammas
+        terms = self.expansion[:, None] * debranges.basis_table(
+            gam, self.bank.mults, gam)
+        return np.subtract.reduce(np.vstack([self.coeffs, terms]), axis=0)
 
 
-def decompose_LW(psi, zs: zc.ZeroSet,
-                 bank: debranges.BasisBank) -> LWDecomposition:
-    """Split psi into its catalog span component and the transform-null rest.
-
-    The bank (debranges.build_basis_bank of zs) is required: it dominates
-    the cost, so callers build it once. psi may be a TestFunction (sampled
-    on the bank's grid) or a GridFunction living on that grid."""
+def decompose_LW(psi, bank: debranges.BasisBank) -> LWDecomposition:
+    """Split psi into its span over the bank's catalog and the transform-null
+    rest: coefficients psihat at bank.gammas, psi1 = expansion @ bank.psis
+    summed row by row by a ufunc (BLAS bits vary with the thread count).
+    The bank (debranges.build_basis_bank) dominates the cost; build it once.
+    psi: a TestFunction (sampled on the bank's grid) or a GridFunction on it."""
     grid = bank.out
-
-    if isinstance(psi, wf.TestFunction):
-        psi_grid = numerics.GridFunction(grid, psi(grid.nodes()), "time")
-    elif isinstance(psi, numerics.GridFunction):
-        if psi.grid != grid:
-            raise numerics.GridMismatchError("psi must live on the bank's grid")
-        psi_grid = psi
-    else:
-        raise TypeError("expected TestFunction or GridFunction")
-
-    S = spectral_coeffs(psi, zs)
-    expansion = tuple(1j * s * math.sqrt(m * math.pi)
-                      for s, m in zip(S.entries, bank.mults))
-    vals1 = np.zeros(grid.n_points, dtype=complex)
-    for c, pg in zip(expansion, bank.psis):
-        vals1 += c * pg.values
+    if isinstance(psi, numerics.GridFunction) and psi.grid != grid:
+        raise numerics.GridMismatchError("psi must live on the bank's grid")
+    S = wf.transform_at(psi, bank.gammas)      # TypeError for other inputs
+    values = (psi.values if isinstance(psi, numerics.GridFunction)
+              else psi(grid.nodes()))
+    expansion = 1j * S * np.sqrt(bank.mults * math.pi)
+    vals1 = np.add.reduce(expansion[:, None] * bank.psis, axis=0)
     psi1 = numerics.GridFunction(grid, vals1, "time")
-    psi0 = numerics.GridFunction(grid, psi_grid.values - vals1, "time")
+    psi0 = numerics.GridFunction(grid, values - vals1, "time")
     return LWDecomposition(psi0, psi1, S, expansion, bank)

@@ -45,21 +45,14 @@ def theta_prime_at_zeros(zs) -> float:
 
 
 def basis_value_table(zs):
-    """(worst |F_gamma(gamma) + i/sqrt(m pi)|, worst |F_gamma(gamma')|);
-    L at the ordinates is evaluated once for every F_gamma."""
+    """(worst |F_gamma(gamma) + i/sqrt(m pi)|, worst |F_gamma(gamma')|)
+    from one F_gamma table of the ordinates at themselves."""
     gam = np.array(zs.ordinates)
-    L = sf.critical_line_log_derivative(gam)
-    worst_diag = worst_off = 0.0
-    for g in zs.ordinates:
-        F = db.BasisFunction(g, zs)
-        vals = F.values_on_axis(gam, L)
-        i = int(np.argmin(np.abs(gam - g)))
-        worst_diag = max(worst_diag,
-                         abs(vals[i] + 1j / math.sqrt(math.pi * F.m_gamma)))
-        off = np.abs(np.delete(vals, i))
-        if len(off):
-            worst_off = max(worst_off, float(off.max()))
-    return worst_diag, worst_off
+    m = np.array(zs.multiplicities)
+    table = db.basis_table(gam, m, gam)
+    diag = np.diagonal(table) + 1j / np.sqrt(math.pi * m)
+    off = np.abs(table[~np.eye(len(gam), dtype=bool)])
+    return max(map(abs, diag), default=0.0), float(np.max(off, initial=0.0))
 
 
 def basis_pairing(psis, zs):
@@ -142,15 +135,15 @@ def eigen_residuals(p, sample_sets, shifted):
     return worst, rel(shifted[0], shifted[1], shifted[0] + 0.1)
 
 
-def decomposition_null(rng, n: int, zs, bank, draw):
-    """Worst |S_psi0(gamma)| over n psi = draw(rng) = psi0 + psi1, and the
-    (psi, decomposition, psi0 coefficients) triples."""
+def decomposition_null(rng, n: int, bank, draw):
+    """Worst |S_psi0(gamma)| over n psi = draw(rng) = psi0 + psi1 on the
+    bank's catalog, and the (psi, decomposition, psi0 coefficients) triples."""
     worst = 0.0
     out = []
     for _ in range(n):
         psi = draw(rng)
-        dec = hp.decompose_LW(psi, zs, bank=bank)
+        dec = hp.decompose_LW(psi, bank)
         res = dec.residual_coeffs()
-        worst = max(worst, float(np.max(np.abs(res.entries))))
+        worst = max(worst, float(np.max(np.abs(res))))
         out.append((psi, dec, res))
     return worst, out

@@ -35,7 +35,7 @@ from . import numerics
 from . import zero_catalog as zc
 
 __all__ = [
-    "TestFunction", "FormValue", "SpectralCoefficients", "WitnessReport",
+    "TestFunction", "FormValue", "WitnessReport",
     "transform_at", "weil_pairing", "screw_g", "screw_g_array",
     "screw_tail_bound", "screw_kernel", "screw_form", "antiderivative",
     "tau_norm", "selector_witness", "random_bump", "random_combination",
@@ -202,13 +202,6 @@ class FormValue:
     def __post_init__(self):
         if self.tail_bound < 0 or self.quad_error < 0:
             raise ValueError("error bounds must be nonnegative")
-
-
-@dataclass(frozen=True)
-class SpectralCoefficients:
-    """Transform values at the catalog zeros, aligned with the symmetric
-    iteration of the ZeroSet they were sampled on."""
-    entries: Tuple[complex, ...]
 
 
 @dataclass(frozen=True)
@@ -402,14 +395,13 @@ def antiderivative(phi: TestFunction) -> TestFunction:
     return TestFunction(_ANTI, parts=(phi,), compact_support=compact)
 
 
-def tau_norm(S: SpectralCoefficients, zs) -> float:
-    """sum m_gamma |S_gamma|^2 over the symmetric iteration."""
+def tau_norm(S, zs) -> float:
+    """sum m |S_gamma|^2 for S a complex array in iterate_symmetric order."""
     pairs = zc.iterate_symmetric(zs)
-    if len(S.entries) != len(pairs):
+    if np.shape(S) != (len(pairs),):
         raise ValueError("coefficients not aligned with the catalog iteration")
     m = np.array([p[1] for p in pairs], dtype=float)
-    e = np.array(S.entries, dtype=complex)
-    return float(np.sum(m * np.abs(e) ** 2))
+    return float(np.sum(m * np.abs(np.asarray(S, dtype=complex)) ** 2))
 
 
 def selector_witness(gamma: float, zs: zc.ZeroSet):
@@ -420,16 +412,12 @@ def selector_witness(gamma: float, zs: zc.ZeroSet):
     Returns (grid witness, WitnessReport). The report's transform values are
     the defining frequency-side samples i sqrt(m pi) F_gamma(gamma'), which
     vanish at the off zeros up to evaluator roundoff; bound_ok says that
-    every one lies below 1e-3/|gamma - gamma'|^2.
+    every one lies below 1e-3/|gamma - gamma'|^2. gamma is looked up in
+    the catalog as BasisFunction does (ValueError if it is not there).
     """
-    idx = int(np.argmin(np.abs(np.array(zs.ordinates) - gamma)))
-    if abs(zs.ordinates[idx] - gamma) > 1e-9:
-        raise ValueError("gamma not in the catalog")
-    gamma = zs.ordinates[idx]
-    m = zs.multiplicities[idx]
-    scale = 1j * math.sqrt(m * math.pi)
-
     F = debranges.BasisFunction(gamma, zs)
+    gamma = F.gamma
+    scale = 1j * math.sqrt(F.m_gamma * math.pi)
     at_gamma = scale * F(gamma)
     gp = np.array([g for g, _ in zc.iterate_symmetric(zs)])
     gp = gp[np.abs(gp - gamma) >= 1e-9]

@@ -52,13 +52,17 @@ def test_config_file_parsing(tmp_path):
 
 def test_config_flag_overrides_file(tmp_path):
     p = tmp_path / "run.cfg"
-    p.write_text("height_T = 60\ncutoff_Z = 700\n")
+    p.write_text("height_T = 60\ncutoff_Z = 700\nzeros = %s\n" % ZERO_TABLE)
     parser = cli.build_parser()
     args = parser.parse_args(["verify", "special", "--config", str(p),
                               "--height-T", "80"])
     cfg = cli.make_config(args)
     assert cfg.height_T == 80.0       # flag wins
     assert cfg.cutoff_Z == 700.0      # file value survives
+    assert cfg.zero_source == ZERO_TABLE
+    forced = cli.make_config(parser.parse_args(
+        ["verify", "special", "--config", str(p), "--zeros", "compute"]))
+    assert forced.zero_source == "compute"    # --zeros compute forces a sweep
 
 
 def test_height_guard_is_config_error(tmp_path, monkeypatch, capsys):
@@ -272,7 +276,7 @@ def test_verify_all_sweeps_theta_prime_once_per_ordinate(tmp_path, monkeypatch):
 
 def test_export_bad_range_is_usage_error(tmp_path, monkeypatch):
     monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
-    assert cli.main(["export", "screw_g", "zzz", "--out", str(tmp_path),
-                     "--height-T", "20"]) == 2
-    assert cli.main(["export", "psi_gamma", "99", "--out", str(tmp_path),
-                     "--height-T", "20", "--cutoff-Z", "500"]) == 2
+    for what, arg in (("screw_g", "zzz"), ("psi_gamma", "99"),
+                      ("F_gamma", "0")):
+        assert cli.main(["export", what, arg, "--out", str(tmp_path),
+                         "--height-T", "20", "--cutoff-Z", "500"]) == 2

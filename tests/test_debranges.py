@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -116,6 +117,42 @@ def test_synthetic_multiplicity_zero_set(catalog):
     F = db.BasisFunction(20.0, zs)
     assert F.m_gamma == 2
     assert F.normalization == pytest.approx(math.sqrt(2.0 / math.pi))
+
+
+def test_basis_table_rows_take_their_own_limits():
+    # synthetic rows, one with m = 2, two of them 1.5e-6 apart; the limit
+    # sits exactly at the nodes within 1e-6 of a row's own gamma
+    gam, mults = [-31.5, 14.25, 20.0, 20.0 + 1.5e-6], [1, 2, 1, 3]
+    x = np.array([-40.0, -31.5 + 3e-7, 0.0, 14.25, 19.0, 20.0 - 5e-7,
+                  20.0 + 8e-7, 55.5])
+    L = np.random.default_rng(4).standard_normal(x.size) * 10.0
+    L[2] = 3e7
+    table = db.basis_table(gam, mults, x, log_deriv=L)
+    assert table.shape == (4, 8)
+    near = {(0, 1), (1, 3), (2, 5), (2, 6), (3, 6)}
+    for (k, j), v in np.ndenumerate(table):
+        norm = math.sqrt(mults[k] / math.pi)
+        if (k, j) in near:
+            assert v == norm * db.theta_prime_at_zero(gam[k]) / 2.0
+        else:
+            ref = norm / ((1 + 1j * L[j]) * (x[j] - gam[k]))
+            assert abs(v - ref) <= 1e-15 * abs(ref)
+
+
+def test_basis_bank_holds_one_row_of_frequency_samples(basis_bank, catalog):
+    # each psi_gamma row is written as it is made: the build's traced peak
+    # stays below one 58 x n_freq complex matrix of every F_gamma sample
+    out = basis_bank.out
+    fgrid, _ = db.axis_samples(500.0, db._default_freq_spacing(
+        max(abs(out.x_min), abs(out.x_max))))     # the sweep is warm in use
+    values_matrix = 58 * fgrid.n_points * 16              # 20.3 MiB
+    tracemalloc.start()
+    try:
+        bank = db.build_basis_bank(catalog, 500.0, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bank.psis.shape == (58, out.n_points) and peak < values_matrix
 
 
 # ----------------------------------------------------------------------

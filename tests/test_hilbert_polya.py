@@ -152,13 +152,10 @@ def test_eigenbasis_orthogonality_on_axis(catalog):
     fg = nu.symmetric_grid(800.0, 0.05)
     x = fg.nodes()
     L = db.axis_samples(800.0, 0.05)[1]
-    vals = [db.BasisFunction(g, catalog).values_on_axis(x, L)
-            for g in catalog.ordinates[:3]]
-    for i in range(3):
-        for j in range(3):
-            ip = np.sum(vals[i] * np.conj(vals[j])) * fg.h
-            target = 1.0 if i == j else 0.0
-            assert abs(ip - target) <= 2e-3
+    vals = db.basis_table(catalog.ordinates[:3], catalog.multiplicities[:3],
+                          x, L)
+    gram = vals @ vals.conj().T * fg.h
+    assert np.max(np.abs(gram - np.eye(3))) <= 2e-3
 
 
 # ----------------------------------------------------------------------
@@ -168,17 +165,14 @@ def test_eigenbasis_orthogonality_on_axis(catalog):
 def test_spectral_coeffs_zero_function(catalog):
     zero = wf.TestFunction.combination([0.0], [wf.TestFunction.bump()])
     S = hp.spectral_coeffs(zero, catalog)
-    assert all(v == 0.0 for v in S.entries)
+    assert S.shape == (2 * len(catalog),) and np.all(S == 0.0)
 
 
 def test_spectral_coeffs_of_basis_grid(small_psi, catalog):
     S = hp.spectral_coeffs(small_psi["psi1"], catalog)
-    pairs = zc.iterate_symmetric(catalog)
-    idx = [i for i, (g, _) in enumerate(pairs)
-           if abs(g - catalog.ordinates[0]) < 1e-9][0]
-    assert abs(S.entries[idx] + 1j / math.sqrt(math.pi)) <= 1e-3
-    others = [abs(v) for i, v in enumerate(S.entries) if i != idx]
-    assert max(others) <= 1e-3
+    idx = len(catalog)                                  # the +gamma_1 slot
+    assert abs(S[idx] + 1j / math.sqrt(math.pi)) <= 1e-3
+    assert np.max(np.abs(np.delete(S, idx))) <= 1e-3
 
 
 def test_tau_norm_equals_pairing(catalog):
@@ -192,9 +186,9 @@ def test_tau_norm_equals_pairing(catalog):
 def test_decompose_bump(basis_bank, catalog):
     rng = np.random.default_rng(35)
     psi = wf.random_combination(rng)
-    dec = hp.decompose_LW(psi, catalog, bank=basis_bank)
+    dec = hp.decompose_LW(psi, basis_bank)
     res = dec.residual_coeffs()
-    assert max(abs(v) for v in res.entries) <= 1e-5
+    assert np.max(np.abs(res)) <= 1e-5
     # pairing is carried entirely by psi1
     pv = wf.weil_pairing(psi, psi, catalog).value.real
     pv1 = wf.tau_norm(dec.coeffs, catalog)
@@ -205,8 +199,9 @@ def test_decompose_bump(basis_bank, catalog):
 
 
 def test_decompose_basis_function_is_pure_span(basis_bank, catalog):
-    psi1 = basis_bank.psis[len(basis_bank.psis) // 2]   # +gamma_1 entry
-    dec = hp.decompose_LW(psi1, catalog, bank=basis_bank)
+    k = len(basis_bank.gammas) // 2                     # +gamma_1 row
+    psi1 = nu.GridFunction(basis_bank.out, basis_bank.psis[k], "time")
+    dec = hp.decompose_LW(psi1, basis_bank)
     n1 = math.sqrt(nu.grid_norm_sq(dec.psi1))
     n0 = math.sqrt(nu.grid_norm_sq(dec.psi0))
     assert n0 <= 2e-2 * n1
@@ -215,14 +210,14 @@ def test_decompose_basis_function_is_pure_span(basis_bank, catalog):
 def test_decompose_projection_property(basis_bank, catalog):
     rng = np.random.default_rng(36)
     psi = wf.random_combination(rng)
-    first = hp.decompose_LW(psi, catalog, bank=basis_bank)
-    second = hp.decompose_LW(first.psi1, catalog, bank=basis_bank)
+    first = hp.decompose_LW(psi, basis_bank)
+    second = hp.decompose_LW(first.psi1, basis_bank)
     # applying the splitter to psi1 returns (~0, psi1) within twice the
     # single-pass grid-transform floor
     floor = math.sqrt(nu.grid_norm_sq(nu.GridFunction(
         basis_bank.out, first.psi1.values
         - (psi(basis_bank.out.nodes()) - first.psi0.values), "time"))) \
-        + max(abs(v) for v in hp.spectral_coeffs(first.psi1, catalog).entries) \
+        + np.max(np.abs(hp.spectral_coeffs(first.psi1, catalog))) \
         * len(basis_bank.gammas)
     n0 = math.sqrt(nu.grid_norm_sq(second.psi0))
     n1 = math.sqrt(nu.grid_norm_sq(second.psi1))
@@ -232,7 +227,7 @@ def test_decompose_projection_property(basis_bank, catalog):
 def test_decompose_weil_degeneracy_of_null_part(basis_bank, catalog):
     rng = np.random.default_rng(37)
     psi = wf.random_combination(rng)
-    dec = hp.decompose_LW(psi, catalog, bank=basis_bank)
+    dec = hp.decompose_LW(psi, basis_bank)
     res = dec.residual_coeffs()
     null_pairing = wf.tau_norm(res, catalog)
     assert null_pairing <= 1e-9
@@ -242,10 +237,28 @@ def test_decompose_weil_degeneracy_of_null_part(basis_bank, catalog):
     assert abs(grid_pairing.value) <= 1e-4
 
 
+def test_decompose_on_the_banks_own_catalog(basis_bank):
+    # a T = 50 bank decomposes over its own 20-entry catalog (spectral_coeffs
+    # of zs50); psi1 and the residuals are the row-by-row sums, bit for bit
+    zs50 = zc.compute_zeros(50.0)
+    bank = db.build_basis_bank(zs50, 500.0, basis_bank.out)
+    psi = wf.random_combination(np.random.default_rng(38))
+    dec = hp.decompose_LW(psi, bank)
+    assert dec.coeffs.tobytes() == hp.spectral_coeffs(psi, zs50).tobytes()
+    table = db.basis_table(bank.gammas, bank.mults, bank.gammas)
+    psi1, res = 0.0, dec.coeffs
+    for c, row, t in zip(dec.expansion, bank.psis, table):
+        psi1, res = psi1 + c * row, res - c * t
+    assert dec.psi1.values.tobytes() == psi1.tobytes()
+    assert dec.residual_coeffs().tobytes() == res.tobytes()
+    assert np.max(np.abs(dec.psi0.values + dec.psi1.values
+                         - psi(bank.out.nodes()))) <= 1e-12
+
+
 def test_decompose_grid_mismatch(basis_bank, catalog):
     other = nu.GridFunction(nu.Grid(-1.0, 1.0, 11), np.zeros(11), "time")
     with pytest.raises(nu.GridMismatchError):
-        hp.decompose_LW(other, catalog, bank=basis_bank)
+        hp.decompose_LW(other, basis_bank)
 
 
 def test_generator_is_i_d_dx_on_smooth_grids(catalog):

@@ -440,33 +440,31 @@ def test_screw_tail_bound_model(catalog):
 
 def test_tau_norm_basis_vector(catalog):
     n = len(zc.iterate_symmetric(catalog))
-    entries = [0.0] * n
+    entries = np.zeros(n, dtype=complex)
     entries[n // 2] = 1.0     # the +gamma_1 slot
-    assert wf.tau_norm(wf.SpectralCoefficients(tuple(entries)), catalog) == 1.0
+    assert wf.tau_norm(entries, catalog) == 1.0
 
 
 def test_tau_norm_theoretical_basis_coefficients(catalog):
-    pairs = zc.iterate_symmetric(catalog)
-    g1 = catalog.ordinates[0]
-    entries = [(-1j / math.sqrt(math.pi)) if abs(g - g1) < 1e-9 else 0.0
-               for g, _ in pairs]
-    val = wf.tau_norm(wf.SpectralCoefficients(tuple(entries)), catalog)
+    entries = np.zeros(2 * len(catalog), dtype=complex)
+    entries[len(catalog)] = -1j / math.sqrt(math.pi)    # the +gamma_1 slot
+    val = wf.tau_norm(entries, catalog)
     assert val == pytest.approx(1.0 / math.pi, rel=1e-14)
 
 
 def test_tau_norm_scaling(catalog):
     rng = np.random.default_rng(21)
     n = len(zc.iterate_symmetric(catalog))
-    entries = tuple(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    base = wf.tau_norm(wf.SpectralCoefficients(entries), catalog)
-    scaled = wf.tau_norm(
-        wf.SpectralCoefficients(tuple(2.5j * e for e in entries)), catalog)
+    entries = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    base = wf.tau_norm(entries, catalog)
+    scaled = wf.tau_norm(2.5j * entries, catalog)
     assert scaled == pytest.approx(6.25 * base, rel=1e-14)
 
 
 def test_tau_norm_alignment_guard(catalog):
-    with pytest.raises(ValueError):
-        wf.tau_norm(wf.SpectralCoefficients((1.0,)), catalog)
+    for bad in (np.ones(1), np.ones((2 * len(catalog), 1))):
+        with pytest.raises(ValueError):
+            wf.tau_norm(bad, catalog)
 
 
 # ----------------------------------------------------------------------
