@@ -44,7 +44,7 @@ _AXIS_CACHE: Dict[Tuple[float, int], Tuple[numerics.Grid, np.ndarray]] = {}
 
 
 def axis_samples(Z: float, spacing: float):
-    """(frequency Grid on [-Z, Z], log-derivative samples), cached.
+    """(frequency Grid on [-Z, Z], real log-derivative samples), cached.
 
     The cache is shared by every basis function: F_gamma differs only in the
     1/(x - gamma) factor, so one sweep of the expensive evaluator serves the
@@ -56,9 +56,10 @@ def axis_samples(Z: float, spacing: float):
         t0 = time.perf_counter()
         x = grid.nodes()
         half = x[x >= 0.0]
-        L_half = sf.critical_line_log_derivative(half)
-        # L(-x) = -conj(L(x)): xi(1/2-iz) is real on the axis
-        L = np.concatenate([-np.conj(L_half[:0:-1]), L_half])
+        # L is real on the axis (xi(1/2-iz) is real there), and every
+        # consumer reads only Re L: kept as float64, with L(-x) = -L(x)
+        L_half = np.real(sf.critical_line_log_derivative(half))
+        L = np.concatenate([-L_half[:0:-1], L_half])
         _AXIS_CACHE[key] = (grid, L)
         _log.debug("axis sweep Z=%g: %d nodes, %d on the half-grid, "
                    "step %.6g, %.3f s", Z, grid.n_points, half.size, grid.h,

@@ -10,6 +10,8 @@ depend on the signs):
 Frequency truncation windows and output grids are always caller-supplied;
 nothing here chooses a cutoff silently. Uniform-to-uniform grid transforms
 are chirp-z FFT convolutions: the trapezoid sums themselves, no interpolation.
+Their kernel spectra are computed once per grid pair and held in a bounded
+least-recently-used cache (_PLANS).
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ __all__ = [
     "Grid", "GridFunction", "AliasingGuardError", "GridMismatchError",
     "panel_rule", "fourier_integral", "inverse_fourier_grid",
     "fourier_grid_at", "forward_fourier_grid", "inner_product_grid",
-    "grid_norm_sq", "symmetric_grid", "band_exact_grid", "write_grid_csv",
-    "ALIAS_GUARD",
+    "grid_norm_sq", "symmetric_grid", "band_exact_grid", "ALIAS_GUARD",
 ]
 
 ALIAS_GUARD = math.pi / 4.0
 _GL_CACHE: dict = {}
 _BLOCK = 1 << 14                # elements per block of the chirp-z assembly
+_PLAN_ELEMS = 1 << 20           # complex entries of held kernel spectra (16 MiB)
+_PLANS: dict = {}               # (n, h_in, m, h_out, sign) -> kernel FFT, LRU first
 
 
 class AliasingGuardError(ValueError):
@@ -213,19 +216,34 @@ def _chirp_z(f: GridFunction, sign: float, scale: float, out: Grid,
 
     The convolution runs at length L = _fast_len(n + m - 1), the smallest
     5-smooth length without wrap-around (at most 25% above n + m - 1 where a
-    power of two can be 100% above). The chirp is built in the input's FFT
-    buffer, copied into the kernel's and overwritten block by block by the
-    chirped input, so working memory is two complex arrays of length L, the
-    output chirp (m complex) and the input nodes (n reals)."""
+    power of two can be 100% above). The kernel's FFT depends only on
+    (n, h_in, m, h_out, sign), so it is kept read-only in _PLANS: a grid
+    pair that recurs (psi_gamma and K_apply on one window, every bank row)
+    skips the kernel fill and one of the three FFTs. The least recently
+    used spectra are dropped to hold at most _PLAN_ELEMS entries, and a
+    longer one is never kept. The chirp is built in the input's FFT buffer
+    (on a miss, copied into the kernel's), then overwritten block by block
+    by the chirped input, so working memory is two complex arrays of
+    length L, the output chirp (m complex) and the input nodes (n reals),
+    plus the held spectra. Products keep their operand order and
+    temporaries (a *= kernel, ifft * conj(chirp)): numpy's vectorized
+    complex multiply is not bitwise commutative, and swapping operands
+    moves outputs by ~1e-15."""
     n, m = f.grid.n_points, out.n_points
     size = _fast_len(n + m - 1)
     a = np.empty(size, dtype=complex)
     c = a[:max(n, m)]                # a's storage holds the chirp first
     _conjugate_chirp(sign * f.grid.h * out.h / (4.0 * math.pi), c)
-    b = np.empty(size, dtype=complex)
-    b[:m] = c[:m]
-    b[m:size - n + 1] = 0.0
-    b[size - n + 1:] = c[n - 1:0:-1]
+    key = (n, f.grid.h, m, out.h, sign)
+    kernel = _PLANS.pop(key, None)       # put back last: LRU order
+    if kernel is None:
+        # room for a spectrum that will be kept, made before b is allocated
+        while size <= _PLAN_ELEMS < size + sum(map(len, _PLANS.values())):
+            del _PLANS[next(iter(_PLANS))]
+        b = np.empty(size, dtype=complex)
+        b[:m] = c[:m]
+        b[m:size - n + 1] = 0.0
+        b[size - n + 1:] = c[n - 1:0:-1]
     c_m = c[:m].copy()
     x = f.grid.nodes()
     # blocks of _BLOCK nodes, the last taking the rest: a one-node block
@@ -250,8 +268,14 @@ def _chirp_z(f: GridFunction, sign: float, scale: float, out: Grid,
     a[n:] = 0.0
     del c, x, t, e
     a = np.fft.fft(a, out=a)
-    a *= np.fft.fft(b, out=b)
-    del b
+    if kernel is None:
+        kernel = np.fft.fft(b, out=b)
+        kernel.setflags(write=False)
+        del b
+    if size <= _PLAN_ELEMS:
+        _PLANS[key] = kernel
+    a *= kernel
+    del kernel
     y = np.fft.ifft(a, out=a)[:m] * np.conj(c_m)
     return GridFunction(out, y * np.exp(1j * sign * f.grid.x_min * out.h
                                         * np.arange(m)), tag)
@@ -338,11 +362,3 @@ def inner_product_grid(f: GridFunction, g: GridFunction) -> complex:
 def grid_norm_sq(f: GridFunction) -> float:
     return float(np.real(inner_product_grid(f, f)))
 
-
-def write_grid_csv(f: GridFunction, path) -> None:
-    """CSV export: header x,re,im; one row per node; >= 15 significant digits."""
-    x = f.grid.nodes()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,re,im\n")
-        for xi_, v in zip(x, f.values):
-            fh.write("%.17g,%.17g,%.17g\n" % (xi_, v.real, v.imag))

@@ -140,11 +140,13 @@ def _refine_brackets(f, a, b, fa, fb, tol: float = 1e-11):
 
 def save_zeros(path, zs: ZeroSet) -> None:
     """Write a catalog cache file: a '# source=computed|table' header, then
-    one %.9f ordinate per line (byte-stable for equal inputs)."""
+    one %.17g ordinate per line, which reads back as the same float64
+    (byte-stable for equal inputs). Files written with fewer digits still
+    load, at the precision they hold."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("%s%s\n" % (_SOURCE_HEADER, zs.source))
         for g in zs.ordinates:
-            fh.write("%.9f\n" % g)
+            fh.write("%.17g\n" % g)
 
 
 def _cached_source(path):
@@ -168,7 +170,8 @@ def compute_zeros(T: float, cache_dir=None) -> ZeroSet:
     xi_points and elapsed_s; a cache hit logs nothing.
 
     Results are cached in zeros_T{T}.txt when a cache directory is given (see
-    save_zeros; the file is byte-stable across runs). A cached file reports
+    save_zeros; the file is byte-stable across runs, and a miss and a hit
+    return the sweep's ordinates bit for bit). A cached file reports
     the source its header names, so a table written by `weil-lab zeros
     import` comes back as 'table'; a file without the header is recomputed.
     """
@@ -203,8 +206,6 @@ def compute_zeros(T: float, cache_dir=None) -> ZeroSet:
 
     if cache_path is not None:
         save_zeros(cache_path, zs)
-        # serve the round-tripped values so later cache hits are bit-identical
-        return _read_table(cache_path, T, "computed")
     return zs
 
 

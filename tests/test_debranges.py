@@ -217,6 +217,23 @@ def test_axis_cache_reuse(catalog):
     assert len(db._AXIS_CACHE) == 1       # second build reuses the sweep
 
 
+def test_axis_samples_are_the_real_mirrored_sweep():
+    # L is kept as float64: Re of the sweep over x >= 0, mirrored by
+    # L(-x) = -conj(L(x))
+    Z, spacing = 37.0, 0.05
+    grid = nu.symmetric_grid(Z, spacing)
+    key = (round(grid.x_max, 9), grid.n_points)
+    db._AXIS_CACHE.pop(key, None)
+    try:
+        fgrid, L = db.axis_samples(Z, spacing)
+    finally:
+        db._AXIS_CACHE.pop(key, None)
+    x = fgrid.nodes()
+    L_half = sf.critical_line_log_derivative(x[x >= 0.0])
+    ref = np.real(np.concatenate([-np.conj(L_half[:0:-1]), L_half]))
+    assert L.dtype == np.float64 and L.tobytes() == ref.tobytes()
+
+
 def test_axis_sweep_miss_is_logged(caplog):
     Z, spacing = 61.0, 0.05
     key = (round(nu.symmetric_grid(Z, spacing).x_max, 9),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from weil_lab import cli
 from weil_lab import numerics as nu
 from weil_lab.weil_form import TestFunction
 
@@ -218,6 +219,97 @@ def test_grid_transforms_at_acceptance_size():
         assert np.max(np.abs(dst.values[k] - ref) / mag) <= 1e-10
 
 
+@pytest.fixture
+def empty_plans():
+    """The chirp-z kernel spectra, emptied before and after the test."""
+    nu._PLANS.clear()
+    yield nu._PLANS
+    nu._PLANS.clear()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_chirp_z_kernel_cache_is_byte_equal(sign, empty_plans):
+    # the cutoff ladder's three grid pairs (frequency grids at Z = 1000 and
+    # 2000 against the [-6, 38] window) and a few small ones: a miss, a hit
+    # and a call after emptying the cache give the same bytes, and the held
+    # spectra are read-only
+    window = nu.band_exact_grid(-6.0, 38.0, 4000.0, margin=80.0)
+    h = 0.999 * nu.ALIAS_GUARD / 38.0
+    pairs = [(nu.symmetric_grid(1000.0, h), window),
+             (nu.symmetric_grid(2000.0, h), window),
+             (window, nu.symmetric_grid(1000.0, h)),
+             (nu.Grid(-30.0, 30.0, 2), nu.Grid(-2.0, 3.0, 9)),
+             (nu.Grid(5.5, 80.25, 301), nu.Grid(-7.3, -1.1, 40)),
+             (nu.Grid(-100.0, -20.0, 16385), nu.Grid(3.0, 11.0, 7))]
+    assert [(a.n_points, b.n_points) for a, b in pairs[:3]] == [
+        (96865, 29156), (193729, 29156), (29156, 96865)]
+    rng = np.random.default_rng(3)
+    for src, out in pairs:
+        vals = rng.standard_normal(src.n_points) + 1j * rng.standard_normal(src.n_points)
+        f = nu.GridFunction(src, vals, "frequency")
+        miss = nu._chirp_z(f, sign, 0.3, out, "time").values.tobytes()
+        held = [id(s) for s in empty_plans.values()]
+        hit = nu._chirp_z(f, sign, 0.3, out, "time").values.tobytes()
+        assert [id(s) for s in empty_plans.values()] == held    # nothing rebuilt
+        empty_plans.clear()
+        again = nu._chirp_z(f, sign, 0.3, out, "time").values.tobytes()
+        assert miss == hit == again
+    assert sum(len(s) for s in empty_plans.values()) <= nu._PLAN_ELEMS
+    for spectrum in empty_plans.values():           # held read-only
+        with pytest.raises(ValueError):
+            spectrum[0] = 0.0
+
+
+def test_chirp_z_kernels_are_keyed_by_spacing_and_sign(empty_plans):
+    # equal n and m: only the input spacing or the sign tells these three
+    # kernels apart, and each transform is the trapezoid sum
+    out = nu.Grid(-2.0, 3.0, 301)
+    rng = np.random.default_rng(11)
+    vals = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+    cases = [(nu.Grid(-30.0, 30.0, 1000), 1.0),
+             (nu.Grid(-40.0, 40.0, 1000), 1.0),
+             (nu.Grid(-30.0, 30.0, 1000), -1.0)]
+
+    def error(zgrid, sign):
+        f = nu.GridFunction(zgrid, vals, "frequency")
+        got = nu._chirp_z(f, sign, 0.3, out, "time").values
+        ref, mag = _direct_sum(vals, zgrid, sign, 0.3, out.nodes())
+        return np.max(np.abs(got - ref) / mag)
+
+    for zgrid, sign in cases:
+        assert error(zgrid, sign) <= 1e-12
+    keys = list(empty_plans)
+    assert len(keys) == 3
+    # the first spectrum served under the other two keys fails the bound
+    for (zgrid, sign), key in zip(cases[1:], keys[1:]):
+        empty_plans[key] = empty_plans[keys[0]]
+        assert error(zgrid, sign) > 1e-6
+
+
+def test_chirp_z_held_spectra_stay_within_the_bound(monkeypatch, empty_plans):
+    # a bound of three length-1000 spectra: a fourth drops the least
+    # recently used one, and a longer spectrum is never kept
+    monkeypatch.setattr(nu, "_PLAN_ELEMS", 3000)
+    out = nu.Grid(-2.0, 3.0, 500)
+
+    def run(x_max, n=501):
+        f = nu.GridFunction(nu.Grid(-30.0, x_max, n), np.ones(n), "frequency")
+        nu._chirp_z(f, 1.0, 1.0, out, "time")
+
+    for x_max in (30.0, 31.0, 32.0):
+        run(x_max)                        # 501 + 500 - 1 -> length 1000
+    first, second, third = list(empty_plans)
+    run(30.0)                             # a hit: now the most recent
+    assert list(empty_plans) == [second, third, first]
+    run(33.0)
+    assert list(empty_plans)[:2] == [third, first] and len(empty_plans) == 3
+    before = dict(empty_plans)
+    run(30.0, n=2600)                     # length 3125 > 3000
+    assert len(empty_plans) == 3
+    assert all(empty_plans[k] is v for k, v in before.items())
+    assert sum(len(s) for s in empty_plans.values()) <= 3000
+
+
 @pytest.mark.parametrize("n", [2, 3, 1000, 1001, 29157])
 def test_fourier_grid_at_matches_direct_sum(n):
     grid = nu.Grid(-6.0, 38.0, n) if n > 1001 else nu.Grid(-1.5, 2.25, n)
@@ -336,8 +428,8 @@ def test_csv_export_format_and_determinism(tmp_path):
     g = nu.Grid(0.0, 1.0, 3)
     f = nu.GridFunction(g, np.array([1 / 3, 0.123456789012345678, 1j]), "time")
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    nu.write_grid_csv(f, p1)
-    nu.write_grid_csv(f, p2)
+    cli._write_csv(p1, g.nodes(), f.values)
+    cli._write_csv(p2, g.nodes(), f.values)
     b1 = p1.read_bytes()
     assert b1 == p2.read_bytes()
     lines = b1.decode().splitlines()

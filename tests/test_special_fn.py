@@ -429,15 +429,18 @@ def test_critical_line_log_derivative_against_oracle():
 
 def _exp_matrix_sums(s, N):
     """Oracle for the Dirichlet sums of the Euler-Maclaurin evaluator: one
-    complex exponential per (point, n), summed directly."""
+    complex exponential per (point, n), summed directly, in blocks of at
+    most 1024 points x 256 n (4 MB matrices)."""
     ln_n = np.log(np.arange(1, N, dtype=float))
     S = np.zeros(s.size, dtype=complex)
     Sp = np.zeros(s.size, dtype=complex)
-    for i0 in range(0, ln_n.size, 256):
-        ln_c = ln_n[i0:i0 + 256]
-        E = np.exp(-np.multiply.outer(s, ln_c))
-        S += E.sum(axis=1)
-        Sp -= E @ ln_c
+    for r0 in range(0, s.size, 1024):
+        rows = slice(r0, r0 + 1024)
+        for i0 in range(0, ln_n.size, 256):
+            ln_c = ln_n[i0:i0 + 256]
+            E = np.exp(-np.multiply.outer(s[rows], ln_c))
+            S[rows] += E.sum(axis=1)
+            Sp[rows] -= E @ ln_c
     return S, Sp
 
 

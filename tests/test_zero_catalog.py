@@ -288,7 +288,19 @@ def test_cache_roundtrip_and_byte_stability(tmp_path):
     zs2 = zc.compute_zeros(20.0, cache_dir=cache)   # served from cache
     assert open(path, "rb").read() == blob1
     assert zs2.source == "computed"
-    assert zs2 == zs1                  # the miss serves the round trip too
+    assert zs2 == zs1                  # a miss and a hit agree
+    # a miss and a hit both return the sweep's ordinates bit for bit
+    ref = np.array(zc.compute_zeros(20.0).ordinates).tobytes()
+    for zs in (zs1, zs2):
+        assert np.array(zs.ordinates).tobytes() == ref
+
+
+def test_cache_file_with_fewer_digits_still_loads(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "zeros_T20.txt").write_text("# source=computed\n14.134725142\n")
+    zs = zc.compute_zeros(20.0, cache_dir=str(cache))
+    assert zs.source == "computed" and zs.ordinates == (14.134725142,)
 
 
 def test_cache_header_names_the_source(tmp_path):
