@@ -6,6 +6,15 @@ checks come from weil_lab.identities. CHECKS gives each check's anchor and
 default bound in report order, and a --tol or tol. key must name one of
 them. Every suite but 'special' needs a catalog ordinate below T.
 
+Configuration: the keys zeros, height_T, cutoff_Z, grid, out and tol.<id>
+of a --config file, then the flags of the same names over them; a key
+neither gives keeps its RunConfig default. Any other file key, and a
+height_T or cutoff_Z that is not finite, is a config error.
+
+Cache: WEIL_LAB_CACHE names the ordinate cache directory; empty counts as
+unset. `verify` and `export` read and write the cache only when it is set;
+`zeros` falls back to ~/.cache/weil_lab.
+
 Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error,
 3 I/O error. Reports are JSON lists of rows
 {check_id, anchor, value, bound, pass}; outputs are bitwise deterministic
@@ -34,7 +43,6 @@ from . import special_fn as sf
 from . import weil_form as wf
 from . import zero_catalog as zc
 
-SUITES = ("special", "weil", "debranges", "screw", "hilbert_polya", "all")
 _SEED = 20240601
 
 
@@ -49,17 +57,14 @@ class RunConfig:
     tolerances: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.height_T > zc.MAX_HEIGHT:
-            raise ValueError("height_T must be <= %g" % zc.MAX_HEIGHT)
-        if self.cutoff_Z < 500.0:
-            raise ValueError("cutoff_Z must be >= 500")
+        if not (math.isfinite(self.height_T) and self.height_T <= zc.MAX_HEIGHT):
+            raise ValueError("height_T must be finite and <= %g" % zc.MAX_HEIGHT)
+        if not (math.isfinite(self.cutoff_Z) and self.cutoff_Z >= 500.0):
+            raise ValueError("cutoff_Z must be finite and >= 500")
         unknown = sorted(set(self.tolerances) - {c[0] for c in CHECKS})
         if unknown:
             raise ValueError("tolerance for unknown check id(s): %s"
                              % ", ".join(unknown))
-
-    def tol(self, check_id: str, default: float) -> float:
-        return float(self.tolerances.get(check_id, default))
 
     @functools.cached_property
     def catalog(self) -> zc.ZeroSet:
@@ -90,19 +95,6 @@ def load_config_file(path: str) -> Dict[str, str]:
             key, val = line.split("=", 1)
             values[key.strip()] = val.strip()
     return values
-
-
-@dataclass
-class CheckRow:
-    check_id: str
-    anchor: str
-    value: float
-    bound: float
-    passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {"check_id": self.check_id, "anchor": self.anchor,
-                "value": self.value, "bound": self.bound, "pass": self.passed}
 
 
 # (check_id, anchor, default bound) in report order. psi_norm's bound is the
@@ -141,14 +133,15 @@ CHECKS = (
 )
 
 
-def _rows(cfg: RunConfig, values: Dict[str, float]) -> List[CheckRow]:
-    """CheckRows, in CHECKS order, for the checks a suite returned values of."""
+def _rows(cfg: RunConfig, values: Dict[str, float]) -> List[dict]:
+    """Report rows, in CHECKS order, for the checks a suite returned values of."""
     rows = []
     for check_id, anchor, bound in CHECKS:
         if check_id in values:
             value = float(values[check_id])
-            bound = cfg.tol(check_id, bound)
-            rows.append(CheckRow(check_id, anchor, value, bound, value <= bound))
+            bound = float(cfg.tolerances.get(check_id, bound))
+            rows.append({"check_id": check_id, "anchor": anchor, "value": value,
+                         "bound": bound, "pass": value <= bound})
     return rows
 
 
@@ -260,6 +253,7 @@ _SUITE_FN = {
     "debranges": suite_debranges,
     "hilbert_polya": suite_hilbert_polya,
 }
+SUITES = tuple(_SUITE_FN) + ("all",)
 
 
 def run_verify(suite: str, cfg: RunConfig) -> int:
@@ -268,40 +262,32 @@ def run_verify(suite: str, cfg: RunConfig) -> int:
               file=sys.stderr)
         return 2
     names = list(_SUITE_FN) if suite == "all" else [suite]
-    all_rows: List[CheckRow] = []
+    all_rows: List[dict] = []
     for name in names:
         t0 = time.time()
         rows = _rows(cfg, _SUITE_FN[name](cfg))
         elapsed = time.time() - t0
         for r in rows:
-            print("%-6s %-28s value=%.3e bound=%.3e"
-                  % ("PASS" if r.passed else "FAIL", r.check_id, r.value, r.bound))
+            print("%-6s %-28s value=%.3e bound=%.3e" % (
+                "PASS" if r["pass"] else "FAIL", r["check_id"], r["value"],
+                r["bound"]))
         print("suite %s: %d checks, %.1fs" % (name, len(rows), elapsed))
         all_rows.extend(rows)
     os.makedirs(cfg.out_dir, exist_ok=True)
     report_path = os.path.join(cfg.out_dir, "report_%s.json" % suite)
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump([r.to_json_dict() for r in all_rows], fh, indent=2,
-                  sort_keys=True)
+        json.dump(all_rows, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print("report: %s" % report_path)
-    return 0 if all(r.passed for r in all_rows) else 1
+    return 0 if all(r["pass"] for r in all_rows) else 1
 
 
 # ----------------------------------------------------------------------
 # zeros and export commands
 # ----------------------------------------------------------------------
 
-def _cache_dir(cfg: RunConfig) -> str:
-    if cfg.cache_dir:
-        return cfg.cache_dir
-    return os.environ.get("WEIL_LAB_CACHE",
-                          os.path.join(os.path.expanduser("~"), ".cache",
-                                       "weil_lab"))
-
-
 def run_zeros(action: str, cfg: RunConfig, table: Optional[str]) -> int:
-    cache = _cache_dir(cfg)
+    cache = cfg.cache_dir
     if action == "compute":
         zs = zc.compute_zeros(cfg.height_T, cache_dir=cache)
         rep = zc.counting_check(zs)
@@ -314,27 +300,19 @@ def run_zeros(action: str, cfg: RunConfig, table: Optional[str]) -> int:
             print("zeros import requires --zeros <path>", file=sys.stderr)
             return 2
         zs = zc.load_zeros(table, cfg.height_T)
-        os.makedirs(cache, exist_ok=True)
-        dest = os.path.join(cache, "zeros_T%s.txt" % ("%g" % cfg.height_T))
+        dest = zc.cache_file(cache, cfg.height_T)
         zc.save_zeros(dest, zs)
         print("imported %d ordinates -> %s" % (len(zs), dest))
         return 0
-    if action == "list":
-        if not os.path.isdir(cache):
-            print("(empty cache)")
-            return 0
-        entries = sorted(f for f in os.listdir(cache)
-                         if f.startswith("zeros_T") and f.endswith(".txt"))
-        if not entries:
-            print("(empty cache)")
-        for f in entries:
-            with open(os.path.join(cache, f), "r", encoding="utf-8") as fh:
-                n = sum(1 for line in fh
-                        if line.strip() and not line.startswith("#"))
-            print("%s: %d ordinates" % (f, n))
-        return 0
-    print("unknown zeros action %r" % action, file=sys.stderr)
-    return 2
+    entries = sorted(f for f in (os.listdir(cache) if os.path.isdir(cache) else [])
+                     if f.startswith("zeros_T") and f.endswith(".txt"))
+    if not entries:
+        print("(empty cache)")
+    for f in entries:
+        with open(os.path.join(cache, f), "r", encoding="utf-8") as fh:
+            n = sum(1 for line in fh if line.strip() and not line.startswith("#"))
+        print("%s: %d ordinates" % (f, n))
+    return 0
 
 
 def _write_csv(path: str, x, values) -> None:
@@ -368,7 +346,7 @@ def run_export(what: str, arg: Optional[str], cfg: RunConfig) -> int:
                 if what == "psi_gamma"
                 else db.BasisFunction(g, zs).values_on_axis(x))
         name = "%s_%d.csv" % (what, idx)
-    elif what in ("screw_g", "omega"):
+    else:
         spec = arg or ("0:5:0.01" if what == "screw_g" else "-5:5:0.01")
         try:
             a, b, step = (float(v) for v in spec.split(":"))
@@ -381,9 +359,6 @@ def run_export(what: str, arg: Optional[str], cfg: RunConfig) -> int:
         else:
             vals = sf.omega_profile(x).astype(complex)
         name = "%s.csv" % what
-    else:
-        print("unknown export object %r" % what, file=sys.stderr)
-        return 2
 
     path = os.path.join(cfg.out_dir, name)
     _write_csv(path, x, vals)
@@ -433,41 +408,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# config-file key, which is also the flag's argparse dest ->
+# (RunConfig field, parser of the file's text)
+_KEYS = {"zeros": ("zero_source", str), "height_T": ("height_T", float),
+         "cutoff_Z": ("cutoff_Z", float), "grid": ("grid_spec", parse_grid_spec),
+         "out": ("out_dir", str)}
+
+
 def make_config(args: argparse.Namespace) -> RunConfig:
-    get = lambda name, default=None: getattr(args, name, default)
-    file_vals: Dict[str, str] = {}
-    if get("config"):
-        file_vals = load_config_file(get("config"))
-
-    def pick(flag_val, key: str, default, cast):
-        if flag_val is not None:
-            return cast(flag_val)
-        if key in file_vals:
-            return cast(file_vals[key])
-        return default
-
-    zero_source = get("zeros") or file_vals.get("zeros") or "compute"
-
-    tols: Dict[str, float] = {}
-    for key, val in file_vals.items():
-        if key.startswith("tol."):
-            tols[key[4:]] = float(val)
-    for item in get("tol", []) or []:
+    """The --config file's values with the flags over them (module
+    docstring); WEIL_LAB_CACHE is read here and nowhere else."""
+    given = load_config_file(args.config) if "config" in args else {}
+    tols = {k[4:]: float(v) for k, v in given.items() if k.startswith("tol.")}
+    unknown = sorted(k for k in given if k not in _KEYS and not k.startswith("tol."))
+    if unknown:
+        raise ValueError("unknown config key(s): %s" % ", ".join(unknown))
+    for item in getattr(args, "tol", []):
         if "=" not in item:
             raise ValueError("--tol expects ID=VALUE, got %r" % item)
         key, val = item.split("=", 1)
         tols[key.strip()] = float(val)
-
-    grid_text = get("grid") or file_vals.get("grid")
-    return RunConfig(
-        zero_source=zero_source,
-        height_T=pick(get("height_T"), "height_T", 100.0, float),
-        cutoff_Z=pick(get("cutoff_Z"), "cutoff_Z", 1000.0, float),
-        grid_spec=parse_grid_spec(grid_text) if grid_text else None,
-        out_dir=pick(get("out"), "out", ".", str),
-        cache_dir=os.environ.get("WEIL_LAB_CACHE"),
-        tolerances=tols,
-    )
+    given.update((k, v) for k, v in vars(args).items() if k in _KEYS)
+    cache = os.environ.get("WEIL_LAB_CACHE") or (
+        os.path.join(os.path.expanduser("~"), ".cache", "weil_lab")
+        if args.command == "zeros" else None)
+    return RunConfig(**{name: parse(given[k]) for k, (name, parse)
+                        in _KEYS.items() if k in given},
+                     cache_dir=cache, tolerances=tols)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -476,29 +443,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
+    stage = "config error"
     try:
         cfg = make_config(args)
-    except ValueError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print("i/o error: %s" % exc, file=sys.stderr)
-        return 3
-    try:
+        stage = "error"
         if args.command == "verify":
             return run_verify(args.suite, cfg)
         if args.command == "zeros":
-            cfg.cache_dir = cfg.cache_dir or _cache_dir(cfg)
             return run_zeros(args.action, cfg, getattr(args, "zeros", None))
-        if args.command == "export":
-            return run_export(args.object, args.arg, cfg)
+        return run_export(args.object, args.arg, cfg)
     except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        print("%s: %s" % (stage, exc), file=sys.stderr)
         return 2
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 3
-    return 2
 
 
 if __name__ == "__main__":

@@ -264,7 +264,7 @@ def restriction_isometry_check(gamma: float, zs: zc.ZeroSet,
     vals = F.values_on_axis(fgrid.nodes(), L)
     Fg = numerics.GridFunction(fgrid, vals, "frequency")
     lhs = numerics.grid_norm_sq(Fg)
-    gp, mp_ = (np.array(v) for v in zip(*zc.iterate_symmetric(zs)))
+    gp, mp_ = zc.symmetric_arrays(zs, float, int)
     rhs = 0.0
     for term in np.abs(F.values_on_axis(gp)) ** 2 * math.pi * mp_:
         rhs += term
@@ -288,10 +288,8 @@ def build_basis_bank(zs: zc.ZeroSet, Z: float,
     All rows share one axis sweep; each is one inverse transform, written
     into psis as it is made, so the build holds one row's frequency samples
     at a time."""
-    pairs = zc.iterate_symmetric(zs)
-    gammas = np.array([g for g, _ in pairs], dtype=float)
-    mults = np.array([m for _, m in pairs], dtype=int)
-    psis = np.empty((len(pairs), out.n_points), dtype=complex)
+    gammas, mults = zc.symmetric_arrays(zs, float, int)
+    psis = np.empty((len(gammas), out.n_points), dtype=complex)
     for k, g in enumerate(gammas):
         psis[k] = psi_gamma(float(g), zs, Z, out).values
     return BasisBank(out, gammas, mults, psis)

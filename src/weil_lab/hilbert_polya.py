@@ -128,8 +128,7 @@ def eigen_residual(p: ExtensionParams, gamma: float, samples: Sequence[complex],
 
 def spectral_coeffs(psi, zs: zc.ZeroSet) -> np.ndarray:
     """S_gamma = psihat(gamma), a complex array in iterate_symmetric order."""
-    g = np.array([p[0] for p in zc.iterate_symmetric(zs)], dtype=complex)
-    return wf.transform_at(psi, g)
+    return wf.transform_at(psi, zc.symmetric_arrays(zs, complex)[0])
 
 
 @dataclass

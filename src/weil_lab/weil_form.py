@@ -250,11 +250,9 @@ def weil_pairing(psi1, psi2, zs) -> FormValue:
     is kept so synthetic catalogs with non-real entries (fed as explicit
     (gamma, m) pairs) reproduce the indefinite behavior they should.
     """
-    pairs = zc.iterate_symmetric(zs)
-    if not pairs:
+    g, m = zc.symmetric_arrays(zs, complex)
+    if not len(g):
         return FormValue(0.0j, 0.0, 0.0)
-    g = np.array([p[0] for p in pairs], dtype=complex)
-    m = np.array([p[1] for p in pairs], dtype=float)
     same = psi2 is psi1
     f1 = transform_at(psi1, g)
     if same and not np.any(g.imag):
@@ -284,11 +282,10 @@ def weil_pairing(psi1, psi2, zs) -> FormValue:
 
 def _real_catalog(zs):
     """(gamma, m) arrays of the symmetric catalog, which must be real."""
-    pairs = zc.iterate_symmetric(zs)
-    g = np.array([p[0] for p in pairs], dtype=complex)
+    g, m = zc.symmetric_arrays(zs, complex)
     if np.any(g.imag):
         raise ValueError("the screw kernel needs real ordinates")
-    return g.real, np.array([p[1] for p in pairs], dtype=float)
+    return g.real, m
 
 
 def screw_g_array(t, zs) -> np.ndarray:
@@ -397,10 +394,9 @@ def antiderivative(phi: TestFunction) -> TestFunction:
 
 def tau_norm(S, zs) -> float:
     """sum m |S_gamma|^2 for S a complex array in iterate_symmetric order."""
-    pairs = zc.iterate_symmetric(zs)
-    if np.shape(S) != (len(pairs),):
+    m = zc.symmetric_arrays(zs)[1]
+    if np.shape(S) != m.shape:
         raise ValueError("coefficients not aligned with the catalog iteration")
-    m = np.array([p[1] for p in pairs], dtype=float)
     return float(np.sum(m * np.abs(np.asarray(S, dtype=complex)) ** 2))
 
 
@@ -419,7 +415,7 @@ def selector_witness(gamma: float, zs: zc.ZeroSet):
     gamma = F.gamma
     scale = 1j * math.sqrt(F.m_gamma * math.pi)
     at_gamma = scale * F(gamma)
-    gp = np.array([g for g, _ in zc.iterate_symmetric(zs)])
+    gp = zc.symmetric_arrays(zs)[0]
     gp = gp[np.abs(gp - gamma) >= 1e-9]
     off = np.abs(scale * F.values_on_axis(gp))
     report = WitnessReport(gamma, at_gamma, float(np.max(off, initial=0.0)),

@@ -2,9 +2,10 @@
 
 A ZeroSet holds the positive ordinates gamma (zeros of xi(1/2 + it) up to a
 truncation height T); the full symmetric family {+-gamma} is produced by
-iterate_symmetric. Ordinates come either from a published plain-text table
-(one decimal per line, ascending) or from a sign-change sweep of xi along
-the critical line refined by bracketed bisection/secant.
+iterate_symmetric, and as (gamma, m) arrays by symmetric_arrays. Ordinates
+come either from a published plain-text table (one decimal per line,
+ascending) or from a sign-change sweep of xi along the critical line
+refined by bracketed bisection/secant.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from . import special_fn as sf
 
 __all__ = [
     "ZeroSet", "CountingReport", "load_zeros", "save_zeros", "compute_zeros",
-    "counting_check", "iterate_symmetric", "tail_coefficient",
+    "counting_check", "iterate_symmetric", "symmetric_arrays", "cache_file",
+    "tail_coefficient",
 ]
 
 _log = logging.getLogger("weil_lab")
@@ -161,6 +163,13 @@ def _cached_source(path):
     return None
 
 
+def cache_file(cache_dir, T: float) -> str:
+    """The cache file of the catalog up to T, zeros_T{T:g}.txt in cache_dir;
+    the directory is made if it is missing."""
+    os.makedirs(cache_dir, exist_ok=True)
+    return os.path.join(cache_dir, "zeros_T%g.txt" % T)
+
+
 def compute_zeros(T: float, cache_dir=None) -> ZeroSet:
     """Sign-change sweep of t -> xi(1/2 + it) on [2, T] at step 1/4, all
     brackets refined together (_refine_brackets); a scan point where xi is
@@ -169,18 +178,17 @@ def compute_zeros(T: float, cache_dir=None) -> ZeroSet:
     with extra= fields catalog_T, scan_points, brackets, refine_steps,
     xi_points and elapsed_s; a cache hit logs nothing.
 
-    Results are cached in zeros_T{T}.txt when a cache directory is given (see
-    save_zeros; the file is byte-stable across runs, and a miss and a hit
-    return the sweep's ordinates bit for bit). A cached file reports
-    the source its header names, so a table written by `weil-lab zeros
+    Results are cached in cache_file(cache_dir, T) when a cache directory
+    is given (see save_zeros; the file is byte-stable across runs, and a
+    miss and a hit return the sweep's ordinates bit for bit). A cached file
+    reports the source its header names, so a table written by `weil-lab zeros
     import` comes back as 'table'; a file without the header is recomputed.
     """
     if T > MAX_HEIGHT:
         raise ValueError("compute_zeros supports T <= %g" % MAX_HEIGHT)
     cache_path = None
     if cache_dir is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        cache_path = os.path.join(cache_dir, "zeros_T%s.txt" % ("%g" % T))
+        cache_path = cache_file(cache_dir, T)
         source = _cached_source(cache_path)
         if source is not None:
             return _read_table(cache_path, T, source)
@@ -230,6 +238,13 @@ def iterate_symmetric(zs) -> List[Tuple[float, int]]:
     pos = list(zip(zs.ordinates, zs.multiplicities))
     neg = [(-g, m) for g, m in reversed(pos)]
     return neg + pos
+
+
+def symmetric_arrays(zs, dtype=float, m_dtype=float):
+    """iterate_symmetric(zs) as arrays: (gamma of dtype, m of m_dtype)."""
+    pairs = iterate_symmetric(zs)
+    return (np.array([g for g, _ in pairs], dtype=dtype),
+            np.array([m for _, m in pairs], dtype=m_dtype))
 
 
 def tail_coefficient(zs: ZeroSet) -> float:

@@ -69,8 +69,18 @@ def test_height_guard_is_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("tol.psi_norm_ = 1\n")
+    misspelled = tmp_path / "misspelled.cfg"
+    misspelled.write_text("heightT = 60\n")
     for argv, named in [
             (["verify", "special", "--height-T", "200"], "height_T"),
+            # non-finite T and Z, which no later bound test would catch
+            (["verify", "debranges", "--height-T", "20", "--cutoff-Z", "inf"],
+             "cutoff_Z"),
+            (["verify", "debranges", "--height-T", "20", "--cutoff-Z", "nan"],
+             "cutoff_Z"),
+            (["verify", "special", "--height-T", "nan"], "height_T"),
+            # a file key that names no setting
+            (["verify", "special", "--config", str(misspelled)], "heightT"),
             # tolerance ids that name no check, from a flag or the file
             (["verify", "special", "--tol", "xi_halfreference=1e-30"],
              "xi_halfreference"),
@@ -119,6 +129,21 @@ def test_zeros_import_compute_list(tmp_path, monkeypatch, capsys):
     listing = capsys.readouterr().out
     assert "zeros_T30.txt: 3 ordinates" in listing
     assert "zeros_T20.txt: 1 ordinates" in listing
+
+
+def test_empty_cache_variable_counts_as_unset(tmp_path, monkeypatch, capsys):
+    # WEIL_LAB_CACHE= behaves as if unset: export caches nothing, and zeros
+    # falls back to ~/.cache/weil_lab
+    monkeypatch.setenv("WEIL_LAB_CACHE", "")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["export", "screw_g", "--height-T", "20",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert not (tmp_path / "home").exists()
+    assert cli.main(["zeros", "compute", "--height-T", "20"]) == 0
+    assert cli.main(["zeros", "list"]) == 0
+    assert "zeros_T20.txt: 1 ordinates" in capsys.readouterr().out
+    assert (tmp_path / "home" / ".cache" / "weil_lab" / "zeros_T20.txt").exists()
 
 
 def test_imported_table_keeps_its_source(tmp_path, monkeypatch):
