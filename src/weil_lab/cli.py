@@ -286,7 +286,8 @@ def run_verify(suite: str, cfg: RunConfig) -> int:
 # zeros and export commands
 # ----------------------------------------------------------------------
 
-def run_zeros(action: str, cfg: RunConfig, table: Optional[str]) -> int:
+def run_zeros(action: str, cfg: RunConfig) -> int:
+    """compute, import (the table cfg.zero_source names) or list the cache."""
     cache = cfg.cache_dir
     if action == "compute":
         zs = zc.compute_zeros(cfg.height_T, cache_dir=cache)
@@ -296,10 +297,11 @@ def run_zeros(action: str, cfg: RunConfig, table: Optional[str]) -> int:
                  "ok" if rep.passed else "DISCREPANT"))
         return 0
     if action == "import":
-        if not table:
-            print("zeros import requires --zeros <path>", file=sys.stderr)
+        if cfg.zero_source == "compute":
+            print("config error: zeros import reads a table, given by "
+                  "--zeros <path> or zeros = <path>", file=sys.stderr)
             return 2
-        zs = zc.load_zeros(table, cfg.height_T)
+        zs = zc.load_zeros(cfg.zero_source, cfg.height_T)
         dest = zc.cache_file(cache, cfg.height_T)
         zc.save_zeros(dest, zs)
         print("imported %d ordinates -> %s" % (len(zs), dest))
@@ -450,7 +452,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "verify":
             return run_verify(args.suite, cfg)
         if args.command == "zeros":
-            return run_zeros(args.action, cfg, getattr(args, "zeros", None))
+            return run_zeros(args.action, cfg)
         return run_export(args.object, args.arg, cfg)
     except ValueError as exc:
         print("%s: %s" % (stage, exc), file=sys.stderr)

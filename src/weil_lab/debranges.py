@@ -93,7 +93,8 @@ def basis_table(gammas, mults, x, log_deriv=None) -> np.ndarray:
     Within 1e-6 of its own gamma a row takes the limit
     sqrt(m/pi) Theta'(gamma)/2 (= -i/sqrt(m pi) at a multiplicity-m zero).
     Within 1e-6 of another zero gamma' (|L| >~ 1e6) L carries the error
-    ~1e-14 |L|^2 of theta_on_axis, i.e. gamma' moved by ~1e-14. Then
+    ~1e-14 |L|^2 of theta_on_axis, i.e. gamma' moved by ~1e-14 (a lattice
+    sweep sums such nodes again point by point, see special_fn). Then
     1/(1 + iL) is off by ~1e-14, so a value there (~0) is off by
     ~1e-14 sqrt(m/pi)/|x - gamma|, far below the 1e-6 off-diagonal bound.
     """

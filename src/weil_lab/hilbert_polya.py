@@ -154,8 +154,9 @@ class LWDecomposition:
 
 def decompose_LW(psi, bank: debranges.BasisBank) -> LWDecomposition:
     """Split psi into its span over the bank's catalog and the transform-null
-    rest: coefficients psihat at bank.gammas, psi1 = expansion @ bank.psis
-    summed row by row by a ufunc (BLAS bits vary with the thread count).
+    rest: coefficients psihat at bank.gammas, and psi1 the sum over the
+    rows of bank.psis weighted by expansion, by np.add.reduce rather than
+    expansion @ bank.psis, whose BLAS bytes vary with the thread count.
     The bank (debranges.build_basis_bank) dominates the cost; build it once.
     psi: a TestFunction (sampled on the bank's grid) or a GridFunction on it."""
     grid = bank.out

@@ -10,31 +10,26 @@ theta_on_axis and xi_on_critical_line take real arrays.
 
 The vector routes sum zeta by Euler-Maclaurin in chunks of 8192 points of
 comparable height, each to its own N. When the whole height-sorted input is
-a lattice s_k = s_0 + k d up to roundoff (a uniform grid on the critical
-line), every chunk shares one set of phase tables:
-
-    n^{-s_k} = n^{-c_j} n^{-b R d} n^{-r d},
-
-with c_j the chunk's first point, anchors b every R = 96 points and offsets
-r < 96. The anchor and offset tables are built once per block of n for all
-chunks, and a chunk adds one exponential row n^{-c_j}: a sweep of J chunks
-takes 86 + 96 + J complex exponentials per n instead of 8192 J (the idea of
-Odlyzko and Schoenhage's multiple evaluation). The sums are per-row
-matrix-vector products (gemv), not one matrix product (gemm): a zgemm does
-an 86 x 256 x 192 block ~2.7x faster, but with OpenBLAS 0.3.31 its sweep
-bytes differ between 1 and 2 threads, while the gemv bytes agree and
-exports are byte-equal across thread counts. The tables' phases are
-compensated for the rounding of ln n and of its product with Im s (see
-_powers), so each power is good to a few ulps at any height: near a zero
-the sums cancel to |w| << |w'|, and fl(s ln n) alone would leave an error
-~1e-14 |L|^2 in L. All chunks share the tables, so this costs little. A
-lattice whose step has Re d < 0 is not factored (its anchor factors would
-grow). The evaluated point c_j + b R d + r d differs from the node s_k by
-its lattice roundoff eps_k (~1e-13 on a grid over [-1000, 1000]); one
-Taylor step with the derivative sum already at hand moves the sums to s_k
-itself, which matters within ~1e-6 of a zero. Other inputs are summed
-point by point, with plain fl(s ln n). The Bernoulli tail factors out
-N^{-s}, leaving the polynomial sums Q and Q'.
+a lattice s_k = s_0 + k d up to roundoff with Re d = 0 (a uniform grid on
+the critical line), each chunk of at least 17 nodes sums
+S_k = sum_{n<N} n^{-c} e^{-i k Im d ln n} (c its first node) and S'_k as a
+type-1 nonuniform FFT (_lattice_sums): Odlyzko and Schoenhage's multiple
+evaluation in the NUFFT form of Barnett, Magland and af Klinteberg, at
+O(17 N + M log M) per chunk (M >= 2K fine-grid points) where summing each
+point costs O(K N). It calls np.bincount and pocketfft, not BLAS, so the
+bytes do not depend on the thread count. Its sums are good to
+~1e-14 sum n^{-Re s} in absolute terms (1.7e-16 of it measured at t = 1e4),
+where point by point with compensated phases (_powers) each term is good
+to a few ulps. Near a zero of zeta, w = (s-1) zeta cancels: the zero moves
+by ~|dw/w'| (~1e-14 sum n^{-1/2} / |zeta'| on the lattice route) and L by
+that times |L|^2. Nodes where that estimate of L's error exceeds 1e-2 (the
+point route's ~1e-14 |L|^2 at |L| = 1e6, 1e-6 from a zero) are summed
+again point by point with compensated phases, a handful per sweep, so
+within ~1e-6 of a zero L keeps the point route's error. Lattice chunks
+shorter than the kernel are summed point by point with compensated phases;
+other inputs (scattered points, real lattices) point by point with plain
+fl(s ln n). The Bernoulli tail factors out N^{-s}, leaving the polynomial
+sums Q and Q'.
 
 Conventions used throughout the package:
 
@@ -55,6 +50,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from . import numerics
 
 __all__ = [
     "XiValue", "log_gamma", "digamma", "zeta", "zeta_pair", "xi", "E_xi",
@@ -192,18 +189,28 @@ def digamma(z):
 # zeta by Euler-Maclaurin, with the termwise s-derivative
 # ----------------------------------------------------------------------
 
-# Points per Euler-Maclaurin chunk (one N each), and per anchor of a lattice.
+# Points per Euler-Maclaurin chunk (one N each). A point-by-point chunk
+# takes at most 512 columns of ln n and 2**20 table elements (16 MB): 128
+# columns for 8192 points.
 _CHUNK = 8192
-_ANCHOR_STRIDE = 96
-# The sums run over blocks of ln n columns. A lattice takes 256 at a time:
-# its largest table (192 x 256, 0.75 MB) then stays smaller than the 1.5 MB
-# arrays of a Z = 2000 sweep. At 512 columns the sweep ran as fast, but the
-# freed 1.5 MB tables left perfbench's cutoff_ladder at a 3 MB higher peak
-# RSS. A point-by-point chunk takes at most 512 columns and 2**20 table
-# elements (16 MB): 128 columns for 8192 points.
-_LATTICE_COLS = 256
 _BLOCK_COLS = 512
 _TABLE_ELEMS = 1 << 20
+# The lattice route's kernel exp(beta (sqrt(1 - (2u/w)^2) - 1)) is w = 17
+# fine-grid points wide, beta = 2.30 w for 2x oversampling (Barnett et al.
+# 2019), and takes the offsets -8..8 from a source's nearest grid point;
+# w = 16 takes as many and left 6x larger errors at the ends of a chunk.
+# Sources go in blocks of 2048 (17 x 2048 tables, 0.28 MB each).
+_SPREAD = 17
+_BETA = 2.30 * _SPREAD
+_OFFSETS = np.arange(-(_SPREAD // 2), _SPREAD // 2 + 1)
+_SOURCE_BLOCK = 2048
+# 2 pi to 40 digits, an exact rational
+_TWO_PI = Fraction("6.283185307179586476925286766559005768394")
+# The lattice sums are good to ~_LATTICE_EPS sum |n^{-s}|; a node whose L
+# would then be off by more than _L_BUDGET (the point route's 1e-14 |L|^2
+# at |L| = 1e6) is summed again point by point.
+_LATTICE_EPS = 1e-14
+_L_BUDGET = 1e-2
 
 
 def _em_length(s: np.ndarray) -> int:
@@ -214,18 +221,23 @@ def _em_length(s: np.ndarray) -> int:
 
 
 def _lattice_step(s: np.ndarray):
-    """The step d when the points are s_0 + k d up to roundoff, else None.
-
-    A step with Re d < 0 is refused: the lattice sums factor each power as
-    n^{-c} n^{-b R d} n^{-r d}, and those factors stay at most 1 in modulus
-    only when Re d >= 0 (on the critical line Re d = 0)."""
+    """The step d when the points are s_0 + k d up to roundoff and Re d = 0
+    (a uniform grid on a vertical line, such as the critical line), else
+    None."""
     if s.size < 2:
         return None
     d = (s[-1] - s[0]) / (s.size - 1)
     dev = np.max(np.abs(s - (s[0] + np.arange(s.size) * d)))
-    if d == 0 or d.real < 0 or not dev <= 64 * np.finfo(float).eps * np.max(np.abs(s)):
+    if d == 0 or d.real != 0 or not dev <= 64 * np.finfo(float).eps * np.max(np.abs(s)):
         return None
     return d
+
+
+def _fine_len(k: int, step) -> int:
+    """The fine-grid length M of a chunk of k nodes on the lattice route, or
+    0 when the chunk is summed point by point (no lattice, or fewer nodes
+    than the kernel is wide)."""
+    return numerics._fast_len(2 * k) if step is not None and k >= _SPREAD else 0
 
 
 def _ln_parts(n: np.ndarray):
@@ -271,75 +283,115 @@ def _powers(a: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return tab
 
 
+def _point_sums(s: np.ndarray, hi: np.ndarray, lo=None):
+    """(S, S') = (sum n^{-s}, -sum ln n n^{-s}) at each point of s by itself,
+    ln n = hi + lo, in blocks of ln n columns. The powers are formed by
+    _powers when lo is given, else as exp(fl(-s ln n)), which takes ~0.6 of
+    the time on 8192 points but leaves a phase error ~1e-16 |Im s| ln n."""
+    cols = min(_BLOCK_COLS, _TABLE_ELEMS // s.size)
+    S = np.zeros(s.size, dtype=complex)
+    Sp = np.zeros_like(S)
+    for c0 in range(0, hi.size, cols):
+        hi_c = hi[c0:c0 + cols]
+        if lo is None:
+            tab = np.multiply.outer(-s, hi_c)
+            np.exp(tab, out=tab)
+        else:
+            tab = _powers(s, hi_c, lo[c0:c0 + cols])
+        S += tab @ np.ones(hi_c.size, dtype=complex)
+        Sp -= tab @ hi_c
+    return S, Sp
+
+
+def _kernel(u: np.ndarray) -> np.ndarray:
+    """The spreading kernel at offsets u, in place; it is flat at e^{-beta}
+    (~1e-17 of its peak) for |u| >= w/2."""
+    u *= u
+    u *= -4.0 / _SPREAD ** 2
+    u += 1.0
+    np.maximum(u, 0.0, out=u)
+    np.sqrt(u, out=u)
+    u -= 1.0
+    u *= _BETA
+    return np.exp(u, out=u)
+
+
+def _deconvolution(K: int, M: int) -> np.ndarray:
+    """1 / T(k - K//2) for k < K, T(k') = sum_{|j| <= 8} phi(j) e^{2 pi i j k'/M}
+    being the spreading kernel phi summed over the fine grid of M points: real
+    and even, it equals phi's Fourier transform at k'/M up to the aliasing
+    that the lattice route neglects anyway."""
+    row = np.zeros(M)
+    row[_OFFSETS % M] = _kernel(_OFFSETS.astype(float))
+    return 1.0 / np.fft.rfft(row).real[np.abs(np.arange(K) - K // 2)]
+
+
+def _lattice_sums(s: np.ndarray, d: complex, hi: np.ndarray, lo: np.ndarray,
+                  inv_T: np.ndarray):
+    """(S, S') over n <= hi.size at the K nodes s_k = c + k d of a lattice
+    chunk, up to roundoff (c = s_0, Re d = 0), by a type-1 NUFFT.
+
+    n^{-c - k d} = c_n e^{2 pi i k x_n / M} with c_n = n^{-c} (by _powers)
+    and x_n = -Im d ln n M / 2pi on a fine grid of M >= 2K points. x_n is
+    formed in double-double (Dekker's product of ln n = hi + lo with the
+    constant) and split into its nearest grid point m_n and an offset
+    |b_n| <= 1/2, so the phase k m_n 2pi/M is the FFT's own and only k b_n
+    is rounded. c_n takes e^{2 pi i k0 x_n / M}, k0 = K//2 (k0 m_n reduced
+    mod M exactly), so the outputs are the centred modes k - k0. Both weight
+    sets (c_n and -ln n c_n) are spread by np.bincount and transformed by
+    one stacked FFT; inv_T (_deconvolution) deconvolves. One Taylor step
+    S += eps S' then carries the sums to s_k itself, eps = s_k - c - k d
+    being the lattice roundoff, formed exactly (Fast2Sum, split Im d).
+    """
+    K = s.size
+    M = _fine_len(K, d)
+    k0 = K // 2
+    alpha = Fraction(-d.imag) * M / _TWO_PI
+    a_hi = float(alpha)
+    a_lo = float(alpha - Fraction(a_hi))
+    x = hi * a_hi
+    (hh, hl), (ah, al) = _split(hi), _split(a_hi)
+    x_lo = (((hh * ah - x) + hh * al + hl * ah) + hl * al) + (hi * a_lo + lo * a_hi)
+    m = np.rint(x)
+    b = (x - m) + x_lo
+    m = m.astype(np.int64)
+    c_n = _powers(s[:1], hi, lo)[0]
+    c_n *= np.exp((2j * math.pi / M) * ((k0 * m) % M + k0 * b))
+    grid = np.zeros((2, M), dtype=complex)
+    for n0 in range(0, hi.size, _SOURCE_BLOCK):
+        blk = slice(n0, n0 + _SOURCE_BLOCK)
+        ker = _kernel(np.subtract.outer(_OFFSETS, b[blk]))
+        idx = (np.add.outer(_OFFSETS, m[blk]) % M).ravel()
+        tmp = np.empty_like(ker)
+        for row, src in ((grid[0], c_n[blk]), (grid[1], -hi[blk] * c_n[blk])):
+            for part, w in ((row.real, src.real), (row.imag, src.imag)):
+                part += np.bincount(idx, np.multiply(ker, w, out=tmp).ravel(), M)
+    S, Sp = np.fft.fft(grid)[:, (k0 - np.arange(K)) % M] * inv_T
+    dh, dl = _split(d.imag)
+    k = np.arange(K)
+    u = s.imag - s[0].imag
+    eps = (s.real - s[0].real) + 1j * ((((u - k * dh) - k * dl)
+                                         - (s[0].imag + (u - s.imag))))
+    return S + eps * Sp, Sp
+
+
 def _dirichlet_sums(s: np.ndarray, Ns, step):
     """Yield (S, S') = (sum n^{-s}, -sum ln n n^{-s}) over n < Ns[j] for each
-    chunk j of _CHUNK points of the flat s.
-
-    On a lattice s_k = s_0 + k d (step = d), point m = b R + r of chunk j
-    (R = _ANCHOR_STRIDE, or the point count if smaller) is evaluated at
-    c_j + b R d + r d, c_j the chunk's first point:
-        n^{-s} = n^{-c_j} n^{-b R d} n^{-r d}.
-    The anchor table n^{-b R d} and the offset table n^{-r d}, with its
-    ln n-weighted copy, are the same in every chunk, so each column block
-    builds them once for the whole input, with one row n^{-c_j} per chunk
-    (all by _powers). A chunk scales the anchor rows by its row n^{-c_j}
-    and sums each against the offset tables by a matrix-vector product
-    (per-row products, not one matrix product, keep the bytes independent
-    of the BLAS thread count).
-    One Taylor step S += eps S' carries the sums from the evaluated point to
-    s_k itself, eps = s_k - (c_j + b R d + r d) being the lattice roundoff.
-    Otherwise (step None) every point is summed by itself, chunk by chunk.
-    """
-    starts = range(0, s.size, _CHUNK)
-    if step is None:
-        for i0, N in zip(starts, Ns):
-            sc = s[i0:i0 + _CHUNK]
-            cols = min(_BLOCK_COLS, _TABLE_ELEMS // sc.size)
-            S = np.zeros(sc.size, dtype=complex)
-            Sp = np.zeros_like(S)
-            ln_n = np.log(np.arange(1, N, dtype=float))
-            for c0 in range(0, ln_n.size, cols):
-                ln_c = ln_n[c0:c0 + cols]
-                tab = np.multiply.outer(-sc, ln_c)
-                np.exp(tab, out=tab)
-                S += tab @ np.ones(ln_c.size, dtype=complex)
-                Sp -= tab @ ln_c
-            yield S, Sp
-        return
-    R = min(_ANCHOR_STRIDE, s.size)
-    anchors = np.arange(-(-min(_CHUNK, s.size) // R)) * (R * step)
-    offsets = np.arange(R) * step
-    bases = s[::_CHUNK]
-    # per chunk: rows b of [S at b R + r for r < R, S' likewise]
-    acc = [np.zeros((-(-min(_CHUNK, s.size - i0) // R), 2 * R), dtype=complex)
-           for i0 in starts]
+    chunk j of _CHUNK points of the flat s: by _lattice_sums when step is
+    the lattice step of s and the chunk is at least as long as the kernel
+    is wide (_fine_len), else point by point. The chunk's first node anchors
+    its lattice, so each chunk keeps its own N."""
     hi, lo = _ln_parts(np.arange(1, max(Ns), dtype=float))
-    for c0 in range(0, hi.size, _LATTICE_COLS):
-        hi_c, lo_c = hi[c0:c0 + _LATTICE_COLS], lo[c0:c0 + _LATTICE_COLS]
-        anchor_tab = _powers(anchors, hi_c, lo_c)
-        base_tab = _powers(bases, hi_c, lo_c)
-        offset_tab = np.empty((2 * R, hi_c.size), dtype=complex)
-        offset_tab[:R] = _powers(offsets, hi_c, lo_c)
-        np.multiply(offset_tab[:R], -hi_c, out=offset_tab[R:])
-        for j, (i0, N) in enumerate(zip(starts, Ns)):
-            nc = N - 1 - c0
-            if nc <= 0:
-                continue
-            rows = anchor_tab[:len(acc[j]), :nc] * base_tab[j, :nc]
-            tab = offset_tab[:, :nc]
-            for b, row in enumerate(rows):
-                acc[j][b] += tab @ row
-    m = np.arange(min(_CHUNK, s.size))
-    a_m, o_m = anchors[m // R], offsets[m % R]
-    for j, i0 in enumerate(starts):
+    inv_T = {}
+    for i0, N in zip(range(0, s.size, _CHUNK), Ns):
         sc = s[i0:i0 + _CHUNK]
-        k = sc.size
-        S = acc[j][:, :R].ravel()[:k]
-        Sp = acc[j][:, R:].ravel()[:k]
-        acc[j] = None
-        # on the critical line each subtraction is exact (Sterbenz's lemma)
-        eps = ((sc - bases[j]) - a_m[:k]) - o_m[:k]
-        yield S + eps * Sp, Sp
+        M = _fine_len(sc.size, step)
+        if M:
+            if sc.size not in inv_T:
+                inv_T[sc.size] = _deconvolution(sc.size, M)
+            yield _lattice_sums(sc, step, hi[:N - 1], lo[:N - 1], inv_T[sc.size])
+        else:
+            yield _point_sums(sc, hi[:N - 1], None if step is None else lo[:N - 1])
 
 
 def _w_pair(s: np.ndarray, N: int, S: np.ndarray, Sp: np.ndarray):
@@ -350,9 +402,9 @@ def _w_pair(s: np.ndarray, N: int, S: np.ndarray, Sp: np.ndarray):
     with P_k = prod_{j=0}^{2k-2} (s+j), is N^{-s} Q for the polynomial sum
     Q = sum_k c_k P_k, c_k = B_{2k}/(2k)! N^{1-2k}, and its s-derivative is
     N^{-s} (Q' - ln N Q): the tail takes one exponential, N^{-s}, formed
-    with the compensated exponent of the lattice tables (see _powers): near
-    a zero its terms cancel against (s-1) S. Q and Q' run by Horner's rule
-    in P_{k+1} = P_k m_k, m_k = (s+2k-1)(s+2k).
+    with a compensated exponent (see _powers): near a zero its terms cancel
+    against (s-1) S. Q and Q' run by Horner's rule in P_{k+1} = P_k m_k,
+    m_k = (s+2k-1)(s+2k).
     """
     c = _B2K_OVER_FACT[:_EM_TERMS] * float(N) ** (-1.0 - 2.0 * np.arange(_EM_TERMS))
     # h_k = c_k + m_k h_{k+1}, so Q = s h_1 and Q' = h_1 + s h_1'; with
@@ -388,11 +440,14 @@ def _w_pair(s: np.ndarray, N: int, S: np.ndarray, Sp: np.ndarray):
 
 
 def _em_chunks(s: np.ndarray):
-    """Yield (idx, s[idx], w, w', step) over chunks of _CHUNK points of the
-    flat array s, taken in order of |Im s| so the Euler-Maclaurin N of each
-    chunk tracks its local height (|Im s| = |x| on the critical line). step
-    is the lattice step of the whole sorted input, or None when it was
-    summed point by point."""
+    """Yield (idx, s[idx], w, w', (M, redone)) over chunks of _CHUNK points of
+    the flat array s, taken in order of |Im s| so the Euler-Maclaurin N of
+    each chunk tracks its local height (|Im s| = |x| on the critical line).
+    M is the chunk's fine-grid length on the lattice route (0 when it was
+    summed point by point), and redone the count of its nodes summed again
+    point by point: those where the lattice sums' error model,
+    |dw| ~ _LATTICE_EPS |s - 1| sum |n^{-s}|, puts the error of L = w'/w + ...,
+    |w'| |dw| / |w|^2, above _L_BUDGET (near a zero, where w cancels)."""
     s = s.ravel()
     order = np.argsort(np.abs(s.imag), kind="stable")
     s = s[order]
@@ -401,7 +456,16 @@ def _em_chunks(s: np.ndarray):
     Ns = [_em_length(s[i0:i0 + _CHUNK]) for i0 in starts]
     for i0, N, (S, Sp) in zip(starts, Ns, _dirichlet_sums(s, Ns, step)):
         sc = s[i0:i0 + _CHUNK]
-        yield (order[i0:i0 + _CHUNK], sc) + _w_pair(sc, N, S, Sp) + (step,)
+        w, wp = _w_pair(sc, N, S, Sp)
+        M = _fine_len(sc.size, step)
+        redo = ()
+        if M:
+            dw = _LATTICE_EPS * np.sum(np.arange(1.0, N) ** -sc[0].real) * np.abs(sc - 1.0)
+            redo = np.flatnonzero(dw * np.abs(wp) > _L_BUDGET * np.abs(w) ** 2)
+            if redo.size:
+                S, Sp = _point_sums(sc[redo], *_ln_parts(np.arange(1.0, N)))
+                w[redo], wp[redo] = _w_pair(sc[redo], N, S, Sp)
+        yield order[i0:i0 + _CHUNK], sc, w, wp, (M, len(redo))
 
 
 def _chi_pair(s: np.ndarray):
@@ -532,23 +596,27 @@ def critical_line_log_derivative(x):
     zeros of xi the value blows up like m/(x - gamma); callers that need the
     limit there use the basis-function limit branch instead.
 
-    On a uniform grid (say the half-grid of an axis sweep) each chunk takes
-    the factored sum of the module docstring, corrected from its lattice
-    point to each node's own float value; scattered x is summed point by
-    point. Each call logs, at DEBUG on the "weil_lab" logger, its point
-    count, largest Euler-Maclaurin N, chunks per branch and elapsed time.
+    On a uniform grid (say the half-grid of an axis sweep) each chunk of at
+    least 17 nodes takes the lattice route of the module docstring, with the
+    nodes near a zero summed again point by point; scattered x is summed
+    point by point. Each call logs, at DEBUG on the "weil_lab" logger, its
+    point count, largest Euler-Maclaurin N, chunks per route, largest fine
+    grid, count of nodes summed again and elapsed time.
     """
     t0 = time.perf_counter()
     s = 0.5 - 1j * np.asarray(x, dtype=float)
     out = np.empty(s.shape, dtype=complex)
-    chunks = factored = 0
-    for idx, sc, w, wp, step in _em_chunks(s):
+    chunks = lattice = fine = redone = 0
+    for idx, sc, w, wp, (M, r) in _em_chunks(s):
         out.flat[idx] = -1j * _log_derivative(sc, w, wp)
         chunks += 1
-        factored += step is not None
+        lattice += M > 0
+        fine = max(fine, M)
+        redone += r
     _log.debug("critical-line sweep: %d points, largest Euler-Maclaurin N %d, "
-               "%d chunks factored, %d point by point, %.3f s", s.size,
-               _em_length(s), factored, chunks - factored,
+               "%d NUFFT chunks, %d point by point, largest fine grid %d, "
+               "%d nodes re-summed exactly, %.3f s", s.size, _em_length(s),
+               lattice, chunks - lattice, fine, redone,
                time.perf_counter() - t0)
     return out
 
@@ -565,8 +633,11 @@ def theta_on_axis(x, log_deriv=None):
     residue would otherwise dominate the phase error.
 
     Error model near a zero: L comes from O(1) sums that cancel there, so
-    its error is ~1e-14 |L|^2, the same as moving the zero by ~1e-14. Theta
-    takes 2|dL|/(1 + L^2), at most ~2e-14 at any x.
+    an error dw in w moves the zero by ~|dw / w'| and L by that times |L|^2.
+    Point by point that is ~1e-14 |L|^2; on a lattice (see the module
+    docstring) the zero moves by ~1e-14 sum n^{-1/2} / |zeta'|, and nodes
+    whose L would be off by more than 1e-2 are summed point by point. Theta
+    takes 2|dL|/(1 + L^2), i.e. twice the move of the zero.
     """
     L = critical_line_log_derivative(x) if log_deriv is None else log_deriv
     a = np.real(L)

@@ -156,6 +156,23 @@ def test_imported_table_keeps_its_source(tmp_path, monkeypatch):
     assert len(zs) == 3
 
 
+def test_zeros_import_reads_the_config_files_table(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("zeros = %s\nheight_T = 30\n" % ZERO_TABLE)
+    assert cli.main(["zeros", "import", "--config", str(cfg)]) == 0
+    assert "imported 3 ordinates" in capsys.readouterr().out
+    assert (tmp_path / "cache" / "zeros_T30.txt").exists()
+
+
+def test_zeros_import_of_compute_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["zeros", "import", "--zeros", "compute"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()
+
+
 def test_zeros_import_missing_table_is_io_error(tmp_path, monkeypatch):
     monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
     rc = cli.main(["zeros", "import", "--zeros", str(tmp_path / "nope.txt"),

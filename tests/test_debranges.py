@@ -246,8 +246,9 @@ def test_axis_sweep_miss_is_logged(caplog):
     db._AXIS_CACHE.pop(key, None)
     assert len(msgs) == 2
     assert msgs[0].startswith("critical-line sweep: 1221 points, largest "
-                              "Euler-Maclaurin N 47, 1 chunks factored, "
-                              "0 point by point, ")
+                              "Euler-Maclaurin N 47, 1 NUFFT chunks, "
+                              "0 point by point, largest fine grid 2500, "
+                              "0 nodes re-summed exactly, ")
     assert msgs[1].startswith("axis sweep Z=61: 2441 nodes, 1221 on the "
                               "half-grid, step 0.05, ")
     assert msgs[1].endswith(" s")

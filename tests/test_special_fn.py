@@ -454,26 +454,32 @@ def _sum_cases():
     yield "8193 nodes", 0.5 - 1j * np.linspace(2000.5, 2246.26, 8193)
     yield "seeded points", 0.5 - 1j * rng.uniform(1000.0, 2000.0, 3000)
     # 3 full chunks and one of 1,000 nodes, with N = 221, 426, 631 and 657:
-    # every chunk slices the shared tables to its own N, the last three
-    # across two or three column blocks
+    # every chunk slices the shared ln n to its own N, and the last one
+    # takes a shorter fine grid
     x = np.linspace(-1280.0, 1280.0, 51151)
     yield "25,576-node half-grid from 0", 0.5 - 1j * x[x >= 0.0]
     # nodes up to 1e-11 off their lattice, inside its tolerance: the Taylor
     # step must carry S from each lattice point to the node itself
     x = np.linspace(1000.0, 1170.0, 8192) + rng.uniform(-1e-11, 1e-11, 8192)
     yield "8192 nodes 1e-11 off a lattice", 0.5 - 1j * x
+    yield "12 nodes at 1e4", 0.5 - 1j * np.linspace(1e4, 1e4 + 0.22, 12)
 
 
 @pytest.mark.parametrize("name,s", list(_sum_cases()))
 def test_dirichlet_sums_match_exp_matrix_oracle(name, s):
     # summed as the evaluator sums: in height order, in chunks of their own
-    # N. A uniform grid of at least two nodes is a lattice as a whole and
-    # takes the factored branch in every chunk; scattered points do not
+    # N. A uniform grid of at least two nodes is a lattice as a whole, and
+    # its chunks take the NUFFT route unless they are shorter than the
+    # kernel is wide (the 2- and 12-node grids, the last node of 8193);
+    # scattered points are summed point by point
     s = s[np.argsort(np.abs(s.imag), kind="stable")]
     step = sf._lattice_step(s)
     assert (step is not None) == (name != "seeded points")
     starts = range(0, s.size, sf._CHUNK)
     Ns = [sf._em_length(s[i0:i0 + sf._CHUNK]) for i0 in starts]
+    short = name in ("2 nodes at 1e4", "12 nodes at 1e4", "seeded points")
+    assert [sf._fine_len(min(sf._CHUNK, s.size - i0), step) > 0 for i0 in starts] \
+        == [not short and (name != "8193 nodes" or i0 == 0) for i0 in starts]
     if name.startswith("25,576"):
         assert Ns == [221, 426, 631, 657]
     sums = list(sf._dirichlet_sums(s, Ns, step))
@@ -487,6 +493,27 @@ def test_dirichlet_sums_match_exp_matrix_oracle(name, s):
         # S' stays at the lattice point, off by up to |eps| sum ln^2 n |n^{-s}|
         off = 1e-11 * np.sum(ln_n ** 2 * terms) if "off a lattice" in name else 0.0
         assert np.max(np.abs(Sp - Sp_ref)) <= 1e-12 * np.sum(ln_n * terms) + off
+
+
+def test_nufft_chunk_at_1e4_against_mpmath():
+    # a full chunk below t = 1e4 (N = 5,017) on an exact lattice (step 1/64,
+    # so eps = 0 and S' is taken at each node), at both ends of the block
+    # and its middle; bound fixed before measuring: the route's error model,
+    # 1e-14 of the sum of |terms|
+    K = sf._CHUNK
+    s = 0.5 - 1j * (1e4 - (K - 1 - np.arange(K)) / 64.0)
+    N = sf._em_length(s)
+    assert N == 5017 and sf._fine_len(K, sf._lattice_step(s)) == 16384
+    S, Sp = next(sf._dirichlet_sums(s, [N], sf._lattice_step(s)))
+    n = np.arange(1, N, dtype=float)
+    terms = n ** -0.5
+    ln_n = [mp.log(j) for j in range(1, N)]
+    for k in (0, 1, K // 2, K - 1):
+        sk = mp.mpc(mp.mpf(1) / 2, s[k].imag)
+        p = [mp.exp(-sk * ln) for ln in ln_n]
+        ref, ref_p = complex(mp.fsum(p)), complex(-mp.fsum(a * b for a, b in zip(ln_n, p)))
+        assert abs(S[k] - ref) <= 1e-14 * np.sum(terms), k
+        assert abs(Sp[k] - ref_p) <= 1e-14 * np.sum(np.log(n) * terms), k
 
 
 def _per_term_w_pair(s, N, S, Sp):
