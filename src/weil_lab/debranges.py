@@ -22,7 +22,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -39,32 +39,47 @@ __all__ = [
 
 _log = logging.getLogger("weil_lab")
 
-# cached critical-line log-derivative arrays, keyed by the frequency grid
-_AXIS_CACHE: Dict[Tuple[float, int], Tuple[numerics.Grid, np.ndarray]] = {}
+# L(k h) per grid spacing h, |k| up to the largest half-grid swept there
+_AXIS_CACHE: Dict[float, np.ndarray] = {}
 
 
 def axis_samples(Z: float, spacing: float):
     """(frequency Grid on [-Z, Z], real log-derivative samples), cached.
 
-    The cache is shared by every basis function: F_gamma differs only in the
-    1/(x - gamma) factor, so one sweep of the expensive evaluator serves the
-    whole catalog at a given resolution.
+    One sweep serves every basis function (F_gamma differs only in the
+    1/(x - gamma) factor). The cache holds one read-only array per grid
+    spacing h: L(k h) for |k| up to the largest half-grid swept at that h.
+    symmetric_grid gives many cutoffs the same h (Z = 500 to 2000 at the
+    default spacing of a |x| <= 38 window), so a smaller Z is a central
+    view, with no sweep, and a larger Z sweeps only its new half-grid
+    nodes; the declared step (see special_fn) makes every sample equal a
+    cold sweep's byte for byte.
+
+    L is taken at k h, which differs from grid.nodes() (linspace) by a few
+    ulps, <= ~5e-13 at |x| = 2000. Consumers read L only through
+    1/(1 + iL) and Theta, whose x-derivative is O(log x), so F_gamma moves
+    by <~ 1e-12. They read only Re L, and L(-x) = -L(x): float64 samples.
     """
     grid = numerics.symmetric_grid(Z, spacing)
-    key = (round(grid.x_max, 9), grid.n_points)
-    if key not in _AXIS_CACHE:
+    m = grid.n_points // 2
+    L = _AXIS_CACHE.get(grid.h)
+    held = 0 if L is None else L.size // 2 + 1       # half-grid nodes held
+    if held < m + 1:
         t0 = time.perf_counter()
-        x = grid.nodes()
-        half = x[x >= 0.0]
-        # L is real on the axis (xi(1/2-iz) is real there), and every
-        # consumer reads only Re L: kept as float64, with L(-x) = -L(x)
-        L_half = np.real(sf.critical_line_log_derivative(half))
-        L = np.concatenate([-L_half[:0:-1], L_half])
-        _AXIS_CACHE[key] = (grid, L)
-        _log.debug("axis sweep Z=%g: %d nodes, %d on the half-grid, "
-                   "step %.6g, %.3f s", Z, grid.n_points, half.size, grid.h,
+        new = np.real(sf.critical_line_log_derivative(
+            np.arange(held, m + 1) * grid.h, step=grid.h))
+        full = np.empty(2 * m + 1)
+        full[:m - held + 1] = -new[::-1]
+        if held:
+            full[m - held + 1:m + held] = L
+        full[m + held:] = new
+        full.setflags(write=False)
+        _AXIS_CACHE[grid.h] = L = full
+        _log.debug("axis sweep at step %r: %d -> %d half-grid nodes, %d swept, "
+                   "%.3f s", grid.h, held, m + 1, m + 1 - held,
                    time.perf_counter() - t0)
-    return _AXIS_CACHE[key]
+    c = L.size // 2
+    return grid, L[c - m:c + m + 1]
 
 
 def clear_axis_cache() -> None:
@@ -241,11 +256,16 @@ def debranges_norm(F: numerics.GridFunction) -> float:
 
     Valid while E is representable on the window (|z| up to ~900); a node at
     an (underflowed or genuinely real) zero of E raises, and the caller
-    should re-grid.
+    should re-grid. On a symmetric grid E is taken at the mirrored x >= 0
+    nodes (linspace's x < 0 nodes differ from them by ulps), so E_xi folds
+    the grid onto that half, a lattice, by E(-x) = conj E(x).
     """
     if F.domain_tag != "frequency":
         raise numerics.GridMismatchError("debranges_norm expects frequency samples")
-    E = sf.E_xi(F.grid.nodes())
+    x = F.grid.nodes()
+    if F.grid.x_min == -F.grid.x_max:
+        x = np.where(x < 0.0, -x[::-1], x)
+    E = sf.E_xi(x)
     if np.any(np.abs(E) < 1e-300):
         raise ZeroDivisionError("E vanishes/underflows on a grid node; re-grid")
     ratio = numerics.GridFunction(F.grid, F.values / E, "frequency")

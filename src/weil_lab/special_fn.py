@@ -31,6 +31,13 @@ other inputs (scattered points, real lattices) point by point with plain
 fl(s ln n). The Bernoulli tail factors out N^{-s}, leaving the polynomial
 sums Q and Q'.
 
+critical_line_log_derivative(x, step=h) declares x = k h for consecutive
+integers k (checked bit for bit). Its chunks are then the fixed blocks of k
+in [8192 j, 8192 (j + 1)), each summed whole on the lattice route with N,
+fine grid and anchor (first node) from the whole block and the step -i h as
+given, not estimated from the endpoints: L at k h depends on (h, k) alone,
+so debranges.axis_samples extends and slices its cache byte for byte.
+
 Conventions used throughout the package:
 
     xi(s)    = (1/2) s (s-1) pi^(-s/2) Gamma(s/2) zeta(s)
@@ -439,25 +446,41 @@ def _w_pair(s: np.ndarray, N: int, S: np.ndarray, Sp: np.ndarray):
     return w, wp
 
 
-def _em_chunks(s: np.ndarray):
-    """Yield (idx, s[idx], w, w', (M, redone)) over chunks of _CHUNK points of
-    the flat array s, taken in order of |Im s| so the Euler-Maclaurin N of
+def _em_chunks(s: np.ndarray, lattice=None):
+    """Yield (idx, s[idx], w, w', (N, M, redone)) over chunks of _CHUNK points
+    of the flat array s, taken in order of |Im s| so the Euler-Maclaurin N of
     each chunk tracks its local height (|Im s| = |x| on the critical line).
     M is the chunk's fine-grid length on the lattice route (0 when it was
     summed point by point), and redone the count of its nodes summed again
     point by point: those where the lattice sums' error model,
     |dw| ~ _LATTICE_EPS |s - 1| sum |n^{-s}|, puts the error of L = w'/w + ...,
-    |w'| |dw| / |w|^2, above _L_BUDGET (near a zero, where w cancels)."""
+    |w'| |dw| / |w|^2, above _L_BUDGET (near a zero, where w cancels).
+
+    lattice = (k0, h) declares s = 1/2 - i k h for k = k0, k0 + 1, ...: the
+    chunks are then the fixed blocks of k of the module docstring."""
     s = s.ravel()
-    order = np.argsort(np.abs(s.imag), kind="stable")
-    s = s[order]
-    step = _lattice_step(s)
+    n = s.size
+    if lattice is None:
+        order = np.argsort(np.abs(s.imag), kind="stable")
+        s = s[order]
+        step = _lattice_step(s)
+        off = 0
+    else:
+        k0, h = lattice
+        j0 = k0 // _CHUNK
+        off = k0 - j0 * _CHUNK
+        # the whole blocks; the given nodes sit at positions off..off+n-1
+        j1 = (k0 + n - 1) // _CHUNK + 1
+        s = 0.5 - 1j * (np.arange(j0 * _CHUNK, j1 * _CHUNK) * h)
+        order = np.arange(-off, s.size - off)
+        step = complex(0.0, -h)
     starts = range(0, s.size, _CHUNK)
     Ns = [_em_length(s[i0:i0 + _CHUNK]) for i0 in starts]
     for i0, N, (S, Sp) in zip(starts, Ns, _dirichlet_sums(s, Ns, step)):
-        sc = s[i0:i0 + _CHUNK]
+        a, b = max(i0, off), min(i0 + _CHUNK, off + n)
+        sc, S, Sp = s[a:b], S[a - i0:b - i0], Sp[a - i0:b - i0]
         w, wp = _w_pair(sc, N, S, Sp)
-        M = _fine_len(sc.size, step)
+        M = _fine_len(min(_CHUNK, s.size - i0), step)
         redo = ()
         if M:
             dw = _LATTICE_EPS * np.sum(np.arange(1.0, N) ** -sc[0].real) * np.abs(sc - 1.0)
@@ -465,7 +488,7 @@ def _em_chunks(s: np.ndarray):
             if redo.size:
                 S, Sp = _point_sums(sc[redo], *_ln_parts(np.arange(1.0, N)))
                 w[redo], wp[redo] = _w_pair(sc[redo], N, S, Sp)
-        yield order[i0:i0 + _CHUNK], sc, w, wp, (M, len(redo))
+        yield order[a:b], sc, w, wp, (N, M, len(redo))
 
 
 def _chi_pair(s: np.ndarray):
@@ -541,17 +564,26 @@ def xi(s) -> XiValue:
     w = (s-1) zeta(s) and P = pi^(-s/2) Gamma(s/2+1) the derivative is
         xi'(s) = P (w (psi(s/2+1) - log pi)/2 + w'),
     one formula at every s, zeros of xi included.
-    The reflected points are summed in chunks of comparable height (see the
-    module docstring); a scalar is a chunk of one point.
+    After the reflection, s with Im(s) > 0 is folded onto conj(s) through
+    xi(conj s) = conj xi(s), xi'(conj s) = conj xi'(s), and each distinct
+    point is evaluated once: [z, conj z] stacks cost half, and so does a
+    symmetric real grid for E_xi, whose x >= 0 half is a lattice. The points
+    are summed in chunks of comparable height (see the module docstring); a
+    scalar is a chunk of one point.
     """
     s_arr = np.asarray(s, dtype=complex)
-    refl = s_arr.real < 0.5
-    u = np.where(refl, 1.0 - s_arr, s_arr).ravel()
-    val = np.empty(u.shape, dtype=complex)
+    refl = (s_arr.real < 0.5).ravel()
+    u = np.where(refl, 1.0 - s_arr.ravel(), s_arr.ravel())
+    up = u.imag > 0.0
+    pts, inv = np.unique(np.where(up, np.conj(u), u), return_inverse=True)
+    val = np.empty(pts.shape, dtype=complex)
     der = np.empty_like(val)
-    for idx, sc, w, wp, _ in _em_chunks(u):
+    for idx, sc, w, wp, _ in _em_chunks(pts):
         val[idx], der[idx] = _xi_pair(sc, w, wp)
-    der = np.where(refl.ravel(), -der, der)
+    val, der = val[inv], der[inv]
+    val = np.where(up, np.conj(val), val)
+    der = np.where(up, np.conj(der), der)
+    der = np.where(refl, -der, der)
     if s_arr.ndim == 0:
         return XiValue(complex(val[0]), complex(der[0]))
     return XiValue(val.reshape(s_arr.shape), der.reshape(s_arr.shape))
@@ -586,7 +618,7 @@ def theta_xi(z):
 # vectorized critical-line routes (used for large frequency grids)
 # ----------------------------------------------------------------------
 
-def critical_line_log_derivative(x):
+def critical_line_log_derivative(x, step=None):
     """d/dz log xi(1/2 - iz) at real z = x, vectorized.
 
     Returns -i * (xi'/xi)(1/2 - ix); real-valued up to roundoff since
@@ -599,24 +631,41 @@ def critical_line_log_derivative(x):
     On a uniform grid (say the half-grid of an axis sweep) each chunk of at
     least 17 nodes takes the lattice route of the module docstring, with the
     nodes near a zero summed again point by point; scattered x is summed
-    point by point. Each call logs, at DEBUG on the "weil_lab" logger, its
-    point count, largest Euler-Maclaurin N, chunks per route, largest fine
-    grid, count of nodes summed again and elapsed time.
+    point by point.
+
+    step > 0 declares x = k * step, as floats, for consecutive integers
+    k = k0, k0 + 1, ... (checked bit for bit; ValueError otherwise). The
+    sweep then runs on fixed blocks of k (see the module docstring), so the
+    value at x_k depends on (step, k) alone: a sweep over part of a lattice
+    equals the same nodes of a sweep over more of it, byte for byte.
+
+    Each call logs, at DEBUG on the "weil_lab" logger, its point count,
+    largest Euler-Maclaurin N, chunks per route, largest fine grid, count of
+    nodes summed again and elapsed time.
     """
     t0 = time.perf_counter()
-    s = 0.5 - 1j * np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
+    lattice = None
+    if step is not None and x.size:
+        ok = step > 0 and np.isfinite(x.flat[0] / step)
+        k0 = round(x.flat[0] / step) if ok else 0
+        if not (ok and np.array_equal(x.ravel(), np.arange(k0, k0 + x.size) * step)):
+            raise ValueError("x is not k * step for consecutive integers k")
+        lattice = (k0, float(step))
+    s = 0.5 - 1j * x
     out = np.empty(s.shape, dtype=complex)
-    chunks = lattice = fine = redone = 0
-    for idx, sc, w, wp, (M, r) in _em_chunks(s):
+    chunks = lattice_chunks = fine = redone = N_max = 0
+    for idx, sc, w, wp, (N, M, r) in _em_chunks(s, lattice):
         out.flat[idx] = -1j * _log_derivative(sc, w, wp)
         chunks += 1
-        lattice += M > 0
+        lattice_chunks += M > 0
         fine = max(fine, M)
         redone += r
+        N_max = max(N_max, N)
     _log.debug("critical-line sweep: %d points, largest Euler-Maclaurin N %d, "
                "%d NUFFT chunks, %d point by point, largest fine grid %d, "
-               "%d nodes re-summed exactly, %.3f s", s.size, _em_length(s),
-               lattice, chunks - lattice, fine, redone,
+               "%d nodes re-summed exactly, %.3f s", s.size, N_max,
+               lattice_chunks, chunks - lattice_chunks, fine, redone,
                time.perf_counter() - t0)
     return out
 

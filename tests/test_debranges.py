@@ -218,40 +218,105 @@ def test_axis_cache_reuse(catalog):
 
 
 def test_axis_samples_are_the_real_mirrored_sweep():
-    # L is kept as float64: Re of the sweep over x >= 0, mirrored by
+    # L is kept as float64: Re of the sweep over x = k h >= 0, mirrored by
     # L(-x) = -conj(L(x))
     Z, spacing = 37.0, 0.05
-    grid = nu.symmetric_grid(Z, spacing)
-    key = (round(grid.x_max, 9), grid.n_points)
-    db._AXIS_CACHE.pop(key, None)
+    db.clear_axis_cache()
     try:
         fgrid, L = db.axis_samples(Z, spacing)
     finally:
-        db._AXIS_CACHE.pop(key, None)
-    x = fgrid.nodes()
-    L_half = sf.critical_line_log_derivative(x[x >= 0.0])
+        db.clear_axis_cache()
+    k = np.arange(fgrid.n_points // 2 + 1)
+    L_half = sf.critical_line_log_derivative(k * fgrid.h, step=fgrid.h)
     ref = np.real(np.concatenate([-np.conj(L_half[:0:-1]), L_half]))
     assert L.dtype == np.float64 and L.tobytes() == ref.tobytes()
 
 
 def test_axis_sweep_miss_is_logged(caplog):
     Z, spacing = 61.0, 0.05
-    key = (round(nu.symmetric_grid(Z, spacing).x_max, 9),
-           nu.symmetric_grid(Z, spacing).n_points)
-    db._AXIS_CACHE.pop(key, None)
+    db.clear_axis_cache()
     with caplog.at_level(logging.DEBUG, logger="weil_lab"):
+        db.axis_samples(37.0, spacing)
         db.axis_samples(Z, spacing)
         db.axis_samples(Z, spacing)      # a hit logs nothing
+        db.axis_samples(37.0, spacing)   # nor does a slice
     msgs = [r.getMessage() for r in caplog.records if r.name == "weil_lab"]
-    db._AXIS_CACHE.pop(key, None)
-    assert len(msgs) == 2
-    assert msgs[0].startswith("critical-line sweep: 1221 points, largest "
-                              "Euler-Maclaurin N 47, 1 NUFFT chunks, "
-                              "0 point by point, largest fine grid 2500, "
+    db.clear_axis_cache()
+    assert len(msgs) == 4
+    # the whole first block of 8,192 nodes sets N and the fine grid
+    assert msgs[0].startswith("critical-line sweep: 741 points, largest "
+                              "Euler-Maclaurin N 221, 1 NUFFT chunks, "
+                              "0 point by point, largest fine grid 16384, "
                               "0 nodes re-summed exactly, ")
-    assert msgs[1].startswith("axis sweep Z=61: 2441 nodes, 1221 on the "
-                              "half-grid, step 0.05, ")
-    assert msgs[1].endswith(" s")
+    assert msgs[1].startswith("axis sweep at step 0.05: 0 -> 741 half-grid "
+                              "nodes, 741 swept, ")
+    assert msgs[2].startswith("critical-line sweep: 480 points, ")
+    assert msgs[3].startswith("axis sweep at step 0.05: 741 -> 1221 half-grid "
+                              "nodes, 480 swept, ")
+    assert msgs[1].endswith(" s") and msgs[3].endswith(" s")
+
+
+def test_axis_cache_slices_and_extends_byte_for_byte():
+    # Z = 461 at spacing 0.05 sweeps 9,221 half-grid nodes, across the
+    # block boundary at k = 8192; Z = 37 sweeps 741, all in block 0
+    h = 0.05
+    db.clear_axis_cache()
+    try:
+        _, small = db.axis_samples(37.0, h)
+        small = small.copy()                   # cold Z1
+        db.clear_axis_cache()
+        grid, big = db.axis_samples(461.0, h)
+        big = big.copy()                       # cold Z2
+        c, m = big.size // 2, small.size // 2
+        assert big[c - m:c + m + 1].tobytes() == small.tobytes()
+        _, again = db.axis_samples(37.0, h)    # Z1 after Z2: a view
+        assert again.tobytes() == small.tobytes()
+        assert np.shares_memory(again, db._AXIS_CACHE[grid.h])
+        assert not again.flags.writeable
+        db.clear_axis_cache()
+        db.axis_samples(37.0, h)
+        _, grown = db.axis_samples(461.0, h)   # Z2 after Z1
+        assert grown.tobytes() == big.tobytes()
+        assert len(db._AXIS_CACHE) == 1
+    finally:
+        db.clear_axis_cache()
+
+
+def test_axis_cache_keys_by_spacing_and_slices_sweep_nothing(monkeypatch):
+    db.clear_axis_cache()
+    calls = []
+    sweep = sf.critical_line_log_derivative
+
+    def counted(x, step=None):
+        calls.append(np.size(x))
+        return sweep(x, step=step)
+    monkeypatch.setattr(sf, "critical_line_log_derivative", counted)
+    try:
+        db.axis_samples(61.0, 0.05)
+        db.axis_samples(37.0, 0.05)
+        assert calls == [1221]
+        db.axis_samples(37.0, 0.04)            # another spacing, its own entry
+        assert calls == [1221, 926] and len(db._AXIS_CACHE) == 2
+        db.clear_axis_cache()
+        assert not db._AXIS_CACHE
+    finally:
+        db.clear_axis_cache()
+
+
+def test_declared_step_is_checked_bit_for_bit():
+    h = 0.05
+    k = np.arange(3, 40)
+    L = sf.critical_line_log_derivative(k * h, step=h)
+    assert L.shape == (37,)
+    for bad in (np.linspace(3 * h, 39 * h, 37),      # linspace, not k * h
+                np.delete(k, 5) * h,                 # a gap in k
+                k[::-1] * h):                        # k decreasing
+        assert not np.array_equal(bad, k * h)
+        with pytest.raises(ValueError):
+            sf.critical_line_log_derivative(bad, step=h)
+    for step in (-h, 0.0, np.nan):
+        with pytest.raises(ValueError):
+            sf.critical_line_log_derivative(k * h, step=step)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -347,6 +348,26 @@ def test_E_and_theta_arrays_match_per_point_oracle():
         sf.theta_xi(np.array([3.0, 1500.0]))
 
 
+def test_xi_evaluates_conjugate_points_once(monkeypatch):
+    # after the reflection, xi(conj s) = conj xi(s) folds Im s > 0 onto
+    # Im s < 0: the conj z half of theta_xi's stack adds no point, and a
+    # symmetric real grid is evaluated on its x >= 0 half, a lattice
+    sizes = []
+    em_chunks = sf._em_chunks
+
+    def counted(s, lattice=None):
+        sizes.append(s.size)
+        return em_chunks(s, lattice)
+    monkeypatch.setattr(sf, "_em_chunks", counted)
+    sf.E_xi(_Z_POINTS)
+    sf.theta_xi(_Z_POINTS)
+    x = np.linspace(0.0, 50.0, 1001)
+    E = sf.E_xi(np.concatenate([-x[:0:-1], x]))
+    assert sizes[0] == sizes[1] < _Z_POINTS.size and sizes[2] == x.size
+    assert sf._lattice_step(0.5 - 1j * x) is not None
+    assert E[:1000].tobytes() == np.conj(E[:1000:-1]).tobytes()
+
+
 def test_omega_array_matches_per_point_oracle():
     x = np.concatenate([[-5.0, -3.7, -1.3, 0.0, 0.3, -0.3, 2.0, 5.0],
                         np.random.default_rng(45).uniform(-5.0, 5.0, 40)])
@@ -427,21 +448,50 @@ def test_critical_line_log_derivative_against_oracle():
         assert abs(L.imag) <= 1e-9 * max(1.0, abs(L))
 
 
+# 2 pi in long double, from 40 digits
+_TWO_PI_LD = np.longdouble(6.283185307179586) + np.longdouble(
+    float(Fraction("6.283185307179586476925286766559005768394") - Fraction(6.283185307179586)))
+
+
 def _exp_matrix_sums(s, N):
     """Oracle for the Dirichlet sums of the Euler-Maclaurin evaluator: one
-    complex exponential per (point, n), summed directly, in blocks of at
-    most 1024 points x 256 n (4 MB matrices)."""
-    ln_n = np.log(np.arange(1, N, dtype=float))
+    term n^{-s} = n^{-Re s} e^{-i Im s ln n} per (point, n), summed directly,
+    in blocks of at most 1024 points x 256 n. The phase Im s ln n is formed
+    and reduced mod 2 pi in long double (a 64-bit significand on x86-64), so
+    each term is good to ~1e-16 of itself where fl(s ln n) leaves an error
+    ~1e-16 |Im s| ln n."""
+    n = np.arange(1, N, dtype=float)
+    ln_ld = np.log(n.astype(np.longdouble))
+    ln_n = ln_ld.astype(float)
     S = np.zeros(s.size, dtype=complex)
     Sp = np.zeros(s.size, dtype=complex)
     for r0 in range(0, s.size, 1024):
         rows = slice(r0, r0 + 1024)
+        t = s[rows].imag.astype(np.longdouble)
         for i0 in range(0, ln_n.size, 256):
-            ln_c = ln_n[i0:i0 + 256]
-            E = np.exp(-np.multiply.outer(s[rows], ln_c))
+            cols = slice(i0, i0 + 256)
+            ph = np.multiply.outer(t, ln_ld[cols])
+            ph -= np.rint(ph / _TWO_PI_LD) * _TWO_PI_LD
+            E = np.exp(np.multiply.outer(-s[rows].real, ln_n[cols]) - 1j * ph.astype(float))
             S[rows] += E.sum(axis=1)
-            Sp[rows] -= E @ ln_c
+            Sp[rows] -= E @ ln_n[cols]
     return S, Sp
+
+
+def test_exp_matrix_oracle_against_mpmath():
+    # the oracle's own error, at heights where plain rounding of s ln n
+    # would leave ~1e-13 of the sum of |terms|
+    s = 0.5 - 1j * np.array([1e4, 1e4 + 0.02, 3819.0])
+    N = sf._em_length(s)
+    S, Sp = _exp_matrix_sums(s, N)
+    n = np.arange(1, N, dtype=float)
+    ln_n = [mp.log(j) for j in range(1, N)]
+    for k, sk in enumerate(s):
+        sk = mp.mpc(mp.mpf(1) / 2, sk.imag)
+        p = [mp.exp(-sk * ln) for ln in ln_n]
+        ref, ref_p = complex(mp.fsum(p)), complex(-mp.fsum(a * b for a, b in zip(ln_n, p)))
+        assert abs(S[k] - ref) <= 1e-15 * np.sum(n ** -0.5), k
+        assert abs(Sp[k] - ref_p) <= 1e-15 * np.sum(np.log(n) * n ** -0.5), k
 
 
 def _sum_cases():
@@ -489,10 +539,27 @@ def test_dirichlet_sums_match_exp_matrix_oracle(name, s):
         S_ref, Sp_ref = _exp_matrix_sums(sc, N)
         terms = np.arange(1, N, dtype=float) ** -0.5      # |n^{-s}|
         ln_n = np.log(np.arange(1, N, dtype=float))
-        assert np.max(np.abs(S - S_ref)) <= 1e-12 * np.sum(terms)
-        # S' stays at the lattice point, off by up to |eps| sum ln^2 n |n^{-s}|
-        off = 1e-11 * np.sum(ln_n ** 2 * terms) if "off a lattice" in name else 0.0
-        assert np.max(np.abs(Sp - Sp_ref)) <= 1e-12 * np.sum(ln_n * terms) + off
+        # bounds fixed before measuring, from each route's error model: on a
+        # lattice (NUFFT chunks, and chunks too short for the kernel, summed
+        # with compensated phases) 1e-14 of the sum of |terms|; point by
+        # point with plain fl(s ln n) a phase error ~1e-16 |t| ln n per term
+        if step is None:
+            t = np.abs(sc.imag)
+            bound = 1e-16 * t * np.sum(ln_n * terms) + 1e-15 * np.sum(terms)
+            bound_p = (1e-16 * t * np.sum(ln_n ** 2 * terms)
+                       + 1e-15 * np.sum(ln_n * terms))
+            off = 0.0
+        else:
+            bound, bound_p = 1e-14 * np.sum(terms), 1e-14 * np.sum(ln_n * terms)
+            # S' stays at the lattice point c + k d, off by up to
+            # |eps| sum ln^2 n |n^{-s}|, eps = s_k - c - k d: ~1e-13 on a
+            # linspace grid, 1e-11 on the grid moved off its lattice
+            k = np.arange(sc.size)
+            im = sc.imag.astype(np.longdouble)
+            eps = np.abs(im - im[0] - k * np.longdouble(step.imag)).astype(float)
+            off = eps * np.sum(ln_n ** 2 * terms)
+        assert np.all(np.abs(S - S_ref) <= bound)
+        assert np.all(np.abs(Sp - Sp_ref) <= bound_p + off)
 
 
 def test_nufft_chunk_at_1e4_against_mpmath():
