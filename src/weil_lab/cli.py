@@ -65,6 +65,12 @@ class RunConfig:
         if unknown:
             raise ValueError("tolerance for unknown check id(s): %s"
                              % ", ".join(unknown))
+        # a NaN bound fails every value, an infinite one passes it, and the
+        # JSON report can hold neither
+        bad = sorted(k for k, v in self.tolerances.items() if not math.isfinite(v))
+        if bad:
+            raise ValueError("non-finite tolerance for check id(s): %s"
+                             % ", ".join(bad))
 
     @functools.cached_property
     def catalog(self) -> zc.ZeroSet:

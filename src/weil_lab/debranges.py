@@ -108,8 +108,9 @@ def basis_table(gammas, mults, x, log_deriv=None) -> np.ndarray:
     Within 1e-6 of its own gamma a row takes the limit
     sqrt(m/pi) Theta'(gamma)/2 (= -i/sqrt(m pi) at a multiplicity-m zero).
     Within 1e-6 of another zero gamma' (|L| >~ 1e6) L carries the error
-    ~1e-14 |L|^2 of theta_on_axis, i.e. gamma' moved by ~1e-14 (a lattice
-    sweep sums such nodes again point by point, see special_fn). Then
+    ~1e-14 |L|^2 of theta_on_axis, i.e. gamma' moved by ~1e-14 (the axis
+    sweep, on a declared lattice, sums such nodes again point by point, see
+    special_fn). Then
     1/(1 + iL) is off by ~1e-14, so a value there (~0) is off by
     ~1e-14 sqrt(m/pi)/|x - gamma|, far below the 1e-6 off-diagonal bound.
     """
@@ -258,7 +259,7 @@ def debranges_norm(F: numerics.GridFunction) -> float:
     an (underflowed or genuinely real) zero of E raises, and the caller
     should re-grid. On a symmetric grid E is taken at the mirrored x >= 0
     nodes (linspace's x < 0 nodes differ from them by ulps), so E_xi folds
-    the grid onto that half, a lattice, by E(-x) = conj E(x).
+    the grid onto that half by E(-x) = conj E(x) and sums each node once.
     """
     if F.domain_tag != "frequency":
         raise numerics.GridMismatchError("debranges_norm expects frequency samples")

@@ -9,34 +9,36 @@ an array (and return arrays of its shape); critical_line_log_derivative,
 theta_on_axis and xi_on_critical_line take real arrays.
 
 The vector routes sum zeta by Euler-Maclaurin in chunks of 8192 points of
-comparable height, each to its own N. When the whole height-sorted input is
-a lattice s_k = s_0 + k d up to roundoff with Re d = 0 (a uniform grid on
-the critical line), each chunk of at least 17 nodes sums
-S_k = sum_{n<N} n^{-c} e^{-i k Im d ln n} (c its first node) and S'_k as a
-type-1 nonuniform FFT (_lattice_sums): Odlyzko and Schoenhage's multiple
-evaluation in the NUFFT form of Barnett, Magland and af Klinteberg, at
-O(17 N + M log M) per chunk (M >= 2K fine-grid points) where summing each
-point costs O(K N). It calls np.bincount and pocketfft, not BLAS, so the
-bytes do not depend on the thread count. Its sums are good to
-~1e-14 sum n^{-Re s} in absolute terms (1.7e-16 of it measured at t = 1e4),
-where point by point with compensated phases (_powers) each term is good
-to a few ulps. Near a zero of zeta, w = (s-1) zeta cancels: the zero moves
-by ~|dw/w'| (~1e-14 sum n^{-1/2} / |zeta'| on the lattice route) and L by
-that times |L|^2. Nodes where that estimate of L's error exceeds 1e-2 (the
-point route's ~1e-14 |L|^2 at |L| = 1e6, 1e-6 from a zero) are summed
-again point by point with compensated phases, a handful per sweep, so
-within ~1e-6 of a zero L keeps the point route's error. Lattice chunks
-shorter than the kernel are summed point by point with compensated phases;
-other inputs (scattered points, real lattices) point by point with plain
-fl(s ln n). The Bernoulli tail factors out N^{-s}, leaving the polynomial
-sums Q and Q'.
+comparable height, each to its own N, and take the Dirichlet sums
+S = sum_{n<N} n^{-s} and S' = -sum ln n n^{-s} by one of two routes.
 
-critical_line_log_derivative(x, step=h) declares x = k h for consecutive
-integers k (checked bit for bit). Its chunks are then the fixed blocks of k
-in [8192 j, 8192 (j + 1)), each summed whole on the lattice route with N,
-fine grid and anchor (first node) from the whole block and the step -i h as
-given, not estimated from the endpoints: L at k h depends on (h, k) alone,
-so debranges.axis_samples extends and slices its cache byte for byte.
+Point by point, every input but a declared lattice: each point sums its
+own terms, with the rounding of the phase Im s ln n compensated (_powers),
+so each term is good to a few ulps. Near a zero of zeta, w = (s-1) zeta
+cancels: an error dw moves the zero by ~|dw/w'| and L = w'/w + ... by that
+times |L|^2, ~1e-14 |L|^2 here.
+
+On a declared lattice: critical_line_log_derivative(x, step=h) declares
+x = k h for consecutive integers k (checked bit for bit). Its chunks are
+the fixed blocks of k in [8192 j, 8192 (j + 1)), each summed whole as a
+type-1 nonuniform FFT (_lattice_sums) of
+S_k = sum_{n<N} n^{-c} e^{i k h ln n} and S'_k (c the block's first node,
+k counted from it): Odlyzko and Schoenhage's multiple evaluation in the
+NUFFT form of Barnett, Magland and af Klinteberg, at O(17 N + M log M) per
+block (M = 16384 fine-grid points) where summing each point costs O(K N).
+N, fine grid and anchor come from the whole block and the step -i h is as
+given, so L at k h depends on (h, k) alone and debranges.axis_samples
+extends and slices its cache byte for byte. The route calls np.bincount
+and pocketfft, not BLAS, so the bytes do not depend on the thread count.
+Its sums are good to ~1e-14 sum n^{-1/2} in absolute terms (1.7e-16 of it
+measured at t = 1e4), which moves a zero by ~1e-14 sum n^{-1/2} / |zeta'|.
+Nodes where that estimate of L's error exceeds 1e-2 (the point route's
+~1e-14 |L|^2 at |L| = 1e6, 1e-6 from a zero) are summed again point by
+point, a handful per sweep, so within ~1e-6 of a zero L keeps the point
+route's error.
+
+On both routes the Bernoulli tail factors out N^{-s}, leaving the
+polynomial sums Q and Q'.
 
 Conventions used throughout the package:
 
@@ -197,8 +199,9 @@ def digamma(z):
 # ----------------------------------------------------------------------
 
 # Points per Euler-Maclaurin chunk (one N each). A point-by-point chunk
-# takes at most 512 columns of ln n and 2**20 table elements (16 MB): 128
-# columns for 8192 points.
+# takes at most 512 columns of ln n, and its complex table with _powers' two
+# float temporaries at most 2**20 complex elements (16 MB): 64 columns for
+# 8192 points.
 _CHUNK = 8192
 _BLOCK_COLS = 512
 _TABLE_ELEMS = 1 << 20
@@ -225,26 +228,6 @@ def _em_length(s: np.ndarray) -> int:
     batch (so callers should batch points of comparable height)."""
     smax = float(np.max(np.abs(s))) if s.size else 0.0
     return max(32, int(math.ceil(0.5 * smax)) + 16)
-
-
-def _lattice_step(s: np.ndarray):
-    """The step d when the points are s_0 + k d up to roundoff and Re d = 0
-    (a uniform grid on a vertical line, such as the critical line), else
-    None."""
-    if s.size < 2:
-        return None
-    d = (s[-1] - s[0]) / (s.size - 1)
-    dev = np.max(np.abs(s - (s[0] + np.arange(s.size) * d)))
-    if d == 0 or d.real != 0 or not dev <= 64 * np.finfo(float).eps * np.max(np.abs(s)):
-        return None
-    return d
-
-
-def _fine_len(k: int, step) -> int:
-    """The fine-grid length M of a chunk of k nodes on the lattice route, or
-    0 when the chunk is summed point by point (no lattice, or fewer nodes
-    than the kernel is wide)."""
-    return numerics._fast_len(2 * k) if step is not None and k >= _SPREAD else 0
 
 
 def _ln_parts(n: np.ndarray):
@@ -290,21 +273,15 @@ def _powers(a: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return tab
 
 
-def _point_sums(s: np.ndarray, hi: np.ndarray, lo=None):
+def _point_sums(s: np.ndarray, hi: np.ndarray, lo: np.ndarray):
     """(S, S') = (sum n^{-s}, -sum ln n n^{-s}) at each point of s by itself,
-    ln n = hi + lo, in blocks of ln n columns. The powers are formed by
-    _powers when lo is given, else as exp(fl(-s ln n)), which takes ~0.6 of
-    the time on 8192 points but leaves a phase error ~1e-16 |Im s| ln n."""
-    cols = min(_BLOCK_COLS, _TABLE_ELEMS // s.size)
+    ln n = hi + lo, in blocks of ln n columns of _powers tables."""
+    cols = min(_BLOCK_COLS, _TABLE_ELEMS // (2 * s.size))
     S = np.zeros(s.size, dtype=complex)
     Sp = np.zeros_like(S)
     for c0 in range(0, hi.size, cols):
         hi_c = hi[c0:c0 + cols]
-        if lo is None:
-            tab = np.multiply.outer(-s, hi_c)
-            np.exp(tab, out=tab)
-        else:
-            tab = _powers(s, hi_c, lo[c0:c0 + cols])
+        tab = _powers(s, hi_c, lo[c0:c0 + cols])
         S += tab @ np.ones(hi_c.size, dtype=complex)
         Sp -= tab @ hi_c
     return S, Sp
@@ -335,23 +312,25 @@ def _deconvolution(K: int, M: int) -> np.ndarray:
 
 def _lattice_sums(s: np.ndarray, d: complex, hi: np.ndarray, lo: np.ndarray,
                   inv_T: np.ndarray):
-    """(S, S') over n <= hi.size at the K nodes s_k = c + k d of a lattice
-    chunk, up to roundoff (c = s_0, Re d = 0), by a type-1 NUFFT.
+    """(S, S') over n <= hi.size at the K nodes s_k = c + k d of a declared
+    block, up to the roundoff of its products k h (c = s_0, d = -i h), by a
+    type-1 NUFFT.
 
     n^{-c - k d} = c_n e^{2 pi i k x_n / M} with c_n = n^{-c} (by _powers)
-    and x_n = -Im d ln n M / 2pi on a fine grid of M >= 2K points. x_n is
-    formed in double-double (Dekker's product of ln n = hi + lo with the
-    constant) and split into its nearest grid point m_n and an offset
+    and x_n = -Im d ln n M / 2pi on a fine grid of M = _fast_len(2K) points.
+    x_n is formed in double-double (Dekker's product of ln n = hi + lo with
+    the constant) and split into its nearest grid point m_n and an offset
     |b_n| <= 1/2, so the phase k m_n 2pi/M is the FFT's own and only k b_n
     is rounded. c_n takes e^{2 pi i k0 x_n / M}, k0 = K//2 (k0 m_n reduced
     mod M exactly), so the outputs are the centred modes k - k0. Both weight
     sets (c_n and -ln n c_n) are spread by np.bincount and transformed by
     one stacked FFT; inv_T (_deconvolution) deconvolves. One Taylor step
     S += eps S' then carries the sums to s_k itself, eps = s_k - c - k d
-    being the lattice roundoff, formed exactly (Fast2Sum, split Im d).
+    being the roundoff of Im s_k (Re s_k = 1/2 throughout), formed exactly
+    (TwoSum, split Im d) on blocks that rise or fall in height.
     """
     K = s.size
-    M = _fine_len(K, d)
+    M = numerics._fast_len(2 * K)
     k0 = K // 2
     alpha = Fraction(-d.imag) * M / _TWO_PI
     a_hi = float(alpha)
@@ -377,28 +356,26 @@ def _lattice_sums(s: np.ndarray, d: complex, hi: np.ndarray, lo: np.ndarray,
     dh, dl = _split(d.imag)
     k = np.arange(K)
     u = s.imag - s[0].imag
-    eps = (s.real - s[0].real) + 1j * ((((u - k * dh) - k * dl)
-                                         - (s[0].imag + (u - s.imag))))
+    v = u - s.imag                  # TwoSum: u + r = s.imag - s[0].imag
+    r = (s.imag - (u - v)) - (s[0].imag + v)
+    eps = 1j * (((u - k * dh) - k * dl) + r)
     return S + eps * Sp, Sp
 
 
 def _dirichlet_sums(s: np.ndarray, Ns, step):
     """Yield (S, S') = (sum n^{-s}, -sum ln n n^{-s}) over n < Ns[j] for each
-    chunk j of _CHUNK points of the flat s: by _lattice_sums when step is
-    the lattice step of s and the chunk is at least as long as the kernel
-    is wide (_fine_len), else point by point. The chunk's first node anchors
-    its lattice, so each chunk keeps its own N."""
+    chunk j of _CHUNK points of the flat s: by _lattice_sums when the caller
+    declares the step of s (whole blocks, each anchored at its first node),
+    else point by point."""
     hi, lo = _ln_parts(np.arange(1, max(Ns), dtype=float))
-    inv_T = {}
+    if step is not None:
+        inv_T = _deconvolution(_CHUNK, numerics._fast_len(2 * _CHUNK))
     for i0, N in zip(range(0, s.size, _CHUNK), Ns):
         sc = s[i0:i0 + _CHUNK]
-        M = _fine_len(sc.size, step)
-        if M:
-            if sc.size not in inv_T:
-                inv_T[sc.size] = _deconvolution(sc.size, M)
-            yield _lattice_sums(sc, step, hi[:N - 1], lo[:N - 1], inv_T[sc.size])
+        if step is None:
+            yield _point_sums(sc, hi[:N - 1], lo[:N - 1])
         else:
-            yield _point_sums(sc, hi[:N - 1], None if step is None else lo[:N - 1])
+            yield _lattice_sums(sc, step, hi[:N - 1], lo[:N - 1], inv_T)
 
 
 def _w_pair(s: np.ndarray, N: int, S: np.ndarray, Sp: np.ndarray):
@@ -447,24 +424,24 @@ def _w_pair(s: np.ndarray, N: int, S: np.ndarray, Sp: np.ndarray):
 
 
 def _em_chunks(s: np.ndarray, lattice=None):
-    """Yield (idx, s[idx], w, w', (N, M, redone)) over chunks of _CHUNK points
+    """Yield (idx, s[idx], w, w', (N, redone)) over chunks of _CHUNK points
     of the flat array s, taken in order of |Im s| so the Euler-Maclaurin N of
-    each chunk tracks its local height (|Im s| = |x| on the critical line).
-    M is the chunk's fine-grid length on the lattice route (0 when it was
-    summed point by point), and redone the count of its nodes summed again
-    point by point: those where the lattice sums' error model,
-    |dw| ~ _LATTICE_EPS |s - 1| sum |n^{-s}|, puts the error of L = w'/w + ...,
-    |w'| |dw| / |w|^2, above _L_BUDGET (near a zero, where w cancels).
+    each chunk tracks its local height (|Im s| = |x| on the critical line),
+    and summed point by point.
 
     lattice = (k0, h) declares s = 1/2 - i k h for k = k0, k0 + 1, ...: the
-    chunks are then the fixed blocks of k of the module docstring."""
+    chunks are then the fixed blocks of k of the module docstring, summed by
+    _lattice_sums. redone counts a chunk's nodes summed again point by point:
+    those where the lattice sums' error model,
+    |dw| ~ _LATTICE_EPS |s - 1| sum n^{-1/2}, puts the error of
+    L = w'/w + ..., |w'| |dw| / |w|^2, above _L_BUDGET (near a zero, where w
+    cancels)."""
     s = s.ravel()
     n = s.size
     if lattice is None:
         order = np.argsort(np.abs(s.imag), kind="stable")
         s = s[order]
-        step = _lattice_step(s)
-        off = 0
+        off, step = 0, None
     else:
         k0, h = lattice
         j0 = k0 // _CHUNK
@@ -480,15 +457,14 @@ def _em_chunks(s: np.ndarray, lattice=None):
         a, b = max(i0, off), min(i0 + _CHUNK, off + n)
         sc, S, Sp = s[a:b], S[a - i0:b - i0], Sp[a - i0:b - i0]
         w, wp = _w_pair(sc, N, S, Sp)
-        M = _fine_len(min(_CHUNK, s.size - i0), step)
         redo = ()
-        if M:
-            dw = _LATTICE_EPS * np.sum(np.arange(1.0, N) ** -sc[0].real) * np.abs(sc - 1.0)
+        if step is not None:
+            dw = _LATTICE_EPS * np.sum(np.arange(1.0, N) ** -0.5) * np.abs(sc - 1.0)
             redo = np.flatnonzero(dw * np.abs(wp) > _L_BUDGET * np.abs(w) ** 2)
             if redo.size:
                 S, Sp = _point_sums(sc[redo], *_ln_parts(np.arange(1.0, N)))
                 w[redo], wp[redo] = _w_pair(sc[redo], N, S, Sp)
-        yield order[a:b], sc, w, wp, (N, M, len(redo))
+        yield order[a:b], sc, w, wp, (N, len(redo))
 
 
 def _chi_pair(s: np.ndarray):
@@ -567,9 +543,9 @@ def xi(s) -> XiValue:
     After the reflection, s with Im(s) > 0 is folded onto conj(s) through
     xi(conj s) = conj xi(s), xi'(conj s) = conj xi'(s), and each distinct
     point is evaluated once: [z, conj z] stacks cost half, and so does a
-    symmetric real grid for E_xi, whose x >= 0 half is a lattice. The points
-    are summed in chunks of comparable height (see the module docstring); a
-    scalar is a chunk of one point.
+    symmetric real grid for E_xi. The points are summed point by point in
+    chunks of comparable height (see the module docstring); a scalar is a
+    chunk of one point.
     """
     s_arr = np.asarray(s, dtype=complex)
     refl = (s_arr.real < 0.5).ravel()
@@ -628,16 +604,14 @@ def critical_line_log_derivative(x, step=None):
     zeros of xi the value blows up like m/(x - gamma); callers that need the
     limit there use the basis-function limit branch instead.
 
-    On a uniform grid (say the half-grid of an axis sweep) each chunk of at
-    least 17 nodes takes the lattice route of the module docstring, with the
-    nodes near a zero summed again point by point; scattered x is summed
-    point by point.
-
-    step > 0 declares x = k * step, as floats, for consecutive integers
-    k = k0, k0 + 1, ... (checked bit for bit; ValueError otherwise). The
-    sweep then runs on fixed blocks of k (see the module docstring), so the
-    value at x_k depends on (step, k) alone: a sweep over part of a lattice
-    equals the same nodes of a sweep over more of it, byte for byte.
+    Without step, x is summed point by point. step > 0 declares
+    x = k * step, as floats, for consecutive integers k = k0, k0 + 1, ...
+    (checked bit for bit; ValueError otherwise), say the half-grid of an
+    axis sweep: the sweep then takes the lattice route on fixed blocks of k
+    (see the module docstring), with the nodes near a zero summed again
+    point by point, so the value at x_k depends on (step, k) alone: a sweep
+    over part of a lattice equals the same nodes of a sweep over more of it,
+    byte for byte.
 
     Each call logs, at DEBUG on the "weil_lab" logger, its point count,
     largest Euler-Maclaurin N, chunks per route, largest fine grid, count of
@@ -654,14 +628,14 @@ def critical_line_log_derivative(x, step=None):
         lattice = (k0, float(step))
     s = 0.5 - 1j * x
     out = np.empty(s.shape, dtype=complex)
-    chunks = lattice_chunks = fine = redone = N_max = 0
-    for idx, sc, w, wp, (N, M, r) in _em_chunks(s, lattice):
+    chunks = redone = N_max = 0
+    for idx, sc, w, wp, (N, r) in _em_chunks(s, lattice):
         out.flat[idx] = -1j * _log_derivative(sc, w, wp)
         chunks += 1
-        lattice_chunks += M > 0
-        fine = max(fine, M)
         redone += r
         N_max = max(N_max, N)
+    lattice_chunks = chunks if lattice else 0
+    fine = numerics._fast_len(2 * _CHUNK) if lattice_chunks else 0
     _log.debug("critical-line sweep: %d points, largest Euler-Maclaurin N %d, "
                "%d NUFFT chunks, %d point by point, largest fine grid %d, "
                "%d nodes re-summed exactly, %.3f s", s.size, N_max,
@@ -683,10 +657,11 @@ def theta_on_axis(x, log_deriv=None):
 
     Error model near a zero: L comes from O(1) sums that cancel there, so
     an error dw in w moves the zero by ~|dw / w'| and L by that times |L|^2.
-    Point by point that is ~1e-14 |L|^2; on a lattice (see the module
-    docstring) the zero moves by ~1e-14 sum n^{-1/2} / |zeta'|, and nodes
-    whose L would be off by more than 1e-2 are summed point by point. Theta
-    takes 2|dL|/(1 + L^2), i.e. twice the move of the zero.
+    Point by point (every x here) that is ~1e-14 |L|^2. A log_deriv taken
+    from a declared lattice (see the module docstring) moves the zero by
+    ~1e-14 sum n^{-1/2} / |zeta'|, except at nodes whose L would be off by
+    more than 1e-2, which are summed point by point. Theta takes
+    2|dL|/(1 + L^2), i.e. twice the move of the zero.
     """
     L = critical_line_log_derivative(x) if log_deriv is None else log_deriv
     a = np.real(L)

@@ -72,8 +72,9 @@ class CountingReport:
 
 
 def _read_table(path, T: float, source: str) -> ZeroSet:
-    """The ordinates <= T of a plain-text table (one decimal per line,
-    ascending; blank lines and lines starting with '#' are skipped)."""
+    """The ordinates <= T of a plain-text table (one finite decimal per
+    line, ascending; blank lines and lines starting with '#' are
+    skipped)."""
     ordinates: List[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -83,6 +84,8 @@ def _read_table(path, T: float, source: str) -> ZeroSet:
             try:
                 val = float(line)
             except ValueError:
+                val = math.nan
+            if not math.isfinite(val):
                 raise ValueError("malformed ordinate at line %d: %r" % (lineno, line))
             if val <= 0:
                 raise ValueError("nonpositive ordinate at line %d" % lineno)

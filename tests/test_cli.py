@@ -71,6 +71,8 @@ def test_height_guard_is_config_error(tmp_path, monkeypatch, capsys):
     cfg_file.write_text("tol.psi_norm_ = 1\n")
     misspelled = tmp_path / "misspelled.cfg"
     misspelled.write_text("heightT = 60\n")
+    inf_tol = tmp_path / "inf_tol.cfg"
+    inf_tol.write_text("tol.xi_half_reference = inf\n")
     for argv, named in [
             (["verify", "special", "--height-T", "200"], "height_T"),
             # non-finite T and Z, which no later bound test would catch
@@ -85,6 +87,10 @@ def test_height_guard_is_config_error(tmp_path, monkeypatch, capsys):
             (["verify", "special", "--tol", "xi_halfreference=1e-30"],
              "xi_halfreference"),
             (["verify", "special", "--config", str(cfg_file)], "psi_norm_"),
+            # non-finite tolerances, which the JSON report cannot hold
+            (["verify", "special", "--tol", "xi_half_reference=nan"],
+             "xi_half_reference"),
+            (["verify", "special", "--config", str(inf_tol)], "xi_half_reference"),
             # no ordinate below T = 10 for a catalog suite
             (["verify", "hilbert_polya", "--height-T", "10"], "T = 10"),
             (["verify", "all", "--height-T", "10"], "T = 10")]:

@@ -413,11 +413,14 @@ def test_debranges_norm_cancellation(catalog):
 
 
 def test_debranges_norm_of_basis(catalog):
+    # L from the axis sweep, and E at the mirrored nodes, as debranges_norm
+    # takes it
     g1 = catalog.ordinates[0]
-    fg = nu.symmetric_grid(800.0, 0.05)
+    fg, L = db.axis_samples(800.0, 0.05)
+    x = fg.nodes()
     F1 = db.BasisFunction(g1, catalog)
-    E = sf.E_xi(fg.nodes())
-    F = nu.GridFunction(fg, E * F1.values_on_axis(fg.nodes()), "frequency")
+    E = sf.E_xi(np.where(x < 0.0, -x[::-1], x))
+    F = nu.GridFunction(fg, E * F1.values_on_axis(x, L), "frequency")
     assert abs(db.debranges_norm(F) - 1.0) <= db.psi_gamma_tail_bound(g1, 800.0)
 
 

@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 from fractions import Fraction
@@ -319,13 +320,12 @@ def test_xi_array_matches_per_point_oracle():
 
 
 def test_real_lattice_left_of_the_strip_matches_per_point_route():
-    # s in [-180, -2] reflects to u = 1 - s in [181, 3]: a real lattice with
-    # a negative step in height order, which the lattice sums refuse (their
-    # factors n^{-b R d} would overflow), so it matches the scalar route
+    # s in [-180, -2] reflects to u = 1 - s in [181, 3], a real uniform
+    # grid: undeclared, it is summed point by point and matches the scalar
+    # route
     s = np.linspace(-180.0, -2.0, 1000)
     z, zp = sf.zeta_pair(s)
     v = sf.xi(s)
-    assert sf._lattice_step(1.0 - s) is None
     assert np.all(np.isfinite(z)) and np.all(np.isfinite(v.xi_prime))
     for k in range(0, s.size, 4):
         sk, got = s[k], (z[k], zp[k], v.xi[k], v.xi_prime[k])
@@ -351,7 +351,7 @@ def test_E_and_theta_arrays_match_per_point_oracle():
 def test_xi_evaluates_conjugate_points_once(monkeypatch):
     # after the reflection, xi(conj s) = conj xi(s) folds Im s > 0 onto
     # Im s < 0: the conj z half of theta_xi's stack adds no point, and a
-    # symmetric real grid is evaluated on its x >= 0 half, a lattice
+    # symmetric real grid is evaluated on its x >= 0 half
     sizes = []
     em_chunks = sf._em_chunks
 
@@ -364,7 +364,6 @@ def test_xi_evaluates_conjugate_points_once(monkeypatch):
     x = np.linspace(0.0, 50.0, 1001)
     E = sf.E_xi(np.concatenate([-x[:0:-1], x]))
     assert sizes[0] == sizes[1] < _Z_POINTS.size and sizes[2] == x.size
-    assert sf._lattice_step(0.5 - 1j * x) is not None
     assert E[:1000].tobytes() == np.conj(E[:1000:-1]).tobytes()
 
 
@@ -495,43 +494,38 @@ def test_exp_matrix_oracle_against_mpmath():
 
 
 def _sum_cases():
+    """(name, (s, step)): step = -i h for s declared as the whole blocks of
+    k h that critical_line_log_derivative(x, step=h) sums, None for points
+    summed point by point."""
     rng = np.random.default_rng(21)
-    yield "2 nodes at 1e4", 0.5 - 1j * np.linspace(1e4, 1e4 + 0.02, 2)
-    yield "95 nodes, negative x", 0.5 - 1j * np.linspace(-1e4, -9998.6, 95)
-    yield "8191 nodes to 3819", 0.5 - 1j * np.linspace(3000.0, 3819.0, 8191)
-    x = np.linspace(-200.0, 200.0, 16385)
-    yield "8192-node half-grid from ~0", 0.5 - 1j * x[x >= 0.0][:8192]
-    yield "8193 nodes", 0.5 - 1j * np.linspace(2000.5, 2246.26, 8193)
-    yield "seeded points", 0.5 - 1j * rng.uniform(1000.0, 2000.0, 3000)
-    # 3 full chunks and one of 1,000 nodes, with N = 221, 426, 631 and 657:
-    # every chunk slices the shared ln n to its own N, and the last one
-    # takes a shorter fine grid
-    x = np.linspace(-1280.0, 1280.0, 51151)
-    yield "25,576-node half-grid from 0", 0.5 - 1j * x[x >= 0.0]
-    # nodes up to 1e-11 off their lattice, inside its tolerance: the Taylor
-    # step must carry S from each lattice point to the node itself
-    x = np.linspace(1000.0, 1170.0, 8192) + rng.uniform(-1e-11, 1e-11, 8192)
-    yield "8192 nodes 1e-11 off a lattice", 0.5 - 1j * x
-    yield "12 nodes at 1e4", 0.5 - 1j * np.linspace(1e4, 1e4 + 0.22, 12)
+
+    def blocks(j0, j1, h):
+        k = np.arange(j0 * sf._CHUNK, j1 * sf._CHUNK)
+        return 0.5 - 1j * (k * h), complex(0.0, -h)
+    yield "2 nodes at 1e4", (0.5 - 1j * np.linspace(1e4, 1e4 + 0.02, 2), None)
+    yield "95 nodes, negative x", (0.5 - 1j * np.linspace(-1e4, -9998.6, 95), None)
+    yield "block 8 at h = 0.05, to 3686", blocks(8, 9, 0.05)
+    yield "8192-node half-grid from ~0", blocks(0, 1, 25 / 1024)
+    # an undeclared uniform grid: two chunks, of 8192 points and of one
+    yield "8193 nodes", (0.5 - 1j * np.linspace(2000.5, 2246.26, 8193), None)
+    yield "seeded points", (0.5 - 1j * rng.uniform(1000.0, 2000.0, 3000), None)
+    # every block slices the shared ln n to its own N: 221, 426, 631, 836
+    yield "4 blocks at h = 0.05 from 0", blocks(0, 4, 0.05)
+    yield "block -1 at h = 0.05, negative x", blocks(-1, 0, 0.05)
+    yield "12 nodes at 1e4", (0.5 - 1j * np.linspace(1e4, 1e4 + 0.22, 12), None)
 
 
 @pytest.mark.parametrize("name,s", list(_sum_cases()))
 def test_dirichlet_sums_match_exp_matrix_oracle(name, s):
-    # summed as the evaluator sums: in height order, in chunks of their own
-    # N. A uniform grid of at least two nodes is a lattice as a whole, and
-    # its chunks take the NUFFT route unless they are shorter than the
-    # kernel is wide (the 2- and 12-node grids, the last node of 8193);
-    # scattered points are summed point by point
-    s = s[np.argsort(np.abs(s.imag), kind="stable")]
-    step = sf._lattice_step(s)
-    assert (step is not None) == (name != "seeded points")
+    # summed as the evaluator sums: declared blocks as they are, other
+    # points in height order, in chunks of their own N
+    s, step = s
+    if step is None:
+        s = s[np.argsort(np.abs(s.imag), kind="stable")]
     starts = range(0, s.size, sf._CHUNK)
     Ns = [sf._em_length(s[i0:i0 + sf._CHUNK]) for i0 in starts]
-    short = name in ("2 nodes at 1e4", "12 nodes at 1e4", "seeded points")
-    assert [sf._fine_len(min(sf._CHUNK, s.size - i0), step) > 0 for i0 in starts] \
-        == [not short and (name != "8193 nodes" or i0 == 0) for i0 in starts]
-    if name.startswith("25,576"):
-        assert Ns == [221, 426, 631, 657]
+    if name.startswith("4 blocks"):
+        assert Ns == [221, 426, 631, 836]
     sums = list(sf._dirichlet_sums(s, Ns, step))
     assert len(sums) == len(Ns)
     for i0, N, (S, Sp) in zip(starts, Ns, sums):
@@ -539,21 +533,18 @@ def test_dirichlet_sums_match_exp_matrix_oracle(name, s):
         S_ref, Sp_ref = _exp_matrix_sums(sc, N)
         terms = np.arange(1, N, dtype=float) ** -0.5      # |n^{-s}|
         ln_n = np.log(np.arange(1, N, dtype=float))
-        # bounds fixed before measuring, from each route's error model: on a
-        # lattice (NUFFT chunks, and chunks too short for the kernel, summed
-        # with compensated phases) 1e-14 of the sum of |terms|; point by
-        # point with plain fl(s ln n) a phase error ~1e-16 |t| ln n per term
+        # bounds fixed before measuring, from each route's error model: point
+        # by point each compensated term is within ~1e-15 of itself and the
+        # gemv's accumulation adds at most ~3e-15 of the sum of |terms| at
+        # these N; on the lattice route 1e-14 of the sum of |terms|
         if step is None:
-            t = np.abs(sc.imag)
-            bound = 1e-16 * t * np.sum(ln_n * terms) + 1e-15 * np.sum(terms)
-            bound_p = (1e-16 * t * np.sum(ln_n ** 2 * terms)
-                       + 1e-15 * np.sum(ln_n * terms))
+            bound, bound_p = 4e-15 * np.sum(terms), 4e-15 * np.sum(ln_n * terms)
             off = 0.0
         else:
             bound, bound_p = 1e-14 * np.sum(terms), 1e-14 * np.sum(ln_n * terms)
             # S' stays at the lattice point c + k d, off by up to
-            # |eps| sum ln^2 n |n^{-s}|, eps = s_k - c - k d: ~1e-13 on a
-            # linspace grid, 1e-11 on the grid moved off its lattice
+            # |eps| sum ln^2 n |n^{-s}|, eps = s_k - c - k d the roundoff of
+            # the products k h
             k = np.arange(sc.size)
             im = sc.imag.astype(np.longdouble)
             eps = np.abs(im - im[0] - k * np.longdouble(step.imag)).astype(float)
@@ -563,15 +554,15 @@ def test_dirichlet_sums_match_exp_matrix_oracle(name, s):
 
 
 def test_nufft_chunk_at_1e4_against_mpmath():
-    # a full chunk below t = 1e4 (N = 5,017) on an exact lattice (step 1/64,
-    # so eps = 0 and S' is taken at each node), at both ends of the block
-    # and its middle; bound fixed before measuring: the route's error model,
-    # 1e-14 of the sum of |terms|
+    # a full chunk below t = 1e4 (N = 5,017) on a lattice declared with the
+    # exact step 1/64 (so eps = 0 and S' is taken at each node), at both
+    # ends of the block and its middle; bound fixed before measuring: the
+    # route's error model, 1e-14 of the sum of |terms|
     K = sf._CHUNK
     s = 0.5 - 1j * (1e4 - (K - 1 - np.arange(K)) / 64.0)
     N = sf._em_length(s)
-    assert N == 5017 and sf._fine_len(K, sf._lattice_step(s)) == 16384
-    S, Sp = next(sf._dirichlet_sums(s, [N], sf._lattice_step(s)))
+    assert N == 5017
+    S, Sp = next(sf._dirichlet_sums(s, [N], complex(0.0, -1 / 64)))
     n = np.arange(1, N, dtype=float)
     terms = n ** -0.5
     ln_n = [mp.log(j) for j in range(1, N)]
@@ -620,13 +611,16 @@ def test_factored_tail_matches_per_term_oracle():
     # bound fixed before measuring: both routes round ~30 times along the
     # longest product P_15 N^{-29}, ~3.3e-15 of each term; the two routes
     # together stay below 1e-14 of the sum scale
-    cases = [0.5 - 1j * np.linspace(0.0, 170.0, 8192),
-             0.5 - 1j * np.linspace(1830.0, 2000.0, 8192),
-             np.array([0.5, 1.0, 2.0, 3.0, 1e-3 + 5j, 0.2 - 40j, 2.5 + 90j,
-                       0.5 + 1j * GAMMA1, 0.5 - 1e4j])]
-    for s in cases:
+    # (blocks 0 and 14 of k / 64, declared with their exact step, and
+    # scattered points summed point by point)
+    k = np.arange(sf._CHUNK)
+    cases = [(0.5 - 1j * (k / 64), complex(0.0, -1 / 64)),
+             (0.5 - 1j * ((k + 14 * sf._CHUNK) / 64), complex(0.0, -1 / 64)),
+             (np.array([0.5, 1.0, 2.0, 3.0, 1e-3 + 5j, 0.2 - 40j, 2.5 + 90j,
+                        0.5 + 1j * GAMMA1, 0.5 - 1e4j]), None)]
+    for s, step in cases:
         N = sf._em_length(s)
-        S, Sp = next(sf._dirichlet_sums(s, [N], sf._lattice_step(s)))
+        S, Sp = next(sf._dirichlet_sums(s, [N], step))
         w, wp = sf._w_pair(s, N, S, Sp)
         w_ref, wp_ref, w_scale, wp_scale = _per_term_w_pair(s, N, S, Sp)
         assert np.max(np.abs(w - w_ref) / w_scale) <= 1e-14
@@ -634,19 +628,18 @@ def test_factored_tail_matches_per_term_oracle():
 
 
 def test_factored_sweep_near_a_zero_against_oracle():
-    # the x >= 0 part of a grid over ~[-1000, 1000]: one node sits within
-    # 1e-6 of gamma_1, where |L| ~ 1e6 magnifies any error of the factored
-    # sums (the per-node lattice correction is checked with the sums alone).
-    # Four spacings, so that the bound does not hold by the choice of grid
-    for h in (0.019, 0.02, 0.021, 0.022):
-        x0 = GAMMA1 - 3e-7 - 50000 * h
-        x = np.linspace(x0, x0 + 100000 * h, 100001)
-        half = x[x >= 0.0]
-        k = int(np.argmin(np.abs(half - GAMMA1)))
-        assert abs(half[k] - GAMMA1) <= 1e-6
-        L = sf.critical_line_log_derivative(half[:8192])
-        assert sf._lattice_step(0.5 - 1j * half[:8192]) is not None
-        s = mp.mpc(mp.mpf(1) / 2, -mp.mpf(half[k]))
+    # the first block of a declared lattice k h: node k sits within 1e-6 of
+    # gamma_1, where |L| ~ 1e6 magnifies any error of the factored sums (the
+    # per-node lattice correction is checked with the sums alone). Four
+    # spacings near 0.019, 0.02, 0.021 and 0.022, so that the bound does not
+    # hold by the choice of grid
+    for h0 in (0.019, 0.02, 0.021, 0.022):
+        k = round(GAMMA1 / h0)
+        h = (GAMMA1 - 3e-7) / k
+        x = np.arange(sf._CHUNK) * h
+        assert abs(x[k] - GAMMA1) <= 1e-6
+        L = sf.critical_line_log_derivative(x, step=h)
+        s = mp.mpc(mp.mpf(1) / 2, -mp.mpf(x[k]))
         ref = complex(-1j * (1 / s + 1 / (s - 1) - mp.log(mp.pi) / 2
                              + mp.digamma(s / 2) / 2
                              + mp.zeta(s, derivative=1) / mp.zeta(s)))
@@ -654,7 +647,7 @@ def test_factored_sweep_near_a_zero_against_oracle():
         # the oracle test's 1e-10 relative bound plus the roundoff of w
         # itself: an absolute error ~1e-14 |w'| in w becomes ~1e-14 |L|^2
         # in L = w'/w + ...
-        assert abs(L[k] - ref) <= 1e-10 * abs(ref) + 1e-14 * abs(ref) ** 2, h
+        assert abs(L[k] - ref) <= 1e-10 * abs(ref) + 1e-14 * abs(ref) ** 2, h0
 
 
 def test_point_by_point_working_set_is_bounded():
@@ -668,6 +661,18 @@ def test_point_by_point_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 48 * 2 ** 20
+
+
+def test_undeclared_uniform_grid_is_summed_point_by_point(caplog):
+    # the lattice route is taken only where the caller declares the step
+    x = np.arange(741) * 0.05
+    with caplog.at_level(logging.DEBUG, logger="weil_lab"):
+        sf.critical_line_log_derivative(x)
+    msgs = [r.getMessage() for r in caplog.records if r.name == "weil_lab"]
+    assert len(msgs) == 1
+    assert msgs[0].startswith("critical-line sweep: 741 points, largest "
+                              "Euler-Maclaurin N 35, 0 NUFFT chunks, "
+                              "1 point by point, largest fine grid 0, ")
 
 
 def test_xi_on_critical_line_real():

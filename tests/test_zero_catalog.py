@@ -41,10 +41,13 @@ def test_load_zeros_rejects_descending(tmp_path):
 
 
 def test_load_zeros_reports_malformed_line(tmp_path):
+    # non-finite values too: a nan line would be dropped below T and would
+    # skip the next line's ascending check
     p = tmp_path / "zeros.txt"
-    p.write_text("14.1\nnot-a-number\n")
-    with pytest.raises(ValueError, match="line 2"):
-        zc.load_zeros(p, 100.0)
+    for bad in ("not-a-number", "nan", "inf", "-inf"):
+        p.write_text("14.1\n%s\n21.0\n" % bad)
+        with pytest.raises(ValueError, match="malformed ordinate at line 2"):
+            zc.load_zeros(p, 100.0)
 
 
 def test_compute_zeros_first_ordinate():
