@@ -8,8 +8,9 @@ them. Every suite but 'special' needs a catalog ordinate below T.
 
 Configuration: the keys zeros, height_T, cutoff_Z, grid, out and tol.<id>
 of a --config file, then the flags of the same names over them; a key
-neither gives keeps its RunConfig default. Any other file key, and a
-height_T or cutoff_Z that is not finite, is a config error.
+neither gives keeps its RunConfig default. Any other file key, a
+height_T or cutoff_Z that is not finite, and a grid that numerics.Grid
+rejects, is a config error.
 
 Cache: WEIL_LAB_CACHE names the ordinate cache directory; empty counts as
 unset. `verify` and `export` read and write the cache only when it is set;
@@ -83,9 +84,26 @@ class RunConfig:
 def parse_grid_spec(text: str) -> Tuple[float, float, int]:
     try:
         a, b, n = text.split(":")
-        return float(a), float(b), int(n)
+        spec = float(a), float(b), int(n)
     except Exception:
         raise ValueError("grid spec must look like 'xmin:xmax:n'")
+    try:
+        nu.Grid(*spec)
+    except ValueError as exc:
+        raise ValueError("grid %r: %s" % (text, exc))
+    return spec
+
+
+def parse_range(text: str) -> Tuple[float, float, float]:
+    """Export range 'a:b:step' with finite a <= b and step > 0."""
+    try:
+        a, b, step = (float(v) for v in text.split(":"))
+    except ValueError:
+        raise ValueError("range %r must look like 'a:b:step'" % text)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(step)
+            and a <= b and step > 0):
+        raise ValueError("range %r needs finite a <= b and step > 0" % text)
+    return a, b, step
 
 
 def load_config_file(path: str) -> Dict[str, str]:
@@ -355,12 +373,8 @@ def run_export(what: str, arg: Optional[str], cfg: RunConfig) -> int:
                 else db.BasisFunction(g, zs).values_on_axis(x))
         name = "%s_%d.csv" % (what, idx)
     else:
-        spec = arg or ("0:5:0.01" if what == "screw_g" else "-5:5:0.01")
-        try:
-            a, b, step = (float(v) for v in spec.split(":"))
-        except Exception:
-            print("range must look like 'a:b:step'", file=sys.stderr)
-            return 2
+        a, b, step = parse_range(
+            arg or ("0:5:0.01" if what == "screw_g" else "-5:5:0.01"))
         x = np.arange(a, b + step / 2, step)
         if what == "screw_g":
             vals = wf.screw_g_array(x, cfg.catalog)

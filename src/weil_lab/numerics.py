@@ -52,6 +52,8 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError("Grid requires finite endpoints")
         if not (self.x_min < self.x_max):
             raise ValueError("Grid requires x_min < x_max")
         if self.n_points < 2:

@@ -117,10 +117,13 @@ def _log_gamma_core(z: np.ndarray) -> np.ndarray:
     return (0.5 * _LN_2PI + (z - 0.5) * np.log(t) - t + np.log(acc))
 
 
-def _log_sin_pi_upper(z: np.ndarray) -> np.ndarray:
-    # log(sin(pi z)) continuous on the closed upper half-plane (Im z >= 0)
-    return (-1j * math.pi * z + 0.5j * math.pi - math.log(2.0)
-            + np.log1p(-np.exp(2j * math.pi * z)))
+def _log_sin_pi(z: np.ndarray) -> np.ndarray:
+    # log(sin(pi z)), continuous on each closed half-plane: with sigma the
+    # sign of Im z (+1 at Im z = +-0), sin(pi z) = sigma e^{sigma i pi/2}
+    # e^{-sigma i pi z} (1 - e^{2 pi i sigma z}) / 2 and |e^{2 pi i sigma z}| <= 1
+    sigma = np.where(z.imag >= 0, 1.0, -1.0)
+    return (sigma * (-1j * math.pi * z + 0.5j * math.pi) - math.log(2.0)
+            + np.log1p(-np.exp(2j * math.pi * sigma * z)))
 
 
 def log_gamma(z):
@@ -140,19 +143,9 @@ def log_gamma(z):
     main = z_arr.real >= 0.5
     if np.any(main):
         out[main] = _log_gamma_core(z_arr[main])
-    refl = ~main
-    if np.any(refl):
-        w = z_arr[refl]
-        upper = w.imag >= 0
-        res = np.empty_like(w)
-        if np.any(upper):
-            u = w[upper]
-            res[upper] = _LN_PI - _log_sin_pi_upper(u) - _log_gamma_core(1.0 - u)
-        if np.any(~upper):
-            u = np.conj(w[~upper])
-            res[~upper] = np.conj(_LN_PI - _log_sin_pi_upper(u)
-                                  - _log_gamma_core(1.0 - u))
-        out[refl] = res
+    if not np.all(main):
+        w = z_arr[~main]
+        out[~main] = _LN_PI - _log_sin_pi(w) - _log_gamma_core(1.0 - w)
     return complex(out[0]) if scalar else out
 
 

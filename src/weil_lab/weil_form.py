@@ -11,10 +11,11 @@ form <phi1, phi2>_G = integral G(t,s) phi1(s) conj(phi2(t)) ds dt on
 mean-zero test functions. The two forms are linked by phi = psi'.
 
 Transforms of test functions take whole arrays of z through one 32-point
-Gauss-Legendre node set per call and part (numerics.fourier_integral). The
-screw form's quadrature route is a separable 64-point Gauss-Legendre double
-sum; its spectral route uses those transforms at the zeros. They share the
-catalog and the inputs but no nodes, so their gap estimates quadrature error.
+Gauss-Legendre node set per call and part (numerics.fourier_integral), and
+both forms are sums of those transforms over the catalog: as g(0) = 0, the
+screw form's double integral is sum m/gamma^2 (phihat1(gamma) - phihat1(0))
+conj(phihat2(gamma) - phihat2(0)). One quadrature-error model (1e-12 of an
+L1 scale per transform value, carried through the weights) serves both.
 
 Truncation of the infinite catalog is surfaced on every FormValue through a
 declared tail model (sum_{gamma > T} m/gamma^2 <= log(T)/T times a sampled
@@ -243,6 +244,25 @@ def _transform_scale(psi) -> float:
     return float(np.sum(np.abs(psi.values)) * psi.grid.h)
 
 
+def _tail_bound(psi1, psi2, zs, k: int) -> float:
+    """Declared tail model 2 log(T)/T max |z|^k |psihat1(z)| |psihat2(z)| at
+    the _sup_samples probes: k = 2 for the pairing's weights m, 0 for the
+    screw form's m/gamma^2; 0 unless zs is a nonempty ZeroSet."""
+    if not isinstance(zs, zc.ZeroSet) or not len(zs):
+        return 0.0
+    zp = _sup_samples(zs.height_T)
+    p1 = transform_at(psi1, zp.astype(complex))
+    p2 = p1 if psi2 is psi1 else transform_at(psi2, zp.astype(complex))
+    envelope = float(np.max(np.abs(zp) ** k * np.abs(p1) * np.abs(p2)))
+    return 2.0 * zc.tail_coefficient(zs) * envelope
+
+
+def _quad_error(w, a1, a2, e1: float, e2: float) -> float:
+    """Error of sum w a1 a2 when every a1 is off by at most e1 and every a2
+    by at most e2."""
+    return float(np.sum(w * (np.abs(a1) * e2 + np.abs(a2) * e1 + e1 * e2)))
+
+
 def weil_pairing(psi1, psi2, zs) -> FormValue:
     """sum over the symmetric catalog of m psihat1(gamma) conj(psihat2(conj gamma)).
 
@@ -260,20 +280,10 @@ def weil_pairing(psi1, psi2, zs) -> FormValue:
     else:
         f2c = np.conj(transform_at(psi2, np.conj(g)))
     value = complex(np.sum(m * f1 * f2c))
-
-    tail = 0.0
-    if isinstance(zs, zc.ZeroSet) and len(zs):
-        T = zs.height_T
-        zp = _sup_samples(T)
-        p1 = transform_at(psi1, zp.astype(complex))
-        p2 = p1 if same else transform_at(psi2, zp.astype(complex))
-        envelope = float(np.max(np.abs(zp) ** 2 * np.abs(p1) * np.abs(p2)))
-        tail = 2.0 * zc.tail_coefficient(zs) * envelope
-
     e1 = 1e-12 * _transform_scale(psi1)
     e2 = e1 if same else 1e-12 * _transform_scale(psi2)
-    quad = float(np.sum(m * (np.abs(f1) * e2 + np.abs(f2c) * e1 + e1 * e2)))
-    return FormValue(value, tail, quad)
+    return FormValue(value, _tail_bound(psi1, psi2, zs, 2),
+                     _quad_error(m, f1, f2c, e1, e2))
 
 
 # ----------------------------------------------------------------------
@@ -323,52 +333,28 @@ def screw_kernel(t, s, zs):
 
 
 def screw_form(phi1: TestFunction, phi2: TestFunction, zs) -> FormValue:
-    """Double quadrature of G(t,s) phi1(s) conj(phi2(t)) over the support box.
+    """<phi1, phi2>_G = integral G(t,s) phi1(s) conj(phi2(t)) ds dt.
 
     Requires mean-zero inputs and real ordinates. As g(0) = 0,
-    G(t,s) = sum m/gamma^2 (e^{i gamma t} - 1)(e^{-i gamma s} - 1), so on
-    64-point Gauss-Legendre panels the double sum separates into
-    sum m/gamma^2 (sum_t w_t conj(phi2(t)) (e^{i gamma t} - 1))
-    (sum_s w_s phi1(s) (e^{-i gamma s} - 1)): two |Gamma| x n products. The
-    catalog also gives the form spectrally, sum m phihat1 conj(phihat2)/gamma^2
-    from the 32-point transforms; the routes share no nodes or exponentials,
-    and their gap is reported as the quadrature-error estimate.
+    G(t,s) = sum m/gamma^2 (e^{i gamma t} - 1)(e^{-i gamma s} - 1), so the
+    double integral is sum m/gamma^2 d1(gamma) conj(d2(gamma)) with
+    d = phihat(gamma) - phihat(0), from one transform_at call per input at
+    0 and the catalog. Quadrature error: weil_pairing's model, weights
+    m/gamma^2, twice the per-value error in each d.
     """
-    same = phi2 is phi1
-    scale1 = _transform_scale(phi1)
-    scale2 = scale1 if same else _transform_scale(phi2)
-    if abs(phi1.fourier(0.0)) > 1e-8 * max(scale1, 1e-30):
-        raise ValueError("screw_form requires mean-zero phi1")
-    if not same and abs(phi2.fourier(0.0)) > 1e-8 * max(scale2, 1e-30):
-        raise ValueError("screw_form requires mean-zero phi2")
     gam, m = _real_catalog(zs)
-    if not len(gam):
-        return FormValue(0.0j, 0.0, 0.0)
-
-    # 64-point panels resolving e^{i gamma t} up to max|gamma|
-    width = max(1e-3, 72.0 / (np.max(np.abs(gam)) + 1.0))
-    s_nodes, s_w = (p.ravel()
-                    for p in numerics.panel_rule(*phi1.support(), width, 64))
-    t_nodes, t_w = (p.ravel()
-                    for p in numerics.panel_rule(*phi2.support(), width, 64))
-    u = (np.exp(1j * np.multiply.outer(gam, t_nodes)) - 1.0) @ (
-        np.conj(phi2._eval(t_nodes)) * t_w)
-    v = (np.exp(-1j * np.multiply.outer(gam, s_nodes)) - 1.0) @ (
-        phi1._eval(s_nodes) * s_w)
-    value = complex(np.sum(m / (gam * gam) * u * v))
-
-    h1 = transform_at(phi1, gam)
-    h2 = np.conj(h1) if same else np.conj(transform_at(phi2, gam))
-    spectral = complex(np.sum(m * h1 * h2 / gam ** 2))
-
-    tail = 0.0
-    if isinstance(zs, zc.ZeroSet) and len(zs):
-        zp = _sup_samples(zs.height_T)
-        p1 = transform_at(phi1, zp.astype(complex))
-        p2 = p1 if same else transform_at(phi2, zp.astype(complex))
-        tail = 2.0 * zc.tail_coefficient(zs) * float(np.max(np.abs(p1) * np.abs(p2)))
-    quad = abs(value - spectral) + 1e-12 * scale1 * scale2
-    return FormValue(value, tail, quad)
+    z = np.concatenate([[0.0], gam])
+    h1 = transform_at(phi1, z)
+    h2 = h1 if phi2 is phi1 else transform_at(phi2, z)
+    scale1 = _transform_scale(phi1)
+    scale2 = scale1 if phi2 is phi1 else _transform_scale(phi2)
+    for name, h, scale in (("phi1", h1, scale1), ("phi2", h2, scale2)):
+        if abs(h[0]) > 1e-8 * max(scale, 1e-30):
+            raise ValueError("screw_form requires mean-zero %s" % name)
+    w = m / (gam * gam)
+    d1, d2c = h1[1:] - h1[0], np.conj(h2[1:] - h2[0])
+    return FormValue(complex(np.sum(w * d1 * d2c)), _tail_bound(phi1, phi2, zs, 0),
+                     _quad_error(w, d1, d2c, 2e-12 * scale1, 2e-12 * scale2))
 
 
 # ----------------------------------------------------------------------

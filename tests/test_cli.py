@@ -322,9 +322,27 @@ def test_verify_all_sweeps_theta_prime_once_per_ordinate(tmp_path, monkeypatch):
             == (tmp_path / "every" / "report_all.json").read_bytes())
 
 
-def test_export_bad_range_is_usage_error(tmp_path, monkeypatch):
+def test_export_bad_range_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
     for what, arg in (("screw_g", "zzz"), ("psi_gamma", "99"),
                       ("F_gamma", "0")):
         assert cli.main(["export", what, arg, "--out", str(tmp_path),
                          "--height-T", "20", "--cutoff-Z", "500"]) == 2
+    # a zero or negative step, b < a, a non-finite value: no CSV, exit 2
+    for what, arg in (("omega", "0:5:0"), ("screw_g", "0:5:0"),
+                      ("omega", "5:0:1"), ("omega", "0:1:-0.5"),
+                      ("omega", "0:nan:1"), ("omega", "inf:inf:0.5"),
+                      ("omega", "0:1:inf")):
+        capsys.readouterr()
+        assert cli.main(["export", what, arg, "--out", str(tmp_path),
+                         "--height-T", "20", "--cutoff-Z", "500"]) == 2
+        assert repr(arg) in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_export_non_finite_grid_is_usage_error(tmp_path, capsys):
+    for spec in ("-inf:1:5", "-inf:inf:5", "0:nan:5"):
+        capsys.readouterr()
+        assert cli.main(["export", "psi_gamma", "1", "--height-T", "20",
+                         "--grid=" + spec, "--out", str(tmp_path)]) == 2
+        assert repr(spec) in capsys.readouterr().err

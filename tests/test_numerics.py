@@ -90,6 +90,10 @@ def test_grid_validation():
         nu.Grid(1.0, 0.0, 10)
     with pytest.raises(ValueError):
         nu.Grid(0.0, 1.0, 1)
+    for a, b in ((-math.inf, 1.0), (-math.inf, math.inf), (0.0, math.nan),
+                 (0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            nu.Grid(a, b, 5)
     g = nu.Grid(0.0, 1.0, 11)
     assert g.h == pytest.approx(0.1)
 

@@ -62,17 +62,55 @@ def per_z_transform(psi, z, zmax=0.0):
 
 
 def g_matrix_screw_form(phi1, phi2, zs):
-    """Oracle: the screw-form quadrature through the t x s matrix of
-    G(t,s) = g(t-s) - g(t) - g(-s). Returns (value, sum of |terms|)."""
-    gmax = max(abs(g) for g, _ in zc.iterate_symmetric(zs))
-    width = max(1e-3, 72.0 / (gmax + 1.0))
-    s, s_w = (p.ravel() for p in nu.panel_rule(*phi1.support(), width, 64))
-    t, t_w = (p.ravel() for p in nu.panel_rule(*phi2.support(), width, 64))
-    G = (wf.screw_g_array(np.subtract.outer(t, s).ravel(), zs).reshape(len(t), len(s))
-         - wf.screw_g_array(t, zs)[:, None] - wf.screw_g_array(-s, zs)[None, :])
-    f1 = phi1._eval(s) * s_w
-    f2 = np.conj(phi2._eval(t)) * t_w
-    return complex(f2 @ G @ f1), float(np.abs(f2) @ np.abs(G) @ np.abs(f1))
+    """Oracle: the screw form as the double sum of the t x s matrix of
+    G(t,s) = g(t-s) - g(t) - g(-s) on 64-point Gauss-Legendre panels of
+    width min(72/(1 + max|gamma|), (b-a)/16) over each support, nodes that
+    transform_at's 32-point rule does not use. Over the symmetric catalog
+    g(x) = -4 sum_{gamma > 0} m sin^2(gamma x/2)/gamma^2, real, summed one
+    gamma at a time. When both supports agree, t - s is one of 2P - 1
+    panel offsets plus a difference of two nodes of the first panel, so
+    g(t - s) is summed at (2P - 1) 64^2 points, not (64 P)^2.
+
+    Returns (value, roundoff bound). With u the unit roundoff, |t|, |s|,
+    |t - s| <= L and S = sum_{gamma > 0} m/gamma^2, each term
+    4 m sin^2(gamma x/2)/gamma^2 is off by <= (4 |gamma| L + 5) u 4 m/gamma^2
+    (x = t - s, to within 3 u L, and the phase rounded, then sin, the
+    square and the weight); with the two subtractions and the sum over N
+    gammas a G entry is off by <= 12 (4 max|gamma| L + 7 + N) u S, and the
+    sums over the n_s x n_t nodes add <= (n_s + n_t) u of their sum of
+    |terms| (worst case). So |error| <= 12 (N + n_s + n_t + 4 max|gamma| L
+    + 8) u S ||f1||_1 ||f2||_1 for the weighted samples f1, f2."""
+    gam, m = zc.symmetric_arrays(zs, float)
+    m, gam = m[gam > 0], gam[gam > 0]
+
+    def g(x):
+        out = np.zeros(np.shape(x))
+        for gm, c in zip(gam, 4.0 * m / gam ** 2):
+            out -= c * np.sin(0.5 * gm * x) ** 2
+        return out
+
+    cap = 72.0 / (1.0 + np.max(gam))
+    (a1, b1), (a2, b2) = phi1.support(), phi2.support()
+    xs, s_w = nu.panel_rule(a1, b1, min(cap, (b1 - a1) / 16), 64)
+    xt, t_w = nu.panel_rule(a2, b2, min(cap, (b2 - a2) / 16), 64)
+    s, t = xs.ravel(), xt.ravel()
+    if (a1, b1) == (a2, b2):
+        P = len(xs)
+        off = xs[0] - xs[0, 0]
+        d = ((xs[1, 0] - xs[0, 0]) * np.arange(1 - P, P)[:, None, None]
+             + np.subtract.outer(off, off))
+        p_q = np.subtract.outer(np.arange(P), np.arange(P)) + P - 1
+        g_diff = g(d)[p_q].transpose(0, 2, 1, 3).reshape(len(t), len(s))
+    else:
+        g_diff = g(np.subtract.outer(t, s))
+    G = g_diff - g(t)[:, None] - g(-s)[None, :]
+    f1 = phi1._eval(s) * s_w.ravel()
+    f2 = np.conj(phi2._eval(t)) * t_w.ravel()
+    L = max(abs(a1), abs(b1)) + max(abs(a2), abs(b2))
+    n_terms = len(gam) + len(s) + len(t) + 4.0 * np.max(gam) * L + 8
+    bound = (12.0 * n_terms * np.finfo(float).eps / 2 * np.sum(m / gam ** 2)
+             * np.sum(np.abs(f1)) * np.sum(np.abs(f2)))
+    return complex(f2 @ G @ f1), float(bound)
 
 
 # ----------------------------------------------------------------------
@@ -389,28 +427,39 @@ def test_screw_form_matches_weil_pairing_of_antiderivative(catalog):
         + pv.tail_bound + pv.quad_error + 1e-10
 
 
-def test_screw_form_two_routes_agree(catalog):
+def test_screw_form_quad_error_is_the_transform_model(catalog):
+    # 1e-12 of the L1 scale per transform value, doubled in each difference
+    # phihat(gamma) - phihat(0) and carried through the weights m/gamma^2
+    gam, m = zc.symmetric_arrays(catalog, float)
     rng = np.random.default_rng(20)
     for _ in range(3):
         phi = wf.random_mean_zero(rng)
         sv = wf.screw_form(phi, phi, catalog)
-        # quad_error carries the gap between the quadrature and spectral
-        # routes; for smooth inputs it sits at quadrature precision
-        assert sv.quad_error <= 1e-8
+        d = np.abs(wf.transform_at(phi, gam) - wf.transform_at(phi, 0.0))
+        e = 2e-12 * wf._transform_scale(phi)
+        assert sv.quad_error == pytest.approx(
+            np.sum(m / gam ** 2 * (2.0 * d * e + e * e)), rel=1e-6)
         assert sv.value.real >= -1e-10
 
 
 @pytest.mark.parametrize("T", [50.0, 110.0])
 def test_separable_screw_form_matches_g_matrix_oracle(T):
+    # the G matrix on its own nodes; at T = 50 also mean-zero draws whose
+    # support is at most 2 wide, which an uncapped 72/(1 + max|gamma|)
+    # panel width covers with one or two panels
     zs = zc.compute_zeros(T) if T == 50.0 else zc.load_zeros(ZERO_TABLE, T)
     rng = np.random.default_rng(2026)
     phis = [wf.random_mean_zero(rng) for _ in range(3)]
     phis.append(wf.TestFunction.bump(0.4, 0.7).derivative())
-    for phi1, phi2 in [(p, p) for p in phis] + [(phis[0], phis[1]),
-                                                 (phis[3], phis[2])]:
-        got = wf.screw_form(phi1, phi2, zs).value
-        ref, size = g_matrix_screw_form(phi1, phi2, zs)
-        assert abs(got - ref) <= 1e-14 * size
+    pairs = [(p, p) for p in phis] + [(phis[3], phis[2])]
+    if T == 50.0:
+        draws = (wf.random_mean_zero(rng) for _ in range(400))
+        narrow = [p for p in draws if p.support()[1] - p.support()[0] <= 2.0][:3]
+        assert len(narrow) == 3
+        pairs += [(p, p) for p in narrow] + [(narrow[0], narrow[1])]
+    for phi1, phi2 in pairs:
+        ref, bound = g_matrix_screw_form(phi1, phi2, zs)
+        assert abs(wf.screw_form(phi1, phi2, zs).value - ref) <= bound
 
 
 def test_screw_form_declared_tail_bounds_the_omitted_zeros():
