@@ -315,6 +315,10 @@ def run_zeros(action: str, cfg: RunConfig) -> int:
     cache = cfg.cache_dir
     if action == "compute":
         zs = zc.compute_zeros(cfg.height_T, cache_dir=cache)
+        if not len(zs):
+            print("config error: no zero ordinates below T = %g" % cfg.height_T,
+                  file=sys.stderr)
+            return 2
         rep = zc.counting_check(zs)
         print("computed %d ordinates up to T=%g (count estimate %.2f, %s)"
               % (len(zs), cfg.height_T, rep.estimate,

@@ -686,7 +686,9 @@ def omega_profile(x):
     pairs with a one-sided cosine transform instead).
 
     At a scalar x (a float) or an array of x (an array of its shape); each
-    x sums its own n <= sqrt(40/(pi e^{2x})) + 10 terms. Series validated
+    x sums its own n <= sqrt(40/(pi e^{2x})) + 10 terms, in a row as wide
+    as that count rounded up to a power of two, so the summation order and
+    the value depend on x alone, not on the other points. Series validated
     for |x| <= 5, which every element must satisfy. A value whose terms all
     lie below 1e-16 is its leading term. Even in exact arithmetic; for
     x < -1 the evenness holds only up to absolute (not relative)
@@ -697,16 +699,20 @@ def omega_profile(x):
         raise ValueError("omega_profile validated for |x| <= 5")
     xf = x_arr.ravel()
     n_max = np.ceil(np.sqrt(40.0 / (math.pi * np.exp(2.0 * xf)))) + 10
+    # a row's width, and so numpy's pairwise summation order, is set by x alone
+    width = 2 ** np.ceil(np.log2(n_max)).astype(int)
     out = np.empty(xf.shape)
-    rows = max(1, _TABLE_ELEMS // int(n_max.max(initial=1)))    # tables <= 8 MB
-    for i0 in range(0, xf.size, rows):
-        x, top = xf[i0:i0 + rows, None], n_max[i0:i0 + rows, None]
-        n, a = np.arange(1, top.max() + 1), np.exp(2.0 * x)
-        terms = (4.0 * math.pi ** 2 * n ** 4 * np.exp(4.5 * x)
-                 - 6.0 * math.pi * n ** 2 * np.exp(2.5 * x)) * np.exp(-math.pi * n * n * a)
-        terms[n > top] = 0.0
-        # retain the leading term so superexponentially small values decay smoothly
-        keep = np.any(np.abs(terms) >= 1e-16, axis=1)
-        out[i0:i0 + rows] = np.where(keep, np.sum(terms, axis=1), terms[:, 0])
+    for w in np.unique(width):
+        idx, n = np.flatnonzero(width == w), np.arange(1, w + 1)
+        rows = _TABLE_ELEMS // w                                # tables <= 8 MB
+        for i0 in range(0, idx.size, rows):
+            j = idx[i0:i0 + rows]
+            x, top, a = xf[j, None], n_max[j, None], np.exp(2.0 * xf[j, None])
+            terms = (4.0 * math.pi ** 2 * n ** 4 * np.exp(4.5 * x)
+                     - 6.0 * math.pi * n ** 2 * np.exp(2.5 * x)) * np.exp(-math.pi * n * n * a)
+            terms[n > top] = 0.0
+            # retain the leading term so superexponentially small values decay smoothly
+            keep = np.any(np.abs(terms) >= 1e-16, axis=1)
+            out[j] = np.where(keep, np.sum(terms, axis=1), terms[:, 0])
     out = out.reshape(x_arr.shape)
     return float(out) if out.ndim == 0 else out

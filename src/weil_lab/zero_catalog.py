@@ -5,7 +5,7 @@ truncation height T); the full symmetric family {+-gamma} is produced by
 iterate_symmetric, and as (gamma, m) arrays by symmetric_arrays. Ordinates
 come either from a published plain-text table (one decimal per line,
 ascending) or from a sign-change sweep of xi along the critical line
-refined by bracketed bisection/secant.
+refined by Newton steps kept inside their brackets (xi' comes with xi).
 """
 
 from __future__ import annotations
@@ -32,7 +32,10 @@ _log = logging.getLogger("weil_lab")
 
 MAX_HEIGHT = 120.0
 _SCAN_STEP = 0.25
-_SOURCE_HEADER = "# source="
+_MAX_STEPS = 200
+# a computed file names its refiner, so another refiner's file is recomputed
+_HEADERS = {"table": "# source=table",
+            "computed": "# source=computed refiner=guarded-newton"}
 
 
 @dataclass(frozen=True)
@@ -105,51 +108,45 @@ def load_zeros(path, T: float) -> ZeroSet:
     return zs
 
 
-def _refine_brackets(f, a, b, fa, fb, tol: float = 1e-11):
-    """Roots of f in the brackets [a_i, b_i] (f of opposite signs at the
-    ends), refined together: (roots, steps, points evaluated). Each bracket
-    takes its own Illinois steps: the secant point (the midpoint where the
-    secant is undefined or leaves (a, b)) replaces the end of its sign, and
-    after two replacements of the same end in a row the kept end's f is
-    halved, so one-sided convergence cannot stall. A bracket stops at
-    width < tol, at adjacent floats or at an exact f(x) == 0, and returns
-    that x or its midpoint; a bracket still open after 200 steps raises
-    RuntimeError. f takes an array and is called once per step, on the
-    brackets still active."""
-    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
-    hit_at = np.full(a.shape, np.nan)        # x where f(x) == 0 exactly
-    side = np.zeros(a.shape, dtype=int)      # end replaced last: -1 a, +1 b
-    steps = points = 0
-    while True:
-        mid = 0.5 * (a + b)
-        i = np.flatnonzero(np.isnan(hit_at) & ~(b - a < tol) & (a < mid) & (mid < b))
-        if not i.size:
-            break
-        if steps == 200:
+def _refine_brackets(f, a, b, fa):
+    """Roots of f in the brackets [a_i, b_i] (fa = f(a_i), of the sign
+    opposite to f(b_i)), refined together: (roots, steps, points evaluated).
+    f maps an array t to (f(t), f'(t)) and is called once per step, on the
+    brackets still open. Each bracket starts at its midpoint t; a step moves
+    the end whose f has the sign of f(t) to t and forms d = f(t)/f'(t). It
+    stops with t at f(t) == 0, with t - d at |d| <= 4 ulp(t) (the raw step:
+    a converged t - d may land on the end just moved, outside the guard),
+    and with t when no float lies strictly inside (a, b); else it goes on
+    at t - d if that lies strictly inside (a, b), else (f'(t) == 0 too) at
+    the midpoint. A bracket open after _MAX_STEPS steps raises RuntimeError."""
+    a, b, fa = (np.array(v, dtype=float) for v in (a, b, fa))
+    t, root = 0.5 * (a + b), np.full(a.shape, np.nan)
+    i, steps, points = np.arange(a.size), 0, 0
+    while i.size:
+        if steps == _MAX_STEPS:
             raise RuntimeError("bracketed root refinement did not converge in "
-                               "200 steps (%d brackets open)" % i.size)
-        denom = fb[i] - fa[i]
-        x = b[i] - fb[i] * (b[i] - a[i]) / np.where(denom != 0.0, denom, 1.0)
-        x = np.where((denom != 0.0) & (a[i] < x) & (x < b[i]), x, mid[i])
-        fx = np.asarray(f(x), dtype=float)
+                               "%d steps (%d brackets open)" % (steps, i.size))
+        x = t[i]
+        fx, dfx = f(x)
         steps, points = steps + 1, points + i.size
-        hit_at[i[fx == 0.0]] = x[fx == 0.0]
         left = (fa[i] < 0) == (fx < 0)
-        fb[i[left & (side[i] == -1)]] *= 0.5
-        fa[i[~left & (side[i] == 1)]] *= 0.5
-        a[i[left]], fa[i[left]] = x[left], fx[left]
-        b[i[~left]], fb[i[~left]] = x[~left], fx[~left]
-        side[i] = np.where(left, -1, 1)
-    return np.where(np.isnan(hit_at), 0.5 * (a + b), hit_at), steps, points
+        a[i[left]], b[i[~left]] = x[left], x[~left]
+        d = fx / np.where(dfx != 0.0, dfx, np.nan)
+        newton, mid = x - d, 0.5 * (a[i] + b[i])
+        root[i] = np.select([fx == 0.0, np.abs(d) <= 4.0 * np.spacing(np.abs(x)),
+                             ~((a[i] < mid) & (mid < b[i]))], [x, newton, x], np.nan)
+        t[i] = np.where((a[i] < newton) & (newton < b[i]), newton, mid)
+        i = i[np.isnan(root[i])]
+    return root, steps, points
 
 
 def save_zeros(path, zs: ZeroSet) -> None:
-    """Write a catalog cache file: a '# source=computed|table' header, then
-    one %.17g ordinate per line, which reads back as the same float64
+    """Write a catalog cache file: its _HEADERS line, then one %.17g
+    ordinate per line, which reads back as the same float64
     (byte-stable for equal inputs). Files written with fewer digits still
     load, at the precision they hold."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("%s%s\n" % (_SOURCE_HEADER, zs.source))
+        fh.write(_HEADERS[zs.source] + "\n")
         for g in zs.ordinates:
             fh.write("%.17g\n" % g)
 
@@ -160,10 +157,7 @@ def _cached_source(path):
         return None
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().strip()
-    source = first[len(_SOURCE_HEADER):]
-    if first.startswith(_SOURCE_HEADER) and source in ("computed", "table"):
-        return source
-    return None
+    return next((src for src, head in _HEADERS.items() if first == head), None)
 
 
 def cache_file(cache_dir, T: float) -> str:
@@ -174,10 +168,12 @@ def cache_file(cache_dir, T: float) -> str:
 
 
 def compute_zeros(T: float, cache_dir=None) -> ZeroSet:
-    """Sign-change sweep of t -> xi(1/2 + it) on [2, T] at step 1/4, all
-    brackets refined together (_refine_brackets); a scan point where xi is
-    exactly 0 is a root, and a bracket is opened only between nonzero values
-    of opposite sign. Logs one DEBUG record on the "weil_lab" logger,
+    """Sign-change sweep of Z(t) = xi(1/2 + it) at t = 2, 2.25, ... < T and
+    at T; a scan point where Z is exactly 0 is a root, and a bracket is
+    opened only between nonzero values of opposite sign. All brackets are
+    refined together (_refine_brackets, to a few ulp) on Z and
+    Z'(t) = -Im xi'(1/2 + it), from one xi call per step. Logs one DEBUG
+    record on the "weil_lab" logger,
     with extra= fields catalog_T, scan_points, brackets, refine_steps,
     xi_points and elapsed_s; a cache hit logs nothing.
 
@@ -185,7 +181,8 @@ def compute_zeros(T: float, cache_dir=None) -> ZeroSet:
     is given (see save_zeros; the file is byte-stable across runs, and a
     miss and a hit return the sweep's ordinates bit for bit). A cached file
     reports the source its header names, so a table written by `weil-lab zeros
-    import` comes back as 'table'; a file without the header is recomputed.
+    import` comes back as 'table'; a file without one of the _HEADERS (a
+    computed one from another refiner too) is recomputed and overwritten.
     """
     if T > MAX_HEIGHT:
         raise ValueError("compute_zeros supports T <= %g" % MAX_HEIGHT)
@@ -197,14 +194,15 @@ def compute_zeros(T: float, cache_dir=None) -> ZeroSet:
             return _read_table(cache_path, T, source)
 
     t0 = time.perf_counter()
-    t_grid = np.arange(2.0, T + _SCAN_STEP, _SCAN_STEP)
-    t_grid = t_grid[t_grid <= T]
+    t_grid = np.append(np.arange(2.0, T, _SCAN_STEP), T)
     vals = np.real(sf.xi_on_critical_line(t_grid))
     fa, fb = vals[:-1], vals[1:]
     br = np.flatnonzero((fa != 0.0) & (fb != 0.0) & ((fa < 0) != (fb < 0)))
-    refined, steps, points = _refine_brackets(
-        lambda t: np.real(sf.xi_on_critical_line(t)),
-        t_grid[br], t_grid[br + 1], fa[br], fb[br])
+
+    def z_and_slope(t):
+        v = sf.xi(0.5 + 1j * t)
+        return v.xi.real, -v.xi_prime.imag
+    refined, steps, points = _refine_brackets(z_and_slope, t_grid[br], t_grid[br + 1], fa[br])
     roots = [float(r) for r in np.sort(np.concatenate([t_grid[vals == 0.0], refined]))]
     stats = {"catalog_T": float(T), "scan_points": t_grid.size, "brackets": br.size,
              "refine_steps": steps, "xi_points": t_grid.size + points,

@@ -137,6 +137,16 @@ def test_zeros_import_compute_list(tmp_path, monkeypatch, capsys):
     assert "zeros_T20.txt: 1 ordinates" in listing
 
 
+def test_zeros_compute_without_ordinates_names_T(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
+    assert cli.main(["zeros", "compute", "--height-T", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "T = 5" in err
+    # gamma_1 = 14.1347 lies after the last multiple of 1/4 below T = 14.2
+    assert cli.main(["zeros", "compute", "--height-T", "14.2"]) == 0
+    assert "computed 1 ordinates up to T=14.2" in capsys.readouterr().out
+
+
 def test_empty_cache_variable_counts_as_unset(tmp_path, monkeypatch, capsys):
     # WEIL_LAB_CACHE= behaves as if unset: export caches nothing, and zeros
     # falls back to ~/.cache/weil_lab

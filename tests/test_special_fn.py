@@ -379,6 +379,16 @@ def test_omega_array_matches_per_point_oracle():
         sf.omega_profile(np.array([0.0, -5.5]))
 
 
+def test_omega_value_does_not_depend_on_the_batch():
+    # a row is as wide as its own term count rounded up to a power of two,
+    # so numpy's pairwise sum adds a value's terms in one order alone and
+    # inside a call whose widest row (x = -5) takes 540 terms
+    x = np.random.default_rng(46).uniform(-5.0, 5.0, 400)
+    batch = sf.omega_profile(np.concatenate([[-5.0], x, [5.0]]))[1:-1]
+    alone = np.array([sf.omega_profile(v) for v in x])
+    assert batch.tobytes() == alone.tobytes()
+
+
 def test_omega_array_working_set_is_bounded():
     # 20,001 points take up to 540 series terms each: the term table is
     # built in row blocks, not as one 20001 x 540 array (86 MB)

@@ -3,6 +3,7 @@ import math
 import os
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from weil_lab import zero_catalog as zc
 # first two ordinates, frozen from a high-precision root-finding oracle
 G1 = 14.134725141734694
 G2 = 21.022039638771555
+G3 = 25.010857580145688
 
 
 def test_load_zeros_basic(tmp_path):
@@ -78,43 +80,44 @@ def test_computed_ordinates_are_roots(catalog):
         assert abs(v.xi) <= 1e-8 * max(1.0, abs(v.xi_prime))
 
 
-def _refine_root(f, a, b, fa, fb, tol=1e-11):
-    """Oracle: the one-bracket Illinois iteration with bisection fallback
-    that the batched refiner follows step for step."""
-    side = 0
-    for step in range(201):
-        mid = 0.5 * (a + b)
-        if b - a < tol or not a < mid < b:
-            return mid
-        if step == 200:
-            raise RuntimeError("no convergence")
-        denom = fb - fa
-        x = b - fb * (b - a) / denom if denom != 0.0 else mid
-        if not (a < x < b):
-            x = mid
-        fx = f(x)
-        if fx == 0.0:
-            return x
+def _newton_root(f, a, b, fa):
+    """Oracle: the one-bracket guarded Newton iteration that the batched
+    refiner follows step for step; f returns (f, f') at a float."""
+    t = 0.5 * (a + b)
+    for _ in range(200):
+        fx, dfx = f(t)
         if (fa < 0) == (fx < 0):
-            fb *= 0.5 if side == -1 else 1.0
-            a, fa, side = x, fx, -1
+            a = t
         else:
-            fa *= 0.5 if side == 1 else 1.0
-            b, fb, side = x, fx, 1
+            b = t
+        d = fx / dfx if dfx != 0.0 else math.nan
+        mid = 0.5 * (a + b)
+        if fx == 0.0:
+            return t
+        if abs(d) <= 4.0 * math.ulp(t):
+            return t - d
+        if not a < mid < b:
+            return t
+        t = t - d if a < t - d < b else mid
+    raise RuntimeError("no convergence")
 
 
 def _synthetic(x):
-    # brackets [1, 2]: exact hit at the first secant point; [3, 3.4]: a
-    # simple root; [5, 5.5]: a triple root; [7, 8]: a jump (the width stop
-    # ends it, or with tol = 0 the adjacent-float stop); [9, 10]: a steep line
+    # (f, f') with brackets [1, 2]: an exact hit at the first point; [3, 3.4]:
+    # a simple root; [5, 5.5]: a triple root (Newton converges linearly);
+    # [7, 8]: a jump with f' = 0, bisected down to adjacent floats; [9, 10]:
+    # a steep line
     x = np.asarray(x, dtype=float)
     d = x - 5.123
-    return np.select([x < 2.5, x < 4.0, x < 6.0, x < 8.5],
-                     [x - 1.5, (x - math.pi) * (1.0 + x * x), d * d * d,
-                      np.where(x > 7.3, 2.0, -1.0)], 1e3 * (x - 9.0001))
+    pieces = [x < 2.5, x < 4.0, x < 6.0, x < 8.5]
+    f = np.select(pieces, [x - 1.5, (x - math.pi) * (1.0 + x * x), d * d * d,
+                           np.where(x > 7.3, 2.0, -1.0)], 1e3 * (x - 9.0001))
+    df = np.select(pieces, [1.0, 1.0 + x * x + 2.0 * x * (x - math.pi), 3.0 * d * d,
+                            0.0], 1e3)
+    return f, df
 
 
-def _per_bracket(f, a, b, tol=1e-11):
+def _per_bracket(f, a, b):
     """Oracle roots and f-call counts, one bracket at a time."""
     roots, calls = [], []
     for ai, bi in zip(a, b):
@@ -122,45 +125,68 @@ def _per_bracket(f, a, b, tol=1e-11):
 
         def f1(x):
             n[0] += 1
-            return float(f(np.array([x]))[0])
-        roots.append(_refine_root(f1, ai, bi, f1(ai), f1(bi), tol))
-        calls.append(n[0] - 2)
+            v, dv = f(np.array([x]))
+            return float(v[0]), float(dv[0])
+        roots.append(_newton_root(f1, ai, bi, f1(ai)[0]))
+        calls.append(n[0] - 1)
     return np.array(roots), calls
 
 
-@pytest.mark.parametrize("tol", [1e-11, 0.0])
-def test_refine_brackets_matches_scalar_oracle(tol):
-    # tol = 0 runs every bracket down to adjacent floats
+@pytest.mark.parametrize("slope_error", [1e-11, 0.0])
+def test_refine_brackets_matches_scalar_oracle(slope_error):
+    # f' is used only to steer: a slope off by a relative 1e-11 (more than
+    # the rounding in Z'(t) = -Im xi') ends at the same roots as the exact one
+    def f(x):
+        v, dv = _synthetic(x)
+        return v, dv * (1.0 + slope_error)
     a = np.array([1.0, 3.0, 5.0, 7.0, 9.0])
     b = a + np.array([1.0, 0.4, 0.5, 1.0, 1.0])
-    ref, calls = _per_bracket(_synthetic, a, b, tol)
+    ref, calls = _per_bracket(f, a, b)
     assert calls[0] == 1 and len(set(calls)) >= 4
-    roots, steps, points = zc._refine_brackets(_synthetic, a, b, _synthetic(a),
-                                               _synthetic(b), tol)
+    roots, steps, points = zc._refine_brackets(f, a, b, f(a)[0])
     assert np.array_equal(roots, ref)
-    assert roots[0] == 1.5
     assert steps == max(calls) < 200 and points == sum(calls)
-    assert np.max(np.abs(roots[1:4] - [math.pi, 5.123, 7.3])) <= max(tol, 1e-15)
+    assert roots[0] == 1.5                                       # exact hit
+    assert abs(roots[1] - math.pi) <= 4 * math.ulp(math.pi)       # simple root
+    assert abs(roots[2] - 5.123) <= 1e-13                         # triple root
+    assert roots[3] in (7.3, np.nextafter(7.3, 8.0))              # jump
+    assert abs(roots[4] - 9.0001) <= 4 * math.ulp(9.0001)
 
 
-@pytest.mark.parametrize("f, a, b, root", [
-    (lambda x: np.exp(x) - 2.0, -5.0, 5.0, math.log(2.0)),
-    (lambda x: x ** 3 - 1e-3, -1.0, 2.0, 0.1),
-], ids=["exp", "cube"])
-def test_refine_brackets_two_sided_convergence(f, a, b, root):
-    # a plain secant converges from one side here and was still 2.15 and
-    # 0.86 from the root after 200 steps; the Illinois step needs <= 20
-    roots, steps, points = zc._refine_brackets(f, [a], [b], [f(a)], [f(b)])
-    assert abs(roots[0] - root) <= 1e-11
-    assert steps == points <= 20
+@pytest.mark.parametrize("f, df, a, b, root", [
+    (lambda x: np.exp(x) - 2.0, np.exp, -5.0, 5.0, math.log(2.0)),
+    (lambda x: x ** 3 - 1e-3, lambda x: 3.0 * x * x, -1.0, 2.0, 0.1),
+    (lambda x: np.arctan(x - 4.0), lambda x: 1.0 / (1.0 + (x - 4.0) ** 2),
+     -5.0, 5.0, 4.0),
+], ids=["exp", "cube", "atan"])
+def test_refine_brackets_two_sided_convergence(f, df, a, b, root):
+    # a plain secant converges from one side on exp and cube (2.15 and 0.86
+    # from the root after 200 steps); Newton from the midpoint overshoots
+    # exp's root once, and atan's first step (to 22.5) leaves [-5, 5], so
+    # the midpoint is taken instead
+    roots, steps, points = zc._refine_brackets(lambda t: (f(t), df(t)),
+                                               [a], [b], [f(a)])
+    assert abs(roots[0] - root) <= 4 * math.ulp(root)
+    assert steps == points <= 12
 
 
 def test_refine_brackets_raises_at_step_cap():
-    # a jump whose right side is 1e12 times the left: each time the secant
-    # crosses it the kept end needs ~40 halvings, and 200 steps run out
-    f = lambda x: np.where(x < 0.3, -1.0, 1e12)
+    # a jump at 0 with f' = 0: from [-1, 1] every step is a midpoint, and
+    # reaching adjacent floats at 0 takes ~1,075 halvings (through the
+    # subnormals), so 200 steps run out
+    f = lambda x: (np.where(x < 0.0, -1.0, 1.0), np.zeros_like(x))
     with pytest.raises(RuntimeError):
-        zc._refine_brackets(f, [0.0], [1.0], [-1.0], [1e12])
+        zc._refine_brackets(f, [-1.0], [1.0], [-1.0])
+
+
+def _roots_poly(sign, *roots):
+    """t -> (sign * prod(t - r), its derivative) at an array t."""
+    def f(t):
+        terms = [np.asarray(t, dtype=float) - r for r in roots]
+        df = sum(np.prod(terms[:i] + terms[i + 1:], axis=0)
+                 for i in range(len(terms)))
+        return sign * np.prod(terms, axis=0), sign * df
+    return f
 
 
 def test_compute_zeros_grid_point_zero_with_brackets(monkeypatch):
@@ -168,23 +194,33 @@ def test_compute_zeros_grid_point_zero_with_brackets(monkeypatch):
     # exactly, the roots inside scan brackets as the per-bracket loop finds
     cases = [
         # the scan point 3.0 approached from above
-        (lambda t: -(t - 3.0) * (t - 5.1) * (t - 8.37), 10.0, [3.0, 5.1, 8.37]),
+        (_roots_poly(-1.0, 3.0, 5.1, 8.37), 10.0, [3.0, 5.1, 8.37]),
         # the scan point 3.0 approached from below
-        (lambda t: -(t - 3.0) * (t - 5.1), 6.0, [3.0, 5.1]),
+        (_roots_poly(-1.0, 3.0, 5.1), 6.0, [3.0, 5.1]),
         # a zero at the last scan point
-        (lambda t: (t - 5.1) * (t - 6.0), 6.0, [5.1, 6.0]),
+        (_roots_poly(1.0, 5.1, 6.0), 6.0, [5.1, 6.0]),
     ]
     for poly, T, roots in cases:
-        monkeypatch.setattr(sf, "xi_on_critical_line", lambda t, poly=poly: poly(t) + 0j)
+        # the scan reads xi_on_critical_line, the refinement xi at
+        # s = 1/2 + it, whose Z'(t) = -Im xi'(s)
+        monkeypatch.setattr(sf, "xi_on_critical_line",
+                            lambda t, poly=poly: poly(t)[0] + 0j)
+        monkeypatch.setattr(sf, "xi", lambda s, poly=poly: sf.XiValue(
+            poly(s.imag)[0] + 0j, -1j * poly(s.imag)[1]))
         zs = zc.compute_zeros(T)
         t_grid = np.arange(2.0, T + 0.25, 0.25)
-        vals = poly(t_grid)
+        vals = poly(t_grid)[0]
         br = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
         refined, _ = _per_bracket(poly, t_grid[br], t_grid[br + 1])
         assert zs.ordinates == tuple(np.sort(np.concatenate([t_grid[vals == 0.0], refined])))
         assert len(zs) == len(roots)
         assert np.max(np.abs(np.array(zs.ordinates) - roots)) <= 1e-9
         assert {3.0, 6.0} & set(roots) <= set(zs.ordinates)
+
+
+def _z_and_slope(t):
+    v = sf.xi(complex(0.5, t))
+    return v.xi.real, -v.xi_prime.imag
 
 
 def test_compute_zeros_t110_against_table_and_per_bracket_route():
@@ -195,10 +231,34 @@ def test_compute_zeros_t110_against_table_and_per_bracket_route():
     assert np.max(np.abs(np.array(zs.ordinates) - table.ordinates)) <= 1e-11
     t_grid = np.arange(2.0, 110.25, 0.25)
     vals = np.real(sf.xi_on_critical_line(t_grid))
-    f = lambda t: float(np.real(sf.xi_on_critical_line(np.array([t]))[0]))
-    ref = [_refine_root(f, t_grid[i], t_grid[i + 1], vals[i], vals[i + 1])
+    ref = [_newton_root(_z_and_slope, t_grid[i], t_grid[i + 1], vals[i])
            for i in range(len(t_grid) - 1) if (vals[i] < 0) != (vals[i + 1] < 0)]
-    assert np.max(np.abs(np.array(zs.ordinates) - ref)) <= 1e-11
+    assert np.max(np.abs(np.array(zs.ordinates) - ref)) <= 1e-13
+
+
+def test_compute_zeros_t100_against_mpmath(catalog):
+    # every ordinate to a few ulp (1 ulp = 1.4e-14 at 100)
+    with mp.workdps(30):
+        ref = [float(mp.zetazero(k).imag) for k in range(1, 30)]
+    assert len(catalog) == 29
+    assert np.max(np.abs(np.array(catalog.ordinates) - ref)) <= 1e-13
+
+
+def test_compute_zeros_t100_refines_in_few_steps(caplog):
+    with caplog.at_level(logging.DEBUG, logger="weil_lab"):
+        zc.compute_zeros(100.0)
+    (r,) = [r for r in caplog.records if r.name == "weil_lab"]
+    assert (r.scan_points, r.brackets) == (393, 29)
+    assert r.refine_steps <= 8
+
+
+@pytest.mark.parametrize("T, n", [(14.2, 1), (21.1, 2), (25.05, 3)])
+def test_compute_zeros_finds_a_zero_after_the_last_grid_point(T, n):
+    # T itself is the last scan point: gamma_n lies between the last
+    # multiple of 1/4 and T
+    zs = zc.compute_zeros(T)
+    assert len(zs) == n
+    assert abs(zs.ordinates[-1] - (G1, G2, G3)[n - 1]) <= 1e-13
 
 
 def test_compute_zeros_logs_one_debug_record(tmp_path, caplog):
@@ -301,7 +361,9 @@ def test_cache_roundtrip_and_byte_stability(tmp_path):
 def test_cache_file_with_fewer_digits_still_loads(tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()
-    (cache / "zeros_T20.txt").write_text("# source=computed\n14.134725142\n")
+    path = cache / "zeros_T20.txt"
+    zc.save_zeros(path, zc.ZeroSet((), (), 20.0, "computed"))    # the header
+    path.write_text(path.read_text() + "14.134725142\n")
     zs = zc.compute_zeros(20.0, cache_dir=str(cache))
     assert zs.source == "computed" and zs.ordinates == (14.134725142,)
 
@@ -310,7 +372,7 @@ def test_cache_header_names_the_source(tmp_path):
     cache = str(tmp_path / "cache")
     zc.compute_zeros(20.0, cache_dir=cache)
     path = os.path.join(cache, "zeros_T20.txt")
-    assert open(path).readline() == "# source=computed\n"
+    assert open(path).readline() == "# source=computed refiner=guarded-newton\n"
     table = zc.ZeroSet((G1,), (1,), 20.0, "table")
     zc.save_zeros(path, table)
     assert zc.compute_zeros(20.0, cache_dir=cache).source == "table"
@@ -324,7 +386,27 @@ def test_cache_without_header_is_recomputed(tmp_path):
     assert zs.source == "computed"
     assert abs(zs.ordinates[0] - G1) < 1e-8
     header = (cache / "zeros_T20.txt").read_text().splitlines()[0]
-    assert header == "# source=computed"
+    assert header == "# source=computed refiner=guarded-newton"
+
+
+def test_cache_from_another_refiner_is_recomputed(tmp_path):
+    # a computed file in the header an earlier refiner wrote (no refiner
+    # named), its ordinates 3e-12 off, is recomputed and overwritten; a
+    # table file keeps its provenance
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "zeros_T30.txt"
+    fresh = zc.compute_zeros(30.0)
+    path.write_text("# source=computed\n"
+                    + "".join("%.17g\n" % (g + 3e-12) for g in fresh.ordinates))
+    assert zc.compute_zeros(30.0, cache_dir=str(cache)) == fresh
+    blob = path.read_bytes()
+    zc.save_zeros(tmp_path / "ref.txt", fresh)
+    assert blob == (tmp_path / "ref.txt").read_bytes()
+    assert zc.compute_zeros(30.0, cache_dir=str(cache)) == fresh     # a hit
+    path.write_text("# source=table\n14.134725142\n")
+    table = zc.compute_zeros(30.0, cache_dir=str(cache))
+    assert table.source == "table" and table.ordinates == (14.134725142,)
 
 
 def test_cached_empty_catalog_does_not_warn(tmp_path):
