@@ -256,11 +256,9 @@ def suite_hilbert_polya(cfg: RunConfig) -> Dict[str, float]:
     v["eigen_residual"], perturbed = ids.eigen_residuals(p, sets, sets[0])
     v["eigen_perturbed"] = 1e-2 - perturbed
 
-    bank = db.build_basis_bank(zs, 500.0,
-                               nu.band_exact_grid(-4.0, 18.0,
-                                                  500.0 + zs.ordinates[-1], 50.0))
+    grid = nu.band_exact_grid(-4.0, 18.0, 500.0 + zs.ordinates[-1], 50.0)
     v["decompose_null"], decs = ids.decomposition_null(
-        rng, 2, bank, wf.random_combination)
+        rng, 2, zs, 500.0, grid, wf.random_combination)
     worst_pair = 0.0
     for psi, dec, _ in decs:
         pv = wf.weil_pairing(psi, psi, zs).value
@@ -339,9 +337,14 @@ def run_zeros(action: str, cfg: RunConfig) -> int:
     if not entries:
         print("(empty cache)")
     for f in entries:
-        with open(os.path.join(cache, f), "r", encoding="utf-8") as fh:
+        path = os.path.join(cache, f)
+        source = zc._cached_source(path)
+        if source is None:
+            print("%s: stale (no current header; recomputed on next use)" % f)
+            continue
+        with open(path, "r", encoding="utf-8") as fh:
             n = sum(1 for line in fh if line.strip() and not line.startswith("#"))
-        print("%s: %d ordinates" % (f, n))
+        print("%s: %d ordinates (%s)" % (f, n, source))
     return 0
 
 

@@ -31,10 +31,10 @@ from . import special_fn as sf
 from . import zero_catalog as zc
 
 __all__ = [
-    "basis_table", "BasisFunction", "MembershipReport", "BasisBank",
-    "theta_prime_at_zero", "psi_gamma", "psi_gamma_tail_bound", "K_apply",
-    "v_membership", "debranges_norm", "restriction_isometry_check",
-    "axis_samples", "build_basis_bank",
+    "basis_table", "BasisFunction", "MembershipReport",
+    "theta_prime_at_zero", "psi_gamma", "psi_combination",
+    "psi_gamma_tail_bound", "K_apply", "v_membership", "debranges_norm",
+    "restriction_isometry_check", "axis_samples",
 ]
 
 _log = logging.getLogger("weil_lab")
@@ -182,7 +182,7 @@ def _default_freq_spacing(x_absmax: float) -> float:
 def psi_gamma(gamma: float, zs: zc.ZeroSet, Z: float, out: numerics.Grid,
               freq_spacing: Optional[float] = None) -> numerics.GridFunction:
     """Time-domain basis partner: inverse transform of F_gamma restricted to
-    [-Z, Z], sampled on the caller's grid.
+    [-Z, Z], sampled on the caller's grid; the one-term psi_combination.
 
     Two truncations limit the result. Cutting F_gamma (which decays only
     like 1/|x - gamma|) to [-Z, Z] loses L2 mass bounded by
@@ -192,14 +192,34 @@ def psi_gamma(gamma: float, zs: zc.ZeroSet, Z: float, out: numerics.Grid,
     gamma = 94.65 has 2 pi ||psi||^2 - 1 at 1.6 times the frequency bound,
     while on [-6, 38] the ratio stays near 0.25.
     """
+    F = BasisFunction(gamma, zs)
+    return psi_combination([F.gamma], [F.m_gamma], [1.0], Z, out, freq_spacing)
+
+
+def psi_combination(gammas, mults, coeffs, Z: float, out: numerics.Grid,
+                    freq_spacing: Optional[float] = None
+                    ) -> numerics.GridFunction:
+    """sum_k coeffs[k] psi_gamma_k on the caller's grid, by one inverse
+    transform: the trapezoid transform is linear, so the frequency samples
+    coeffs[k] F_gamma_k are summed first, one basis_table row at a time, in
+    order and in place on the cached axis samples (each psi_gamma_k keeps
+    its psi_gamma_tail_bound). The sum is made in the first row, the node
+    array is freed before the GridFunction copy and the sum before the
+    transform: a copy of the first row, or either array held, raises the
+    peak RSS of a large psi_gamma."""
     if Z < 500.0:
         raise ValueError("psi_gamma requires Z >= 500")
     x_absmax = max(abs(out.x_min), abs(out.x_max))
     h = freq_spacing if freq_spacing is not None else _default_freq_spacing(x_absmax)
     fgrid, L = axis_samples(Z, h)
-    F = BasisFunction(gamma, zs)
-    samples = numerics.GridFunction(fgrid, F.values_on_axis(fgrid.nodes(), L),
-                                    "frequency")
+    x = fgrid.nodes()
+    total = basis_table(gammas[:1], mults[:1], x, L)[0]
+    total *= coeffs[0]
+    for g, m, c in zip(gammas[1:], mults[1:], coeffs[1:]):
+        total += basis_table([g], [m], x, L)[0] * c
+    del x
+    samples = numerics.GridFunction(fgrid, total, "frequency")
+    del total
     return numerics.inverse_fourier_grid(samples, out)
 
 
@@ -226,8 +246,6 @@ def K_apply(psi: numerics.GridFunction, Z: float,
 def _mass_below(f: numerics.GridFunction, cut: float) -> float:
     x = f.grid.nodes()
     sel = x <= cut
-    if not np.any(sel):
-        return 0.0
     seg = np.abs(f.values[sel]) ** 2
     if np.count_nonzero(sel) < 2:
         return 0.0
@@ -291,27 +309,3 @@ def restriction_isometry_check(gamma: float, zs: zc.ZeroSet,
     for term in np.abs(F.values_on_axis(gp)) ** 2 * math.pi * mp_:
         rhs += term
     return lhs, float(rhs)
-
-
-@dataclass
-class BasisBank:
-    """psi_gamma for the full symmetric catalog on one output grid: row k
-    of psis holds psi_gamma for (gammas[k], mults[k]), in iterate_symmetric
-    order, so the bank carries its own catalog."""
-    out: numerics.Grid
-    gammas: np.ndarray        # (k,) float
-    mults: np.ndarray         # (k,) int
-    psis: np.ndarray          # (k, out.n_points) complex
-
-
-def build_basis_bank(zs: zc.ZeroSet, Z: float,
-                     out: numerics.Grid) -> BasisBank:
-    """Inverse-transform every F_gamma (both signs of gamma) onto one grid.
-    All rows share one axis sweep; each is one inverse transform, written
-    into psis as it is made, so the build holds one row's frequency samples
-    at a time."""
-    gammas, mults = zc.symmetric_arrays(zs, float, int)
-    psis = np.empty((len(gammas), out.n_points), dtype=complex)
-    for k, g in enumerate(gammas):
-        psis[k] = psi_gamma(float(g), zs, Z, out).values
-    return BasisBank(out, gammas, mults, psis)

@@ -136,37 +136,36 @@ class LWDecomposition:
     """psi = psi0 + psi1 with psi1 = sum_gamma i S_gamma sqrt(m pi) psi_gamma."""
     psi0: numerics.GridFunction
     psi1: numerics.GridFunction
-    coeffs: np.ndarray           # S_psi at bank.gammas
-    expansion: np.ndarray        # i S sqrt(m pi) per bank row
-    bank: debranges.BasisBank
+    coeffs: np.ndarray           # S_psi at gammas
+    expansion: np.ndarray        # i S sqrt(m pi) per catalog entry
+    gammas: np.ndarray           # the symmetric catalog, iterate_symmetric order
+    mults: np.ndarray
 
     def residual_coeffs(self) -> np.ndarray:
-        """Transforms of psi0 at bank.gammas through the expansion's defining
-        frequency-side values, one F_gamma table of the bank at its own
+        """Transforms of psi0 at gammas through the expansion's defining
+        frequency-side values, one F_gamma table at the catalog's own
         ordinates (the grid route has an aliasing floor well above these).
         A ufunc reduction, not a BLAS product, subtracts the rows in order,
         so the bits do not depend on the BLAS build or thread count."""
-        gam = self.bank.gammas
         terms = self.expansion[:, None] * debranges.basis_table(
-            gam, self.bank.mults, gam)
+            self.gammas, self.mults, self.gammas)
         return np.subtract.reduce(np.vstack([self.coeffs, terms]), axis=0)
 
 
-def decompose_LW(psi, bank: debranges.BasisBank) -> LWDecomposition:
-    """Split psi into its span over the bank's catalog and the transform-null
-    rest: coefficients psihat at bank.gammas, and psi1 the sum over the
-    rows of bank.psis weighted by expansion, by np.add.reduce rather than
-    expansion @ bank.psis, whose BLAS bytes vary with the thread count.
-    The bank (debranges.build_basis_bank) dominates the cost; build it once.
-    psi: a TestFunction (sampled on the bank's grid) or a GridFunction on it."""
-    grid = bank.out
-    if isinstance(psi, numerics.GridFunction) and psi.grid != grid:
-        raise numerics.GridMismatchError("psi must live on the bank's grid")
-    S = wf.transform_at(psi, bank.gammas)      # TypeError for other inputs
+def decompose_LW(psi, zs: zc.ZeroSet, Z: float,
+                 out: numerics.Grid) -> LWDecomposition:
+    """Split psi into its span over the catalog and the transform-null rest:
+    coefficients S = spectral_coeffs(psi, zs), and psi1 the combination of
+    psi_gamma (cut off at Z) weighted by expansion, from one inverse
+    transform (debranges.psi_combination).
+    psi: a TestFunction (sampled on out) or a GridFunction on out."""
+    if isinstance(psi, numerics.GridFunction) and psi.grid != out:
+        raise numerics.GridMismatchError("psi must live on the output grid")
+    S = spectral_coeffs(psi, zs)              # TypeError for other inputs
     values = (psi.values if isinstance(psi, numerics.GridFunction)
-              else psi(grid.nodes()))
-    expansion = 1j * S * np.sqrt(bank.mults * math.pi)
-    vals1 = np.add.reduce(expansion[:, None] * bank.psis, axis=0)
-    psi1 = numerics.GridFunction(grid, vals1, "time")
-    psi0 = numerics.GridFunction(grid, values - vals1, "time")
-    return LWDecomposition(psi0, psi1, S, expansion, bank)
+              else psi(out.nodes()))
+    gammas, mults = zc.symmetric_arrays(zs, float, int)
+    expansion = 1j * S * np.sqrt(mults * math.pi)
+    psi1 = debranges.psi_combination(gammas, mults, expansion, Z, out)
+    psi0 = numerics.GridFunction(out, values - psi1.values, "time")
+    return LWDecomposition(psi0, psi1, S, expansion, gammas, mults)

@@ -135,14 +135,15 @@ def eigen_residuals(p, sample_sets, shifted):
     return worst, rel(shifted[0], shifted[1], shifted[0] + 0.1)
 
 
-def decomposition_null(rng, n: int, bank, draw):
+def decomposition_null(rng, n: int, zs, Z: float, grid, draw):
     """Worst |S_psi0(gamma)| over n psi = draw(rng) = psi0 + psi1 on the
-    bank's catalog, and the (psi, decomposition, psi0 coefficients) triples."""
+    catalog zs (psi1 cut off at Z, on grid), and the (psi, decomposition,
+    psi0 coefficients) triples."""
     worst = 0.0
     out = []
     for _ in range(n):
         psi = draw(rng)
-        dec = hp.decompose_LW(psi, bank)
+        dec = hp.decompose_LW(psi, zs, Z, grid)
         res = dec.residual_coeffs()
         worst = max(worst, float(np.max(np.abs(res))))
         out.append((psi, dec, res))

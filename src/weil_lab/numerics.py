@@ -220,9 +220,9 @@ def _chirp_z(f: GridFunction, sign: float, scale: float, out: Grid,
     5-smooth length without wrap-around (at most 25% above n + m - 1 where a
     power of two can be 100% above). The kernel's FFT depends only on
     (n, h_in, m, h_out, sign), so it is kept read-only in _PLANS: a grid
-    pair that recurs (psi_gamma and K_apply on one window, every bank row)
-    skips the kernel fill and one of the three FFTs. The least recently
-    used spectra are dropped to hold at most _PLAN_ELEMS entries, and a
+    pair that recurs (psi_gamma and K_apply on one window) skips the
+    kernel fill and one of the three FFTs. The least recently used
+    spectra are dropped to hold at most _PLAN_ELEMS entries, and a
     longer one is never kept. The chirp is built in the input's FFT buffer
     (on a miss, copied into the kernel's), then overwritten block by block
     by the chirped input, so working memory is two complex arrays of

@@ -63,7 +63,7 @@ def heavy_psi(catalog):
 
 
 @pytest.fixture(scope="session")
-def basis_bank(catalog):
-    zs = catalog
-    grid = nu.band_exact_grid(-4.0, 18.0, 500.0 + zs.ordinates[-1])
-    return db.build_basis_bank(zs, 500.0, grid)
+def lw_grid(catalog):
+    """The [-4, 18] output grid of the decomposition tests (psi1 cut off at
+    Z = 500), alias-free for transforms at every catalog ordinate."""
+    return nu.band_exact_grid(-4.0, 18.0, 500.0 + catalog.ordinates[-1])

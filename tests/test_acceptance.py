@@ -136,15 +136,16 @@ def test_criterion_10_eigen_residuals(catalog):
            "worst %.1e, perturbed %.1e" % (worst, pert_ratio))
 
 
-def test_criterion_11_decomposition(basis_bank, catalog):
+def test_criterion_11_decomposition(lw_grid, catalog):
     worst_coeff, decs = ids.decomposition_null(
-        np.random.default_rng(111), 10, basis_bank, wf.random_bump)
+        np.random.default_rng(111), 10, catalog, 500.0, lw_grid,
+        wf.random_bump)
     worst_gap = -1e30
     for psi, dec, res in decs:
         fv = wf.weil_pairing(psi, psi, catalog)
         pairing_psi1 = wf.tau_norm(dec.coeffs - res, catalog)
         s, r = np.abs(dec.coeffs), np.abs(res)
-        coupling = np.sum(basis_bank.mults * (2 * s * r + r ** 2))
+        coupling = np.sum(dec.mults * (2 * s * r + r ** 2))
         budget = fv.quad_error + coupling + 1e-12
         gap = abs(fv.value.real - pairing_psi1)
         worst_gap = max(worst_gap, gap - budget)

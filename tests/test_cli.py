@@ -137,6 +137,28 @@ def test_zeros_import_compute_list(tmp_path, monkeypatch, capsys):
     assert "zeros_T20.txt: 1 ordinates" in listing
 
 
+def test_zeros_list_labels_stale_cache_files(tmp_path, monkeypatch, capsys):
+    # a file the next compute_zeros would recompute (no header, or an
+    # earlier refiner's header) is listed as stale, not as a catalog
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("WEIL_LAB_CACHE", str(cache))
+    assert cli.main(["zeros", "import", "--zeros", ZERO_TABLE,
+                     "--height-T", "20"]) == 0
+    assert cli.main(["zeros", "compute", "--height-T", "40"]) == 0
+    zs = zc.compute_zeros(50.0)
+    (cache / "zeros_T50.txt").write_text(
+        "# source=computed\n" + "".join("%.17g\n" % g for g in zs.ordinates))
+    (cache / "zeros_T30.txt").write_text("14.134725\n21.022040\n25.010858\n")
+    capsys.readouterr()
+    assert cli.main(["zeros", "list"]) == 0
+    listing = capsys.readouterr().out.splitlines()
+    assert listing == [
+        "zeros_T20.txt: 1 ordinates (table)",
+        "zeros_T30.txt: stale (no current header; recomputed on next use)",
+        "zeros_T40.txt: 6 ordinates (computed)",
+        "zeros_T50.txt: stale (no current header; recomputed on next use)"]
+
+
 def test_zeros_compute_without_ordinates_names_T(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
     assert cli.main(["zeros", "compute", "--height-T", "5"]) == 2

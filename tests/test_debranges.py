@@ -139,22 +139,6 @@ def test_basis_table_rows_take_their_own_limits():
             assert abs(v - ref) <= 1e-15 * abs(ref)
 
 
-def test_basis_bank_holds_one_row_of_frequency_samples(basis_bank, catalog):
-    # each psi_gamma row is written as it is made: the build's traced peak
-    # stays below one 58 x n_freq complex matrix of every F_gamma sample
-    out = basis_bank.out
-    fgrid, _ = db.axis_samples(500.0, db._default_freq_spacing(
-        max(abs(out.x_min), abs(out.x_max))))     # the sweep is warm in use
-    values_matrix = 58 * fgrid.n_points * 16              # 20.3 MiB
-    tracemalloc.start()
-    try:
-        bank = db.build_basis_bank(catalog, 500.0, out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert bank.psis.shape == (58, out.n_points) and peak < values_matrix
-
-
 # ----------------------------------------------------------------------
 # psi_gamma
 # ----------------------------------------------------------------------
@@ -205,6 +189,28 @@ def test_psi_gamma_l2_identity_with_pairing(small_psi, catalog):
     rhs = wf.weil_pairing(psi, psi, catalog).value.real
     assert abs(lhs - rhs) <= db.psi_gamma_tail_bound(
         catalog.ordinates[0], small_psi["Z"]) / math.pi
+
+
+def test_psi_gamma_holds_one_set_of_frequency_samples(catalog):
+    # the node array and the summed samples are freed before the transform:
+    # at Z = 2000 (193,723 frequency nodes) the traced peak stays at that of
+    # the basis_table row, with the sweep and the kernel spectrum warm;
+    # holding both across the transform reads 13.9 MiB
+    g1 = catalog.ordinates[0]
+    grid = nu.band_exact_grid(-6.0, 38.0, 4080.0, 80.0)
+    plans = dict(nu._PLANS)     # later tests find the kernel cache as it was
+    try:
+        db.psi_gamma(g1, catalog, 2000.0, grid)
+        tracemalloc.start()
+        try:
+            db.psi_gamma(g1, catalog, 2000.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        nu._PLANS.clear()
+        nu._PLANS.update(plans)
+    assert peak <= 11.0 * 2 ** 20
 
 
 def test_axis_cache_reuse(catalog):

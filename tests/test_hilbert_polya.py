@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,10 +184,10 @@ def test_tau_norm_equals_pairing(catalog):
     assert abs(lhs - rhs) <= 1e-12 * max(lhs, 1e-30)
 
 
-def test_decompose_bump(basis_bank, catalog):
+def test_decompose_bump(lw_grid, catalog):
     rng = np.random.default_rng(35)
     psi = wf.random_combination(rng)
-    dec = hp.decompose_LW(psi, basis_bank)
+    dec = hp.decompose_LW(psi, catalog, 500.0, lw_grid)
     res = dec.residual_coeffs()
     assert np.max(np.abs(res)) <= 1e-5
     # pairing is carried entirely by psi1
@@ -195,70 +196,102 @@ def test_decompose_bump(basis_bank, catalog):
     assert abs(pv - pv1) <= 1e-10 * max(pv, 1e-30)
     # time-domain split reassembles the input
     assert np.max(np.abs(dec.psi0.values + dec.psi1.values
-                         - psi(basis_bank.out.nodes()))) <= 1e-12
+                         - psi(lw_grid.nodes()))) <= 1e-12
 
 
-def test_decompose_basis_function_is_pure_span(basis_bank, catalog):
-    k = len(basis_bank.gammas) // 2                     # +gamma_1 row
-    psi1 = nu.GridFunction(basis_bank.out, basis_bank.psis[k], "time")
-    dec = hp.decompose_LW(psi1, basis_bank)
+def test_decompose_basis_function_is_pure_span(lw_grid, catalog):
+    psi1 = db.psi_gamma(catalog.ordinates[0], catalog, 500.0, lw_grid)
+    dec = hp.decompose_LW(psi1, catalog, 500.0, lw_grid)
     n1 = math.sqrt(nu.grid_norm_sq(dec.psi1))
     n0 = math.sqrt(nu.grid_norm_sq(dec.psi0))
     assert n0 <= 2e-2 * n1
 
 
-def test_decompose_projection_property(basis_bank, catalog):
+def test_decompose_projection_property(lw_grid, catalog):
     rng = np.random.default_rng(36)
     psi = wf.random_combination(rng)
-    first = hp.decompose_LW(psi, basis_bank)
-    second = hp.decompose_LW(first.psi1, basis_bank)
+    first = hp.decompose_LW(psi, catalog, 500.0, lw_grid)
+    second = hp.decompose_LW(first.psi1, catalog, 500.0, lw_grid)
     # applying the splitter to psi1 returns (~0, psi1) within twice the
     # single-pass grid-transform floor
     floor = math.sqrt(nu.grid_norm_sq(nu.GridFunction(
-        basis_bank.out, first.psi1.values
-        - (psi(basis_bank.out.nodes()) - first.psi0.values), "time"))) \
+        lw_grid, first.psi1.values
+        - (psi(lw_grid.nodes()) - first.psi0.values), "time"))) \
         + np.max(np.abs(hp.spectral_coeffs(first.psi1, catalog))) \
-        * len(basis_bank.gammas)
+        * len(first.gammas)
     n0 = math.sqrt(nu.grid_norm_sq(second.psi0))
     n1 = math.sqrt(nu.grid_norm_sq(second.psi1))
     assert n0 <= 2.0 * max(floor, 0.05 * n1)
 
 
-def test_decompose_weil_degeneracy_of_null_part(basis_bank, catalog):
+def test_decompose_weil_degeneracy_of_null_part(lw_grid, catalog):
     rng = np.random.default_rng(37)
     psi = wf.random_combination(rng)
-    dec = hp.decompose_LW(psi, basis_bank)
+    dec = hp.decompose_LW(psi, catalog, 500.0, lw_grid)
     res = dec.residual_coeffs()
     null_pairing = wf.tau_norm(res, catalog)
     assert null_pairing <= 1e-9
-    # the grid route carries the bank's transform floor but stays a bounded
-    # defect of the finite catalog, as documented
+    # the grid route carries the psi_gamma transform floor but stays a
+    # bounded defect of the finite catalog, as documented
     grid_pairing = wf.weil_pairing(dec.psi0, dec.psi0, catalog)
     assert abs(grid_pairing.value) <= 1e-4
 
 
-def test_decompose_on_the_banks_own_catalog(basis_bank):
-    # a T = 50 bank decomposes over its own 20-entry catalog (spectral_coeffs
-    # of zs50); psi1 and the residuals are the row-by-row sums, bit for bit
+def test_decompose_on_a_T50_catalog(lw_grid):
+    # a T = 50 decomposition runs over its own 20-entry catalog: the
+    # coefficients are spectral_coeffs of zs50 and the residuals the
+    # row-by-row sums, bit for bit; psi1, one transform of the summed
+    # samples, matches the sum of the psi_gamma rows to rounding
     zs50 = zc.compute_zeros(50.0)
-    bank = db.build_basis_bank(zs50, 500.0, basis_bank.out)
     psi = wf.random_combination(np.random.default_rng(38))
-    dec = hp.decompose_LW(psi, bank)
+    dec = hp.decompose_LW(psi, zs50, 500.0, lw_grid)
     assert dec.coeffs.tobytes() == hp.spectral_coeffs(psi, zs50).tobytes()
-    table = db.basis_table(bank.gammas, bank.mults, bank.gammas)
-    psi1, res = 0.0, dec.coeffs
-    for c, row, t in zip(dec.expansion, bank.psis, table):
+    assert len(dec.gammas) == 20
+    table = db.basis_table(dec.gammas, dec.mults, dec.gammas)
+    psi1, scale, res = 0.0, 0.0, dec.coeffs
+    for c, g, t in zip(dec.expansion, dec.gammas, table):
+        row = db.psi_gamma(g, zs50, 500.0, lw_grid).values
         psi1, res = psi1 + c * row, res - c * t
-    assert dec.psi1.values.tobytes() == psi1.tobytes()
+        scale += abs(c) * np.max(np.abs(row))
+    assert np.max(np.abs(dec.psi1.values - psi1)) <= 1e-14 * scale
     assert dec.residual_coeffs().tobytes() == res.tobytes()
     assert np.max(np.abs(dec.psi0.values + dec.psi1.values
-                         - psi(bank.out.nodes()))) <= 1e-12
+                         - psi(lw_grid.nodes()))) <= 1e-12
 
 
-def test_decompose_grid_mismatch(basis_bank, catalog):
+def test_decompose_makes_one_inverse_transform(lw_grid, catalog, monkeypatch):
+    # psi1 is one transform of the summed frequency samples, not one per
+    # catalog entry (58 at T = 100)
+    calls = []
+    inverse = nu.inverse_fourier_grid
+    monkeypatch.setattr(nu, "inverse_fourier_grid",
+                        lambda *a: calls.append(1) or inverse(*a))
+    hp.decompose_LW(wf.random_combination(np.random.default_rng(39)),
+                    catalog, 500.0, lw_grid)
+    assert len(calls) == 1
+
+
+def test_decompose_holds_one_row_of_frequency_samples(lw_grid, catalog):
+    # psi1 sums its frequency samples one basis_table row at a time: the
+    # traced peak of a decomposition stays below one 58 x n_freq complex
+    # matrix of every F_gamma sample
+    psi = wf.random_combination(np.random.default_rng(40))
+    hp.decompose_LW(psi, catalog, 500.0, lw_grid)       # the sweep is warm
+    fgrid, _ = db.axis_samples(500.0, db._default_freq_spacing(18.0))
+    values_matrix = 58 * fgrid.n_points * 16              # 20.3 MiB
+    tracemalloc.start()
+    try:
+        hp.decompose_LW(psi, catalog, 500.0, lw_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values_matrix
+
+
+def test_decompose_grid_mismatch(lw_grid, catalog):
     other = nu.GridFunction(nu.Grid(-1.0, 1.0, 11), np.zeros(11), "time")
     with pytest.raises(nu.GridMismatchError):
-        hp.decompose_LW(other, basis_bank)
+        hp.decompose_LW(other, catalog, 500.0, lw_grid)
 
 
 def test_generator_is_i_d_dx_on_smooth_grids(catalog):
