@@ -337,14 +337,15 @@ def run_zeros(action: str, cfg: RunConfig) -> int:
     if not entries:
         print("(empty cache)")
     for f in entries:
-        path = os.path.join(cache, f)
-        source = zc._cached_source(path)
-        if source is None:
+        try:
+            zs = zc.read_cache(os.path.join(cache, f))
+        except ValueError as exc:
+            print("%s: unreadable (%s)" % (f, exc))
+            continue
+        if zs is None:
             print("%s: stale (no current header; recomputed on next use)" % f)
             continue
-        with open(path, "r", encoding="utf-8") as fh:
-            n = sum(1 for line in fh if line.strip() and not line.startswith("#"))
-        print("%s: %d ordinates (%s)" % (f, n, source))
+        print("%s: %d ordinates (%s)" % (f, len(zs), zs.source))
     return 0
 
 

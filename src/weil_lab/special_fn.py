@@ -10,7 +10,8 @@ theta_on_axis and xi_on_critical_line take real arrays.
 
 The vector routes sum zeta by Euler-Maclaurin in chunks of 8192 points of
 comparable height, each to its own N, and take the Dirichlet sums
-S = sum_{n<N} n^{-s} and S' = -sum ln n n^{-s} by one of two routes.
+S = sum_{n<N} n^{-s} and S' = -sum ln n n^{-s} by one of two routes,
+chosen once per call in _em_chunks, which every evaluator goes through.
 
 Point by point, every input but a declared lattice: each point sums its
 own terms, with the rounding of the phase Im s ln n compensated (_powers),
@@ -315,12 +316,13 @@ def _lattice_sums(s: np.ndarray, d: complex, hi: np.ndarray, lo: np.ndarray,
     the constant) and split into its nearest grid point m_n and an offset
     |b_n| <= 1/2, so the phase k m_n 2pi/M is the FFT's own and only k b_n
     is rounded. c_n takes e^{2 pi i k0 x_n / M}, k0 = K//2 (k0 m_n reduced
-    mod M exactly), so the outputs are the centred modes k - k0. Both weight
-    sets (c_n and -ln n c_n) are spread by np.bincount and transformed by
-    one stacked FFT; inv_T (_deconvolution) deconvolves. One Taylor step
-    S += eps S' then carries the sums to s_k itself, eps = s_k - c - k d
-    being the roundoff of Im s_k (Re s_k = 1/2 throughout), formed exactly
-    (TwoSum, split Im d) on blocks that rise or fall in height.
+    mod M exactly), so the outputs are the centred modes k - k0. The three
+    weight sets c_n, -ln n c_n and ln^2 n c_n are spread by np.bincount and
+    transformed by one stacked FFT; inv_T (_deconvolution) deconvolves. One
+    Taylor step, S += eps S' and S' += eps S'', then carries both sums to
+    s_k itself, eps = s_k - c - k d being the roundoff of Im s_k
+    (Re s_k = 1/2 throughout), formed exactly (TwoSum, split Im d) on
+    blocks that rise or fall in height.
     """
     K = s.size
     M = numerics._fast_len(2 * K)
@@ -336,39 +338,25 @@ def _lattice_sums(s: np.ndarray, d: complex, hi: np.ndarray, lo: np.ndarray,
     m = m.astype(np.int64)
     c_n = _powers(s[:1], hi, lo)[0]
     c_n *= np.exp((2j * math.pi / M) * ((k0 * m) % M + k0 * b))
-    grid = np.zeros((2, M), dtype=complex)
+    grid = np.zeros((3, M), dtype=complex)
     for n0 in range(0, hi.size, _SOURCE_BLOCK):
         blk = slice(n0, n0 + _SOURCE_BLOCK)
         ker = _kernel(np.subtract.outer(_OFFSETS, b[blk]))
         idx = (np.add.outer(_OFFSETS, m[blk]) % M).ravel()
         tmp = np.empty_like(ker)
-        for row, src in ((grid[0], c_n[blk]), (grid[1], -hi[blk] * c_n[blk])):
+        src = c_n[blk]
+        for row in grid:
             for part, w in ((row.real, src.real), (row.imag, src.imag)):
                 part += np.bincount(idx, np.multiply(ker, w, out=tmp).ravel(), M)
-    S, Sp = np.fft.fft(grid)[:, (k0 - np.arange(K)) % M] * inv_T
+            src = -hi[blk] * src
+    S, Sp, Spp = np.fft.fft(grid)[:, (k0 - np.arange(K)) % M] * inv_T
     dh, dl = _split(d.imag)
     k = np.arange(K)
     u = s.imag - s[0].imag
     v = u - s.imag                  # TwoSum: u + r = s.imag - s[0].imag
     r = (s.imag - (u - v)) - (s[0].imag + v)
     eps = 1j * (((u - k * dh) - k * dl) + r)
-    return S + eps * Sp, Sp
-
-
-def _dirichlet_sums(s: np.ndarray, Ns, step):
-    """Yield (S, S') = (sum n^{-s}, -sum ln n n^{-s}) over n < Ns[j] for each
-    chunk j of _CHUNK points of the flat s: by _lattice_sums when the caller
-    declares the step of s (whole blocks, each anchored at its first node),
-    else point by point."""
-    hi, lo = _ln_parts(np.arange(1, max(Ns), dtype=float))
-    if step is not None:
-        inv_T = _deconvolution(_CHUNK, numerics._fast_len(2 * _CHUNK))
-    for i0, N in zip(range(0, s.size, _CHUNK), Ns):
-        sc = s[i0:i0 + _CHUNK]
-        if step is None:
-            yield _point_sums(sc, hi[:N - 1], lo[:N - 1])
-        else:
-            yield _lattice_sums(sc, step, hi[:N - 1], lo[:N - 1], inv_T)
+    return S + eps * Sp, Sp + eps * Spp
 
 
 def _w_pair(s: np.ndarray, N: int, S: np.ndarray, Sp: np.ndarray):
@@ -420,21 +408,22 @@ def _em_chunks(s: np.ndarray, lattice=None):
     """Yield (idx, s[idx], w, w', (N, redone)) over chunks of _CHUNK points
     of the flat array s, taken in order of |Im s| so the Euler-Maclaurin N of
     each chunk tracks its local height (|Im s| = |x| on the critical line),
-    and summed point by point.
+    and summed point by point (_point_sums).
 
     lattice = (k0, h) declares s = 1/2 - i k h for k = k0, k0 + 1, ...: the
     chunks are then the fixed blocks of k of the module docstring, summed by
-    _lattice_sums. redone counts a chunk's nodes summed again point by point:
-    those where the lattice sums' error model,
-    |dw| ~ _LATTICE_EPS |s - 1| sum n^{-1/2}, puts the error of
-    L = w'/w + ..., |w'| |dw| / |w|^2, above _L_BUDGET (near a zero, where w
-    cancels)."""
+    _lattice_sums. The route is chosen here, once per call, and ln n is
+    taken once, to the largest N, for every chunk to slice. redone counts a
+    chunk's nodes summed again point by point: on a lattice, those where
+    the lattice sums' error model, |dw| ~ _LATTICE_EPS |s - 1| sum n^{-1/2},
+    puts the error of L = w'/w + ..., |w'| |dw| / |w|^2, above _L_BUDGET
+    (near a zero, where w cancels); point by point, none (eps = 0)."""
     s = s.ravel()
     n = s.size
     if lattice is None:
         order = np.argsort(np.abs(s.imag), kind="stable")
         s = s[order]
-        off, step = 0, None
+        off, sums, eps = 0, _point_sums, 0.0
     else:
         k0, h = lattice
         j0 = k0 // _CHUNK
@@ -443,21 +432,26 @@ def _em_chunks(s: np.ndarray, lattice=None):
         j1 = (k0 + n - 1) // _CHUNK + 1
         s = 0.5 - 1j * (np.arange(j0 * _CHUNK, j1 * _CHUNK) * h)
         order = np.arange(-off, s.size - off)
-        step = complex(0.0, -h)
+        inv_T = _deconvolution(_CHUNK, numerics._fast_len(2 * _CHUNK))
+
+        def sums(sc, hi, lo):
+            return _lattice_sums(sc, complex(0.0, -h), hi, lo, inv_T)
+        eps = _LATTICE_EPS
     starts = range(0, s.size, _CHUNK)
     Ns = [_em_length(s[i0:i0 + _CHUNK]) for i0 in starts]
-    for i0, N, (S, Sp) in zip(starts, Ns, _dirichlet_sums(s, Ns, step)):
+    hi, lo = _ln_parts(np.arange(1.0, max(Ns, default=1)))
+    for i0, N in zip(starts, Ns):
+        hi_N, lo_N = hi[:N - 1], lo[:N - 1]
+        S, Sp = sums(s[i0:i0 + _CHUNK], hi_N, lo_N)
         a, b = max(i0, off), min(i0 + _CHUNK, off + n)
         sc, S, Sp = s[a:b], S[a - i0:b - i0], Sp[a - i0:b - i0]
         w, wp = _w_pair(sc, N, S, Sp)
-        redo = ()
-        if step is not None:
-            dw = _LATTICE_EPS * np.sum(np.arange(1.0, N) ** -0.5) * np.abs(sc - 1.0)
-            redo = np.flatnonzero(dw * np.abs(wp) > _L_BUDGET * np.abs(w) ** 2)
-            if redo.size:
-                S, Sp = _point_sums(sc[redo], *_ln_parts(np.arange(1.0, N)))
-                w[redo], wp[redo] = _w_pair(sc[redo], N, S, Sp)
-        yield order[a:b], sc, w, wp, (N, len(redo))
+        dw = eps * np.sum(np.arange(1.0, N) ** -0.5) * np.abs(sc - 1.0)
+        redo = np.flatnonzero(dw * np.abs(wp) > _L_BUDGET * np.abs(w) ** 2)
+        if redo.size:
+            S, Sp = _point_sums(sc[redo], hi_N, lo_N)
+            w[redo], wp[redo] = _w_pair(sc[redo], N, S, Sp)
+        yield order[a:b], sc, w, wp, (N, redo.size)
 
 
 def _chi_pair(s: np.ndarray):
@@ -662,12 +656,9 @@ def theta_on_axis(x, log_deriv=None):
 
 
 def xi_on_critical_line(t):
-    """xi(1/2 + it) for real t, vectorized; real-valued up to roundoff."""
-    s = 0.5 + 1j * np.asarray(t, dtype=float)
-    out = np.empty(s.shape, dtype=complex)
-    for idx, sc, w, _, _ in _em_chunks(s):
-        out.flat[idx] = _xi_factor(sc) * w
-    return out
+    """xi(1/2 + it) for real t, vectorized; real-valued up to roundoff. The
+    critical-line case of xi."""
+    return xi(0.5 + 1j * np.asarray(t, dtype=float)).xi
 
 
 # ----------------------------------------------------------------------

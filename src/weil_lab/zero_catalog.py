@@ -25,7 +25,7 @@ from . import special_fn as sf
 __all__ = [
     "ZeroSet", "CountingReport", "load_zeros", "save_zeros", "compute_zeros",
     "counting_check", "iterate_symmetric", "symmetric_arrays", "cache_file",
-    "tail_coefficient",
+    "read_cache", "tail_coefficient",
 ]
 
 _log = logging.getLogger("weil_lab")
@@ -151,13 +151,16 @@ def save_zeros(path, zs: ZeroSet) -> None:
             fh.write("%.17g\n" % g)
 
 
-def _cached_source(path):
-    """The source a cache file's header names; None without file or header."""
+def read_cache(path, T: float = math.inf):
+    """The catalog in a cache file, its ordinates <= T (see _read_table),
+    with the source its header names; None without file or one of the
+    _HEADERS."""
     if not os.path.exists(path):
         return None
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().strip()
-    return next((src for src, head in _HEADERS.items() if first == head), None)
+    source = next((src for src, head in _HEADERS.items() if first == head), None)
+    return None if source is None else _read_table(path, T, source)
 
 
 def cache_file(cache_dir, T: float) -> str:
@@ -172,10 +175,11 @@ def compute_zeros(T: float, cache_dir=None) -> ZeroSet:
     at T; a scan point where Z is exactly 0 is a root, and a bracket is
     opened only between nonzero values of opposite sign. All brackets are
     refined together (_refine_brackets, to a few ulp) on Z and
-    Z'(t) = -Im xi'(1/2 + it), from one xi call per step. Logs one DEBUG
-    record on the "weil_lab" logger,
-    with extra= fields catalog_T, scan_points, brackets, refine_steps,
-    xi_points and elapsed_s; a cache hit logs nothing.
+    Z'(t) = -Im xi'(1/2 + it), from one xi call per step; the scan is one
+    more call of the same evaluator. Logs one DEBUG record on the
+    "weil_lab" logger, with extra= fields catalog_T, scan_points, brackets,
+    refine_steps, xi_points and elapsed_s; a cache hit (read_cache) logs
+    nothing.
 
     Results are cached in cache_file(cache_dir, T) when a cache directory
     is given (see save_zeros; the file is byte-stable across runs, and a
@@ -189,19 +193,19 @@ def compute_zeros(T: float, cache_dir=None) -> ZeroSet:
     cache_path = None
     if cache_dir is not None:
         cache_path = cache_file(cache_dir, T)
-        source = _cached_source(cache_path)
-        if source is not None:
-            return _read_table(cache_path, T, source)
+        cached = read_cache(cache_path, T)
+        if cached is not None:
+            return cached
 
     t0 = time.perf_counter()
     t_grid = np.append(np.arange(2.0, T, _SCAN_STEP), T)
-    vals = np.real(sf.xi_on_critical_line(t_grid))
-    fa, fb = vals[:-1], vals[1:]
-    br = np.flatnonzero((fa != 0.0) & (fb != 0.0) & ((fa < 0) != (fb < 0)))
 
     def z_and_slope(t):
         v = sf.xi(0.5 + 1j * t)
         return v.xi.real, -v.xi_prime.imag
+    vals = z_and_slope(t_grid)[0]
+    fa, fb = vals[:-1], vals[1:]
+    br = np.flatnonzero((fa != 0.0) & (fb != 0.0) & ((fa < 0) != (fb < 0)))
     refined, steps, points = _refine_brackets(z_and_slope, t_grid[br], t_grid[br + 1], fa[br])
     roots = [float(r) for r in np.sort(np.concatenate([t_grid[vals == 0.0], refined]))]
     stats = {"catalog_T": float(T), "scan_points": t_grid.size, "brackets": br.size,

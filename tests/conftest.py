@@ -3,6 +3,7 @@ artifacts are built once per session and reused across test modules."""
 
 import os
 
+import mpmath as mp
 import pytest
 
 from weil_lab import debranges as db
@@ -21,6 +22,14 @@ def eigen_samples(rng, exclude, n=20):
         if all(abs(z - e) > 0.5 for e in exclude):
             out.append(z)
     return out
+
+
+def mp_log_derivative(x):
+    """Oracle for L(x) = d/dz log xi(1/2 - iz) at real x, by mpmath at the
+    caller's working precision (an mpc)."""
+    s = mp.mpc(mp.mpf(1) / 2, -mp.mpf(x))
+    return -1j * (1 / s + 1 / (s - 1) - mp.log(mp.pi) / 2 + mp.digamma(s / 2) / 2
+                  + mp.zeta(s, derivative=1) / mp.zeta(s))
 
 
 @pytest.fixture(scope="session")

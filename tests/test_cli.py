@@ -159,6 +159,23 @@ def test_zeros_list_labels_stale_cache_files(tmp_path, monkeypatch, capsys):
         "zeros_T50.txt: stale (no current header; recomputed on next use)"]
 
 
+def test_zeros_list_counts_ordinates_as_the_catalog_reads_them(tmp_path, monkeypatch,
+                                                               capsys):
+    # an indented comment is no ordinate, and a file the catalog cannot
+    # read is named so, not counted
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("WEIL_LAB_CACHE", str(cache))
+    (cache / "zeros_T30.txt").write_text(
+        "# source=table\n14.134725\n  # note\n21.022040\n25.010858\n")
+    (cache / "zeros_T40.txt").write_text("# source=table\n14.134725\n21.02x\n")
+    assert len(zc.compute_zeros(30.0, cache_dir=str(cache))) == 3
+    assert cli.main(["zeros", "list"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "zeros_T30.txt: 3 ordinates (table)",
+        "zeros_T40.txt: unreadable (malformed ordinate at line 3: '21.02x')"]
+
+
 def test_zeros_compute_without_ordinates_names_T(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
     assert cli.main(["zeros", "compute", "--height-T", "5"]) == 2

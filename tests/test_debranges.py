@@ -12,7 +12,7 @@ from weil_lab import numerics as nu
 from weil_lab import special_fn as sf
 from weil_lab import zero_catalog as zc
 
-from conftest import ZERO_TABLE
+from conftest import ZERO_TABLE, mp_log_derivative
 
 
 # ----------------------------------------------------------------------
@@ -83,9 +83,7 @@ def test_values_near_another_zero_follow_the_error_model(catalog):
     theta, vals = sf.theta_on_axis(x), F.values_on_axis(x)
     with mp.workdps(30):
         for xk, th, v in zip(x, theta, vals):
-            s = mp.mpc(mp.mpf(1) / 2, -mp.mpf(xk))
-            L = (-1j * (1 / s + 1 / (s - 1) - mp.log(mp.pi) / 2 + mp.digamma(s / 2) / 2
-                        + mp.zeta(s, derivative=1) / mp.zeta(s))).real
+            L = mp_log_derivative(xk).real
             assert abs(L) > 1e6
             assert abs(th - complex((1 - 1j * L) / (1 + 1j * L))) <= 2e-14
             exact = complex(F.normalization / ((1 + 1j * L) * (mp.mpf(xk) - g1)))

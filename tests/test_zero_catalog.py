@@ -201,10 +201,8 @@ def test_compute_zeros_grid_point_zero_with_brackets(monkeypatch):
         (_roots_poly(1.0, 5.1, 6.0), 6.0, [5.1, 6.0]),
     ]
     for poly, T, roots in cases:
-        # the scan reads xi_on_critical_line, the refinement xi at
-        # s = 1/2 + it, whose Z'(t) = -Im xi'(s)
-        monkeypatch.setattr(sf, "xi_on_critical_line",
-                            lambda t, poly=poly: poly(t)[0] + 0j)
+        # the scan and the refinement read xi at s = 1/2 + it, whose
+        # Z'(t) = -Im xi'(s)
         monkeypatch.setattr(sf, "xi", lambda s, poly=poly: sf.XiValue(
             poly(s.imag)[0] + 0j, -1j * poly(s.imag)[1]))
         zs = zc.compute_zeros(T)
@@ -230,10 +228,17 @@ def test_compute_zeros_t110_against_table_and_per_bracket_route():
     assert len(zs) == len(table) == 33
     assert np.max(np.abs(np.array(zs.ordinates) - table.ordinates)) <= 1e-11
     t_grid = np.arange(2.0, 110.25, 0.25)
-    vals = np.real(sf.xi_on_critical_line(t_grid))
+    vals = sf.xi(0.5 + 1j * t_grid).xi.real
     ref = [_newton_root(_z_and_slope, t_grid[i], t_grid[i + 1], vals[i])
            for i in range(len(t_grid) - 1) if (vals[i] < 0) != (vals[i + 1] < 0)]
     assert np.max(np.abs(np.array(zs.ordinates) - ref)) <= 1e-13
+
+
+def test_compute_zeros_scans_and_refines_through_xi(monkeypatch):
+    def refuse(t):
+        raise AssertionError("the catalog sweep evaluates xi only through xi")
+    monkeypatch.setattr(sf, "xi_on_critical_line", refuse)
+    assert len(zc.compute_zeros(50.0)) == 10
 
 
 def test_compute_zeros_t100_against_mpmath(catalog):
