@@ -246,7 +246,7 @@ def suite_hilbert_polya(cfg: RunConfig) -> Dict[str, float]:
     rng = np.random.default_rng(_SEED + 4)
     zs = cfg.catalog
     z = 3.0
-    v = {"s_pi_half": abs(hp.s_theta(math.pi / 2, z) + sf.xi(0.5 - 1j * z).xi)}
+    v = {"s_pi_half": abs(hp.s_theta(math.pi / 2, z) + ids.xi_product(0.5 - 1j * z))}
 
     p = hp.ExtensionParams(math.pi / 2)
     samples = [complex(rng.uniform(-30, 30), rng.uniform(-2, 2))

@@ -275,16 +275,16 @@ def debranges_norm(F: numerics.GridFunction) -> float:
 
     Valid while E is representable on the window (|z| up to ~900); a node at
     an (underflowed or genuinely real) zero of E raises, and the caller
-    should re-grid. On a symmetric grid E is taken at the mirrored x >= 0
-    nodes (linspace's x < 0 nodes differ from them by ulps), so E_xi folds
-    the grid onto that half by E(-x) = conj E(x) and sums each node once.
+    should re-grid. On a symmetric grid E is evaluated on the x >= 0 half
+    and mirrored by E(-x) = conj E(x) (linspace's x < 0 nodes differ from
+    the mirrored ones by ulps).
     """
     if F.domain_tag != "frequency":
         raise numerics.GridMismatchError("debranges_norm expects frequency samples")
     x = F.grid.nodes()
-    if F.grid.x_min == -F.grid.x_max:
-        x = np.where(x < 0.0, -x[::-1], x)
-    E = sf.E_xi(x)
+    h = x.size // 2 if F.grid.x_min == -F.grid.x_max else 0
+    half = sf.E_xi(np.abs(x[h:]) if h else x)
+    E = np.concatenate([np.conj(half[::-1][:h]), half])
     if np.any(np.abs(E) < 1e-300):
         raise ZeroDivisionError("E vanishes/underflows on a grid node; re-grid")
     ratio = numerics.GridFunction(F.grid, F.values / E, "frequency")

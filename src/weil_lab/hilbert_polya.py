@@ -27,14 +27,12 @@ __all__ = [
 
 def s_theta(theta: float, z):
     """S_theta(z) = (i/2) (e^{i theta} E(z) - e^{-i theta} E^#(z)) at a
-    scalar z (a complex) or an array of z (an array of its shape), with E
-    at z and at conj z from one E_xi call.
+    scalar z (a complex) or an array of z (an array of its shape), with
+    E = xi + xi' and E^# = xi - xi' at s = 1/2 - iz from one xi call.
 
     Real-valued for real z and any theta; at theta = pi/2 it equals
     -xi(1/2 - iz)."""
-    z_arr = np.asarray(z, dtype=complex)
-    E = sf.E_xi(np.stack([z_arr, np.conj(z_arr)]))
-    out = _s_from_E(theta, E[0], np.conj(E[1]))
+    out = _s_from_E(theta, *sf._E_pair(z))
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -53,9 +51,9 @@ class ExtensionParams:
     def __post_init__(self):
         if not (0.0 <= self.theta < math.pi):
             raise ValueError("theta must lie in [0, pi)")
-        E, E_conj = sf.E_xi(np.array([self.w0, np.conj(self.w0)]))
-        scale = abs(E) + abs(E_conj) + 1e-300
-        if abs(_s_from_E(self.theta, E, np.conj(E_conj))) < 1e-10 * scale:
+        E, E_sharp = sf._E_pair(self.w0)
+        scale = abs(E) + abs(E_sharp) + 1e-300
+        if abs(_s_from_E(self.theta, E, E_sharp)) < 1e-10 * scale:
             raise ValueError("S_theta(w0) = 0 (to working precision); "
                              "choose a different w0")
 

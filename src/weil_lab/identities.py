@@ -21,18 +21,21 @@ from . import weil_form as wf
 XI_HALF_REF = 0.4971207781883141099127737
 
 
+def xi_product(s):
+    """(1/2)s(s-1)pi^(-s/2)Gamma(s/2)zeta(s), with zeta at s itself where xi
+    reflects Re s < 1/2 to 1 - s."""
+    return (0.5 * s * (s - 1.0) * sf.zeta_pair(s)[0]
+            * np.exp(-0.5 * s * math.log(math.pi) + sf.log_gamma(s / 2.0)))
+
+
 def xi_theta_values(rng, theta_range: float):
     """(relative error of xi(1/2), worst relative gap between xi(s) and
-    (1/2)s(s-1)pi^(-s/2)Gamma(s/2)zeta(s) at 100 random s, worst
-    ||Theta(x)| - 1| at 100 random |x| <= theta_range, |Theta(0) - 1|).
-    xi reflects Re s < 1/2 to 1 - s, while the product takes zeta at s
-    itself (through chi(s) zeta(1-s) for Re s < 0)."""
+    xi_product(s) at 100 random s, worst ||Theta(x)| - 1| at 100 random
+    |x| <= theta_range, |Theta(0) - 1|)."""
     rel_half = abs(sf.xi(0.5).xi - XI_HALF_REF) / XI_HALF_REF
     s = np.array([complex(rng.uniform(-8, 9), rng.uniform(-110, 110))
                   for _ in range(100)])
-    a = sf.xi(s).xi
-    b = (0.5 * s * (s - 1.0) * sf.zeta_pair(s)[0]
-         * np.exp(-0.5 * s * math.log(math.pi) + sf.log_gamma(s / 2.0)))
+    a, b = sf.xi(s).xi, xi_product(s)
     worst_sym = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300)))
     x = rng.uniform(-theta_range, theta_range, size=100)
     worst_mod = float(np.max(np.abs(np.abs(sf.theta_on_axis(x)) - 1.0)))

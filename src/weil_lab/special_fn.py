@@ -47,8 +47,8 @@ Conventions used throughout the package:
              = P(s) w(s),   P = pi^(-s/2) Gamma(s/2 + 1),  w = (s-1) zeta(s)
     xi'(s)   = P(s) (w(s) (psi(s/2 + 1) - log pi)/2 + w'(s))
     E(z)     = xi(1/2 - iz) + xi'(1/2 - iz)        (' = d/ds)
-    F^#(z)   = conj(F(conj(z)))
-    Theta(z) = E^#(z) / E(z)
+    F^#(z)   = conj(F(conj(z))),  so  E^#(z) = xi(1/2 - iz) - xi'(1/2 - iz)
+    Theta(z) = E^#(z) / E(z) = (xi - xi') / (xi + xi')
 """
 
 from __future__ import annotations
@@ -527,25 +527,15 @@ def xi(s) -> XiValue:
     w = (s-1) zeta(s) and P = pi^(-s/2) Gamma(s/2+1) the derivative is
         xi'(s) = P (w (psi(s/2+1) - log pi)/2 + w'),
     one formula at every s, zeros of xi included.
-    After the reflection, s with Im(s) > 0 is folded onto conj(s) through
-    xi(conj s) = conj xi(s), xi'(conj s) = conj xi'(s), and each distinct
-    point is evaluated once: [z, conj z] stacks cost half, and so does a
-    symmetric real grid for E_xi. The points are summed point by point in
-    chunks of comparable height (see the module docstring); a scalar is a
-    chunk of one point.
+    The points are summed point by point in chunks of comparable height
+    (see the module docstring); a scalar is a chunk of one point.
     """
     s_arr = np.asarray(s, dtype=complex)
     refl = (s_arr.real < 0.5).ravel()
     u = np.where(refl, 1.0 - s_arr.ravel(), s_arr.ravel())
-    up = u.imag > 0.0
-    pts, inv = np.unique(np.where(up, np.conj(u), u), return_inverse=True)
-    val = np.empty(pts.shape, dtype=complex)
-    der = np.empty_like(val)
-    for idx, sc, w, wp, _ in _em_chunks(pts):
+    val, der = np.empty((2,) + u.shape, dtype=complex)
+    for idx, sc, w, wp, _ in _em_chunks(u):
         val[idx], der[idx] = _xi_pair(sc, w, wp)
-    val, der = val[inv], der[inv]
-    val = np.where(up, np.conj(val), val)
-    der = np.where(up, np.conj(der), der)
     der = np.where(refl, -der, der)
     if s_arr.ndim == 0:
         return XiValue(complex(val[0]), complex(der[0]))
@@ -559,21 +549,26 @@ def E_xi(z):
     Value form: on the real axis it underflows for |z| beyond ~900, where
     |xi| drops below the double-precision range; use the ratio helpers
     (critical_line_log_derivative, theta_on_axis) for larger grids."""
+    return _E_pair(z)[0]
+
+
+def _E_pair(z):
+    """(E(z), E^#(z)) = (xi + xi', xi - xi') at s = 1/2 - iz, from one xi
+    call, by xi(1 - s) = xi(s) and xi(conj s) = conj xi(s)."""
     v = xi(0.5 - 1j * np.asarray(z, dtype=complex))
-    return v.xi + v.xi_prime
+    return v.xi + v.xi_prime, v.xi - v.xi_prime
 
 
 def theta_xi(z):
-    """Theta(z) = E^#(z)/E(z) with E^#(z) = conj(E(conj z)), at a scalar z
-    (a complex) or an array of z; E and E^# come from one E_xi call.
+    """Theta(z) = E^#(z)/E(z) at a scalar z (a complex) or an array of z,
+    with E and E^# from one xi call.
 
     Raises when |E(z)| underflows at any z (a real zero of E would sit at a
     multiple zero of xi)."""
-    z_arr = np.asarray(z, dtype=complex)
-    E = E_xi(np.stack([z_arr, np.conj(z_arr)]))
-    if np.any(np.abs(E[0]) < 1e-300):
+    E, E_sharp = _E_pair(z)
+    if np.any(np.abs(E) < 1e-300):
         raise ZeroDivisionError("theta_xi: E vanishes (or underflows) at z = %r" % (z,))
-    out = np.conj(E[1]) / E[0]
+    out = E_sharp / E
     return complex(out) if np.ndim(out) == 0 else out
 
 

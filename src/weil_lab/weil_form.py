@@ -299,14 +299,14 @@ def _real_catalog(zs):
 
 
 def screw_g_array(t, zs) -> np.ndarray:
-    """g(t) = sum_gamma m (e^{i gamma t} - 1)/gamma^2 over the symmetric catalog."""
+    """g(t) = sum_gamma m (e^{i gamma t} - 1)/gamma^2 over the symmetric
+    catalog, an array of the shape of t (of shape (1,) for a scalar t)."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     g, m = _real_catalog(zs)
-    out = np.zeros(len(t_arr), dtype=complex)
-    for i0 in range(0, len(t_arr), 4096):
-        tc = t_arr[i0:i0 + 4096]
-        ph = np.exp(1j * np.multiply.outer(tc, g))
-        out[i0:i0 + 4096] = (ph - 1.0) @ (m / (g * g))
+    out = np.zeros(t_arr.shape, dtype=complex)
+    for i0 in range(0, t_arr.size, 4096):
+        ph = np.exp(1j * np.multiply.outer(t_arr.flat[i0:i0 + 4096], g))
+        out.flat[i0:i0 + 4096] = (ph - 1.0) @ (m / (g * g))
     return out
 
 
@@ -326,8 +326,7 @@ def screw_kernel(t, s, zs):
     """G(t,s) = g(t-s) - g(t) - g(-s) + g(0), broadcast over arrays t and s
     (a complex for scalar t and s)."""
     t, s = np.broadcast_arrays(np.asarray(t, dtype=float), s)
-    vals = screw_g_array(np.stack([t - s, t, -s, 0.0 * t]).ravel(),
-                         zs).reshape((4,) + t.shape)
+    vals = screw_g_array(np.stack([t - s, t, -s, 0.0 * t]), zs)
     G = vals[0] - vals[1] - vals[2] + vals[3]
     return complex(G) if G.ndim == 0 else G
 
@@ -349,7 +348,7 @@ def screw_form(phi1: TestFunction, phi2: TestFunction, zs) -> FormValue:
     scale1 = _transform_scale(phi1)
     scale2 = scale1 if phi2 is phi1 else _transform_scale(phi2)
     for name, h, scale in (("phi1", h1, scale1), ("phi2", h2, scale2)):
-        if abs(h[0]) > 1e-8 * max(scale, 1e-30):
+        if not _mean_zero(h[0], scale):
             raise ValueError("screw_form requires mean-zero %s" % name)
     w = m / (gam * gam)
     d1, d2c = h1[1:] - h1[0], np.conj(h2[1:] - h2[0])
@@ -373,9 +372,13 @@ def antiderivative(phi: TestFunction) -> TestFunction:
     if phi.kind == _COMBO and all(p.kind == _BUMP_D for p in phi.parts):
         return TestFunction.combination(
             phi.coefficients, [antiderivative(p) for p in phi.parts])
-    mean = phi.fourier(0.0)
-    compact = abs(mean) <= 1e-10 * max(_transform_scale(phi), 1e-30)
+    compact = _mean_zero(phi.fourier(0.0), _transform_scale(phi))
     return TestFunction(_ANTI, parts=(phi,), compact_support=compact)
+
+
+def _mean_zero(mean: complex, scale: float) -> bool:
+    """screw_form's and antiderivative's rule: |phihat(0)| <= 1e-10 L1."""
+    return abs(mean) <= 1e-10 * max(scale, 1e-30)
 
 
 def tau_norm(S, zs) -> float:

@@ -4,10 +4,12 @@ artifacts are built once per session and reused across test modules."""
 import os
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from weil_lab import debranges as db
 from weil_lab import numerics as nu
+from weil_lab import special_fn as sf
 from weil_lab import zero_catalog as zc
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -24,12 +26,29 @@ def eigen_samples(rng, exclude, n=20):
     return out
 
 
+def count_xi_points(monkeypatch):
+    """Patch special_fn.xi to record the point count of each call."""
+    sizes = []
+    real_xi = sf.xi
+    monkeypatch.setattr(sf, "xi", lambda s: sizes.append(np.size(s)) or real_xi(s))
+    return sizes
+
+
 def mp_log_derivative(x):
     """Oracle for L(x) = d/dz log xi(1/2 - iz) at real x, by mpmath at the
     caller's working precision (an mpc)."""
     s = mp.mpc(mp.mpf(1) / 2, -mp.mpf(x))
     return -1j * (1 / s + 1 / (s - 1) - mp.log(mp.pi) / 2 + mp.digamma(s / 2) / 2
                   + mp.zeta(s, derivative=1) / mp.zeta(s))
+
+
+@pytest.fixture(autouse=True)
+def empty_kernel_cache():
+    """Empty the chirp-z kernel spectra (numerics._PLANS) after each test, so
+    no test's memory or cache hits depend on the tests run before it. The
+    axis cache is kept: rebuilding it would sweep Z = 5000 and 10000 again."""
+    yield
+    nu._PLANS.clear()
 
 
 @pytest.fixture(scope="session")

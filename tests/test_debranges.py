@@ -196,18 +196,13 @@ def test_psi_gamma_holds_one_set_of_frequency_samples(catalog):
     # holding both across the transform reads 13.9 MiB
     g1 = catalog.ordinates[0]
     grid = nu.band_exact_grid(-6.0, 38.0, 4080.0, 80.0)
-    plans = dict(nu._PLANS)     # later tests find the kernel cache as it was
+    db.psi_gamma(g1, catalog, 2000.0, grid)
+    tracemalloc.start()
     try:
         db.psi_gamma(g1, catalog, 2000.0, grid)
-        tracemalloc.start()
-        try:
-            db.psi_gamma(g1, catalog, 2000.0, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        nu._PLANS.clear()
-        nu._PLANS.update(plans)
+        tracemalloc.stop()
     assert peak <= 11.0 * 2 ** 20
 
 
@@ -417,15 +412,29 @@ def test_debranges_norm_cancellation(catalog):
 
 
 def test_debranges_norm_of_basis(catalog):
-    # L from the axis sweep, and E at the mirrored nodes, as debranges_norm
-    # takes it
+    # L from the axis sweep, and E on the x >= 0 half mirrored by
+    # E(-x) = conj E(x), as debranges_norm takes it
     g1 = catalog.ordinates[0]
     fg, L = db.axis_samples(800.0, 0.05)
     x = fg.nodes()
     F1 = db.BasisFunction(g1, catalog)
-    E = sf.E_xi(np.where(x < 0.0, -x[::-1], x))
+    half = sf.E_xi(x[x.size // 2:])
+    E = np.concatenate([np.conj(half[:0:-1]), half])
     F = nu.GridFunction(fg, E * F1.values_on_axis(x, L), "frequency")
     assert abs(db.debranges_norm(F) - 1.0) <= db.psi_gamma_tail_bound(g1, 800.0)
+
+
+@pytest.mark.parametrize("n", [1201, 1200])
+def test_debranges_norm_is_the_mirrored_grid_norm(n):
+    # byte-equal to ||F/E|| with E evaluated at every node of the grid with
+    # its x < 0 nodes replaced by the exact mirrors of the x >= 0 ones
+    fg = nu.Grid(-60.0, 60.0, n)
+    x = fg.nodes()
+    rng = np.random.default_rng(n)
+    F = nu.GridFunction(fg, rng.standard_normal(n) + 1j * rng.standard_normal(n), "frequency")
+    E = sf.E_xi(np.where(x < 0.0, -x[::-1], x))
+    ref = math.sqrt(nu.grid_norm_sq(nu.GridFunction(fg, F.values / E, "frequency")))
+    assert db.debranges_norm(F) == ref
 
 
 def test_debranges_norm_zero():

@@ -223,16 +223,8 @@ def test_grid_transforms_at_acceptance_size():
         assert np.max(np.abs(dst.values[k] - ref) / mag) <= 1e-10
 
 
-@pytest.fixture
-def empty_plans():
-    """The chirp-z kernel spectra, emptied before and after the test."""
-    nu._PLANS.clear()
-    yield nu._PLANS
-    nu._PLANS.clear()
-
-
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_chirp_z_kernel_cache_is_byte_equal(sign, empty_plans):
+def test_chirp_z_kernel_cache_is_byte_equal(sign):
     # the cutoff ladder's three grid pairs (frequency grids at Z = 1000 and
     # 2000 against the [-6, 38] window) and a few small ones: a miss, a hit
     # and a call after emptying the cache give the same bytes, and the held
@@ -252,19 +244,19 @@ def test_chirp_z_kernel_cache_is_byte_equal(sign, empty_plans):
         vals = rng.standard_normal(src.n_points) + 1j * rng.standard_normal(src.n_points)
         f = nu.GridFunction(src, vals, "frequency")
         miss = nu._chirp_z(f, sign, 0.3, out, "time").values.tobytes()
-        held = [id(s) for s in empty_plans.values()]
+        held = [id(s) for s in nu._PLANS.values()]
         hit = nu._chirp_z(f, sign, 0.3, out, "time").values.tobytes()
-        assert [id(s) for s in empty_plans.values()] == held    # nothing rebuilt
-        empty_plans.clear()
+        assert [id(s) for s in nu._PLANS.values()] == held    # nothing rebuilt
+        nu._PLANS.clear()
         again = nu._chirp_z(f, sign, 0.3, out, "time").values.tobytes()
         assert miss == hit == again
-    assert sum(len(s) for s in empty_plans.values()) <= nu._PLAN_ELEMS
-    for spectrum in empty_plans.values():           # held read-only
+    assert sum(len(s) for s in nu._PLANS.values()) <= nu._PLAN_ELEMS
+    for spectrum in nu._PLANS.values():           # held read-only
         with pytest.raises(ValueError):
             spectrum[0] = 0.0
 
 
-def test_chirp_z_kernels_are_keyed_by_spacing_and_sign(empty_plans):
+def test_chirp_z_kernels_are_keyed_by_spacing_and_sign():
     # equal n and m: only the input spacing or the sign tells these three
     # kernels apart, and each transform is the trapezoid sum
     out = nu.Grid(-2.0, 3.0, 301)
@@ -282,15 +274,15 @@ def test_chirp_z_kernels_are_keyed_by_spacing_and_sign(empty_plans):
 
     for zgrid, sign in cases:
         assert error(zgrid, sign) <= 1e-12
-    keys = list(empty_plans)
+    keys = list(nu._PLANS)
     assert len(keys) == 3
     # the first spectrum served under the other two keys fails the bound
     for (zgrid, sign), key in zip(cases[1:], keys[1:]):
-        empty_plans[key] = empty_plans[keys[0]]
+        nu._PLANS[key] = nu._PLANS[keys[0]]
         assert error(zgrid, sign) > 1e-6
 
 
-def test_chirp_z_held_spectra_stay_within_the_bound(monkeypatch, empty_plans):
+def test_chirp_z_held_spectra_stay_within_the_bound(monkeypatch):
     # a bound of three length-1000 spectra: a fourth drops the least
     # recently used one, and a longer spectrum is never kept
     monkeypatch.setattr(nu, "_PLAN_ELEMS", 3000)
@@ -302,16 +294,16 @@ def test_chirp_z_held_spectra_stay_within_the_bound(monkeypatch, empty_plans):
 
     for x_max in (30.0, 31.0, 32.0):
         run(x_max)                        # 501 + 500 - 1 -> length 1000
-    first, second, third = list(empty_plans)
+    first, second, third = list(nu._PLANS)
     run(30.0)                             # a hit: now the most recent
-    assert list(empty_plans) == [second, third, first]
+    assert list(nu._PLANS) == [second, third, first]
     run(33.0)
-    assert list(empty_plans)[:2] == [third, first] and len(empty_plans) == 3
-    before = dict(empty_plans)
+    assert list(nu._PLANS)[:2] == [third, first] and len(nu._PLANS) == 3
+    before = dict(nu._PLANS)
     run(30.0, n=2600)                     # length 3125 > 3000
-    assert len(empty_plans) == 3
-    assert all(empty_plans[k] is v for k, v in before.items())
-    assert sum(len(s) for s in empty_plans.values()) <= 3000
+    assert len(nu._PLANS) == 3
+    assert all(nu._PLANS[k] is v for k, v in before.items())
+    assert sum(len(s) for s in nu._PLANS.values()) <= 3000
 
 
 @pytest.mark.parametrize("n", [2, 3, 1000, 1001, 29157])

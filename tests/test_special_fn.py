@@ -7,11 +7,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from weil_lab import debranges as db
 from weil_lab import numerics as nu
 from weil_lab import special_fn as sf
 from weil_lab.identities import XI_HALF_REF
 
-from conftest import mp_log_derivative
+from conftest import count_xi_points, mp_log_derivative
 
 mp.mp.dps = 30
 
@@ -350,23 +351,46 @@ def test_E_and_theta_arrays_match_per_point_oracle():
         sf.theta_xi(np.array([3.0, 1500.0]))
 
 
-def test_xi_evaluates_conjugate_points_once(monkeypatch):
-    # after the reflection, xi(conj s) = conj xi(s) folds Im s > 0 onto
-    # Im s < 0: the conj z half of theta_xi's stack adds no point, and a
-    # symmetric real grid is evaluated on its x >= 0 half
-    sizes = []
-    em_chunks = sf._em_chunks
-
-    def counted(s, lattice=None):
-        sizes.append(s.size)
-        return em_chunks(s, lattice)
-    monkeypatch.setattr(sf, "_em_chunks", counted)
-    sf.E_xi(_Z_POINTS)
+def test_theta_and_debranges_norm_evaluate_each_point_once(monkeypatch):
+    # theta_xi takes E and E^# from one xi call at its own points, and
+    # debranges_norm sums the x >= 0 half of a symmetric grid and mirrors
+    # it by E(-x) = conj E(x), for an odd and an even node count
+    sizes = count_xi_points(monkeypatch)
     sf.theta_xi(_Z_POINTS)
-    x = np.linspace(0.0, 50.0, 1001)
-    E = sf.E_xi(np.concatenate([-x[:0:-1], x]))
-    assert sizes[0] == sizes[1] < _Z_POINTS.size and sizes[2] == x.size
-    assert E[:1000].tobytes() == np.conj(E[:1000:-1]).tobytes()
+    assert sizes == [_Z_POINTS.size]
+    ratios = []
+    real_norm = nu.grid_norm_sq
+    monkeypatch.setattr(nu, "grid_norm_sq", lambda F: ratios.append(F.values) or real_norm(F))
+    for n in (1001, 1000):
+        sizes.clear()
+        fg = nu.Grid(-50.0, 50.0, n)
+        db.debranges_norm(nu.GridFunction(fg, np.ones(n), "frequency"))
+        h = n // 2
+        assert sizes == [n - h]
+        inv_E = ratios[-1]
+        assert inv_E[:h].tobytes() == np.conj(inv_E[::-1][:h]).tobytes()
+
+
+def test_xi_is_bitwise_conjugate_symmetric():
+    # xi(conj s) has the bytes of conj xi(s): at random s on both sides of
+    # Re s = 1/2 and on the catalog's scan grid
+    rng = np.random.default_rng(47)
+    s = np.concatenate([rng.uniform(-8.0, 9.0, 300) + 1j * rng.uniform(-110.0, 110.0, 300),
+                        0.5 + 1j * np.append(np.arange(2.0, 100.0, 0.25), 100.0)])
+    a, b = sf.xi(s), sf.xi(np.conj(s))
+    assert b.xi.tobytes() == np.conj(a.xi).tobytes()
+    assert b.xi_prime.tobytes() == np.conj(a.xi_prime).tobytes()
+
+
+def test_E_sharp_is_xi_minus_xi_prime():
+    # E^#(z) = conj E(conj z) = xi(s) - xi'(s) at s = 1/2 - iz, byte for byte
+    # at non-real z off the imaginary axis (at real z, Re s = 1/2 is not
+    # reflected and they agree only to roundoff; on the imaginary axis s is
+    # real and they differ in the sign of a zero imaginary part)
+    z = _Z_POINTS[(_Z_POINTS.imag != 0.0) & (_Z_POINTS.real != 0.0)]
+    v = sf.xi(0.5 - 1j * z)
+    assert (v.xi - v.xi_prime).tobytes() == np.conj(sf.E_xi(np.conj(z))).tobytes()
+    assert sf.theta_xi(z).tobytes() == ((v.xi - v.xi_prime) / sf.E_xi(z)).tobytes()
 
 
 def test_omega_array_matches_per_point_oracle():

@@ -388,6 +388,10 @@ def test_screw_kernel_broadcasts(catalog):
     assert M.shape == (5, 3)
     ref = np.array([[wf.screw_kernel(ti, sj, catalog) for sj in s] for ti in t])
     assert np.max(np.abs(M - ref)) <= 1e-15
+    t2 = np.array([[-2.1, 0.4, 1.1], [2.9, 0.0, -0.7]])
+    g = wf.screw_g_array(t2, catalog)
+    assert g.shape == t2.shape
+    assert g.tobytes() == wf.screw_g_array(t2.ravel(), catalog).tobytes()
 
 
 def test_screw_kernel_rejects_nonreal_catalog():
@@ -415,6 +419,13 @@ def test_screw_form_requires_mean_zero(catalog):
     b = wf.TestFunction.bump(0.0, 1.0)
     with pytest.raises(ValueError):
         wf.screw_form(b, b, catalog)
+    # a mean of 5e-10 of the L1 norm: its antiderivative is not compact, so
+    # the Weil side of screw_equals_weil could not be formed either
+    T = wf.TestFunction
+    phi = T.combination([1.0, -(1.0 - 1e-9)], [T.bump(-1.0, 0.5), T.bump(1.0, 0.5)])
+    assert not wf.antiderivative(phi).compact_support
+    with pytest.raises(ValueError, match="mean-zero"):
+        wf.screw_form(phi, phi, catalog)
 
 
 def test_screw_form_matches_weil_pairing_of_antiderivative(catalog):
