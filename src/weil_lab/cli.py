@@ -9,7 +9,8 @@ them. Every suite but 'special' needs a catalog ordinate below T.
 Configuration: the keys zeros, height_T, cutoff_Z, grid, out and tol.<id>
 of a --config file, then the flags of the same names over them; a key
 neither gives keeps its RunConfig default. Any other file key, a
-height_T or cutoff_Z that is not finite, and a grid that numerics.Grid
+height_T that is not finite or above zero_catalog.MAX_HEIGHT, a cutoff_Z
+outside [500, zero_catalog.MAX_CUTOFF], and a grid that numerics.Grid
 rejects, is a config error.
 
 Cache: WEIL_LAB_CACHE names the ordinate cache directory; empty counts as
@@ -60,8 +61,8 @@ class RunConfig:
     def __post_init__(self):
         if not (math.isfinite(self.height_T) and self.height_T <= zc.MAX_HEIGHT):
             raise ValueError("height_T must be finite and <= %g" % zc.MAX_HEIGHT)
-        if not (math.isfinite(self.cutoff_Z) and self.cutoff_Z >= 500.0):
-            raise ValueError("cutoff_Z must be finite and >= 500")
+        if not 500.0 <= self.cutoff_Z <= zc.MAX_CUTOFF:
+            raise ValueError("cutoff_Z must be in [500, %g]" % zc.MAX_CUTOFF)
         unknown = sorted(set(self.tolerances) - {c[0] for c in CHECKS})
         if unknown:
             raise ValueError("tolerance for unknown check id(s): %s"

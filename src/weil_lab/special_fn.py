@@ -93,29 +93,13 @@ class XiValue:
 
 
 # ----------------------------------------------------------------------
-# log Gamma (Lanczos, g = 607/128, 15 terms) and digamma
+# log Gamma and digamma: one Stirling series on _B2K (DLMF 5.11.1-2)
 # ----------------------------------------------------------------------
 
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = np.array([
-    0.99999999999999709182,
-    57.156235665862923517, -59.597960355475491248, 14.136097974741747174,
-    -0.49191381609762019978, 0.33994649984811888699e-4,
-    0.46523628927048575665e-4, -0.98374475304879564677e-4,
-    0.15808870322491248884e-3, -0.21026444172410488319e-3,
-    0.21743961811521264320e-3, -0.16431810653676389022e-3,
-    0.84418223983852743293e-4, -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-])
-
-
-def _log_gamma_core(z: np.ndarray) -> np.ndarray:
-    # Re(z) >= 0.5 assumed
-    acc = np.full(z.shape, _LANCZOS_C[0], dtype=complex)
-    for k in range(1, len(_LANCZOS_C)):
-        acc = acc + _LANCZOS_C[k] / (z + (k - 1))
-    t = z + (_LANCZOS_G - 0.5)
-    return (0.5 * _LN_2PI + (z - 0.5) * np.log(t) - t + np.log(acc))
+# B_{2k} / (2k (2k - 1)), k = 8..1: log Gamma's series is 1/w times this
+# polynomial in 1/w^2
+_LOG_GAMMA_C = np.array([float(b) / ((2 * k + 2) * (2 * k + 1))
+                         for k, b in enumerate(_B2K[:8])])[::-1]
 
 
 def _log_sin_pi(z: np.ndarray) -> np.ndarray:
@@ -127,65 +111,77 @@ def _log_sin_pi(z: np.ndarray) -> np.ndarray:
             + np.log1p(-np.exp(2j * math.pi * sigma * z)))
 
 
-def log_gamma(z):
-    """Principal-branch log Gamma(z).
+def _gamma_core(z: np.ndarray, log: bool = True, psi: bool = True):
+    """(log Gamma(z), psi(z)) at an array z off the poles, each None unless
+    asked for, from one pass: reflection for Re(z) < 0, where log Gamma(z)
+    = log pi - log sin(pi z) - log Gamma(1 - z); the lift to |z| >= 12 by
+    Gamma(z + 1) = z Gamma(z), at most 12 steps at Re(z) >= 0; then the
+    Stirling series in |arg z| <= pi/2, whose first omitted terms,
+    |B_18|/(306 |z|^17) and |B_18|/(18 |z|^18), are below 1.2e-19."""
+    z = z.copy()
+    lg = np.zeros_like(z) if log else None
+    ps = np.zeros_like(z) if psi else None
+    refl = z.real < 0
+    if np.any(refl):
+        w = z[refl]
+        if log:                  # negated with the series' sum at the end
+            lg[refl] = _log_sin_pi(w) - _LN_PI
+        if psi:
+            ps[refl] -= math.pi / np.tan(math.pi * w)
+        z[refl] = 1.0 - w
+    for _ in range(14):
+        low = np.abs(z) < 12.0
+        if not np.any(low):
+            break
+        if log:
+            lg[low] -= np.log(z[low])
+        if psi:
+            ps[low] -= 1.0 / z[low]
+        z[low] += 1.0
+    w = z
+    log_w = np.log(w)
+    inv2 = 1.0 / (w * w)
+    if log:
+        lg += ((w - 0.5) * (log_w - 1.0) + 0.5 * (_LN_2PI - 1.0)
+               + np.polyval(_LOG_GAMMA_C, inv2) / w)
+        if np.any(refl):
+            lg[refl] *= -1.0
+    if psi:
+        series = np.zeros_like(w)
+        p = inv2.copy()
+        for k in range(1, 9):
+            series += _B2K_FLOAT[k - 1] / (2 * k) * p
+            p *= inv2
+        ps += log_w - 0.5 / w - series
+    return lg, ps
 
-    Lanczos rational approximation for Re(z) >= 1/2, reflection through
-    sin(pi z) otherwise (with a branch-continuous log-sin). Relative error
-    is at the 1e-13 level away from the poles at z = 0, -1, -2, ...
+
+def _gamma_fn(z, log: bool):
+    """log Gamma (log=True) or psi at a scalar or an array z."""
+    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
+    if np.any((z_arr.imag == 0) & (z_arr.real <= 0) & (z_arr.real == np.round(z_arr.real))):
+        raise ValueError("%s pole at nonpositive integer" % ("log_gamma" if log else "digamma"))
+    out = _gamma_core(z_arr, log, not log)[0 if log else 1]
+    return complex(out[0]) if np.ndim(z) == 0 else out
+
+
+def log_gamma(z):
+    """Principal-branch log Gamma(z), by the Stirling series after the
+    reflection and lift that digamma takes (_gamma_core).
+
+    Against 30-digit mpmath on the arguments the package takes, s/2
+    (Re s in [-8, 9]), s/2 + 1 (Re s >= 1/2) and 1.25 - it/2, 400 points
+    each: to |Im s|, |t| <= 120 the error is at most 4.1e-14 (mean 1e-14);
+    to 240 at most 1.3e-13 (mean 2.4e-14), ~2 ulps of |log Gamma| ~ 490.
+    Poles at z = 0, -1, -2, ...
     """
-    z_arr = np.asarray(z, dtype=complex)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
-    bad = (z_arr.real <= 0) & (z_arr.imag == 0) & (z_arr.real == np.round(z_arr.real))
-    if np.any(bad):
-        raise ValueError("log_gamma pole at nonpositive integer")
-    out = np.empty_like(z_arr)
-    main = z_arr.real >= 0.5
-    if np.any(main):
-        out[main] = _log_gamma_core(z_arr[main])
-    if not np.all(main):
-        w = z_arr[~main]
-        out[~main] = _LN_PI - _log_sin_pi(w) - _log_gamma_core(1.0 - w)
-    return complex(out[0]) if scalar else out
+    return _gamma_fn(z, log=True)
 
 
 def digamma(z):
-    """psi_0(z), the logarithmic derivative of Gamma.
-
-    Asymptotic Bernoulli series after lifting |z| above 12 by the
-    recurrence psi(z) = psi(z+1) - 1/z; reflection for Re(z) < 0. After the
-    reflection Re(z) >= 0, so the series runs only in |arg z| <= pi/2; at
-    |z| >= 12 its first omitted term, |B_18|/(18 |z|^18), is below 1.2e-19.
-    """
-    z_arr = np.asarray(z, dtype=complex)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr).copy()
-    bad = (z_arr.real <= 0) & (z_arr.imag == 0) & (z_arr.real == np.round(z_arr.real))
-    if np.any(bad):
-        raise ValueError("digamma pole at nonpositive integer")
-    out = np.zeros_like(z_arr)
-    refl = z_arr.real < 0
-    if np.any(refl):
-        w = z_arr[refl]
-        out[refl] -= math.pi / np.tan(math.pi * w)
-        z_arr[refl] = 1.0 - w
-    # lift to |z| >= 12 (Re z >= 0 here: at most 12 steps)
-    for _ in range(14):
-        low = np.abs(z_arr) < 12.0
-        if not np.any(low):
-            break
-        out[low] -= 1.0 / z_arr[low]
-        z_arr[low] += 1.0
-    w = z_arr
-    inv2 = 1.0 / (w * w)
-    series = np.zeros_like(w)
-    p = inv2.copy()
-    for k in range(1, 9):
-        series += _B2K_FLOAT[k - 1] / (2 * k) * p
-        p *= inv2
-    out += np.log(w) - 0.5 / w - series
-    return complex(out[0]) if scalar else out
+    """psi_0(z), the logarithmic derivative of Gamma, by the Stirling series
+    after the lift and reflection of _gamma_core (no log Gamma work)."""
+    return _gamma_fn(z, log=False)
 
 
 # ----------------------------------------------------------------------
@@ -457,11 +453,11 @@ def _em_chunks(s: np.ndarray, lattice=None):
 def _chi_pair(s: np.ndarray):
     """(chi(s), chi'(s)) for the functional equation zeta(s) = chi(s) zeta(1-s),
     chi(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s). Finite at the trivial zeros."""
-    u = 1.0 - s
-    pref = np.exp(s * math.log(2.0) + (s - 1.0) * _LN_PI + log_gamma(u))
+    lg, ps = _gamma_core(1.0 - s)
+    pref = np.exp(s * math.log(2.0) + (s - 1.0) * _LN_PI + lg)
     sn = np.sin(math.pi * s / 2.0)
     cs = np.cos(math.pi * s / 2.0)
-    return pref * sn, pref * ((_LN_2PI - digamma(u)) * sn + (math.pi / 2.0) * cs)
+    return pref * sn, pref * ((_LN_2PI - ps) * sn + (math.pi / 2.0) * cs)
 
 
 def zeta_pair(s):
@@ -499,11 +495,6 @@ def zeta(s):
 # xi and its derivative
 # ----------------------------------------------------------------------
 
-def _xi_factor(s: np.ndarray) -> np.ndarray:
-    """P = pi^(-s/2) Gamma(s/2+1), so that xi = P (s-1) zeta(s)."""
-    return np.exp(-0.5 * s * _LN_PI + log_gamma(s / 2.0 + 1.0))
-
-
 def _log_derivative(s: np.ndarray, w: np.ndarray, wp: np.ndarray) -> np.ndarray:
     return -0.5 * _LN_PI + 0.5 * digamma(s / 2.0 + 1.0) + wp / w
 
@@ -512,9 +503,10 @@ def _xi_pair(s: np.ndarray, w: np.ndarray, wp: np.ndarray):
     """(xi, xi') at an array of s with Re(s) >= 1/2, given (w, w') there:
     xi = P w and xi' = P (w (psi(s/2+1) - log pi)/2 + w'), with
     P = pi^(-s/2) Gamma(s/2+1). Nothing divides by w, so the zeros of w
-    need no other route."""
-    P = _xi_factor(s)
-    return P * w, P * (0.5 * w * (digamma(s / 2.0 + 1.0) - _LN_PI) + wp)
+    need no other route. log Gamma and psi come from one _gamma_core pass."""
+    lg, ps = _gamma_core(s / 2.0 + 1.0)
+    P = np.exp(-0.5 * s * _LN_PI + lg)
+    return P * w, P * (0.5 * w * (ps - _LN_PI) + wp)
 
 
 def xi(s) -> XiValue:

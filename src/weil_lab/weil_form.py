@@ -68,6 +68,8 @@ class TestFunction:
     # -- constructors -------------------------------------------------
     @classmethod
     def bump(cls, center: float = 0.0, half_width: float = 1.0) -> "TestFunction":
+        if not (math.isfinite(center) and math.isfinite(half_width)):
+            raise ValueError("center and half_width must be finite")
         if half_width <= 0:
             raise ValueError("half_width must be positive")
         return cls(_BUMP, float(center), float(half_width))

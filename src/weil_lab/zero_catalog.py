@@ -31,6 +31,9 @@ __all__ = [
 _log = logging.getLogger("weil_lab")
 
 MAX_HEIGHT = 120.0
+# The largest cutoff Z of a run: at the default grids each FFT buffer of the
+# suites grows by ~1.8 kB per unit of Z, ~90 MB at this cap.
+MAX_CUTOFF = 5.0e4
 _SCAN_STEP = 0.25
 _MAX_STEPS = 200
 # a computed file names its refiner, so another refiner's file is recomputed

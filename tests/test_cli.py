@@ -81,6 +81,9 @@ def test_height_guard_is_config_error(tmp_path, monkeypatch, capsys):
             (["verify", "debranges", "--height-T", "20", "--cutoff-Z", "nan"],
              "cutoff_Z"),
             (["verify", "special", "--height-T", "nan"], "height_T"),
+            # a cutoff whose grids no machine holds (352 TiB at Z = 1e12)
+            (["verify", "weil", "--height-T", "20", "--cutoff-Z", "1e12"],
+             "cutoff_Z"),
             # a file key that names no setting
             (["verify", "special", "--config", str(misspelled)], "heightT"),
             # tolerance ids that name no check, from a flag or the file
@@ -98,6 +101,8 @@ def test_height_guard_is_config_error(tmp_path, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert "config error" in err and named in err
     assert not list(tmp_path.glob("report_*.json"))
+    # the cap admits the acceptance cutoff of the heavy_psi fixture
+    assert cli.RunConfig(cutoff_Z=10000.0).cutoff_Z == 10000.0
 
 
 def test_verify_special_passes_and_writes_report(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from weil_lab import debranges as db
 from weil_lab import numerics as nu
 from weil_lab import special_fn as sf
+from weil_lab import zero_catalog as zc
 from weil_lab.identities import XI_HALF_REF
 
 from conftest import count_xi_points, mp_log_derivative
@@ -63,20 +64,60 @@ def test_digamma_against_oracle():
 
 
 def test_digamma_at_the_lift_boundary():
-    # the series runs unlifted wherever |z| >= 12: on the sweep's argument
-    # 1.25 - ix/2 for |x| >= 23.9, at Re z = 0.01 and 5 up to |Im z| = 1e4,
-    # and (after reflection) at Re z < 0
+    # the series of digamma and log_gamma run unlifted wherever |z| >= 12:
+    # on the sweep's argument 1.25 - ix/2 for |x| >= 23.9, at Re z = 0.01
+    # and 5 up to |Im z| = 1e4, and (after reflection) at Re z < 0; at
+    # 0 <= Re z < 1/2 they take the lift alone
     r = np.array([11.0, 11.99, 12.0, 12.01, 13.0, 100.0, 5000.0])
     x = 2.0 * np.sqrt(r * r - 1.25 ** 2)
     im = np.array([1.0, 11.9, 11.99, 12.0, 12.1, 100.0, 1e4])
     z = np.concatenate([1.25 - 0.5j * x, 1.25 + 0.5j * x,
                         0.01 + 1j * im, 0.01 - 1j * im, 5.0 + 1j * im,
                         [-0.5 + 11.9j, -0.01 - 11.99j, -3.3 + 12.5j,
-                         -7.2 - 1e3j, -11.5 + 4.0j]])
-    got = sf.digamma(z)
-    for zk, g in zip(z, got):
-        ref = complex(mp.digamma(zk))
-        assert abs(g - ref) <= 1e-12 * max(1.0, abs(ref)), zk
+                         -7.2 - 1e3j, -11.5 + 4.0j],
+                        [0.3j, 0.0 - 11.99j, 0.2 + 12.5j, 0.25 + 0.01j,
+                         0.49 - 5.0j, 0.4999 + 100.0j]])
+    for fn, oracle in ((sf.digamma, mp.digamma), (sf.log_gamma, mp.loggamma)):
+        for zk, g in zip(z, fn(z)):
+            ref = complex(oracle(zk))
+            assert abs(g - ref) <= 1e-12 * max(1.0, abs(ref)), (fn, zk)
+
+
+def test_log_gamma_on_the_package_argument_families():
+    # log Gamma at the arguments xi, E, Theta and zeta's reflection take it:
+    # s/2 (Re s in [-8, 9]), s/2 + 1 (Re s >= 1/2) and 1.25 - it/2, 400
+    # points each, to |Im s| = |t| = 2 MAX_HEIGHT. To MAX_HEIGHT the bounds
+    # hold a Lanczos rule too (max 5.9e-14, mean <= 1.1e-14); past it either
+    # rule errs by ~2 ulps of log Gamma (|log Gamma| ~ 490 at t = 240)
+    rng = np.random.default_rng(28)
+    t = rng.uniform(-2.0 * zc.MAX_HEIGHT, 2.0 * zc.MAX_HEIGHT, (3, 400))
+    families = [(rng.uniform(-8.0, 9.0, 400) + 1j * t[0]) / 2.0,
+                (rng.uniform(0.5, 9.0, 400) + 1j * t[1]) / 2.0 + 1.0,
+                1.25 - 0.5j * t[2]]
+    for z, tk in zip(families, t):
+        ref = np.array([complex(mp.loggamma(v)) for v in z])
+        d = np.abs(sf.log_gamma(z) - ref)
+        low = np.abs(tk) <= zc.MAX_HEIGHT
+        assert d[low].max() <= 1e-13 and d[low].mean() <= 2e-14
+        assert np.all(d <= 1e-14 + 4e-16 * np.abs(ref))
+
+
+def test_xi_and_chi_pairs_take_one_gamma_pass(monkeypatch):
+    calls = []
+    core = sf._gamma_core
+    monkeypatch.setattr(sf, "_gamma_core", lambda z, *a: calls.append(z.size) or core(z, *a))
+    s = np.array([0.5 + 14.1j, 2.0 - 30.0j, 0.7 + 0.0j])
+    sf._xi_pair(s, np.ones(3), np.ones(3))
+    assert calls == [3]
+    sf._chi_pair(-s)
+    assert calls == [3, 3]
+    # digamma, and so the axis sweep, never sums log Gamma's series
+    x = np.linspace(1.0, 50.0, 7)
+    psi, L = sf.digamma(s), sf.critical_line_log_derivative(x)
+    monkeypatch.setattr(sf, "_LOG_GAMMA_C", np.full(8, np.nan))
+    assert np.all(np.isnan(sf.log_gamma(s)))
+    assert np.array_equal(sf.digamma(s), psi)
+    assert np.array_equal(sf.critical_line_log_derivative(x), L)
 
 
 # ----------------------------------------------------------------------

@@ -124,6 +124,16 @@ def test_bump_support_and_smoothness():
     assert abs(b(0.5)) == pytest.approx(math.exp(-1.0))
 
 
+@pytest.mark.parametrize("center, half_width", [
+    (math.nan, 1.0), (0.0, math.inf), (math.inf, 1.0), (0.0, math.nan),
+    (0.0, 0.0), (0.0, -1.0)])
+def test_bump_rejects_bad_center_or_half_width(center, half_width):
+    # a NaN center had an empty support, so its transform read 0; an
+    # infinite half-width overflowed the panel count
+    with pytest.raises(ValueError):
+        wf.TestFunction.bump(center, half_width)
+
+
 def test_bump_derivative_matches_finite_difference():
     b = wf.TestFunction.bump(0.0, 1.0)
     d = b.derivative()
