@@ -121,17 +121,22 @@ def basis_table(gammas, mults, x, log_deriv=None) -> np.ndarray:
     # products in place, as a 1-D evaluation would, with no broadcast copy
     L = np.reshape(sf.critical_line_log_derivative(x_arr)
                    if log_deriv is None else log_deriv, (1, -1))
-    dx = x_arr - g[:, None]
-    near = np.abs(dx) < 1e-6
-    dx_safe = np.where(near, 1.0, dx)
-    # (1 + Theta)/2 = 1/(1 + iL) with L taken exactly real (it is real on
-    # the axis); the quotient survives L -> inf at the other catalog
-    # zeros, where 1 + Theta cancels.
-    vals = (np.sqrt(m / math.pi)[:, None]
-            / ((1.0 + 1j * np.real(L)) * dx_safe))
-    rows, cols = np.nonzero(near)
-    vals[rows, cols] = [math.sqrt(m[r] / math.pi)
-                        * theta_prime_at_zero(float(g[r])) / 2.0 for r in rows]
+    norm = np.sqrt(m / math.pi)[:, None]
+    vals = np.empty((len(g), x_arr.size), dtype=complex)
+    # in column blocks, so the temporaries stay a few hundred kB
+    for c0, c1 in numerics._blocks(x_arr.size):
+        dx = x_arr[c0:c1] - g[:, None]
+        near = np.abs(dx) < 1e-6
+        dx_safe = np.where(near, 1.0, dx)
+        # (1 + Theta)/2 = 1/(1 + iL) with L taken exactly real (it is real
+        # on the axis); the quotient survives L -> inf at the other catalog
+        # zeros, where 1 + Theta cancels.
+        np.divide(norm, (1.0 + 1j * np.real(L[:, c0:c1])) * dx_safe,
+                  out=vals[:, c0:c1])
+        rows, cols = np.nonzero(near)
+        vals[rows, c0 + cols] = [math.sqrt(m[r] / math.pi)
+                                 * theta_prime_at_zero(float(g[r])) / 2.0
+                                 for r in rows]
     return vals
 
 

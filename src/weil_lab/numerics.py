@@ -10,7 +10,10 @@ depend on the signs):
 Frequency truncation windows and output grids are always caller-supplied;
 nothing here chooses a cutoff silently. Uniform-to-uniform grid transforms
 are chirp-z FFT convolutions: the trapezoid sums themselves, no interpolation.
-Their kernel spectra are computed once per grid pair and held in a bounded
+A lopsided transform is summed in tiles of one shape, and each kernel
+spectrum is computed once per tile shape, in one orientation: the forward
+and inverse transforms of a grid pair, and the halves of a grid twice as
+long at the same spacing, share it. The spectra are held in a bounded
 least-recently-used cache (_PLANS).
 """
 
@@ -31,9 +34,12 @@ __all__ = [
 
 ALIAS_GUARD = math.pi / 4.0
 _GL_CACHE: dict = {}
-_BLOCK = 1 << 14                # elements per block of the chirp-z assembly
+_BLOCK = 1 << 14                # elements per block of blockwise array work
+_TILE_RATIO = 4                 # a chirp-z side longer than this many times
+                                # max(other side, _BLOCK) is summed in halves
 _PLAN_ELEMS = 1 << 20           # complex entries of held kernel spectra (16 MiB)
-_PLANS: dict = {}               # (n, h_in, m, h_out, sign) -> kernel FFT, LRU first
+_PLANS: dict = {}               # canonical (n, h_in, m, h_out, sign), n >= m
+                                # -> kernel FFT, LRU first
 
 
 class AliasingGuardError(ValueError):
@@ -184,13 +190,24 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _conjugate_chirp(tau: float, out: np.ndarray) -> None:
-    """exp(-2 pi i tau l^2) into out[l], l < len(out), the phase tau l^2 (in
-    turns) reduced mod 1 exactly: l^2 is an exact float64 integer and tau is
-    peeled into heads of 53 - bits(max l^2) bits. Built in blocks of 2^14, so
-    the temporaries stay a few hundred kB at any length."""
+def _blocks(n: int):
+    """(start, stop) of consecutive blocks of _BLOCK over range(n), the last
+    taking the rest: a one-element block would take numpy's scalar loop,
+    which rounds complex products and quotients differently from its array
+    loops."""
+    starts = list(range(0, n - _BLOCK, _BLOCK)) or [0]
+    return zip(starts, starts[1:] + [n])
+
+
+def _conjugate_chirp(tau: float, out: np.ndarray, j0: int = 0) -> None:
+    """exp(-2 pi i tau q_l) into out[l], l < len(out), with q_l = l^2 (the
+    chirp) or, given j0 > 0, q_l = 2 j0 l (the cross term of a chirp-z tile
+    that starts at node j0). The phase tau q_l (in turns) is reduced mod 1
+    exactly: q_l is an exact float64 integer below 2^53 and tau is peeled
+    into heads of 53 - bits(max q) bits. Built in blocks of 2^14, so the
+    temporaries stay a few hundred kB at any length."""
     length = len(out)
-    q_max = float((length - 1) ** 2)
+    q_max = float(2 * j0 * (length - 1) if j0 else (length - 1) ** 2)
     bits = 53 - int(q_max).bit_length()
     heads, rest = [], tau
     while rest != 0.0 and abs(rest) * q_max >= 1.0:
@@ -198,7 +215,8 @@ def _conjugate_chirp(tau: float, out: np.ndarray) -> None:
         heads.append(math.ldexp(round(math.ldexp(mant, bits)), e - bits))
         rest -= heads[-1]
     for l0 in range(0, length, _BLOCK):
-        q = np.arange(l0, min(length, l0 + _BLOCK), dtype=float) ** 2
+        q = np.arange(l0, min(length, l0 + _BLOCK), dtype=float)
+        q = q * (2.0 * j0) if j0 else q ** 2
         turns = np.zeros(len(q))
         for head in heads:
             turns += head * q - np.rint(head * q)
@@ -216,69 +234,116 @@ def _chirp_z(f: GridFunction, sign: float, scale: float, out: Grid,
     j k dz dx = (j^2 + k^2 - (k - j)^2) dz dx / 2 makes the sum one FFT
     convolution of chirped terms (_conjugate_chirp), with no interpolation.
 
-    The convolution runs at length L = _fast_len(n + m - 1), the smallest
-    5-smooth length without wrap-around (at most 25% above n + m - 1 where a
-    power of two can be 100% above). The kernel's FFT depends only on
-    (n, h_in, m, h_out, sign), so it is kept read-only in _PLANS: a grid
-    pair that recurs (psi_gamma and K_apply on one window) skips the
-    kernel fill and one of the three FFTs. The least recently used
-    spectra are dropped to hold at most _PLAN_ELEMS entries, and a
-    longer one is never kept. The chirp is built in the input's FFT buffer
-    (on a miss, copied into the kernel's), then overwritten block by block
-    by the chirped input, so working memory is two complex arrays of
-    length L, the output chirp (m complex) and the input nodes (n reals),
-    plus the held spectra. Products keep their operand order and
-    temporaries (a *= kernel, ifft * conj(chirp)): numpy's vectorized
-    complex multiply is not bitwise commutative, and swapping operands
-    moves outputs by ~1e-15."""
+    Tiles. Every transform is summed as tiles of one shape (n_s, m_s): while
+    the longer side has more than _TILE_RATIO * max(shorter side, _BLOCK)
+    nodes it is halved, the halves sharing one node that only the first
+    counts (a 2Z frequency grid is two Z grids end to end). A tile sums in
+    local indices; its offset j0 (input halves) or k0 (output halves)
+    leaves the cross term e^{i sign h_in h_out j0 k} on the outputs (or
+    e^{i sign h_in h_out j k0} on the inputs), formed by the chirp's exact
+    mod-1 reduction of q = 2 j0 k, so no phase is rounded worse than the
+    chirp's. The _BLOCK floor keeps tiles from shrinking on short sides.
+
+    Spectra. Each convolution runs at length L = _fast_len(n_s + m_s - 1),
+    the smallest 5-smooth length without wrap-around (at most 25% above
+    n_s + m_s - 1 where a power of two can be 100% above). The kernel's FFT
+    is built in one canonical orientation, the longer side as input (sign
+    -1 on a tie), and kept read-only in _PLANS under that orientation's
+    (n_s, h_in, m_s, h_out, sign). The reverse orientation's kernel is the
+    conjugate reversal, so it multiplies by the conjugate spectrum (two
+    in-place conjugations of the product) and chirps by the canonical chirp
+    unconjugated: the forward and inverse transforms of a grid pair share
+    one spectrum, and no transform's bytes depend on the calls before it.
+    The least recently used spectra are dropped to hold at most
+    _PLAN_ELEMS entries, and a longer one is never kept.
+
+    Working memory: two complex arrays of length L, the chirp (max(n_s,
+    m_s) complex; with one tile it is built in the FFT buffer, copied into
+    the kernel's on a miss and overwritten by the chirped input, leaving an
+    m_s-entry copy), the output and the input nodes (n reals), plus the
+    held spectra. Each tile is assembled in blocks of _BLOCK nodes, and the
+    cross terms are built in the FFT buffer's unused tail, so there is no
+    n-length temporary. Products keep their operand order and temporaries
+    (a *= kernel, ifft * conj(chirp)): numpy's vectorized complex multiply
+    is not bitwise commutative, and swapping operands or the temporary
+    written moves outputs by ~1e-15."""
     n, m = f.grid.n_points, out.n_points
-    size = _fast_len(n + m - 1)
+    n_s, m_s = n, m
+    while n_s > _TILE_RATIO * max(m_s, _BLOCK):
+        n_s = n_s // 2 + 1
+    while m_s > _TILE_RATIO * max(n_s, _BLOCK):
+        m_s = m_s // 2 + 1
+    tiles = [(j0, k0) for j0 in range(0, n - 1, n_s - 1)
+             for k0 in range(0, m - 1, m_s - 1)]
+    tau = sign * f.grid.h * out.h / (4.0 * math.pi)
+    flip = m_s > n_s or (m_s == n_s and sign > 0)
+    key = ((m_s, out.h, n_s, f.grid.h, -sign) if flip
+           else (n_s, f.grid.h, m_s, out.h, sign))
+    n_c, m_c = key[0], key[2]           # the canonical input and output sides
+    conj = np.positive if flip else np.conjugate
+    size = _fast_len(n_s + m_s - 1)
     a = np.empty(size, dtype=complex)
-    c = a[:max(n, m)]                # a's storage holds the chirp first
-    _conjugate_chirp(sign * f.grid.h * out.h / (4.0 * math.pi), c)
-    key = (n, f.grid.h, m, out.h, sign)
+    c = a[:n_c] if len(tiles) == 1 else np.empty(n_c, dtype=complex)
+    _conjugate_chirp(-tau if flip else tau, c)
     kernel = _PLANS.pop(key, None)       # put back last: LRU order
     if kernel is None:
         # room for a spectrum that will be kept, made before b is allocated
         while size <= _PLAN_ELEMS < size + sum(map(len, _PLANS.values())):
             del _PLANS[next(iter(_PLANS))]
         b = np.empty(size, dtype=complex)
-        b[:m] = c[:m]
-        b[m:size - n + 1] = 0.0
-        b[size - n + 1:] = c[n - 1:0:-1]
-    c_m = c[:m].copy()
-    x = f.grid.nodes()
-    # blocks of _BLOCK nodes, the last taking the rest: a one-node block
-    # would take numpy's scalar loop, which rounds complex products
-    # differently from its array loops
-    starts = list(range(0, n - _BLOCK, _BLOCK)) or [0]
-    for j0, j1 in zip(starts, starts[1:] + [n]):
-        j = slice(j0, j1)
-        t = f.values[j].copy()
-        if j0 == 0:
-            t[0] *= 0.5              # the trapezoid weights, without an array
-        if j1 == n:
-            t[-1] *= 0.5
-        t *= scale
-        e = np.empty(len(t), dtype=complex)
-        e.real = 0.0
-        np.multiply(sign * out.x_min, x[j], out=e.imag)
-        np.exp(e, out=e)
-        t *= e
-        t *= np.conj(c[j], out=e)
-        a[j] = t
-    a[n:] = 0.0
-    del c, x, t, e
-    a = np.fft.fft(a, out=a)
-    if kernel is None:
+        b[:m_c] = c[:m_c]
+        b[m_c:size - n_c + 1] = 0.0
+        b[size - n_c + 1:] = c[n_c - 1:0:-1]
         kernel = np.fft.fft(b, out=b)
         kernel.setflags(write=False)
         del b
     if size <= _PLAN_ELEMS:
         _PLANS[key] = kernel
-    a *= kernel
-    del kernel
-    y = np.fft.ifft(a, out=a)[:m] * np.conj(c_m)
+    c_m = c[:m_s].copy() if len(tiles) == 1 else c[:m_s]
+    y = np.empty(m, dtype=complex) if m_s < m else None
+    x = f.grid.nodes()
+    for i, (j0, k0) in enumerate(tiles):
+        n_t = min(n_s, n - j0)           # the tile's nodes inside the grid
+        if k0:                           # output halves: the cross term
+            _conjugate_chirp(-tau, a[n:2 * n], k0)
+        for l0, l1 in _blocks(n_t):
+            j = slice(j0 + l0, j0 + l1)
+            t = f.values[j].copy()
+            if j0 + l0 == 0:
+                t[0] *= 0.5          # the trapezoid weights, without an array
+            if j0 + l1 == n:
+                t[-1] *= 0.5
+            t *= scale
+            e = np.empty(len(t), dtype=complex)
+            e.real = 0.0
+            np.multiply(sign * out.x_min, x[j], out=e.imag)
+            np.exp(e, out=e)
+            t *= e
+            if k0:
+                t *= a[n + l0:n + l1]    # on the inputs
+            t *= conj(c[l0:l1], out=e)
+            a[l0:l1] = t
+        if j0:
+            a[0] = 0.0                   # the shared node, counted before
+        a[n_t:] = 0.0
+        if i == len(tiles) - 1:
+            del x, t, e
+        a = np.fft.fft(a, out=a)
+        if flip:
+            np.conjugate(a, out=a)
+        a *= kernel
+        if flip:
+            np.conjugate(a, out=a)
+        lo, hi = (1 if k0 else 0), min(m_s, m - k0)
+        part = np.fft.ifft(a, out=a)[lo:hi] * conj(c_m[lo:hi])
+        if j0:                           # input halves: the cross term
+            _conjugate_chirp(-tau, a[m:2 * m], j0)
+            part *= a[m:2 * m]           # on the outputs
+            y += part
+        elif m_s == m:
+            y = part
+        else:                            # output halves, the shared node
+            y[k0 + lo:k0 + hi] = part    # kept from the tile before
     return GridFunction(out, y * np.exp(1j * sign * f.grid.x_min * out.h
                                         * np.arange(m)), tag)
 

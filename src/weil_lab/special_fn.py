@@ -680,7 +680,8 @@ def omega_profile(x):
     # a row's width, and so numpy's pairwise summation order, is set by x alone
     width = 2 ** np.ceil(np.log2(n_max)).astype(int)
     out = np.empty(xf.shape)
-    for w in np.unique(width):
+    # sorted distinct widths without np.unique, which imports numpy.ma
+    for w in sorted(set(width.tolist())):
         idx, n = np.flatnonzero(width == w), np.arange(1, w + 1)
         rows = _TABLE_ELEMS // w                                # tables <= 8 MB
         for i0 in range(0, idx.size, rows):

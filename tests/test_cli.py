@@ -400,3 +400,19 @@ def test_export_non_finite_grid_is_usage_error(tmp_path, capsys):
         assert cli.main(["export", "psi_gamma", "1", "--height-T", "20",
                          "--grid=" + spec, "--out", str(tmp_path)]) == 2
         assert repr(spec) in capsys.readouterr().err
+
+
+def test_verify_does_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma (12-20 ms and 1.1 MB per process); the
+    # verify suites iterate over distinct values without it
+    env = {k: v for k, v in os.environ.items() if k != "WEIL_LAB_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__))]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys\n"
+            "from weil_lab import cli\n"
+            "assert cli.main(['verify', 'special', '--out', sys.argv[1]]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          check=True, capture_output=True, text=True)
+    assert done.stdout.splitlines()[-1] == "False"

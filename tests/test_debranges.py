@@ -137,6 +137,34 @@ def test_basis_table_rows_take_their_own_limits():
             assert abs(v - ref) <= 1e-15 * abs(ref)
 
 
+
+def _basis_table_unblocked(gammas, mults, x, L):
+    """The basis_table formula on all columns at once: the byte oracle."""
+    g, m = np.asarray(gammas, dtype=float), np.asarray(mults)
+    dx = x - g[:, None]
+    near = np.abs(dx) < 1e-6
+    vals = (np.sqrt(m / math.pi)[:, None]
+            / ((1.0 + 1j * np.real(L)[None, :]) * np.where(near, 1.0, dx)))
+    rows, cols = np.nonzero(near)
+    vals[rows, cols] = [math.sqrt(m[r] / math.pi)
+                        * db.theta_prime_at_zero(float(g[r])) / 2.0 for r in rows]
+    return vals
+
+
+@pytest.mark.parametrize("n", [3 * nu._BLOCK + 100, 2 * nu._BLOCK + 1])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_basis_table_column_blocks_are_byte_equal(n, rows):
+    # more than two column blocks, and a size whose last block would hold
+    # one column; limit nodes sit in the first, a middle and the last block
+    gam, mults = [14.25, -31.5, 20.0][:rows], [1, 2, 3][:rows]
+    x = np.linspace(-40.0, 55.5, n)
+    for k, j in zip(range(rows), (5, nu._BLOCK + 3, n - 1)):
+        x[j] = gam[k] + 4e-7
+    L = np.random.default_rng(n + rows).standard_normal(n) * 10.0
+    table = db.basis_table(gam, mults, x, log_deriv=L)
+    assert table.tobytes() == _basis_table_unblocked(gam, mults, x, L).tobytes()
+
+
 # ----------------------------------------------------------------------
 # psi_gamma
 # ----------------------------------------------------------------------

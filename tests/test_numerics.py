@@ -177,7 +177,9 @@ def _direct_sum(vals, grid, sign, scale, x):
 @pytest.mark.parametrize("n, m", [(2, 2), (2, 9), (9, 2), (40, 301),
                                   (301, 40), (1000, 1000),
                                   # one node past one and two assembly blocks
-                                  (16385, 7), (32769, 20)])
+                                  (16385, 7), (32769, 20),
+                                  # four input tiles, n - 1 even and odd
+                                  (140001, 7), (140002, 7)])
 @pytest.mark.parametrize("zs, xs", [((-30.0, 30.0), (-2.0, 3.0)),
                                     ((5.5, 80.25), (-7.3, -1.1)),
                                     ((-100.0, -20.0), (3.0, 11.0))])
@@ -215,6 +217,9 @@ def test_grid_transforms_at_acceptance_size():
     vals = rng.standard_normal(fg.n_points) + 1j * rng.standard_normal(fg.n_points)
     inv = nu.inverse_fourier_grid(nu.GridFunction(fg, vals, "frequency"), tg)
     fwd = nu.forward_fourier_grid(inv, fg, band_limit=10000.0)
+    # both in halves on the Z = 5000 grid's one spectrum (within the cap)
+    assert [(k[0], k[2], len(s)) for k, s in nu._PLANS.items()] == [
+        (484317, 145774, 640000)]
     for src, dst, sign, scale in ((vals, inv, -1.0, fg.h / (2 * math.pi)),
                                   (inv.values, fwd, 1.0, tg.h)):
         grid = fg if sign < 0 else tg
@@ -304,6 +309,83 @@ def test_chirp_z_held_spectra_stay_within_the_bound(monkeypatch):
     assert len(nu._PLANS) == 3
     assert all(nu._PLANS[k] is v for k, v in before.items())
     assert sum(len(s) for s in nu._PLANS.values()) <= 3000
+
+
+def _tile_edges(m, m_s):
+    """Output indices at and beside every tile boundary of an output side
+    of m nodes summed in tiles of m_s."""
+    edges = np.arange(0, m, m_s - 1)
+    return np.unique(np.clip(np.concatenate([edges - 1, edges, edges + 1, [m - 1]]),
+                             0, m - 1))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("m, tile", [(140001, 35001), (140002, 35002)])
+def test_chirp_z_output_tiles_match_direct_sum(sign, m, tile):
+    # seven inputs onto four output tiles (m - 1 even, then odd: the last
+    # tile runs past the grid), checked beside every tile boundary; the
+    # spectrum is held once, with the longer side as input
+    zgrid, out = nu.Grid(-30.0, 30.0, 7), nu.Grid(-2.0, 3.0, m)
+    rng = np.random.default_rng(m)
+    vals = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    got = nu._chirp_z(nu.GridFunction(zgrid, vals, "frequency"), sign, 0.3,
+                      out, "time").values
+    k = np.union1d(_tile_edges(m, tile), rng.choice(m, 200, replace=False))
+    ref, mag = _direct_sum(vals, zgrid, sign, 0.3, out.nodes()[k])
+    assert np.max(np.abs(got[k] - ref) / mag) <= 1e-12
+    assert [(key[0], key[2], key[4]) for key in nu._PLANS] == [(tile, 7, -sign)]
+
+
+def test_chirp_z_tiles_on_a_tiny_output(monkeypatch):
+    # the _BLOCK floor keeps tiles from shrinking with the output: at most
+    # n / (2 _BLOCK) of them
+    n, m = 500001, 3
+    zgrid, out = nu.Grid(-30.0, 30.0, n), nu.Grid(-2.0, 3.0, m)
+    vals = np.random.default_rng(8).standard_normal(n) + 0j
+    calls = []
+    ifft = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: calls.append(1) or ifft(*a, **k))
+    got = nu._chirp_z(nu.GridFunction(zgrid, vals, "frequency"), 1.0, 0.3,
+                      out, "time").values
+    assert 2 <= len(calls) <= n / (2 * nu._BLOCK)
+    ref, mag = _direct_sum(vals, zgrid, 1.0, 0.3, out.nodes())
+    assert np.max(np.abs(got - ref) / mag) <= 1e-12
+
+
+def test_ladder_grid_pairs_share_one_spectrum():
+    # the cutoff ladder: inverse transforms at Z = 1000 and 2000 onto the
+    # [-6, 38] window and the forward transform back to Z. The 2Z grid is
+    # two Z grids end to end and the forward spectrum is the conjugate of
+    # the inverse one, so one 128,000-entry spectrum serves all three; its
+    # canonical orientation makes the bytes independent of the call order
+    window = nu.band_exact_grid(-6.0, 38.0, 4000.0, margin=80.0)
+    h = 0.999 * nu.ALIAS_GUARD / 38.0
+    fg1, fg2 = nu.symmetric_grid(1000.0, h), nu.symmetric_grid(2000.0, h)
+    rng = np.random.default_rng(30)
+    F1, F2 = (nu.GridFunction(g, rng.standard_normal(g.n_points)
+                              + 1j * rng.standard_normal(g.n_points), "frequency")
+              for g in (fg1, fg2))
+    psi = nu.GridFunction(window, rng.standard_normal(window.n_points) + 0j, "time")
+    calls = {"inverse Z": lambda: nu.inverse_fourier_grid(F1, window),
+             "inverse 2Z": lambda: nu.inverse_fourier_grid(F2, window),
+             "forward": lambda: nu.forward_fourier_grid(psi, fg1, band_limit=1000.0)}
+    runs = []
+    for order in (["inverse Z", "inverse 2Z", "forward"],
+                  ["forward", "inverse 2Z", "inverse Z"],
+                  ["inverse 2Z", "forward", "inverse Z"]):
+        nu._PLANS.clear()
+        runs.append({name: calls[name]().values.tobytes() for name in order})
+        assert [len(s) for s in nu._PLANS.values()] == [128000]
+    assert runs[0] == runs[1] == runs[2]
+    # each is the trapezoid sum
+    for F, out, sign, scale, name in (
+            (F1, window, -1.0, fg1.h / (2 * math.pi), "inverse Z"),
+            (F2, window, -1.0, fg2.h / (2 * math.pi), "inverse 2Z"),
+            (psi, fg1, 1.0, window.h, "forward")):
+        got = np.frombuffer(runs[0][name], dtype=complex)
+        k = np.union1d([0, out.n_points - 1], rng.choice(out.n_points, 20))
+        ref, mag = _direct_sum(F.values, F.grid, sign, scale, out.nodes()[k])
+        assert np.max(np.abs(got[k] - ref) / mag) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 1000, 1001, 29157])
