@@ -14,7 +14,13 @@ A lopsided transform is summed in tiles of one shape, and each kernel
 spectrum is computed once per tile shape, in one orientation: the forward
 and inverse transforms of a grid pair, and the halves of a grid twice as
 long at the same spacing, share it. The spectra are held in a bounded
-least-recently-used cache (_PLANS).
+least-recently-used cache (_PLANS). Every phase of a transform (the chirp,
+the grid offsets, the tile cross terms) is an exact integer times a
+double-double coefficient, reduced mod one turn exactly, and the per-node
+phase factors are products of short tables: a transform evaluates about
+2 sqrt(128 n) + n/128 complex exponentials, not one per node, and its
+working memory is its FFT buffer, one block of factors and the tables
+(see _chirp_z).
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ __all__ = [
 ALIAS_GUARD = math.pi / 4.0
 _GL_CACHE: dict = {}
 _BLOCK = 1 << 14                # elements per block of blockwise array work
+_ROW = 128                      # entries per row of a phase table
+_TWO_PI = (6.283185307179586, 2.4492935982947064e-16)   # 2 pi, in two parts
 _TILE_RATIO = 4                 # a chirp-z side longer than this many times
                                 # max(other side, _BLOCK) is summed in halves
 _PLAN_ELEMS = 1 << 20           # complex entries of held kernel spectra (16 MiB)
@@ -199,32 +207,100 @@ def _blocks(n: int):
     return zip(starts, starts[1:] + [n])
 
 
-def _conjugate_chirp(tau: float, out: np.ndarray, j0: int = 0) -> None:
-    """exp(-2 pi i tau q_l) into out[l], l < len(out), with q_l = l^2 (the
-    chirp) or, given j0 > 0, q_l = 2 j0 l (the cross term of a chirp-z tile
-    that starts at node j0). The phase tau q_l (in turns) is reduced mod 1
-    exactly: q_l is an exact float64 integer below 2^53 and tau is peeled
-    into heads of 53 - bits(max q) bits. Built in blocks of 2^14, so the
-    temporaries stay a few hundred kB at any length."""
-    length = len(out)
-    q_max = float(2 * j0 * (length - 1) if j0 else (length - 1) ** 2)
-    bits = 53 - int(q_max).bit_length()
-    heads, rest = [], tau
+def _two_prod(a: float, b: float):
+    """(p, e) with p the rounded product and a b = p + e exactly (Dekker)."""
+    def split(x):
+        t = 134217729.0 * x              # 2^27 + 1
+        return t - (t - x), x - (t - (t - x))
+    p = a * b
+    (ah, al), (bh, bl) = split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _per_turn(a: float, b: float, times: float):
+    """times * a b / (2 pi) in turns, times a power of two (or its
+    negative), as an unevaluated sum (hi, lo) good to about 2^-100
+    relative: the exact product, then one correction of the quotient by
+    2 pi in two parts. Symmetric in a and b, bit for bit."""
+    p, p_lo = _two_prod(a, b)
+    hi = p / _TWO_PI[0]
+    r, r_lo = _two_prod(hi, _TWO_PI[0])
+    lo = ((p - r) - r_lo + p_lo - hi * _TWO_PI[1]) / _TWO_PI[0]
+    return times * hi, times * lo
+
+
+def _phase(tau, q: np.ndarray) -> np.ndarray:
+    """exp(-2 pi i tau q) for tau = hi + lo (_per_turn) and an array q of
+    exact float64 integers, 0 <= q < 2^53. The phase tau q (in turns) is
+    reduced mod 1 exactly: hi is peeled into heads of max(1, 53 - bits(max
+    q)) bits, so each head * q is an exact float64 whose fraction is
+    exact, and only the rest of hi plus lo (below one turn at max q) is
+    rounded; the turns are kept in [-1/2, 1/2] as the heads are summed."""
+    q_max = float(np.max(q, initial=0.0))
+    bits = max(1, 53 - int(q_max).bit_length())
+    turns, rest = np.zeros(q.shape), tau[0]
     while rest != 0.0 and abs(rest) * q_max >= 1.0:
         mant, e = math.frexp(rest)
-        heads.append(math.ldexp(round(math.ldexp(mant, bits)), e - bits))
-        rest -= heads[-1]
-    for l0 in range(0, length, _BLOCK):
-        q = np.arange(l0, min(length, l0 + _BLOCK), dtype=float)
-        q = q * (2.0 * j0) if j0 else q ** 2
-        turns = np.zeros(len(q))
-        for head in heads:
-            turns += head * q - np.rint(head * q)
-        turns += rest * q
-        block = out[l0:l0 + len(q)]
-        block.real = 0.0
-        np.multiply(-2.0 * math.pi, turns - np.rint(turns), out=block.imag)
-        np.exp(block, out=block)
+        head = math.ldexp(round(math.ldexp(mant, bits)), e - bits)
+        part = head * q
+        turns += part - np.rint(part)
+        turns -= np.rint(turns)
+        rest -= head
+    turns += (rest + tau[1]) * q
+    out = np.empty(q.shape, dtype=complex)
+    out.real = 0.0
+    np.multiply(-2.0 * math.pi, turns - np.rint(turns), out=out.imag)
+    return np.exp(out, out=out)
+
+
+def _tables(tau, n: int):
+    """The chirp exp(-2 pi i tau l^2), l < n, for tau = hi + lo, as three
+    tables from _phase. With l = bB + r (B = _ROW, r < B) and b = b1 S + b0
+    (S a power of two near sqrt(n/B), at most _BLOCK/B, so S B divides
+    _BLOCK), l^2 = (bB)^2 + (r^2 + 2BS b1 r) + 2B b0 r, each term an exact
+    integer: the chirp is anchor[b] outer[b1, r] inner[b0, r], tables of
+    about n/B, sqrt(n/B) B and sqrt(n/B) B entries."""
+    rows = -(-n // _ROW)
+    span = min(_BLOCK // _ROW, 1 << ((rows - 1).bit_length() + 1) // 2)
+    r = np.arange(_ROW, dtype=float)
+    groups = np.arange(-(-rows // span), dtype=float)[:, None]
+    return (_phase(tau, (_ROW * np.arange(rows, dtype=float)) ** 2),
+            _phase(tau, r * r + (2.0 * _ROW * span) * groups * r),
+            _phase(tau, (2.0 * _ROW) * np.arange(span, dtype=float)[:, None] * r))
+
+
+def _with_ramps(tables, n: int, ramps, scale):
+    """The tables of scale times the chirp times exp(-2 pi i tau step
+    (start + l)), for l < n and each (tau, step, start) of ramps: a linear
+    phase is a factor at q = step (start + bB) per row, folded into the
+    anchors, times one at q = step r, folded into every row of outer; both
+    q are exact integers."""
+    anchor, outer, inner = tables
+    anchor, outer = anchor[:-(-n // _ROW)] * scale, outer.copy()
+    for tau, step, start in ramps:
+        anchor *= _phase(tau, step * (start + _ROW * np.arange(len(anchor), dtype=float)))
+        outer *= _phase(tau, step * np.arange(_ROW, dtype=float))
+    return anchor, outer, inner
+
+
+def _fill(tables, l0: int, out: np.ndarray) -> None:
+    """out[i] = anchor[b] inner[b0, r] outer[b1, r] at l = l0 + i =
+    (b1 S + b0) B + r, for l0 a multiple of S B: two products per entry,
+    S rows at a time."""
+    anchor, outer, inner = tables
+    span = len(inner)
+    step = span * _ROW
+    for i0 in range(0, len(out), step):
+        b1 = (l0 + i0) // step
+        rows = anchor[b1 * span:(b1 + 1) * span, None]
+        if i0 + step <= len(out):
+            view = out[i0:i0 + step].reshape(span, _ROW)
+            np.multiply(rows, inner, out=view)
+            view *= outer[b1]
+        else:                            # the last rows: len(out) - i0 kept
+            part = rows * inner[:len(rows)]
+            part *= outer[b1]
+            out[i0:] = part.ravel()[:len(out) - i0]
 
 
 def _chirp_z(f: GridFunction, sign: float, scale: float, out: Grid,
@@ -232,7 +308,7 @@ def _chirp_z(f: GridFunction, sign: float, scale: float, out: Grid,
     """scale * sum_j w_j f_j exp(sign i z_j x_k), w the trapezoid weights, at
     every node x_k of out by Bluestein's chirp-z transform: on uniform grids
     j k dz dx = (j^2 + k^2 - (k - j)^2) dz dx / 2 makes the sum one FFT
-    convolution of chirped terms (_conjugate_chirp), with no interpolation.
+    convolution of chirped terms, with no interpolation.
 
     Tiles. Every transform is summed as tiles of one shape (n_s, m_s): while
     the longer side has more than _TILE_RATIO * max(shorter side, _BLOCK)
@@ -240,9 +316,22 @@ def _chirp_z(f: GridFunction, sign: float, scale: float, out: Grid,
     counts (a 2Z frequency grid is two Z grids end to end). A tile sums in
     local indices; its offset j0 (input halves) or k0 (output halves)
     leaves the cross term e^{i sign h_in h_out j0 k} on the outputs (or
-    e^{i sign h_in h_out j k0} on the inputs), formed by the chirp's exact
-    mod-1 reduction of q = 2 j0 k, so no phase is rounded worse than the
-    chirp's. The _BLOCK floor keeps tiles from shrinking on short sides.
+    e^{i sign h_in h_out j k0} on the inputs). The _BLOCK floor keeps tiles
+    from shrinking on short sides.
+
+    Phases. With z_j = z_0 + j h_in and x_k = x_0 + k h_out, a term's phase
+    is sign (z_0 x_0 + x_0 h_in j + z_0 h_out k + h_in h_out j k): one
+    scalar (folded into scale), the two grid offsets, and the chirps. Each
+    coefficient is taken in turns as a double-double (_per_turn), and each
+    phase is it times an exact integer q, reduced mod 1 exactly (_phase), so
+    no phase is rounded worse than a few 2^-53 turns at any grid size. The
+    per-node factors are products of short tables: the chirp's three
+    (_tables), with the offsets and cross terms folded into its row anchors
+    and rows (_with_ramps), formed block by block at two products per node
+    (_fill). The ladder's four transforms (96,865 and 193,729 frequency
+    nodes against 29,156) evaluate 38,265 complex exponentials with their
+    spectrum held and 46,190 with it built, where one per node and per
+    chirp entry made 1,017,565.
 
     Spectra. Each convolution runs at length L = _fast_len(n_s + m_s - 1),
     the smallest 5-smooth length without wrap-around (at most 25% above
@@ -251,22 +340,24 @@ def _chirp_z(f: GridFunction, sign: float, scale: float, out: Grid,
     -1 on a tie), and kept read-only in _PLANS under that orientation's
     (n_s, h_in, m_s, h_out, sign). The reverse orientation's kernel is the
     conjugate reversal, so it multiplies by the conjugate spectrum (two
-    in-place conjugations of the product) and chirps by the canonical chirp
-    unconjugated: the forward and inverse transforms of a grid pair share
-    one spectrum, and no transform's bytes depend on the calls before it.
-    The least recently used spectra are dropped to hold at most
-    _PLAN_ELEMS entries, and a longer one is never kept.
+    in-place conjugations of the product); both orientations chirp their
+    inputs and outputs by exp(2 pi i tau l^2), tau = sign h_in h_out /
+    (4 pi), and the kernel's chirp is exp(-2 pi i tau l^2) in the canonical
+    orientation: the forward and inverse transforms of a grid pair share one
+    spectrum, and no transform's bytes depend on the calls before it. The
+    least recently used spectra are dropped to hold at most _PLAN_ELEMS
+    entries, and a longer one is never kept.
 
-    Working memory: two complex arrays of length L, the chirp (max(n_s,
-    m_s) complex; with one tile it is built in the FFT buffer, copied into
-    the kernel's on a miss and overwritten by the chirped input, leaving an
-    m_s-entry copy), the output and the input nodes (n reals), plus the
-    held spectra. Each tile is assembled in blocks of _BLOCK nodes, and the
-    cross terms are built in the FFT buffer's unused tail, so there is no
-    n-length temporary. Products keep their operand order and temporaries
-    (a *= kernel, ifft * conj(chirp)): numpy's vectorized complex multiply
-    is not bitwise commutative, and swapping operands or the temporary
-    written moves outputs by ~1e-15."""
+    Working memory: the FFT buffer (length L), the kernel's on a miss (its
+    chirp formed in the FFT buffer first), one block of factors (at most
+    2 _BLOCK complex), the output when there are several tiles, and the
+    tables (about N/B + 3 sqrt(N B) entries per side, N = max(n_s, m_s)),
+    plus the held spectra. Each tile is assembled in blocks of _BLOCK
+    nodes in place in the FFT buffer, and a one-tile output is read from
+    it, so there is no n-length temporary. Products keep their operand
+    order (a *= kernel, then the sums and the terms times their factors):
+    numpy's vectorized complex multiply is not bitwise commutative, and
+    swapping operands moves outputs by ~1e-15."""
     n, m = f.grid.n_points, out.n_points
     n_s, m_s = n, m
     while n_s > _TILE_RATIO * max(m_s, _BLOCK):
@@ -275,77 +366,75 @@ def _chirp_z(f: GridFunction, sign: float, scale: float, out: Grid,
         m_s = m_s // 2 + 1
     tiles = [(j0, k0) for j0 in range(0, n - 1, n_s - 1)
              for k0 in range(0, m - 1, m_s - 1)]
-    tau = sign * f.grid.h * out.h / (4.0 * math.pi)
+    tau = _per_turn(f.grid.h, out.h, 0.5 * sign)    # the chirp's turns per l^2
+    neg = (-tau[0], -tau[1])
     flip = m_s > n_s or (m_s == n_s and sign > 0)
     key = ((m_s, out.h, n_s, f.grid.h, -sign) if flip
            else (n_s, f.grid.h, m_s, out.h, sign))
     n_c, m_c = key[0], key[2]           # the canonical input and output sides
-    conj = np.positive if flip else np.conjugate
     size = _fast_len(n_s + m_s - 1)
     a = np.empty(size, dtype=complex)
-    c = a[:n_c] if len(tiles) == 1 else np.empty(n_c, dtype=complex)
-    _conjugate_chirp(-tau if flip else tau, c)
+    chirp = _tables(neg, max(n_s, m_s))  # the inputs' and outputs' chirp
     kernel = _PLANS.pop(key, None)       # put back last: LRU order
     if kernel is None:
         # room for a spectrum that will be kept, made before b is allocated
         while size <= _PLAN_ELEMS < size + sum(map(len, _PLANS.values())):
             del _PLANS[next(iter(_PLANS))]
         b = np.empty(size, dtype=complex)
+        c = a[:n_c]                      # the canonical chirp
+        canonical = chirp if flip else _tables(tau, n_c)
+        for l0, l1 in _blocks(n_c):
+            _fill(canonical, l0, c[l0:l1])
         b[:m_c] = c[:m_c]
         b[m_c:size - n_c + 1] = 0.0
         b[size - n_c + 1:] = c[n_c - 1:0:-1]
         kernel = np.fft.fft(b, out=b)
         kernel.setflags(write=False)
-        del b
+        del b, c, canonical
     if size <= _PLAN_ELEMS:
         _PLANS[key] = kernel
-    c_m = c[:m_s].copy() if len(tiles) == 1 else c[:m_s]
-    y = np.empty(m, dtype=complex) if m_s < m else None
-    x = f.grid.nodes()
-    for i, (j0, k0) in enumerate(tiles):
+    tau_in = _per_turn(out.x_min, f.grid.h, -sign)      # the grid offsets
+    tau_out = _per_turn(f.grid.x_min, out.h, -sign)
+    scale = scale * _phase(_per_turn(out.x_min, f.grid.x_min, -sign),
+                           np.ones(1))[0]
+    e = np.empty(min(max(n_s, m_s), 2 * _BLOCK), dtype=complex)
+    y = np.zeros(m, dtype=complex) if len(tiles) > 1 else None
+    for j0, k0 in tiles:
         n_t = min(n_s, n - j0)           # the tile's nodes inside the grid
-        if k0:                           # output halves: the cross term
-            _conjugate_chirp(-tau, a[n:2 * n], k0)
+        # output halves: the cross term on the inputs
+        factors = _with_ramps(chirp, n_t, [(tau_in, 1, j0)]
+                              + ([(neg, 2 * k0, 0)] if k0 else []), scale)
         for l0, l1 in _blocks(n_t):
-            j = slice(j0 + l0, j0 + l1)
-            t = f.values[j].copy()
-            if j0 + l0 == 0:
-                t[0] *= 0.5          # the trapezoid weights, without an array
-            if j0 + l1 == n:
-                t[-1] *= 0.5
-            t *= scale
-            e = np.empty(len(t), dtype=complex)
-            e.real = 0.0
-            np.multiply(sign * out.x_min, x[j], out=e.imag)
-            np.exp(e, out=e)
-            t *= e
-            if k0:
-                t *= a[n + l0:n + l1]    # on the inputs
-            t *= conj(c[l0:l1], out=e)
-            a[l0:l1] = t
+            _fill(factors, l0, e[:l1 - l0])
+            np.multiply(f.values[j0 + l0:j0 + l1], e[:l1 - l0], out=a[l0:l1])
         if j0:
             a[0] = 0.0                   # the shared node, counted before
+        else:
+            a[0] *= 0.5                  # the trapezoid weights
+        if j0 + n_t == n:
+            a[n_t - 1] *= 0.5
         a[n_t:] = 0.0
-        if i == len(tiles) - 1:
-            del x, t, e
         a = np.fft.fft(a, out=a)
         if flip:
             np.conjugate(a, out=a)
         a *= kernel
         if flip:
             np.conjugate(a, out=a)
+        a = np.fft.ifft(a, out=a)
         lo, hi = (1 if k0 else 0), min(m_s, m - k0)
-        part = np.fft.ifft(a, out=a)[lo:hi] * conj(c_m[lo:hi])
-        if j0:                           # input halves: the cross term
-            _conjugate_chirp(-tau, a[m:2 * m], j0)
-            part *= a[m:2 * m]           # on the outputs
-            y += part
-        elif m_s == m:
-            y = part
-        else:                            # output halves, the shared node
-            y[k0 + lo:k0 + hi] = part    # kept from the tile before
-    return GridFunction(out, y * np.exp(1j * sign * f.grid.x_min * out.h
-                                        * np.arange(m)), tag)
+        # input halves: the cross term on the outputs
+        factors = _with_ramps(chirp, hi, [(tau_out, 1, k0)]
+                              + ([(neg, 2 * j0, 0)] if j0 else []), 1.0)
+        for l0, l1 in _blocks(hi):
+            _fill(factors, l0, e[:l1 - l0])
+            a[l0:l1] *= e[:l1 - l0]
+        if y is None:
+            y = a[:m]
+        elif m_s < m:                    # output halves, the shared node
+            y[k0 + lo:k0 + hi] = a[lo:hi]  # kept from the tile before
+        else:
+            y += a[:m]
+    return GridFunction(out, y, tag)
 
 
 def inverse_fourier_grid(F: GridFunction, out: Grid) -> GridFunction:

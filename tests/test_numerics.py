@@ -1,5 +1,7 @@
+import cmath
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -386,6 +388,190 @@ def test_ladder_grid_pairs_share_one_spectrum():
         k = np.union1d([0, out.n_points - 1], rng.choice(out.n_points, 20))
         ref, mag = _direct_sum(F.values, F.grid, sign, scale, out.nodes()[k])
         assert np.max(np.abs(got[k] - ref) / mag) <= 1e-12
+
+
+def _ladder_grids():
+    """The cutoff ladder's window and its frequency grids at Z = 1000, 2000."""
+    h = 0.999 * nu.ALIAS_GUARD / 38.0
+    return (nu.band_exact_grid(-6.0, 38.0, 4000.0, margin=80.0),
+            nu.symmetric_grid(1000.0, h), nu.symmetric_grid(2000.0, h))
+
+
+_U = 2.0 ** -53                          # the unit roundoff
+
+
+@pytest.mark.parametrize("tau", [(0.3, 0.0), (-0.3, 0.0), (1.0 / 3.0, 2e-17),
+                                 (-2.0 ** -20, 0.0), (7.77e-9, -3e-25)])
+def test_exact_phase_matches_rational_reduction(tau):
+    # exp(-2 pi i tau q) against tau q reduced mod 1 in exact rationals, for
+    # q up to 2^52, at the ladder's chirp tau (both signs) and others. The
+    # bound is the helper's rounding count: half an ulp of one turn per
+    # head (at most floor(log2(|tau| max q) / bits) + 1 of them), two more
+    # for the rest, then the 2 pi product and the exponential; the
+    # reference rounds its fraction, its 2 pi product and its exponential
+    window, fg1, _ = _ladder_grids()
+    rng = np.random.default_rng(52)
+    for t in (tau, nu._per_turn(fg1.h, window.h, -0.5),
+              nu._per_turn(fg1.h, window.h, 0.5)):
+        exact_tau = Fraction(t[0]) + Fraction(t[1])
+        for top in (20, 36, 52):
+            q = np.concatenate([[0.0, 1.0, 2.0 ** top - 1.0],
+                                np.floor(rng.uniform(0.0, 2.0 ** top, 40))])
+            got = nu._phase(t, q)
+            bits = max(1, 53 - int(q.max()).bit_length())
+            reach = abs(t[0]) * q.max()
+            heads = int(math.log2(reach) // bits) + 1 if reach >= 1.0 else 0
+            bound = (2.0 * math.pi * (heads / 2.0 + 3.0) + 8.0) * _U
+            for qi, g in zip(q, got):
+                x = exact_tau * int(qi)
+                frac = float(x - round(x))
+                assert abs(g - cmath.exp(-2j * math.pi * frac)) <= bound
+
+
+def _conjugate_chirp(tau, out):
+    """The chirp exp(-2 pi i tau l^2) by one exponential per entry, the
+    phase reduced mod 1 exactly (the route the phase tables replaced)."""
+    length = len(out)
+    q_max = float((length - 1) ** 2)
+    bits = 53 - int(q_max).bit_length()
+    heads, rest = [], tau
+    while rest != 0.0 and abs(rest) * q_max >= 1.0:
+        mant, e = math.frexp(rest)
+        heads.append(math.ldexp(round(math.ldexp(mant, bits)), e - bits))
+        rest -= heads[-1]
+    for l0 in range(0, length, nu._BLOCK):
+        q = np.arange(l0, min(length, l0 + nu._BLOCK), dtype=float) ** 2
+        turns = np.zeros(len(q))
+        for head in heads:
+            turns += head * q - np.rint(head * q)
+        turns += rest * q
+        block = out[l0:l0 + len(q)]
+        block.real = 0.0
+        np.multiply(-2.0 * math.pi, turns - np.rint(turns), out=block.imag)
+        np.exp(block, out=block)
+
+
+@pytest.mark.parametrize("n", [1000, 96865, 484317])
+def test_table_chirp_matches_one_exponential_per_entry(n):
+    # the chirp as anchor[b] inner[b0, r] outer[b1, r] against one
+    # exponential per entry, at the ladder's and the heavy_psi tau, both
+    # signs. Bound: a rounding budget of 2 eps for each of the three table
+    # factors and the oracle's one, and for each of the two products: 12 eps
+    window, fg1, _ = _ladder_grids()
+    heavy = nu.symmetric_grid(10000.0, 0.999 * nu.ALIAS_GUARD / 38.0)
+    for h_in, h_out in ((fg1.h, window.h), (heavy.h, heavy.h)):
+        for times in (0.5, -0.5):
+            tau = nu._per_turn(h_in, h_out, times)
+            ref = np.empty(n, dtype=complex)
+            _conjugate_chirp(tau[0], ref)
+            got = np.empty(n, dtype=complex)
+            tables = nu._tables((tau[0], 0.0), n)
+            for l0, l1 in nu._blocks(n):
+                nu._fill(tables, l0, got[l0:l1])
+            assert np.max(np.abs(got - ref)) <= 12 * np.finfo(float).eps
+
+
+def test_ladder_transforms_evaluate_no_exponential_per_node(monkeypatch):
+    # the ladder's four transforms (psi at Z and 2Z, then K psi's forward
+    # and inverse) from an empty spectrum cache count the entries passed to
+    # a complex exp. A transform whose longer tile side has N nodes makes
+    # its chirp tables (N/B + 3 sqrt(N B) + B entries at most: A, then U
+    # and V of at most (sqrt(N/B) + 1) B and 2 sqrt(N/B) B), and a second
+    # set on a kernel miss; each side adds a row anchor per B nodes and a
+    # B-entry ramp per linear phase. With B = 128 and N <= 2^17 that is at
+    # most 32 per sqrt(n) + sqrt(m) of the four transforms; one exponential
+    # per node and per chirp entry made 1,017,565 (495 per)
+    window, fg1, fg2 = _ladder_grids()
+    rng = np.random.default_rng(31)
+    F1, F2 = (nu.GridFunction(g, rng.standard_normal(g.n_points) + 0j, "frequency")
+              for g in (fg1, fg2))
+    psi = nu.GridFunction(window, rng.standard_normal(window.n_points) + 0j, "time")
+    count = []
+    exp = np.exp
+
+    def counted(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            count.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    nu._PLANS.clear()
+    monkeypatch.setattr(np, "exp", counted)
+    nu.inverse_fourier_grid(F1, window)
+    nu.inverse_fourier_grid(F2, window)
+    spec = nu.forward_fourier_grid(psi, fg1, band_limit=1000.0)
+    nu.inverse_fourier_grid(nu.GridFunction(fg1, np.conj(spec.values), "frequency"),
+                            window)
+    monkeypatch.undo()
+    sides = [(fg1, window), (fg2, window), (window, fg1), (fg1, window)]
+    budget = 32 * sum(math.sqrt(a.n_points) + math.sqrt(b.n_points) for a, b in sides)
+    assert 0 < sum(count) <= budget
+
+
+_TWO_PI = (6.283185307179586, 2.4492935982947064e-16)
+
+
+def _two_prod(a, b):
+    """Dekker's exact product: a b = p + e."""
+    def split(x):
+        t = 134217729.0 * x
+        return t - (t - x), x - (t - (t - x))
+    p = a * b
+    (ah, al), (bh, bl) = split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _two_sum(a, b):
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _direct_sum_dd(vals, grid, sign, scale, out, k):
+    """Oracle: the trapezoid sum at the nodes x_min + j h of grid and
+    out.x_min + k out.h of out with each phase in double-double (Dekker
+    products, 2 pi in two parts), reduced mod 2 pi before its exponential;
+    with the sum of |terms|."""
+    def nodes(g, idx):
+        p, pe = _two_prod(np.asarray(idx, dtype=float), g.h)
+        s, se = _two_sum(p, g.x_min)
+        return _two_sum(s, se + pe)
+    w = np.ones(grid.n_points)
+    w[0] = w[-1] = 0.5
+    zh, zl = nodes(grid, np.arange(grid.n_points))
+    total, mag = [], []
+    for xh, xl in zip(*nodes(out, k)):
+        p, pe = _two_prod(zh, xh)
+        p, pe = _two_sum(p, pe + (zh * xl + zl * xh))
+        turns = np.rint(p / _TWO_PI[0])
+        r, re = _two_prod(turns, _TWO_PI[0])
+        s, se = _two_sum(p, -r)
+        t = vals * w * scale * np.exp(1j * sign * (s + (se + pe - re - turns * _TWO_PI[1])))
+        total.append(t.sum())
+        mag.append(np.abs(t).sum())
+    return np.array(total), np.array(mag)
+
+
+@pytest.mark.parametrize("which", ["inverse Z", "inverse 2Z", "forward"])
+def test_ladder_transforms_match_double_double_phases(which):
+    # the ladder's shapes against the direct sum with double-double phases,
+    # for random terms and for terms that add up in phase at one output
+    # (the rounding of a phase coefficient, amplified by the node index,
+    # shows there in full; plainly rounded per-node offsets read ~2e-12)
+    window, fg1, fg2 = _ladder_grids()
+    src, dst, sign = {"inverse Z": (fg1, window, -1.0),
+                      "inverse 2Z": (fg2, window, -1.0),
+                      "forward": (window, fg1, 1.0)}[which]
+    scale = src.h / (2 * math.pi) if sign < 0 else src.h
+    rng = np.random.default_rng(src.n_points)
+    k = np.union1d([0, 1, dst.n_points - 2, dst.n_points - 1],
+                   rng.choice(dst.n_points, 8, replace=False))
+    x_peak = dst.x_min + k[4] * dst.h
+    for vals in (rng.standard_normal(src.n_points) + 1j * rng.standard_normal(src.n_points),
+                 np.exp(-1j * sign * x_peak * src.nodes())):
+        got = nu._chirp_z(nu.GridFunction(src, vals, "frequency"), sign, scale,
+                          dst, "time").values[k]
+        ref, mag = _direct_sum_dd(vals, src, sign, scale, dst, k)
+        assert np.max(np.abs(got - ref) / mag) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 3, 1000, 1001, 29157])
