@@ -33,7 +33,7 @@ from . import zero_catalog as zc
 __all__ = [
     "basis_table", "BasisFunction", "MembershipReport",
     "theta_prime_at_zero", "psi_gamma", "psi_combination",
-    "psi_gamma_tail_bound", "K_apply", "v_membership", "debranges_norm",
+    "psi_gamma_tail_bound", "K_apply", "v_membership",
     "restriction_isometry_check", "axis_samples",
 ]
 
@@ -196,6 +196,10 @@ def psi_gamma(gamma: float, zs: zc.ZeroSet, Z: float, out: numerics.Grid,
     windows that defect dominates: on [-4, 18] at Z = 500 the entry at
     gamma = 94.65 has 2 pi ||psi||^2 - 1 at 1.6 times the frequency bound,
     while on [-6, 38] the ratio stays near 0.25.
+
+    The paper's selector witness, whose transform is 1 at gamma and 0 at
+    every other catalog zero, is i sqrt(m pi) psi_gamma:
+    psi_combination([gamma], [m], [1j * sqrt(m pi)], Z, out).
     """
     F = BasisFunction(gamma, zs)
     return psi_combination([F.gamma], [F.m_gamma], [1.0], Z, out, freq_spacing)
@@ -273,27 +277,6 @@ def v_membership(psi: numerics.GridFunction, t: float,
         negative_mass=_mass_below(psi, t),
         k_residual=math.sqrt(max(_mass_below(k_psi, t), 0.0)),
     )
-
-
-def debranges_norm(F: numerics.GridFunction) -> float:
-    """Norm ||F/E||_{L2} over the sampled frequency window.
-
-    Valid while E is representable on the window (|z| up to ~900); a node at
-    an (underflowed or genuinely real) zero of E raises, and the caller
-    should re-grid. On a symmetric grid E is evaluated on the x >= 0 half
-    and mirrored by E(-x) = conj E(x) (linspace's x < 0 nodes differ from
-    the mirrored ones by ulps).
-    """
-    if F.domain_tag != "frequency":
-        raise numerics.GridMismatchError("debranges_norm expects frequency samples")
-    x = F.grid.nodes()
-    h = x.size // 2 if F.grid.x_min == -F.grid.x_max else 0
-    half = sf.E_xi(np.abs(x[h:]) if h else x)
-    E = np.concatenate([np.conj(half[::-1][:h]), half])
-    if np.any(np.abs(E) < 1e-300):
-        raise ZeroDivisionError("E vanishes/underflows on a grid node; re-grid")
-    ratio = numerics.GridFunction(F.grid, F.values / E, "frequency")
-    return math.sqrt(max(numerics.grid_norm_sq(ratio), 0.0))
 
 
 def restriction_isometry_check(gamma: float, zs: zc.ZeroSet,

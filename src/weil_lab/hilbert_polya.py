@@ -9,7 +9,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import special_fn as sf
 
 __all__ = [
     "ExtensionParams", "EigenCheck", "LWDecomposition", "s_theta",
-    "m_theta_apply", "eigen_residual", "spectral_coeffs", "decompose_LW",
+    "eigen_residual", "spectral_coeffs", "decompose_LW",
 ]
 
 
@@ -61,28 +61,6 @@ class ExtensionParams:
         return s_theta(self.theta, z)
 
 
-def m_theta_apply(p: ExtensionParams, F: Callable[[complex], complex],
-                  z: complex) -> Tuple[complex, complex]:
-    """(G(z), M_theta G(z)) for the domain element generated by F:
-
-        G(z)         = (S(w0) F(z) - S(z) F(w0)) / (z - w0)
-        M_theta G(z) = z G(z) + F(w0) S(z)
-
-    F must be evaluable at arbitrary complex points (w0 is off the real
-    axis); at z = w0 the removable singularity is taken by a symmetric
-    difference."""
-    z = complex(z)
-    s_w0, f_w0, s_z = p.s(p.w0), complex(F(p.w0)), p.s(z)
-    if abs(z - p.w0) < 1e-9:
-        h = 1e-6
-        num = lambda u: s_w0 * complex(F(u)) - p.s(u) * f_w0
-        G = (num(z + h) - num(z - h)) / (2.0 * h)
-    else:
-        G = (s_w0 * complex(F(z)) - s_z * f_w0) / (z - p.w0)
-    MG = z * G + f_w0 * s_z
-    return G, MG
-
-
 @dataclass(frozen=True)
 class EigenCheck:
     gamma: float
@@ -105,8 +83,9 @@ def eigen_residual(p: ExtensionParams, gamma: float, samples: Sequence[complex],
 
     The samples are checked first (none within 1e-9 of gamma or w0); then
     S at w0 and at every sample comes from one s_theta call, and G and
-    M_theta G are formed for all samples at once (the formulas of
-    m_theta_apply with this F).
+    M_theta G are formed for all samples at once: for a domain element
+    generated by F, G(z) = (S(w0) F(z) - S(z) F(w0))/(z - w0) and
+    M_theta G(z) = z G(z) + F(w0) S(z).
     """
     lam = gamma if eigenvalue is None else float(eigenvalue)
     z = np.array(samples, dtype=complex).ravel()

@@ -207,13 +207,19 @@ def _blocks(n: int):
     return zip(starts, starts[1:] + [n])
 
 
-def _two_prod(a: float, b: float):
-    """(p, e) with p the rounded product and a b = p + e exactly (Dekker)."""
-    def split(x):
-        t = 134217729.0 * x              # 2^27 + 1
-        return t - (t - x), x - (t - (t - x))
+def _split(x):
+    """Veltkamp's split x = h + l of a float or an array into halves of 26
+    bits, so that products of halves are exact."""
+    t = 134217729.0 * x              # 2^27 + 1
+    h = t - (t - x)
+    return h, x - h
+
+
+def _two_prod(a, b):
+    """(p, e) with p the rounded product and a b = p + e exactly (Dekker),
+    of floats or elementwise of arrays."""
     p = a * b
-    (ah, al), (bh, bl) = split(a), split(b)
+    (ah, al), (bh, bl) = _split(a), _split(b)
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 

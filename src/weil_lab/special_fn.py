@@ -4,7 +4,7 @@ and the omega profile (the time-domain inverse transform of xi(1/2-iz)).
 
 All evaluators are double precision and validated against high-precision
 references in the test suite. xi, E_xi, theta_xi, omega_profile,
-log_gamma, digamma, zeta and zeta_pair take a scalar (and return scalars) or
+log_gamma, digamma and zeta_pair take a scalar (and return scalars) or
 an array (and return arrays of its shape); critical_line_log_derivative,
 theta_on_axis and xi_on_critical_line take real arrays.
 
@@ -64,7 +64,7 @@ import numpy as np
 from . import numerics
 
 __all__ = [
-    "XiValue", "log_gamma", "digamma", "zeta", "zeta_pair", "xi", "E_xi",
+    "XiValue", "log_gamma", "digamma", "zeta_pair", "xi", "E_xi",
     "theta_xi", "omega_profile", "critical_line_log_derivative",
     "theta_on_axis", "xi_on_critical_line",
 ]
@@ -228,14 +228,6 @@ def _ln_parts(n: np.ndarray):
     return hi, (np.log(n.astype(np.longdouble)) - hi).astype(float)
 
 
-def _split(x):
-    """Veltkamp's split x = h + l into halves of 26 bits, so that products
-    of halves are exact."""
-    c = 134217729.0 * x
-    h = c - (c - x)
-    return h, x - h
-
-
 def _powers(a: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """The table exp(-a_i ln n_j), ln n = hi + lo (see _ln_parts), with the
     rounding of its phase compensated: p = fl(-Im a hi), the exact error of
@@ -244,8 +236,8 @@ def _powers(a: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     cancelling sums near a zero of zeta magnify. The modulus keeps
     fl(-Re a ln n), off by ~1e-16 Re a ln n relative."""
     x = -a.imag
-    xh, xl = _split(x)
-    hh, hl = _split(hi)
+    xh, xl = numerics._split(x)
+    hh, hl = numerics._split(hi)
     tab = np.empty((a.size, hi.size), dtype=complex)
     np.multiply.outer(-a.real, hi, out=tab.real)
     np.multiply.outer(x, hi, out=tab.imag)
@@ -326,9 +318,8 @@ def _lattice_sums(s: np.ndarray, d: complex, hi: np.ndarray, lo: np.ndarray,
     alpha = Fraction(-d.imag) * M / _TWO_PI
     a_hi = float(alpha)
     a_lo = float(alpha - Fraction(a_hi))
-    x = hi * a_hi
-    (hh, hl), (ah, al) = _split(hi), _split(a_hi)
-    x_lo = (((hh * ah - x) + hh * al + hl * ah) + hl * al) + (hi * a_lo + lo * a_hi)
+    x, x_lo = numerics._two_prod(hi, a_hi)
+    x_lo += hi * a_lo + lo * a_hi
     m = np.rint(x)
     b = (x - m) + x_lo
     m = m.astype(np.int64)
@@ -346,7 +337,7 @@ def _lattice_sums(s: np.ndarray, d: complex, hi: np.ndarray, lo: np.ndarray,
                 part += np.bincount(idx, np.multiply(ker, w, out=tmp).ravel(), M)
             src = -hi[blk] * src
     S, Sp, Spp = np.fft.fft(grid)[:, (k0 - np.arange(K)) % M] * inv_T
-    dh, dl = _split(d.imag)
+    dh, dl = numerics._split(d.imag)
     k = np.arange(K)
     u = s.imag - s[0].imag
     v = u - s.imag                  # TwoSum: u + r = s.imag - s[0].imag
@@ -484,11 +475,6 @@ def zeta_pair(s):
     if s_arr.ndim == 0:
         return complex(val[0]), complex(der[0])
     return val.reshape(s_arr.shape), der.reshape(s_arr.shape)
-
-
-def zeta(s):
-    """Riemann zeta at a scalar or an array of s != 1."""
-    return zeta_pair(s)[0]
 
 
 # ----------------------------------------------------------------------

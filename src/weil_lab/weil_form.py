@@ -31,15 +31,13 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from . import debranges
 from . import numerics
 from . import zero_catalog as zc
 
 __all__ = [
-    "TestFunction", "FormValue", "WitnessReport",
-    "transform_at", "weil_pairing", "screw_g", "screw_g_array",
-    "screw_tail_bound", "screw_kernel", "screw_form", "antiderivative",
-    "tau_norm", "selector_witness", "random_bump", "random_combination",
+    "TestFunction", "FormValue", "transform_at", "weil_pairing", "screw_g",
+    "screw_g_array", "screw_tail_bound", "screw_kernel", "screw_form",
+    "antiderivative", "tau_norm", "random_bump", "random_combination",
     "random_mean_zero",
 ]
 
@@ -207,14 +205,6 @@ class FormValue:
             raise ValueError("error bounds must be nonnegative")
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    gamma: float
-    value_at_gamma: complex
-    max_off_value: float
-    bound_ok: bool
-
-
 # ----------------------------------------------------------------------
 # transforms of either input flavor
 # ----------------------------------------------------------------------
@@ -359,7 +349,7 @@ def screw_form(phi1: TestFunction, phi2: TestFunction, zs) -> FormValue:
 
 
 # ----------------------------------------------------------------------
-# antiderivative, tau norm, selector witness
+# antiderivative, tau norm
 # ----------------------------------------------------------------------
 
 def antiderivative(phi: TestFunction) -> TestFunction:
@@ -389,33 +379,6 @@ def tau_norm(S, zs) -> float:
     if np.shape(S) != m.shape:
         raise ValueError("coefficients not aligned with the catalog iteration")
     return float(np.sum(m * np.abs(np.asarray(S, dtype=complex)) ** 2))
-
-
-def selector_witness(gamma: float, zs: zc.ZeroSet):
-    """Witness psi with psihat(gamma) = 1 and psihat ~ 0 at every other
-    catalog zero: psi = i sqrt(m pi) psi_gamma, built at Z = 800 on
-    Grid(-2, 20, 2201).
-
-    Returns (grid witness, WitnessReport). The report's transform values are
-    the defining frequency-side samples i sqrt(m pi) F_gamma(gamma'), which
-    vanish at the off zeros up to evaluator roundoff; bound_ok says that
-    every one lies below 1e-3/|gamma - gamma'|^2. gamma is looked up in
-    the catalog as BasisFunction does (ValueError if it is not there).
-    """
-    F = debranges.BasisFunction(gamma, zs)
-    gamma = F.gamma
-    scale = 1j * math.sqrt(F.m_gamma * math.pi)
-    at_gamma = scale * F(gamma)
-    gp = zc.symmetric_arrays(zs)[0]
-    gp = gp[np.abs(gp - gamma) >= 1e-9]
-    off = np.abs(scale * F.values_on_axis(gp))
-    report = WitnessReport(gamma, at_gamma, float(np.max(off, initial=0.0)),
-                           bool(np.all(off <= 1e-3 / (gamma - gp) ** 2)))
-
-    out = numerics.Grid(-2.0, 20.0, 2201)
-    psi = debranges.psi_gamma(gamma, zs, 800.0, out)
-    witness = numerics.GridFunction(out, scale * psi.values, "time")
-    return witness, report
 
 
 # ----------------------------------------------------------------------

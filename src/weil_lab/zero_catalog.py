@@ -147,11 +147,22 @@ def save_zeros(path, zs: ZeroSet) -> None:
     """Write a catalog cache file: its _HEADERS line, then one %.17g
     ordinate per line, which reads back as the same float64
     (byte-stable for equal inputs). Files written with fewer digits still
-    load, at the precision they hold."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_HEADERS[zs.source] + "\n")
-        for g in zs.ordinates:
-            fh.write("%.17g\n" % g)
+    load, at the precision they hold.
+
+    The file is written whole to path.<pid>.tmp in the same directory and
+    then renamed onto path, so a write that fails partway (a full disk)
+    leaves no cut-short catalog behind to be read as the whole one; the
+    temporary file is removed on error."""
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(_HEADERS[zs.source] + "\n")
+            for g in zs.ordinates:
+                fh.write("%.17g\n" % g)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_cache(path, T: float = math.inf):

@@ -164,6 +164,49 @@ def test_zeros_list_labels_stale_cache_files(tmp_path, monkeypatch, capsys):
         "zeros_T50.txt: stale (no current header; recomputed on next use)"]
 
 
+def test_cache_write_that_fails_partway_leaves_no_catalog(tmp_path, monkeypatch,
+                                                         capsys, catalog):
+    # the disk fills at the 29th write, after the header and 27 of the 29
+    # ordinates below T = 100: the next call recomputes all 29, and zeros
+    # list shows no cut-short file, neither after the failure nor after it
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("WEIL_LAB_CACHE", str(cache))
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 29:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(text)
+
+    def full_disk_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return FullDisk(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(zc, "open", full_disk_open, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        zc.compute_zeros(100.0, cache_dir=str(cache))
+    monkeypatch.delattr(zc, "open")
+    assert cli.main(["zeros", "list"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["(empty cache)"]
+    assert os.listdir(cache) == []
+    zs = zc.compute_zeros(100.0, cache_dir=str(cache))
+    assert len(zs) == 29 and zs == catalog
+    assert cli.main(["zeros", "list"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "zeros_T100.txt: 29 ordinates (computed)"]
+    assert os.listdir(cache) == ["zeros_T100.txt"]
+
+
 def test_zeros_list_counts_ordinates_as_the_catalog_reads_them(tmp_path, monkeypatch,
                                                                capsys):
     # an indented comment is no ordinate, and a file the catalog cannot

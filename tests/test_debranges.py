@@ -424,63 +424,8 @@ def test_v_membership_coverage_guard(small_psi):
 
 
 # ----------------------------------------------------------------------
-# de Branges norm and restriction isometry
+# restriction isometry
 # ----------------------------------------------------------------------
-
-def test_debranges_norm_cancellation(catalog):
-    from weil_lab import weil_form as wf
-    b = wf.TestFunction.bump(0.0, 1.0)
-    fg = nu.symmetric_grid(60.0, 0.05)
-    psi_hat = b.fourier(fg.nodes())
-    E = sf.E_xi(fg.nodes())
-    F = nu.GridFunction(fg, E * psi_hat, "frequency")
-    got = db.debranges_norm(F)
-    ref = math.sqrt(nu.grid_norm_sq(nu.GridFunction(fg, psi_hat, "frequency")))
-    assert abs(got - ref) <= 1e-10 * ref
-
-
-def test_debranges_norm_of_basis(catalog):
-    # L from the axis sweep, and E on the x >= 0 half mirrored by
-    # E(-x) = conj E(x), as debranges_norm takes it
-    g1 = catalog.ordinates[0]
-    fg, L = db.axis_samples(800.0, 0.05)
-    x = fg.nodes()
-    F1 = db.BasisFunction(g1, catalog)
-    half = sf.E_xi(x[x.size // 2:])
-    E = np.concatenate([np.conj(half[:0:-1]), half])
-    F = nu.GridFunction(fg, E * F1.values_on_axis(x, L), "frequency")
-    assert abs(db.debranges_norm(F) - 1.0) <= db.psi_gamma_tail_bound(g1, 800.0)
-
-
-@pytest.mark.parametrize("n", [1201, 1200])
-def test_debranges_norm_is_the_mirrored_grid_norm(n):
-    # byte-equal to ||F/E|| with E evaluated at every node of the grid with
-    # its x < 0 nodes replaced by the exact mirrors of the x >= 0 ones
-    fg = nu.Grid(-60.0, 60.0, n)
-    x = fg.nodes()
-    rng = np.random.default_rng(n)
-    F = nu.GridFunction(fg, rng.standard_normal(n) + 1j * rng.standard_normal(n), "frequency")
-    E = sf.E_xi(np.where(x < 0.0, -x[::-1], x))
-    ref = math.sqrt(nu.grid_norm_sq(nu.GridFunction(fg, F.values / E, "frequency")))
-    assert db.debranges_norm(F) == ref
-
-
-def test_debranges_norm_zero():
-    fg = nu.symmetric_grid(50.0, 0.1)
-    F = nu.GridFunction(fg, np.zeros(fg.n_points), "frequency")
-    assert db.debranges_norm(F) == 0.0
-
-
-def test_debranges_norm_regrid_guard():
-    # E underflows on nodes beyond |z| ~ 900: the caller must re-grid
-    fg = nu.symmetric_grid(1200.0, 10.0)
-    F = nu.GridFunction(fg, np.ones(fg.n_points), "frequency")
-    with pytest.raises(ZeroDivisionError):
-        db.debranges_norm(F)
-    with pytest.raises(nu.GridMismatchError):
-        db.debranges_norm(nu.GridFunction(nu.Grid(-1, 1, 5),
-                                          np.zeros(5), "time"))
-
 
 def test_restriction_isometry(catalog):
     lhs, rhs = db.restriction_isometry_check(catalog.ordinates[0], catalog)

@@ -63,40 +63,6 @@ def test_extension_params_validation(catalog):
 
 
 # ----------------------------------------------------------------------
-# M_theta action
-# ----------------------------------------------------------------------
-
-def test_m_theta_pure_multiplication_when_F_vanishes_at_w0():
-    p = hp.ExtensionParams(math.pi / 2)
-    F = lambda z: (z - p.w0) * np.exp(-0.01 * z * z)
-    for z in (0.5, 2.0 + 1.0j):
-        G, MG = hp.m_theta_apply(p, F, z)
-        assert abs(G - p.s(p.w0) * np.exp(-0.01 * z * z)) <= 1e-10 * abs(G)
-        assert abs(MG - z * G) <= 1e-12 * max(abs(MG), 1e-300)
-
-
-def test_m_theta_linearity():
-    p = hp.ExtensionParams(math.pi / 2)
-    F1 = lambda z: np.exp(-0.02 * z * z)
-    F2 = lambda z: z * np.exp(-0.03 * z * z)
-    c = 1.7 - 0.4j
-    z = 5.5
-    G1, MG1 = hp.m_theta_apply(p, F1, z)
-    G2, MG2 = hp.m_theta_apply(p, F2, z)
-    Gc, MGc = hp.m_theta_apply(p, lambda u: F1(u) + c * F2(u), z)
-    assert abs(Gc - (G1 + c * G2)) <= 1e-12 * max(abs(Gc), 1e-300)
-    assert abs(MGc - (MG1 + c * MG2)) <= 1e-12 * max(abs(MGc), 1e-300)
-
-
-def test_m_theta_limit_branch_at_w0():
-    p = hp.ExtensionParams(math.pi / 2)
-    F = lambda z: np.exp(-0.02 * z * z)
-    G0, _ = hp.m_theta_apply(p, F, p.w0)
-    G1, _ = hp.m_theta_apply(p, F, p.w0 + 1e-5)
-    assert abs(G0 - G1) <= 1e-4 * max(abs(G0), 1e-300)
-
-
-# ----------------------------------------------------------------------
 # eigenfunction residuals
 # ----------------------------------------------------------------------
 
@@ -126,12 +92,20 @@ def test_eigen_residual_evaluates_s_theta_once_per_sample(catalog, monkeypatch):
     def F(z):
         return (p.s(z) / s_w0) * (g1 - p.w0) / (complex(z) - g1)
 
-    per_call = [hp.m_theta_apply(p, F, z) for z in samples]
+    def m_theta(z):
+        # (G(z), M_theta G(z)) at one sample for the domain element
+        # generated by F, by the formulas that eigen_residual forms at once
+        z = complex(z)
+        f_w0, s_z = complex(F(p.w0)), p.s(z)
+        G = (s_w0 * complex(F(z)) - s_z * f_w0) / (z - p.w0)
+        return G, z * G + f_w0 * s_z
+
+    per_call = [m_theta(z) for z in samples]
     sizes = count_xi_points(monkeypatch)
     chk = hp.eigen_residual(p, g1, samples, eigenvalue=g1 + 0.01)
     assert sizes == [len(samples) + 1]
-    # the public one-sample route is the oracle; the batch sums differ from
-    # its one-point sums at roundoff
+    # the one-sample route is the oracle; the batch sums differ from its
+    # one-point sums at roundoff
     scale = max(abs(G) for G, _ in per_call)
     ref = max(abs(MG - (g1 + 0.01) * G) for G, MG in per_call)
     assert abs(chk.residual - ref) <= 1e-12 * scale
