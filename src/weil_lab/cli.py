@@ -358,10 +358,18 @@ def _write_csv(path: str, x, values) -> None:
             fh.write("%.17g,%.17g,%.17g\n" % (x_, v.real, v.imag))
 
 
+def _check_export_size(n: float, what: str) -> None:
+    """An export evaluates, and sweeps on the axis, at most as many points
+    as verify sweeps for its widest window (|x| <= 38) at cutoff_Z =
+    MAX_CUTOFF; more is a usage error, raised before anything is allocated."""
+    limit = nu.symmetric_grid(zc.MAX_CUTOFF, db._default_freq_spacing(38.0)).n_points
+    if n > limit:
+        raise ValueError("%s needs %.6g points, above the export limit of %d"
+                         % (what, n, limit))
+
+
 def run_export(what: str, arg: Optional[str], cfg: RunConfig) -> int:
     """Write one CSV artifact; omega needs no catalog, so it reads none."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
-
     if what in ("psi_gamma", "F_gamma"):
         zs = cfg.catalog
         idx = int(arg or "1")
@@ -376,14 +384,22 @@ def run_export(what: str, arg: Optional[str], cfg: RunConfig) -> int:
                                       cfg.cutoff_Z + zs.ordinates[-1], 50.0)
         else:
             grid = nu.Grid(-120.0, 120.0, 4801)
+        label = "grid %.17g:%.17g:%d" % (grid.x_min, grid.x_max, grid.n_points)
+        _check_export_size(grid.n_points, label)
+        if what == "psi_gamma":
+            span = max(abs(grid.x_min), abs(grid.x_max))
+            _check_export_size(nu.symmetric_grid(
+                cfg.cutoff_Z, db._default_freq_spacing(span)).n_points,
+                "the axis sweep of " + label)
         x = grid.nodes()
         vals = (db.psi_gamma(g, zs, cfg.cutoff_Z, grid).values
                 if what == "psi_gamma"
                 else db.BasisFunction(g, zs).values_on_axis(x))
         name = "%s_%d.csv" % (what, idx)
     else:
-        a, b, step = parse_range(
-            arg or ("0:5:0.01" if what == "screw_g" else "-5:5:0.01"))
+        text = arg or ("0:5:0.01" if what == "screw_g" else "-5:5:0.01")
+        a, b, step = parse_range(text)
+        _check_export_size((b + step / 2 - a) / step, "range " + text)
         x = np.arange(a, b + step / 2, step)
         if what == "screw_g":
             vals = wf.screw_g_array(x, cfg.catalog)
@@ -391,6 +407,7 @@ def run_export(what: str, arg: Optional[str], cfg: RunConfig) -> int:
             vals = sf.omega_profile(x).astype(complex)
         name = "%s.csv" % what
 
+    os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, name)
     _write_csv(path, x, vals)
     print("wrote %s" % path)

@@ -141,8 +141,9 @@ def basis_table(gammas, mults, x, log_deriv=None) -> np.ndarray:
 
 
 class BasisFunction:
-    """F_gamma(z) = sqrt(m/pi) (1 + Theta(z)) / (2 (z - gamma)) for a catalog
-    ordinate gamma (either sign), with the basis_table limit near gamma."""
+    """F_gamma for a catalog ordinate gamma (either sign): its (gamma, m) and
+    its on-axis row of basis_table. Off the axis, F_gamma(z) = sqrt(m/pi)
+    (1 + Theta(z)) / (2 (z - gamma)) with Theta from special_fn.theta_xi."""
 
     def __init__(self, gamma: float, zs: zc.ZeroSet):
         arr = np.array(zs.ordinates)
@@ -151,19 +152,10 @@ class BasisFunction:
             raise ValueError("gamma = %r is not in the catalog" % (gamma,))
         self.gamma = float(math.copysign(arr[idx], gamma))
         self.m_gamma = zs.multiplicities[idx]
-        self.normalization = math.sqrt(self.m_gamma / math.pi)
 
     def values_on_axis(self, x, log_deriv=None) -> np.ndarray:
         """Values at real x: the one-row basis_table."""
         return basis_table([self.gamma], [self.m_gamma], x, log_deriv)[0]
-
-    def __call__(self, z):
-        z = complex(z)
-        if z.imag == 0.0 or abs(z - self.gamma) < 1e-6:
-            # within 1e-6 of gamma, Re z is too: the table takes the limit
-            return complex(self.values_on_axis(np.array([z.real]))[0])
-        theta = sf.theta_xi(z)
-        return self.normalization * (1.0 + theta) / (2.0 * (z - self.gamma))
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 ALIAS_GUARD = math.pi / 4.0
-_GL_CACHE: dict = {}
+_GAUSS_LEGENDRE: list = []      # 32-point nodes and weights on [-1, 1], on first use
 _BLOCK = 1 << 14                # elements per block of blockwise array work
 _ROW = 128                      # entries per row of a phase table
 _TWO_PI = (6.283185307179586, 2.4492935982947064e-16)   # 2 pi, in two parts
@@ -70,8 +70,12 @@ class Grid:
             raise ValueError("Grid requires finite endpoints")
         if not (self.x_min < self.x_max):
             raise ValueError("Grid requires x_min < x_max")
-        if self.n_points < 2:
+        n = self.n_points
+        if not (isinstance(n, int) or (math.isfinite(n) and int(n) == n)):
+            raise ValueError("Grid requires an integer n_points")
+        if n < 2:
             raise ValueError("Grid requires n_points >= 2")
+        object.__setattr__(self, "n_points", int(n))
 
     @property
     def h(self) -> float:
@@ -126,13 +130,13 @@ def _panels(a: float, b: float, width: float):
     return 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
 
 
-def panel_rule(a: float, b: float, width: float, order: int):
-    """Gauss-Legendre rule of the given order on each of ceil((b-a)/width)
-    equal panels of [a, b] (at least one); returns (nodes, weights), each of
-    shape (n_panels, order)."""
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    nodes, weights = _GL_CACHE[order]
+def panel_rule(a: float, b: float, width: float):
+    """32-point Gauss-Legendre, the package's one rule (its order is fixed,
+    see fourier_integral), on each of ceil((b-a)/width) equal panels of
+    [a, b] (at least one); returns (nodes, weights) of shape (n_panels, 32)."""
+    if not _GAUSS_LEGENDRE:
+        _GAUSS_LEGENDRE[:] = np.polynomial.legendre.leggauss(32)
+    nodes, weights = _GAUSS_LEGENDRE
     mid, half = _panels(a, b, width)
     return mid[:, None] + half[:, None] * nodes, half[:, None] * weights
 
@@ -167,13 +171,18 @@ def fourier_integral(f: Callable[[np.ndarray], np.ndarray],
         if np.any(np.abs(zf.imag) > 50.0):
             raise ValueError("fourier_integral: |Im z| > 50 growth guard")
         width = min(1.0 / (1.0 + np.max(np.abs(zf), initial=0.0)), (b - a) / 16.0)
-        x, w = panel_rule(a, b, width, 32)
+        x, w = panel_rule(a, b, width)
         mid = _panels(a, b, width)[0]
         fw = (np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape) * w).T
-        ht = 0.5 * (b - a) / len(mid) * _GL_CACHE[32][0]
+        ht = 0.5 * (b - a) / len(mid) * _GAUSS_LEGENDRE[0]
         step = max(1, (1 << 17) // len(mid))
         for i0 in range(0, len(zf), step):
             zc = zf[i0:i0 + step, None]
+            # (z block x 32) @ (32 x panels): an inner dimension of 32 sums
+            # in the same order at 1 and 2 OpenBLAS threads, where the
+            # ceil(sqrt(n)) of one block product for fourier_grid_at (171 at
+            # n = 29,156) did not, so the rule's order stays 32 (and
+            # fourier_grid_at keeps one gemv per z)
             out[i0:i0 + step] = np.sum(
                 np.exp(1j * zc * mid) * (np.exp(1j * zc * ht) @ fw), axis=1)
     out = out.reshape(z_arr.shape)

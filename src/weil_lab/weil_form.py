@@ -54,46 +54,49 @@ class TestFunction:
     kind 'bump' is exp(-1/(1-u^2)) with u = (x-center)/half_width;
     'bump_derivative' its exact derivative; 'finite_combination' a complex
     linear combination of parts; 'antiderivative_of_bump' the running
-    integral of a part (compactly supported iff the part has zero mean).
+    integral of one mean-zero part. The constructor checks every kind.
     """
     kind: str
     center: float = 0.0
     half_width: float = 1.0
     coefficients: Tuple[complex, ...] = ()
     parts: Tuple["TestFunction", ...] = ()
-    compact_support: bool = True
+
+    def __post_init__(self):
+        if self.kind in (_BUMP, _BUMP_D):
+            if not (math.isfinite(self.center) and math.isfinite(self.half_width)
+                    and self.half_width > 0):
+                raise ValueError("a bump needs a finite center and half_width > 0")
+            object.__setattr__(self, "center", float(self.center))
+            object.__setattr__(self, "half_width", float(self.half_width))
+        elif self.kind == _COMBO:
+            if len(self.coefficients) != len(self.parts) or not self.parts:
+                raise ValueError("combination needs matching, nonempty coefficients/parts")
+        elif self.kind != _ANTI:
+            raise ValueError("unknown kind %r" % (self.kind,))
+        elif len(self.parts) != 1:
+            raise ValueError("an antiderivative takes exactly one part")
+        elif not _mean_zero(self.parts[0].fourier(0.0), _transform_scale(self.parts[0])):
+            raise ValueError("a part of nonzero mean has no compact antiderivative")
+        object.__setattr__(self, "coefficients", tuple(map(complex, self.coefficients)))
+        object.__setattr__(self, "parts", tuple(self.parts))
 
     # -- constructors -------------------------------------------------
     @classmethod
     def bump(cls, center: float = 0.0, half_width: float = 1.0) -> "TestFunction":
-        if not (math.isfinite(center) and math.isfinite(half_width)):
-            raise ValueError("center and half_width must be finite")
-        if half_width <= 0:
-            raise ValueError("half_width must be positive")
-        return cls(_BUMP, float(center), float(half_width))
+        return cls(_BUMP, center, half_width)
 
     @classmethod
     def combination(cls, coefficients: Sequence[complex],
                     parts: Sequence["TestFunction"]) -> "TestFunction":
-        if len(coefficients) != len(parts) or not parts:
-            raise ValueError("combination needs matching, nonempty coefficients/parts")
-        return cls(_COMBO, coefficients=tuple(complex(c) for c in coefficients),
-                   parts=tuple(parts))
+        return cls(_COMBO, coefficients=coefficients, parts=parts)
 
     # -- geometry ------------------------------------------------------
     def support(self) -> Tuple[float, float]:
         if self.kind in (_BUMP, _BUMP_D):
             return (self.center - self.half_width, self.center + self.half_width)
-        if self.kind == _COMBO:
-            lo = min(p.support()[0] for p in self.parts)
-            hi = max(p.support()[1] for p in self.parts)
-            return (lo, hi)
-        if self.kind == _ANTI:
-            lo, hi = self.parts[0].support()
-            if not self.compact_support:
-                return (lo, math.inf)
-            return (lo, hi)
-        raise ValueError("unknown kind %r" % self.kind)
+        spans = [p.support() for p in self.parts]
+        return (min(lo for lo, _ in spans), max(hi for _, hi in spans))
 
     # -- evaluation ----------------------------------------------------
     def __call__(self, x):
@@ -104,33 +107,26 @@ class TestFunction:
         return complex(out[0]) if scalar else out
 
     def _eval(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == _BUMP:
-            u = (x - self.center) / self.half_width
-            out = np.zeros(len(x), dtype=complex)
-            inside = np.abs(u) < 1.0
-            ui = u[inside]
-            out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
-            return out
-        if self.kind == _BUMP_D:
+        if self.kind in (_BUMP, _BUMP_D):
             u = (x - self.center) / self.half_width
             out = np.zeros(len(x), dtype=complex)
             inside = np.abs(u) < 1.0
             ui = u[inside]
             one = 1.0 - ui * ui
-            out[inside] = np.exp(-1.0 / one) * (-2.0 * ui / (one * one)) / self.half_width
+            e = np.exp(-1.0 / one)
+            out[inside] = (e if self.kind == _BUMP
+                           else e * (-2.0 * ui / (one * one)) / self.half_width)
             return out
         if self.kind == _COMBO:
             out = np.zeros(len(x), dtype=complex)
             for c, p in zip(self.coefficients, self.parts):
                 out += c * p._eval(x)
             return out
-        if self.kind == _ANTI:
-            return self._cumulative(x)
-        raise ValueError("unknown kind %r" % self.kind)
+        return self._cumulative(x)
 
     def _cumulative(self, x: np.ndarray) -> np.ndarray:
-        """Running integral of the part: whole 24-point Gauss-Legendre panels
-        of width <= 1/4 up to the panel holding x, then the same rule on the
+        """Running integral of the part: whole Gauss-Legendre panels of
+        width <= 1/4 up to the panel holding x, then the same rule on the
         partial panel [panel start, x]."""
         base = self.parts[0]
 
@@ -138,7 +134,7 @@ class TestFunction:
             return base._eval(pts.ravel()).reshape(pts.shape)
 
         a, b = base.support()
-        nodes, weights = numerics.panel_rule(a, b, 0.25, 24)
+        nodes, weights = numerics.panel_rule(a, b, 0.25)
         n_panels = len(nodes)
         panel_ints = (f(nodes) * weights).sum(axis=1)
         cum = np.concatenate([[0.0 + 0.0j], np.cumsum(panel_ints)])
@@ -148,7 +144,7 @@ class TestFunction:
         k = np.minimum(k, n_panels - 1)
         lo = np.linspace(a, b, n_panels + 1)[k][:, None]
         span = x[inside][:, None] - lo
-        u, wu = numerics.panel_rule(0.0, 1.0, 1.0, 24)    # one panel on [0, 1]
+        u, wu = numerics.panel_rule(0.0, 1.0, 1.0)    # one panel on [0, 1]
         out[inside] = cum[k] + (f(lo + span * u) * (span * wu)).sum(axis=1)
         return out
 
@@ -171,8 +167,6 @@ class TestFunction:
         support), so cancellations arranged in the coefficients survive at
         quadrature precision."""
         if self.kind == _ANTI:
-            if not self.compact_support:
-                raise ValueError("transform of a non-compact antiderivative")
             base = self.parts[0]
             z_arr = np.asarray(z, dtype=complex)
             small = np.abs(z_arr) <= 1e-8
@@ -353,19 +347,16 @@ def screw_form(phi1: TestFunction, phi2: TestFunction, zs) -> FormValue:
 # ----------------------------------------------------------------------
 
 def antiderivative(phi: TestFunction) -> TestFunction:
-    """psi(x) = integral_{-inf}^x phi(y) dy.
-
-    Exact inverse images are recognized (derivative-of-bump goes back to the
-    bump); otherwise the running integral is wrapped, with a compact-support
-    flag recording whether the mean of phi vanishes.
-    """
+    """psi(x) = integral_{-inf}^x phi(y) dy, compactly supported: phi must
+    have mean zero (ValueError otherwise). Exact inverse images are
+    recognized (derivative-of-bump goes back to the bump); otherwise the
+    running integral is wrapped."""
     if phi.kind == _BUMP_D:
         return TestFunction.bump(phi.center, phi.half_width)
     if phi.kind == _COMBO and all(p.kind == _BUMP_D for p in phi.parts):
         return TestFunction.combination(
             phi.coefficients, [antiderivative(p) for p in phi.parts])
-    compact = _mean_zero(phi.fourier(0.0), _transform_scale(phi))
-    return TestFunction(_ANTI, parts=(phi,), compact_support=compact)
+    return TestFunction(_ANTI, parts=(phi,))
 
 
 def _mean_zero(mean: complex, scale: float) -> bool:

@@ -9,6 +9,7 @@ import pytest
 
 from weil_lab import cli
 from weil_lab import debranges as db
+from weil_lab import numerics as nu
 from weil_lab import special_fn as sf
 from weil_lab import zero_catalog as zc
 
@@ -435,6 +436,29 @@ def test_export_bad_range_is_usage_error(tmp_path, monkeypatch, capsys):
                          "--height-T", "20", "--cutoff-Z", "500"]) == 2
         assert repr(arg) in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_oversized_export_is_usage_error(tmp_path, monkeypatch, capsys):
+    # each export's first allocation would exceed 2^47 bytes: numpy died in
+    # an _ArrayMemoryError with exit 1, the code of a failed check. The
+    # limit is verify's sweep for |x| <= 38 at cutoff_Z = MAX_CUTOFF
+    monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
+    out = tmp_path / "out"
+    assert nu.symmetric_grid(zc.MAX_CUTOFF, db._default_freq_spacing(38.0)
+                             ).n_points == 4843155
+    for argv, named in (
+            (["omega", "0:5:1e-15"], "range 0:5:1e-15"),
+            (["screw_g", "0:5:1e-15"], "range 0:5:1e-15"),
+            (["F_gamma", "--grid=-1:1:1000000000000000"],
+             "grid -1:1:1000000000000000"),
+            (["psi_gamma", "--grid=-1e12:1e12:5"],
+             "axis sweep of grid -1000000000000:1000000000000:5")):
+        capsys.readouterr()
+        assert cli.main(["export"] + argv + ["--out", str(out),
+                                             "--height-T", "20"]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "limit of 4843155" in err
+    assert not out.exists()
 
 
 def test_export_non_finite_grid_is_usage_error(tmp_path, capsys):

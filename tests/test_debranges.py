@@ -40,17 +40,16 @@ def test_theta_prime_step_halving_consistency(catalog):
 
 def test_basis_values_at_zeros(catalog):
     g1, g2 = catalog.ordinates[:2]
-    F1 = db.BasisFunction(g1, catalog)
-    assert abs(F1(g1) + 1j / math.sqrt(math.pi)) <= 1e-6
-    assert abs(F1(g2)) <= 1e-8
-    assert F1.normalization ** 2 * math.pi == pytest.approx(F1.m_gamma)
+    at_g1, at_g2 = db.BasisFunction(g1, catalog).values_on_axis([g1, g2])
+    assert abs(at_g1 + 1j / math.sqrt(math.pi)) <= 1e-6
+    assert abs(at_g2) <= 1e-8
 
 
 def test_basis_far_field_bound(catalog):
     g1 = catalog.ordinates[0]
     F1 = db.BasisFunction(g1, catalog)
     x = g1 + 50.0
-    assert abs(F1(x)) <= (1.0 / math.sqrt(math.pi)) / 50.0 + 1e-12
+    assert abs(F1.values_on_axis([x])[0]) <= (1.0 / math.sqrt(math.pi)) / 50.0 + 1e-12
 
 
 def test_basis_rejects_non_catalog_gamma(catalog):
@@ -60,16 +59,15 @@ def test_basis_rejects_non_catalog_gamma(catalog):
 
 def test_basis_negative_gamma(catalog):
     g1 = catalog.ordinates[0]
-    Fm = db.BasisFunction(-g1, catalog)
-    assert abs(Fm(-g1) + 1j / math.sqrt(math.pi)) <= 1e-6
-    assert abs(Fm(g1)) <= 1e-8
+    at_minus, at_plus = db.BasisFunction(-g1, catalog).values_on_axis([-g1, g1])
+    assert abs(at_minus + 1j / math.sqrt(math.pi)) <= 1e-6
+    assert abs(at_plus) <= 1e-8
 
 
 def test_basis_limit_branch_matches_nearby_values(catalog):
     g1 = catalog.ordinates[0]
-    F1 = db.BasisFunction(g1, catalog)
-    near = F1(g1 + 5e-7)           # limit branch
-    outside = F1(g1 + 5e-5)        # quotient branch
+    # the limit branch at g1 + 5e-7, the quotient branch at g1 + 5e-5
+    near, outside = db.BasisFunction(g1, catalog).values_on_axis([g1 + 5e-7, g1 + 5e-5])
     assert abs(near - outside) < 1e-4 * abs(near)
 
 
@@ -79,6 +77,7 @@ def test_values_near_another_zero_follow_the_error_model(catalog):
     # ~1e-14 sqrt(m/pi)/|x - gamma_1| of their 30-digit values
     g1, g2 = catalog.ordinates[:2]
     F = db.BasisFunction(g1, catalog)
+    norm = math.sqrt(F.m_gamma / math.pi)
     x = g2 + np.array([3e-7, -8e-7])
     theta, vals = sf.theta_on_axis(x), F.values_on_axis(x)
     with mp.workdps(30):
@@ -86,16 +85,16 @@ def test_values_near_another_zero_follow_the_error_model(catalog):
             L = mp_log_derivative(xk).real
             assert abs(L) > 1e6
             assert abs(th - complex((1 - 1j * L) / (1 + 1j * L))) <= 2e-14
-            exact = complex(F.normalization / ((1 + 1j * L) * (mp.mpf(xk) - g1)))
-            assert abs(v - exact) <= 1e-14 * F.normalization / abs(xk - g1)
+            exact = complex(norm / ((1 + 1j * L) * (mp.mpf(xk) - g1)))
+            assert abs(v - exact) <= 1e-14 * norm / abs(xk - g1)
 
 
 def test_basis_h2_proxy_bounded_decreasing(catalog):
-    # |F(gamma + iy)| stays bounded and decreases over y in [1, 50]
-    g1 = catalog.ordinates[0]
-    F1 = db.BasisFunction(g1, catalog)
-    ys = [1.0, 5.0, 15.0, 50.0]
-    vals = [abs(F1(complex(g1, y))) for y in ys]
+    # |F(gamma + iy)| stays bounded and decreases over y in [1, 50], with
+    # F(z) = sqrt(m/pi) (1 + Theta(z)) / (2 (z - gamma)) off the axis
+    g1, m1 = catalog.ordinates[0], catalog.multiplicities[0]
+    z = g1 + 1j * np.array([1.0, 5.0, 15.0, 50.0])
+    vals = np.abs(math.sqrt(m1 / math.pi) * (1.0 + sf.theta_xi(z)) / (2.0 * (z - g1)))
     assert all(v <= 1.0 for v in vals)
     assert all(vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1))
 
@@ -114,7 +113,8 @@ def test_synthetic_multiplicity_zero_set(catalog):
     zs = zc.ZeroSet((10.0, 20.0), (1, 2), 25.0, "table")
     F = db.BasisFunction(20.0, zs)
     assert F.m_gamma == 2
-    assert F.normalization == pytest.approx(math.sqrt(2.0 / math.pi))
+    assert F.values_on_axis([20.0])[0] == (math.sqrt(2.0 / math.pi)
+                                           * db.theta_prime_at_zero(20.0) / 2.0)
 
 
 def test_basis_table_rows_take_their_own_limits():

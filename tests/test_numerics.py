@@ -1,5 +1,8 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -72,12 +75,22 @@ def test_fourier_growth_guard():
 
 
 def test_gauss_legendre_panels_integrate_polynomials_exactly():
-    x, w = nu.panel_rule(-0.3, 1.9, 0.25, 8)
-    assert x.shape == w.shape == (9, 8)
-    exact = (1.9 ** 16 - 0.3 ** 16) / 16.0      # 8 points are exact to degree 15
-    assert abs(np.sum(w * x ** 15) - exact) <= 1e-13 * exact
-    x1, w1 = nu.panel_rule(0.0, 1e-4, 1.0, 4)   # never fewer than one panel
-    assert x1.shape == (1, 4) and abs(np.sum(w1) - 1e-4) <= 1e-19
+    x, w = nu.panel_rule(-0.3, 1.9, 0.25)
+    assert x.shape == w.shape == (9, 32)
+    exact = (1.9 ** 64 - 0.3 ** 64) / 64.0      # 32 points are exact to degree 63
+    assert abs(np.sum(w * x ** 63) - exact) <= 1e-13 * exact
+    x1, w1 = nu.panel_rule(0.0, 1e-4, 1.0)      # never fewer than one panel
+    assert x1.shape == (1, 32) and abs(np.sum(w1) - 1e-4) <= 1e-19
+
+
+def test_gauss_legendre_rule_is_built_on_first_use():
+    # not at import: import time is part of every command's set-up
+    code = ("import weil_lab.cli, weil_lab.numerics as nu; "
+            "assert not nu._GAUSS_LEGENDRE; nu.panel_rule(0.0, 1.0, 1.0); "
+            "assert len(nu._GAUSS_LEGENDRE[0]) == 32")
+    src = os.path.dirname(os.path.dirname(nu.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
 
 
 def test_band_exact_spacing_clears_alias_images():
@@ -96,6 +109,11 @@ def test_grid_validation():
                  (0.0, math.inf)):
         with pytest.raises(ValueError, match="finite"):
             nu.Grid(a, b, 5)
+    # 10.5 made a grid with h = 1/9.5 whose nodes() raised a TypeError
+    for n in (10.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="integer"):
+            nu.Grid(0.0, 1.0, n)
+    assert type(nu.Grid(0.0, 1.0, 11.0).n_points) is int
     g = nu.Grid(0.0, 1.0, 11)
     assert g.h == pytest.approx(0.1)
 

@@ -31,6 +31,13 @@ def direct_screw_g(t, zs):
     return total
 
 
+def gl_panels(a, b, width, order):
+    """Oracle rule: order-point Gauss-Legendre on panel_rule's panels."""
+    t, w = np.polynomial.legendre.leggauss(order)
+    mid, half = nu._panels(a, b, width)
+    return mid[:, None] + half[:, None] * t, half[:, None] * w
+
+
 def per_z_fourier_integral(f, support, z, zmax=0.0):
     """Oracle: the scalar panel route, one z at a time with whole phases
     e^{izx}, on the node set for max(|z|, zmax) (zmax = 0: each z's own
@@ -38,7 +45,7 @@ def per_z_fourier_integral(f, support, z, zmax=0.0):
     a, b = support
     z = complex(z)
     width = min(1.0 / (1.0 + max(abs(z), zmax)), (b - a) / 16.0)
-    x, w = (p.ravel() for p in nu.panel_rule(a, b, width, 32))
+    x, w = (p.ravel() for p in nu.panel_rule(a, b, width))
     terms = w * np.asarray(f(x), dtype=complex) * np.exp(1j * z * x)
     return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
 
@@ -91,8 +98,8 @@ def g_matrix_screw_form(phi1, phi2, zs):
 
     cap = 72.0 / (1.0 + np.max(gam))
     (a1, b1), (a2, b2) = phi1.support(), phi2.support()
-    xs, s_w = nu.panel_rule(a1, b1, min(cap, (b1 - a1) / 16), 64)
-    xt, t_w = nu.panel_rule(a2, b2, min(cap, (b2 - a2) / 16), 64)
+    xs, s_w = gl_panels(a1, b1, min(cap, (b1 - a1) / 16), 64)
+    xt, t_w = gl_panels(a2, b2, min(cap, (b2 - a2) / 16), 64)
     s, t = xs.ravel(), xt.ravel()
     if (a1, b1) == (a2, b2):
         P = len(xs)
@@ -129,9 +136,38 @@ def test_bump_support_and_smoothness():
     (0.0, 0.0), (0.0, -1.0)])
 def test_bump_rejects_bad_center_or_half_width(center, half_width):
     # a NaN center had an empty support, so its transform read 0; an
-    # infinite half-width overflowed the panel count
+    # infinite half-width overflowed the panel count. The dataclass
+    # constructor checks too: a negative width made a bump whose values
+    # were nonzero while its transform read 0
+    for kind in ("bump", "bump_derivative"):
+        with pytest.raises(ValueError):
+            wf.TestFunction(kind, center, half_width)
     with pytest.raises(ValueError):
         wf.TestFunction.bump(center, half_width)
+
+
+_BUMP_D = wf.TestFunction.bump(0.0, 1.0).derivative()
+
+
+@pytest.mark.parametrize("fields", [
+    ("gaussian",), ("finite_combination", 0.0, 1.0, (), ()),
+    ("finite_combination", 0.0, 1.0, (1.0,), ()),
+    ("finite_combination", 0.0, 1.0, (1.0, 2.0), (_BUMP_D,)),
+    ("antiderivative_of_bump", 0.0, 1.0, (), (_BUMP_D, _BUMP_D)),
+    ("antiderivative_of_bump", 0.0, 1.0, (), (wf.TestFunction.bump(0.0, 1.0),))])
+def test_constructor_checks_every_kind(fields):
+    # the dataclass constructor, not only the factories (bumps: above)
+    with pytest.raises(ValueError):
+        wf.TestFunction(*fields)
+
+
+def test_constructor_coerces_fields():
+    b = wf.TestFunction("bump", 1, 2)
+    assert (type(b.center), type(b.half_width)) == (float, float)
+    c = wf.TestFunction("finite_combination", coefficients=[2], parts=[b])
+    assert c.coefficients == (2 + 0j,) and type(c.coefficients[0]) is complex
+    assert c.parts == (b,)
+    assert wf.TestFunction.combination([2], [b]) == c
 
 
 def test_bump_derivative_matches_finite_difference():
@@ -151,18 +187,16 @@ def test_antiderivative_inverts_derivative():
 
 
 def test_antiderivative_of_unbalanced_bump_flagged():
+    # its running integral would not be compactly supported
     b = wf.TestFunction.bump(0.0, 1.0)
-    psi = wf.antiderivative(b)          # nonzero mean
-    assert not psi.compact_support
-    assert psi.support()[1] == math.inf
-    with pytest.raises(ValueError):
-        psi.fourier(1.0)
+    with pytest.raises(ValueError, match="nonzero mean"):
+        wf.antiderivative(b)
 
 
 def test_antiderivative_evaluates_running_integral():
     phi = wf.random_mean_zero(np.random.default_rng(5))
     psi = wf.antiderivative(phi)
-    assert psi.compact_support
+    assert psi.support() == phi.support()
     a, b = phi.support()
     x = np.array([a - 0.5, a, 0.7, -0.3, 0.5 * (a + b), b, b + 1.0])
     for xv, gv in zip(x, psi(x)):
@@ -429,11 +463,13 @@ def test_screw_form_requires_mean_zero(catalog):
     b = wf.TestFunction.bump(0.0, 1.0)
     with pytest.raises(ValueError):
         wf.screw_form(b, b, catalog)
-    # a mean of 5e-10 of the L1 norm: its antiderivative is not compact, so
-    # the Weil side of screw_equals_weil could not be formed either
+    # a mean of 5e-10 of the L1 norm: it has no compactly supported
+    # antiderivative, so the Weil side of screw_equals_weil could not be
+    # formed either
     T = wf.TestFunction
     phi = T.combination([1.0, -(1.0 - 1e-9)], [T.bump(-1.0, 0.5), T.bump(1.0, 0.5)])
-    assert not wf.antiderivative(phi).compact_support
+    with pytest.raises(ValueError, match="nonzero mean"):
+        wf.antiderivative(phi)
     with pytest.raises(ValueError, match="mean-zero"):
         wf.screw_form(phi, phi, catalog)
 
