@@ -13,9 +13,9 @@ height_T that is not finite or above zero_catalog.MAX_HEIGHT, a cutoff_Z
 outside [500, zero_catalog.MAX_CUTOFF], and a grid that numerics.Grid
 rejects, is a config error.
 
-Cache: WEIL_LAB_CACHE names the ordinate cache directory; empty counts as
-unset. `verify` and `export` read and write the cache only when it is set;
-`zeros` falls back to ~/.cache/weil_lab.
+Cache: WEIL_LAB_CACHE names the directory of the tables `zeros import`
+stores; empty counts as unset. `verify` and `export` read the table at T only
+when it is set, and else sweep; `zeros` falls back to ~/.cache/weil_lab.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error,
 3 I/O error. Reports are JSON lists of rows
@@ -76,10 +76,13 @@ class RunConfig:
 
     @functools.cached_property
     def catalog(self) -> zc.ZeroSet:
-        """The zero catalog, computed or loaded once per configuration."""
-        if self.zero_source == "compute":
-            return zc.compute_zeros(self.height_T, cache_dir=self.cache_dir)
-        return zc.load_zeros(self.zero_source, self.height_T)
+        """The zero catalog, once per configuration: zero_source's table, else
+        the cache's table at height_T (even an empty one), else the sweep."""
+        if self.zero_source != "compute":
+            return zc.load_zeros(self.zero_source, self.height_T)
+        imported = (zc.read_cache(zc.cache_file(self.cache_dir, self.height_T),
+                                  self.height_T) if self.cache_dir else None)
+        return zc.compute_zeros(self.height_T) if imported is None else imported
 
 
 def parse_grid_spec(text: str) -> Tuple[float, float, int]:
@@ -105,6 +108,14 @@ def parse_range(text: str) -> Tuple[float, float, float]:
             and a <= b and step > 0):
         raise ValueError("range %r needs finite a <= b and step > 0" % text)
     return a, b, step
+
+
+def _range_points(a: float, b: float, step: float) -> float:
+    """floor((b - a)/step) + 1, the node count of an export range, with a ratio
+    within rounding (~eps (|a| + |b|)/step) of an integer counted as that
+    integer; a float, so a range too long for any machine counts as such."""
+    slack = 4.0 * sys.float_info.epsilon * (abs(a) + abs(b)) / step
+    return float(np.floor((b - a) / step + slack)) + 1.0
 
 
 def load_config_file(path: str) -> Dict[str, str]:
@@ -310,10 +321,10 @@ def run_verify(suite: str, cfg: RunConfig) -> int:
 # ----------------------------------------------------------------------
 
 def run_zeros(action: str, cfg: RunConfig) -> int:
-    """compute, import (the table cfg.zero_source names) or list the cache."""
+    """compute (no file), import (the table cfg.zero_source names) or list the cache."""
     cache = cfg.cache_dir
     if action == "compute":
-        zs = zc.compute_zeros(cfg.height_T, cache_dir=cache)
+        zs = zc.compute_zeros(cfg.height_T)
         if not len(zs):
             print("config error: no zero ordinates below T = %g" % cfg.height_T,
                   file=sys.stderr)
@@ -329,6 +340,7 @@ def run_zeros(action: str, cfg: RunConfig) -> int:
                   "--zeros <path> or zeros = <path>", file=sys.stderr)
             return 2
         zs = zc.load_zeros(cfg.zero_source, cfg.height_T)
+        os.makedirs(cache, exist_ok=True)
         dest = zc.cache_file(cache, cfg.height_T)
         zc.save_zeros(dest, zs)
         print("imported %d ordinates -> %s" % (len(zs), dest))
@@ -344,9 +356,9 @@ def run_zeros(action: str, cfg: RunConfig) -> int:
             print("%s: unreadable (%s)" % (f, exc))
             continue
         if zs is None:
-            print("%s: stale (no current header; recomputed on next use)" % f)
+            print("%s: not an imported table (ignored)" % f)
             continue
-        print("%s: %d ordinates (%s)" % (f, len(zs), zs.source))
+        print("%s: %d ordinates (table)" % (f, len(zs)))
     return 0
 
 
@@ -399,8 +411,10 @@ def run_export(what: str, arg: Optional[str], cfg: RunConfig) -> int:
     else:
         text = arg or ("0:5:0.01" if what == "screw_g" else "-5:5:0.01")
         a, b, step = parse_range(text)
-        _check_export_size((b + step / 2 - a) / step, "range " + text)
-        x = np.arange(a, b + step / 2, step)
+        n = _range_points(a, b, step)
+        _check_export_size(n, "range " + text)
+        # a + k step for k < n, the last node rounded onto b if past it
+        x = np.minimum(a + step * np.arange(int(n)), b)
         if what == "screw_g":
             vals = wf.screw_g_array(x, cfg.catalog)
         else:

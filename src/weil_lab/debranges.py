@@ -238,7 +238,7 @@ def K_apply(psi: numerics.GridFunction, Z: float,
     h = freq_spacing if freq_spacing is not None else _default_freq_spacing(x_absmax)
     fgrid, L = axis_samples(Z, h)
     spectrum = numerics.forward_fourier_grid(psi, fgrid, band_limit=band_limit)
-    theta = sf.theta_on_axis(fgrid.nodes(), log_deriv=L)
+    theta = sf.theta_on_axis(None, log_deriv=L)
     k_spec = numerics.GridFunction(fgrid, theta * np.conj(spectrum.values),
                                    "frequency")
     return numerics.inverse_fourier_grid(k_spec, psi.grid)

@@ -605,7 +605,8 @@ def critical_line_log_derivative(x, step=None):
 
 
 def theta_on_axis(x, log_deriv=None):
-    """Theta(x) for real x via the unimodular ratio form.
+    """Theta(x) for real x via the unimodular ratio form, or from a given
+    log_deriv L (x is then not read, and may be None).
 
     With L(x) = d/dz log xi(1/2-iz) (exactly real on the axis since
     xi(1/2-iz) is real there),

@@ -36,9 +36,7 @@ MAX_HEIGHT = 120.0
 MAX_CUTOFF = 5.0e4
 _SCAN_STEP = 0.25
 _MAX_STEPS = 200
-# a computed file names its refiner, so another refiner's file is recomputed
-_HEADERS = {"table": "# source=table",
-            "computed": "# source=computed refiner=guarded-newton"}
+_HEADER = "# source=table"   # the first line of a table `zeros import` stored
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ class CountingReport:
     passed: bool
 
 
-def _read_table(path, T: float, source: str) -> ZeroSet:
+def _read_table(path, T: float) -> ZeroSet:
     """The ordinates <= T of a plain-text table (one finite decimal per
     line, ascending; blank lines and lines starting with '#' are
     skipped)."""
@@ -99,13 +97,13 @@ def _read_table(path, T: float, source: str) -> ZeroSet:
                 raise ValueError("non-ascending ordinate at line %d" % lineno)
             ordinates.append(val)
     kept = [g for g in ordinates if g <= T]
-    return ZeroSet(tuple(kept), tuple([1] * len(kept)), float(T), source)
+    return ZeroSet(tuple(kept), tuple([1] * len(kept)), float(T), "table")
 
 
 def load_zeros(path, T: float) -> ZeroSet:
     """Parse a user's ordinate table (see _read_table); warns when no
     ordinate lies below T."""
-    zs = _read_table(path, T, "table")
+    zs = _read_table(path, T)
     if not len(zs):
         warnings.warn("zero table contains no ordinates below T = %g" % T)
     return zs
@@ -144,19 +142,21 @@ def _refine_brackets(f, a, b, fa):
 
 
 def save_zeros(path, zs: ZeroSet) -> None:
-    """Write a catalog cache file: its _HEADERS line, then one %.17g
-    ordinate per line, which reads back as the same float64
-    (byte-stable for equal inputs). Files written with fewer digits still
-    load, at the precision they hold.
+    """Write a table (not a computed catalog: ValueError) to a cache file:
+    the _HEADER line, then one %.17g ordinate per line, which reads back as
+    the same float64 (byte-stable for equal inputs). Files written with
+    fewer digits still load, at the precision they hold.
 
     The file is written whole to path.<pid>.tmp in the same directory and
     then renamed onto path, so a write that fails partway (a full disk)
     leaves no cut-short catalog behind to be read as the whole one; the
     temporary file is removed on error."""
+    if zs.source != "table":
+        raise ValueError("only a table is cached; a computed catalog is swept")
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_HEADERS[zs.source] + "\n")
+            fh.write(_HEADER + "\n")
             for g in zs.ordinates:
                 fh.write("%.17g\n" % g)
         os.replace(tmp, path)
@@ -166,51 +166,32 @@ def save_zeros(path, zs: ZeroSet) -> None:
 
 
 def read_cache(path, T: float = math.inf):
-    """The catalog in a cache file, its ordinates <= T (see _read_table),
-    with the source its header names; None without file or one of the
-    _HEADERS."""
+    """The table in a cache file, its ordinates <= T (see _read_table), empty
+    if none is; None without file or without the _HEADER line."""
     if not os.path.exists(path):
         return None
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().strip()
-    source = next((src for src, head in _HEADERS.items() if first == head), None)
-    return None if source is None else _read_table(path, T, source)
+    return _read_table(path, T) if first == _HEADER else None
 
 
 def cache_file(cache_dir, T: float) -> str:
-    """The cache file of the catalog up to T, zeros_T{T:g}.txt in cache_dir;
-    the directory is made if it is missing."""
-    os.makedirs(cache_dir, exist_ok=True)
+    """The cache file of the table up to T: zeros_T{T:g}.txt in cache_dir."""
     return os.path.join(cache_dir, "zeros_T%g.txt" % T)
 
 
-def compute_zeros(T: float, cache_dir=None) -> ZeroSet:
+def compute_zeros(T: float) -> ZeroSet:
     """Sign-change sweep of Z(t) = xi(1/2 + it) at t = 2, 2.25, ... < T and
     at T; a scan point where Z is exactly 0 is a root, and a bracket is
     opened only between nonzero values of opposite sign. All brackets are
     refined together (_refine_brackets, to a few ulp) on Z and
     Z'(t) = -Im xi'(1/2 + it), from one xi call per step; the scan is one
-    more call of the same evaluator. Logs one DEBUG record on the
-    "weil_lab" logger, with extra= fields catalog_T, scan_points, brackets,
-    refine_steps, xi_points and elapsed_s; a cache hit (read_cache) logs
-    nothing.
-
-    Results are cached in cache_file(cache_dir, T) when a cache directory
-    is given (see save_zeros; the file is byte-stable across runs, and a
-    miss and a hit return the sweep's ordinates bit for bit). A cached file
-    reports the source its header names, so a table written by `weil-lab zeros
-    import` comes back as 'table'; a file without one of the _HEADERS (a
-    computed one from another refiner too) is recomputed and overwritten.
+    more call of the same evaluator. Reads and writes no file. Logs one
+    DEBUG record on the "weil_lab" logger, with extra= fields catalog_T,
+    scan_points, brackets, refine_steps, xi_points and elapsed_s.
     """
     if T > MAX_HEIGHT:
         raise ValueError("compute_zeros supports T <= %g" % MAX_HEIGHT)
-    cache_path = None
-    if cache_dir is not None:
-        cache_path = cache_file(cache_dir, T)
-        cached = read_cache(cache_path, T)
-        if cached is not None:
-            return cached
-
     t0 = time.perf_counter()
     t_grid = np.append(np.arange(2.0, T, _SCAN_STEP), T)
 
@@ -229,11 +210,7 @@ def compute_zeros(T: float, cache_dir=None) -> ZeroSet:
                "%(brackets)d brackets, %(refine_steps)d refinement steps, "
                "%(xi_points)d xi points, %(elapsed_s).3f s", stats, extra=stats)
     roots = [r for r in roots if r <= T]
-    zs = ZeroSet(tuple(roots), tuple([1] * len(roots)), float(T), "computed")
-
-    if cache_path is not None:
-        save_zeros(cache_path, zs)
-    return zs
+    return ZeroSet(tuple(roots), tuple([1] * len(roots)), float(T), "computed")
 
 
 def counting_check(zs: ZeroSet) -> CountingReport:

@@ -63,7 +63,7 @@ def test_config_flag_overrides_file(tmp_path):
     assert cfg.zero_source == ZERO_TABLE
     forced = cli.make_config(parser.parse_args(
         ["verify", "special", "--config", str(p), "--zeros", "compute"]))
-    assert forced.zero_source == "compute"    # --zeros compute forces a sweep
+    assert forced.zero_source == "compute"    # --zeros compute overrides the file
 
 
 def test_height_guard_is_config_error(tmp_path, monkeypatch, capsys):
@@ -127,51 +127,68 @@ def test_verify_exit_one_on_check_failure(tmp_path):
 
 
 def test_zeros_import_compute_list(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("WEIL_LAB_CACHE", str(cache))
     assert cli.main(["zeros", "list"]) == 0
     assert "(empty cache)" in capsys.readouterr().out
+    assert not cache.exists()
 
     assert cli.main(["zeros", "import", "--zeros", ZERO_TABLE,
                      "--height-T", "30"]) == 0
-    assert cli.main(["zeros", "compute", "--height-T", "20"]) == 0
-    out = capsys.readouterr().out
-    assert "imported 3 ordinates" in out
+    assert "imported 3 ordinates" in capsys.readouterr().out
+    # zeros compute sweeps and writes nothing, over an imported table at
+    # its T too
+    sweeps = []
+    real = zc.compute_zeros
+    monkeypatch.setattr(zc, "compute_zeros", lambda T: sweeps.append(T) or real(T))
+    for T, n in (("20", 1), ("30", 3)):
+        assert cli.main(["zeros", "compute", "--height-T", T]) == 0
+        assert "computed %d ordinates up to T=%s" % (n, T) in capsys.readouterr().out
+    assert sweeps == [20.0, 30.0]
+    assert os.listdir(cache) == ["zeros_T30.txt"]
 
     assert cli.main(["zeros", "list"]) == 0
-    listing = capsys.readouterr().out
-    assert "zeros_T30.txt: 3 ordinates" in listing
-    assert "zeros_T20.txt: 1 ordinates" in listing
+    assert capsys.readouterr().out.splitlines() == ["zeros_T30.txt: 3 ordinates (table)"]
 
 
 def test_zeros_list_labels_stale_cache_files(tmp_path, monkeypatch, capsys):
-    # a file the next compute_zeros would recompute (no header, or an
-    # earlier refiner's header) is listed as stale, not as a catalog
+    # a file without the table header (none, or a computed file's header
+    # from an earlier version) is listed as ignored, not as a catalog, and
+    # a run at its T sweeps and leaves it as it was
     cache = tmp_path / "cache"
     monkeypatch.setenv("WEIL_LAB_CACHE", str(cache))
     assert cli.main(["zeros", "import", "--zeros", ZERO_TABLE,
                      "--height-T", "20"]) == 0
-    assert cli.main(["zeros", "compute", "--height-T", "40"]) == 0
     zs = zc.compute_zeros(50.0)
-    (cache / "zeros_T50.txt").write_text(
-        "# source=computed\n" + "".join("%.17g\n" % g for g in zs.ordinates))
+    body = "".join("%.17g\n" % g for g in zs.ordinates)
     (cache / "zeros_T30.txt").write_text("14.134725\n21.022040\n25.010858\n")
+    (cache / "zeros_T40.txt").write_text("# source=computed\n" + body)
+    (cache / "zeros_T50.txt").write_text("# source=computed refiner=guarded-newton\n"
+                                         + body)
+    blobs = {f: (cache / f).read_bytes() for f in os.listdir(cache)}
     capsys.readouterr()
     assert cli.main(["zeros", "list"]) == 0
     listing = capsys.readouterr().out.splitlines()
     assert listing == [
         "zeros_T20.txt: 1 ordinates (table)",
-        "zeros_T30.txt: stale (no current header; recomputed on next use)",
-        "zeros_T40.txt: 6 ordinates (computed)",
-        "zeros_T50.txt: stale (no current header; recomputed on next use)"]
+        "zeros_T30.txt: not an imported table (ignored)",
+        "zeros_T40.txt: not an imported table (ignored)",
+        "zeros_T50.txt: not an imported table (ignored)"]
+    for T in (30.0, 40.0, 50.0):
+        args = cli.build_parser().parse_args(["verify", "all", "--height-T", str(T)])
+        assert cli.make_config(args).catalog.source == "computed"
+    assert {f: (cache / f).read_bytes() for f in os.listdir(cache)} == blobs
 
 
 def test_cache_write_that_fails_partway_leaves_no_catalog(tmp_path, monkeypatch,
-                                                         capsys, catalog):
-    # the disk fills at the 29th write, after the header and 27 of the 29
-    # ordinates below T = 100: the next call recomputes all 29, and zeros
-    # list shows no cut-short file, neither after the failure nor after it
+                                                         capsys):
+    # the disk fills at the 29th write of zeros import, after the header and
+    # 27 of the table's 29 ordinates below T = 100: the import exits 3, and
+    # zeros list shows no cut-short file, neither after the failure nor
+    # after a second import
     cache = tmp_path / "cache"
     monkeypatch.setenv("WEIL_LAB_CACHE", str(cache))
+    argv = ["zeros", "import", "--zeros", ZERO_TABLE, "--height-T", "100"]
 
     class FullDisk:
         def __init__(self, fh):
@@ -194,18 +211,19 @@ def test_cache_write_that_fails_partway_leaves_no_catalog(tmp_path, monkeypatch,
         return FullDisk(fh) if "w" in mode else fh
 
     monkeypatch.setattr(zc, "open", full_disk_open, raising=False)
-    with pytest.raises(OSError, match="No space"):
-        zc.compute_zeros(100.0, cache_dir=str(cache))
+    assert cli.main(argv) == 3
+    assert "No space" in capsys.readouterr().err
     monkeypatch.delattr(zc, "open")
     assert cli.main(["zeros", "list"]) == 0
     assert capsys.readouterr().out.splitlines() == ["(empty cache)"]
     assert os.listdir(cache) == []
-    zs = zc.compute_zeros(100.0, cache_dir=str(cache))
-    assert len(zs) == 29 and zs == catalog
+    assert cli.main(argv) == 0
     assert cli.main(["zeros", "list"]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "zeros_T100.txt: 29 ordinates (computed)"]
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "zeros_T100.txt: 29 ordinates (table)")
     assert os.listdir(cache) == ["zeros_T100.txt"]
+    assert (zc.read_cache(cache / "zeros_T100.txt", 100.0)
+            == zc.load_zeros(ZERO_TABLE, 100.0))
 
 
 def test_zeros_list_counts_ordinates_as_the_catalog_reads_them(tmp_path, monkeypatch,
@@ -218,7 +236,8 @@ def test_zeros_list_counts_ordinates_as_the_catalog_reads_them(tmp_path, monkeyp
     (cache / "zeros_T30.txt").write_text(
         "# source=table\n14.134725\n  # note\n21.022040\n25.010858\n")
     (cache / "zeros_T40.txt").write_text("# source=table\n14.134725\n21.02x\n")
-    assert len(zc.compute_zeros(30.0, cache_dir=str(cache))) == 3
+    zs = cli.RunConfig(height_T=30.0, cache_dir=str(cache)).catalog
+    assert zs.source == "table" and len(zs) == 3
     assert cli.main(["zeros", "list"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "zeros_T30.txt: 3 ordinates (table)",
@@ -236,28 +255,59 @@ def test_zeros_compute_without_ordinates_names_T(tmp_path, monkeypatch, capsys):
 
 
 def test_empty_cache_variable_counts_as_unset(tmp_path, monkeypatch, capsys):
-    # WEIL_LAB_CACHE= behaves as if unset: export caches nothing, and zeros
-    # falls back to ~/.cache/weil_lab
+    # WEIL_LAB_CACHE= behaves as if unset: export and zeros compute write
+    # nothing, zeros falls back to ~/.cache/weil_lab, and export does not
+    # read the table imported there
     monkeypatch.setenv("WEIL_LAB_CACHE", "")
     monkeypatch.setenv("HOME", str(tmp_path / "home"))
     monkeypatch.chdir(tmp_path)
     assert cli.main(["export", "screw_g", "--height-T", "20",
                      "--out", str(tmp_path / "out")]) == 0
-    assert not (tmp_path / "home").exists()
     assert cli.main(["zeros", "compute", "--height-T", "20"]) == 0
+    assert not (tmp_path / "home").exists()
+    assert cli.main(["zeros", "import", "--zeros", ZERO_TABLE,
+                     "--height-T", "20"]) == 0
     assert cli.main(["zeros", "list"]) == 0
-    assert "zeros_T20.txt: 1 ordinates" in capsys.readouterr().out
+    assert "zeros_T20.txt: 1 ordinates (table)" in capsys.readouterr().out
     assert (tmp_path / "home" / ".cache" / "weil_lab" / "zeros_T20.txt").exists()
+    args = cli.build_parser().parse_args(["export", "screw_g", "--height-T", "20"])
+    assert cli.make_config(args).catalog.source == "computed"
 
 
 def test_imported_table_keeps_its_source(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("WEIL_LAB_CACHE", str(cache))
+    # the table imported at T is the catalog of a later verify or export at
+    # T, also with --zeros compute; another T sweeps
+    monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
     assert cli.main(["zeros", "import", "--zeros", ZERO_TABLE,
                      "--height-T", "30"]) == 0
-    zs = zc.compute_zeros(30.0, cache_dir=str(cache))
-    assert zs.source == "table"
-    assert len(zs) == 3
+    parse = cli.build_parser().parse_args
+    for argv in (["verify", "all", "--height-T", "30"],
+                 ["export", "psi_gamma", "--height-T", "30", "--zeros", "compute"]):
+        zs = cli.make_config(parse(argv)).catalog
+        assert zs == zc.load_zeros(ZERO_TABLE, 30.0) and zs.source == "table"
+    zs = cli.make_config(parse(["verify", "all", "--height-T", "29"])).catalog
+    assert zs.source == "computed" and len(zs) == 3
+
+
+def test_missing_cache_directory_stays_missing(tmp_path, monkeypatch):
+    # with WEIL_LAB_CACHE naming a missing directory, export and zeros
+    # compute create nothing, and write the bytes of a run without it
+    cache = tmp_path / "cache"
+    commands = (["export", "screw_g", "0:2:0.05", "--height-T", "30"],
+                ["export", "F_gamma", "2", "--height-T", "30", "--grid=-40:40:401"],
+                ["export", "omega"],
+                ["zeros", "compute", "--height-T", "30"])
+    for env in ("unset", "set"):
+        if env == "set":
+            monkeypatch.setenv("WEIL_LAB_CACHE", str(cache))
+        else:
+            monkeypatch.delenv("WEIL_LAB_CACHE", raising=False)
+        for argv in commands:
+            assert cli.main(argv + ["--out", str(tmp_path / env)]) == 0
+    assert not cache.exists()
+    for name in ("screw_g.csv", "F_gamma_2.csv", "omega.csv"):
+        assert ((tmp_path / "set" / name).read_bytes()
+                == (tmp_path / "unset" / name).read_bytes())
 
 
 def test_zeros_import_reads_the_config_files_table(tmp_path, monkeypatch, capsys):
@@ -342,6 +392,20 @@ def test_export_omega_range(tmp_path, monkeypatch):
     assert mid[2] == 0.0                              # omega is real
 
 
+def test_export_range_writes_no_node_past_b(tmp_path):
+    # floor((b - a)/step) + 1 rows at x = a + k step, none past b: at
+    # -5:5:0.001 a node past 5 would leave omega_profile's validated range
+    for text, n in (("-5:5:0.001", 10001), ("-1:1:0.3", 7), ("-5:5:0.006", 1667),
+                    ("0:5:0.01", 501), ("-2:2:0.5", 9), ("0.1:0.3:0.1", 3),
+                    ("1:1:0.5", 1)):
+        assert cli.main(["--out", str(tmp_path), "export", "omega", "--", text]) == 0
+        a, b, step = cli.parse_range(text)
+        x = np.loadtxt(tmp_path / "omega.csv", delimiter=",", skiprows=1,
+                       ndmin=2)[:, 0]
+        assert len(x) == n and x[0] == a and np.all(x <= b)
+        assert np.max(np.abs(np.diff(x) - step), initial=0.0) <= 1e-12
+
+
 def test_export_psi_gamma_norm(tmp_path, monkeypatch):
     monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
     assert cli.main(["export", "psi_gamma", "1", "--out", str(tmp_path),
@@ -387,6 +451,7 @@ def test_verify_all_writes_combined_report(tmp_path, monkeypatch):
                    "--height-T", "40", "--cutoff-Z", "500"])
     assert rc == 0
     assert len(calls) == 1        # one catalog serves every suite
+    assert not (tmp_path / "cache").exists()      # and none is cached
     rows = json.load(open(tmp_path / "report_all.json"))
     ids = {r["check_id"] for r in rows}
     assert {"xi_half_reference", "basis_pairing_diagonal", "gram_psd",

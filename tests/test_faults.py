@@ -10,22 +10,51 @@ from weil_lab import cli
 from weil_lab import zero_catalog as zc
 
 
-def _without(index):
-    """The catalog with the ordinate at index deleted."""
+def _edited(edit):
+    """The fault that applies edit to the catalog's (gamma, m) pairs."""
     def fault(zs):
-        keep = [k for k in range(len(zs)) if k != index]
-        return zc.ZeroSet(tuple(zs.ordinates[k] for k in keep),
-                          tuple(zs.multiplicities[k] for k in keep),
+        pairs = sorted(edit(list(zip(zs.ordinates, zs.multiplicities))))
+        return zc.ZeroSet(tuple(g for g, _ in pairs), tuple(m for _, m in pairs),
                           zs.height_T, zs.source)
     return fault
 
 
+def _without(index):
+    """The catalog with the ordinate at index deleted."""
+    def edit(pairs):
+        del pairs[index]
+        return pairs
+    return _edited(edit)
+
+
+def _first_changed(g_shift=0.0, m=1):
+    """The catalog with gamma_1 moved by g_shift and given multiplicity m."""
+    return _edited(lambda pairs: [(pairs[0][0] + g_shift, m)] + pairs[1:])
+
+
+# with every sum over the catalog weighted >= 0, and F_gamma vanishing at a
+# missing zero whether or not it is listed, no row sees a deleted zero
+_DELETED = ("no row sees a deleted zero until an explicit-formula row "
+            "(ROADMAP item 2) or a certified count (item 3) does")
+_DELETED_7_3 = ("no row sees a deleted zero until the interlacing row "
+                "(ROADMAP item 7) or a certified count (item 3) does")
+
+
+def _unseen(fault, reason):
+    return pytest.param(fault, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=reason))
+
+
 FAULTS = {
-    # every sum over the catalog has weights >= 0, and F_gamma vanishes at
-    # the missing zero whether or not it is listed, so no row sees it
-    "gamma_3_deleted": pytest.param(_without(2), marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="no row sees a deleted zero until an explicit-"
-        "formula row (ROADMAP item 2) or a certified count (item 3) does")),
+    "gamma_3_deleted": _unseen(_without(2), _DELETED),
+    "gamma_1_deleted": _unseen(_without(0), _DELETED_7_3),
+    "gamma_N_deleted": _unseen(_without(-1), _DELETED_7_3),
+    # fails basis_diagonal and restriction_point_mass at T = 50, Z = 500
+    "gamma_1_moved_1e-6": _first_changed(g_shift=1e-6),
+    # fails 7 rows
+    "spurious_zero_at_45": _edited(lambda pairs: pairs + [(45.0, 1)]),
+    # fails 6 rows
+    "gamma_1_doubled": _first_changed(m=2),
 }
 
 

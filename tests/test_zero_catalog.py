@@ -7,8 +7,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from weil_lab import cli
 from weil_lab import special_fn as sf
 from weil_lab import zero_catalog as zc
+
+from conftest import ZERO_TABLE
 
 # first two ordinates, frozen from a high-precision root-finding oracle
 G1 = 14.134725141734694
@@ -266,10 +269,13 @@ def test_compute_zeros_finds_a_zero_after_the_last_grid_point(T, n):
     assert abs(zs.ordinates[-1] - (G1, G2, G3)[n - 1]) <= 1e-13
 
 
-def test_compute_zeros_logs_one_debug_record(tmp_path, caplog):
-    cache = str(tmp_path / "cache")
+def test_compute_zeros_logs_one_debug_record(monkeypatch, caplog):
+    # the sweep and its one record, and no file: compute_zeros opens none
+    def no_file(*args, **kwargs):
+        raise AssertionError("compute_zeros opened a file")
+    monkeypatch.setattr(zc, "open", no_file, raising=False)
     with caplog.at_level(logging.DEBUG, logger="weil_lab"):
-        zc.compute_zeros(30.0, cache_dir=cache)
+        zc.compute_zeros(30.0)
     records = [r for r in caplog.records if r.name == "weil_lab"]
     assert len(records) == 1
     r = records[0]
@@ -278,10 +284,6 @@ def test_compute_zeros_logs_one_debug_record(tmp_path, caplog):
     assert 1 <= r.refine_steps <= 200
     assert r.scan_points + 3 <= r.xi_points <= r.scan_points + 3 * r.refine_steps
     assert r.elapsed_s >= 0.0
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="weil_lab"):
-        zc.compute_zeros(30.0, cache_dir=cache)           # a cache hit
-    assert not [r for r in caplog.records if r.name == "weil_lab"]
 
 
 def test_counting_check_t100(catalog):
@@ -349,80 +351,83 @@ def test_zeroset_immutable(catalog):
 
 
 def test_cache_roundtrip_and_byte_stability(tmp_path):
-    cache = str(tmp_path / "cache")
-    zs1 = zc.compute_zeros(20.0, cache_dir=cache)
-    path = os.path.join(cache, "zeros_T20.txt")
-    blob1 = open(path, "rb").read()
-    zs2 = zc.compute_zeros(20.0, cache_dir=cache)   # served from cache
-    assert open(path, "rb").read() == blob1
-    assert zs2.source == "computed"
-    assert zs2 == zs1                  # a miss and a hit agree
-    # a miss and a hit both return the sweep's ordinates bit for bit
-    ref = np.array(zc.compute_zeros(20.0).ordinates).tobytes()
-    for zs in (zs1, zs2):
-        assert np.array(zs.ordinates).tobytes() == ref
+    # an imported table reads back bit for bit, and writing it again gives
+    # the same bytes
+    zs = zc.load_zeros(ZERO_TABLE, 50.0)
+    path = tmp_path / "zeros_T50.txt"
+    zc.save_zeros(path, zs)
+    blob = path.read_bytes()
+    back = zc.read_cache(path, 50.0)
+    assert back == zs and back.source == "table"
+    assert np.array(back.ordinates).tobytes() == np.array(zs.ordinates).tobytes()
+    zc.save_zeros(path, back)
+    assert path.read_bytes() == blob
+    assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
 
 
 def test_cache_file_with_fewer_digits_still_loads(tmp_path):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    path = cache / "zeros_T20.txt"
-    zc.save_zeros(path, zc.ZeroSet((), (), 20.0, "computed"))    # the header
+    path = tmp_path / "zeros_T20.txt"
+    zc.save_zeros(path, zc.ZeroSet((), (), 20.0, "table"))    # the header
     path.write_text(path.read_text() + "14.134725142\n")
-    zs = zc.compute_zeros(20.0, cache_dir=str(cache))
-    assert zs.source == "computed" and zs.ordinates == (14.134725142,)
+    zs = zc.read_cache(path, 20.0)
+    assert zs.source == "table" and zs.ordinates == (14.134725142,)
 
 
 def test_cache_header_names_the_source(tmp_path):
-    cache = str(tmp_path / "cache")
-    zc.compute_zeros(20.0, cache_dir=cache)
-    path = os.path.join(cache, "zeros_T20.txt")
-    assert open(path).readline() == "# source=computed refiner=guarded-newton\n"
-    table = zc.ZeroSet((G1,), (1,), 20.0, "table")
-    zc.save_zeros(path, table)
-    assert zc.compute_zeros(20.0, cache_dir=cache).source == "table"
+    # the one header is the table's; a computed catalog is never written
+    path = tmp_path / "zeros_T20.txt"
+    zc.save_zeros(path, zc.ZeroSet((G1,), (1,), 20.0, "table"))
+    assert open(path).readline() == "# source=table\n"
+    assert zc.read_cache(path, 20.0).source == "table"
+    with pytest.raises(ValueError, match="computed"):
+        zc.save_zeros(tmp_path / "zeros_T30.txt", zc.compute_zeros(30.0))
+    assert os.listdir(tmp_path) == ["zeros_T20.txt"]
 
 
 def test_cache_without_header_is_recomputed(tmp_path):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / "zeros_T20.txt").write_text("14.0\n")
-    zs = zc.compute_zeros(20.0, cache_dir=str(cache))
+    # a file without the table header is no catalog: the run sweeps, and
+    # the file is left as it was
+    path = tmp_path / "zeros_T20.txt"
+    path.write_text("14.0\n")
+    assert zc.read_cache(path, 20.0) is None
+    zs = cli.RunConfig(height_T=20.0, cache_dir=str(tmp_path)).catalog
     assert zs.source == "computed"
     assert abs(zs.ordinates[0] - G1) < 1e-8
-    header = (cache / "zeros_T20.txt").read_text().splitlines()[0]
-    assert header == "# source=computed refiner=guarded-newton"
+    assert path.read_text() == "14.0\n"
 
 
 def test_cache_from_another_refiner_is_recomputed(tmp_path):
-    # a computed file in the header an earlier refiner wrote (no refiner
-    # named), its ordinates 3e-12 off, is recomputed and overwritten; a
-    # table file keeps its provenance
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    path = cache / "zeros_T30.txt"
+    # a computed file in either header earlier versions wrote, its
+    # ordinates 3e-12 off, is ignored and left unchanged: the run sweeps.
+    # A table file keeps its provenance
+    path = tmp_path / "zeros_T30.txt"
     fresh = zc.compute_zeros(30.0)
-    path.write_text("# source=computed\n"
-                    + "".join("%.17g\n" % (g + 3e-12) for g in fresh.ordinates))
-    assert zc.compute_zeros(30.0, cache_dir=str(cache)) == fresh
-    blob = path.read_bytes()
-    zc.save_zeros(tmp_path / "ref.txt", fresh)
-    assert blob == (tmp_path / "ref.txt").read_bytes()
-    assert zc.compute_zeros(30.0, cache_dir=str(cache)) == fresh     # a hit
+    for header in ("# source=computed", "# source=computed refiner=guarded-newton"):
+        path.write_text(header + "\n"
+                        + "".join("%.17g\n" % (g + 3e-12) for g in fresh.ordinates))
+        blob = path.read_bytes()
+        assert zc.read_cache(path, 30.0) is None
+        assert cli.RunConfig(height_T=30.0, cache_dir=str(tmp_path)).catalog == fresh
+        assert path.read_bytes() == blob
     path.write_text("# source=table\n14.134725142\n")
-    table = zc.compute_zeros(30.0, cache_dir=str(cache))
+    table = cli.RunConfig(height_T=30.0, cache_dir=str(tmp_path)).catalog
     assert table.source == "table" and table.ordinates == (14.134725142,)
 
 
-def test_cached_empty_catalog_does_not_warn(tmp_path):
-    # load_zeros warns about a user table with nothing below T; a computed
-    # catalog is served without that warning, on a cache miss and a hit
-    cache = str(tmp_path / "cache")
+def test_cached_empty_catalog_does_not_warn(tmp_path, monkeypatch):
+    # load_zeros warns about a user table with nothing below T; an empty
+    # sweep does not, and an imported table with nothing below T comes
+    # back as that empty table, with no warning and no sweep
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        miss = zc.compute_zeros(10.0, cache_dir=cache)
-        hit = zc.compute_zeros(10.0, cache_dir=cache)
-    assert len(miss) == 0 and hit == miss
+        assert len(zc.compute_zeros(10.0)) == 0
+        (tmp_path / "zeros_T10.txt").write_text("# source=table\n14.134725142\n")
+
+        def no_sweep(T):
+            raise AssertionError("an imported table was swept over")
+        monkeypatch.setattr(zc, "compute_zeros", no_sweep)
+        zs = cli.RunConfig(height_T=10.0, cache_dir=str(tmp_path)).catalog
+    assert zs == zc.ZeroSet((), (), 10.0, "table")
 
 
 def test_tail_coefficient(catalog):
