@@ -166,6 +166,8 @@ CHECKS = (
     ("eigen_perturbed", "shifted eigenvalue is detected", 0.0),
     ("decompose_null", "psi0 transforms vanish on the catalog", 1e-5),
     ("pairing_tau_norm", "<psi,psi>_W = sum m |psihat(gamma)|^2", 1e-10),
+    ("spectra_interlace", "S_0 = i xi' changes sign once per catalog gap, "
+                          "none below gamma_1", 0.0),
 )
 
 
@@ -277,6 +279,7 @@ def suite_hilbert_polya(cfg: RunConfig) -> Dict[str, float]:
         pv1 = wf.tau_norm(dec.coeffs, zs)
         worst_pair = max(worst_pair, abs(pv - pv1) / max(abs(pv), 1e-30))
     v["pairing_tau_norm"] = worst_pair
+    v["spectra_interlace"] = ids.spectra_interlace(zs)
     return v
 
 
@@ -371,13 +374,13 @@ def _write_csv(path: str, x, values) -> None:
 
 
 def _check_export_size(n: float, what: str) -> None:
-    """An export evaluates, and sweeps on the axis, at most as many points
-    as verify sweeps for its widest window (|x| <= 38) at cutoff_Z =
-    MAX_CUTOFF; more is a usage error, raised before anything is allocated."""
-    limit = nu.symmetric_grid(zc.MAX_CUTOFF, db._default_freq_spacing(38.0)).n_points
-    if n > limit:
+    """An export evaluates, and sweeps on the axis, at most
+    numerics.POINT_LIMIT points (as many as verify sweeps for its widest
+    window at cutoff_Z = MAX_CUTOFF); more is a usage error, raised before
+    anything is allocated."""
+    if n > nu.POINT_LIMIT:
         raise ValueError("%s needs %.6g points, above the export limit of %d"
-                         % (what, n, limit))
+                         % (what, n, nu.POINT_LIMIT))
 
 
 def run_export(what: str, arg: Optional[str], cfg: RunConfig) -> int:

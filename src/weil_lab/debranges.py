@@ -1,7 +1,6 @@
 """Model-space machinery for E(z) = xi(1/2-iz) + xi'(1/2-iz): the orthonormal
 basis F_gamma, its time-domain partners psi_gamma, the conjugate-linear
-isometry K = F^-1 M_Theta J F, membership diagnostics for the chain
-V(t) = L^2(t,inf) ^ K L^2(t,inf), and the restriction isometry onto the
+isometry K = F^-1 M_Theta J F, and the restriction isometry onto the
 catalog zeros.
 
 Large frequency grids never evaluate E directly (it underflows beyond
@@ -21,7 +20,6 @@ import functools
 import logging
 import math
 import time
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -31,9 +29,8 @@ from . import special_fn as sf
 from . import zero_catalog as zc
 
 __all__ = [
-    "basis_table", "BasisFunction", "MembershipReport",
-    "theta_prime_at_zero", "psi_gamma", "psi_combination",
-    "psi_gamma_tail_bound", "K_apply", "v_membership",
+    "basis_table", "BasisFunction", "theta_prime_at_zero", "psi_gamma",
+    "psi_combination", "psi_gamma_tail_bound", "K_apply",
     "restriction_isometry_check", "axis_samples",
 ]
 
@@ -158,13 +155,6 @@ class BasisFunction:
         return basis_table([self.gamma], [self.m_gamma], x, log_deriv)[0]
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    """Continuous diagnostics for psi in V(t); never a boolean verdict."""
-    negative_mass: float      # L2 mass of psi below the cut
-    k_residual: float         # L2 norm of (K psi) below the cut
-
-
 def psi_gamma_tail_bound(gamma: float, Z: float) -> float:
     """L2 mass of F_gamma outside [-Z, Z]: bounded by 2/(pi (Z - gamma))."""
     if Z <= abs(gamma):
@@ -242,33 +232,6 @@ def K_apply(psi: numerics.GridFunction, Z: float,
     k_spec = numerics.GridFunction(fgrid, theta * np.conj(spectrum.values),
                                    "frequency")
     return numerics.inverse_fourier_grid(k_spec, psi.grid)
-
-
-def _mass_below(f: numerics.GridFunction, cut: float) -> float:
-    x = f.grid.nodes()
-    sel = x <= cut
-    seg = np.abs(f.values[sel]) ** 2
-    if np.count_nonzero(sel) < 2:
-        return 0.0
-    return float(np.trapezoid(seg, x[sel]))
-
-
-def v_membership(psi: numerics.GridFunction, t: float,
-                 Z: float = 300.0,
-                 band_limit: Optional[float] = None) -> MembershipReport:
-    """Diagnostics for psi in V(t) = L^2(t,inf) ^ K L^2(t,inf).
-
-    Reports the L2 mass of psi below t and the L2 norm of K psi below t (the
-    distance from K psi to its best candidate supported on [t, inf)). Exact
-    membership is undecidable from samples, so only the masses are reported.
-    """
-    if psi.grid.x_min > t - 1.0:
-        raise ValueError("grid must cover [t - 1, ...] for the below-cut mass")
-    k_psi = K_apply(psi, Z, band_limit=band_limit)
-    return MembershipReport(
-        negative_mass=_mass_below(psi, t),
-        k_residual=math.sqrt(max(_mass_below(k_psi, t), 0.0)),
-    )
 
 
 def restriction_isometry_check(gamma: float, zs: zc.ZeroSet,

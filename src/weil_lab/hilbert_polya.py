@@ -6,7 +6,6 @@ time-domain basis and psi0 transform-null on the catalog.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -27,17 +26,18 @@ __all__ = [
 
 def s_theta(theta: float, z):
     """S_theta(z) = (i/2) (e^{i theta} E(z) - e^{-i theta} E^#(z)) at a
-    scalar z (a complex) or an array of z (an array of its shape), with
-    E = xi + xi' and E^# = xi - xi' at s = 1/2 - iz from one xi call.
+    scalar z (a complex) or an array of z (an array of its shape). With
+    E = xi + xi' and E^# = xi - xi' at s = 1/2 - iz this is
 
-    Real-valued for real z and any theta; at theta = pi/2 it equals
-    -xi(1/2 - iz)."""
-    out = _s_from_E(theta, *sf._E_pair(z))
-    return complex(out) if np.ndim(out) == 0 else out
+        S_theta = -sin(theta) xi + i cos(theta) xi',
+
+    taken from one xi call. Real-valued for real z and any theta;
+    S_{pi/2} = -xi and S_0 = i xi'."""
+    return _s_from_xi(theta, sf.xi(0.5 - 1j * np.asarray(z, dtype=complex)))
 
 
-def _s_from_E(theta: float, E, E_sharp):
-    return 0.5j * (cmath.exp(1j * theta) * E - cmath.exp(-1j * theta) * E_sharp)
+def _s_from_xi(theta: float, v: sf.XiValue):
+    return -math.sin(theta) * v.xi + 1j * math.cos(theta) * v.xi_prime
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,9 @@ class ExtensionParams:
     def __post_init__(self):
         if not (0.0 <= self.theta < math.pi):
             raise ValueError("theta must lie in [0, pi)")
-        E, E_sharp = sf._E_pair(self.w0)
-        scale = abs(E) + abs(E_sharp) + 1e-300
-        if abs(_s_from_E(self.theta, E, E_sharp)) < 1e-10 * scale:
+        v = sf.xi(0.5 - 1j * complex(self.w0))
+        scale = abs(v.xi + v.xi_prime) + abs(v.xi - v.xi_prime) + 1e-300
+        if abs(_s_from_xi(self.theta, v)) < 1e-10 * scale:
             raise ValueError("S_theta(w0) = 0 (to working precision); "
                              "choose a different w0")
 

@@ -138,6 +138,49 @@ def eigen_residuals(p, sample_sets, shifted):
     return worst, rel(shifted[0], shifted[1], shifted[0] + 0.1)
 
 
+def spectra_interlace(zs) -> int:
+    """Wrong gaps of the interlacing of the spectra of M_{pi/2} and M_0.
+
+    S_{pi/2} = -xi vanishes at the catalog zeros, and S_0 = i xi' between
+    them: under RH, E is Hermite-Biehler, so the real zeros of the two
+    interlace (de Branges, sections 22-23). This counts the gaps (0, gamma_1),
+    (gamma_1, gamma_2), ..., (gamma_{N-1}, gamma_N) whose number of sign
+    changes of Re S_0 is not 0 (the first gap) or 1 (every other one): a
+    deleted zero leaves a gap with two, a spurious zero a gap with none.
+    The scan takes x = k step for k = 1, 2, ... up to the first node at or
+    past gamma_N, with step = min(0.05, smallest gap / 4), the gaps
+    including (0, gamma_1). A sign change counts in the gap that holds the
+    midpoint of its two nodes.
+
+    At a zero of multiplicity m >= 2, xi' vanishes too. Unless |S_0| there
+    is at most 1e-9 of max |S_0| over the scan nodes of the gaps beside it,
+    the zero counts as one more wrong gap: xi' sums at most 0.5 T + 16 = 76
+    terms (T <= 120), each good to a few ulps, so its roundoff is ~1e-13 of
+    that scale, while at a simple zero |xi'| is of the order of the scale.
+    One s_theta call takes the scan and those zeros."""
+    g = np.asarray(zs.ordinates, dtype=float)
+    if not g.size:
+        return 0
+    multiple = np.flatnonzero(np.asarray(zs.multiplicities) >= 2)
+    step = min(0.05, float(np.min(np.diff(g, prepend=0.0))) / 4.0)
+    n = math.ceil(g[-1] / step)
+    if n > nu.POINT_LIMIT:
+        raise ValueError("the interlacing scan needs %d points, above the "
+                         "limit of %d" % (n, nu.POINT_LIMIT))
+    x = step * np.arange(1, n + 1)
+    S = hp.s_theta(0.0, np.concatenate([x, g[multiple]]))
+    scan = S[:n]
+    flips = np.flatnonzero(np.signbit(scan.real[1:]) != np.signbit(scan.real[:-1]))
+    gaps = np.searchsorted(g, 0.5 * (x[flips] + x[flips + 1]))
+    counts = np.bincount(gaps, minlength=g.size + 1)[:g.size]
+    wrong = int(counts[0] != 0) + int(np.count_nonzero(counts[1:] != 1))
+    edges = np.concatenate([[0.0], g, [math.inf]])
+    for k, value in zip(multiple, S[n:]):
+        beside = (x > edges[k]) & (x < edges[k + 2])
+        wrong += int(abs(value) > 1e-9 * np.max(np.abs(scan[beside]), initial=0.0))
+    return wrong
+
+
 def decomposition_null(rng, n: int, zs, Z: float, grid, draw):
     """Worst |S_psi0(gamma)| over n psi = draw(rng) = psi0 + psi1 on the
     catalog zs (psi1 cut off at Z, on grid), and the (psi, decomposition,

@@ -36,9 +36,15 @@ __all__ = [
     "panel_rule", "fourier_integral", "inverse_fourier_grid",
     "fourier_grid_at", "forward_fourier_grid", "inner_product_grid",
     "grid_norm_sq", "symmetric_grid", "band_exact_grid", "ALIAS_GUARD",
+    "POINT_LIMIT",
 ]
 
 ALIAS_GUARD = math.pi / 4.0
+# The most points one call evaluates: the nodes of verify's widest axis
+# sweep (|x| <= 38) at zero_catalog.MAX_CUTOFF, i.e. symmetric_grid(5e4,
+# 0.999 ALIAS_GUARD / 38).n_points (a test checks the two agree). Exports
+# and fourier_integral raise above it, before they allocate.
+POINT_LIMIT = 4_843_155
 _GAUSS_LEGENDRE: list = []      # 32-point nodes and weights on [-1, 1], on first use
 _BLOCK = 1 << 14                # elements per block of blockwise array work
 _ROW = 128                      # entries per row of a phase table
@@ -158,7 +164,9 @@ def fourier_integral(f: Callable[[np.ndarray], np.ndarray],
     (finer panels only help the smaller ones); the (b-a)/16 cap keeps
     edge-flat integrands (bumps and their derivatives) at spectral accuracy,
     ~1e-16 of sum|terms| at any z (a (b-a)/8 cap leaves a bump derivative of
-    half-width 0.45 off by ~1e-12 of it). f is evaluated once.
+    half-width 0.45 off by ~1e-12 of it). f is evaluated once, at no more
+    than POINT_LIMIT nodes: a longer support or a larger |z| raises
+    ValueError before anything is allocated.
     On panel p (midpoint m_p, common half-width h, Legendre nodes t_k) the
     phase factors as e^{iz m_p} e^{iz h t_k}: nz (n_p + 32) exponentials,
     and the sum is rowsum(A o (B @ FW^T)) in row blocks of a few MB.
@@ -171,6 +179,10 @@ def fourier_integral(f: Callable[[np.ndarray], np.ndarray],
         if np.any(np.abs(zf.imag) > 50.0):
             raise ValueError("fourier_integral: |Im z| > 50 growth guard")
         width = min(1.0 / (1.0 + np.max(np.abs(zf), initial=0.0)), (b - a) / 16.0)
+        n_nodes = 32.0 * max(1.0, float(np.ceil((b - a) / width)))
+        if n_nodes > POINT_LIMIT:
+            raise ValueError("fourier_integral needs %.6g nodes (32 per panel), "
+                             "above the limit of %d" % (n_nodes, POINT_LIMIT))
         x, w = panel_rule(a, b, width)
         mid = _panels(a, b, width)[0]
         fw = (np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape) * w).T

@@ -506,11 +506,12 @@ def test_export_bad_range_is_usage_error(tmp_path, monkeypatch, capsys):
 def test_oversized_export_is_usage_error(tmp_path, monkeypatch, capsys):
     # each export's first allocation would exceed 2^47 bytes: numpy died in
     # an _ArrayMemoryError with exit 1, the code of a failed check. The
-    # limit is verify's sweep for |x| <= 38 at cutoff_Z = MAX_CUTOFF
+    # limit, numerics.POINT_LIMIT, is verify's sweep for |x| <= 38 at
+    # cutoff_Z = MAX_CUTOFF
     monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
     out = tmp_path / "out"
     assert nu.symmetric_grid(zc.MAX_CUTOFF, db._default_freq_spacing(38.0)
-                             ).n_points == 4843155
+                             ).n_points == nu.POINT_LIMIT == 4843155
     for argv, named in (
             (["omega", "0:5:1e-15"], "range 0:5:1e-15"),
             (["screw_g", "0:5:1e-15"], "range 0:5:1e-15"),

@@ -382,48 +382,6 @@ def test_K_fixes_basis_function(small_psi):
 
 
 # ----------------------------------------------------------------------
-# V(t) membership diagnostics
-# ----------------------------------------------------------------------
-
-def test_v_membership_basis_function(small_psi):
-    rep = db.v_membership(small_psi["psi1"], 0.0, Z=small_psi["Z"],
-                          band_limit=small_psi["Z"])
-    bound = db.psi_gamma_tail_bound(14.13, small_psi["Z"])
-    assert rep.negative_mass <= bound
-    assert rep.k_residual ** 2 <= 2.0 * bound
-
-
-def test_v_membership_rejects_negative_bump(catalog):
-    from weil_lab import weil_form as wf
-    Z = 300.0
-    grid = nu.band_exact_grid(-30.0, 30.0, 2 * Z)
-    b = wf.TestFunction.bump(-1.5, 0.5)     # support [-2, -1]
-    psi = nu.GridFunction(grid, b(grid.nodes()), "time")
-    rep = db.v_membership(psi, 0.0, Z=Z, band_limit=Z)
-    norm_sq = nu.grid_norm_sq(psi)
-    assert rep.negative_mass == pytest.approx(norm_sq, rel=1e-6)
-
-
-def test_v_membership_rejects_basis_at_t10(small_psi):
-    rep = db.v_membership(small_psi["psi1"], 10.0, Z=small_psi["Z"],
-                          band_limit=small_psi["Z"])
-    # most of the mass of psi_gamma sits in (0, 10)
-    assert rep.negative_mass >= 0.5 * nu.grid_norm_sq(small_psi["psi1"])
-
-
-def test_v_membership_masses_monotone_in_t(small_psi):
-    reps = [db.v_membership(small_psi["psi1"], t, Z=small_psi["Z"],
-                            band_limit=small_psi["Z"]) for t in (0.0, 2.0)]
-    assert reps[0].negative_mass <= reps[1].negative_mass + 1e-15
-    assert reps[0].k_residual <= reps[1].k_residual + 1e-12
-
-
-def test_v_membership_coverage_guard(small_psi):
-    with pytest.raises(ValueError):
-        db.v_membership(small_psi["psi1"], -5.0, Z=small_psi["Z"])
-
-
-# ----------------------------------------------------------------------
 # restriction isometry
 # ----------------------------------------------------------------------
 

@@ -1,18 +1,27 @@
 """Planted faults that `verify all` should detect: each entry of FAULTS
-makes the catalog a run sees wrong, and the run must fail at least one row.
+makes the catalog a run sees wrong, or one layer of the code, and the run
+must fail at least one row.
 
 A fault that no row can see yet is kept as a strict expected failure, so
 the test turns into a failure of its own (XPASS) once a row catches it."""
 
+import functools
+
 import pytest
 
 from weil_lab import cli
+from weil_lab import debranges as db
+from weil_lab import numerics as nu
+from weil_lab import special_fn as sf
 from weil_lab import zero_catalog as zc
+
+T = 50.0
 
 
 def _edited(edit):
     """The fault that applies edit to the catalog's (gamma, m) pairs."""
-    def fault(zs):
+    def fault(monkeypatch):
+        zs = zc.compute_zeros(T)
         pairs = sorted(edit(list(zip(zs.ordinates, zs.multiplicities))))
         return zc.ZeroSet(tuple(g for g, _ in pairs), tuple(m for _, m in pairs),
                           zs.height_T, zs.source)
@@ -32,12 +41,37 @@ def _first_changed(g_shift=0.0, m=1):
     return _edited(lambda pairs: [(pairs[0][0] + g_shift, m)] + pairs[1:])
 
 
-# with every sum over the catalog weighted >= 0, and F_gamma vanishing at a
-# missing zero whether or not it is listed, no row sees a deleted zero
-_DELETED = ("no row sees a deleted zero until an explicit-formula row "
-            "(ROADMAP item 2) or a certified count (item 3) does")
-_DELETED_7_3 = ("no row sees a deleted zero until the interlacing row "
-                "(ROADMAP item 7) or a certified count (item 3) does")
+def _patched(module, name, wrap):
+    """The fault that replaces module.name by wrap(module.name) for the
+    catalog sweep and the suites, with an axis cache and Theta'(gamma)
+    cache of their own (the shared ones are left as they were)."""
+    def fault(monkeypatch):
+        monkeypatch.setattr(db, "_AXIS_CACHE", {})
+        monkeypatch.setattr(db, "theta_prime_at_zero", functools.lru_cache(
+            maxsize=None)(db.theta_prime_at_zero.__wrapped__))
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+        return zc.compute_zeros(T)
+    return fault
+
+
+def _xi_prime_scaled(xi):
+    def faulty(s):
+        v = xi(s)
+        return sf.XiValue(v.xi, v.xi_prime * (1 + 1e-6))
+    return faulty
+
+
+def _L_scaled(sweep):
+    return lambda x, step=None: sweep(x, step=step) * (1 + 1e-8)
+
+
+def _middle_sample_scaled(chirp_z):
+    def faulty(*args):
+        out = chirp_z(*args)
+        values = out.values.copy()
+        values[values.size // 2] *= 1 + 1e-6
+        return nu.GridFunction(out.grid, values, out.domain_tag)
+    return faulty
 
 
 def _unseen(fault, reason):
@@ -46,22 +80,40 @@ def _unseen(fault, reason):
 
 
 FAULTS = {
-    "gamma_3_deleted": _unseen(_without(2), _DELETED),
-    "gamma_1_deleted": _unseen(_without(0), _DELETED_7_3),
-    "gamma_N_deleted": _unseen(_without(-1), _DELETED_7_3),
-    # fails basis_diagonal and restriction_point_mass at T = 50, Z = 500
+    # fails spectra_interlace: the gap (gamma_2, gamma_4) holds two S_0 zeros
+    "gamma_3_deleted": _without(2),
+    # fails spectra_interlace: the gap (0, gamma_2) holds one
+    "gamma_1_deleted": _without(0),
+    "gamma_N_deleted": _unseen(_without(-1), (
+        "no S_0 zero above gamma_N is promised below T, so no row sees the "
+        "last zero missing until a certified count (ROADMAP item 3) does")),
+    # fails basis_diagonal and restriction_point_mass
     "gamma_1_moved_1e-6": _first_changed(g_shift=1e-6),
-    # fails 7 rows
+    # fails 8 rows, spectra_interlace among them
     "spurious_zero_at_45": _edited(lambda pairs: pairs + [(45.0, 1)]),
-    # fails 6 rows
+    # fails 7 rows, spectra_interlace among them
     "gamma_1_doubled": _first_changed(m=2),
+    "xi_prime_scaled_1e-6": _unseen(_patched(sf, "xi", _xi_prime_scaled), (
+        "a constant factor on xi' moves no zero of S_0 and no row reads xi' "
+        "against a reference until the Cauchy-integral row of ROADMAP item 5 "
+        "does")),
+    "axis_L_scaled_1e-8": _unseen(_patched(
+        sf, "critical_line_log_derivative", _L_scaled), (
+        "theta_prime_zeros, basis_diagonal and restriction_point_mass move "
+        "about 200-fold, to 2e-8 and below, under their fixed floors, until "
+        "budgets from their error models (ROADMAP item 6) see it")),
+    "transform_middle_sample_scaled_1e-6": _unseen(_patched(
+        nu, "_chirp_z", _middle_sample_scaled), (
+        "four rows move by at most 3.1e-12, and no row checks a grid "
+        "transform against another route until ROADMAP item 1's transform "
+        "row does")),
 }
 
 
 @pytest.mark.parametrize("fault", FAULTS.values(), ids=list(FAULTS))
-def test_fault_fails_a_row(fault):
-    cfg = cli.RunConfig(height_T=50.0, cutoff_Z=500.0)
-    cfg.catalog = fault(zc.compute_zeros(50.0))
+def test_fault_fails_a_row(fault, monkeypatch):
+    cfg = cli.RunConfig(height_T=T, cutoff_Z=500.0)
+    cfg.catalog = fault(monkeypatch)
     rows = [row for suite in cli._SUITE_FN.values()
             for row in cli._rows(cfg, suite(cfg))]
     assert not all(row["pass"] for row in rows)

@@ -51,6 +51,42 @@ def test_s_theta_broadcasts_with_one_xi_call(monkeypatch):
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 
 
+def _with_pairs(zs, edit):
+    pairs = sorted(edit(list(zip(zs.ordinates, zs.multiplicities))))
+    return zc.ZeroSet(tuple(g for g, _ in pairs), tuple(m for _, m in pairs),
+                      zs.height_T, zs.source)
+
+
+def test_spectra_interlace_on_complete_catalogs(catalog, monkeypatch):
+    assert ids.spectra_interlace(zc.compute_zeros(120.0)) == 0
+    sizes = count_xi_points(monkeypatch)
+    assert ids.spectra_interlace(catalog) == 0
+    assert sizes == [1977]          # the scan, at step 0.05, in one xi call
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p[1:],                                    # gamma_1 deleted
+    lambda p: p[:2] + p[3:],                            # gamma_3 deleted
+    lambda p: p + [(45.0, 1)],                          # a spurious zero
+    lambda p: [(p[0][0], 2)] + p[1:],                   # m(gamma_1) = 2
+], ids=["gamma_1_deleted", "gamma_3_deleted", "spurious_zero_at_45",
+        "gamma_1_doubled"])
+def test_spectra_interlace_sees_a_faulty_catalog(catalog, edit):
+    assert ids.spectra_interlace(_with_pairs(catalog, edit)) >= 1
+
+
+def test_spectra_interlace_cannot_see_the_last_zero_missing(catalog):
+    # no S_0 zero above gamma_N is promised below T
+    assert ids.spectra_interlace(_with_pairs(catalog, lambda p: p[:-1])) == 0
+
+
+def test_spectra_interlace_scan_is_capped_before_allocation():
+    # two ordinates 1e-9 apart ask for a step of 2.5e-10: 5.6e10 points
+    zs = zc.ZeroSet((14.0, 14.000000001), (1, 1), 20.0, "table")
+    with pytest.raises(ValueError, match="limit of %d" % nu.POINT_LIMIT):
+        ids.spectra_interlace(zs)
+
+
 def test_extension_params_validation(catalog):
     hp.ExtensionParams(math.pi / 2)       # w0 = i is fine
     with pytest.raises(ValueError):

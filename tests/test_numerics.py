@@ -74,6 +74,20 @@ def test_fourier_growth_guard():
         b.fourier(60j)
 
 
+@pytest.mark.parametrize("half_width", [1e12, 1e300])
+def test_fourier_node_count_is_capped_before_allocation(half_width):
+    # numpy would ask for 29.1 TiB (1e12), or refuse the size (1e300), first
+    b = TestFunction.bump(0.0, half_width)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="nodes .*limit of %d" % nu.POINT_LIMIT):
+            b.fourier(1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_gauss_legendre_panels_integrate_polynomials_exactly():
     x, w = nu.panel_rule(-0.3, 1.9, 0.25)
     assert x.shape == w.shape == (9, 32)

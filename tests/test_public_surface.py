@@ -18,8 +18,6 @@ KEPT = {
                             "budget of the rows that read psi_gamma",
     "screw_tail_bound": "the declared truncation bound of screw_g, the "
                         "budget of a row on the screw function",
-    "v_membership": "the chain claim psi in V(t), which no other code checks",
-    "MembershipReport": "v_membership's report",
 }
 
 
@@ -58,7 +56,7 @@ def _exports_and_references(src_dir):
 def unreached(src_dir=SRC):
     """Exported names that no code reaches, read outside their own
     definition; a read inside an unreached name's definition does not count
-    either (v_membership does not make MembershipReport reached)."""
+    either (a helper read only by an unreached function is unreached too)."""
     exports, refs = _exports_and_references(src_dir)
     dead = set()
     while True:
