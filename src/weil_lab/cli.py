@@ -161,6 +161,10 @@ CHECKS = (
     ("restriction_point_mass", "sum |F_gamma(gamma')|^2 pi m = 1", 1e-6),
     ("psi_norm", "2 pi ||psi_gamma||^2 = 1", 1e-2),
     ("k_fixes_basis", "K psi_gamma = psi_gamma", 5e-2),
+    # 4 eps MAX_CUTOFF 38: the direct sum's phase rounding at any cutoff_Z
+    ("transform_agreement", "chirp-z transform of psi_gamma = direct sum "
+                            "at 17 nodes", 4.0 * sys.float_info.epsilon
+                            * zc.MAX_CUTOFF * 38.0),
     ("s_pi_half", "S_{pi/2}(z) = -xi(1/2 - iz)", 1e-12),
     ("eigen_residual", "M_{pi/2} G = gamma G on the basis", 1e-7),
     ("eigen_perturbed", "shifted eigenvalue is detected", 0.0),
@@ -253,6 +257,7 @@ def suite_debranges(cfg: RunConfig) -> Dict[str, float]:
     psi = db.psi_gamma(zs.ordinates[0], zs, Z, grid)
     v["psi_norm"] = ids.l2_defect(psi)
     v["k_fixes_basis"] = ids.k_fixes_basis(psi, Z)
+    v["transform_agreement"] = ids.transform_agreement(psi, Z)
     return v
 
 
@@ -374,10 +379,9 @@ def _write_csv(path: str, x, values) -> None:
 
 
 def _check_export_size(n: float, what: str) -> None:
-    """An export evaluates, and sweeps on the axis, at most
-    numerics.POINT_LIMIT points (as many as verify sweeps for its widest
-    window at cutoff_Z = MAX_CUTOFF); more is a usage error, raised before
-    anything is allocated."""
+    """An export range holds at most numerics.POINT_LIMIT points, the limit
+    numerics.Grid sets on grids and axis sweeps; more is a usage error,
+    raised before anything is allocated."""
     if n > nu.POINT_LIMIT:
         raise ValueError("%s needs %.6g points, above the export limit of %d"
                          % (what, n, nu.POINT_LIMIT))
@@ -399,13 +403,6 @@ def run_export(what: str, arg: Optional[str], cfg: RunConfig) -> int:
                                       cfg.cutoff_Z + zs.ordinates[-1], 50.0)
         else:
             grid = nu.Grid(-120.0, 120.0, 4801)
-        label = "grid %.17g:%.17g:%d" % (grid.x_min, grid.x_max, grid.n_points)
-        _check_export_size(grid.n_points, label)
-        if what == "psi_gamma":
-            span = max(abs(grid.x_min), abs(grid.x_max))
-            _check_export_size(nu.symmetric_grid(
-                cfg.cutoff_Z, db._default_freq_spacing(span)).n_points,
-                "the axis sweep of " + label)
         x = grid.nodes()
         vals = (db.psi_gamma(g, zs, cfg.cutoff_Z, grid).values
                 if what == "psi_gamma"

@@ -81,6 +81,30 @@ def k_fixes_basis(psi, Z: float) -> float:
     return grid_distance(db.K_apply(psi, Z, band_limit=Z), psi)
 
 
+def transform_agreement(psi, Z: float) -> float:
+    """Worst gap between two routes to the transform of psi onto K's
+    frequency grid, symmetric_grid(Z, the default spacing for psi's window),
+    with band_limit = Z: the chirp-z grid transform (forward_fourier_grid)
+    and the direct sum (fourier_grid_at) at the 17 nodes z_k,
+    k = round(i (n - 1)/16) for i = 0, ..., 16 (both ends included),
+    divided by sum|terms| = h sum_j w_j |psi_j|.
+
+    The direct route rounds each phase z x (and the node x) to about
+    eps |z x|, so each term is off by at most ~3 eps max|z| max|x| of its
+    size, as is z_k itself; the grid transform keeps every phase to a few
+    2^-53 turns, and its FFT roundoff is O(eps log n) of the terms. The
+    bound in cli.CHECKS, 4 eps MAX_CUTOFF 38 (|x| <= 38 on verify's window),
+    covers every cutoff_Z the CLI accepts."""
+    x_absmax = max(abs(psi.grid.x_min), abs(psi.grid.x_max))
+    fgrid = nu.symmetric_grid(Z, db._default_freq_spacing(x_absmax))
+    grid_route = nu.forward_fourier_grid(psi, fgrid, band_limit=Z).values
+    k = np.rint(np.arange(17) * ((fgrid.n_points - 1) / 16.0)).astype(int)
+    direct = nu.fourier_grid_at(psi, fgrid.x_min + k * fgrid.h)
+    terms = psi.grid.h * float(np.sum(
+        nu._trapezoid_weights(psi.grid.n_points) * np.abs(psi.values)))
+    return float(np.max(np.abs(grid_route[k] - direct))) / terms
+
+
 def gram_psd_margin(rng, n: int, zs) -> float:
     """Worst -(lowest eigenvalue + 1e-8 trace) of n screw-kernel Gram
     matrices at 8 random nodes in [-3, 3]."""

@@ -20,7 +20,10 @@ double-double coefficient, reduced mod one turn exactly, and the per-node
 phase factors are products of short tables: a transform evaluates about
 2 sqrt(128 n) + n/128 complex exponentials, not one per node, and its
 working memory is its FFT buffer, one block of factors and the tables
-(see _chirp_z).
+(see _chirp_z). Transforms at scattered z, of Gauss-Legendre panels
+(fourier_integral) and of grids (fourier_grid_at), are one factored phase
+sum (_phase_sum) with an inner dimension of 32. No Grid, and so no axis
+sweep or grid transform, has more than POINT_LIMIT nodes.
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ __all__ = [
 ALIAS_GUARD = math.pi / 4.0
 # The most points one call evaluates: the nodes of verify's widest axis
 # sweep (|x| <= 38) at zero_catalog.MAX_CUTOFF, i.e. symmetric_grid(5e4,
-# 0.999 ALIAS_GUARD / 38).n_points (a test checks the two agree). Exports
-# and fourier_integral raise above it, before they allocate.
+# 0.999 ALIAS_GUARD / 38).n_points (a test checks the two agree). Grid,
+# and so every grid, axis sweep and grid transform, raises above it, as do
+# fourier_integral and export ranges, before they allocate.
 POINT_LIMIT = 4_843_155
 _GAUSS_LEGENDRE: list = []      # 32-point nodes and weights on [-1, 1], on first use
 _BLOCK = 1 << 14                # elements per block of blockwise array work
@@ -81,6 +85,9 @@ class Grid:
             raise ValueError("Grid requires an integer n_points")
         if n < 2:
             raise ValueError("Grid requires n_points >= 2")
+        if n > POINT_LIMIT:
+            raise ValueError("Grid of %d points on [%.17g, %.17g] is above the "
+                             "limit of %d" % (n, self.x_min, self.x_max, POINT_LIMIT))
         object.__setattr__(self, "n_points", int(n))
 
     @property
@@ -138,7 +145,7 @@ def _panels(a: float, b: float, width: float):
 
 def panel_rule(a: float, b: float, width: float):
     """32-point Gauss-Legendre, the package's one rule (its order is fixed,
-    see fourier_integral), on each of ceil((b-a)/width) equal panels of
+    see _phase_sum), on each of ceil((b-a)/width) equal panels of
     [a, b] (at least one); returns (nodes, weights) of shape (n_panels, 32)."""
     if not _GAUSS_LEGENDRE:
         _GAUSS_LEGENDRE[:] = np.polynomial.legendre.leggauss(32)
@@ -151,6 +158,22 @@ def _trapezoid_weights(n: int) -> np.ndarray:
     w = np.ones(n)
     w[0] = w[-1] = 0.5
     return w
+
+
+def _phase_sum(z: np.ndarray, anchors: np.ndarray, offsets: np.ndarray,
+               W: np.ndarray) -> np.ndarray:
+    """sum_p e^{iz anchors_p} sum_k W[k, p] e^{iz offsets_k} at each z of a
+    1-D complex array, for 32 offsets: per block of z one (z block x 32) @
+    (32 x P) product, times the anchor factors and row-summed, in blocks of
+    2^15 elements. The inner dimension is always 32, so each sum is ordered
+    the same at any BLAS thread count."""
+    out = np.empty(len(z), dtype=complex)
+    step = max(1, (1 << 15) // len(anchors))
+    for i0 in range(0, len(z), step):
+        zc = z[i0:i0 + step, None]
+        out[i0:i0 + step] = np.sum(
+            np.exp(1j * zc * anchors) * (np.exp(1j * zc * offsets) @ W), axis=1)
+    return out
 
 
 def fourier_integral(f: Callable[[np.ndarray], np.ndarray],
@@ -168,8 +191,8 @@ def fourier_integral(f: Callable[[np.ndarray], np.ndarray],
     than POINT_LIMIT nodes: a longer support or a larger |z| raises
     ValueError before anything is allocated.
     On panel p (midpoint m_p, common half-width h, Legendre nodes t_k) the
-    phase factors as e^{iz m_p} e^{iz h t_k}: nz (n_p + 32) exponentials,
-    and the sum is rowsum(A o (B @ FW^T)) in row blocks of a few MB.
+    phase factors as e^{iz m_p} e^{iz h t_k}: nz (n_p + 32) exponentials
+    and one _phase_sum.
     """
     z_arr = np.asarray(z, dtype=complex)
     zf = z_arr.ravel()
@@ -187,16 +210,7 @@ def fourier_integral(f: Callable[[np.ndarray], np.ndarray],
         mid = _panels(a, b, width)[0]
         fw = (np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape) * w).T
         ht = 0.5 * (b - a) / len(mid) * _GAUSS_LEGENDRE[0]
-        step = max(1, (1 << 17) // len(mid))
-        for i0 in range(0, len(zf), step):
-            zc = zf[i0:i0 + step, None]
-            # (z block x 32) @ (32 x panels): an inner dimension of 32 sums
-            # in the same order at 1 and 2 OpenBLAS threads, where the
-            # ceil(sqrt(n)) of one block product for fourier_grid_at (171 at
-            # n = 29,156) did not, so the rule's order stays 32 (and
-            # fourier_grid_at keeps one gemv per z)
-            out[i0:i0 + step] = np.sum(
-                np.exp(1j * zc * mid) * (np.exp(1j * zc * ht) @ fw), axis=1)
+        out = _phase_sum(zf, mid, ht, fw)
     out = out.reshape(z_arr.shape)
     return complex(out) if out.ndim == 0 else out
 
@@ -507,30 +521,19 @@ def fourier_grid_at(psi: GridFunction, z) -> np.ndarray:
     """Trapezoid transform sum_j w_j h psi_j e^{i z x_j} of a time-domain
     grid at a scalar z (returns a complex) or an array of z (an array).
 
-    With B = ceil(sqrt(n)) the node index is j = pB + r, and the phase
-    factors as e^{iz(x_0 + pBh)} e^{iz rh}: per z two exponential rows of
-    about sqrt(n) entries and one matrix-vector product against the
-    coefficients reshaped to (P, B), one gemv per z (so each sum is
-    ordered the same at any BLAS thread count). Working memory is one
-    padded copy of the n coefficients plus rows for a block of 64 z."""
+    The node index is j = 32p + r (r < 32), and the phase factors as
+    e^{iz(x_0 + 32hp)} e^{iz rh}: the coefficients h w_j psi_j, padded to
+    rows of 32, are one _phase_sum, n/32 + 32 exponentials per z."""
     if psi.domain_tag != "time":
         raise GridMismatchError("fourier_grid_at expects a time-domain input")
     z_arr = np.asarray(z, dtype=complex).ravel()
     n, h = psi.grid.n_points, psi.grid.h
-    B = int(math.ceil(math.sqrt(n)))
-    P = -(-n // B)
-    coeff = np.zeros(P * B, dtype=complex)
+    P = -(-n // 32)
+    coeff = np.zeros(P * 32, dtype=complex)
     np.multiply(psi.values, _trapezoid_weights(n), out=coeff[:n])
     coeff[:n] *= h
-    coeff = coeff.reshape(P, B)
-    x_row = psi.grid.x_min + (B * h) * np.arange(P)
-    r_row = h * np.arange(B)
-    out = np.empty(len(z_arr), dtype=complex)
-    for i0 in range(0, len(z_arr), 64):
-        zc = z_arr[i0:i0 + 64, None]
-        rows_p, rows_r = np.exp(1j * zc * x_row), np.exp(1j * zc * r_row)
-        for k in range(len(zc)):
-            out[i0 + k] = np.dot(rows_p[k], coeff @ rows_r[k])
+    out = _phase_sum(z_arr, psi.grid.x_min + (32 * h) * np.arange(P),
+                     h * np.arange(32), coeff.reshape(P, 32).T)
     return out.reshape(np.shape(z)) if np.ndim(z) else complex(out[0])
 
 

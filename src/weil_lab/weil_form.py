@@ -222,11 +222,12 @@ def _sup_samples(T: float) -> np.ndarray:
 
 
 def _transform_scale(psi) -> float:
-    """Crude L1 bound used in the quadrature-error model."""
+    """Crude L1 bound used in the quadrature-error model: for a TestFunction
+    the panel rule on 8 panels (256 nodes) of its support."""
     if isinstance(psi, TestFunction):
         a, b = psi.support()
-        xs = np.linspace(a, b, 257)
-        return float(np.trapezoid(np.abs(psi._eval(xs)), xs))
+        x, w = numerics.panel_rule(a, b, (b - a) / 8.0)
+        return float(np.sum(np.abs(psi._eval(x.ravel())) * w.ravel()))
     return float(np.sum(np.abs(psi.values)) * psi.grid.h)
 
 

@@ -507,7 +507,8 @@ def test_oversized_export_is_usage_error(tmp_path, monkeypatch, capsys):
     # each export's first allocation would exceed 2^47 bytes: numpy died in
     # an _ArrayMemoryError with exit 1, the code of a failed check. The
     # limit, numerics.POINT_LIMIT, is verify's sweep for |x| <= 38 at
-    # cutoff_Z = MAX_CUTOFF
+    # cutoff_Z = MAX_CUTOFF; numerics.Grid rejects the grid and the axis
+    # sweep (on [-Z, Z] at the default cutoff_Z), the export the ranges
     monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
     out = tmp_path / "out"
     assert nu.symmetric_grid(zc.MAX_CUTOFF, db._default_freq_spacing(38.0)
@@ -516,9 +517,8 @@ def test_oversized_export_is_usage_error(tmp_path, monkeypatch, capsys):
             (["omega", "0:5:1e-15"], "range 0:5:1e-15"),
             (["screw_g", "0:5:1e-15"], "range 0:5:1e-15"),
             (["F_gamma", "--grid=-1:1:1000000000000000"],
-             "grid -1:1:1000000000000000"),
-            (["psi_gamma", "--grid=-1e12:1e12:5"],
-             "axis sweep of grid -1000000000000:1000000000000:5")):
+             "grid '-1:1:1000000000000000'"),
+            (["psi_gamma", "--grid=-1e12:1e12:5"], "points on [-1000, 1000]")):
         capsys.readouterr()
         assert cli.main(["export"] + argv + ["--out", str(out),
                                              "--height-T", "20"]) == 2

@@ -234,6 +234,33 @@ def test_psi_gamma_holds_one_set_of_frequency_samples(catalog):
     assert peak <= 11.0 * 2 ** 20
 
 
+_OVERSIZED = {
+    # each first allocation was above 2^47 bytes: the axis sweeps died in
+    # numpy's MemoryError (361 and 373 GiB), the grid was made, and a
+    # forward transform onto it asked for 14.6 TiB
+    "psi_gamma_at_Z_1e9": lambda zs: db.psi_gamma(
+        zs.ordinates[0], zs, 1e9, nu.Grid(-6.0, 38.0, 1001)),
+    "axis_samples_at_Z_1e9": lambda zs: db.axis_samples(1e9, 0.02),
+    "grid_of_1e12_points": lambda zs: nu.Grid(0.0, 1.0, 10 ** 12),
+    "forward_transform_onto_1e12_points": lambda zs: nu.forward_fourier_grid(
+        nu.GridFunction(nu.Grid(0.0, 1.0, 5), np.ones(5), "time"),
+        nu.Grid(0.0, 1.0, 10 ** 12)),
+}
+
+
+@pytest.mark.parametrize("call", _OVERSIZED.values(), ids=list(_OVERSIZED))
+def test_oversized_library_call_raises_before_allocating(call, catalog):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="points on .*limit of %d"
+                           % nu.POINT_LIMIT):
+            call(catalog)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_axis_cache_reuse(catalog):
     db.clear_axis_cache()
     g1, g2 = catalog.ordinates[:2]

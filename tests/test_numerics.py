@@ -640,6 +640,37 @@ def test_fourier_grid_at_memory_is_linear_in_the_grid():
     assert peak < 4 * 16 * grid.n_points
 
 
+def test_phase_sums_are_byte_equal_at_1_and_2_blas_threads():
+    # one (z block x 32) @ (32 x P) product per block: an inner dimension of
+    # ceil(sqrt(n)) (171 and 382 here) summed in another order at 2 OpenBLAS
+    # threads than at 1, which is why fourier_grid_at once took one gemv
+    # per z; the byte-equal verify reports in CI reach only a few thousand
+    # nodes
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from weil_lab import numerics as nu\n"
+        "from weil_lab.weil_form import TestFunction\n"
+        "z = np.concatenate([np.linspace(-100.0, 100.0, 58),\n"
+        "                    np.linspace(100.0, 200.0, 18)])\n"
+        "h = hashlib.sha256()\n"
+        "for n in (29156, 145774):\n"
+        "    rng = np.random.default_rng(n)\n"
+        "    psi = nu.GridFunction(nu.Grid(-6.0, 38.0, n), rng.standard_normal(n)\n"
+        "                          + 1j * rng.standard_normal(n), 'time')\n"
+        "    h.update(nu.fourier_grid_at(psi, z).tobytes())\n"
+        "f = TestFunction.combination([1.0, 0.5j], [TestFunction.bump(0.3, 0.9),\n"
+        "                             TestFunction.bump(-1.0, 2.0)])\n"
+        "h.update(f.fourier(z).tobytes())\n"
+        "print(h.hexdigest())\n")
+    src = os.path.dirname(os.path.dirname(nu.__file__))
+    digests = [subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(t))).stdout
+        for t in (1, 2)]
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
+
+
 def test_fast_len_is_the_smallest_5_smooth_length():
     smooth = np.zeros(20001, dtype=bool)
     for p2 in 2 ** np.arange(15):
