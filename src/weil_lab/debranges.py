@@ -16,7 +16,6 @@ both finite and stable arbitrarily far out.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import time
@@ -83,19 +82,15 @@ def clear_axis_cache() -> None:
     _AXIS_CACHE.clear()
 
 
-@functools.lru_cache(maxsize=4096)
-def theta_prime_at_zero(gamma: float) -> complex:
-    """Theta'(gamma) by Richardson-extrapolated central differences
-    (h = 1e-4 and 5e-5). Equals -2i/m at a zero of multiplicity m.
-
-    A pure function of gamma, computed once per gamma: every basis function
-    and check at the same ordinate shares its one 4-point sweep."""
+def theta_prime_at_zero(gammas) -> np.ndarray:
+    """Theta'(gamma) at each gamma by Richardson-extrapolated central
+    differences (h = 1e-4, 5e-5) from one theta_on_axis sweep over all gamma
+    +- h, +- h/2, N set by the largest. -2i/m at a zero of multiplicity m."""
     h = 1e-4
-    x = np.array([gamma - h, gamma + h, gamma - h / 2, gamma + h / 2])
-    th = sf.theta_on_axis(x)
+    th = sf.theta_on_axis(np.add.outer([-h, h, -h / 2, h / 2], gammas))
     d_h = (th[1] - th[0]) / (2 * h)
     d_h2 = (th[3] - th[2]) / h
-    return complex((4.0 * d_h2 - d_h) / 3.0)
+    return (4.0 * d_h2 - d_h) / 3.0
 
 
 def basis_table(gammas, mults, x, log_deriv=None) -> np.ndarray:
@@ -103,7 +98,8 @@ def basis_table(gammas, mults, x, log_deriv=None) -> np.ndarray:
     evaluated once for all rows (or taken from log_deriv).
 
     Within 1e-6 of its own gamma a row takes the limit
-    sqrt(m/pi) Theta'(gamma)/2 (= -i/sqrt(m pi) at a multiplicity-m zero).
+    sqrt(m/pi) Theta'(gamma)/2 (= -i/sqrt(m pi) at a multiplicity-m zero),
+    from one theta_prime_at_zero sweep over the rows that have such a node.
     Within 1e-6 of another zero gamma' (|L| >~ 1e6) L carries the error
     ~1e-14 |L|^2 of theta_on_axis, i.e. gamma' moved by ~1e-14 (the axis
     sweep, on a declared lattice, sums such nodes again point by point, see
@@ -120,6 +116,7 @@ def basis_table(gammas, mults, x, log_deriv=None) -> np.ndarray:
                    if log_deriv is None else log_deriv, (1, -1))
     norm = np.sqrt(m / math.pi)[:, None]
     vals = np.empty((len(g), x_arr.size), dtype=complex)
+    limits = []                          # (rows, columns) of the limit nodes
     # in column blocks, so the temporaries stay a few hundred kB
     for c0, c1 in numerics._blocks(x_arr.size):
         dx = x_arr[c0:c1] - g[:, None]
@@ -131,9 +128,12 @@ def basis_table(gammas, mults, x, log_deriv=None) -> np.ndarray:
         np.divide(norm, (1.0 + 1j * np.real(L[:, c0:c1])) * dx_safe,
                   out=vals[:, c0:c1])
         rows, cols = np.nonzero(near)
-        vals[rows, c0 + cols] = [math.sqrt(m[r] / math.pi)
-                                 * theta_prime_at_zero(float(g[r])) / 2.0
-                                 for r in rows]
+        limits.append((rows, c0 + cols))
+    rows, cols = (np.concatenate(a) for a in zip(*limits))
+    if rows.size:
+        have = np.flatnonzero(np.bincount(rows))
+        vals[rows, cols] = (norm[have, 0] * theta_prime_at_zero(g[have])
+                            / 2.0)[np.searchsorted(have, rows)]
     return vals
 
 
@@ -197,9 +197,11 @@ def psi_combination(gammas, mults, coeffs, Z: float, out: numerics.Grid,
     its psi_gamma_tail_bound). The sum is made in the first row, the node
     array is freed before the GridFunction copy and the sum before the
     transform: a copy of the first row, or either array held, raises the
-    peak RSS of a large psi_gamma."""
+    peak RSS of a large psi_gamma. No terms give zero, with no sweep."""
     if Z < 500.0:
         raise ValueError("psi_gamma requires Z >= 500")
+    if not len(gammas):
+        return numerics.GridFunction(out, np.zeros(out.n_points), "time")
     x_absmax = max(abs(out.x_min), abs(out.x_max))
     h = freq_spacing if freq_spacing is not None else _default_freq_spacing(x_absmax)
     fgrid, L = axis_samples(Z, h)

@@ -43,8 +43,9 @@ def xi_theta_values(rng, theta_range: float):
 
 
 def theta_prime_at_zeros(zs) -> float:
-    """Worst |Theta'(gamma) + 2i| over the catalog (m = 1 throughout)."""
-    return max(abs(db.theta_prime_at_zero(g) + 2j) for g in zs.ordinates)
+    """Worst |Theta'(gamma) + 2i/m_gamma| over the catalog, from one sweep."""
+    tp = db.theta_prime_at_zero(zs.ordinates) + 2j / np.asarray(zs.multiplicities)
+    return float(np.max(np.abs(tp), initial=0.0))
 
 
 def basis_value_table(zs):

@@ -459,30 +459,29 @@ def test_verify_all_writes_combined_report(tmp_path, monkeypatch):
     assert all(r["pass"] for r in rows)
 
 
-def test_verify_all_sweeps_theta_prime_once_per_ordinate(tmp_path, monkeypatch):
-    # Theta'(gamma) is one 4-point sweep per distinct +-gamma (20 at T = 50),
-    # however many basis functions and checks ask for it; the rows are the
-    # bytes of the route that sweeps at every request
+def test_verify_all_sweeps_theta_prime_once_per_table(tmp_path, monkeypatch):
+    # Theta'(gamma) is one sweep per basis_table call with limit nodes, plus
+    # one for the theta_prime_zeros row, at every run: the T = 50 run makes
+    # the same sweeps after a run at the defaults, so no cache holds Theta'
+    # and no loop sweeps one ordinate at a time, and its report is the same
     monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
-    argv = ["verify", "all", "--height-T", "50", "--cutoff-Z", "500", "--out"]
+    monkeypatch.setattr(db, "_AXIS_CACHE", {})
+    nu._PLANS.clear()
     sweeps = []
     real = sf.theta_on_axis
 
     def counted(x, log_deriv=None):
         if sys._getframe(1).f_code.co_name == "theta_prime_at_zero":
-            sweeps.append(tuple(x))
+            sweeps[-1].append(np.size(x))
         return real(x, log_deriv)
     monkeypatch.setattr(sf, "theta_on_axis", counted)
-    with monkeypatch.context() as m:
-        m.setattr(db, "theta_prime_at_zero", db.theta_prime_at_zero.__wrapped__)
-        assert cli.main(argv + [str(tmp_path / "every")]) == 0
-    every = len(sweeps)
-    del sweeps[:]
-    db.theta_prime_at_zero.cache_clear()
-    assert cli.main(argv + [str(tmp_path / "once")]) == 0
-    assert len(set(sweeps)) == len(sweeps) <= 20 < every
-    assert ((tmp_path / "once" / "report_all.json").read_bytes()
-            == (tmp_path / "every" / "report_all.json").read_bytes())
+    small = ["--height-T", "50", "--cutoff-Z", "500"]
+    for run, argv in (("cold", small), ("defaults", []), ("warm", small)):
+        sweeps.append([])
+        assert cli.main(["verify", "all", "--out", str(tmp_path / run)] + argv) == 0
+    assert sweeps[0] == sweeps[2] == [40, 40, 4, 4, 4, 80, 80]
+    assert ((tmp_path / "cold" / "report_all.json").read_bytes()
+            == (tmp_path / "warm" / "report_all.json").read_bytes())
 
 
 def test_export_bad_range_is_usage_error(tmp_path, monkeypatch, capsys):

@@ -20,8 +20,29 @@ from conftest import ZERO_TABLE, mp_log_derivative
 # ----------------------------------------------------------------------
 
 def test_theta_prime_first_zeros(catalog):
-    for g in catalog.ordinates[:2]:
-        assert abs(db.theta_prime_at_zero(g) + 2j) <= 1e-5
+    tp = db.theta_prime_at_zero(catalog.ordinates[:2])
+    assert np.all(np.abs(tp + 2j) <= 1e-5)
+
+
+def test_theta_prime_batch_matches_single_ordinates():
+    # each value is ~2e-14 off (the point route's ~1e-14 |L|^2 at
+    # |L| ~ 1/h) per Theta sample; through the Richardson weights that is
+    # (4 * 2 * 2e-14 / h + 2 * 2e-14 / (2 h)) / 3 = 6e-10 per route, so
+    # 1.2e-9 between the batch and the one-ordinate sweeps
+    zs = zc.compute_zeros(120.0)
+    g = np.concatenate([-np.array(zs.ordinates), zs.ordinates])
+    single = np.array([db.theta_prime_at_zero([x])[0] for x in g])
+    assert np.max(np.abs(db.theta_prime_at_zero(g) - single)) <= 1.2e-9
+
+
+def test_theta_prime_row_compares_with_the_multiplicity():
+    # Theta'(gamma) = -2i/m: gamma_1 given m = 2 reads |-2i + 2i/2| = 1
+    zs = zc.compute_zeros(50.0)
+    doubled = zc.ZeroSet(zs.ordinates, (2,) + zs.multiplicities[1:],
+                         zs.height_T, zs.source)
+    assert ids.theta_prime_at_zeros(zs) <= 1e-9
+    assert abs(ids.theta_prime_at_zeros(doubled) - 1.0) <= 1e-9
+    assert ids.theta_prime_at_zeros(zc.compute_zeros(10.0)) == 0.0   # no zero
 
 
 def test_theta_prime_step_halving_consistency(catalog):
@@ -114,7 +135,7 @@ def test_synthetic_multiplicity_zero_set(catalog):
     F = db.BasisFunction(20.0, zs)
     assert F.m_gamma == 2
     assert F.values_on_axis([20.0])[0] == (math.sqrt(2.0 / math.pi)
-                                           * db.theta_prime_at_zero(20.0) / 2.0)
+                                           * db.theta_prime_at_zero([20.0]) / 2.0)[0]
 
 
 def test_basis_table_rows_take_their_own_limits():
@@ -128,10 +149,12 @@ def test_basis_table_rows_take_their_own_limits():
     table = db.basis_table(gam, mults, x, log_deriv=L)
     assert table.shape == (4, 8)
     near = {(0, 1), (1, 3), (2, 5), (2, 6), (3, 6)}
+    # every row has a limit node: one Theta' sweep over all four
+    limit = np.sqrt(np.array(mults) / math.pi) * db.theta_prime_at_zero(gam) / 2.0
     for (k, j), v in np.ndenumerate(table):
         norm = math.sqrt(mults[k] / math.pi)
         if (k, j) in near:
-            assert v == norm * db.theta_prime_at_zero(gam[k]) / 2.0
+            assert v == limit[k]
         else:
             ref = norm / ((1 + 1j * L[j]) * (x[j] - gam[k]))
             assert abs(v - ref) <= 1e-15 * abs(ref)
@@ -145,9 +168,11 @@ def _basis_table_unblocked(gammas, mults, x, L):
     near = np.abs(dx) < 1e-6
     vals = (np.sqrt(m / math.pi)[:, None]
             / ((1.0 + 1j * np.real(L)[None, :]) * np.where(near, 1.0, dx)))
+    have = np.flatnonzero(near.any(axis=1))
+    limit = dict(zip(have, np.sqrt(m[have] / math.pi)
+                     * db.theta_prime_at_zero(g[have]) / 2.0))
     rows, cols = np.nonzero(near)
-    vals[rows, cols] = [math.sqrt(m[r] / math.pi)
-                        * db.theta_prime_at_zero(float(g[r])) / 2.0 for r in rows]
+    vals[rows, cols] = [limit[r] for r in rows]
     return vals
 
 

@@ -5,8 +5,6 @@ must fail at least one row.
 A fault that no row can see yet is kept as a strict expected failure, so
 the test turns into a failure of its own (XPASS) once a row catches it."""
 
-import functools
-
 import pytest
 
 from weil_lab import cli
@@ -43,12 +41,10 @@ def _first_changed(g_shift=0.0, m=1):
 
 def _patched(module, name, wrap):
     """The fault that replaces module.name by wrap(module.name) for the
-    catalog sweep and the suites, with an axis cache and Theta'(gamma)
-    cache of their own (the shared ones are left as they were)."""
+    catalog sweep and the suites, with an axis cache of its own (the shared
+    one is left as it was)."""
     def fault(monkeypatch):
         monkeypatch.setattr(db, "_AXIS_CACHE", {})
-        monkeypatch.setattr(db, "theta_prime_at_zero", functools.lru_cache(
-            maxsize=None)(db.theta_prime_at_zero.__wrapped__))
         monkeypatch.setattr(module, name, wrap(getattr(module, name)))
         return zc.compute_zeros(T)
     return fault
@@ -91,7 +87,8 @@ FAULTS = {
     "gamma_1_moved_1e-6": _first_changed(g_shift=1e-6),
     # fails 8 rows, spectra_interlace among them
     "spurious_zero_at_45": _edited(lambda pairs: pairs + [(45.0, 1)]),
-    # fails 7 rows, spectra_interlace among them
+    # fails 8 rows, theta_prime_zeros (about 1.0) and spectra_interlace
+    # among them
     "gamma_1_doubled": _first_changed(m=2),
     "xi_prime_scaled_1e-6": _unseen(_patched(sf, "xi", _xi_prime_scaled), (
         "a constant factor on xi' moves no zero of S_0 and no row reads xi' "

@@ -267,6 +267,20 @@ def test_decompose_on_a_T50_catalog(lw_grid):
                          - psi(lw_grid.nodes()))) <= 1e-12
 
 
+def test_decompose_on_an_empty_catalog(lw_grid, monkeypatch):
+    # no zero below T = 10: psi1 is zero, with no transform, psi0 is the
+    # samples, and there is no residual coefficient
+    calls = []
+    inverse = nu.inverse_fourier_grid
+    monkeypatch.setattr(nu, "inverse_fourier_grid",
+                        lambda *a: calls.append(1) or inverse(*a))
+    psi = wf.TestFunction.bump(0.0, 1.0)
+    dec = hp.decompose_LW(psi, zc.compute_zeros(10.0), 500.0, lw_grid)
+    assert not calls and not np.any(dec.psi1.values)
+    assert np.array_equal(dec.psi0.values, psi(lw_grid.nodes()))
+    assert dec.residual_coeffs().size == 0
+
+
 def test_decompose_makes_one_inverse_transform(lw_grid, catalog, monkeypatch):
     # psi1 is one transform of the summed frequency samples, not one per
     # catalog entry (58 at T = 100)
