@@ -54,7 +54,7 @@ def axis_samples(Z: float, spacing: float):
     L is taken at k h, which differs from grid.nodes() (linspace) by a few
     ulps, <= ~5e-13 at |x| = 2000. Consumers read L only through
     1/(1 + iL) and Theta, whose x-derivative is O(log x), so F_gamma moves
-    by <~ 1e-12. They read only Re L, and L(-x) = -L(x): float64 samples.
+    by <~ 1e-12. L is real, and L(-x) = -L(x): float64 samples.
     """
     grid = numerics.symmetric_grid(Z, spacing)
     m = grid.n_points // 2
@@ -62,8 +62,7 @@ def axis_samples(Z: float, spacing: float):
     held = 0 if L is None else L.size // 2 + 1       # half-grid nodes held
     if held < m + 1:
         t0 = time.perf_counter()
-        new = np.real(sf.critical_line_log_derivative(
-            np.arange(held, m + 1) * grid.h, step=grid.h))
+        new = sf.critical_line_log_derivative(np.arange(held, m + 1) * grid.h, step=grid.h)
         full = np.empty(2 * m + 1)
         full[:m - held + 1] = -new[::-1]
         if held:
@@ -94,8 +93,8 @@ def theta_prime_at_zero(gammas) -> np.ndarray:
 
 
 def basis_table(gammas, mults, x, log_deriv=None) -> np.ndarray:
-    """F_gamma(x) at real x for each (gamma, m): one row per pair, with L
-    evaluated once for all rows (or taken from log_deriv).
+    """F_gamma(x) at real x for each (gamma, m): one row per pair, with the
+    real L evaluated once for all rows (or taken from log_deriv, float64).
 
     Within 1e-6 of its own gamma a row takes the limit
     sqrt(m/pi) Theta'(gamma)/2 (= -i/sqrt(m pi) at a multiplicity-m zero),
@@ -103,9 +102,9 @@ def basis_table(gammas, mults, x, log_deriv=None) -> np.ndarray:
     Within 1e-6 of another zero gamma' (|L| >~ 1e6) L carries the error
     ~1e-14 |L|^2 of theta_on_axis, i.e. gamma' moved by ~1e-14 (the axis
     sweep, on a declared lattice, sums such nodes again point by point, see
-    special_fn). Then
-    1/(1 + iL) is off by ~1e-14, so a value there (~0) is off by
-    ~1e-14 sqrt(m/pi)/|x - gamma|, far below the 1e-6 off-diagonal bound.
+    special_fn). Then 1/(1 + iL) is off by ~1e-14, so a value there (~0) is
+    off by ~1e-14 sqrt(m/pi)/|x - gamma|, far below the 1e-6 off-diagonal
+    bound.
     """
     g = np.asarray(gammas, dtype=float)
     m = np.asarray(mults)
@@ -122,11 +121,9 @@ def basis_table(gammas, mults, x, log_deriv=None) -> np.ndarray:
         dx = x_arr[c0:c1] - g[:, None]
         near = np.abs(dx) < 1e-6
         dx_safe = np.where(near, 1.0, dx)
-        # (1 + Theta)/2 = 1/(1 + iL) with L taken exactly real (it is real
-        # on the axis); the quotient survives L -> inf at the other catalog
-        # zeros, where 1 + Theta cancels.
-        np.divide(norm, (1.0 + 1j * np.real(L[:, c0:c1])) * dx_safe,
-                  out=vals[:, c0:c1])
+        # (1 + Theta)/2 = 1/(1 + iL) with L real; the quotient survives
+        # L -> inf at the other catalog zeros, where 1 + Theta cancels.
+        np.divide(norm, (1.0 + 1j * L[:, c0:c1]) * dx_safe, out=vals[:, c0:c1])
         rows, cols = np.nonzero(near)
         limits.append((rows, c0 + cols))
     rows, cols = (np.concatenate(a) for a in zip(*limits))

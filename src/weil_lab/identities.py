@@ -31,14 +31,14 @@ def xi_product(s):
 def xi_theta_values(rng, theta_range: float):
     """(relative error of xi(1/2), worst relative gap between xi(s) and
     xi_product(s) at 100 random s, worst ||Theta(x)| - 1| at 100 random
-    |x| <= theta_range, |Theta(0) - 1|)."""
+    |x| <= theta_range with Theta = E^#/E from xi and xi', |Theta(0) - 1|)."""
     rel_half = abs(sf.xi(0.5).xi - XI_HALF_REF) / XI_HALF_REF
     s = np.array([complex(rng.uniform(-8, 9), rng.uniform(-110, 110))
                   for _ in range(100)])
     a, b = sf.xi(s).xi, xi_product(s)
     worst_sym = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300)))
     x = rng.uniform(-theta_range, theta_range, size=100)
-    worst_mod = float(np.max(np.abs(np.abs(sf.theta_on_axis(x)) - 1.0)))
+    worst_mod = float(np.max(np.abs(np.abs(sf.theta_xi(x)) - 1.0)))
     return rel_half, worst_sym, worst_mod, abs(sf.theta_xi(0.0) - 1.0)
 
 

@@ -5,8 +5,8 @@ and the omega profile (the time-domain inverse transform of xi(1/2-iz)).
 All evaluators are double precision and validated against high-precision
 references in the test suite. xi, E_xi, theta_xi, omega_profile,
 log_gamma, digamma and zeta_pair take a scalar (and return scalars) or
-an array (and return arrays of its shape); critical_line_log_derivative,
-theta_on_axis and xi_on_critical_line take real arrays.
+an array (and return arrays of its shape); critical_line_log_derivative
+(which returns one), theta_on_axis and xi_on_critical_line take real arrays.
 
 The vector routes sum zeta by Euler-Maclaurin in chunks of 8192 points of
 comparable height, each to its own N, and take the Dirichlet sums
@@ -399,18 +399,19 @@ def _em_chunks(s: np.ndarray, lattice=None):
 
     lattice = (k0, h) declares s = 1/2 - i k h for k = k0, k0 + 1, ...: the
     chunks are then the fixed blocks of k of the module docstring, summed by
-    _lattice_sums. The route is chosen here, once per call, and ln n is
-    taken once, to the largest N, for every chunk to slice. redone counts a
-    chunk's nodes summed again point by point: on a lattice, those where
-    the lattice sums' error model, |dw| ~ _LATTICE_EPS |s - 1| sum n^{-1/2},
-    puts the error of L = w'/w + ..., |w'| |dw| / |w|^2, above _L_BUDGET
-    (near a zero, where w cancels); point by point, none (eps = 0)."""
+    _lattice_sums, and s is read for its size alone. The route is chosen
+    here, once per call, and ln n is taken once, to the largest N, for every
+    chunk to slice. redone counts a chunk's nodes summed again point by
+    point: on a lattice, those where the lattice sums' error model,
+    |dw| ~ _LATTICE_EPS |s - 1| sum n^{-1/2}, puts the error of
+    L = w'/w + ..., |w'| |dw| / |w|^2, above _L_BUDGET (near a zero, where
+    w cancels); point by point, none."""
     s = s.ravel()
     n = s.size
     if lattice is None:
         order = np.argsort(np.abs(s.imag), kind="stable")
         s = s[order]
-        off, sums, eps = 0, _point_sums, 0.0
+        off, sums = 0, _point_sums
     else:
         k0, h = lattice
         j0 = k0 // _CHUNK
@@ -423,7 +424,6 @@ def _em_chunks(s: np.ndarray, lattice=None):
 
         def sums(sc, hi, lo):
             return _lattice_sums(sc, complex(0.0, -h), hi, lo, inv_T)
-        eps = _LATTICE_EPS
     starts = range(0, s.size, _CHUNK)
     Ns = [_em_length(s[i0:i0 + _CHUNK]) for i0 in starts]
     hi, lo = _ln_parts(np.arange(1.0, max(Ns, default=1)))
@@ -433,12 +433,14 @@ def _em_chunks(s: np.ndarray, lattice=None):
         a, b = max(i0, off), min(i0 + _CHUNK, off + n)
         sc, S, Sp = s[a:b], S[a - i0:b - i0], Sp[a - i0:b - i0]
         w, wp = _w_pair(sc, N, S, Sp)
-        dw = eps * np.sum(np.arange(1.0, N) ** -0.5) * np.abs(sc - 1.0)
-        redo = np.flatnonzero(dw * np.abs(wp) > _L_BUDGET * np.abs(w) ** 2)
-        if redo.size:
+        redo = ()
+        if lattice is not None:
+            dw = _LATTICE_EPS * np.sum(np.arange(1.0, N) ** -0.5) * np.abs(sc - 1.0)
+            redo = np.flatnonzero(dw * np.abs(wp) > _L_BUDGET * np.abs(w) ** 2)
+        if len(redo):
             S, Sp = _point_sums(sc[redo], hi_N, lo_N)
             w[redo], wp[redo] = _w_pair(sc[redo], N, S, Sp)
-        yield order[a:b], sc, w, wp, (N, redo.size)
+        yield order[a:b], sc, w, wp, (N, len(redo))
 
 
 def _chi_pair(s: np.ndarray):
@@ -482,7 +484,8 @@ def zeta_pair(s):
 # ----------------------------------------------------------------------
 
 def _log_derivative(s: np.ndarray, w: np.ndarray, wp: np.ndarray) -> np.ndarray:
-    return -0.5 * _LN_PI + 0.5 * digamma(s / 2.0 + 1.0) + wp / w
+    # Re(-i (xi'/xi)(s)) = Im(-log(pi)/2 + psi(s/2 + 1)/2 + w'/w)
+    return 0.5 * digamma(s / 2.0 + 1.0).imag + (wp / w).imag
 
 
 def _xi_pair(s: np.ndarray, w: np.ndarray, wp: np.ndarray):
@@ -557,8 +560,8 @@ def theta_xi(z):
 def critical_line_log_derivative(x, step=None):
     """d/dz log xi(1/2 - iz) at real z = x, vectorized.
 
-    Returns -i * (xi'/xi)(1/2 - ix); real-valued up to roundoff since
-    xi(1/2 - iz) is real on the real axis.  The ratio form stays finite
+    Returns Re(-i * (xi'/xi)(1/2 - ix)) as float64: xi(1/2 - iz) is real
+    on the real axis, so L is real there.  The ratio form stays finite
     through the exponentially small range of xi (no underflow), which makes
     it usable on frequency grids far beyond |x| ~ 900, where xi does.  At
     zeros of xi the value blows up like m/(x - gamma); callers that need the
@@ -586,11 +589,10 @@ def critical_line_log_derivative(x, step=None):
         if not (ok and np.array_equal(x.ravel(), np.arange(k0, k0 + x.size) * step)):
             raise ValueError("x is not k * step for consecutive integers k")
         lattice = (k0, float(step))
-    s = 0.5 - 1j * x
-    out = np.empty(s.shape, dtype=complex)
+    out = np.empty(x.shape)
     chunks = redone = N_max = 0
-    for idx, sc, w, wp, (N, r) in _em_chunks(s, lattice):
-        out.flat[idx] = -1j * _log_derivative(sc, w, wp)
+    for idx, sc, w, wp, (N, r) in _em_chunks(x if lattice else 0.5 - 1j * x, lattice):
+        out.flat[idx] = _log_derivative(sc, w, wp)
         chunks += 1
         redone += r
         N_max = max(N_max, N)
@@ -598,7 +600,7 @@ def critical_line_log_derivative(x, step=None):
     fine = numerics._fast_len(2 * _CHUNK) if lattice_chunks else 0
     _log.debug("critical-line sweep: %d points, largest Euler-Maclaurin N %d, "
                "%d NUFFT chunks, %d point by point, largest fine grid %d, "
-               "%d nodes re-summed exactly, %.3f s", s.size, N_max,
+               "%d nodes re-summed exactly, %.3f s", x.size, N_max,
                lattice_chunks, chunks - lattice_chunks, fine, redone,
                time.perf_counter() - t0)
     return out
@@ -611,10 +613,9 @@ def theta_on_axis(x, log_deriv=None):
     With L(x) = d/dz log xi(1/2-iz) (exactly real on the axis since
     xi(1/2-iz) is real there),
         E = q (1 + i L),  E^# = q (1 - i L),  q real,
-    so Theta = (1 - i L)/(1 + i L): exactly unimodular and immune to the
-    underflow of xi at large |x|. The evaluator's imaginary residue on L is
-    discarded; near the zeros (where |L| blows up like m/(x-gamma)) that
-    residue would otherwise dominate the phase error.
+    so Theta = (1 - i L)/(1 + i L): with L real (as
+    critical_line_log_derivative returns it), exactly unimodular and immune
+    to the underflow of xi at large |x|.
 
     Error model near a zero: L comes from O(1) sums that cancel there, so
     an error dw in w moves the zero by ~|dw / w'| and L by that times |L|^2.
@@ -625,8 +626,7 @@ def theta_on_axis(x, log_deriv=None):
     2|dL|/(1 + L^2), i.e. twice the move of the zero.
     """
     L = critical_line_log_derivative(x) if log_deriv is None else log_deriv
-    a = np.real(L)
-    return (1.0 - 1j * a) / (1.0 + 1j * a)
+    return (1.0 - 1j * L) / (1.0 + 1j * L)
 
 
 def xi_on_critical_line(t):

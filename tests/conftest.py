@@ -34,6 +34,13 @@ def count_xi_points(monkeypatch):
     return sizes
 
 
+def with_pairs(zs, edit):
+    """The ZeroSet zs with edit applied to its sorted list of (gamma, m)."""
+    pairs = sorted(edit(list(zip(zs.ordinates, zs.multiplicities))))
+    return zc.ZeroSet(tuple(g for g, _ in pairs), tuple(m for _, m in pairs),
+                      zs.height_T, zs.source)
+
+
 def mp_log_derivative(x):
     """Oracle for L(x) = d/dz log xi(1/2 - iz) at real x, by mpmath at the
     caller's working precision (an mpc)."""

@@ -12,7 +12,7 @@ from weil_lab import numerics as nu
 from weil_lab import special_fn as sf
 from weil_lab import zero_catalog as zc
 
-from conftest import ZERO_TABLE, mp_log_derivative
+from conftest import ZERO_TABLE, mp_log_derivative, with_pairs
 
 
 # ----------------------------------------------------------------------
@@ -38,8 +38,7 @@ def test_theta_prime_batch_matches_single_ordinates():
 def test_theta_prime_row_compares_with_the_multiplicity():
     # Theta'(gamma) = -2i/m: gamma_1 given m = 2 reads |-2i + 2i/2| = 1
     zs = zc.compute_zeros(50.0)
-    doubled = zc.ZeroSet(zs.ordinates, (2,) + zs.multiplicities[1:],
-                         zs.height_T, zs.source)
+    doubled = with_pairs(zs, lambda p: [(p[0][0], 2)] + p[1:])
     assert ids.theta_prime_at_zeros(zs) <= 1e-9
     assert abs(ids.theta_prime_at_zeros(doubled) - 1.0) <= 1e-9
     assert ids.theta_prime_at_zeros(zc.compute_zeros(10.0)) == 0.0   # no zero
@@ -167,7 +166,7 @@ def _basis_table_unblocked(gammas, mults, x, L):
     dx = x - g[:, None]
     near = np.abs(dx) < 1e-6
     vals = (np.sqrt(m / math.pi)[:, None]
-            / ((1.0 + 1j * np.real(L)[None, :]) * np.where(near, 1.0, dx)))
+            / ((1.0 + 1j * L[None, :]) * np.where(near, 1.0, dx)))
     have = np.flatnonzero(near.any(axis=1))
     limit = dict(zip(have, np.sqrt(m[have] / math.pi)
                      * db.theta_prime_at_zero(g[have]) / 2.0))
@@ -297,8 +296,8 @@ def test_axis_cache_reuse(catalog):
 
 
 def test_axis_samples_are_the_real_mirrored_sweep():
-    # L is kept as float64: Re of the sweep over x = k h >= 0, mirrored by
-    # L(-x) = -conj(L(x))
+    # L is kept as float64: the sweep over x = k h >= 0, mirrored by
+    # L(-x) = -L(x)
     Z, spacing = 37.0, 0.05
     db.clear_axis_cache()
     try:
@@ -307,7 +306,7 @@ def test_axis_samples_are_the_real_mirrored_sweep():
         db.clear_axis_cache()
     k = np.arange(fgrid.n_points // 2 + 1)
     L_half = sf.critical_line_log_derivative(k * fgrid.h, step=fgrid.h)
-    ref = np.real(np.concatenate([-np.conj(L_half[:0:-1]), L_half]))
+    ref = np.concatenate([-L_half[:0:-1], L_half])
     assert L.dtype == np.float64 and L.tobytes() == ref.tobytes()
 
 
@@ -386,7 +385,7 @@ def test_declared_step_is_checked_bit_for_bit():
     h = 0.05
     k = np.arange(3, 40)
     L = sf.critical_line_log_derivative(k * h, step=h)
-    assert L.shape == (37,)
+    assert L.shape == (37,) and L.dtype == np.float64     # L is real
     for bad in (np.linspace(3 * h, 39 * h, 37),      # linspace, not k * h
                 np.delete(k, 5) * h,                 # a gap in k
                 k[::-1] * h):                        # k decreasing

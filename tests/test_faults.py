@@ -13,17 +13,14 @@ from weil_lab import numerics as nu
 from weil_lab import special_fn as sf
 from weil_lab import zero_catalog as zc
 
+from conftest import with_pairs
+
 T = 50.0
 
 
 def _edited(edit):
     """The fault that applies edit to the catalog's (gamma, m) pairs."""
-    def fault(monkeypatch):
-        zs = zc.compute_zeros(T)
-        pairs = sorted(edit(list(zip(zs.ordinates, zs.multiplicities))))
-        return zc.ZeroSet(tuple(g for g, _ in pairs), tuple(m for _, m in pairs),
-                          zs.height_T, zs.source)
-    return fault
+    return lambda monkeypatch: with_pairs(zc.compute_zeros(T), edit)
 
 
 def _without(index):

@@ -12,7 +12,7 @@ from weil_lab import special_fn as sf
 from weil_lab import weil_form as wf
 from weil_lab import zero_catalog as zc
 
-from conftest import count_xi_points, eigen_samples
+from conftest import count_xi_points, eigen_samples, with_pairs
 
 
 # ----------------------------------------------------------------------
@@ -51,12 +51,6 @@ def test_s_theta_broadcasts_with_one_xi_call(monkeypatch):
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 
 
-def _with_pairs(zs, edit):
-    pairs = sorted(edit(list(zip(zs.ordinates, zs.multiplicities))))
-    return zc.ZeroSet(tuple(g for g, _ in pairs), tuple(m for _, m in pairs),
-                      zs.height_T, zs.source)
-
-
 def test_spectra_interlace_on_complete_catalogs(catalog, monkeypatch):
     assert ids.spectra_interlace(zc.compute_zeros(120.0)) == 0
     sizes = count_xi_points(monkeypatch)
@@ -72,12 +66,12 @@ def test_spectra_interlace_on_complete_catalogs(catalog, monkeypatch):
 ], ids=["gamma_1_deleted", "gamma_3_deleted", "spurious_zero_at_45",
         "gamma_1_doubled"])
 def test_spectra_interlace_sees_a_faulty_catalog(catalog, edit):
-    assert ids.spectra_interlace(_with_pairs(catalog, edit)) >= 1
+    assert ids.spectra_interlace(with_pairs(catalog, edit)) >= 1
 
 
 def test_spectra_interlace_cannot_see_the_last_zero_missing(catalog):
     # no S_0 zero above gamma_N is promised below T
-    assert ids.spectra_interlace(_with_pairs(catalog, lambda p: p[:-1])) == 0
+    assert ids.spectra_interlace(with_pairs(catalog, lambda p: p[:-1])) == 0
 
 
 def test_spectra_interlace_scan_is_capped_before_allocation():
