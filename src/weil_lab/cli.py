@@ -4,7 +4,8 @@ CSV/JSON artifact export.
 Suites return {check_id: value}; identities the acceptance suite also
 checks come from weil_lab.identities. CHECKS gives each check's anchor and
 default bound in report order, and a --tol or tol. key must name one of
-them. Every suite but 'special' needs a catalog ordinate below T.
+them. A command that reads the catalog (every suite but 'special', zeros
+compute, every export but omega) needs an ordinate below T, or exits 2.
 
 Configuration: the keys zeros, height_T, cutoff_Z, grid, out and tol.<id>
 of a --config file, then the flags of the same names over them; a key
@@ -298,10 +299,16 @@ _SUITE_FN = {
 SUITES = tuple(_SUITE_FN) + ("all",)
 
 
-def run_verify(suite: str, cfg: RunConfig) -> int:
-    if suite != "special" and not len(cfg.catalog):
+def _no_ordinates(zs: zc.ZeroSet, cfg: RunConfig) -> bool:
+    """True, with the config error printed, when the catalog zs is empty."""
+    if not len(zs):
         print("config error: no zero ordinates below T = %g" % cfg.height_T,
               file=sys.stderr)
+    return not len(zs)
+
+
+def run_verify(suite: str, cfg: RunConfig) -> int:
+    if suite != "special" and _no_ordinates(cfg.catalog, cfg):
         return 2
     names = list(_SUITE_FN) if suite == "all" else [suite]
     all_rows: List[dict] = []
@@ -333,9 +340,7 @@ def run_zeros(action: str, cfg: RunConfig) -> int:
     cache = cfg.cache_dir
     if action == "compute":
         zs = zc.compute_zeros(cfg.height_T)
-        if not len(zs):
-            print("config error: no zero ordinates below T = %g" % cfg.height_T,
-                  file=sys.stderr)
+        if _no_ordinates(zs, cfg):
             return 2
         rep = zc.counting_check(zs)
         print("computed %d ordinates up to T=%g (count estimate %.2f, %s)"
@@ -389,6 +394,8 @@ def _check_export_size(n: float, what: str) -> None:
 
 def run_export(what: str, arg: Optional[str], cfg: RunConfig) -> int:
     """Write one CSV artifact; omega needs no catalog, so it reads none."""
+    if what != "omega" and _no_ordinates(cfg.catalog, cfg):
+        return 2
     if what in ("psi_gamma", "F_gamma"):
         zs = cfg.catalog
         idx = int(arg or "1")

@@ -204,8 +204,6 @@ _SPREAD = 17
 _BETA = 2.30 * _SPREAD
 _OFFSETS = np.arange(-(_SPREAD // 2), _SPREAD // 2 + 1)
 _SOURCE_BLOCK = 2048
-# 2 pi to 40 digits, an exact rational
-_TWO_PI = Fraction("6.283185307179586476925286766559005768394")
 # The lattice sums are good to ~_LATTICE_EPS sum |n^{-s}|; a node whose L
 # would then be off by more than _L_BUDGET (the point route's 1e-14 |L|^2
 # at |L| = 1e6) is summed again point by point.
@@ -301,23 +299,22 @@ def _lattice_sums(s: np.ndarray, d: complex, hi: np.ndarray, lo: np.ndarray,
     n^{-c - k d} = c_n e^{2 pi i k x_n / M} with c_n = n^{-c} (by _powers)
     and x_n = -Im d ln n M / 2pi on a fine grid of M = _fast_len(2K) points.
     x_n is formed in double-double (Dekker's product of ln n = hi + lo with
-    the constant) and split into its nearest grid point m_n and an offset
-    |b_n| <= 1/2, so the phase k m_n 2pi/M is the FFT's own and only k b_n
-    is rounded. c_n takes e^{2 pi i k0 x_n / M}, k0 = K//2 (k0 m_n reduced
-    mod M exactly), so the outputs are the centred modes k - k0. The three
-    weight sets c_n, -ln n c_n and ln^2 n c_n are spread by np.bincount and
-    transformed by one stacked FFT; inv_T (_deconvolution) deconvolves. One
-    Taylor step, S += eps S' and S' += eps S'', then carries both sums to
-    s_k itself, eps = s_k - c - k d being the roundoff of Im s_k
-    (Re s_k = 1/2 throughout), formed exactly (TwoSum, split Im d) on
-    blocks that rise or fall in height.
+    the constant, itself a double-double from numerics._per_turn) and split
+    into its nearest grid point m_n and an offset |b_n| <= 1/2, so the
+    phase k m_n 2pi/M is the FFT's own and only k b_n is rounded. c_n takes
+    e^{2 pi i k0 x_n / M}, k0 = K//2 (k0 m_n reduced mod M exactly), so the
+    outputs are the centred modes k - k0. The three weight sets c_n,
+    -ln n c_n and ln^2 n c_n are spread by np.bincount and transformed by
+    one stacked FFT; inv_T (_deconvolution) deconvolves. One Taylor step,
+    S += eps S' and S' += eps S'', then carries both sums to s_k itself,
+    eps = s_k - c - k d being the roundoff of Im s_k (Re s_k = 1/2
+    throughout), formed exactly (TwoSum, split Im d) on blocks that rise or
+    fall in height.
     """
     K = s.size
     M = numerics._fast_len(2 * K)
     k0 = K // 2
-    alpha = Fraction(-d.imag) * M / _TWO_PI
-    a_hi = float(alpha)
-    a_lo = float(alpha - Fraction(a_hi))
+    a_hi, a_lo = numerics._per_turn(-d.imag, float(M), 1.0)
     x, x_lo = numerics._two_prod(hi, a_hi)
     x_lo += hi * a_lo + lo * a_hi
     m = np.rint(x)
@@ -650,35 +647,30 @@ def omega_profile(x):
     quadrature oracle; the half-size normalization seen in some references
     pairs with a one-sided cosine transform instead).
 
-    At a scalar x (a float) or an array of x (an array of its shape); each
-    x sums its own n <= sqrt(40/(pi e^{2x})) + 10 terms, in a row as wide
-    as that count rounded up to a power of two, so the summation order and
-    the value depend on x alone, not on the other points. Series validated
-    for |x| <= 5, which every element must satisfy. A value whose terms all
-    lie below 1e-16 is its leading term. Even in exact arithmetic; for
-    x < -1 the evenness holds only up to absolute (not relative)
-    double-precision residue, which is what the declared range needs.
+    At a scalar x (a float) or an array of x (an array of its shape). omega
+    is even (its transform is even by xi(s) = xi(1 - s)), so the series is
+    summed at |x|, where it converges fast: its n <= ceil(sqrt(40/(pi
+    e^{2|x|}))) + 10 <= 14 terms fill one row of 16 at every point, so
+    omega(-x) and omega(x) are the same bytes and neither depends on the
+    other points. Series validated for |x| <= 5, which every element must
+    satisfy. A value whose terms all lie below 1e-16 is its leading term.
     """
     x_arr = np.asarray(x, dtype=float)
     if np.any(np.abs(x_arr) > 5.0):
         raise ValueError("omega_profile validated for |x| <= 5")
-    xf = x_arr.ravel()
+    xf = np.abs(x_arr.ravel())
     n_max = np.ceil(np.sqrt(40.0 / (math.pi * np.exp(2.0 * xf)))) + 10
-    # a row's width, and so numpy's pairwise summation order, is set by x alone
-    width = 2 ** np.ceil(np.log2(n_max)).astype(int)
+    n = np.arange(1, 17)
     out = np.empty(xf.shape)
-    # sorted distinct widths without np.unique, which imports numpy.ma
-    for w in sorted(set(width.tolist())):
-        idx, n = np.flatnonzero(width == w), np.arange(1, w + 1)
-        rows = _TABLE_ELEMS // w                                # tables <= 8 MB
-        for i0 in range(0, idx.size, rows):
-            j = idx[i0:i0 + rows]
-            x, top, a = xf[j, None], n_max[j, None], np.exp(2.0 * xf[j, None])
-            terms = (4.0 * math.pi ** 2 * n ** 4 * np.exp(4.5 * x)
-                     - 6.0 * math.pi * n ** 2 * np.exp(2.5 * x)) * np.exp(-math.pi * n * n * a)
-            terms[n > top] = 0.0
-            # retain the leading term so superexponentially small values decay smoothly
-            keep = np.any(np.abs(terms) >= 1e-16, axis=1)
-            out[j] = np.where(keep, np.sum(terms, axis=1), terms[:, 0])
+    rows = _TABLE_ELEMS // n.size                               # tables <= 8 MB
+    for i0 in range(0, xf.size, rows):
+        j = slice(i0, i0 + rows)
+        x, top, a = xf[j, None], n_max[j, None], np.exp(2.0 * xf[j, None])
+        terms = (4.0 * math.pi ** 2 * n ** 4 * np.exp(4.5 * x)
+                 - 6.0 * math.pi * n ** 2 * np.exp(2.5 * x)) * np.exp(-math.pi * n * n * a)
+        terms[n > top] = 0.0
+        # retain the leading term so superexponentially small values decay smoothly
+        keep = np.any(np.abs(terms) >= 1e-16, axis=1)
+        out[j] = np.where(keep, np.sum(terms, axis=1), terms[:, 0])
     out = out.reshape(x_arr.shape)
     return float(out) if out.ndim == 0 else out

@@ -97,11 +97,16 @@ def test_height_guard_is_config_error(tmp_path, monkeypatch, capsys):
             (["verify", "special", "--config", str(inf_tol)], "xi_half_reference"),
             # no ordinate below T = 10 for a catalog suite
             (["verify", "hilbert_polya", "--height-T", "10"], "T = 10"),
-            (["verify", "all", "--height-T", "10"], "T = 10")]:
+            (["verify", "all", "--height-T", "10"], "T = 10"),
+            # and for an export that reads the catalog
+            (["export", "screw_g", "0:1:0.5", "--height-T", "10"], "T = 10"),
+            (["export", "psi_gamma", "1", "--height-T", "10"], "T = 10"),
+            (["export", "F_gamma", "1", "--height-T", "10"], "T = 10")]:
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and named in err
     assert not list(tmp_path.glob("report_*.json"))
+    assert not list(tmp_path.glob("*.csv"))
     # the cap admits the acceptance cutoff of the heavy_psi fixture
     assert cli.RunConfig(cutoff_Z=10000.0).cutoff_Z == 10000.0
 

@@ -433,9 +433,9 @@ def test_omega_array_matches_per_point_oracle():
 
 
 def test_omega_value_does_not_depend_on_the_batch():
-    # a row is as wide as its own term count rounded up to a power of two,
-    # so numpy's pairwise sum adds a value's terms in one order alone and
-    # inside a call whose widest row (x = -5) takes 540 terms
+    # every point, either sign, is summed at |x| in one row of 16 terms, so
+    # numpy's pairwise sum adds a value's terms in one order alone, inside
+    # a call with points at both ends of the range too
     x = np.random.default_rng(46).uniform(-5.0, 5.0, 400)
     batch = sf.omega_profile(np.concatenate([[-5.0], x, [5.0]]))[1:-1]
     alone = np.array([sf.omega_profile(v) for v in x])
@@ -443,8 +443,8 @@ def test_omega_value_does_not_depend_on_the_batch():
 
 
 def test_omega_array_working_set_is_bounded():
-    # 20,001 points take up to 540 series terms each: the term table is
-    # built in row blocks, not as one 20001 x 540 array (86 MB)
+    # 20,001 points take a row of 16 series terms each, and the term table
+    # is built in row blocks of at most 1 << 20 terms (8 MB)
     x = np.linspace(-5.0, 5.0, 20001)
     tracemalloc.start()
     try:
@@ -470,6 +470,22 @@ def test_scalar_inputs_return_scalars():
 
 def test_omega_even():
     assert abs(sf.omega_profile(0.3) - sf.omega_profile(-0.3)) <= 1e-12
+    x = np.random.default_rng(47).uniform(0.0, 5.0, 1000)
+    assert sf.omega_profile(-x).tobytes() == sf.omega_profile(x).tobytes()
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, 1.5, 2.0, 2.5, -0.5, -1.0, -1.5, -2.0, -2.5])
+def test_omega_against_mpmath_series_at_x_itself(x):
+    # the series summed at x, not |x|, in 250 digits: below x = -1 its terms
+    # of order 1 cancel (to omega = 9.8e-197 at x = -2.5), which double
+    # precision cannot resolve, while the sum at |x| keeps its accuracy
+    with mp.workdps(250):
+        a = mp.exp(2 * mp.mpf(x))
+        ref = mp.fsum((4 * mp.pi ** 2 * n ** 4 * mp.exp(mp.mpf(4.5) * x)
+                       - 6 * mp.pi * n ** 2 * mp.exp(mp.mpf(2.5) * x))
+                      * mp.exp(-mp.pi * n * n * a)
+                      for n in range(1, int(mp.ceil(mp.sqrt(700 / (mp.pi * a)))) + 11))
+        assert abs(sf.omega_profile(x) - ref) <= 1e-13 * ref
 
 
 def test_omega_integral_matches_xi_half():
