@@ -1,11 +1,13 @@
 """Command-line front end: verification suites, zero-cache management, and
 CSV/JSON artifact export.
 
-Suites return {check_id: value}; identities the acceptance suite also
-checks come from weil_lab.identities. CHECKS gives each check's anchor and
-default bound in report order, and a --tol or tol. key must name one of
-them. A command that reads the catalog (every suite but 'special', zeros
-compute, every export but omega) needs an ordinate below T, or exits 2.
+One table, CHECKS, holds each check's id, suite, anchor, default bound and
+evaluator in report order; the suite names, and the ids a --tol or tol. key
+may name, come from it. A suite's function makes the work its checks share
+and returns their rows, each valued by its evaluator from that work;
+identities the acceptance suite also checks come from weil_lab.identities.
+A command that reads the catalog (every suite but 'special', zeros compute,
+every export but omega) needs an ordinate below T, or exits 2.
 
 Configuration: the keys zeros, height_T, cutoff_Z, grid, out and tol.<id>
 of a --config file, then the flags of the same names over them; a key
@@ -34,7 +36,8 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -64,7 +67,7 @@ class RunConfig:
             raise ValueError("height_T must be finite and <= %g" % zc.MAX_HEIGHT)
         if not 500.0 <= self.cutoff_Z <= zc.MAX_CUTOFF:
             raise ValueError("cutoff_Z must be in [500, %g]" % zc.MAX_CUTOFF)
-        unknown = sorted(set(self.tolerances) - {c[0] for c in CHECKS})
+        unknown = sorted(set(self.tolerances) - {c.id for c in CHECKS})
         if unknown:
             raise ValueError("tolerance for unknown check id(s): %s"
                              % ", ".join(unknown))
@@ -134,168 +137,164 @@ def load_config_file(path: str) -> Dict[str, str]:
     return values
 
 
-# (check_id, anchor, default bound) in report order. psi_norm's bound is the
-# 1e-2 floor: psi_gamma_tail_bound(gamma_1, Z) < 2e-3 at Z >= 500, T <= 120.
+class Check(NamedTuple):
+    id: str
+    suite: str
+    anchor: str
+    bound: float
+    evaluate: Callable[[SimpleNamespace], Optional[float]]
+
+
+def _gap(value, ref) -> float:
+    """|value - ref| / |ref|, with |ref| floored at 1e-30."""
+    return abs(value - ref) / max(abs(ref), 1e-30)
+
+
+# The check table, in report order. An evaluator values its check from the
+# work its suite's function made, and returns None only where the catalog
+# cannot supply the check. psi_norm's bound is the 1e-2 floor:
+# psi_gamma_tail_bound(gamma_1, Z) < 2e-3 at Z >= 500, T <= 120.
 CHECKS = (
-    ("xi_half_reference", "xi(s) = (1/2)s(s-1)pi^(-s/2)Gamma(s/2)zeta(s) at s=1/2", 1e-10),
-    ("xi_symmetry", "xi(s) = its defining product at 100 random s", 1e-10),
-    ("theta_unimodular", "|Theta(x)| = 1 for real x", 1e-12),
-    ("theta_at_zero", "Theta(0) = 1", 1e-12),
-    ("omega_even", "omega(x) = omega(-x)", 1e-12),
-    ("omega_transform", "omega^(z) = xi(1/2 - iz)", 1e-6),
-    ("omega_decay", "omega(5) below series floor", 1e-16),
-    ("basis_pairing_diagonal", "<psi_g, psi_g>_W = 1/pi", 1e-5),
-    ("basis_pairing_cross", "<psi_g, psi_g'>_W = 0", 1e-5),
-    ("positivity_random", "Re <psi,psi>_W >= -(tail + quad)", 0.0),
-    ("hermitian_symmetry", "<a,b>_W = conj <b,a>_W", 1e-12),
-    ("sesquilinearity", "<c a, b>_W = c <a,b>_W", 1e-10),
-    ("screw_origin", "g(0) = 0", 1e-15),
-    ("screw_conjugate", "g(-t) = conj g(t)", 1e-12),
-    ("kernel_hermitian", "G(t,s) = conj G(s,t)", 1e-12),
-    ("gram_psd", "Gram matrices of G_g are PSD", 0.0),
-    ("screw_equals_weil", "<phi,phi>_G = <antiderivative phi, same>_W", 0.0),
-    ("antiderivative_transform", "psi^(z) = phi^(z)/(-iz)", 1e-10),
-    ("theta_prime_zeros", "Theta'(gamma) = -2i/m_gamma", 1e-5),
-    ("basis_diagonal", "F_gamma(gamma) = -i/sqrt(m pi)", 1e-6),
-    ("basis_off_diagonal", "F_gamma(gamma') = 0", 1e-6),
-    ("restriction_isometry", "||F_gamma||^2 = sum |F_gamma|^2 * 2pi/|Theta'|", 1e-2),
-    ("restriction_point_mass", "sum |F_gamma(gamma')|^2 pi m = 1", 1e-6),
-    ("psi_norm", "2 pi ||psi_gamma||^2 = 1", 1e-2),
-    ("k_fixes_basis", "K psi_gamma = psi_gamma", 5e-2),
+    Check("xi_half_reference", "special", "xi(s) = (1/2)s(s-1)pi^(-s/2)Gamma(s/2)zeta(s) "
+          "at s=1/2", 1e-10, lambda w: w.xi_theta[0]),
+    Check("xi_symmetry", "special", "xi(s) = its defining product at 100 random s", 1e-10,
+          lambda w: w.xi_theta[1]),
+    Check("theta_unimodular", "special", "|Theta(x)| = 1 for real x", 1e-12,
+          lambda w: w.xi_theta[2]),
+    Check("theta_at_zero", "special", "Theta(0) = 1", 1e-12, lambda w: w.xi_theta[3]),
+    Check("omega_even", "special", "omega(x) = omega(-x)", 1e-12,
+          lambda w: abs(sf.omega_profile(0.3) - sf.omega_profile(-0.3))),
+    Check("omega_transform", "special", "omega^(z) = xi(1/2 - iz)", 1e-6,
+          lambda w, z=np.array([0.0, 1.0, 2.0]): np.max(np.abs(
+              nu.fourier_integral(sf.omega_profile, (-5.0, 5.0), z) - sf.xi(0.5 - 1j * z).xi))),
+    Check("omega_decay", "special", "omega(5) below series floor", 1e-16,
+          lambda w: abs(sf.omega_profile(5.0))),
+    Check("basis_pairing_diagonal", "weil", "<psi_g, psi_g>_W = 1/pi", 1e-5,
+          lambda w: w.pairing[0]),
+    # a catalog of one zero has no second psi_gamma
+    Check("basis_pairing_cross", "weil", "<psi_g, psi_g'>_W = 0", 1e-5,
+          lambda w: w.pairing[1] if len(w.pairing) > 1 else None),
+    Check("positivity_random", "weil", "Re <psi,psi>_W >= -(tail + quad)", 0.0,
+          lambda w: w.positivity),
+    Check("hermitian_symmetry", "weil", "<a,b>_W = conj <b,a>_W", 1e-12,
+          lambda w: _gap(np.conj(wf.weil_pairing(w.b, w.a, w.zs).value), w.ab)),
+    Check("sesquilinearity", "weil", "<c a, b>_W = c <a,b>_W", 1e-10,
+          lambda w: abs(wf.weil_pairing(wf.TestFunction.combination([w.c], [w.a]), w.b,
+                                        w.zs).value - w.c * w.ab) / max(abs(w.ab), 1e-30)),
+    Check("screw_origin", "screw", "g(0) = 0", 1e-15, lambda w: abs(wf.screw_g(0.0, w.zs))),
+    Check("screw_conjugate", "screw", "g(-t) = conj g(t)", 1e-12,
+          lambda w: abs(wf.screw_g(-1.7, w.zs) - np.conj(wf.screw_g(1.7, w.zs)))),
+    Check("kernel_hermitian", "screw", "G(t,s) = conj G(s,t)", 1e-12,
+          lambda w: abs(wf.screw_kernel(1.1, 0.4, w.zs)
+                        - np.conj(wf.screw_kernel(0.4, 1.1, w.zs)))),
+    Check("gram_psd", "screw", "Gram matrices of G_g are PSD", 0.0, lambda w: w.gram),
+    Check("screw_equals_weil", "screw", "<phi,phi>_G = <antiderivative phi, same>_W", 0.0,
+          lambda w: w.screw_weil),
+    Check("antiderivative_transform", "screw", "psi^(z) = phi^(z)/(-iz)", 1e-10,
+          lambda w, z=3.0: abs(w.psi.fourier(z) - w.phi.fourier(z) / (-1j * z))),
+    Check("theta_prime_zeros", "debranges", "Theta'(gamma) = -2i/m_gamma", 1e-5,
+          lambda w: w.theta_prime),
+    Check("basis_diagonal", "debranges", "F_gamma(gamma) = -i/sqrt(m pi)", 1e-6,
+          lambda w: w.basis_values[0]),
+    Check("basis_off_diagonal", "debranges", "F_gamma(gamma') = 0", 1e-6,
+          lambda w: w.basis_values[1]),
+    Check("restriction_isometry", "debranges", "||F_gamma||^2 = sum |F_gamma|^2 * 2pi/|Theta'|",
+          1e-2, lambda w: w.restriction[0]),
+    Check("restriction_point_mass", "debranges", "sum |F_gamma(gamma')|^2 pi m = 1", 1e-6,
+          lambda w: w.restriction[1]),
+    Check("psi_norm", "debranges", "2 pi ||psi_gamma||^2 = 1", 1e-2,
+          lambda w: ids.l2_defect(w.psi)),
+    Check("k_fixes_basis", "debranges", "K psi_gamma = psi_gamma", 5e-2,
+          lambda w: ids.k_fixes_basis(w.psi, w.Z)),
     # 4 eps MAX_CUTOFF 38: the direct sum's phase rounding at any cutoff_Z
-    ("transform_agreement", "chirp-z transform of psi_gamma = direct sum "
-                            "at 17 nodes", 4.0 * sys.float_info.epsilon
-                            * zc.MAX_CUTOFF * 38.0),
-    ("s_pi_half", "S_{pi/2}(z) = -xi(1/2 - iz)", 1e-12),
-    ("eigen_residual", "M_{pi/2} G = gamma G on the basis", 1e-7),
-    ("eigen_perturbed", "shifted eigenvalue is detected", 0.0),
-    ("decompose_null", "psi0 transforms vanish on the catalog", 1e-5),
-    ("pairing_tau_norm", "<psi,psi>_W = sum m |psihat(gamma)|^2", 1e-10),
-    ("spectra_interlace", "S_0 = i xi' changes sign once per catalog gap, "
-                          "none below gamma_1", 0.0),
+    Check("transform_agreement", "debranges", "chirp-z transform of psi_gamma = direct sum "
+          "at 17 nodes", 4.0 * sys.float_info.epsilon * zc.MAX_CUTOFF * 38.0,
+          lambda w: ids.transform_agreement(w.psi, w.Z)),
+    Check("s_pi_half", "hilbert_polya", "S_{pi/2}(z) = -xi(1/2 - iz)", 1e-12,
+          lambda w, z=3.0: abs(hp.s_theta(math.pi / 2, z) + ids.xi_product(0.5 - 1j * z))),
+    Check("eigen_residual", "hilbert_polya", "M_{pi/2} G = gamma G on the basis", 1e-7,
+          lambda w: w.eigen[0]),
+    Check("eigen_perturbed", "hilbert_polya", "shifted eigenvalue is detected", 0.0,
+          lambda w: 1e-2 - w.eigen[1]),
+    Check("decompose_null", "hilbert_polya", "psi0 transforms vanish on the catalog", 1e-5,
+          lambda w: w.null),
+    Check("pairing_tau_norm", "hilbert_polya", "<psi,psi>_W = sum m |psihat(gamma)|^2", 1e-10,
+          lambda w: max([0.0] + [_gap(wf.tau_norm(dec.coeffs, w.zs),
+                                      wf.weil_pairing(psi, psi, w.zs).value)
+                                 for psi, dec, _ in w.decs])),
+    Check("spectra_interlace", "hilbert_polya", "S_0 = i xi' changes sign once per catalog "
+          "gap, none below gamma_1", 0.0, lambda w: ids.spectra_interlace(w.zs)),
 )
 
 
-def _rows(cfg: RunConfig, values: Dict[str, float]) -> List[dict]:
-    """Report rows, in CHECKS order, for the checks a suite returned values of."""
+def _evaluate(suite: str, cfg: RunConfig, **work) -> List[dict]:
+    """The report rows of suite's checks, in table order, each valued by its
+    evaluator from work; a check valued None has no row."""
+    w = SimpleNamespace(**work)
     rows = []
-    for check_id, anchor, bound in CHECKS:
-        if check_id in values:
-            value = float(values[check_id])
-            bound = float(cfg.tolerances.get(check_id, bound))
-            rows.append({"check_id": check_id, "anchor": anchor, "value": value,
+    for check in CHECKS:
+        value = check.evaluate(w) if check.suite == suite else None
+        if value is not None:
+            value, bound = float(value), float(cfg.tolerances.get(check.id, check.bound))
+            rows.append({"check_id": check.id, "anchor": check.anchor, "value": value,
                          "bound": bound, "pass": value <= bound})
     return rows
 
 
-# ----------------------------------------------------------------------
-# suites: each returns {check_id: value}
-# ----------------------------------------------------------------------
+# suites: each makes, in its rows' order, the work its checks share and
+# every draw from its RNG stream, so no evaluator draws
 
-def suite_special(cfg: RunConfig) -> Dict[str, float]:
+def suite_special(cfg: RunConfig) -> List[dict]:
     rng = np.random.default_rng(_SEED)
-    v = dict(zip(("xi_half_reference", "xi_symmetry", "theta_unimodular",
-                  "theta_at_zero"), ids.xi_theta_values(rng, 110.0)))
-    v["omega_even"] = abs(sf.omega_profile(0.3) - sf.omega_profile(-0.3))
-    z = np.array([0.0, 1.0, 2.0])
-    got = nu.fourier_integral(sf.omega_profile, (-5.0, 5.0), z)
-    v["omega_transform"] = np.max(np.abs(got - sf.xi(0.5 - 1j * z).xi))
-    v["omega_decay"] = abs(sf.omega_profile(5.0))
-    return v
+    return _evaluate("special", cfg, xi_theta=ids.xi_theta_values(rng, 110.0))
 
 
-def suite_weil(cfg: RunConfig) -> Dict[str, float]:
+def suite_weil(cfg: RunConfig) -> List[dict]:
     rng = np.random.default_rng(_SEED + 1)
-    zs = cfg.catalog
-    Z = cfg.cutoff_Z
+    zs, Z = cfg.catalog, cfg.cutoff_Z
     grid = nu.band_exact_grid(-8.0, 38.0, Z + zs.ordinates[-1], 50.0)
     psis = [db.psi_gamma(g, zs, Z, grid) for g in zs.ordinates[:2]]
-    v = dict(zip(("basis_pairing_diagonal", "basis_pairing_cross"),
-                 ids.basis_pairing(psis, zs)))
-    v["positivity_random"] = ids.positivity_margin(rng, 20, zs,
-                                                   wf.random_combination)
-    a = wf.random_combination(rng)
-    b = wf.random_combination(rng)
-    ab = wf.weil_pairing(a, b, zs).value
-    ba = wf.weil_pairing(b, a, zs).value
-    v["hermitian_symmetry"] = abs(ab - np.conj(ba)) / max(abs(ab), 1e-30)
+    pairing = ids.basis_pairing(psis, zs)
+    positivity = ids.positivity_margin(rng, 20, zs, wf.random_combination)
+    a, b = wf.random_combination(rng), wf.random_combination(rng)
     c = complex(rng.standard_normal(), rng.standard_normal())
-    ca = wf.TestFunction.combination([c], [a])
-    lin = wf.weil_pairing(ca, b, zs).value - c * ab
-    v["sesquilinearity"] = abs(lin) / max(abs(ab), 1e-30)
-    return v
+    return _evaluate("weil", cfg, zs=zs, pairing=pairing, positivity=positivity,
+                     a=a, b=b, c=c, ab=wf.weil_pairing(a, b, zs).value)
 
 
-def suite_screw(cfg: RunConfig) -> Dict[str, float]:
+def suite_screw(cfg: RunConfig) -> List[dict]:
     rng = np.random.default_rng(_SEED + 2)
     zs = cfg.catalog
     phi = wf.TestFunction.bump(0.2, 0.9).derivative()
-    psi = wf.antiderivative(phi)
-    lam = 3.0
-    return {
-        "screw_origin": abs(wf.screw_g(0.0, zs)),
-        "screw_conjugate": abs(wf.screw_g(-1.7, zs)
-                               - np.conj(wf.screw_g(1.7, zs))),
-        "kernel_hermitian": abs(wf.screw_kernel(1.1, 0.4, zs)
-                                - np.conj(wf.screw_kernel(0.4, 1.1, zs))),
-        "gram_psd": ids.gram_psd_margin(rng, 20, zs),
-        "screw_equals_weil": ids.screw_weil_margin(rng, 3, zs),
-        "antiderivative_transform":
-            abs(psi.fourier(lam) - phi.fourier(lam) / (-1j * lam)),
-    }
+    return _evaluate("screw", cfg, zs=zs, phi=phi, psi=wf.antiderivative(phi),
+                     gram=ids.gram_psd_margin(rng, 20, zs),
+                     screw_weil=ids.screw_weil_margin(rng, 3, zs))
 
 
-def suite_debranges(cfg: RunConfig) -> Dict[str, float]:
-    zs = cfg.catalog
-    v = {"theta_prime_zeros": ids.theta_prime_at_zeros(zs)}
-    v["basis_diagonal"], v["basis_off_diagonal"] = ids.basis_value_table(zs)
-    v["restriction_isometry"], v["restriction_point_mass"] = \
-        ids.restriction_isometry(zs)
-    Z = cfg.cutoff_Z
+def suite_debranges(cfg: RunConfig) -> List[dict]:
+    zs, Z = cfg.catalog, cfg.cutoff_Z
     # K pushes content up to the full band [-Z, Z], so sample above the
     # 2Z Nyquist rate (psi_gamma alone only needs Z + gamma_max)
     grid = nu.band_exact_grid(-6.0, 38.0, 2.0 * Z, 200.0)
-    psi = db.psi_gamma(zs.ordinates[0], zs, Z, grid)
-    v["psi_norm"] = ids.l2_defect(psi)
-    v["k_fixes_basis"] = ids.k_fixes_basis(psi, Z)
-    v["transform_agreement"] = ids.transform_agreement(psi, Z)
-    return v
+    return _evaluate("debranges", cfg, Z=Z, theta_prime=ids.theta_prime_at_zeros(zs),
+                     basis_values=ids.basis_value_table(zs),
+                     restriction=ids.restriction_isometry(zs),
+                     psi=db.psi_gamma(zs.ordinates[0], zs, Z, grid))
 
 
-def suite_hilbert_polya(cfg: RunConfig) -> Dict[str, float]:
+def suite_hilbert_polya(cfg: RunConfig) -> List[dict]:
     rng = np.random.default_rng(_SEED + 4)
     zs = cfg.catalog
-    z = 3.0
-    v = {"s_pi_half": abs(hp.s_theta(math.pi / 2, z) + ids.xi_product(0.5 - 1j * z))}
-
-    p = hp.ExtensionParams(math.pi / 2)
-    samples = [complex(rng.uniform(-30, 30), rng.uniform(-2, 2))
-               for _ in range(12)]
-    sets = [(g, [z for z in samples if abs(z - g) > 0.5])
-            for g in zs.ordinates[:8]]
-    v["eigen_residual"], perturbed = ids.eigen_residuals(p, sets, sets[0])
-    v["eigen_perturbed"] = 1e-2 - perturbed
-
+    samples = [complex(rng.uniform(-30, 30), rng.uniform(-2, 2)) for _ in range(12)]
+    sets = [(g, [z for z in samples if abs(z - g) > 0.5]) for g in zs.ordinates[:8]]
+    eigen = ids.eigen_residuals(hp.ExtensionParams(math.pi / 2), sets, sets[0])
     grid = nu.band_exact_grid(-4.0, 18.0, 500.0 + zs.ordinates[-1], 50.0)
-    v["decompose_null"], decs = ids.decomposition_null(
-        rng, 2, zs, 500.0, grid, wf.random_combination)
-    worst_pair = 0.0
-    for psi, dec, _ in decs:
-        pv = wf.weil_pairing(psi, psi, zs).value
-        pv1 = wf.tau_norm(dec.coeffs, zs)
-        worst_pair = max(worst_pair, abs(pv - pv1) / max(abs(pv), 1e-30))
-    v["pairing_tau_norm"] = worst_pair
-    v["spectra_interlace"] = ids.spectra_interlace(zs)
-    return v
+    null, decs = ids.decomposition_null(rng, 2, zs, 500.0, grid, wf.random_combination)
+    return _evaluate("hilbert_polya", cfg, zs=zs, eigen=eigen, null=null, decs=decs)
 
 
-_SUITE_FN = {
-    "special": suite_special,
-    "weil": suite_weil,
-    "screw": suite_screw,
-    "debranges": suite_debranges,
-    "hilbert_polya": suite_hilbert_polya,
-}
+# suite name -> suite function, in table order
+_SUITE_FN = {check.suite: globals()["suite_" + check.suite] for check in CHECKS}
 SUITES = tuple(_SUITE_FN) + ("all",)
 
 
@@ -314,7 +313,7 @@ def run_verify(suite: str, cfg: RunConfig) -> int:
     all_rows: List[dict] = []
     for name in names:
         t0 = time.time()
-        rows = _rows(cfg, _SUITE_FN[name](cfg))
+        rows = _SUITE_FN[name](cfg)
         elapsed = time.time() - t0
         for r in rows:
             print("%-6s %-28s value=%.3e bound=%.3e" % (

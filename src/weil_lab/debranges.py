@@ -135,17 +135,17 @@ def basis_table(gammas, mults, x, log_deriv=None) -> np.ndarray:
 
 
 class BasisFunction:
-    """F_gamma for a catalog ordinate gamma (either sign): its (gamma, m) and
-    its on-axis row of basis_table. Off the axis, F_gamma(z) = sqrt(m/pi)
-    (1 + Theta(z)) / (2 (z - gamma)) with Theta from special_fn.theta_xi."""
+    """F_gamma for a catalog ordinate gamma (either sign; |gamma| must equal
+    one exactly, so NaN, +-inf or a moved ordinate is a ValueError): its
+    (gamma, m) and its on-axis row of basis_table. Off the axis,
+    F_gamma(z) = sqrt(m/pi) (1 + Theta(z)) / (2 (z - gamma)) with Theta from
+    special_fn.theta_xi."""
 
     def __init__(self, gamma: float, zs: zc.ZeroSet):
-        arr = np.array(zs.ordinates)
-        idx = int(np.argmin(np.abs(arr - abs(gamma)))) if len(arr) else -1
-        if idx < 0 or abs(arr[idx] - abs(gamma)) > 1e-8:
+        if abs(gamma) not in zs.ordinates:
             raise ValueError("gamma = %r is not in the catalog" % (gamma,))
-        self.gamma = float(math.copysign(arr[idx], gamma))
-        self.m_gamma = zs.multiplicities[idx]
+        self.gamma = float(gamma)
+        self.m_gamma = zs.multiplicities[zs.ordinates.index(abs(gamma))]
 
     def values_on_axis(self, x, log_deriv=None) -> np.ndarray:
         """Values at real x: the one-row basis_table."""
@@ -241,8 +241,8 @@ def restriction_isometry_check(gamma: float, zs: zc.ZeroSet,
     catalog zeros of |F_gamma(gamma')|^2 * pi * m' (the point mass
     2 pi/|Theta'| equals pi m at a multiplicity-m zero). Both are exactly 1.
     """
-    fgrid, L = axis_samples(Z, 0.05)
     F = BasisFunction(gamma, zs)
+    fgrid, L = axis_samples(Z, 0.05)
     vals = F.values_on_axis(fgrid.nodes(), L)
     Fg = numerics.GridFunction(fgrid, vals, "frequency")
     lhs = numerics.grid_norm_sq(Fg)

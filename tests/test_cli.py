@@ -429,9 +429,9 @@ def test_verify_weil_with_single_zero_catalog(tmp_path, monkeypatch):
                    "--cutoff-Z", "500", "--out", str(tmp_path)])
     assert rc == 0
     rows = json.load(open(tmp_path / "report_weil.json"))
-    ids = [r["check_id"] for r in rows]
-    assert "basis_pairing_diagonal" in ids
-    assert "basis_pairing_cross" not in ids   # needs a second zero
+    # basis_pairing_cross needs a second zero; every other row is there
+    assert [r["check_id"] for r in rows] == [
+        c.id for c in cli.CHECKS if c.suite == "weil" and c.id != "basis_pairing_cross"]
 
 
 def test_export_f_gamma_with_grid_spec(tmp_path, monkeypatch):
@@ -462,6 +462,23 @@ def test_verify_all_writes_combined_report(tmp_path, monkeypatch):
     assert {"xi_half_reference", "basis_pairing_diagonal", "gram_psd",
             "theta_prime_zeros", "eigen_residual"} <= ids
     assert all(r["pass"] for r in rows)
+
+
+def test_verify_reports_each_table_check_once_in_table_order(tmp_path, monkeypatch):
+    # rows come from the check table, so a suite cannot drop one: verify all
+    # reports every id once, in table order, and verify <suite> its slice
+    monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
+    small = ["--height-T", "50", "--cutoff-Z", "500"]
+    assert cli.main(["verify", "all", "--out", str(tmp_path / "all")] + small) == 0
+    rows = json.loads((tmp_path / "all" / "report_all.json").read_text())
+    assert [r["check_id"] for r in rows] == [c.id for c in cli.CHECKS]
+    assert len(rows) == 32
+    assert cli.SUITES == ("special", "weil", "screw", "debranges", "hilbert_polya", "all")
+    for suite in cli.SUITES[:-1]:
+        assert cli.main(["verify", suite, "--out", str(tmp_path / suite)] + small) == 0
+        report = tmp_path / suite / ("report_%s.json" % suite)
+        assert json.loads(report.read_text()) == [
+            r for r, c in zip(rows, cli.CHECKS) if c.suite == suite]
 
 
 def test_verify_all_sweeps_theta_prime_once_per_table(tmp_path, monkeypatch):

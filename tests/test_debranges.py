@@ -77,6 +77,24 @@ def test_basis_rejects_non_catalog_gamma(catalog):
         db.BasisFunction(17.0, catalog)
 
 
+_GAMMA_ENTRIES = {
+    "BasisFunction": db.BasisFunction,
+    "psi_gamma": lambda g, zs: db.psi_gamma(g, zs, 500.0, nu.Grid(-1.0, 1.0, 5)),
+    "restriction_isometry_check": db.restriction_isometry_check,
+}
+_OFF_CATALOG = {"nan": lambda g1: math.nan, "+inf": lambda g1: math.inf,
+                "-inf": lambda g1: -math.inf, "gamma_1+1e-9": lambda g1: g1 + 1e-9}
+
+
+@pytest.mark.parametrize("entry", _GAMMA_ENTRIES.values(), ids=list(_GAMMA_ENTRIES))
+@pytest.mark.parametrize("gamma", _OFF_CATALOG.values(), ids=list(_OFF_CATALOG))
+def test_gamma_entry_points_reject_a_gamma_off_the_catalog(catalog, entry, gamma):
+    # |gamma| is looked up exactly among the ordinates: a nearest-ordinate
+    # search with a 1e-8 tolerance took NaN for gamma_1
+    with pytest.raises(ValueError, match="not in the catalog"):
+        entry(gamma(catalog.ordinates[0]), catalog)
+
+
 def test_basis_negative_gamma(catalog):
     g1 = catalog.ordinates[0]
     at_minus, at_plus = db.BasisFunction(-g1, catalog).values_on_axis([-g1, g1])
@@ -446,9 +464,8 @@ def test_restriction_rhs_invariant_under_catalog_extension(catalog,
                                                            table_catalog):
     # extra far zeros contribute |F_gamma(gamma')|^2 ~ 0
     extended = zc.load_zeros(ZERO_TABLE, 110.0)
-    g1 = catalog.ordinates[0]
-    _, rhs_small = db.restriction_isometry_check(g1, catalog, Z=800.0)
-    _, rhs_big = db.restriction_isometry_check(g1, extended, Z=800.0)
+    _, rhs_small = db.restriction_isometry_check(catalog.ordinates[0], catalog, Z=800.0)
+    _, rhs_big = db.restriction_isometry_check(extended.ordinates[0], extended, Z=800.0)
     # far zeros add |F(gamma')|^2 ~ 1e-24; the residual difference reflects
     # the table-vs-computed ordinate rounding, not the new entries
     assert abs(rhs_big - rhs_small) <= 1e-8
