@@ -219,9 +219,9 @@ CHECKS = (
     Check("decompose_null", "hilbert_polya", "psi0 transforms vanish on the catalog", 1e-5,
           lambda w: w.null),
     Check("pairing_tau_norm", "hilbert_polya", "<psi,psi>_W = sum m |psihat(gamma)|^2", 1e-10,
-          lambda w: max([0.0] + [_gap(wf.tau_norm(dec.coeffs, w.zs),
-                                      wf.weil_pairing(psi, psi, w.zs).value)
-                                 for psi, dec, _ in w.decs])),
+          lambda w: ids._worst([_gap(wf.tau_norm(dec.coeffs, w.zs),
+                                     wf.weil_pairing(psi, psi, w.zs).value)
+                                for psi, dec, _ in w.decs], 0.0)),
     Check("spectra_interlace", "hilbert_polya", "S_0 = i xi' changes sign once per catalog "
           "gap, none below gamma_1", 0.0, lambda w: ids.spectra_interlace(w.zs)),
 )

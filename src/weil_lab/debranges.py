@@ -64,7 +64,7 @@ def axis_samples(Z: float, spacing: float):
         t0 = time.perf_counter()
         new = sf.critical_line_log_derivative(np.arange(held, m + 1) * grid.h, step=grid.h)
         full = np.empty(2 * m + 1)
-        full[:m - held + 1] = -new[::-1]
+        np.negative(new[::-1], out=full[:m - held + 1])
         if held:
             full[m - held + 1:m + held] = L
         full[m + held:] = new

@@ -21,6 +21,11 @@ from . import weil_form as wf
 XI_HALF_REF = 0.4971207781883141099127737
 
 
+def _worst(values, floor: float) -> float:
+    """max(floor, *values), but NaN if a value is NaN (max(w, nan) is w)."""
+    return float(np.max(values, initial=floor))
+
+
 def xi_product(s):
     """(1/2)s(s-1)pi^(-s/2)Gamma(s/2)zeta(s), with zeta at s itself where xi
     reflects Re s < 1/2 to 1 - s."""
@@ -56,7 +61,7 @@ def basis_value_table(zs):
     table = db.basis_table(gam, m, gam)
     diag = np.diagonal(table) + 1j / np.sqrt(math.pi * m)
     off = np.abs(table[~np.eye(len(gam), dtype=bool)])
-    return max(map(abs, diag), default=0.0), float(np.max(off, initial=0.0))
+    return _worst(list(map(abs, diag)), 0.0), float(np.max(off, initial=0.0))
 
 
 def basis_pairing(psis, zs):
@@ -109,19 +114,18 @@ def transform_agreement(psi, Z: float) -> float:
 def gram_psd_margin(rng, n: int, zs) -> float:
     """Worst -(lowest eigenvalue + 1e-8 trace) of n screw-kernel Gram
     matrices at 8 random nodes in [-3, 3]."""
-    worst = -1e30
+    margins = []
     for _ in range(n):
         nodes = rng.uniform(-3, 3, size=8)
         M = wf.screw_kernel(nodes[:, None], nodes[None, :], zs)
-        ev = np.linalg.eigvalsh(M)
-        worst = max(worst, -(ev[0] + 1e-8 * np.trace(M).real))
-    return worst
+        margins.append(-(np.linalg.eigvalsh(M)[0] + 1e-8 * np.trace(M).real))
+    return _worst(margins, -1e30)
 
 
 def screw_weil_margin(rng, n: int, zs) -> float:
     """Worst |<phi,phi>_G - <psi,psi>_W| - (declared errors + 1e-10) over n
     random mean-zero phi, psi = antiderivative(phi)."""
-    worst = -1e30
+    margins = []
     for _ in range(n):
         phi = wf.random_mean_zero(rng)
         psi = wf.antiderivative(phi)
@@ -129,28 +133,25 @@ def screw_weil_margin(rng, n: int, zs) -> float:
         pv = wf.weil_pairing(psi, psi, zs)
         budget = (sv.quad_error + sv.tail_bound + pv.tail_bound
                   + pv.quad_error + 1e-10)
-        worst = max(worst, abs(sv.value - pv.value) - budget)
-    return worst
+        margins.append(abs(sv.value - pv.value) - budget)
+    return _worst(margins, -1e30)
 
 
 def positivity_margin(rng, n: int, zs, draw) -> float:
     """Worst -(Re <psi,psi>_W + tail + quad) over n psi = draw(rng)."""
-    worst = -1e30
+    margins = []
     for _ in range(n):
         psi = draw(rng)
         fv = wf.weil_pairing(psi, psi, zs)
-        worst = max(worst, -(fv.value.real + fv.tail_bound + fv.quad_error))
-    return worst
+        margins.append(-(fv.value.real + fv.tail_bound + fv.quad_error))
+    return _worst(margins, -1e30)
 
 
 def restriction_isometry(zs):
     """(worst |lhs/rhs - 1|, worst |rhs - 1|) over the first three zeros."""
-    worst_ratio = worst_rhs = 0.0
-    for g in zs.ordinates[:3]:
-        lhs, rhs = db.restriction_isometry_check(g, zs)
-        worst_ratio = max(worst_ratio, abs(lhs / rhs - 1.0))
-        worst_rhs = max(worst_rhs, abs(rhs - 1.0))
-    return worst_ratio, worst_rhs
+    pairs = [db.restriction_isometry_check(g, zs) for g in zs.ordinates[:3]]
+    return (_worst([abs(lhs / rhs - 1.0) for lhs, rhs in pairs], 0.0),
+            _worst([abs(rhs - 1.0) for _, rhs in pairs], 0.0))
 
 
 def eigen_residuals(p, sample_sets, shifted):
@@ -159,7 +160,7 @@ def eigen_residuals(p, sample_sets, shifted):
     def rel(g, pts, ev=None):
         chk = hp.eigen_residual(p, g, pts, eigenvalue=ev)
         return chk.residual / max(chk.g_scale, 1e-300)
-    worst = max(0.0, *(rel(g, pts) for g, pts in sample_sets))
+    worst = _worst([rel(g, pts) for g, pts in sample_sets], 0.0)
     return worst, rel(shifted[0], shifted[1], shifted[0] + 0.1)
 
 
@@ -210,12 +211,9 @@ def decomposition_null(rng, n: int, zs, Z: float, grid, draw):
     """Worst |S_psi0(gamma)| over n psi = draw(rng) = psi0 + psi1 on the
     catalog zs (psi1 cut off at Z, on grid), and the (psi, decomposition,
     psi0 coefficients) triples."""
-    worst = 0.0
     out = []
     for _ in range(n):
         psi = draw(rng)
         dec = hp.decompose_LW(psi, zs, Z, grid)
-        res = dec.residual_coeffs()
-        worst = max(worst, float(np.max(np.abs(res))))
-        out.append((psi, dec, res))
-    return worst, out
+        out.append((psi, dec, dec.residual_coeffs()))
+    return _worst([np.max(np.abs(res)) for _, _, res in out], 0.0), out

@@ -21,12 +21,13 @@ times |L|^2, ~1e-14 |L|^2 here.
 
 On a declared lattice: critical_line_log_derivative(x, step=h) declares
 x = k h for consecutive integers k (checked bit for bit). Its chunks are
-the fixed blocks of k in [8192 j, 8192 (j + 1)), each summed whole as a
+the fixed blocks of k in [8192 j, 8192 (j + 1)), each made and summed
+whole in turn, on the call's one fine grid of M = 16384 points, as a
 type-1 nonuniform FFT (_lattice_sums) of
 S_k = sum_{n<N} n^{-c} e^{i k h ln n} and S'_k (c the block's first node,
 k counted from it): Odlyzko and Schoenhage's multiple evaluation in the
 NUFFT form of Barnett, Magland and af Klinteberg, at O(17 N + M log M) per
-block (M = 16384 fine-grid points) where summing each point costs O(K N).
+block where summing each point costs O(K N).
 N, fine grid and anchor come from the whole block and the step -i h is as
 given, so L at k h depends on (h, k) alone and debranges.axis_samples
 extends and slices its cache byte for byte. The route calls np.bincount
@@ -291,7 +292,7 @@ def _deconvolution(K: int, M: int) -> np.ndarray:
 
 
 def _lattice_sums(s: np.ndarray, d: complex, hi: np.ndarray, lo: np.ndarray,
-                  inv_T: np.ndarray):
+                  inv_T: np.ndarray, grid: np.ndarray):
     """(S, S') over n <= hi.size at the K nodes s_k = c + k d of a declared
     block, up to the roundoff of its products k h (c = s_0, d = -i h), by a
     type-1 NUFFT.
@@ -305,14 +306,15 @@ def _lattice_sums(s: np.ndarray, d: complex, hi: np.ndarray, lo: np.ndarray,
     e^{2 pi i k0 x_n / M}, k0 = K//2 (k0 m_n reduced mod M exactly), so the
     outputs are the centred modes k - k0. The three weight sets c_n,
     -ln n c_n and ln^2 n c_n are spread by np.bincount and transformed by
-    one stacked FFT; inv_T (_deconvolution) deconvolves. One Taylor step,
-    S += eps S' and S' += eps S'', then carries both sums to s_k itself,
-    eps = s_k - c - k d being the roundoff of Im s_k (Re s_k = 1/2
-    throughout), formed exactly (TwoSum, split Im d) on blocks that rise or
-    fall in height.
+    one stacked FFT, in place on grid, the caller's (3, M) complex array
+    (zeroed here, so one serves a sweep); inv_T (_deconvolution)
+    deconvolves. One Taylor step, S += eps S' and S' += eps S'', then
+    carries both sums to s_k itself, eps = s_k - c - k d being the roundoff
+    of Im s_k (Re s_k = 1/2 throughout), formed exactly (TwoSum, split Im d)
+    on blocks that rise or fall in height.
     """
     K = s.size
-    M = numerics._fast_len(2 * K)
+    M = grid.shape[1]
     k0 = K // 2
     a_hi, a_lo = numerics._per_turn(-d.imag, float(M), 1.0)
     x, x_lo = numerics._two_prod(hi, a_hi)
@@ -322,7 +324,7 @@ def _lattice_sums(s: np.ndarray, d: complex, hi: np.ndarray, lo: np.ndarray,
     m = m.astype(np.int64)
     c_n = _powers(s[:1], hi, lo)[0]
     c_n *= np.exp((2j * math.pi / M) * ((k0 * m) % M + k0 * b))
-    grid = np.zeros((3, M), dtype=complex)
+    grid.fill(0.0)
     for n0 in range(0, hi.size, _SOURCE_BLOCK):
         blk = slice(n0, n0 + _SOURCE_BLOCK)
         ker = _kernel(np.subtract.outer(_OFFSETS, b[blk]))
@@ -333,7 +335,9 @@ def _lattice_sums(s: np.ndarray, d: complex, hi: np.ndarray, lo: np.ndarray,
             for part, w in ((row.real, src.real), (row.imag, src.imag)):
                 part += np.bincount(idx, np.multiply(ker, w, out=tmp).ravel(), M)
             src = -hi[blk] * src
-    S, Sp, Spp = np.fft.fft(grid)[:, (k0 - np.arange(K)) % M] * inv_T
+    np.fft.fft(grid, out=grid)
+    # the modes k0, k0 - 1, ..., k0 - K + 1 (mod M)
+    S, Sp, Spp = np.concatenate((grid[:, k0::-1], grid[:, :M - K + k0:-1]), axis=1) * inv_T
     dh, dl = numerics._split(d.imag)
     k = np.arange(K)
     u = s.imag - s[0].imag
@@ -396,10 +400,11 @@ def _em_chunks(s: np.ndarray, lattice=None):
 
     lattice = (k0, h) declares s = 1/2 - i k h for k = k0, k0 + 1, ...: the
     chunks are then the fixed blocks of k of the module docstring, summed by
-    _lattice_sums, and s is read for its size alone. The route is chosen
-    here, once per call, and ln n is taken once, to the largest N, for every
-    chunk to slice. redone counts a chunk's nodes summed again point by
-    point: on a lattice, those where the lattice sums' error model,
+    _lattice_sums on one fine grid, and s is read for its size alone: each
+    block makes its own nodes, and idx is the slice of the given ones it
+    holds. The route is chosen here, once per call; each chunk takes N from
+    its nodes and ln n to that N. redone counts a chunk's nodes summed again
+    point by point: on a lattice, those where the lattice sums' error model,
     |dw| ~ _LATTICE_EPS |s - 1| sum n^{-1/2}, puts the error of
     L = w'/w + ..., |w'| |dw| / |w|^2, above _L_BUDGET (near a zero, where
     w cancels); point by point, none."""
@@ -408,36 +413,33 @@ def _em_chunks(s: np.ndarray, lattice=None):
     if lattice is None:
         order = np.argsort(np.abs(s.imag), kind="stable")
         s = s[order]
-        off, sums = 0, _point_sums
+        k0, starts, sums = 0, range(0, n, _CHUNK), _point_sums
     else:
         k0, h = lattice
-        j0 = k0 // _CHUNK
-        off = k0 - j0 * _CHUNK
-        # the whole blocks; the given nodes sit at positions off..off+n-1
-        j1 = (k0 + n - 1) // _CHUNK + 1
-        s = 0.5 - 1j * (np.arange(j0 * _CHUNK, j1 * _CHUNK) * h)
-        order = np.arange(-off, s.size - off)
-        inv_T = _deconvolution(_CHUNK, numerics._fast_len(2 * _CHUNK))
+        starts = range(k0 - k0 % _CHUNK, k0 + n, _CHUNK)     # each block's first k
+        grid = np.empty((3, numerics._fast_len(2 * _CHUNK)), dtype=complex)
+        inv_T = _deconvolution(_CHUNK, grid.shape[1])
 
         def sums(sc, hi, lo):
-            return _lattice_sums(sc, complex(0.0, -h), hi, lo, inv_T)
-    starts = range(0, s.size, _CHUNK)
-    Ns = [_em_length(s[i0:i0 + _CHUNK]) for i0 in starts]
-    hi, lo = _ln_parts(np.arange(1.0, max(Ns, default=1)))
-    for i0, N in zip(starts, Ns):
-        hi_N, lo_N = hi[:N - 1], lo[:N - 1]
-        S, Sp = sums(s[i0:i0 + _CHUNK], hi_N, lo_N)
-        a, b = max(i0, off), min(i0 + _CHUNK, off + n)
-        sc, S, Sp = s[a:b], S[a - i0:b - i0], Sp[a - i0:b - i0]
+            return _lattice_sums(sc, complex(0.0, -h), hi, lo, inv_T, grid)
+    for i0 in starts:
+        sc = (s[i0:i0 + _CHUNK] if lattice is None
+              else 0.5 - 1j * (np.arange(i0, i0 + _CHUNK) * h))
+        N = _em_length(sc)
+        hi, lo = _ln_parts(np.arange(1.0, N))
+        S, Sp = sums(sc, hi, lo)
+        a, b = max(i0, k0), min(i0 + _CHUNK, k0 + n)      # the chunk's given nodes
+        sc, S, Sp = sc[a - i0:b - i0], S[a - i0:b - i0], Sp[a - i0:b - i0]
         w, wp = _w_pair(sc, N, S, Sp)
         redo = ()
         if lattice is not None:
             dw = _LATTICE_EPS * np.sum(np.arange(1.0, N) ** -0.5) * np.abs(sc - 1.0)
             redo = np.flatnonzero(dw * np.abs(wp) > _L_BUDGET * np.abs(w) ** 2)
         if len(redo):
-            S, Sp = _point_sums(sc[redo], hi_N, lo_N)
+            S, Sp = _point_sums(sc[redo], hi, lo)
             w[redo], wp[redo] = _w_pair(sc[redo], N, S, Sp)
-        yield order[a:b], sc, w, wp, (N, len(redo))
+        idx = order[a:b] if lattice is None else slice(a - k0, b - k0)
+        yield idx, sc, w, wp, (N, len(redo))
 
 
 def _chi_pair(s: np.ndarray):

@@ -400,16 +400,21 @@ def test_axis_cache_keys_by_spacing_and_slices_sweep_nothing(monkeypatch):
 
 
 def test_declared_step_is_checked_bit_for_bit():
+    # k from 3, in block 0, and from mid-block at negative k across the four
+    # blocks -2 to 1: each sweep equals the same nodes of a wider sweep
     h = 0.05
-    k = np.arange(3, 40)
-    L = sf.critical_line_log_derivative(k * h, step=h)
-    assert L.shape == (37,) and L.dtype == np.float64     # L is real
-    for bad in (np.linspace(3 * h, 39 * h, 37),      # linspace, not k * h
-                np.delete(k, 5) * h,                 # a gap in k
-                k[::-1] * h):                        # k decreasing
-        assert not np.array_equal(bad, k * h)
-        with pytest.raises(ValueError):
-            sf.critical_line_log_derivative(bad, step=h)
+    for k in (np.arange(3, 40), np.arange(-12000, 9000)):
+        L = sf.critical_line_log_derivative(k * h, step=h)
+        assert L.shape == k.shape and L.dtype == np.float64     # L is real
+        wide = sf.critical_line_log_derivative(np.arange(k[0] - 5, k[-1] + 6) * h,
+                                               step=h)
+        assert L.tobytes() == wide[5:-5].tobytes()
+        for bad in (np.linspace(k[0] * h, k[-1] * h, k.size),  # not k * h
+                    np.delete(k, 5) * h,                     # a gap in k
+                    k[::-1] * h):                            # k decreasing
+            assert not np.array_equal(bad, k * h)
+            with pytest.raises(ValueError):
+                sf.critical_line_log_derivative(bad, step=h)
     for step in (-h, 0.0, np.nan):
         with pytest.raises(ValueError):
             sf.critical_line_log_derivative(k * h, step=step)

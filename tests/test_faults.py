@@ -5,12 +5,18 @@ must fail at least one row.
 A fault that no row can see yet is kept as a strict expected failure, so
 the test turns into a failure of its own (XPASS) once a row catches it."""
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 
 from weil_lab import cli
 from weil_lab import debranges as db
+from weil_lab import hilbert_polya as hp
 from weil_lab import numerics as nu
 from weil_lab import special_fn as sf
+from weil_lab import weil_form as wf
 from weil_lab import zero_catalog as zc
 
 from conftest import with_pairs
@@ -108,3 +114,54 @@ def test_fault_fails_a_row(fault, monkeypatch):
     cfg.catalog = fault(monkeypatch)
     rows = [row for suite in cli._SUITE_FN.values() for row in suite(cfg)]
     assert not all(row["pass"] for row in rows)
+
+
+NAN = float("nan")
+
+
+def _nan_value(v):
+    return dataclasses.replace(v, value=complex(NAN))
+
+
+def _nan_second_diagonal(table):
+    table = table.copy()
+    table[1, 1] = NAN
+    return table
+
+
+# check id: (module, name, call, plant): module.name's call-th call returns
+# plant(its result), so a NaN lands on a draw other than the first of the
+# row's worst-over-draws value
+NAN_DRAWS = {
+    # the two basis pairings come first, then the 20 draws
+    "positivity_random": (wf, "weil_pairing", 4, _nan_value),
+    # (a NaN Gram matrix makes eigvalsh raise)
+    "gram_psd": (np.linalg, "eigvalsh", 2, lambda ev: ev * NAN),
+    "screw_equals_weil": (wf, "screw_form", 2, _nan_value),
+    # one table of the ordinates at themselves: its second diagonal entry
+    "basis_diagonal": (db, "basis_table", 1, _nan_second_diagonal),
+    "restriction_isometry": (db, "restriction_isometry_check", 2,
+                             lambda pair: (NAN, pair[1])),
+    "eigen_residual": (hp, "eigen_residual", 2,
+                       lambda chk: dataclasses.replace(chk, residual=NAN)),
+    "decompose_null": (hp, "decompose_LW", 2,
+                       lambda dec: dataclasses.replace(dec, coeffs=dec.coeffs * NAN)),
+    "pairing_tau_norm": (wf, "tau_norm", 2, lambda norm: NAN),
+}
+
+
+@pytest.mark.parametrize("check_id", list(NAN_DRAWS))
+def test_nan_at_a_later_draw_fails_its_row(check_id, monkeypatch):
+    # max(worst, nan) is worst: a fold with max would pass the row
+    module, name, call, plant = NAN_DRAWS[check_id]
+    fn, calls = getattr(module, name), []
+
+    def faulty(*args, **kwargs):
+        calls.append(name)
+        out = fn(*args, **kwargs)
+        return plant(out) if len(calls) == call else out
+    monkeypatch.setattr(module, name, faulty)
+    cfg = cli.RunConfig(height_T=T, cutoff_Z=500.0)
+    suite = next(check.suite for check in cli.CHECKS if check.id == check_id)
+    row = next(r for r in cli._SUITE_FN[suite](cfg) if r["check_id"] == check_id)
+    assert math.isnan(row["value"]) and not row["pass"]

@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from weil_lab import debranges as db
 from weil_lab import numerics as nu
 from weil_lab import special_fn as sf
 from weil_lab import zero_catalog as zc
@@ -610,13 +611,15 @@ def _route_sums(s, Ns, step):
     the route _em_chunks takes: _lattice_sums on a declared step, else
     _point_sums, both on slices of one ln n table."""
     hi, lo = sf._ln_parts(np.arange(1.0, max(Ns)))
-    inv_T = sf._deconvolution(sf._CHUNK, nu._fast_len(2 * sf._CHUNK))
+    M = nu._fast_len(2 * sf._CHUNK)
+    inv_T = sf._deconvolution(sf._CHUNK, M)
+    grid = np.empty((3, M), dtype=complex)
     for i0, N in zip(range(0, s.size, sf._CHUNK), Ns):
         sc, ln_n = s[i0:i0 + sf._CHUNK], (hi[:N - 1], lo[:N - 1])
         if step is None:
             yield sf._point_sums(sc, *ln_n)
         else:
-            yield sf._lattice_sums(sc, step, *ln_n, inv_T)
+            yield sf._lattice_sums(sc, step, *ln_n, inv_T, grid)
 
 
 @pytest.mark.parametrize("name,s", list(_sum_cases()))
@@ -754,6 +757,27 @@ def test_point_by_point_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 48 * 2 ** 20
+
+
+def test_lattice_sweep_working_set_is_one_block():
+    # a cold axis sweep to Z = 5000 at the ladder's spacing: 242,159
+    # half-grid nodes in 30 blocks. Bound fixed from the design before
+    # measuring: the declared x, the swept L and the declaration check's
+    # k h (or, as the cache is filled, the full array and the swept half)
+    # are 1.5 times the result; one block adds its share of the fine grid
+    # (3 x 16384 complex, 0.75 MiB), a source block's 17 x 2048 tables (at
+    # most six live, 1.6 MiB) and the chunk's 8192-node complex arrays (at
+    # most twelve live, 1.5 MiB), under 4 MiB
+    h = 0.999 * nu.ALIAS_GUARD / 38.0
+    db.clear_axis_cache()
+    tracemalloc.start()
+    try:
+        _, L = db.axis_samples(5000.0, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        db.clear_axis_cache()
+    assert peak <= 1.5 * L.nbytes + 4 * 2 ** 20
 
 
 def test_undeclared_uniform_grid_is_summed_point_by_point(caplog):
