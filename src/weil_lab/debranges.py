@@ -45,16 +45,12 @@ def axis_samples(Z: float, spacing: float):
     One sweep serves every basis function (F_gamma differs only in the
     1/(x - gamma) factor). The cache holds one read-only array per grid
     spacing h: L(k h) for |k| up to the largest half-grid swept at that h.
-    symmetric_grid gives many cutoffs the same h (Z = 500 to 2000 at the
-    default spacing of a |x| <= 38 window), so a smaller Z is a central
-    view, with no sweep, and a larger Z sweeps only its new half-grid
-    nodes; the declared step (see special_fn) makes every sample equal a
-    cold sweep's byte for byte.
-
-    L is taken at k h, which differs from grid.nodes() (linspace) by a few
-    ulps, <= ~5e-13 at |x| = 2000. Consumers read L only through
-    1/(1 + iL) and Theta, whose x-derivative is O(log x), so F_gamma moves
-    by <~ 1e-12. L is real, and L(-x) = -L(x): float64 samples.
+    symmetric_grid's h depends on the spacing alone, so every cutoff at one
+    spacing shares one entry: a smaller Z is a central view, with no sweep,
+    and a larger Z sweeps only its new half-grid nodes; the declared step
+    (see special_fn) makes every sample equal a cold sweep's byte for byte.
+    The grid is an exact lattice, so L is taken at grid.nodes() themselves.
+    L is real, and L(-x) = -L(x): float64 samples.
     """
     grid = numerics.symmetric_grid(Z, spacing)
     m = grid.n_points // 2

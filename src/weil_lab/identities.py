@@ -97,10 +97,11 @@ def transform_agreement(psi, Z: float) -> float:
 
     The direct route rounds each phase z x (and the node x) to about
     eps |z x|, so each term is off by at most ~3 eps max|z| max|x| of its
-    size, as is z_k itself; the grid transform keeps every phase to a few
-    2^-53 turns, and its FFT roundoff is O(eps log n) of the terms. The
-    bound in cli.CHECKS, 4 eps MAX_CUTOFF 38 (|x| <= 38 on verify's window),
-    covers every cutoff_Z the CLI accepts."""
+    size (z_k itself is exact, a node of an exact lattice); the grid
+    transform keeps every phase to a few 2^-53 turns, and its FFT roundoff
+    is O(eps log n) of the terms. The bound in cli.CHECKS,
+    4 eps MAX_CUTOFF 38 (|x| <= 38 on verify's window), covers every
+    cutoff_Z the CLI accepts."""
     x_absmax = max(abs(psi.grid.x_min), abs(psi.grid.x_max))
     fgrid = nu.symmetric_grid(Z, db._default_freq_spacing(x_absmax))
     grid_route = nu.forward_fourier_grid(psi, fgrid, band_limit=Z).values
@@ -113,12 +114,14 @@ def transform_agreement(psi, Z: float) -> float:
 
 def gram_psd_margin(rng, n: int, zs) -> float:
     """Worst -(lowest eigenvalue + 1e-8 trace) of n screw-kernel Gram
-    matrices at 8 random nodes in [-3, 3]."""
+    matrices at 8 random nodes in [-3, 3]; NaN if one has a non-finite
+    entry (eigvalsh raises on it, or sorts NaN eigenvalues last)."""
     margins = []
     for _ in range(n):
         nodes = rng.uniform(-3, 3, size=8)
         M = wf.screw_kernel(nodes[:, None], nodes[None, :], zs)
-        margins.append(-(np.linalg.eigvalsh(M)[0] + 1e-8 * np.trace(M).real))
+        margins.append(-(np.linalg.eigvalsh(M)[0] + 1e-8 * np.trace(M).real)
+                       if np.all(np.isfinite(M)) else math.nan)
     return _worst(margins, -1e30)
 
 

@@ -99,9 +99,13 @@ class Grid:
 
 
 def symmetric_grid(half_range: float, spacing: float) -> Grid:
-    """Symmetric grid on [-R, R] containing 0, spacing <= requested."""
-    m = int(math.ceil(half_range / spacing))
-    return Grid(-m * (half_range / m), m * (half_range / m), 2 * m + 1)
+    """Grid of the nodes k h, |k| <= m = ceil(R/h), on [-R, R] and less than
+    h beyond: h is the spacing cut to 53 - POINT_LIMIT.bit_length() = 30
+    significant bits, so it depends on the spacing alone, and every i h
+    (i < POINT_LIMIT), every node of Grid.nodes() and Grid.h are exact."""
+    h = spacing - math.fmod(spacing, math.ulp(spacing) * 2 ** POINT_LIMIT.bit_length())
+    m = int(math.ceil(half_range / h))
+    return Grid(-m * h, m * h, 2 * m + 1)
 
 
 def band_exact_grid(x_min: float, x_max: float, band: float,

@@ -20,16 +20,18 @@ cancels: an error dw moves the zero by ~|dw/w'| and L = w'/w + ... by that
 times |L|^2, ~1e-14 |L|^2 here.
 
 On a declared lattice: critical_line_log_derivative(x, step=h) declares
-x = k h for consecutive integers k (checked bit for bit). Its chunks are
-the fixed blocks of k in [8192 j, 8192 (j + 1)), each made and summed
-whole in turn, on the call's one fine grid of M = 16384 points, as a
-type-1 nonuniform FFT (_lattice_sums) of
+x = k h for consecutive integers k, every product k h exact (checked bit
+for bit, and by the bits of h and k). Its chunks are the fixed blocks of
+k in [8192 j, 8192 (j + 1)), each made and summed whole in turn, on the
+call's one fine grid of M = 16384 points, as a type-1 nonuniform FFT
+(_lattice_sums) of
 S_k = sum_{n<N} n^{-c} e^{i k h ln n} and S'_k (c the block's first node,
 k counted from it): Odlyzko and Schoenhage's multiple evaluation in the
 NUFFT form of Barnett, Magland and af Klinteberg, at O(17 N + M log M) per
 block where summing each point costs O(K N).
-N, fine grid and anchor come from the whole block and the step -i h is as
-given, so L at k h depends on (h, k) alone and debranges.axis_samples
+N, fine grid and anchor come from the whole block, the step -i h is as
+given and each node is c - i k h exactly, so the sums are taken at the
+node itself, L at k h depends on (h, k) alone and debranges.axis_samples
 extends and slices its cache byte for byte. The route calls np.bincount
 and pocketfft, not BLAS, so the bytes do not depend on the thread count.
 Its sums are good to ~1e-14 sum n^{-1/2} in absolute terms (1.7e-16 of it
@@ -294,8 +296,8 @@ def _deconvolution(K: int, M: int) -> np.ndarray:
 def _lattice_sums(s: np.ndarray, d: complex, hi: np.ndarray, lo: np.ndarray,
                   inv_T: np.ndarray, grid: np.ndarray):
     """(S, S') over n <= hi.size at the K nodes s_k = c + k d of a declared
-    block, up to the roundoff of its products k h (c = s_0, d = -i h), by a
-    type-1 NUFFT.
+    block (c = s_0, d = -i h), by a type-1 NUFFT; on an exact lattice (see
+    critical_line_log_derivative) those are the nodes themselves.
 
     n^{-c - k d} = c_n e^{2 pi i k x_n / M} with c_n = n^{-c} (by _powers)
     and x_n = -Im d ln n M / 2pi on a fine grid of M = _fast_len(2K) points.
@@ -304,14 +306,11 @@ def _lattice_sums(s: np.ndarray, d: complex, hi: np.ndarray, lo: np.ndarray,
     into its nearest grid point m_n and an offset |b_n| <= 1/2, so the
     phase k m_n 2pi/M is the FFT's own and only k b_n is rounded. c_n takes
     e^{2 pi i k0 x_n / M}, k0 = K//2 (k0 m_n reduced mod M exactly), so the
-    outputs are the centred modes k - k0. The three weight sets c_n,
-    -ln n c_n and ln^2 n c_n are spread by np.bincount and transformed by
-    one stacked FFT, in place on grid, the caller's (3, M) complex array
-    (zeroed here, so one serves a sweep); inv_T (_deconvolution)
-    deconvolves. One Taylor step, S += eps S' and S' += eps S'', then
-    carries both sums to s_k itself, eps = s_k - c - k d being the roundoff
-    of Im s_k (Re s_k = 1/2 throughout), formed exactly (TwoSum, split Im d)
-    on blocks that rise or fall in height.
+    outputs are the centred modes k - k0. The two weight sets c_n and
+    -ln n c_n are spread by np.bincount and transformed by one stacked FFT,
+    in place on grid, the caller's (2, M) complex array (zeroed here, so one
+    serves a sweep); inv_T (_deconvolution) deconvolves. Returns the (2, K)
+    array of S and S' as rows.
     """
     K = s.size
     M = grid.shape[1]
@@ -331,20 +330,12 @@ def _lattice_sums(s: np.ndarray, d: complex, hi: np.ndarray, lo: np.ndarray,
         idx = (np.add.outer(_OFFSETS, m[blk]) % M).ravel()
         tmp = np.empty_like(ker)
         src = c_n[blk]
-        for row in grid:
-            for part, w in ((row.real, src.real), (row.imag, src.imag)):
-                part += np.bincount(idx, np.multiply(ker, w, out=tmp).ravel(), M)
-            src = -hi[blk] * src
+        for row, w in zip(grid, (src, -hi[blk] * src)):
+            for part, v in ((row.real, w.real), (row.imag, w.imag)):
+                part += np.bincount(idx, np.multiply(ker, v, out=tmp).ravel(), M)
     np.fft.fft(grid, out=grid)
     # the modes k0, k0 - 1, ..., k0 - K + 1 (mod M)
-    S, Sp, Spp = np.concatenate((grid[:, k0::-1], grid[:, :M - K + k0:-1]), axis=1) * inv_T
-    dh, dl = numerics._split(d.imag)
-    k = np.arange(K)
-    u = s.imag - s[0].imag
-    v = u - s.imag                  # TwoSum: u + r = s.imag - s[0].imag
-    r = (s.imag - (u - v)) - (s[0].imag + v)
-    eps = 1j * (((u - k * dh) - k * dl) + r)
-    return S + eps * Sp, Sp + eps * Spp
+    return np.concatenate((grid[:, k0::-1], grid[:, :M - K + k0:-1]), axis=1) * inv_T
 
 
 def _w_pair(s: np.ndarray, N: int, S: np.ndarray, Sp: np.ndarray):
@@ -417,7 +408,7 @@ def _em_chunks(s: np.ndarray, lattice=None):
     else:
         k0, h = lattice
         starts = range(k0 - k0 % _CHUNK, k0 + n, _CHUNK)     # each block's first k
-        grid = np.empty((3, numerics._fast_len(2 * _CHUNK)), dtype=complex)
+        grid = np.empty((2, numerics._fast_len(2 * _CHUNK)), dtype=complex)
         inv_T = _deconvolution(_CHUNK, grid.shape[1])
 
         def sums(sc, hi, lo):
@@ -567,9 +558,11 @@ def critical_line_log_derivative(x, step=None):
     limit there use the basis-function limit branch instead.
 
     Without step, x is summed point by point. step > 0 declares
-    x = k * step, as floats, for consecutive integers k = k0, k0 + 1, ...
-    (checked bit for bit; ValueError otherwise), say the half-grid of an
-    axis sweep: the sweep then takes the lattice route on fixed blocks of k
+    x = k * step, as floats, for consecutive integers k = k0, k0 + 1, ...,
+    say the half-grid of an axis sweep (numerics.symmetric_grid). Every
+    k * step must be exact: ValueError unless x is that array bit for bit
+    and the significant bits of step and the bit length of max|k| add up
+    to at most 53. The sweep then takes the lattice route on fixed blocks of k
     (see the module docstring), with the nodes near a zero summed again
     point by point, so the value at x_k depends on (step, k) alone: a sweep
     over part of a lattice equals the same nodes of a sweep over more of it,
@@ -587,6 +580,9 @@ def critical_line_log_derivative(x, step=None):
         k0 = round(x.flat[0] / step) if ok else 0
         if not (ok and np.array_equal(x.ravel(), np.arange(k0, k0 + x.size) * step)):
             raise ValueError("x is not k * step for consecutive integers k")
+        k_bits = max(abs(k0), abs(k0 + x.size - 1)).bit_length()
+        if math.fmod(step, math.ulp(step) * 2 ** k_bits):   # step's low k_bits bits
+            raise ValueError("k * step is not exact: step has over %d bits" % (53 - k_bits))
         lattice = (k0, float(step))
     out = np.empty(x.shape)
     chunks = redone = N_max = 0

@@ -91,6 +91,8 @@ def test_height_guard_is_config_error(tmp_path, monkeypatch, capsys):
             (["verify", "special", "--tol", "xi_halfreference=1e-30"],
              "xi_halfreference"),
             (["verify", "special", "--config", str(cfg_file)], "psi_norm_"),
+            # a tolerance flag without its value
+            (["verify", "special", "--tol", "xi_half_reference"], "ID=VALUE"),
             # non-finite tolerances, which the JSON report cannot hold
             (["verify", "special", "--tol", "xi_half_reference=nan"],
              "xi_half_reference"),
@@ -423,27 +425,34 @@ def test_export_psi_gamma_norm(tmp_path, monkeypatch):
 
 def test_verify_weil_with_single_zero_catalog(tmp_path, monkeypatch):
     # T = 15 leaves one catalog zero; the suite stays self-consistent with
-    # wider tail bounds
+    # wider tail bounds. Then a --zeros table at T = 50 is the catalog, read
+    # once, as a table, and passes every row
     monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
-    rc = cli.main(["verify", "weil", "--height-T", "15",
-                   "--cutoff-Z", "500", "--out", str(tmp_path)])
-    assert rc == 0
-    rows = json.load(open(tmp_path / "report_weil.json"))
+    loaded, load = [], zc.load_zeros
+    monkeypatch.setattr(zc, "load_zeros", lambda *args: loaded.append(load(*args)) or loaded[-1])
+    weil = [c.id for c in cli.CHECKS if c.suite == "weil"]
     # basis_pairing_cross needs a second zero; every other row is there
-    assert [r["check_id"] for r in rows] == [
-        c.id for c in cli.CHECKS if c.suite == "weil" and c.id != "basis_pairing_cross"]
+    for argv, ids in ((["--height-T", "15"], [i for i in weil if i != "basis_pairing_cross"]),
+                      (["--zeros", ZERO_TABLE, "--height-T", "50"], weil)):
+        rc = cli.main(["verify", "weil", "--cutoff-Z", "500", "--out", str(tmp_path)] + argv)
+        assert rc == 0
+        rows = json.load(open(tmp_path / "report_weil.json"))
+        assert [r["check_id"] for r in rows] == ids
+    assert [zs.source for zs in loaded] == ["table"]
 
 
 def test_export_f_gamma_with_grid_spec(tmp_path, monkeypatch):
+    # with a --grid, and without one (4,801 nodes on [-120, 120])
     monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
-    assert cli.main(["export", "F_gamma", "1", "--out", str(tmp_path),
-                     "--height-T", "20", "--grid=-40:40:801"]) == 0
-    lines = (tmp_path / "F_gamma_1.csv").read_text().splitlines()
-    assert len(lines) == 802
-    # |F_gamma| peaks at the ordinate itself
-    rows = [tuple(float(v) for v in ln.split(",")) for ln in lines[1:]]
-    peak_x = max(rows, key=lambda r: r[1] ** 2 + r[2] ** 2)[0]
-    assert abs(abs(peak_x) - 14.1347) < 1.0   # |F| plateaus around the ordinate
+    for grid, n_lines in ((["--grid=-40:40:801"], 802), ([], 4802)):
+        assert cli.main(["export", "F_gamma", "1", "--out", str(tmp_path),
+                         "--height-T", "20"] + grid) == 0
+        lines = (tmp_path / "F_gamma_1.csv").read_text().splitlines()
+        assert len(lines) == n_lines
+        # |F_gamma| peaks at the ordinate itself
+        rows = [tuple(float(v) for v in ln.split(",")) for ln in lines[1:]]
+        peak_x = max(rows, key=lambda r: r[1] ** 2 + r[2] ** 2)[0]
+        assert abs(abs(peak_x) - 14.1347) < 1.0   # |F| plateaus around the ordinate
 
 
 def test_verify_all_writes_combined_report(tmp_path, monkeypatch):
@@ -529,7 +538,8 @@ def test_oversized_export_is_usage_error(tmp_path, monkeypatch, capsys):
     # an _ArrayMemoryError with exit 1, the code of a failed check. The
     # limit, numerics.POINT_LIMIT, is verify's sweep for |x| <= 38 at
     # cutoff_Z = MAX_CUTOFF; numerics.Grid rejects the grid and the axis
-    # sweep (on [-Z, Z] at the default cutoff_Z), the export the ranges
+    # sweep (on [-Z, Z] at the default cutoff_Z, its last node m h just
+    # past Z), the export the ranges
     monkeypatch.setenv("WEIL_LAB_CACHE", str(tmp_path / "cache"))
     out = tmp_path / "out"
     assert nu.symmetric_grid(zc.MAX_CUTOFF, db._default_freq_spacing(38.0)
@@ -539,7 +549,8 @@ def test_oversized_export_is_usage_error(tmp_path, monkeypatch, capsys):
             (["screw_g", "0:5:1e-15"], "range 0:5:1e-15"),
             (["F_gamma", "--grid=-1:1:1000000000000000"],
              "grid '-1:1:1000000000000000'"),
-            (["psi_gamma", "--grid=-1e12:1e12:5"], "points on [-1000, 1000]")):
+            (["psi_gamma", "--grid=-1e12:1e12:5"],
+             "points on [-1000.0000000000001, 1000.0000000000001]")):
         capsys.readouterr()
         assert cli.main(["export"] + argv + ["--out", str(out),
                                              "--height-T", "20"]) == 2

@@ -330,6 +330,7 @@ def test_axis_samples_are_the_real_mirrored_sweep():
 
 def test_axis_sweep_miss_is_logged(caplog):
     Z, spacing = 61.0, 0.05
+    h = nu.symmetric_grid(Z, spacing).h          # 0.05 cut to 30 bits
     db.clear_axis_cache()
     with caplog.at_level(logging.DEBUG, logger="weil_lab"):
         db.axis_samples(37.0, spacing)
@@ -340,15 +341,15 @@ def test_axis_sweep_miss_is_logged(caplog):
     db.clear_axis_cache()
     assert len(msgs) == 4
     # the whole first block of 8,192 nodes sets N and the fine grid
-    assert msgs[0].startswith("critical-line sweep: 741 points, largest "
+    assert msgs[0].startswith("critical-line sweep: 742 points, largest "
                               "Euler-Maclaurin N 221, 1 NUFFT chunks, "
                               "0 point by point, largest fine grid 16384, "
                               "0 nodes re-summed exactly, ")
-    assert msgs[1].startswith("axis sweep at step 0.05: 0 -> 741 half-grid "
-                              "nodes, 741 swept, ")
+    assert msgs[1].startswith("axis sweep at step %r: 0 -> 742 half-grid "
+                              "nodes, 742 swept, " % h)
     assert msgs[2].startswith("critical-line sweep: 480 points, ")
-    assert msgs[3].startswith("axis sweep at step 0.05: 741 -> 1221 half-grid "
-                              "nodes, 480 swept, ")
+    assert msgs[3].startswith("axis sweep at step %r: 742 -> 1222 half-grid "
+                              "nodes, 480 swept, " % h)
     assert msgs[1].endswith(" s") and msgs[3].endswith(" s")
 
 
@@ -390,11 +391,17 @@ def test_axis_cache_keys_by_spacing_and_slices_sweep_nothing(monkeypatch):
     try:
         db.axis_samples(61.0, 0.05)
         db.axis_samples(37.0, 0.05)
-        assert calls == [1221]
+        assert calls == [1222]
         db.axis_samples(37.0, 0.04)            # another spacing, its own entry
-        assert calls == [1221, 926] and len(db._AXIS_CACHE) == 2
+        assert calls == [1222, 927] and len(db._AXIS_CACHE) == 2
         db.clear_axis_cache()
         assert not db._AXIS_CACHE
+        # every cutoff at one spacing has one h: Z = 1300 after Z = 700 at
+        # the ladder's spacing sweeps only the half-grid nodes past 700
+        small, _ = db.axis_samples(700.0, db._default_freq_spacing(38.0))
+        big, _ = db.axis_samples(1300.0, db._default_freq_spacing(38.0))
+        assert small.h == big.h and len(db._AXIS_CACHE) == 1
+        assert calls[2:] == [small.n_points // 2 + 1, (big.n_points - small.n_points) // 2]
     finally:
         db.clear_axis_cache()
 
@@ -402,14 +409,14 @@ def test_axis_cache_keys_by_spacing_and_slices_sweep_nothing(monkeypatch):
 def test_declared_step_is_checked_bit_for_bit():
     # k from 3, in block 0, and from mid-block at negative k across the four
     # blocks -2 to 1: each sweep equals the same nodes of a wider sweep
-    h = 0.05
+    h = nu.symmetric_grid(1.0, 0.05).h
     for k in (np.arange(3, 40), np.arange(-12000, 9000)):
         L = sf.critical_line_log_derivative(k * h, step=h)
         assert L.shape == k.shape and L.dtype == np.float64     # L is real
         wide = sf.critical_line_log_derivative(np.arange(k[0] - 5, k[-1] + 6) * h,
                                                step=h)
         assert L.tobytes() == wide[5:-5].tobytes()
-        for bad in (np.linspace(k[0] * h, k[-1] * h, k.size),  # not k * h
+        for bad in (np.nextafter(k * h, np.inf),               # not k * h
                     np.delete(k, 5) * h,                     # a gap in k
                     k[::-1] * h):                            # k decreasing
             assert not np.array_equal(bad, k * h)
@@ -418,6 +425,17 @@ def test_declared_step_is_checked_bit_for_bit():
     for step in (-h, 0.0, np.nan):
         with pytest.raises(ValueError):
             sf.critical_line_log_derivative(k * h, step=step)
+    # x = k * step bit for bit is not enough: every k * step must be exact,
+    # i.e. step's significant bits and max|k|'s bit length add up to <= 53.
+    # At |k| <= 8191 (13 bits), from either end of the blocks, 0.05 (52
+    # bits) and a step of 41 bits fail, and one of 40 bits passes
+    k = np.arange(8192)
+    for kk in (k, -k[::-1]):
+        for step in (0.05, math.ldexp(2 ** 41 - 1, -46)):
+            with pytest.raises(ValueError, match="not exact"):
+                sf.critical_line_log_derivative(kk * step, step=step)
+        step = math.ldexp(2 ** 40 - 1, -45)
+        assert np.all(np.isfinite(sf.critical_line_log_derivative(kk * step, step=step)))
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ A fault that no row can see yet is kept as a strict expected failure, so
 the test turns into a failure of its own (XPASS) once a row catches it."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -165,3 +166,39 @@ def test_nan_at_a_later_draw_fails_its_row(check_id, monkeypatch):
     suite = next(check.suite for check in cli.CHECKS if check.id == check_id)
     row = next(r for r in cli._SUITE_FN[suite](cfg) if r["check_id"] == check_id)
     assert math.isnan(row["value"]) and not row["pass"]
+
+
+def _nan_pair(G, i, j):
+    G[i, j] = G[j, i] = NAN
+    return G
+
+
+# plant(G) for the second 8 x 8 Gram matrix of the gram_psd row. On the
+# catalog's matrices eigvalsh raised LinAlgError on each NaN (a crash,
+# exit 2); on the identity it sorts a NaN pair's eigenvalues last, which
+# left the margin finite and passing (exit 0)
+NAN_GRAMS = {
+    "off_diagonal_pair": lambda G: _nan_pair(G, 0, 5),
+    "diagonal": lambda G: _nan_pair(G, 3, 3),
+    "pair_on_the_identity": lambda G: _nan_pair(np.eye(8, dtype=complex), 2, 3),
+}
+
+
+@pytest.mark.parametrize("plant", NAN_GRAMS.values(), ids=list(NAN_GRAMS))
+def test_nan_gram_matrix_fails_gram_psd(plant, tmp_path, monkeypatch, capsys):
+    kernel, grams = wf.screw_kernel, []
+
+    def faulty(t, s, zs):
+        G = kernel(t, s, zs)
+        if np.ndim(G) == 2:                 # the other rows' calls are scalar
+            grams.append(G)
+            if len(grams) == 2:
+                return plant(G)
+        return G
+    monkeypatch.delenv("WEIL_LAB_CACHE", raising=False)
+    monkeypatch.setattr(wf, "screw_kernel", faulty)
+    assert cli.main(["verify", "screw", "--height-T", "50", "--cutoff-Z", "500",
+                     "--out", str(tmp_path)]) == 1
+    assert "FAIL   gram_psd " in capsys.readouterr().out
+    rows = json.loads((tmp_path / "report_screw.json").read_text())
+    assert [r["check_id"] for r in rows if not r["pass"]] == ["gram_psd"]

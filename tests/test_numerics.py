@@ -114,6 +114,25 @@ def test_band_exact_spacing_clears_alias_images():
     assert g.n_points == nu.band_exact_grid(-4.0, 18.0, 650.0, 0.0).n_points
 
 
+def test_symmetric_grid_is_an_exact_lattice():
+    # every node is k h and Grid.h is h, h being the spacing cut to 30
+    # significant bits (0 to 23 low bits of its 53 cleared)
+    ladder = 0.999 * nu.ALIAS_GUARD / 38.0
+    for Z, spacing, n_points in ((500.0, ladder, 48433), (2000.0, ladder, 193729),
+                                 (5e4, ladder, nu.POINT_LIMIT), (1500.0, 0.05, 60003)):
+        grid = nu.symmetric_grid(Z, spacing)
+        h, m = grid.h, grid.n_points // 2
+        assert grid.n_points == n_points
+        assert 0 <= spacing - h < math.ulp(spacing) * 2 ** 23
+        assert math.fmod(h, math.ulp(h) * 2 ** 23) == 0.0
+        assert grid.x_max == m * h and Z <= m * h < Z + h
+        assert np.array_equal(grid.nodes(), np.arange(-m, m + 1) * h)
+        assert all(Fraction(x) == k * Fraction(h) for k, x in
+                   zip((-m, -1, 1, m), grid.nodes()[[0, m - 1, m + 1, -1]]))
+    # a spacing of 53 significant bits keeps its top 30
+    assert nu.symmetric_grid(1.0, 1.0 - 2.0 ** -53).h == 1.0 - 2.0 ** -30
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         nu.Grid(1.0, 0.0, 10)

@@ -587,22 +587,24 @@ def test_exp_matrix_oracle_against_mpmath():
 def _sum_cases():
     """(name, (s, step)): step = -i h for s declared as the whole blocks of
     k h that critical_line_log_derivative(x, step=h) sums, None for points
-    summed point by point."""
+    summed point by point. "h = 0.05" is the exact step symmetric_grid
+    takes for it."""
     rng = np.random.default_rng(21)
+    h05 = nu.symmetric_grid(1.0, 0.05).h
 
     def blocks(j0, j1, h):
         k = np.arange(j0 * sf._CHUNK, j1 * sf._CHUNK)
         return 0.5 - 1j * (k * h), complex(0.0, -h)
     yield "2 nodes at 1e4", (0.5 - 1j * np.linspace(1e4, 1e4 + 0.02, 2), None)
     yield "95 nodes, negative x", (0.5 - 1j * np.linspace(-1e4, -9998.6, 95), None)
-    yield "block 8 at h = 0.05, to 3686", blocks(8, 9, 0.05)
+    yield "block 8 at h = 0.05, to 3686", blocks(8, 9, h05)
     yield "8192-node half-grid from ~0", blocks(0, 1, 25 / 1024)
     # an undeclared uniform grid: two chunks, of 8192 points and of one
     yield "8193 nodes", (0.5 - 1j * np.linspace(2000.5, 2246.26, 8193), None)
     yield "seeded points", (0.5 - 1j * rng.uniform(1000.0, 2000.0, 3000), None)
     # every block slices the shared ln n to its own N: 221, 426, 631, 836
-    yield "4 blocks at h = 0.05 from 0", blocks(0, 4, 0.05)
-    yield "block -1 at h = 0.05, negative x", blocks(-1, 0, 0.05)
+    yield "4 blocks at h = 0.05 from 0", blocks(0, 4, h05)
+    yield "block -1 at h = 0.05, negative x", blocks(-1, 0, h05)
     yield "12 nodes at 1e4", (0.5 - 1j * np.linspace(1e4, 1e4 + 0.22, 12), None)
 
 
@@ -613,7 +615,7 @@ def _route_sums(s, Ns, step):
     hi, lo = sf._ln_parts(np.arange(1.0, max(Ns)))
     M = nu._fast_len(2 * sf._CHUNK)
     inv_T = sf._deconvolution(sf._CHUNK, M)
-    grid = np.empty((3, M), dtype=complex)
+    grid = np.empty((2, M), dtype=complex)
     for i0, N in zip(range(0, s.size, sf._CHUNK), Ns):
         sc, ln_n = s[i0:i0 + sf._CHUNK], (hi[:N - 1], lo[:N - 1])
         if step is None:
@@ -654,9 +656,8 @@ def test_dirichlet_sums_match_exp_matrix_oracle(name, s):
 
 def test_nufft_chunk_at_1e4_against_mpmath():
     # a full chunk below t = 1e4 (N = 5,017) on a lattice declared with the
-    # exact step 1/64 (so eps = 0 and S' is taken at each node), at both
-    # ends of the block and its middle; bound fixed before measuring: the
-    # route's error model, 1e-14 of the sum of |terms|
+    # exact step 1/64, at both ends of the block and its middle; bound fixed
+    # before measuring: the route's error model, 1e-14 of the sum of |terms|
     K = sf._CHUNK
     s = 0.5 - 1j * (1e4 - (K - 1 - np.arange(K)) / 64.0)
     N = sf._em_length(s)
@@ -727,14 +728,14 @@ def test_factored_tail_matches_per_term_oracle():
 
 
 def test_factored_sweep_near_a_zero_against_oracle():
-    # the first block of a declared lattice k h: node k sits within 1e-6 of
-    # gamma_1, where |L| ~ 1e6 magnifies any error of the factored sums (the
-    # per-node lattice correction is checked with the sums alone). Four
-    # spacings near 0.019, 0.02, 0.021 and 0.022, so that the bound does not
-    # hold by the choice of grid
+    # the first block of a declared lattice k h, h exact as symmetric_grid
+    # makes it: node k sits within 1e-6 of gamma_1, where |L| ~ 1e6
+    # magnifies any error of the factored sums. Four spacings near 0.019,
+    # 0.02, 0.021 and 0.022, so that the bound does not hold by the choice
+    # of grid
     for h0 in (0.019, 0.02, 0.021, 0.022):
         k = round(GAMMA1 / h0)
-        h = (GAMMA1 - 3e-7) / k
+        h = nu.symmetric_grid(1.0, (GAMMA1 - 3e-7) / k).h
         x = np.arange(sf._CHUNK) * h
         assert abs(x[k] - GAMMA1) <= 1e-6
         L = sf.critical_line_log_derivative(x, step=h)
@@ -744,6 +745,68 @@ def test_factored_sweep_near_a_zero_against_oracle():
         # itself: an absolute error ~1e-14 |w'| in w becomes ~1e-14 |L|^2
         # in L = w'/w + ...
         assert abs(L[k] - ref) <= 1e-10 * abs(ref) + 1e-14 * abs(ref) ** 2, h0
+
+
+def _taylor_lattice_sums(s, d, hi, lo, inv_T, grid):
+    """Oracle for _lattice_sums on an exact lattice: the lattice sums for
+    steps whose products k h round, with a third row ln^2 n c_n (S'', on
+    its own (3, M) grid) and one Taylor step S += eps S', S' += eps S''
+    from c + k d to each s_k, eps = s_k - c - k d formed exactly (TwoSum,
+    split Im d). On an exact lattice eps is 0."""
+    grid = np.empty((3, grid.shape[1]), dtype=complex)
+    K = s.size
+    M = grid.shape[1]
+    k0 = K // 2
+    a_hi, a_lo = nu._per_turn(-d.imag, float(M), 1.0)
+    x, x_lo = nu._two_prod(hi, a_hi)
+    x_lo += hi * a_lo + lo * a_hi
+    m = np.rint(x)
+    b = (x - m) + x_lo
+    m = m.astype(np.int64)
+    c_n = sf._powers(s[:1], hi, lo)[0]
+    c_n *= np.exp((2j * math.pi / M) * ((k0 * m) % M + k0 * b))
+    grid.fill(0.0)
+    for n0 in range(0, hi.size, sf._SOURCE_BLOCK):
+        blk = slice(n0, n0 + sf._SOURCE_BLOCK)
+        ker = sf._kernel(np.subtract.outer(sf._OFFSETS, b[blk]))
+        idx = (np.add.outer(sf._OFFSETS, m[blk]) % M).ravel()
+        tmp = np.empty_like(ker)
+        src = c_n[blk]
+        for row in grid:
+            for part, w in ((row.real, src.real), (row.imag, src.imag)):
+                part += np.bincount(idx, np.multiply(ker, w, out=tmp).ravel(), M)
+            src = -hi[blk] * src
+    np.fft.fft(grid, out=grid)
+    S, Sp, Spp = np.concatenate((grid[:, k0::-1], grid[:, :M - K + k0:-1]), axis=1) * inv_T
+    dh, dl = nu._split(d.imag)
+    k = np.arange(K)
+    u = s.imag - s[0].imag
+    v = u - s.imag                  # TwoSum: u + r = s.imag - s[0].imag
+    r = (s.imag - (u - v)) - (s[0].imag + v)
+    eps = 1j * (((u - k * dh) - k * dl) + r)
+    return S + eps * Sp, Sp + eps * Spp
+
+
+@pytest.mark.parametrize("spacing", [0.999 * nu.ALIAS_GUARD / 38.0, 0.05],
+                         ids=["ladder_spacing", "0.05"])
+def test_exact_lattice_sums_equal_the_taylor_step_oracle(spacing, monkeypatch):
+    # 2 blocks and 100 nodes from each k0, so every sweep spans 3 to 4
+    # blocks; the route spreads and transforms two rows, S and S'
+    h = nu.symmetric_grid(1.0, spacing).h
+    route, grids = sf._lattice_sums, []
+
+    def spied(s, d, hi, lo, inv_T, grid):
+        grids.append(grid.shape)
+        return route(s, d, hi, lo, inv_T, grid)
+    for k0 in (0, 3, 8000, -9000, -20000):
+        x = np.arange(k0, k0 + 2 * sf._CHUNK + 100) * h
+        with monkeypatch.context() as m:
+            m.setattr(sf, "_lattice_sums", spied)
+            L = sf.critical_line_log_derivative(x, step=h)
+            m.setattr(sf, "_lattice_sums", _taylor_lattice_sums)
+            ref = sf.critical_line_log_derivative(x, step=h)
+        assert L.tobytes() == ref.tobytes(), k0
+    assert set(grids) == {(2, nu._fast_len(2 * sf._CHUNK))} and len(grids) >= 15
 
 
 def test_point_by_point_working_set_is_bounded():
@@ -765,7 +828,7 @@ def test_lattice_sweep_working_set_is_one_block():
     # measuring: the declared x, the swept L and the declaration check's
     # k h (or, as the cache is filled, the full array and the swept half)
     # are 1.5 times the result; one block adds its share of the fine grid
-    # (3 x 16384 complex, 0.75 MiB), a source block's 17 x 2048 tables (at
+    # (2 x 16384 complex, 0.5 MiB), a source block's 17 x 2048 tables (at
     # most six live, 1.6 MiB) and the chunk's 8192-node complex arrays (at
     # most twelve live, 1.5 MiB), under 4 MiB
     h = 0.999 * nu.ALIAS_GUARD / 38.0
