@@ -150,6 +150,7 @@ class BasisFunction:
 
 def psi_gamma_tail_bound(gamma: float, Z: float) -> float:
     """L2 mass of F_gamma outside [-Z, Z]: bounded by 2/(pi (Z - gamma))."""
+    numerics._require_finite(gamma=gamma, Z=Z)
     if Z <= abs(gamma):
         raise ValueError("Z must exceed |gamma|")
     return 2.0 / (math.pi * (Z - abs(gamma)))

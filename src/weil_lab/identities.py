@@ -120,7 +120,7 @@ def gram_psd_margin(rng, n: int, zs) -> float:
     for _ in range(n):
         nodes = rng.uniform(-3, 3, size=8)
         M = wf.screw_kernel(nodes[:, None], nodes[None, :], zs)
-        margins.append(-(np.linalg.eigvalsh(M)[0] + 1e-8 * np.trace(M).real)
+        margins.append(-(np.linalg.eigvalsh(M)[0] + 1e-8 * np.trace(M))
                        if np.all(np.isfinite(M)) else math.nan)
     return _worst(margins, -1e30)
 

@@ -180,6 +180,13 @@ def _phase_sum(z: np.ndarray, anchors: np.ndarray, offsets: np.ndarray,
     return out
 
 
+def _require_finite(**args) -> None:
+    """ValueError naming the first argument with a NaN or infinite element."""
+    for name, value in args.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError("%s must be finite" % name)
+
+
 def fourier_integral(f: Callable[[np.ndarray], np.ndarray],
                      support: Tuple[float, float], z):
     """integral_a^b f(x) e^{izx} dx by 32-point Gauss-Legendre panels, at a
@@ -205,6 +212,7 @@ def fourier_integral(f: Callable[[np.ndarray], np.ndarray],
     if b > a and len(zf):
         if np.any(np.abs(zf.imag) > 50.0):
             raise ValueError("fourier_integral: |Im z| > 50 growth guard")
+        _require_finite(z=zf)
         width = min(1.0 / (1.0 + np.max(np.abs(zf), initial=0.0)), (b - a) / 16.0)
         n_nodes = 32.0 * max(1.0, float(np.ceil((b - a) / width)))
         if n_nodes > POINT_LIMIT:
@@ -531,6 +539,7 @@ def fourier_grid_at(psi: GridFunction, z) -> np.ndarray:
     if psi.domain_tag != "time":
         raise GridMismatchError("fourier_grid_at expects a time-domain input")
     z_arr = np.asarray(z, dtype=complex).ravel()
+    _require_finite(z=z_arr)
     n, h = psi.grid.n_points, psi.grid.h
     P = -(-n // 32)
     coeff = np.zeros(P * 32, dtype=complex)

@@ -5,10 +5,11 @@ For a catalog Gamma (symmetric under gamma -> -gamma) the pairing is
 
     <psi1, psi2>_W = sum_gamma m_gamma psihat1(gamma) conj(psihat2(conj gamma)),
 
-the screw function is g(t) = sum_gamma m_gamma (e^{i gamma t} - 1)/gamma^2,
-and its kernel G(t,s) = g(t-s) - g(t) - g(-s) + g(0) induces the quadratic
-form <phi1, phi2>_G = integral G(t,s) phi1(s) conj(phi2(t)) ds dt on
-mean-zero test functions. The two forms are linked by phi = psi'.
+the screw function is g(t) = sum_gamma m_gamma (e^{i gamma t} - 1)/gamma^2
+= -2 sum m sin^2(gamma t/2)/gamma^2, real and even, and its real symmetric
+kernel G(t,s) = g(t-s) - g(t) - g(-s) + g(0) induces the quadratic form
+<phi1, phi2>_G = integral G(t,s) phi1(s) conj(phi2(t)) ds dt on mean-zero
+test functions. The two forms are linked by phi = psi'.
 
 Transforms of test functions take whole arrays of z through one 32-point
 Gauss-Legendre node set per call and part (numerics.fourier_integral), and
@@ -286,23 +287,25 @@ def _real_catalog(zs):
 
 
 def screw_g_array(t, zs) -> np.ndarray:
-    """g(t) = sum_gamma m (e^{i gamma t} - 1)/gamma^2 over the symmetric
-    catalog, an array of the shape of t (of shape (1,) for a scalar t)."""
+    """g(t) = -2 sum_gamma m sin^2(gamma t/2)/gamma^2 over the symmetric
+    catalog, float64 of the shape of t (of shape (1,) for a scalar t)."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    numerics._require_finite(t=t_arr)
     g, m = _real_catalog(zs)
-    out = np.zeros(t_arr.shape, dtype=complex)
+    out = np.zeros(t_arr.shape)
     for i0 in range(0, t_arr.size, 4096):
-        ph = np.exp(1j * np.multiply.outer(t_arr.flat[i0:i0 + 4096], g))
-        out.flat[i0:i0 + 4096] = (ph - 1.0) @ (m / (g * g))
+        half = np.sin(0.5 * np.multiply.outer(t_arr.flat[i0:i0 + 4096], g))
+        out.flat[i0:i0 + 4096] = (half * half) @ (-2.0 * m / (g * g))
     return out
 
 
-def screw_g(t: float, zs) -> complex:
-    return complex(screw_g_array(np.array([t]), zs)[0])
+def screw_g(t: float, zs) -> float:
+    return float(screw_g_array(np.array([t]), zs)[0])
 
 
 def screw_tail_bound(t: float, zs) -> float:
     """Declared tail model for the truncated screw sum."""
+    numerics._require_finite(t=t)
     if not isinstance(zs, zc.ZeroSet) or len(zs) == 0:
         return 0.0
     T = zs.height_T
@@ -311,12 +314,12 @@ def screw_tail_bound(t: float, zs) -> float:
 
 def screw_kernel(t, s, zs):
     """G(t,s) = g(t-s) - g(t) - g(-s) + g(0), broadcast over arrays t and s
-    (a complex for scalar t and s). Each term of g(0) is m (e^0 - 1)/gamma^2,
-    exactly 0 in floating point too, so g(0) = 0 is not evaluated."""
+    (a float for scalar t and s). g(0) = 0 exactly (sin 0 = 0) and g is even
+    bit for bit, so G = g(t-s) - (g(t) + g(s)) == G(s,t) bit for bit."""
     t, s = np.broadcast_arrays(np.asarray(t, dtype=float), s)
-    vals = screw_g_array(np.stack([t - s, t, -s]), zs)
-    G = vals[0] - vals[1] - vals[2]
-    return complex(G) if G.ndim == 0 else G
+    vals = screw_g_array(np.stack([t - s, t, s]), zs)
+    G = vals[0] - (vals[1] + vals[2])
+    return float(G) if G.ndim == 0 else G
 
 
 def screw_form(phi1: TestFunction, phi2: TestFunction, zs) -> FormValue:

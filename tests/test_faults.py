@@ -65,6 +65,10 @@ def _L_scaled(sweep):
     return lambda x, step=None: sweep(x, step=step) * (1 + 1e-8)
 
 
+def _g_scaled(factor):
+    return lambda screw_g_array: lambda t, zs: factor * screw_g_array(t, zs)
+
+
 def _middle_sample_scaled(chirp_z):
     def faulty(*args):
         out = chirp_z(*args)
@@ -106,6 +110,12 @@ FAULTS = {
     # fails transform_agreement: its middle node is the scaled sample
     "transform_middle_sample_scaled_1e-6": _patched(
         nu, "_chirp_z", _middle_sample_scaled),
+    # fails gram_psd: -G is negative semidefinite
+    "screw_g_negated": _patched(wf, "screw_g_array", _g_scaled(-1.0)),
+    "screw_g_halved": _unseen(_patched(wf, "screw_g_array", _g_scaled(0.5)), (
+        "g/2 keeps g(0) = 0, its symmetry and a PSD kernel, and no row reads "
+        "the magnitude of g until the screw_explicit row of ROADMAP item 2 "
+        "compares g with the explicit formula")),
 }
 
 

@@ -2,9 +2,16 @@
 package's own code reaches it, or it is kept for a stated reason."""
 
 import ast
+import math
 import os
 
+import numpy as np
+import pytest
+
 import weil_lab
+from weil_lab import debranges as db
+from weil_lab import numerics as nu
+from weil_lab import weil_form as wf
 
 SRC = os.path.dirname(weil_lab.__file__)
 
@@ -79,3 +86,29 @@ def test_every_exported_name_is_reached_or_kept_for_a_reason():
     assert sorted(names - set(KEPT)) == []       # used by nothing: delete it
     assert sorted(set(KEPT) - names) == []       # reached now: drop it from KEPT
     assert all(reason for reason in KEPT.values())
+
+
+_TIME_GRID = nu.GridFunction(nu.Grid(-1.0, 1.0, 65), np.ones(65), "time")
+
+# (entry, argument): call(v, catalog) passes v as that argument (within an
+# array of finite values where the argument takes one)
+NON_FINITE_INPUTS = {
+    ("screw_g_array", "t"): lambda v, zs: wf.screw_g_array(np.array([0.5, v]), zs),
+    ("screw_g", "t"): lambda v, zs: wf.screw_g(v, zs),
+    ("screw_tail_bound", "t"): lambda v, zs: wf.screw_tail_bound(v, zs),
+    ("psi_gamma_tail_bound", "gamma"): lambda v, zs: db.psi_gamma_tail_bound(v, 500.0),
+    ("psi_gamma_tail_bound", "Z"): lambda v, zs: db.psi_gamma_tail_bound(
+        zs.ordinates[0], v),
+    ("fourier_integral", "z"): lambda v, zs: nu.fourier_integral(
+        np.ones_like, (-1.0, 1.0), np.array([1.0, v])),
+    ("transform_at", "z"): lambda v, zs: wf.transform_at(wf.TestFunction.bump(), v),
+    ("fourier_grid_at", "z"): lambda v, zs: nu.fourier_grid_at(_TIME_GRID, v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("entry, arg", list(NON_FINITE_INPUTS),
+                         ids=["%s-%s" % key for key in NON_FINITE_INPUTS])
+def test_entry_rejects_a_non_finite_argument(entry, arg, value, catalog):
+    with pytest.raises(ValueError, match="^%s must be finite$" % arg):
+        NON_FINITE_INPUTS[entry, arg](value, catalog)

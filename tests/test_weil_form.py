@@ -398,9 +398,23 @@ def test_screw_g_at_zero(catalog):
 
 
 def test_screw_g_conjugate_symmetry(catalog):
-    t = 1.7
-    assert abs(wf.screw_g(-t, catalog) - np.conj(wf.screw_g(t, catalog))) \
-        <= 1e-12
+    # g(-t) = conj g(t) and g is real: a float64 g, even bit for bit
+    t = np.random.default_rng(31).uniform(-40.0, 40.0, 20000)
+    g = wf.screw_g_array(t, catalog)
+    assert g.dtype == np.float64
+    assert wf.screw_g_array(-t, catalog).tobytes() == g.tobytes()
+
+
+def test_screw_g_near_zero_against_mpmath(catalog):
+    # -4 sum_{gamma > 0} m sin^2(gamma t/2)/gamma^2 at 40 digits: no
+    # cancellation of e^{i gamma t} - 1 costs relative accuracy at small t
+    gam, m = zc.symmetric_arrays(catalog, float)
+    pos = gam > 0
+    with mp.workdps(40):
+        for t in (1e-8, 1e-7, 1e-5, 1e-3, 0.3, 5.0):
+            ref = -4 * mp.fsum(int(mk) * mp.sin(mp.mpf(gk) * mp.mpf(t) / 2) ** 2
+                               / mp.mpf(gk) ** 2 for gk, mk in zip(gam[pos], m[pos]))
+            assert abs(wf.screw_g(t, catalog) - ref) <= 1e-14 * abs(ref), t
 
 
 def test_screw_g_matches_direct_sum(catalog, table_catalog):
@@ -415,7 +429,13 @@ def test_screw_kernel_identities(catalog):
     assert wf.screw_kernel(0.0, 0.0, catalog) == 0.0
     G_ts = wf.screw_kernel(1.1, 0.4, catalog)
     G_st = wf.screw_kernel(0.4, 1.1, catalog)
-    assert abs(G_ts - np.conj(G_st)) <= 1e-14
+    assert G_ts == G_st
+    # G(t,s) = G(s,t) bit for bit, on 8-node Gram matrices drawn as gram_psd's
+    zs, rng = zc.compute_zeros(50.0), np.random.default_rng(10)
+    for _ in range(50):
+        nodes = rng.uniform(-3, 3, size=8)
+        M = wf.screw_kernel(nodes[:, None], nodes[None, :], zs)
+        assert M.tobytes() == M.T.tobytes()
     t = 0.8
     diag = wf.screw_kernel(t, t, catalog)
     # G(t,t) = 2 sum over the symmetric catalog of m (1 - cos gamma t)/gamma^2
@@ -532,6 +552,17 @@ def test_screw_form_declared_tail_bounds_the_omitted_zeros():
         assert fv.tail_bound > 0.0
         assert abs(fl.value - fv.value) <= (fv.tail_bound + fv.quad_error
                                             + fl.quad_error)
+
+
+def test_screw_g_declared_tail_bounds_the_omitted_zeros():
+    # g over the zeros in (50, 110] is part of what the T = 50 tail model
+    # declares it may miss
+    short = zc.compute_zeros(50.0)
+    longer = zc.load_zeros(ZERO_TABLE, 110.0)
+    t = np.array([1e-4, 0.01, 0.05, 1.0, 6.0, 100.0])
+    omitted = wf.screw_g_array(t, longer) - wf.screw_g_array(t, short)
+    bound = np.array([wf.screw_tail_bound(ti, short) for ti in t])
+    assert np.all(np.abs(omitted) <= bound), t[np.abs(omitted) > bound]
 
 
 def test_screw_tail_bound_model(catalog):
