@@ -1,4 +1,4 @@
-"""Command-line front end: verification suites, zero-cache management, and
+"""Command-line front end: verification suites, the catalog sweep, and
 CSV/JSON artifact export.
 
 One table, CHECKS, holds each check's id, suite, anchor, default bound and
@@ -16,14 +16,13 @@ height_T that is not finite or above zero_catalog.MAX_HEIGHT, a cutoff_Z
 outside [500, zero_catalog.MAX_CUTOFF], and a grid that numerics.Grid
 rejects, is a config error.
 
-Cache: WEIL_LAB_CACHE names the directory of the tables `zeros import`
-stores; empty counts as unset. `verify` and `export` read the table at T only
-when it is set, and else sweep; `zeros` falls back to ~/.cache/weil_lab.
+The catalog is the table that zeros names (a path), else the sweep
+(zeros = compute, the default).
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error,
 3 I/O error. Reports are JSON lists of rows
 {check_id, anchor, value, bound, pass}; outputs are bitwise deterministic
-for a fixed configuration and zero cache.
+for a fixed configuration and ordinate table.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ class RunConfig:
     cutoff_Z: float = 1000.0
     grid_spec: Optional[Tuple[float, float, int]] = None
     out_dir: str = "."
-    cache_dir: Optional[str] = None
     tolerances: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -81,12 +79,10 @@ class RunConfig:
     @functools.cached_property
     def catalog(self) -> zc.ZeroSet:
         """The zero catalog, once per configuration: zero_source's table, else
-        the cache's table at height_T (even an empty one), else the sweep."""
+        the sweep."""
         if self.zero_source != "compute":
             return zc.load_zeros(self.zero_source, self.height_T)
-        imported = (zc.read_cache(zc.cache_file(self.cache_dir, self.height_T),
-                                  self.height_T) if self.cache_dir else None)
-        return zc.compute_zeros(self.height_T) if imported is None else imported
+        return zc.compute_zeros(self.height_T)
 
 
 def parse_grid_spec(text: str) -> Tuple[float, float, int]:
@@ -334,43 +330,14 @@ def run_verify(suite: str, cfg: RunConfig) -> int:
 # zeros and export commands
 # ----------------------------------------------------------------------
 
-def run_zeros(action: str, cfg: RunConfig) -> int:
-    """compute (no file), import (the table cfg.zero_source names) or list the cache."""
-    cache = cfg.cache_dir
-    if action == "compute":
-        zs = zc.compute_zeros(cfg.height_T)
-        if _no_ordinates(zs, cfg):
-            return 2
-        rep = zc.counting_check(zs)
-        print("computed %d ordinates up to T=%g (count estimate %.2f, %s)"
-              % (len(zs), cfg.height_T, rep.estimate,
-                 "ok" if rep.passed else "DISCREPANT"))
-        return 0
-    if action == "import":
-        if cfg.zero_source == "compute":
-            print("config error: zeros import reads a table, given by "
-                  "--zeros <path> or zeros = <path>", file=sys.stderr)
-            return 2
-        zs = zc.load_zeros(cfg.zero_source, cfg.height_T)
-        os.makedirs(cache, exist_ok=True)
-        dest = zc.cache_file(cache, cfg.height_T)
-        zc.save_zeros(dest, zs)
-        print("imported %d ordinates -> %s" % (len(zs), dest))
-        return 0
-    entries = sorted(f for f in (os.listdir(cache) if os.path.isdir(cache) else [])
-                     if f.startswith("zeros_T") and f.endswith(".txt"))
-    if not entries:
-        print("(empty cache)")
-    for f in entries:
-        try:
-            zs = zc.read_cache(os.path.join(cache, f))
-        except ValueError as exc:
-            print("%s: unreadable (%s)" % (f, exc))
-            continue
-        if zs is None:
-            print("%s: not an imported table (ignored)" % f)
-            continue
-        print("%s: %d ordinates (table)" % (f, len(zs)))
+def run_zeros(cfg: RunConfig) -> int:
+    """zeros compute: sweep to height_T and check the count; writes no file."""
+    zs = zc.compute_zeros(cfg.height_T)
+    if _no_ordinates(zs, cfg):
+        return 2
+    rep = zc.counting_check(zs)
+    print("computed %d ordinates up to T=%g (count estimate %.2f, %s)"
+          % (len(zs), cfg.height_T, rep.estimate, "ok" if rep.passed else "DISCREPANT"))
     return 0
 
 
@@ -464,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=SUITES)
 
     p_zeros = sub.add_parser("zeros", parents=[common],
-                             help="manage the ordinate cache")
-    p_zeros.add_argument("action", choices=("import", "compute", "list"))
+                             help="sweep the zero catalog and check its count")
+    p_zeros.add_argument("action", choices=("compute",))
 
     p_export = sub.add_parser("export", parents=[common],
                               help="emit CSV artifacts")
@@ -485,7 +452,7 @@ _KEYS = {"zeros": ("zero_source", str), "height_T": ("height_T", float),
 
 def make_config(args: argparse.Namespace) -> RunConfig:
     """The --config file's values with the flags over them (module
-    docstring); WEIL_LAB_CACHE is read here and nowhere else."""
+    docstring)."""
     given = load_config_file(args.config) if "config" in args else {}
     tols = {k[4:]: float(v) for k, v in given.items() if k.startswith("tol.")}
     unknown = sorted(k for k in given if k not in _KEYS and not k.startswith("tol."))
@@ -497,12 +464,8 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         key, val = item.split("=", 1)
         tols[key.strip()] = float(val)
     given.update((k, v) for k, v in vars(args).items() if k in _KEYS)
-    cache = os.environ.get("WEIL_LAB_CACHE") or (
-        os.path.join(os.path.expanduser("~"), ".cache", "weil_lab")
-        if args.command == "zeros" else None)
     return RunConfig(**{name: parse(given[k]) for k, (name, parse)
-                        in _KEYS.items() if k in given},
-                     cache_dir=cache, tolerances=tols)
+                        in _KEYS.items() if k in given}, tolerances=tols)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -518,7 +481,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "verify":
             return run_verify(args.suite, cfg)
         if args.command == "zeros":
-            return run_zeros(args.action, cfg)
+            return run_zeros(cfg)
         return run_export(args.object, args.arg, cfg)
     except ValueError as exc:
         print("%s: %s" % (stage, exc), file=sys.stderr)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import time
 import warnings
 from dataclasses import dataclass
@@ -20,12 +19,12 @@ from typing import List, Tuple
 
 import numpy as np
 
+from . import numerics as nu
 from . import special_fn as sf
 
 __all__ = [
-    "ZeroSet", "CountingReport", "load_zeros", "save_zeros", "compute_zeros",
-    "counting_check", "iterate_symmetric", "symmetric_arrays", "cache_file",
-    "read_cache", "tail_coefficient",
+    "ZeroSet", "CountingReport", "load_zeros", "compute_zeros", "counting_check",
+    "iterate_symmetric", "symmetric_arrays", "tail_coefficient",
 ]
 
 _log = logging.getLogger("weil_lab")
@@ -36,7 +35,6 @@ MAX_HEIGHT = 120.0
 MAX_CUTOFF = 5.0e4
 _SCAN_STEP = 0.25
 _MAX_STEPS = 200
-_HEADER = "# source=table"   # the first line of a table `zeros import` stored
 
 
 @dataclass(frozen=True)
@@ -141,45 +139,6 @@ def _refine_brackets(f, a, b, fa):
     return root, steps, points
 
 
-def save_zeros(path, zs: ZeroSet) -> None:
-    """Write a table (not a computed catalog: ValueError) to a cache file:
-    the _HEADER line, then one %.17g ordinate per line, which reads back as
-    the same float64 (byte-stable for equal inputs). Files written with
-    fewer digits still load, at the precision they hold.
-
-    The file is written whole to path.<pid>.tmp in the same directory and
-    then renamed onto path, so a write that fails partway (a full disk)
-    leaves no cut-short catalog behind to be read as the whole one; the
-    temporary file is removed on error."""
-    if zs.source != "table":
-        raise ValueError("only a table is cached; a computed catalog is swept")
-    tmp = "%s.%d.tmp" % (path, os.getpid())
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_HEADER + "\n")
-            for g in zs.ordinates:
-                fh.write("%.17g\n" % g)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def read_cache(path, T: float = math.inf):
-    """The table in a cache file, its ordinates <= T (see _read_table), empty
-    if none is; None without file or without the _HEADER line."""
-    if not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-    return _read_table(path, T) if first == _HEADER else None
-
-
-def cache_file(cache_dir, T: float) -> str:
-    """The cache file of the table up to T: zeros_T{T:g}.txt in cache_dir."""
-    return os.path.join(cache_dir, "zeros_T%g.txt" % T)
-
-
 def compute_zeros(T: float) -> ZeroSet:
     """Sign-change sweep of Z(t) = xi(1/2 + it) at t = 2, 2.25, ... < T and
     at T; a scan point where Z is exactly 0 is a root, and a bracket is
@@ -190,6 +149,7 @@ def compute_zeros(T: float) -> ZeroSet:
     DEBUG record on the "weil_lab" logger, with extra= fields catalog_T,
     scan_points, brackets, refine_steps, xi_points and elapsed_s.
     """
+    nu._require_finite(T=T)
     if T > MAX_HEIGHT:
         raise ValueError("compute_zeros supports T <= %g" % MAX_HEIGHT)
     t0 = time.perf_counter()

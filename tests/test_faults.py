@@ -205,7 +205,6 @@ def test_nan_gram_matrix_fails_gram_psd(plant, tmp_path, monkeypatch, capsys):
             if len(grams) == 2:
                 return plant(G)
         return G
-    monkeypatch.delenv("WEIL_LAB_CACHE", raising=False)
     monkeypatch.setattr(wf, "screw_kernel", faulty)
     assert cli.main(["verify", "screw", "--height-T", "50", "--cutoff-Z", "500",
                      "--out", str(tmp_path)]) == 1

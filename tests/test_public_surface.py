@@ -12,6 +12,7 @@ import weil_lab
 from weil_lab import debranges as db
 from weil_lab import numerics as nu
 from weil_lab import weil_form as wf
+from weil_lab import zero_catalog as zc
 
 SRC = os.path.dirname(weil_lab.__file__)
 
@@ -103,6 +104,7 @@ NON_FINITE_INPUTS = {
         np.ones_like, (-1.0, 1.0), np.array([1.0, v])),
     ("transform_at", "z"): lambda v, zs: wf.transform_at(wf.TestFunction.bump(), v),
     ("fourier_grid_at", "z"): lambda v, zs: nu.fourier_grid_at(_TIME_GRID, v),
+    ("compute_zeros", "T"): lambda v, zs: zc.compute_zeros(v),
 }
 
 

@@ -1,13 +1,10 @@
 import logging
 import math
-import os
-import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from weil_lab import cli
 from weil_lab import special_fn as sf
 from weil_lab import zero_catalog as zc
 
@@ -21,7 +18,8 @@ G3 = 25.010857580145688
 
 def test_load_zeros_basic(tmp_path):
     p = tmp_path / "zeros.txt"
-    p.write_text("14.134725142\n21.022039639\n25.010857580\n")
+    # an indented comment is no ordinate
+    p.write_text("14.134725142\n  # note\n21.022039639\n25.010857580\n")
     zs = zc.load_zeros(p, 25.0)
     assert len(zs) == 2
     assert zs.source == "table"
@@ -42,6 +40,13 @@ def test_load_zeros_rejects_descending(tmp_path):
     p = tmp_path / "zeros.txt"
     p.write_text("21.0\n14.1\n")
     with pytest.raises(ValueError, match="line 2"):
+        zc.load_zeros(p, 100.0)
+
+
+def test_load_zeros_rejects_a_repeated_ordinate(tmp_path):
+    p = tmp_path / "zeros.txt"
+    p.write_text("14.134725\n14.134725\n21.022040\n")
+    with pytest.raises(ValueError, match="non-ascending ordinate at line 2"):
         zc.load_zeros(p, 100.0)
 
 
@@ -226,8 +231,7 @@ def _z_and_slope(t):
 
 def test_compute_zeros_t110_against_table_and_per_bracket_route():
     zs = zc.compute_zeros(110.0)
-    table = zc.load_zeros(os.path.join(os.path.dirname(__file__), "data",
-                                       "zeros_t110.txt"), 110.0)
+    table = zc.load_zeros(ZERO_TABLE, 110.0)
     assert len(zs) == len(table) == 33
     assert np.max(np.abs(np.array(zs.ordinates) - table.ordinates)) <= 1e-11
     t_grid = np.arange(2.0, 110.25, 0.25)
@@ -348,86 +352,6 @@ def test_zeroset_validation():
 def test_zeroset_immutable(catalog):
     with pytest.raises(Exception):
         catalog.height_T = 50.0
-
-
-def test_cache_roundtrip_and_byte_stability(tmp_path):
-    # an imported table reads back bit for bit, and writing it again gives
-    # the same bytes
-    zs = zc.load_zeros(ZERO_TABLE, 50.0)
-    path = tmp_path / "zeros_T50.txt"
-    zc.save_zeros(path, zs)
-    blob = path.read_bytes()
-    back = zc.read_cache(path, 50.0)
-    assert back == zs and back.source == "table"
-    assert np.array(back.ordinates).tobytes() == np.array(zs.ordinates).tobytes()
-    zc.save_zeros(path, back)
-    assert path.read_bytes() == blob
-    assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
-
-
-def test_cache_file_with_fewer_digits_still_loads(tmp_path):
-    path = tmp_path / "zeros_T20.txt"
-    zc.save_zeros(path, zc.ZeroSet((), (), 20.0, "table"))    # the header
-    path.write_text(path.read_text() + "14.134725142\n")
-    zs = zc.read_cache(path, 20.0)
-    assert zs.source == "table" and zs.ordinates == (14.134725142,)
-
-
-def test_cache_header_names_the_source(tmp_path):
-    # the one header is the table's; a computed catalog is never written
-    path = tmp_path / "zeros_T20.txt"
-    zc.save_zeros(path, zc.ZeroSet((G1,), (1,), 20.0, "table"))
-    assert open(path).readline() == "# source=table\n"
-    assert zc.read_cache(path, 20.0).source == "table"
-    with pytest.raises(ValueError, match="computed"):
-        zc.save_zeros(tmp_path / "zeros_T30.txt", zc.compute_zeros(30.0))
-    assert os.listdir(tmp_path) == ["zeros_T20.txt"]
-
-
-def test_cache_without_header_is_recomputed(tmp_path):
-    # a file without the table header is no catalog: the run sweeps, and
-    # the file is left as it was
-    path = tmp_path / "zeros_T20.txt"
-    path.write_text("14.0\n")
-    assert zc.read_cache(path, 20.0) is None
-    zs = cli.RunConfig(height_T=20.0, cache_dir=str(tmp_path)).catalog
-    assert zs.source == "computed"
-    assert abs(zs.ordinates[0] - G1) < 1e-8
-    assert path.read_text() == "14.0\n"
-
-
-def test_cache_from_another_refiner_is_recomputed(tmp_path):
-    # a computed file in either header earlier versions wrote, its
-    # ordinates 3e-12 off, is ignored and left unchanged: the run sweeps.
-    # A table file keeps its provenance
-    path = tmp_path / "zeros_T30.txt"
-    fresh = zc.compute_zeros(30.0)
-    for header in ("# source=computed", "# source=computed refiner=guarded-newton"):
-        path.write_text(header + "\n"
-                        + "".join("%.17g\n" % (g + 3e-12) for g in fresh.ordinates))
-        blob = path.read_bytes()
-        assert zc.read_cache(path, 30.0) is None
-        assert cli.RunConfig(height_T=30.0, cache_dir=str(tmp_path)).catalog == fresh
-        assert path.read_bytes() == blob
-    path.write_text("# source=table\n14.134725142\n")
-    table = cli.RunConfig(height_T=30.0, cache_dir=str(tmp_path)).catalog
-    assert table.source == "table" and table.ordinates == (14.134725142,)
-
-
-def test_cached_empty_catalog_does_not_warn(tmp_path, monkeypatch):
-    # load_zeros warns about a user table with nothing below T; an empty
-    # sweep does not, and an imported table with nothing below T comes
-    # back as that empty table, with no warning and no sweep
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert len(zc.compute_zeros(10.0)) == 0
-        (tmp_path / "zeros_T10.txt").write_text("# source=table\n14.134725142\n")
-
-        def no_sweep(T):
-            raise AssertionError("an imported table was swept over")
-        monkeypatch.setattr(zc, "compute_zeros", no_sweep)
-        zs = cli.RunConfig(height_T=10.0, cache_dir=str(tmp_path)).catalog
-    assert zs == zc.ZeroSet((), (), 10.0, "table")
 
 
 def test_tail_coefficient(catalog):
