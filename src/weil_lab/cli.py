@@ -331,7 +331,11 @@ def run_verify(suite: str, cfg: RunConfig) -> int:
 # ----------------------------------------------------------------------
 
 def run_zeros(cfg: RunConfig) -> int:
-    """zeros compute: sweep to height_T and check the count; writes no file."""
+    """zeros compute: sweep to height_T and check the count; writes no file.
+    A table (zeros = PATH) is a ValueError: the command always sweeps."""
+    if cfg.zero_source != "compute":
+        raise ValueError("zeros compute always sweeps and reads no table, "
+                         "but zeros names %r" % cfg.zero_source)
     zs = zc.compute_zeros(cfg.height_T)
     if _no_ordinates(zs, cfg):
         return 2

@@ -243,8 +243,7 @@ def restriction_isometry_check(gamma: float, zs: zc.ZeroSet,
     vals = F.values_on_axis(fgrid.nodes(), L)
     Fg = numerics.GridFunction(fgrid, vals, "frequency")
     lhs = numerics.grid_norm_sq(Fg)
-    gp, mp_ = zc.symmetric_arrays(zs, float, int)
     rhs = 0.0
-    for term in np.abs(F.values_on_axis(gp)) ** 2 * math.pi * mp_:
+    for term in np.abs(F.values_on_axis(zs.gammas)) ** 2 * math.pi * zs.mults:
         rhs += term
     return lhs, float(rhs)

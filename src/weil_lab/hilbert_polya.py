@@ -104,8 +104,8 @@ def eigen_residual(p: ExtensionParams, gamma: float, samples: Sequence[complex],
 
 
 def spectral_coeffs(psi, zs: zc.ZeroSet) -> np.ndarray:
-    """S_gamma = psihat(gamma), a complex array in iterate_symmetric order."""
-    return wf.transform_at(psi, zc.symmetric_arrays(zs, complex)[0])
+    """S_gamma = psihat(gamma), a complex array in ZeroSet.gammas order."""
+    return wf.transform_at(psi, zs.gammas)
 
 
 @dataclass
@@ -115,7 +115,7 @@ class LWDecomposition:
     psi1: numerics.GridFunction
     coeffs: np.ndarray           # S_psi at gammas
     expansion: np.ndarray        # i S sqrt(m pi) per catalog entry
-    gammas: np.ndarray           # the symmetric catalog, iterate_symmetric order
+    gammas: np.ndarray           # the catalog's own ZeroSet.gammas and mults
     mults: np.ndarray
 
     def residual_coeffs(self) -> np.ndarray:
@@ -141,7 +141,7 @@ def decompose_LW(psi, zs: zc.ZeroSet, Z: float,
     S = spectral_coeffs(psi, zs)              # TypeError for other inputs
     values = (psi.values if isinstance(psi, numerics.GridFunction)
               else psi(out.nodes()))
-    gammas, mults = zc.symmetric_arrays(zs, float, int)
+    gammas, mults = zs.gammas, zs.mults
     expansion = 1j * S * np.sqrt(mults * math.pi)
     psi1 = debranges.psi_combination(gammas, mults, expansion, Z, out)
     psi0 = numerics.GridFunction(out, values - psi1.values, "time")

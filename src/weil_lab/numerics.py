@@ -102,7 +102,11 @@ def symmetric_grid(half_range: float, spacing: float) -> Grid:
     """Grid of the nodes k h, |k| <= m = ceil(R/h), on [-R, R] and less than
     h beyond: h is the spacing cut to 53 - POINT_LIMIT.bit_length() = 30
     significant bits, so it depends on the spacing alone, and every i h
-    (i < POINT_LIMIT), every node of Grid.nodes() and Grid.h are exact."""
+    (i < POINT_LIMIT), every node of Grid.nodes() and Grid.h are exact.
+    Both arguments must be finite and the spacing positive (ValueError)."""
+    _require_finite(half_range=half_range, spacing=spacing)
+    if spacing <= 0:
+        raise ValueError("spacing must be positive")
     h = spacing - math.fmod(spacing, math.ulp(spacing) * 2 ** POINT_LIMIT.bit_length())
     m = int(math.ceil(half_range / h))
     return Grid(-m * h, m * h, 2 * m + 1)
@@ -113,7 +117,11 @@ def band_exact_grid(x_min: float, x_max: float, band: float,
     """Grid on [x_min, x_max] whose trapezoid alias images (spaced 2pi/h)
     clear band + margin by 2%. For content limited to [-Z, Z], band = 2Z is
     the Nyquist rate and band = Z + zmax keeps transforms at |z| <= zmax
-    alias-free."""
+    alias-free. Every argument must be finite and band + margin positive
+    (ValueError)."""
+    _require_finite(x_min=x_min, x_max=x_max, band=band, margin=margin)
+    if band + margin <= 0:
+        raise ValueError("band + margin must be positive")
     tau = 2.0 * math.pi / (band + margin) * 0.98
     n = int(math.ceil((x_max - x_min) / tau)) + 1
     return Grid(x_min, x_max, n)

@@ -3,7 +3,7 @@ and the smooth compactly supported test functions both are evaluated on.
 
 For a catalog Gamma (symmetric under gamma -> -gamma) the pairing is
 
-    <psi1, psi2>_W = sum_gamma m_gamma psihat1(gamma) conj(psihat2(conj gamma)),
+    <psi1, psi2>_W = sum_gamma m_gamma psihat1(gamma) conj(psihat2(gamma)),
 
 the screw function is g(t) = sum_gamma m_gamma (e^{i gamma t} - 1)/gamma^2
 = -2 sum m sin^2(gamma t/2)/gamma^2, real and even, and its real symmetric
@@ -235,8 +235,8 @@ def _transform_scale(psi) -> float:
 def _tail_bound(psi1, psi2, zs, k: int) -> float:
     """Declared tail model 2 log(T)/T max |z|^k |psihat1(z)| |psihat2(z)| at
     the _sup_samples probes: k = 2 for the pairing's weights m, 0 for the
-    screw form's m/gamma^2; 0 unless zs is a nonempty ZeroSet."""
-    if not isinstance(zs, zc.ZeroSet) or not len(zs):
+    screw form's m/gamma^2; 0 on an empty catalog."""
+    if not len(zs):
         return 0.0
     zp = _sup_samples(zs.height_T)
     p1 = transform_at(psi1, zp.astype(complex))
@@ -252,21 +252,13 @@ def _quad_error(w, a1, a2, e1: float, e2: float) -> float:
 
 
 def weil_pairing(psi1, psi2, zs) -> FormValue:
-    """sum over the symmetric catalog of m psihat1(gamma) conj(psihat2(conj gamma)).
-
-    For catalogs of real ordinates conj(gamma) = gamma; the conjugated form
-    is kept so synthetic catalogs with non-real entries (fed as explicit
-    (gamma, m) pairs) reproduce the indefinite behavior they should.
-    """
-    g, m = zc.symmetric_arrays(zs, complex)
+    """sum over the symmetric catalog of m psihat1(gamma) conj(psihat2(gamma))."""
+    g, m = zs.gammas, zs.mults
     if not len(g):
         return FormValue(0.0j, 0.0, 0.0)
     same = psi2 is psi1
     f1 = transform_at(psi1, g)
-    if same and not np.any(g.imag):
-        f2c = np.conj(f1)                # conj(g) == g on a real catalog
-    else:
-        f2c = np.conj(transform_at(psi2, np.conj(g)))
+    f2c = np.conj(f1 if same else transform_at(psi2, g))
     value = complex(np.sum(m * f1 * f2c))
     e1 = 1e-12 * _transform_scale(psi1)
     e2 = e1 if same else 1e-12 * _transform_scale(psi2)
@@ -278,20 +270,12 @@ def weil_pairing(psi1, psi2, zs) -> FormValue:
 # screw function and kernel
 # ----------------------------------------------------------------------
 
-def _real_catalog(zs):
-    """(gamma, m) arrays of the symmetric catalog, which must be real."""
-    g, m = zc.symmetric_arrays(zs, complex)
-    if np.any(g.imag):
-        raise ValueError("the screw kernel needs real ordinates")
-    return g.real, m
-
-
 def screw_g_array(t, zs) -> np.ndarray:
     """g(t) = -2 sum_gamma m sin^2(gamma t/2)/gamma^2 over the symmetric
     catalog, float64 of the shape of t (of shape (1,) for a scalar t)."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     numerics._require_finite(t=t_arr)
-    g, m = _real_catalog(zs)
+    g, m = zs.gammas, zs.mults
     out = np.zeros(t_arr.shape)
     for i0 in range(0, t_arr.size, 4096):
         half = np.sin(0.5 * np.multiply.outer(t_arr.flat[i0:i0 + 4096], g))
@@ -306,7 +290,7 @@ def screw_g(t: float, zs) -> float:
 def screw_tail_bound(t: float, zs) -> float:
     """Declared tail model for the truncated screw sum."""
     numerics._require_finite(t=t)
-    if not isinstance(zs, zc.ZeroSet) or len(zs) == 0:
+    if not len(zs):
         return 0.0
     T = zs.height_T
     return 2.0 * zc.tail_coefficient(zs) * min(1.0, abs(t) * T)
@@ -325,14 +309,14 @@ def screw_kernel(t, s, zs):
 def screw_form(phi1: TestFunction, phi2: TestFunction, zs) -> FormValue:
     """<phi1, phi2>_G = integral G(t,s) phi1(s) conj(phi2(t)) ds dt.
 
-    Requires mean-zero inputs and real ordinates. As g(0) = 0,
+    Requires mean-zero inputs. As g(0) = 0,
     G(t,s) = sum m/gamma^2 (e^{i gamma t} - 1)(e^{-i gamma s} - 1), so the
     double integral is sum m/gamma^2 d1(gamma) conj(d2(gamma)) with
     d = phihat(gamma) - phihat(0), from one transform_at call per input at
     0 and the catalog. Quadrature error: weil_pairing's model, weights
     m/gamma^2, twice the per-value error in each d.
     """
-    gam, m = _real_catalog(zs)
+    gam, m = zs.gammas, zs.mults
     z = np.concatenate([[0.0], gam])
     h1 = transform_at(phi1, z)
     h2 = h1 if phi2 is phi1 else transform_at(phi2, z)
@@ -370,8 +354,8 @@ def _mean_zero(mean: complex, scale: float) -> bool:
 
 
 def tau_norm(S, zs) -> float:
-    """sum m |S_gamma|^2 for S a complex array in iterate_symmetric order."""
-    m = zc.symmetric_arrays(zs)[1]
+    """sum m |S_gamma|^2 for S a complex array in ZeroSet.gammas order."""
+    m = zs.mults
     if np.shape(S) != m.shape:
         raise ValueError("coefficients not aligned with the catalog iteration")
     return float(np.sum(m * np.abs(np.asarray(S, dtype=complex)) ** 2))

@@ -1,11 +1,12 @@
 """Catalogs of nontrivial-zero ordinates with multiplicities.
 
 A ZeroSet holds the positive ordinates gamma (zeros of xi(1/2 + it) up to a
-truncation height T); the full symmetric family {+-gamma} is produced by
-iterate_symmetric, and as (gamma, m) arrays by symmetric_arrays. Ordinates
-come either from a published plain-text table (one decimal per line,
-ascending) or from a sign-change sweep of xi along the critical line
-refined by Newton steps kept inside their brackets (xi' comes with xi).
+truncation height T) and, built once from them, the full symmetric family
+{+-gamma} as read-only arrays, gammas (float64, ascending) and mults
+(int64), which every catalog sum reads. Ordinates come either from a
+published plain-text table (one decimal per line, ascending) or from a
+sign-change sweep of xi along the critical line refined by Newton steps
+kept inside their brackets (xi' comes with xi).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import logging
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
@@ -24,7 +25,7 @@ from . import special_fn as sf
 
 __all__ = [
     "ZeroSet", "CountingReport", "load_zeros", "compute_zeros", "counting_check",
-    "iterate_symmetric", "symmetric_arrays", "tail_coefficient",
+    "iterate_symmetric", "tail_coefficient",
 ]
 
 _log = logging.getLogger("weil_lab")
@@ -39,11 +40,16 @@ _MAX_STEPS = 200
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """Ascending positive ordinates with multiplicities, truncated at height_T."""
+    """Ascending positive ordinates with multiplicities, truncated at height_T;
+    gammas and mults are the symmetric catalog -gamma_n .. -gamma_1,
+    gamma_1 .. gamma_n and its multiplicities, read-only arrays derived from
+    the fields (not compared, hashed or shown)."""
     ordinates: Tuple[float, ...]
     multiplicities: Tuple[int, ...]
     height_T: float
     source: str   # 'table' | 'computed'
+    gammas: np.ndarray = field(init=False, repr=False, compare=False)
+    mults: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.ordinates, dtype=float)
@@ -60,6 +66,11 @@ class ZeroSet:
             raise ValueError("source must be 'table' or 'computed'")
         object.__setattr__(self, "ordinates", tuple(float(x) for x in g))
         object.__setattr__(self, "multiplicities", tuple(int(x) for x in m))
+        m = np.array(self.multiplicities, dtype=np.int64)
+        for name, arr in (("gammas", np.concatenate([-g[::-1], g])),
+                          ("mults", np.concatenate([m[::-1], m]))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return len(self.ordinates)
@@ -183,24 +194,9 @@ def counting_check(zs: ZeroSet) -> CountingReport:
     return CountingReport(len(zs), est, disc, disc <= 2.0)
 
 
-def iterate_symmetric(zs) -> List[Tuple[float, int]]:
-    """(gamma, m) pairs over {-gamma_n .. -gamma_1, gamma_1 .. gamma_n}, ascending.
-
-    Accepts a ZeroSet or an explicit iterable of (gamma, m) pairs (the latter
-    is passed through unchanged so synthetic catalogs, including non-real
-    ones, can exercise the same code paths)."""
-    if not isinstance(zs, ZeroSet):
-        return [(g, int(m)) for g, m in zs]
-    pos = list(zip(zs.ordinates, zs.multiplicities))
-    neg = [(-g, m) for g, m in reversed(pos)]
-    return neg + pos
-
-
-def symmetric_arrays(zs, dtype=float, m_dtype=float):
-    """iterate_symmetric(zs) as arrays: (gamma of dtype, m of m_dtype)."""
-    pairs = iterate_symmetric(zs)
-    return (np.array([g for g, _ in pairs], dtype=dtype),
-            np.array([m for _, m in pairs], dtype=m_dtype))
+def iterate_symmetric(zs: ZeroSet) -> List[Tuple[float, int]]:
+    """The (gamma, m) pairs of zs.gammas and zs.mults, as Python numbers."""
+    return list(zip(zs.gammas.tolist(), zs.mults.tolist()))
 
 
 def tail_coefficient(zs: ZeroSet) -> float:

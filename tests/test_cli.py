@@ -171,8 +171,14 @@ def test_zeros_compute_without_ordinates_names_T(tmp_path, monkeypatch, capsys):
                     ("100", "computed 29 ordinates up to T=100 (count estimate 29.00, ok)")):
         assert cli.main(["zeros", "compute", "--height-T", T]) == 0
         assert capsys.readouterr().out.splitlines() == [line]
+    # a table, by flag or config file, is an error that names it, not a sweep
+    (tmp_path / "run.cfg").write_text("zeros = no_such_table.txt\n")
+    for given in (["--zeros", "no_such_table.txt"], ["--config", "run.cfg"]):
+        assert cli.main(["zeros", "compute", "--height-T", "30"] + given) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "always sweeps" in err and "'no_such_table.txt'" in err
     assert cli.main(["export", "screw_g", "--height-T", "20", "--out", "out"]) == 0
-    assert os.listdir(tmp_path) == ["out"]
+    assert sorted(os.listdir(tmp_path)) == ["out", "run.cfg"]
     assert os.listdir(tmp_path / "out") == ["screw_g.csv"]
 
 

@@ -149,6 +149,11 @@ def test_grid_validation():
     assert type(nu.Grid(0.0, 1.0, 11.0).n_points) is int
     g = nu.Grid(0.0, 1.0, 11)
     assert g.h == pytest.approx(0.1)
+    # the grid constructors reject a grid they cannot compute
+    with pytest.raises(ValueError, match="^spacing must be positive$"):
+        nu.symmetric_grid(10.0, 0.0)
+    with pytest.raises(ValueError, match=r"^band \+ margin must be positive$"):
+        nu.band_exact_grid(0.0, 1.0, 100.0, -100.0)
 
 
 def test_gridfunction_validation():

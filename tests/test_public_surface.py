@@ -26,6 +26,8 @@ KEPT = {
                             "budget of the rows that read psi_gamma",
     "screw_tail_bound": "the declared truncation bound of screw_g, the "
                         "budget of a row on the screw function",
+    "iterate_symmetric": "perfbench's basis_bank workload and its self-test "
+                         "list the catalog through it",
 }
 
 
@@ -105,6 +107,12 @@ NON_FINITE_INPUTS = {
     ("transform_at", "z"): lambda v, zs: wf.transform_at(wf.TestFunction.bump(), v),
     ("fourier_grid_at", "z"): lambda v, zs: nu.fourier_grid_at(_TIME_GRID, v),
     ("compute_zeros", "T"): lambda v, zs: zc.compute_zeros(v),
+    ("symmetric_grid", "half_range"): lambda v, zs: nu.symmetric_grid(v, 0.1),
+    ("symmetric_grid", "spacing"): lambda v, zs: nu.symmetric_grid(10.0, v),
+    ("band_exact_grid", "x_min"): lambda v, zs: nu.band_exact_grid(v, 1.0, 10.0),
+    ("band_exact_grid", "x_max"): lambda v, zs: nu.band_exact_grid(0.0, v, 10.0),
+    ("band_exact_grid", "band"): lambda v, zs: nu.band_exact_grid(0.0, 1.0, v),
+    ("band_exact_grid", "margin"): lambda v, zs: nu.band_exact_grid(0.0, 1.0, 10.0, v),
 }
 
 

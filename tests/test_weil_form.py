@@ -87,7 +87,7 @@ def g_matrix_screw_form(phi1, phi2, zs):
     sums over the n_s x n_t nodes add <= (n_s + n_t) u of their sum of
     |terms| (worst case). So |error| <= 12 (N + n_s + n_t + 4 max|gamma| L
     + 8) u S ||f1||_1 ||f2||_1 for the weighted samples f1, f2."""
-    gam, m = zc.symmetric_arrays(zs, float)
+    gam, m = zs.gammas, zs.mults
     m, gam = m[gam > 0], gam[gam > 0]
 
     def g(x):
@@ -365,23 +365,6 @@ def test_pairing_with_itself_makes_two_transform_calls_per_part(catalog, monkeyp
     assert fv == unshared
 
 
-def test_pairing_synthetic_nonreal_catalog_is_indefinite():
-    # a conjugation- and negation-symmetric set of non-real "zeros": the
-    # conj(gamma) form keeps the quadratic form real but indefinite
-    g0 = complex(2.0, 0.5)
-    pairs = [(-np.conj(g0), 1), (-g0, 1), (g0, 1), (np.conj(g0), 1)]
-    b = wf.TestFunction.bump(0.9, 0.6)
-    fv = wf.weil_pairing(b, b, pairs)
-    ref = sum(m * b.fourier(g) * np.conj(b.fourier(np.conj(g)))
-              for g, m in pairs)
-    assert abs(fv.value - ref) < 1e-12 * max(1.0, abs(ref))
-    assert abs(fv.value.imag) < 1e-12 * max(1.0, abs(fv.value))
-    rng = np.random.default_rng(42)
-    vals = [wf.weil_pairing(p, p, pairs).value.real
-            for p in (wf.random_combination(rng, 2) for _ in range(40))]
-    assert min(vals) < -1e-12 and max(vals) > 1e-12
-
-
 def test_pairing_of_basis_grid(small_psi, catalog):
     fv = wf.weil_pairing(small_psi["psi1"], small_psi["psi1"], catalog)
     assert abs(fv.value - 1.0 / math.pi) <= 1e-4
@@ -408,7 +391,7 @@ def test_screw_g_conjugate_symmetry(catalog):
 def test_screw_g_near_zero_against_mpmath(catalog):
     # -4 sum_{gamma > 0} m sin^2(gamma t/2)/gamma^2 at 40 digits: no
     # cancellation of e^{i gamma t} - 1 costs relative accuracy at small t
-    gam, m = zc.symmetric_arrays(catalog, float)
+    gam, m = catalog.gammas, catalog.mults
     pos = gam > 0
     with mp.workdps(40):
         for t in (1e-8, 1e-7, 1e-5, 1e-3, 0.3, 5.0):
@@ -458,16 +441,6 @@ def test_screw_kernel_broadcasts(catalog):
     assert g.tobytes() == wf.screw_g_array(t2.ravel(), catalog).tobytes()
 
 
-def test_screw_kernel_rejects_nonreal_catalog():
-    pairs = [(14 + 0.5j, 1), (-14 - 0.5j, 1)]
-    phi = wf.TestFunction.bump(0.0, 1.0).derivative()
-    for call in (lambda: wf.screw_g(1.0, pairs),
-                 lambda: wf.screw_kernel(1.0, 0.5, pairs),
-                 lambda: wf.screw_form(phi, phi, pairs)):
-        with pytest.raises(ValueError, match="real ordinates"):
-            call()
-
-
 def test_gram_matrices_positive_semidefinite(catalog):
     assert ids.gram_psd_margin(np.random.default_rng(10), 10, catalog) <= 0.0
 
@@ -507,7 +480,7 @@ def test_screw_form_matches_weil_pairing_of_antiderivative(catalog):
 def test_screw_form_quad_error_is_the_transform_model(catalog):
     # 1e-12 of the L1 scale per transform value, doubled in each difference
     # phihat(gamma) - phihat(0) and carried through the weights m/gamma^2
-    gam, m = zc.symmetric_arrays(catalog, float)
+    gam, m = catalog.gammas, catalog.mults
     rng = np.random.default_rng(20)
     for _ in range(3):
         phi = wf.random_mean_zero(rng)

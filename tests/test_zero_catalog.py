@@ -320,10 +320,21 @@ def test_iterate_symmetric_doubles():
     zs = zc.ZeroSet((14.0, 21.0), (1, 2), 25.0, "table")
     pairs = zc.iterate_symmetric(zs)
     assert pairs == [(-21.0, 2), (-14.0, 1), (14.0, 1), (21.0, 2)]
+    # the arrays every catalog sum reads: read-only, outside ==, hash and repr
+    assert zs.gammas.tolist() == [-21.0, -14.0, 14.0, 21.0] and zs.gammas.dtype == np.float64
+    assert zs.mults.tolist() == [2, 1, 1, 2] and zs.mults.dtype == np.int64
+    for arr in (zs.gammas, zs.mults):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    twin = zc.ZeroSet((14.0, 21.0), (1, 2), 25.0, "table")
+    assert twin == zs and hash(twin) == hash(zs) and "gammas" not in repr(zs)
+    with pytest.raises(AttributeError):
+        zc.iterate_symmetric(pairs)          # a ZeroSet only
 
 
 def test_iterate_symmetric_empty():
-    assert zc.iterate_symmetric(zc.ZeroSet((), (), 5.0, "table")) == []
+    zs = zc.ZeroSet((), (), 5.0, "table")
+    assert zc.iterate_symmetric(zs) == [] and zs.gammas.size == zs.mults.size == 0
 
 
 def test_iterate_symmetric_evenness_sum(catalog):
@@ -331,11 +342,6 @@ def test_iterate_symmetric_evenness_sum(catalog):
     pos = sum(m / g ** 2 for g, m in
               zip(catalog.ordinates, catalog.multiplicities))
     assert abs(sym - 2.0 * pos) < 1e-15
-
-
-def test_iterate_symmetric_passthrough_pairs():
-    pairs = [(complex(3, 0.5), 1), (complex(3, -0.5), 1)]
-    assert zc.iterate_symmetric(pairs) == pairs
 
 
 def test_zeroset_validation():
