@@ -20,9 +20,9 @@ The catalog is the table that zeros names (a path), else the sweep
 (zeros = compute, the default).
 
 Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error,
-3 I/O error. Reports are JSON lists of rows
-{check_id, anchor, value, bound, pass}; outputs are bitwise deterministic
-for a fixed configuration and ordinate table.
+3 I/O error. Reports are strict JSON lists of rows {check_id, anchor,
+value, bound, pass}, a non-finite value null and failing; outputs are
+bitwise deterministic for a fixed configuration and ordinate table.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ def _evaluate(suite: str, cfg: RunConfig, **work) -> List[dict]:
         if value is not None:
             value, bound = float(value), float(cfg.tolerances.get(check.id, check.bound))
             rows.append({"check_id": check.id, "anchor": check.anchor, "value": value,
-                         "bound": bound, "pass": value <= bound})
+                         "bound": bound, "pass": math.isfinite(value) and value <= bound})
     return rows
 
 
@@ -313,14 +313,14 @@ def run_verify(suite: str, cfg: RunConfig) -> int:
         elapsed = time.time() - t0
         for r in rows:
             print("%-6s %-28s value=%.3e bound=%.3e" % (
-                "PASS" if r["pass"] else "FAIL", r["check_id"], r["value"],
-                r["bound"]))
+                "PASS" if r["pass"] else "FAIL", r["check_id"], r["value"], r["bound"]))
         print("suite %s: %d checks, %.1fs" % (name, len(rows), elapsed))
         all_rows.extend(rows)
     os.makedirs(cfg.out_dir, exist_ok=True)
     report_path = os.path.join(cfg.out_dir, "report_%s.json" % suite)
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(all_rows, fh, indent=2, sort_keys=True)
+        json.dump([r if math.isfinite(r["value"]) else dict(r, value=None)
+                   for r in all_rows], fh, indent=2, sort_keys=True)
         fh.write("\n")
     print("report: %s" % report_path)
     return 0 if all(r["pass"] for r in all_rows) else 1

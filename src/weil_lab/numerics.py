@@ -28,6 +28,7 @@ sweep or grid transform, has more than POINT_LIMIT nodes.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -50,6 +51,7 @@ ALIAS_GUARD = math.pi / 4.0
 # fourier_integral and export ranges, before they allocate.
 POINT_LIMIT = 4_843_155
 _GAUSS_LEGENDRE: list = []      # 32-point nodes and weights on [-1, 1], on first use
+_PANEL_PHASE = 8.0              # radians of phase at most per fourier_integral panel
 _BLOCK = 1 << 14                # elements per block of blockwise array work
 _ROW = 128                      # entries per row of a phase table
 _TWO_PI = (6.283185307179586, 2.4492935982947064e-16)   # 2 pi, in two parts
@@ -148,11 +150,11 @@ class GridFunction:
 
 
 def _panels(a: float, b: float, width: float):
-    """Midpoints and half-widths of the ceil((b-a)/width) equal panels of
-    [a, b] (at least one)."""
+    """Midpoints a + (2p+1)h and half-widths h = (b-a)/(2n), one for all, of
+    the n = ceil((b-a)/width) equal panels of [a, b] (at least one)."""
     n_panels = max(1, int(math.ceil((b - a) / width)))
-    edges = np.linspace(a, b, n_panels + 1)
-    return 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    half = 0.5 * (b - a) / n_panels
+    return a + half * np.arange(1.0, 2 * n_panels, 2), np.full(n_panels, half)
 
 
 def panel_rule(a: float, b: float, width: float):
@@ -191,7 +193,8 @@ def _phase_sum(z: np.ndarray, anchors: np.ndarray, offsets: np.ndarray,
 def _require_finite(**args) -> None:
     """ValueError naming the first argument with a NaN or infinite element."""
     for name, value in args.items():
-        if not np.all(np.isfinite(value)):
+        scalar = isinstance(value, (float, complex, np.inexact))
+        if not (cmath.isfinite(value) if scalar else np.all(np.isfinite(value))):
             raise ValueError("%s must be finite" % name)
 
 
@@ -200,18 +203,19 @@ def fourier_integral(f: Callable[[np.ndarray], np.ndarray],
     """integral_a^b f(x) e^{izx} dx by 32-point Gauss-Legendre panels, at a
     scalar z (returns a complex) or an array of z (an array of its shape).
 
-    One node set serves the call: panels of width min(1/(1+max|z|), (b-a)/16).
-    Width <= 1/(1+|z|) keeps the phase advance per panel below one radian,
-    so the fixed-order rule stays at spectral accuracy at the largest |z|
-    (finer panels only help the smaller ones); the (b-a)/16 cap keeps
-    edge-flat integrands (bumps and their derivatives) at spectral accuracy,
-    ~1e-16 of sum|terms| at any z (a (b-a)/8 cap leaves a bump derivative of
-    half-width 0.45 off by ~1e-12 of it). f is evaluated once, at no more
-    than POINT_LIMIT nodes: a longer support or a larger |z| raises
-    ValueError before anything is allocated.
-    On panel p (midpoint m_p, common half-width h, Legendre nodes t_k) the
-    phase factors as e^{iz m_p} e^{iz h t_k}: nz (n_p + 32) exponentials
-    and one _phase_sum.
+    One node set serves the call: n panels of width
+    min(_PANEL_PHASE/(1+max|z|), (b-a)/16). At most 8 radians of phase per
+    panel (the rule's error for e^{iwu}, |u| <= 1, w <= 4, is below 1e-69)
+    and the (b-a)/16 cap, for edge-flat integrands such as bumps and their
+    derivatives, keep it at ~1e-15 of sum|terms| at any z (a (b-a)/8 cap
+    leaves a bump derivative of half-width 0.45 off by ~1e-12 of it). f is
+    evaluated once, at no more than POINT_LIMIT nodes: a longer support or
+    a larger |z| raises ValueError before anything is allocated.
+    Panel p's nodes are c + (2p+1-n)h + h t_k (midpoint c, half-width h,
+    Legendre nodes t_k): the phase factors as e^{izc} e^{iz(2p+1-n)h}
+    e^{izht_k}, zc corrected by its rounding error, so no phase loses
+    digits to a support far from 0: nz (n + 33) exponentials and one
+    _phase_sum.
     """
     z_arr = np.asarray(z, dtype=complex)
     zf = z_arr.ravel()
@@ -221,16 +225,17 @@ def fourier_integral(f: Callable[[np.ndarray], np.ndarray],
         if np.any(np.abs(zf.imag) > 50.0):
             raise ValueError("fourier_integral: |Im z| > 50 growth guard")
         _require_finite(z=zf)
-        width = min(1.0 / (1.0 + np.max(np.abs(zf), initial=0.0)), (b - a) / 16.0)
+        width = min(_PANEL_PHASE / (1.0 + np.max(np.abs(zf))), (b - a) / 16.0)
         n_nodes = 32.0 * max(1.0, float(np.ceil((b - a) / width)))
         if n_nodes > POINT_LIMIT:
             raise ValueError("fourier_integral needs %.6g nodes (32 per panel), "
                              "above the limit of %d" % (n_nodes, POINT_LIMIT))
         x, w = panel_rule(a, b, width)
-        mid = _panels(a, b, width)[0]
         fw = (np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape) * w).T
-        ht = 0.5 * (b - a) / len(mid) * _GAUSS_LEGENDRE[0]
-        out = _phase_sum(zf, mid, ht, fw)
+        n, h, c = len(x), 0.5 * (b - a) / len(x), 0.5 * (a + b)
+        residual = _two_prod(zf.real, c)[1] + 1j * _two_prod(zf.imag, c)[1]
+        out = _phase_sum(zf, h * np.arange(1.0 - n, n, 2.0), h * _GAUSS_LEGENDRE[0],
+                         fw) * (np.exp(1j * zf * c) * (1.0 + 1j * residual))
     out = out.reshape(z_arr.shape)
     return complex(out) if out.ndim == 0 else out
 

@@ -15,8 +15,9 @@ Transforms of test functions take whole arrays of z through one 32-point
 Gauss-Legendre node set per call and part (numerics.fourier_integral), and
 both forms are sums of those transforms over the catalog: as g(0) = 0, the
 screw form's double integral is sum m/gamma^2 (phihat1(gamma) - phihat1(0))
-conj(phihat2(gamma) - phihat2(0)). One quadrature-error model (1e-12 of an
-L1 scale per transform value, carried through the weights) serves both.
+conj(phihat2(gamma) - phihat2(0)), from one call per distinct input at the
+catalog (and 0) and the tail probes. One quadrature-error model (1e-12 of
+an L1 scale per transform value, carried through the weights) serves both.
 
 Truncation of the infinite catalog is surfaced on every FormValue through a
 declared tail model (sum_{gamma > T} m/gamma^2 <= log(T)/T times a sampled
@@ -101,11 +102,8 @@ class TestFunction:
 
     # -- evaluation ----------------------------------------------------
     def __call__(self, x):
-        x_arr = np.asarray(x, dtype=float)
-        scalar = x_arr.ndim == 0
-        x_arr = np.atleast_1d(x_arr)
-        out = self._eval(x_arr)
-        return complex(out[0]) if scalar else out
+        out = self._eval(np.atleast_1d(np.asarray(x, dtype=float)))
+        return complex(out[0]) if np.ndim(x) == 0 else out
 
     def _eval(self, x: np.ndarray) -> np.ndarray:
         if self.kind in (_BUMP, _BUMP_D):
@@ -232,17 +230,23 @@ def _transform_scale(psi) -> float:
     return float(np.sum(np.abs(psi.values)) * psi.grid.h)
 
 
-def _tail_bound(psi1, psi2, zs, k: int) -> float:
-    """Declared tail model 2 log(T)/T max |z|^k |psihat1(z)| |psihat2(z)| at
-    the _sup_samples probes: k = 2 for the pairing's weights m, 0 for the
-    screw form's m/gamma^2; 0 on an empty catalog."""
+def _tail_bound(p1, p2, zs, k: int) -> float:
+    """Declared tail model 2 log(T)/T max |z|^k |psihat1(z)| |psihat2(z)| from
+    transforms p1, p2 at the _sup_samples probes z (k = 2 for the weights m,
+    0 for m/gamma^2); 0 on an empty catalog."""
     if not len(zs):
         return 0.0
-    zp = _sup_samples(zs.height_T)
-    p1 = transform_at(psi1, zp.astype(complex))
-    p2 = p1 if psi2 is psi1 else transform_at(psi2, zp.astype(complex))
-    envelope = float(np.max(np.abs(zp) ** k * np.abs(p1) * np.abs(p2)))
-    return 2.0 * zc.tail_coefficient(zs) * envelope
+    envelope = np.abs(_sup_samples(zs.height_T)) ** k * np.abs(p1) * np.abs(p2)
+    return 2.0 * zc.tail_coefficient(zs) * float(np.max(envelope))
+
+
+def _transforms(psi1, psi2, z, zs, k: int):
+    """(psihat(z), _transform_scale) of each input and their _tail_bound, once
+    per distinct input: one transform_at call at z and the probes (if any)."""
+    n, z = len(z), np.concatenate([z, _sup_samples(zs.height_T) if len(zs) else []])
+    h1, s1 = transform_at(psi1, z), _transform_scale(psi1)
+    h2, s2 = (h1, s1) if psi2 is psi1 else (transform_at(psi2, z), _transform_scale(psi2))
+    return (h1[:n], s1), (h2[:n], s2), _tail_bound(h1[n:], h2[n:], zs, k)
 
 
 def _quad_error(w, a1, a2, e1: float, e2: float) -> float:
@@ -256,14 +260,9 @@ def weil_pairing(psi1, psi2, zs) -> FormValue:
     g, m = zs.gammas, zs.mults
     if not len(g):
         return FormValue(0.0j, 0.0, 0.0)
-    same = psi2 is psi1
-    f1 = transform_at(psi1, g)
-    f2c = np.conj(f1 if same else transform_at(psi2, g))
-    value = complex(np.sum(m * f1 * f2c))
-    e1 = 1e-12 * _transform_scale(psi1)
-    e2 = e1 if same else 1e-12 * _transform_scale(psi2)
-    return FormValue(value, _tail_bound(psi1, psi2, zs, 2),
-                     _quad_error(m, f1, f2c, e1, e2))
+    (f1, s1), (f2, s2), tail = _transforms(psi1, psi2, g, zs, 2)
+    return FormValue(complex(np.sum(m * f1 * np.conj(f2))), tail,
+                     _quad_error(m, f1, f2, 1e-12 * s1, 1e-12 * s2))
 
 
 # ----------------------------------------------------------------------
@@ -313,22 +312,18 @@ def screw_form(phi1: TestFunction, phi2: TestFunction, zs) -> FormValue:
     G(t,s) = sum m/gamma^2 (e^{i gamma t} - 1)(e^{-i gamma s} - 1), so the
     double integral is sum m/gamma^2 d1(gamma) conj(d2(gamma)) with
     d = phihat(gamma) - phihat(0), from one transform_at call per input at
-    0 and the catalog. Quadrature error: weil_pairing's model, weights
-    m/gamma^2, twice the per-value error in each d.
+    0, the catalog and the tail probes. Quadrature error: weil_pairing's
+    model, weights m/gamma^2, twice the per-value error in each d.
     """
     gam, m = zs.gammas, zs.mults
-    z = np.concatenate([[0.0], gam])
-    h1 = transform_at(phi1, z)
-    h2 = h1 if phi2 is phi1 else transform_at(phi2, z)
-    scale1 = _transform_scale(phi1)
-    scale2 = scale1 if phi2 is phi1 else _transform_scale(phi2)
-    for name, h, scale in (("phi1", h1, scale1), ("phi2", h2, scale2)):
+    (h1, s1), (h2, s2), tail = _transforms(phi1, phi2, np.concatenate([[0.0], gam]), zs, 0)
+    for name, h, scale in (("phi1", h1, s1), ("phi2", h2, s2)):
         if not _mean_zero(h[0], scale):
             raise ValueError("screw_form requires mean-zero %s" % name)
     w = m / (gam * gam)
     d1, d2c = h1[1:] - h1[0], np.conj(h2[1:] - h2[0])
-    return FormValue(complex(np.sum(w * d1 * d2c)), _tail_bound(phi1, phi2, zs, 0),
-                     _quad_error(w, d1, d2c, 2e-12 * scale1, 2e-12 * scale2))
+    return FormValue(complex(np.sum(w * d1 * d2c)), tail,
+                     _quad_error(w, d1, d2c, 2e-12 * s1, 2e-12 * s2))
 
 
 # ----------------------------------------------------------------------

@@ -131,6 +131,24 @@ def test_verify_exit_one_on_check_failure(tmp_path):
     assert [r["check_id"] for r in failed] == ["xi_half_reference"]
 
 
+def test_nan_row_is_null_and_failing_in_a_strict_report(tmp_path, monkeypatch, capsys):
+    # the printed line keeps the NaN; the report holds null, which a strict
+    # reader takes, and the row fails
+    monkeypatch.setattr(ids, "positivity_margin", lambda *args: math.nan)
+    rc = cli.main(["verify", "weil", "--height-T", "50", "--cutoff-Z", "500",
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    assert "FAIL   positivity_random            value=nan" in capsys.readouterr().out
+
+    def reject(name):
+        raise ValueError("%s is not JSON" % name)
+    with open(tmp_path / "report_weil.json", encoding="utf-8") as fh:
+        rows = {r["check_id"]: r for r in json.load(fh, parse_constant=reject)}
+    assert rows["positivity_random"]["value"] is None
+    assert rows["positivity_random"]["pass"] is False
+    assert all(r["pass"] for k, r in rows.items() if k != "positivity_random")
+
+
 def test_xi_half_reference_reads_a_relative_error(monkeypatch):
     # against a reference 1e-6 below xi(1/2), |xi(1/2) - ref|/ref is
     # 1e-6/(1 - 1e-6); a product with ref would read ~2.5e-7
