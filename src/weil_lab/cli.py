@@ -6,8 +6,6 @@ evaluator in report order; the suite names, and the ids a --tol or tol. key
 may name, come from it. A suite's function makes the work its checks share
 and returns their rows, each valued by its evaluator from that work;
 identities the acceptance suite also checks come from weil_lab.identities.
-A command that reads the catalog (every suite but 'special', zeros compute,
-every export but omega) needs an ordinate below T, or exits 2.
 
 Configuration: the keys zeros, height_T, cutoff_Z, grid, out and tol.<id>
 of a --config file, then the flags of the same names over them; a key
@@ -17,10 +15,16 @@ outside [500, zero_catalog.MAX_CUTOFF], and a grid that numerics.Grid
 rejects, is a config error.
 
 The catalog is the table that zeros names (a path), else the sweep
-(zeros = compute, the default).
+(zeros = compute, the default). A command that reads it (every suite but
+'special', zeros compute, every export but omega) needs an ordinate below T.
 
-Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error,
-3 I/O error. Reports are strict JSON lists of rows {check_id, anchor,
+Each input is refused where it is read, by a ConfigError: the command
+line and config file in make_config, the catalog in RunConfig.catalog (a
+table that zero_catalog.load_zeros rejects, or no ordinate below T), an
+export's index, range or grid in run_export. Exit codes: 0 all checks
+pass; 1 a check failed (zeros compute: a discrepant count), or a
+computation raised, with its traceback and no report; 2 a ConfigError;
+3 an OSError. Reports are strict JSON lists of rows {check_id, anchor,
 value, bound, pass}, a non-finite value null and failing; outputs are
 bitwise deterministic for a fixed configuration and ordinate table.
 """
@@ -36,7 +40,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -51,71 +55,79 @@ from . import zero_catalog as zc
 _SEED = 20240601
 
 
+class ConfigError(ValueError):
+    """A command, config file, catalog or export argument the run refuses:
+    main prints it and exits 2."""
+
+
 @dataclass
 class RunConfig:
     zero_source: str = "compute"          # 'compute' or a table path
     height_T: float = 100.0
     cutoff_Z: float = 1000.0
-    grid_spec: Optional[Tuple[float, float, int]] = None
+    grid: Optional[nu.Grid] = None        # the export grid, from --grid
     out_dir: str = "."
     tolerances: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if not (math.isfinite(self.height_T) and self.height_T <= zc.MAX_HEIGHT):
-            raise ValueError("height_T must be finite and <= %g" % zc.MAX_HEIGHT)
+            raise ConfigError("height_T must be finite and <= %g" % zc.MAX_HEIGHT)
         if not 500.0 <= self.cutoff_Z <= zc.MAX_CUTOFF:
-            raise ValueError("cutoff_Z must be in [500, %g]" % zc.MAX_CUTOFF)
+            raise ConfigError("cutoff_Z must be in [500, %g]" % zc.MAX_CUTOFF)
         unknown = sorted(set(self.tolerances) - {c.id for c in CHECKS})
         if unknown:
-            raise ValueError("tolerance for unknown check id(s): %s"
-                             % ", ".join(unknown))
+            raise ConfigError("tolerance for unknown check id(s): %s"
+                              % ", ".join(unknown))
         # a NaN bound fails every value, an infinite one passes it, and the
         # JSON report can hold neither
         bad = sorted(k for k, v in self.tolerances.items() if not math.isfinite(v))
         if bad:
-            raise ValueError("non-finite tolerance for check id(s): %s"
-                             % ", ".join(bad))
+            raise ConfigError("non-finite tolerance for check id(s): %s"
+                              % ", ".join(bad))
 
     @functools.cached_property
     def catalog(self) -> zc.ZeroSet:
         """The zero catalog, once per configuration: zero_source's table, else
-        the sweep."""
-        if self.zero_source != "compute":
-            return zc.load_zeros(self.zero_source, self.height_T)
-        return zc.compute_zeros(self.height_T)
+        the sweep. A table that load_zeros rejects, or no ordinate below T,
+        is a ConfigError."""
+        if self.zero_source == "compute":
+            zs = zc.compute_zeros(self.height_T)
+        else:
+            try:
+                zs = zc.load_zeros(self.zero_source, self.height_T)
+            except ValueError as exc:
+                raise ConfigError("zero table %r: %s" % (self.zero_source, exc)) from exc
+        if not len(zs):
+            raise ConfigError("no zero ordinates below T = %g" % self.height_T)
+        return zs
 
 
-def parse_grid_spec(text: str) -> Tuple[float, float, int]:
-    try:
-        a, b, n = text.split(":")
-        spec = float(a), float(b), int(n)
-    except Exception:
+def parse_grid_spec(text: str) -> nu.Grid:
+    """The grid 'xmin:xmax:n'; a ValueError if numerics.Grid rejects it."""
+    if text.count(":") != 2:
         raise ValueError("grid spec must look like 'xmin:xmax:n'")
-    try:
-        nu.Grid(*spec)
-    except ValueError as exc:
-        raise ValueError("grid %r: %s" % (text, exc))
-    return spec
+    a, b, n = text.split(":")
+    return nu.Grid(float(a), float(b), int(n))
 
 
-def parse_range(text: str) -> Tuple[float, float, float]:
-    """Export range 'a:b:step' with finite a <= b and step > 0."""
+def parse_range(text: str) -> np.ndarray:
+    """The nodes a + k step, k < floor((b - a)/step) + 1, of export range
+    'a:b:step' (finite a <= b, step > 0), a ratio within rounding of an
+    integer counted as that integer and a last node past b rounded onto b.
+    More than numerics.POINT_LIMIT nodes is refused before any allocation."""
     try:
         a, b, step = (float(v) for v in text.split(":"))
     except ValueError:
-        raise ValueError("range %r must look like 'a:b:step'" % text)
+        raise ConfigError("range %r must look like 'a:b:step'" % text) from None
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(step)
             and a <= b and step > 0):
-        raise ValueError("range %r needs finite a <= b and step > 0" % text)
-    return a, b, step
-
-
-def _range_points(a: float, b: float, step: float) -> float:
-    """floor((b - a)/step) + 1, the node count of an export range, with a ratio
-    within rounding (~eps (|a| + |b|)/step) of an integer counted as that
-    integer; a float, so a range too long for any machine counts as such."""
-    slack = 4.0 * sys.float_info.epsilon * (abs(a) + abs(b)) / step
-    return float(np.floor((b - a) / step + slack)) + 1.0
+        raise ConfigError("range %r needs finite a <= b and step > 0" % text)
+    n = float(np.floor((b - a) / step + 4.0 * sys.float_info.epsilon
+                       * (abs(a) + abs(b)) / step)) + 1.0
+    if n > nu.POINT_LIMIT:
+        raise ConfigError("range %s needs %.6g points, above the export limit of %d"
+                          % (text, n, nu.POINT_LIMIT))
+    return np.minimum(a + step * np.arange(int(n)), b)
 
 
 def load_config_file(path: str) -> Dict[str, str]:
@@ -127,7 +139,7 @@ def load_config_file(path: str) -> Dict[str, str]:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError("config line %d has no '=': %r" % (lineno, raw.rstrip()))
+                raise ConfigError("config line %d has no '=': %r" % (lineno, raw.rstrip()))
             key, val = line.split("=", 1)
             values[key.strip()] = val.strip()
     return values
@@ -294,17 +306,9 @@ _SUITE_FN = {check.suite: globals()["suite_" + check.suite] for check in CHECKS}
 SUITES = tuple(_SUITE_FN) + ("all",)
 
 
-def _no_ordinates(zs: zc.ZeroSet, cfg: RunConfig) -> bool:
-    """True, with the config error printed, when the catalog zs is empty."""
-    if not len(zs):
-        print("config error: no zero ordinates below T = %g" % cfg.height_T,
-              file=sys.stderr)
-    return not len(zs)
-
-
 def run_verify(suite: str, cfg: RunConfig) -> int:
-    if suite != "special" and _no_ordinates(cfg.catalog, cfg):
-        return 2
+    if suite != "special":
+        cfg.catalog         # read first: a catalog it refuses stops the run before any suite
     names = list(_SUITE_FN) if suite == "all" else [suite]
     all_rows: List[dict] = []
     for name in names:
@@ -331,18 +335,17 @@ def run_verify(suite: str, cfg: RunConfig) -> int:
 # ----------------------------------------------------------------------
 
 def run_zeros(cfg: RunConfig) -> int:
-    """zeros compute: sweep to height_T and check the count; writes no file.
-    A table (zeros = PATH) is a ValueError: the command always sweeps."""
+    """zeros compute: sweep to height_T and check the count, exit 1 if it is
+    discrepant; writes no file. A table (zeros = PATH) is a ConfigError: the
+    command always sweeps."""
     if cfg.zero_source != "compute":
-        raise ValueError("zeros compute always sweeps and reads no table, "
-                         "but zeros names %r" % cfg.zero_source)
-    zs = zc.compute_zeros(cfg.height_T)
-    if _no_ordinates(zs, cfg):
-        return 2
+        raise ConfigError("zeros compute always sweeps and reads no table, "
+                          "but zeros names %r" % cfg.zero_source)
+    zs = cfg.catalog
     rep = zc.counting_check(zs)
     print("computed %d ordinates up to T=%g (count estimate %.2f, %s)"
           % (len(zs), cfg.height_T, rep.estimate, "ok" if rep.passed else "DISCREPANT"))
-    return 0
+    return 0 if rep.passed else 1
 
 
 def _write_csv(path: str, x, values) -> None:
@@ -353,49 +356,33 @@ def _write_csv(path: str, x, values) -> None:
             fh.write("%.17g,%.17g,%.17g\n" % (x_, v.real, v.imag))
 
 
-def _check_export_size(n: float, what: str) -> None:
-    """An export range holds at most numerics.POINT_LIMIT points, the limit
-    numerics.Grid sets on grids and axis sweeps; more is a usage error,
-    raised before anything is allocated."""
-    if n > nu.POINT_LIMIT:
-        raise ValueError("%s needs %.6g points, above the export limit of %d"
-                         % (what, n, nu.POINT_LIMIT))
-
-
 def run_export(what: str, arg: Optional[str], cfg: RunConfig) -> int:
-    """Write one CSV artifact; omega needs no catalog, so it reads none."""
-    if what != "omega" and _no_ordinates(cfg.catalog, cfg):
-        return 2
+    """Write one CSV artifact; omega needs no catalog, so it reads none. An
+    index, range or grid the export cannot take is a ConfigError."""
     if what in ("psi_gamma", "F_gamma"):
-        zs = cfg.catalog
-        idx = int(arg or "1")
-        if not (1 <= idx <= len(zs)):
-            print("%s index out of range" % what, file=sys.stderr)
-            return 2
+        zs, text = cfg.catalog, arg or "1"
+        if not (text.isdecimal() and 1 <= int(text) <= len(zs)):
+            raise ConfigError("%s index %r out of range: not an integer in [1, %d]"
+                              % (what, text, len(zs)))
+        idx = int(text)
         g = zs.ordinates[idx - 1]
-        if cfg.grid_spec:
-            grid = nu.Grid(*cfg.grid_spec)
-        elif what == "psi_gamma":
-            grid = nu.band_exact_grid(-6.0, 38.0,
-                                      cfg.cutoff_Z + zs.ordinates[-1], 50.0)
-        else:
-            grid = nu.Grid(-120.0, 120.0, 4801)
+        grid = cfg.grid or (nu.band_exact_grid(-6.0, 38.0, cfg.cutoff_Z + zs.ordinates[-1], 50.0)
+                            if what == "psi_gamma" else nu.Grid(-120.0, 120.0, 4801))
+        if cfg.grid and what == "psi_gamma":
+            try:        # the axis sweep at the spacing psi_gamma takes for this grid
+                nu.symmetric_grid(cfg.cutoff_Z, db._default_freq_spacing(
+                    max(abs(grid.x_min), abs(grid.x_max))))
+            except ValueError as exc:
+                raise ConfigError("psi_gamma on this grid: %s" % exc) from exc
         x = grid.nodes()
         vals = (db.psi_gamma(g, zs, cfg.cutoff_Z, grid).values
                 if what == "psi_gamma"
                 else db.BasisFunction(g, zs).values_on_axis(x))
         name = "%s_%d.csv" % (what, idx)
     else:
-        text = arg or ("0:5:0.01" if what == "screw_g" else "-5:5:0.01")
-        a, b, step = parse_range(text)
-        n = _range_points(a, b, step)
-        _check_export_size(n, "range " + text)
-        # a + k step for k < n, the last node rounded onto b if past it
-        x = np.minimum(a + step * np.arange(int(n)), b)
-        if what == "screw_g":
-            vals = wf.screw_g_array(x, cfg.catalog)
-        else:
-            vals = sf.omega_profile(x).astype(complex)
+        x = parse_range(arg or ("0:5:0.01" if what == "screw_g" else "-5:5:0.01"))
+        vals = (wf.screw_g_array(x, cfg.catalog) if what == "screw_g"
+                else sf.omega_profile(x).astype(complex))
         name = "%s.csv" % what
 
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -450,26 +437,32 @@ def build_parser() -> argparse.ArgumentParser:
 # config-file key, which is also the flag's argparse dest ->
 # (RunConfig field, parser of the file's text)
 _KEYS = {"zeros": ("zero_source", str), "height_T": ("height_T", float),
-         "cutoff_Z": ("cutoff_Z", float), "grid": ("grid_spec", parse_grid_spec),
+         "cutoff_Z": ("cutoff_Z", float), "grid": ("grid", parse_grid_spec),
          "out": ("out_dir", str)}
 
 
 def make_config(args: argparse.Namespace) -> RunConfig:
     """The --config file's values with the flags over them (module
-    docstring)."""
+    docstring); a value its key's parser rejects is a ConfigError naming
+    the key."""
     given = load_config_file(args.config) if "config" in args else {}
-    tols = {k[4:]: float(v) for k, v in given.items() if k.startswith("tol.")}
     unknown = sorted(k for k in given if k not in _KEYS and not k.startswith("tol."))
     if unknown:
-        raise ValueError("unknown config key(s): %s" % ", ".join(unknown))
+        raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
     for item in getattr(args, "tol", []):
         if "=" not in item:
-            raise ValueError("--tol expects ID=VALUE, got %r" % item)
+            raise ConfigError("--tol expects ID=VALUE, got %r" % item)
         key, val = item.split("=", 1)
-        tols[key.strip()] = float(val)
+        given["tol." + key.strip()] = val
     given.update((k, v) for k, v in vars(args).items() if k in _KEYS)
-    return RunConfig(**{name: parse(given[k]) for k, (name, parse)
-                        in _KEYS.items() if k in given}, tolerances=tols)
+    fields, tols = {}, {}
+    for key, text in given.items():
+        name, parse = _KEYS.get(key, (key[4:], float))
+        try:
+            (fields if key in _KEYS else tols)[name] = parse(text)
+        except ValueError as exc:
+            raise ConfigError("%s %r: %s" % (key, text, exc)) from exc
+    return RunConfig(**fields, tolerances=tols)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -478,17 +471,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    stage = "config error"
     try:
         cfg = make_config(args)
-        stage = "error"
         if args.command == "verify":
             return run_verify(args.suite, cfg)
         if args.command == "zeros":
             return run_zeros(cfg)
         return run_export(args.object, args.arg, cfg)
-    except ValueError as exc:
-        print("%s: %s" % (stage, exc), file=sys.stderr)
+    except ConfigError as exc:
+        print("config error: %s" % exc, file=sys.stderr)
         return 2
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)

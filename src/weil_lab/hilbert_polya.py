@@ -33,6 +33,7 @@ def s_theta(theta: float, z):
 
     taken from one xi call. Real-valued for real z and any theta;
     S_{pi/2} = -xi and S_0 = i xi'."""
+    numerics._require_finite(theta=theta, z=z)
     return _s_from_xi(theta, sf.xi(0.5 - 1j * np.asarray(z, dtype=complex)))
 
 

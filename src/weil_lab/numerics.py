@@ -191,10 +191,11 @@ def _phase_sum(z: np.ndarray, anchors: np.ndarray, offsets: np.ndarray,
 
 
 def _require_finite(**args) -> None:
-    """ValueError naming the first argument with a NaN or infinite element."""
+    """ValueError naming the first argument with a NaN or infinite element; None is skipped."""
     for name, value in args.items():
         scalar = isinstance(value, (float, complex, np.inexact))
-        if not (cmath.isfinite(value) if scalar else np.all(np.isfinite(value))):
+        if value is not None and not (cmath.isfinite(value) if scalar
+                                      else np.all(np.isfinite(value))):
             raise ValueError("%s must be finite" % name)
 
 

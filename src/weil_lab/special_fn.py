@@ -161,6 +161,7 @@ def _gamma_core(z: np.ndarray, log: bool = True, psi: bool = True):
 
 def _gamma_fn(z, log: bool):
     """log Gamma (log=True) or psi at a scalar or an array z."""
+    numerics._require_finite(z=z)
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any((z_arr.imag == 0) & (z_arr.real <= 0) & (z_arr.real == np.round(z_arr.real))):
         raise ValueError("%s pole at nonpositive integer" % ("log_gamma" if log else "digamma"))
@@ -451,6 +452,7 @@ def zeta_pair(s):
     chunks of comparable height like xi; the functional equation (with its
     differentiated form) for Re(s) < 0.
     """
+    numerics._require_finite(s=s)
     s_arr = np.asarray(s, dtype=complex)
     if np.any(s_arr == 1.0):
         raise ValueError("zeta pole at s = 1")
@@ -501,6 +503,7 @@ def xi(s) -> XiValue:
     The points are summed point by point in chunks of comparable height
     (see the module docstring); a scalar is a chunk of one point.
     """
+    numerics._require_finite(s=s)
     s_arr = np.asarray(s, dtype=complex)
     refl = (s_arr.real < 0.5).ravel()
     u = np.where(refl, 1.0 - s_arr.ravel(), s_arr.ravel())
@@ -520,6 +523,7 @@ def E_xi(z):
     Value form: on the real axis it underflows for |z| beyond ~900, where
     |xi| drops below the double-precision range; use the ratio helpers
     (critical_line_log_derivative, theta_on_axis) for larger grids."""
+    numerics._require_finite(z=z)
     return _E_pair(z)[0]
 
 
@@ -536,6 +540,7 @@ def theta_xi(z):
 
     Raises when |E(z)| underflows at any z (a real zero of E would sit at a
     multiple zero of xi)."""
+    numerics._require_finite(z=z)
     E, E_sharp = _E_pair(z)
     if np.any(np.abs(E) < 1e-300):
         raise ZeroDivisionError("theta_xi: E vanishes (or underflows) at z = %r" % (z,))
@@ -574,6 +579,7 @@ def critical_line_log_derivative(x, step=None):
     """
     t0 = time.perf_counter()
     x = np.asarray(x, dtype=float)
+    numerics._require_finite(x=x, step=step)
     lattice = None
     if step is not None and x.size:
         ok = step > 0 and np.isfinite(x.flat[0] / step)
@@ -620,6 +626,7 @@ def theta_on_axis(x, log_deriv=None):
     more than 1e-2, which are summed point by point. Theta takes
     2|dL|/(1 + L^2), i.e. twice the move of the zero.
     """
+    numerics._require_finite(log_deriv=log_deriv)
     L = critical_line_log_derivative(x) if log_deriv is None else log_deriv
     return (1.0 - 1j * L) / (1.0 + 1j * L)
 

@@ -14,7 +14,7 @@ from weil_lab import numerics as nu
 from weil_lab import special_fn as sf
 from weil_lab import zero_catalog as zc
 
-from conftest import ZERO_TABLE
+from conftest import ZERO_TABLE, with_pairs
 
 
 def test_help_without_command():
@@ -31,7 +31,7 @@ def test_unknown_suite_is_usage_error(capsys):
 
 
 def test_parse_grid_spec():
-    assert cli.parse_grid_spec("-1:2:31") == (-1.0, 2.0, 31)
+    assert cli.parse_grid_spec("-1:2:31") == nu.Grid(-1.0, 2.0, 31)
     with pytest.raises(ValueError):
         cli.parse_grid_spec("1,2,3")
 
@@ -200,6 +200,17 @@ def test_zeros_compute_without_ordinates_names_T(tmp_path, monkeypatch, capsys):
     assert os.listdir(tmp_path / "out") == ["screw_g.csv"]
 
 
+def test_zeros_compute_exits_1_on_a_discrepant_count(monkeypatch, capsys):
+    # three ordinates dropped at T = 100: 26 against an estimate of 29.00,
+    # outside the allowance of 2, is a failed check
+    real = zc.compute_zeros
+    monkeypatch.setattr(zc, "compute_zeros",
+                        lambda T: with_pairs(real(T), lambda pairs: pairs[3:]))
+    assert cli.main(["zeros", "compute", "--height-T", "100"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "computed 26 ordinates up to T=100 (count estimate 29.00, DISCREPANT)"]
+
+
 def test_table_from_an_earlier_zeros_import_loads_through_zeros(tmp_path):
     # earlier versions stored an imported table as a '# source=table' header
     # and one %.17g ordinate per line; the header is a comment line, so the
@@ -276,7 +287,7 @@ def test_export_range_writes_no_node_past_b(tmp_path):
                     ("0:5:0.01", 501), ("-2:2:0.5", 9), ("0.1:0.3:0.1", 3),
                     ("1:1:0.5", 1)):
         assert cli.main(["--out", str(tmp_path), "export", "omega", "--", text]) == 0
-        a, b, step = cli.parse_range(text)
+        a, b, step = (float(v) for v in text.split(":"))
         x = np.loadtxt(tmp_path / "omega.csv", delimiter=",", skiprows=1,
                        ndmin=2)[:, 0]
         assert len(x) == n and x[0] == a and np.all(x <= b)

@@ -211,3 +211,28 @@ def test_nan_gram_matrix_fails_gram_psd(plant, tmp_path, monkeypatch, capsys):
     assert "FAIL   gram_psd " in capsys.readouterr().out
     rows = json.loads((tmp_path / "report_screw.json").read_text())
     assert [r["check_id"] for r in rows if not r["pass"]] == ["gram_psd"]
+
+
+def test_a_numerical_error_is_not_a_config_error(tmp_path, monkeypatch, capsys):
+    # numpy.linalg.LinAlgError is a ValueError: raised inside a suite it
+    # propagates with its traceback (exit 1 from the interpreter) and writes
+    # no report, where it was once read as a config error (exit 2). Exit 2
+    # stays with the inputs refused where they are read
+    def planted(t, zs):
+        raise np.linalg.LinAlgError("planted")
+    monkeypatch.setattr(wf, "screw_g_array", planted)
+    with pytest.raises(np.linalg.LinAlgError, match="^planted$"):
+        cli.main(["verify", "all", "--height-T", "50", "--cutoff-Z", "500",
+                  "--out", str(tmp_path)])
+    assert "config error" not in capsys.readouterr().err
+    assert not list(tmp_path.glob("report_*.json"))
+    table = tmp_path / "malformed.txt"
+    table.write_text("14.134725141734695\nzeta\n")
+    for argv, named in ((["export", "psi_gamma", "one", "--height-T", "20"], "'one'"),
+                        (["verify", "all", "--zeros", str(table)],
+                         "malformed ordinate at line 2"),
+                        (["verify", "all", "--height-T", "5"], "T = 5")):
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
+    assert not list(tmp_path.glob("report_*.json")) + list(tmp_path.glob("*.csv"))

@@ -10,7 +10,9 @@ import pytest
 
 import weil_lab
 from weil_lab import debranges as db
+from weil_lab import hilbert_polya as hp
 from weil_lab import numerics as nu
+from weil_lab import special_fn as sf
 from weil_lab import weil_form as wf
 from weil_lab import zero_catalog as zc
 
@@ -113,6 +115,22 @@ NON_FINITE_INPUTS = {
     ("band_exact_grid", "x_max"): lambda v, zs: nu.band_exact_grid(0.0, v, 10.0),
     ("band_exact_grid", "band"): lambda v, zs: nu.band_exact_grid(0.0, 1.0, v),
     ("band_exact_grid", "margin"): lambda v, zs: nu.band_exact_grid(0.0, 1.0, 10.0, v),
+    ("s_theta", "theta"): lambda v, zs: hp.s_theta(v, 1.0),
+    ("s_theta", "z"): lambda v, zs: hp.s_theta(0.0, np.array([1.0, v])),
+    ("log_gamma", "z"): lambda v, zs: sf.log_gamma(v),
+    ("digamma", "z"): lambda v, zs: sf.digamma(np.array([1.5, v])),
+    # s = 1/2 + v i: xi(1/2 + inf i) raised OverflowError
+    ("xi", "s"): lambda v, zs: sf.xi(complex(0.5, v)),
+    ("zeta_pair", "s"): lambda v, zs: sf.zeta_pair(np.array([2.0, complex(0.5, v)])),
+    ("theta_xi", "z"): lambda v, zs: sf.theta_xi(v),
+    ("E_xi", "z"): lambda v, zs: sf.E_xi(np.array([1.0, v])),
+    ("theta_on_axis", "x"): lambda v, zs: sf.theta_on_axis(np.array([1.0, v])),
+    ("theta_on_axis", "log_deriv"): lambda v, zs: sf.theta_on_axis(
+        None, log_deriv=np.array([0.0, v])),
+    ("critical_line_log_derivative", "x"): lambda v, zs: sf.critical_line_log_derivative(
+        np.array([1.0, v])),
+    ("critical_line_log_derivative", "step"): lambda v, zs: sf.critical_line_log_derivative(
+        np.array([0.0, 0.25]), step=v),
 }
 
 
