@@ -224,12 +224,12 @@ CHECKS = (
           lambda w: w.eigen[0]),
     Check("eigen_perturbed", "hilbert_polya", "shifted eigenvalue is detected", 0.0,
           lambda w: 1e-2 - w.eigen[1]),
-    Check("decompose_null", "hilbert_polya", "psi0 transforms vanish on the catalog", 1e-5,
-          lambda w: w.null),
+    Check("decompose_null", "hilbert_polya", "S - sum i S sqrt(m pi) F_gamma vanishes on "
+          "the catalog", 1e-5, lambda w: w.null),
     Check("pairing_tau_norm", "hilbert_polya", "<psi,psi>_W = sum m |psihat(gamma)|^2", 1e-10,
-          lambda w: ids._worst([_gap(wf.tau_norm(dec.coeffs, w.zs),
+          lambda w: ids._worst([_gap(wf.tau_norm(S, w.zs),
                                      wf.weil_pairing(psi, psi, w.zs).value)
-                                for psi, dec, _ in w.decs], 0.0)),
+                                for psi, S, _ in w.decs], 0.0)),
     Check("spectra_interlace", "hilbert_polya", "S_0 = i xi' changes sign once per catalog "
           "gap, none below gamma_1", 0.0, lambda w: ids.spectra_interlace(w.zs)),
 )
@@ -296,8 +296,7 @@ def suite_hilbert_polya(cfg: RunConfig) -> List[dict]:
     samples = [complex(rng.uniform(-30, 30), rng.uniform(-2, 2)) for _ in range(12)]
     sets = [(g, [z for z in samples if abs(z - g) > 0.5]) for g in zs.ordinates[:8]]
     eigen = ids.eigen_residuals(hp.ExtensionParams(math.pi / 2), sets, sets[0])
-    grid = nu.band_exact_grid(-4.0, 18.0, 500.0 + zs.ordinates[-1], 50.0)
-    null, decs = ids.decomposition_null(rng, 2, zs, 500.0, grid, wf.random_combination)
+    null, decs = ids.decomposition_null(rng, 2, zs, wf.random_combination)
     return _evaluate("hilbert_polya", cfg, zs=zs, eigen=eigen, null=null, decs=decs)
 
 

@@ -52,6 +52,7 @@ def axis_samples(Z: float, spacing: float):
     The grid is an exact lattice, so L is taken at grid.nodes() themselves.
     L is real, and L(-x) = -L(x): float64 samples.
     """
+    numerics._require_finite(Z=Z)
     grid = numerics.symmetric_grid(Z, spacing)
     m = grid.n_points // 2
     L = _AXIS_CACHE.get(grid.h)
@@ -192,6 +193,7 @@ def psi_combination(gammas, mults, coeffs, Z: float, out: numerics.Grid,
     array is freed before the GridFunction copy and the sum before the
     transform: a copy of the first row, or either array held, raises the
     peak RSS of a large psi_gamma. No terms give zero, with no sweep."""
+    numerics._require_finite(Z=Z)
     if Z < 500.0:
         raise ValueError("psi_gamma requires Z >= 500")
     if not len(gammas):

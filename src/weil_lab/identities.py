@@ -210,13 +210,13 @@ def spectra_interlace(zs) -> int:
     return wrong
 
 
-def decomposition_null(rng, n: int, zs, Z: float, grid, draw):
-    """Worst |S_psi0(gamma)| over n psi = draw(rng) = psi0 + psi1 on the
-    catalog zs (psi1 cut off at Z, on grid), and the (psi, decomposition,
-    psi0 coefficients) triples."""
+def decomposition_null(rng, n: int, zs, draw):
+    """Worst |S - sum i S_gamma sqrt(m pi) F_gamma| on the catalog zs
+    (hilbert_polya.residual_coeffs) over n psi = draw(rng), and the
+    (psi, S, residual) triples."""
     out = []
     for _ in range(n):
         psi = draw(rng)
-        dec = hp.decompose_LW(psi, zs, Z, grid)
-        out.append((psi, dec, dec.residual_coeffs()))
+        S = hp.spectral_coeffs(psi, zs)
+        out.append((psi, S, hp.residual_coeffs(S, zs)))
     return _worst([np.max(np.abs(res)) for _, _, res in out], 0.0), out

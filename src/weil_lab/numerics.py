@@ -161,6 +161,7 @@ def panel_rule(a: float, b: float, width: float):
     """32-point Gauss-Legendre, the package's one rule (its order is fixed,
     see _phase_sum), on each of ceil((b-a)/width) equal panels of
     [a, b] (at least one); returns (nodes, weights) of shape (n_panels, 32)."""
+    _require_finite(a=a, b=b, width=width)
     if not _GAUSS_LEGENDRE:
         _GAUSS_LEGENDRE[:] = np.polynomial.legendre.leggauss(32)
     nodes, weights = _GAUSS_LEGENDRE

@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -84,10 +83,10 @@ class CountingReport:
     passed: bool
 
 
-def _read_table(path, T: float) -> ZeroSet:
-    """The ordinates <= T of a plain-text table (one finite decimal per
-    line, ascending; blank lines and lines starting with '#' are
-    skipped)."""
+def load_zeros(path, T: float) -> ZeroSet:
+    """The ordinates <= T, possibly none, of a plain-text table (one finite
+    decimal per line, ascending; blank lines and lines starting with '#'
+    are skipped)."""
     ordinates: List[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -107,15 +106,6 @@ def _read_table(path, T: float) -> ZeroSet:
             ordinates.append(val)
     kept = [g for g in ordinates if g <= T]
     return ZeroSet(tuple(kept), tuple([1] * len(kept)), float(T), "table")
-
-
-def load_zeros(path, T: float) -> ZeroSet:
-    """Parse a user's ordinate table (see _read_table); warns when no
-    ordinate lies below T."""
-    zs = _read_table(path, T)
-    if not len(zs):
-        warnings.warn("zero table contains no ordinates below T = %g" % T)
-    return zs
 
 
 def _refine_brackets(f, a, b, fa):

@@ -157,6 +157,15 @@ def test_xi_half_reference_reads_a_relative_error(monkeypatch):
     assert rel == pytest.approx(1e-6 / (1.0 - 1e-6), rel=1e-9)
 
 
+def test_xi_symmetry_reads_a_relative_error(monkeypatch):
+    # with the product 1e-6 above xi, |xi - product|/|xi| is 1e-6 at every
+    # draw, whatever |xi| is there
+    product = ids.xi_product
+    monkeypatch.setattr(ids, "xi_product", lambda s: product(s) * (1.0 + 1e-6))
+    worst = ids.xi_theta_values(np.random.default_rng(cli._SEED), 110.0)[1]
+    assert worst == pytest.approx(1e-6, rel=1e-6)
+
+
 def test_special_suite_draws_span_their_domains(monkeypatch):
     # xi_symmetry's 100 s lie in [-8, 9] x [-110, 110]i and
     # theta_unimodular's 100 x in [-110, 110]: at the suite's seed both
@@ -169,8 +178,32 @@ def test_special_suite_draws_span_their_domains(monkeypatch):
     # the first 100-point xi call is the draw; theta_xi's own comes after
     s = next(v for v in calls["xi"] if np.size(v) == 100)
     (x,) = [v for v in calls["theta_xi"] if np.size(v) == 100]
-    assert s.real.min() < -7 and s.real.max() > 8 and np.abs(s.imag).max() > 100
+    assert s.real.min() < -7 and s.real.max() > 8
+    assert s.imag.min() < -100 and s.imag.max() > 100
     assert len(set(x)) == 100 and x.min() < -99 and x.max() > 99
+
+
+def test_verify_all_on_the_table_without_gamma_3_fails_only_spectra_interlace(tmp_path):
+    # the table less its third line: the S_0 scan sees two sign changes in
+    # the gap (gamma_2, gamma_4), and no other row fails
+    with open(ZERO_TABLE, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    table = tmp_path / "zeros_without_gamma3.txt"
+    table.write_text("".join(lines[:2] + lines[3:]))
+    assert cli.main(["verify", "all", "--zeros", str(table), "--height-T", "50",
+                     "--cutoff-Z", "500", "--out", str(tmp_path)]) == 1
+    with open(tmp_path / "report_all.json", encoding="utf-8") as fh:
+        failed = [r["check_id"] for r in json.load(fh) if not r["pass"]]
+    assert failed == ["spectra_interlace"]
+
+
+def test_a_table_with_no_ordinate_below_T_is_one_config_error(tmp_path, capsys):
+    # refused once, by RunConfig.catalog: no warning comes before the error
+    assert cli.main(["verify", "all", "--zeros", ZERO_TABLE, "--height-T", "5",
+                     "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["config error: no zero ordinates below T = 5"]
+    assert not list(tmp_path.iterdir())
 
 
 def test_zeros_compute_without_ordinates_names_T(tmp_path, monkeypatch, capsys):

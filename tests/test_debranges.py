@@ -379,6 +379,28 @@ def test_axis_cache_slices_and_extends_byte_for_byte():
         db.clear_axis_cache()
 
 
+def test_axis_cache_grows_by_one_and_two_nodes_byte_for_byte(monkeypatch):
+    # a cutoff one, then two, half-grid nodes past the cached extent sweeps
+    # only those nodes, and its samples equal a cold sweep's
+    h = nu.symmetric_grid(1.0, 0.05).h
+    cutoffs = [(m - 0.5) * h for m in (740, 741, 743)]     # m = 740, 741, 743
+    db.clear_axis_cache()
+    try:
+        cold = []
+        for Z in cutoffs:
+            cold.append(db.axis_samples(Z, 0.05)[1].tobytes())
+            db.clear_axis_cache()
+        calls = []
+        sweep = sf.critical_line_log_derivative
+        monkeypatch.setattr(sf, "critical_line_log_derivative",
+                            lambda x, step=None: calls.append(np.size(x)) or sweep(x, step=step))
+        warm = [db.axis_samples(Z, 0.05)[1].tobytes() for Z in cutoffs]
+    finally:
+        db.clear_axis_cache()
+    assert calls == [741, 1, 2]
+    assert warm == cold
+
+
 def test_axis_cache_keys_by_spacing_and_slices_sweep_nothing(monkeypatch):
     db.clear_axis_cache()
     calls = []

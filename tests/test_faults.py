@@ -155,8 +155,8 @@ NAN_DRAWS = {
                              lambda pair: (NAN, pair[1])),
     "eigen_residual": (hp, "eigen_residual", 2,
                        lambda chk: dataclasses.replace(chk, residual=NAN)),
-    "decompose_null": (hp, "decompose_LW", 2,
-                       lambda dec: dataclasses.replace(dec, coeffs=dec.coeffs * NAN)),
+    # the row's input is S of each draw, made where the residual reads it
+    "decompose_null": (hp, "spectral_coeffs", 2, lambda S: S * NAN),
     "pairing_tau_norm": (wf, "tau_norm", 2, lambda norm: NAN),
 }
 

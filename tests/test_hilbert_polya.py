@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from weil_lab import cli
 from weil_lab import debranges as db
 from weil_lab import hilbert_polya as hp
 from weil_lab import identities as ids
@@ -190,7 +191,7 @@ def test_decompose_bump(lw_grid, catalog):
     rng = np.random.default_rng(35)
     psi = wf.random_combination(rng)
     dec = hp.decompose_LW(psi, catalog, 500.0, lw_grid)
-    res = dec.residual_coeffs()
+    res = hp.residual_coeffs(dec.coeffs, catalog)
     assert np.max(np.abs(res)) <= 1e-5
     # pairing is carried entirely by psi1
     pv = wf.weil_pairing(psi, psi, catalog).value.real
@@ -220,7 +221,7 @@ def test_decompose_projection_property(lw_grid, catalog):
         lw_grid, first.psi1.values
         - (psi(lw_grid.nodes()) - first.psi0.values), "time"))) \
         + np.max(np.abs(hp.spectral_coeffs(first.psi1, catalog))) \
-        * len(first.gammas)
+        * len(catalog.gammas)
     n0 = math.sqrt(nu.grid_norm_sq(second.psi0))
     n1 = math.sqrt(nu.grid_norm_sq(second.psi1))
     assert n0 <= 2.0 * max(floor, 0.05 * n1)
@@ -230,7 +231,7 @@ def test_decompose_weil_degeneracy_of_null_part(lw_grid, catalog):
     rng = np.random.default_rng(37)
     psi = wf.random_combination(rng)
     dec = hp.decompose_LW(psi, catalog, 500.0, lw_grid)
-    res = dec.residual_coeffs()
+    res = hp.residual_coeffs(dec.coeffs, catalog)
     null_pairing = wf.tau_norm(res, catalog)
     assert null_pairing <= 1e-9
     # the grid route carries the psi_gamma transform floor but stays a
@@ -248,17 +249,30 @@ def test_decompose_on_a_T50_catalog(lw_grid):
     psi = wf.random_combination(np.random.default_rng(38))
     dec = hp.decompose_LW(psi, zs50, 500.0, lw_grid)
     assert dec.coeffs.tobytes() == hp.spectral_coeffs(psi, zs50).tobytes()
-    assert len(dec.gammas) == 20
-    table = db.basis_table(dec.gammas, dec.mults, dec.gammas)
+    assert len(zs50.gammas) == 20
+    table = db.basis_table(zs50.gammas, zs50.mults, zs50.gammas)
+    expansion = 1j * dec.coeffs * np.sqrt(zs50.mults * math.pi)
     psi1, scale, res = 0.0, 0.0, dec.coeffs
-    for c, g, t in zip(dec.expansion, dec.gammas, table):
+    for c, g, t in zip(expansion, zs50.gammas, table):
         row = db.psi_gamma(g, zs50, 500.0, lw_grid).values
         psi1, res = psi1 + c * row, res - c * t
         scale += abs(c) * np.max(np.abs(row))
     assert np.max(np.abs(dec.psi1.values - psi1)) <= 1e-14 * scale
-    assert dec.residual_coeffs().tobytes() == res.tobytes()
+    assert hp.residual_coeffs(dec.coeffs, zs50).tobytes() == res.tobytes()
     assert np.max(np.abs(dec.psi0.values + dec.psi1.values
                          - psi(lw_grid.nodes()))) <= 1e-12
+
+
+def test_verify_makes_no_decomposition_grid(tmp_path, monkeypatch):
+    # the decomposition rows read S and its residual on the catalog: no psi1
+    # combination and no inverse transform to the time side
+    calls = []
+    for module, name in ((db, "psi_combination"), (nu, "inverse_fourier_grid")):
+        monkeypatch.setattr(module, name, lambda *a, _f=getattr(module, name), _n=name,
+                            **k: calls.append(_n) or _f(*a, **k))
+    assert cli.main(["verify", "hilbert_polya", "--height-T", "50", "--cutoff-Z", "500",
+                     "--out", str(tmp_path)]) == 0
+    assert calls == []
 
 
 def test_decompose_on_an_empty_catalog(lw_grid, monkeypatch):
@@ -269,10 +283,11 @@ def test_decompose_on_an_empty_catalog(lw_grid, monkeypatch):
     monkeypatch.setattr(nu, "inverse_fourier_grid",
                         lambda *a: calls.append(1) or inverse(*a))
     psi = wf.TestFunction.bump(0.0, 1.0)
-    dec = hp.decompose_LW(psi, zc.compute_zeros(10.0), 500.0, lw_grid)
+    empty = zc.compute_zeros(10.0)
+    dec = hp.decompose_LW(psi, empty, 500.0, lw_grid)
     assert not calls and not np.any(dec.psi1.values)
     assert np.array_equal(dec.psi0.values, psi(lw_grid.nodes()))
-    assert dec.residual_coeffs().size == 0
+    assert hp.residual_coeffs(dec.coeffs, empty).size == 0
 
 
 def test_decompose_makes_one_inverse_transform(lw_grid, catalog, monkeypatch):

@@ -30,6 +30,10 @@ KEPT = {
                         "budget of a row on the screw function",
     "iterate_symmetric": "perfbench's basis_bank workload and its self-test "
                          "list the catalog through it",
+    "decompose_LW": "the psi0 and psi1 grids for callers that want them "
+                    "(README's API); no row reads them, and "
+                    "perfbench/tracing.py wraps it by name",
+    "LWDecomposition": "what decompose_LW returns",
 }
 
 
@@ -109,6 +113,15 @@ NON_FINITE_INPUTS = {
     ("transform_at", "z"): lambda v, zs: wf.transform_at(wf.TestFunction.bump(), v),
     ("fourier_grid_at", "z"): lambda v, zs: nu.fourier_grid_at(_TIME_GRID, v),
     ("compute_zeros", "T"): lambda v, zs: zc.compute_zeros(v),
+    ("panel_rule", "a"): lambda v, zs: nu.panel_rule(v, 1.0, 0.25),
+    ("panel_rule", "b"): lambda v, zs: nu.panel_rule(0.0, v, 0.25),
+    ("panel_rule", "width"): lambda v, zs: nu.panel_rule(0.0, 1.0, v),
+    ("axis_samples", "Z"): lambda v, zs: db.axis_samples(v, 0.05),
+    ("psi_gamma", "Z"): lambda v, zs: db.psi_gamma(
+        zs.ordinates[0], zs, v, nu.Grid(-1.0, 1.0, 5)),
+    ("K_apply", "Z"): lambda v, zs: db.K_apply(_TIME_GRID, v),
+    ("restriction_isometry_check", "Z"): lambda v, zs: db.restriction_isometry_check(
+        zs.ordinates[0], zs, v),
     ("symmetric_grid", "half_range"): lambda v, zs: nu.symmetric_grid(v, 0.1),
     ("symmetric_grid", "spacing"): lambda v, zs: nu.symmetric_grid(10.0, v),
     ("band_exact_grid", "x_min"): lambda v, zs: nu.band_exact_grid(v, 1.0, 10.0),

@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -31,9 +32,10 @@ def test_load_zeros_basic(tmp_path):
 def test_load_zeros_empty_below_T(tmp_path):
     p = tmp_path / "zeros.txt"
     p.write_text("14.134725142\n")
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         zs = zc.load_zeros(p, 10.0)
-    assert len(zs) == 0
+    assert zs == zc.ZeroSet((), (), 10.0, "table") and zs.gammas.size == 0
 
 
 def test_load_zeros_rejects_descending(tmp_path):
