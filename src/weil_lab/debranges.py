@@ -82,6 +82,7 @@ def theta_prime_at_zero(gammas) -> np.ndarray:
     """Theta'(gamma) at each gamma by Richardson-extrapolated central
     differences (h = 1e-4, 5e-5) from one theta_on_axis sweep over all gamma
     +- h, +- h/2, N set by the largest. -2i/m at a zero of multiplicity m."""
+    numerics._require_finite(gammas=gammas)
     h = 1e-4
     th = sf.theta_on_axis(np.add.outer([-h, h, -h / 2, h / 2], gammas))
     d_h = (th[1] - th[0]) / (2 * h)

@@ -634,6 +634,7 @@ def theta_on_axis(x, log_deriv=None):
 def xi_on_critical_line(t):
     """xi(1/2 + it) for real t, vectorized; real-valued up to roundoff. The
     critical-line case of xi."""
+    numerics._require_finite(t=t)
     return xi(0.5 + 1j * np.asarray(t, dtype=float)).xi
 
 

@@ -51,6 +51,7 @@ class ZeroSet:
     mults: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        nu._require_finite(height_T=self.height_T)
         g = np.asarray(self.ordinates, dtype=float)
         m = self.multiplicities
         if len(g) != len(m):

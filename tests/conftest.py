@@ -2,6 +2,8 @@
 artifacts are built once per session and reused across test modules."""
 
 import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -14,6 +16,22 @@ from weil_lab import zero_catalog as zc
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 ZERO_TABLE = os.path.join(DATA_DIR, "zeros_t110.txt")
+
+# python -c CLI_MAIN ARGS runs weil-lab ARGS and exits with its code
+CLI_MAIN = "import sys\nfrom weil_lab import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+
+
+def python_process(code, args, blas_threads=1):
+    """Start python -c code args in a fresh interpreter that imports this
+    weil_lab, at blas_threads OpenBLAS threads, with stdout and stderr piped
+    as text. For exit codes, stderr, and outputs at a fixed thread count."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(db.__file__))]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.Popen([sys.executable, "-c", code] + [str(a) for a in args],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
 
 
 def eigen_samples(rng, exclude, n=20):

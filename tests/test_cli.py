@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import subprocess
 import sys
 
 import numpy as np
@@ -14,7 +13,15 @@ from weil_lab import numerics as nu
 from weil_lab import special_fn as sf
 from weil_lab import zero_catalog as zc
 
-from conftest import ZERO_TABLE, with_pairs
+from conftest import CLI_MAIN, ZERO_TABLE, python_process, with_pairs
+
+
+def _strict_json(path):
+    """The JSON document at path, read by a parser that rejects NaN and Infinity."""
+    def reject(name):
+        raise ValueError("%s is not JSON" % name)
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=reject)
 
 
 def test_help_without_command():
@@ -139,11 +146,7 @@ def test_nan_row_is_null_and_failing_in_a_strict_report(tmp_path, monkeypatch, c
                    "--out", str(tmp_path)])
     assert rc == 1
     assert "FAIL   positivity_random            value=nan" in capsys.readouterr().out
-
-    def reject(name):
-        raise ValueError("%s is not JSON" % name)
-    with open(tmp_path / "report_weil.json", encoding="utf-8") as fh:
-        rows = {r["check_id"]: r for r in json.load(fh, parse_constant=reject)}
+    rows = {r["check_id"]: r for r in _strict_json(tmp_path / "report_weil.json")}
     assert rows["positivity_random"]["value"] is None
     assert rows["positivity_random"]["pass"] is False
     assert all(r["pass"] for k, r in rows.items() if k != "positivity_random")
@@ -184,17 +187,20 @@ def test_special_suite_draws_span_their_domains(monkeypatch):
 
 
 def test_verify_all_on_the_table_without_gamma_3_fails_only_spectra_interlace(tmp_path):
-    # the table less its third line: the S_0 scan sees two sign changes in
-    # the gap (gamma_2, gamma_4), and no other row fails
+    # the whole table passes every row; less its third line, the S_0 scan
+    # sees two sign changes in the gap (gamma_2, gamma_4), and no other row
+    # fails
     with open(ZERO_TABLE, encoding="utf-8") as fh:
         lines = fh.readlines()
     table = tmp_path / "zeros_without_gamma3.txt"
     table.write_text("".join(lines[:2] + lines[3:]))
-    assert cli.main(["verify", "all", "--zeros", str(table), "--height-T", "50",
-                     "--cutoff-Z", "500", "--out", str(tmp_path)]) == 1
-    with open(tmp_path / "report_all.json", encoding="utf-8") as fh:
-        failed = [r["check_id"] for r in json.load(fh) if not r["pass"]]
-    assert failed == ["spectra_interlace"]
+    for i, (zeros, failing) in enumerate(((ZERO_TABLE, []),
+                                          (str(table), ["spectra_interlace"]))):
+        out = tmp_path / str(i)
+        assert cli.main(["verify", "all", "--zeros", zeros, "--height-T", "50",
+                         "--cutoff-Z", "500", "--out", str(out)]) == (1 if failing else 0)
+        rows = _strict_json(out / "report_all.json")
+        assert [r["check_id"] for r in rows if not r["pass"]] == failing
 
 
 def test_a_table_with_no_ordinate_below_T_is_one_config_error(tmp_path, capsys):
@@ -272,17 +278,16 @@ def test_export_screw_g_deterministic(tmp_path):
     assert len(lines) == 502            # 501 rows for [0, 5] step 0.01
 
 
-def _export_psi_gamma_subprocess(out_dir, blas_threads, cutoff):
-    env = dict(os.environ)
-    env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(cli.__file__))]
-        + [p for p in [env.get("PYTHONPATH")] if p])
-    subprocess.run([sys.executable, "-m", "weil_lab.cli", "export", "psi_gamma",
-                    "1", "--height-T", "50", "--cutoff-Z", str(cutoff),
-                    "--out", str(out_dir)], env=env, check=True,
-                   stdout=subprocess.DEVNULL)
-    return (out_dir / "psi_gamma_1.csv").read_bytes()
+def _outputs_at_blas_threads(out_dir, argv, name, threads):
+    """The bytes of the file name that weil-lab argv writes, from one fresh
+    process per entry of threads (its OpenBLAS thread count), run side by
+    side, each with an --out of its own under out_dir."""
+    runs = [python_process(CLI_MAIN, argv + ["--out", out_dir / str(i)], n)
+            for i, n in enumerate(threads)]
+    for run in runs:
+        err = run.communicate()[1]
+        assert run.returncode == 0, err
+    return [(out_dir / str(i) / name).read_bytes() for i in range(len(threads))]
 
 
 def test_export_bitwise_at_fixed_blas_threads(tmp_path):
@@ -290,11 +295,19 @@ def test_export_bitwise_at_fixed_blas_threads(tmp_path):
     # table, whatever the BLAS thread count. The axis sweep spans 3 chunks
     # of its shared phase tables at Z = 500 and 12 at Z = 2000
     for Z in (500, 2000):
-        one_a = _export_psi_gamma_subprocess(tmp_path / f"a{Z}", 1, Z)
-        one_b = _export_psi_gamma_subprocess(tmp_path / f"b{Z}", 1, Z)
-        two = _export_psi_gamma_subprocess(tmp_path / f"c{Z}", 2, Z)
+        one_a, one_b, two = _outputs_at_blas_threads(
+            tmp_path / str(Z), ["export", "psi_gamma", "1", "--height-T", "50",
+                                "--cutoff-Z", str(Z)], "psi_gamma_1.csv", (1, 1, 2))
         assert one_a == one_b
         assert one_a == two
+
+
+def test_verify_report_bitwise_at_fixed_blas_threads(tmp_path):
+    # verify all's report, at T = 50, Z = 500 and at the defaults
+    for i, argv in enumerate((["--height-T", "50", "--cutoff-Z", "500"], [])):
+        one, two = _outputs_at_blas_threads(
+            tmp_path / str(i), ["verify", "all"] + argv, "report_all.json", (1, 2))
+        assert one == two
 
 
 def test_export_omega_range(tmp_path, monkeypatch):
@@ -371,37 +384,29 @@ def test_export_f_gamma_with_grid_spec(tmp_path):
         assert abs(abs(peak_x) - 14.1347) < 1.0   # |F| plateaus around the ordinate
 
 
-def test_verify_all_writes_combined_report(tmp_path, monkeypatch):
+def test_verify_reports_each_table_check_once_in_table_order(tmp_path, monkeypatch):
+    # rows come from the check table, so a suite cannot drop one: verify all
+    # reports every id once, in table order, from one catalog, as strict JSON
+    # in its only file; verify <suite> reports its slice, and the slices in
+    # suite order are verify all's rows
     calls = []
     real = zc.compute_zeros
-    monkeypatch.setattr(zc, "compute_zeros",
-                        lambda *a, **k: calls.append(a) or real(*a, **k))
-    rc = cli.main(["verify", "all", "--out", str(tmp_path),
-                   "--height-T", "40", "--cutoff-Z", "500"])
-    assert rc == 0
-    assert len(calls) == 1        # one catalog serves every suite
-    assert os.listdir(tmp_path) == ["report_all.json"]    # and writes no other file
-    rows = json.load(open(tmp_path / "report_all.json"))
-    ids = {r["check_id"] for r in rows}
-    assert {"xi_half_reference", "basis_pairing_diagonal", "gram_psd",
-            "theta_prime_zeros", "eigen_residual"} <= ids
-    assert all(r["pass"] for r in rows)
-
-
-def test_verify_reports_each_table_check_once_in_table_order(tmp_path):
-    # rows come from the check table, so a suite cannot drop one: verify all
-    # reports every id once, in table order, and verify <suite> its slice
+    monkeypatch.setattr(zc, "compute_zeros", lambda *a: calls.append(a) or real(*a))
     small = ["--height-T", "50", "--cutoff-Z", "500"]
     assert cli.main(["verify", "all", "--out", str(tmp_path / "all")] + small) == 0
-    rows = json.loads((tmp_path / "all" / "report_all.json").read_text())
+    assert len(calls) == 1
+    assert os.listdir(tmp_path / "all") == ["report_all.json"]
+    rows = _strict_json(tmp_path / "all" / "report_all.json")
     assert [r["check_id"] for r in rows] == [c.id for c in cli.CHECKS]
-    assert len(rows) == 32
+    assert len(rows) == 32 and all(r["pass"] for r in rows)
     assert cli.SUITES == ("special", "weil", "screw", "debranges", "hilbert_polya", "all")
+    parts = []
     for suite in cli.SUITES[:-1]:
         assert cli.main(["verify", suite, "--out", str(tmp_path / suite)] + small) == 0
-        report = tmp_path / suite / ("report_%s.json" % suite)
-        assert json.loads(report.read_text()) == [
-            r for r, c in zip(rows, cli.CHECKS) if c.suite == suite]
+        report = _strict_json(tmp_path / suite / ("report_%s.json" % suite))
+        assert report == [r for r, c in zip(rows, cli.CHECKS) if c.suite == suite]
+        parts += report
+    assert parts == rows
 
 
 def test_verify_all_sweeps_theta_prime_once_per_table(tmp_path, monkeypatch):
@@ -481,14 +486,11 @@ def test_export_non_finite_grid_is_usage_error(tmp_path, capsys):
 def test_verify_does_not_import_numpy_ma(tmp_path):
     # np.unique imports numpy.ma (12-20 ms and 1.1 MB per process); the
     # verify suites iterate over distinct values without it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(cli.__file__))]
-        + [p for p in [env.get("PYTHONPATH")] if p])
     code = ("import sys\n"
             "from weil_lab import cli\n"
             "assert cli.main(['verify', 'special', '--out', sys.argv[1]]) == 0\n"
             "print('numpy.ma' in sys.modules)\n")
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
-                          check=True, capture_output=True, text=True)
-    assert done.stdout.splitlines()[-1] == "False"
+    run = python_process(code, [tmp_path])
+    out, err = run.communicate()
+    assert run.returncode == 0, err
+    assert out.splitlines()[-1] == "False"

@@ -1,13 +1,16 @@
 """Planted faults that `verify all` should detect: each entry of FAULTS
 makes the catalog a run sees wrong, or one layer of the code, and the run
-must fail at least one row.
+must fail exactly the rows the entry records, the fault matrix of README.
 
-A fault that no row can see yet is kept as a strict expected failure, so
-the test turns into a failure of its own (XPASS) once a row catches it."""
+A fault that no row can see yet records why instead, and is kept as a
+strict expected failure, so the test turns into a failure of its own
+(XPASS) once a row catches it."""
 
 import dataclasses
 import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from weil_lab import special_fn as sf
 from weil_lab import weil_form as wf
 from weil_lab import zero_catalog as zc
 
-from conftest import with_pairs
+from conftest import CLI_MAIN, python_process, with_pairs
 
 T = 50.0
 
@@ -78,53 +81,83 @@ def _middle_sample_scaled(chirp_z):
     return faulty
 
 
-def _unseen(fault, reason):
-    return pytest.param(fault, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason=reason))
+# a spurious zero splits a gap in two, one of them with no S_0 zero, and
+# its F_gamma enters every catalog sum and basis table
+_SPURIOUS_ZERO_ROWS = {
+    "basis_pairing_diagonal", "basis_pairing_cross", "theta_prime_zeros",
+    "basis_diagonal", "basis_off_diagonal", "restriction_point_mass",
+    "decompose_null", "spectra_interlace"}
 
-
+# name: (fault, the rows it fails, or why no row fails it yet)
 FAULTS = {
-    # fails spectra_interlace: the gap (gamma_2, gamma_4) holds two S_0 zeros
-    "gamma_3_deleted": _without(2),
-    # fails spectra_interlace: the gap (0, gamma_2) holds one
-    "gamma_1_deleted": _without(0),
-    "gamma_N_deleted": _unseen(_without(-1), (
+    # the gap (gamma_2, gamma_4) holds two S_0 zeros
+    "gamma_3_deleted": (_without(2), {"spectra_interlace"}),
+    # the gap (0, gamma_2) holds one
+    "gamma_1_deleted": (_without(0), {"spectra_interlace"}),
+    "gamma_N_deleted": (_without(-1), (
         "no S_0 zero above gamma_N is promised below T, so no row sees the "
         "last zero missing until a certified count (ROADMAP item 3) does")),
-    # fails basis_diagonal and restriction_point_mass
-    "gamma_1_moved_1e-6": _first_changed(g_shift=1e-6),
-    # fails 8 rows, spectra_interlace among them
-    "spurious_zero_at_45": _edited(lambda pairs: pairs + [(45.0, 1)]),
-    # fails 8 rows, theta_prime_zeros (about 1.0) and spectra_interlace
-    # among them
-    "gamma_1_doubled": _first_changed(m=2),
-    "xi_prime_scaled_1e-6": _unseen(_patched(sf, "xi", _xi_prime_scaled), (
+    "gamma_1_moved_1e-6": (_first_changed(g_shift=1e-6),
+                           {"basis_diagonal", "restriction_point_mass"}),
+    "spurious_zero_at_45": (_edited(lambda pairs: pairs + [(45.0, 1)]),
+                            _SPURIOUS_ZERO_ROWS),
+    # in the last gap, (gamma_9, gamma_10) = (48.005, 49.774): the scan's
+    # count must reach past the second-to-last gap
+    "spurious_zero_in_the_last_gap": (_edited(lambda pairs: pairs + [(49.0, 1)]),
+                                      _SPURIOUS_ZERO_ROWS),
+    # theta_prime_zeros reads about 1.0
+    "gamma_1_doubled": (_first_changed(m=2), {
+        "basis_pairing_diagonal", "theta_prime_zeros", "basis_diagonal",
+        "restriction_isometry", "restriction_point_mass", "psi_norm",
+        "decompose_null", "spectra_interlace"}),
+    "xi_prime_scaled_1e-6": (_patched(sf, "xi", _xi_prime_scaled), (
         "a constant factor on xi' moves no zero of S_0 and no row reads xi' "
         "against a reference until the Cauchy-integral row of ROADMAP item 5 "
         "does")),
-    "axis_L_scaled_1e-8": _unseen(_patched(
-        sf, "critical_line_log_derivative", _L_scaled), (
+    "axis_L_scaled_1e-8": (_patched(sf, "critical_line_log_derivative", _L_scaled), (
         "theta_prime_zeros, basis_diagonal and restriction_point_mass move "
         "about 200-fold, to 2e-8 and below, under their fixed floors, until "
         "budgets from their error models (ROADMAP item 6) see it")),
-    # fails transform_agreement: its middle node is the scaled sample
-    "transform_middle_sample_scaled_1e-6": _patched(
-        nu, "_chirp_z", _middle_sample_scaled),
-    # fails gram_psd: -G is negative semidefinite
-    "screw_g_negated": _patched(wf, "screw_g_array", _g_scaled(-1.0)),
-    "screw_g_halved": _unseen(_patched(wf, "screw_g_array", _g_scaled(0.5)), (
+    # its middle node is the scaled sample
+    "transform_middle_sample_scaled_1e-6": (_patched(nu, "_chirp_z", _middle_sample_scaled),
+                                            {"transform_agreement"}),
+    # -G is negative semidefinite
+    "screw_g_negated": (_patched(wf, "screw_g_array", _g_scaled(-1.0)), {"gram_psd"}),
+    "screw_g_halved": (_patched(wf, "screw_g_array", _g_scaled(0.5)), (
         "g/2 keeps g(0) = 0, its symmetry and a PSD kernel, and no row reads "
         "the magnitude of g until the screw_explicit row of ROADMAP item 2 "
         "compares g with the explicit formula")),
 }
 
 
-@pytest.mark.parametrize("fault", FAULTS.values(), ids=list(FAULTS))
-def test_fault_fails_a_row(fault, monkeypatch):
+@pytest.mark.parametrize("fault, fails", [
+    pytest.param(fault, None, id=name, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=fails))
+    if isinstance(fails, str) else pytest.param(fault, fails, id=name)
+    for name, (fault, fails) in FAULTS.items()])
+def test_fault_fails_a_row(fault, fails, monkeypatch):
     cfg = cli.RunConfig(height_T=T, cutoff_Z=500.0)
     cfg.catalog = fault(monkeypatch)
     rows = [row for suite in cli._SUITE_FN.values() for row in suite(cfg)]
-    assert not all(row["pass"] for row in rows)
+    failed = {row["check_id"] for row in rows if not row["pass"]}
+    assert failed
+    assert fails is None or failed == fails
+
+
+def test_readme_counts_the_rows_that_planted_faults_fail():
+    # basis_diagonal's term at each gamma is theta_prime_zeros's times
+    # sqrt(m/pi)/2, so the two rows are one check
+    def checks(rows):
+        return {"theta_prime_zeros" if r == "basis_diagonal" else r for r in rows}
+    rows = [c.id for c in cli.CHECKS]
+    failing = set().union(*(f for _, f in FAULTS.values() if not isinstance(f, str)))
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        stated = re.search(r"The (\d+) rows are\s+(\d+) checks\. Planted faults fail "
+                           r"(\d+) rows \((\d+) checks\), and (\d+) rows fail under\s+none",
+                           fh.read()).groups()
+    assert tuple(map(int, stated)) == (len(rows), len(checks(rows)), len(failing),
+                                       len(checks(failing)), len(rows) - len(failing))
 
 
 NAN = float("nan")
@@ -213,26 +246,33 @@ def test_nan_gram_matrix_fails_gram_psd(plant, tmp_path, monkeypatch, capsys):
     assert [r["check_id"] for r in rows if not r["pass"]] == ["gram_psd"]
 
 
-def test_a_numerical_error_is_not_a_config_error(tmp_path, monkeypatch, capsys):
+PLANTED = ("import numpy as np\n"
+           "from weil_lab import weil_form\n"
+           "def planted(t, zs):\n"
+           "    raise np.linalg.LinAlgError('planted')\n"
+           "weil_form.screw_g_array = planted\n")
+
+
+def test_a_numerical_error_is_not_a_config_error(tmp_path, capsys):
     # numpy.linalg.LinAlgError is a ValueError: raised inside a suite it
     # propagates with its traceback (exit 1 from the interpreter) and writes
     # no report, where it was once read as a config error (exit 2). Exit 2
     # stays with the inputs refused where they are read
-    def planted(t, zs):
-        raise np.linalg.LinAlgError("planted")
-    monkeypatch.setattr(wf, "screw_g_array", planted)
-    with pytest.raises(np.linalg.LinAlgError, match="^planted$"):
-        cli.main(["verify", "all", "--height-T", "50", "--cutoff-Z", "500",
-                  "--out", str(tmp_path)])
-    assert "config error" not in capsys.readouterr().err
+    run = python_process(PLANTED + CLI_MAIN, ["verify", "all", "--height-T", "50",
+                                              "--cutoff-Z", "500", "--out", tmp_path])
+    err = run.communicate()[1]
+    assert run.returncode == 1
+    assert err.splitlines()[-1] == "numpy.linalg.LinAlgError: planted"
+    assert "config error" not in err
     assert not list(tmp_path.glob("report_*.json"))
     table = tmp_path / "malformed.txt"
     table.write_text("14.134725141734695\nzeta\n")
-    for argv, named in ((["export", "psi_gamma", "one", "--height-T", "20"], "'one'"),
-                        (["verify", "all", "--zeros", str(table)],
-                         "malformed ordinate at line 2"),
-                        (["verify", "all", "--height-T", "5"], "T = 5")):
+    for argv, line in (
+            (["export", "psi_gamma", "one", "--height-T", "20"],
+             "psi_gamma index 'one' out of range: not an integer in [1, 1]"),
+            (["verify", "all", "--zeros", str(table)],
+             "zero table %r: malformed ordinate at line 2: 'zeta'" % str(table)),
+            (["verify", "all", "--height-T", "5"], "no zero ordinates below T = 5")):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and named in err
+        assert capsys.readouterr().err.splitlines() == ["config error: " + line]
     assert not list(tmp_path.glob("report_*.json")) + list(tmp_path.glob("*.csv"))

@@ -113,6 +113,7 @@ NON_FINITE_INPUTS = {
     ("transform_at", "z"): lambda v, zs: wf.transform_at(wf.TestFunction.bump(), v),
     ("fourier_grid_at", "z"): lambda v, zs: nu.fourier_grid_at(_TIME_GRID, v),
     ("compute_zeros", "T"): lambda v, zs: zc.compute_zeros(v),
+    ("ZeroSet", "height_T"): lambda v, zs: zc.ZeroSet(zs.ordinates[:1], (1,), v, "table"),
     ("panel_rule", "a"): lambda v, zs: nu.panel_rule(v, 1.0, 0.25),
     ("panel_rule", "b"): lambda v, zs: nu.panel_rule(0.0, v, 0.25),
     ("panel_rule", "width"): lambda v, zs: nu.panel_rule(0.0, 1.0, v),
@@ -120,6 +121,8 @@ NON_FINITE_INPUTS = {
     ("psi_gamma", "Z"): lambda v, zs: db.psi_gamma(
         zs.ordinates[0], zs, v, nu.Grid(-1.0, 1.0, 5)),
     ("K_apply", "Z"): lambda v, zs: db.K_apply(_TIME_GRID, v),
+    ("theta_prime_at_zero", "gammas"): lambda v, zs: db.theta_prime_at_zero(
+        np.array([zs.ordinates[0], v])),
     ("restriction_isometry_check", "Z"): lambda v, zs: db.restriction_isometry_check(
         zs.ordinates[0], zs, v),
     ("symmetric_grid", "half_range"): lambda v, zs: nu.symmetric_grid(v, 0.1),
@@ -134,6 +137,7 @@ NON_FINITE_INPUTS = {
     ("digamma", "z"): lambda v, zs: sf.digamma(np.array([1.5, v])),
     # s = 1/2 + v i: xi(1/2 + inf i) raised OverflowError
     ("xi", "s"): lambda v, zs: sf.xi(complex(0.5, v)),
+    ("xi_on_critical_line", "t"): lambda v, zs: sf.xi_on_critical_line(np.array([1.0, v])),
     ("zeta_pair", "s"): lambda v, zs: sf.zeta_pair(np.array([2.0, complex(0.5, v)])),
     ("theta_xi", "z"): lambda v, zs: sf.theta_xi(v),
     ("E_xi", "z"): lambda v, zs: sf.E_xi(np.array([1.0, v])),
