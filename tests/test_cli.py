@@ -384,21 +384,31 @@ def test_export_f_gamma_with_grid_spec(tmp_path):
         assert abs(abs(peak_x) - 14.1347) < 1.0   # |F| plateaus around the ordinate
 
 
-def test_verify_reports_each_table_check_once_in_table_order(tmp_path, monkeypatch):
-    # rows come from the check table, so a suite cannot drop one: verify all
-    # reports every id once, in table order, from one catalog, as strict JSON
-    # in its only file; verify <suite> reports its slice, and the slices in
-    # suite order are verify all's rows
+def test_verify_all_writes_combined_report(tmp_path, monkeypatch):
     calls = []
     real = zc.compute_zeros
     monkeypatch.setattr(zc, "compute_zeros", lambda *a: calls.append(a) or real(*a))
+    rc = cli.main(["verify", "all", "--out", str(tmp_path),
+                   "--height-T", "40", "--cutoff-Z", "500"])
+    assert rc == 0
+    assert len(calls) == 1        # one catalog serves every suite
+    assert os.listdir(tmp_path) == ["report_all.json"]    # and writes no other file
+    rows = _strict_json(tmp_path / "report_all.json")
+    ids = {r["check_id"] for r in rows}
+    assert {"xi_half_reference", "basis_pairing_diagonal", "gram_psd",
+            "theta_prime_zeros", "eigen_residual"} <= ids
+    assert all(r["pass"] for r in rows)
+
+
+def test_verify_reports_each_table_check_once_in_table_order(tmp_path):
+    # rows come from the check table, so a suite cannot drop one: verify all
+    # reports every id once, in table order, as strict JSON; verify <suite>
+    # reports its slice, and the slices in suite order are verify all's rows
     small = ["--height-T", "50", "--cutoff-Z", "500"]
     assert cli.main(["verify", "all", "--out", str(tmp_path / "all")] + small) == 0
-    assert len(calls) == 1
-    assert os.listdir(tmp_path / "all") == ["report_all.json"]
     rows = _strict_json(tmp_path / "all" / "report_all.json")
     assert [r["check_id"] for r in rows] == [c.id for c in cli.CHECKS]
-    assert len(rows) == 32 and all(r["pass"] for r in rows)
+    assert len(rows) == 32
     assert cli.SUITES == ("special", "weil", "screw", "debranges", "hilbert_polya", "all")
     parts = []
     for suite in cli.SUITES[:-1]:
