@@ -1,15 +1,15 @@
 """Command-line front end: verification suites, the catalog sweep, and
 CSV/JSON artifact export.
 
-One table, CHECKS, holds each check's id, suite, anchor, default bound and
-evaluator in report order; the suite names, and the ids a --tol or tol. key
-may name, come from it. A suite's function makes the work its checks share
-and returns their rows, each valued by its evaluator from that work;
+One table, CHECKS, holds each check's id, suite, anchor, bound and
+evaluator in report order; the suite names come from it, and each report
+row's bound is its check's. A suite's function makes the work its checks
+share and returns their rows, each valued by its evaluator from that work;
 identities the acceptance suite also checks come from weil_lab.identities.
 
-Configuration: the keys zeros, height_T, cutoff_Z, grid, out and tol.<id>
-of a --config file, then the flags of the same names over them; a key
-neither gives keeps its RunConfig default. Any other file key, a
+Configuration: the keys zeros, height_T, cutoff_Z, grid and out of a
+--config file, then the flags of the same names over them; a key neither
+gives keeps its RunConfig default. Any other file key, a
 height_T that is not finite or above zero_catalog.MAX_HEIGHT, a cutoff_Z
 outside [500, zero_catalog.MAX_CUTOFF], and a grid that numerics.Grid
 rejects, is a config error.
@@ -38,7 +38,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Dict, List, NamedTuple, Optional
 
@@ -67,23 +67,12 @@ class RunConfig:
     cutoff_Z: float = 1000.0
     grid: Optional[nu.Grid] = None        # the export grid, from --grid
     out_dir: str = "."
-    tolerances: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if not (math.isfinite(self.height_T) and self.height_T <= zc.MAX_HEIGHT):
             raise ConfigError("height_T must be finite and <= %g" % zc.MAX_HEIGHT)
         if not 500.0 <= self.cutoff_Z <= zc.MAX_CUTOFF:
             raise ConfigError("cutoff_Z must be in [500, %g]" % zc.MAX_CUTOFF)
-        unknown = sorted(set(self.tolerances) - {c.id for c in CHECKS})
-        if unknown:
-            raise ConfigError("tolerance for unknown check id(s): %s"
-                              % ", ".join(unknown))
-        # a NaN bound fails every value, an infinite one passes it, and the
-        # JSON report can hold neither
-        bad = sorted(k for k, v in self.tolerances.items() if not math.isfinite(v))
-        if bad:
-            raise ConfigError("non-finite tolerance for check id(s): %s"
-                              % ", ".join(bad))
 
     @functools.cached_property
     def catalog(self) -> zc.ZeroSet:
@@ -235,15 +224,16 @@ CHECKS = (
 )
 
 
-def _evaluate(suite: str, cfg: RunConfig, **work) -> List[dict]:
+def _evaluate(suite: str, **work) -> List[dict]:
     """The report rows of suite's checks, in table order, each valued by its
-    evaluator from work; a check valued None has no row."""
+    evaluator from work and bounded by its check's bound; a check valued
+    None has no row."""
     w = SimpleNamespace(**work)
     rows = []
     for check in CHECKS:
         value = check.evaluate(w) if check.suite == suite else None
         if value is not None:
-            value, bound = float(value), float(cfg.tolerances.get(check.id, check.bound))
+            value, bound = float(value), check.bound
             rows.append({"check_id": check.id, "anchor": check.anchor, "value": value,
                          "bound": bound, "pass": math.isfinite(value) and value <= bound})
     return rows
@@ -254,7 +244,7 @@ def _evaluate(suite: str, cfg: RunConfig, **work) -> List[dict]:
 
 def suite_special(cfg: RunConfig) -> List[dict]:
     rng = np.random.default_rng(_SEED)
-    return _evaluate("special", cfg, xi_theta=ids.xi_theta_values(rng, 110.0))
+    return _evaluate("special", xi_theta=ids.xi_theta_values(rng, 110.0))
 
 
 def suite_weil(cfg: RunConfig) -> List[dict]:
@@ -266,7 +256,7 @@ def suite_weil(cfg: RunConfig) -> List[dict]:
     positivity = ids.positivity_margin(rng, 20, zs, wf.random_combination)
     a, b = wf.random_combination(rng), wf.random_combination(rng)
     c = complex(rng.standard_normal(), rng.standard_normal())
-    return _evaluate("weil", cfg, zs=zs, pairing=pairing, positivity=positivity,
+    return _evaluate("weil", zs=zs, pairing=pairing, positivity=positivity,
                      a=a, b=b, c=c, ab=wf.weil_pairing(a, b, zs).value)
 
 
@@ -274,7 +264,7 @@ def suite_screw(cfg: RunConfig) -> List[dict]:
     rng = np.random.default_rng(_SEED + 2)
     zs = cfg.catalog
     phi = wf.TestFunction.bump(0.2, 0.9).derivative()
-    return _evaluate("screw", cfg, zs=zs, phi=phi, psi=wf.antiderivative(phi),
+    return _evaluate("screw", zs=zs, phi=phi, psi=wf.antiderivative(phi),
                      gram=ids.gram_psd_margin(rng, 20, zs),
                      screw_weil=ids.screw_weil_margin(rng, 3, zs))
 
@@ -284,7 +274,7 @@ def suite_debranges(cfg: RunConfig) -> List[dict]:
     # K pushes content up to the full band [-Z, Z], so sample above the
     # 2Z Nyquist rate (psi_gamma alone only needs Z + gamma_max)
     grid = nu.band_exact_grid(-6.0, 38.0, 2.0 * Z, 200.0)
-    return _evaluate("debranges", cfg, Z=Z, theta_prime=ids.theta_prime_at_zeros(zs),
+    return _evaluate("debranges", Z=Z, theta_prime=ids.theta_prime_at_zeros(zs),
                      basis_values=ids.basis_value_table(zs),
                      restriction=ids.restriction_isometry(zs),
                      psi=db.psi_gamma(zs.ordinates[0], zs, Z, grid))
@@ -297,7 +287,7 @@ def suite_hilbert_polya(cfg: RunConfig) -> List[dict]:
     sets = [(g, [z for z in samples if abs(z - g) > 0.5]) for g in zs.ordinates[:8]]
     eigen = ids.eigen_residuals(hp.ExtensionParams(math.pi / 2), sets, sets[0])
     null, decs = ids.decomposition_null(rng, 2, zs, wf.random_combination)
-    return _evaluate("hilbert_polya", cfg, zs=zs, eigen=eigen, null=null, decs=decs)
+    return _evaluate("hilbert_polya", zs=zs, eigen=eigen, null=null, decs=decs)
 
 
 # suite name -> suite function, in table order
@@ -407,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output grid 'xmin:xmax:n'")
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="output directory")
-    common.add_argument("--tol", action="append", default=argparse.SUPPRESS,
-                        metavar="ID=VALUE", help="tolerance override")
 
     parser = argparse.ArgumentParser(
         prog="weil-lab", parents=[common],
@@ -445,23 +433,18 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     docstring); a value its key's parser rejects is a ConfigError naming
     the key."""
     given = load_config_file(args.config) if "config" in args else {}
-    unknown = sorted(k for k in given if k not in _KEYS and not k.startswith("tol."))
+    unknown = sorted(k for k in given if k not in _KEYS)
     if unknown:
         raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
-    for item in getattr(args, "tol", []):
-        if "=" not in item:
-            raise ConfigError("--tol expects ID=VALUE, got %r" % item)
-        key, val = item.split("=", 1)
-        given["tol." + key.strip()] = val
     given.update((k, v) for k, v in vars(args).items() if k in _KEYS)
-    fields, tols = {}, {}
+    fields = {}
     for key, text in given.items():
-        name, parse = _KEYS.get(key, (key[4:], float))
+        name, parse = _KEYS[key]
         try:
-            (fields if key in _KEYS else tols)[name] = parse(text)
+            fields[name] = parse(text)
         except ValueError as exc:
             raise ConfigError("%s %r: %s" % (key, text, exc)) from exc
-    return RunConfig(**fields, tolerances=tols)
+    return RunConfig(**fields)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -107,6 +107,7 @@ def basis_table(gammas, mults, x, log_deriv=None) -> np.ndarray:
     g = np.asarray(gammas, dtype=float)
     m = np.asarray(mults)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    numerics._require_finite(gammas=g, x=x_arr, log_deriv=log_deriv)
     # L as a (1, n) row: a one-row table (every psi_gamma) then forms its
     # products in place, as a 1-D evaluation would, with no broadcast copy
     L = np.reshape(sf.critical_line_log_derivative(x_arr)
@@ -194,7 +195,7 @@ def psi_combination(gammas, mults, coeffs, Z: float, out: numerics.Grid,
     array is freed before the GridFunction copy and the sum before the
     transform: a copy of the first row, or either array held, raises the
     peak RSS of a large psi_gamma. No terms give zero, with no sweep."""
-    numerics._require_finite(Z=Z)
+    numerics._require_finite(gammas=gammas, coeffs=coeffs, Z=Z)
     if Z < 500.0:
         raise ValueError("psi_gamma requires Z >= 500")
     if not len(gammas):
@@ -223,6 +224,7 @@ def K_apply(psi: numerics.GridFunction, Z: float,
     samples on [-Z, Z], inverse transform. Conjugate-linear and isometric up
     to the transform truncation errors.
     """
+    numerics._require_finite(band_limit=band_limit)
     x_absmax = max(abs(psi.grid.x_min), abs(psi.grid.x_max))
     h = freq_spacing if freq_spacing is not None else _default_freq_spacing(x_absmax)
     fgrid, L = axis_samples(Z, h)
@@ -233,16 +235,15 @@ def K_apply(psi: numerics.GridFunction, Z: float,
     return numerics.inverse_fourier_grid(k_spec, psi.grid)
 
 
-def restriction_isometry_check(gamma: float, zs: zc.ZeroSet,
-                               Z: float = 1500.0):
+def restriction_isometry_check(gamma: float, zs: zc.ZeroSet):
     """(lhs, rhs) for the restriction isometry at F_gamma:
 
-    lhs = grid ||F_gamma||^2 over [-Z, Z] at spacing 0.05; rhs = sum over
-    catalog zeros of |F_gamma(gamma')|^2 * pi * m' (the point mass
+    lhs = grid ||F_gamma||^2 over [-1500, 1500] at spacing 0.05; rhs = sum
+    over catalog zeros of |F_gamma(gamma')|^2 * pi * m' (the point mass
     2 pi/|Theta'| equals pi m at a multiplicity-m zero). Both are exactly 1.
     """
     F = BasisFunction(gamma, zs)
-    fgrid, L = axis_samples(Z, 0.05)
+    fgrid, L = axis_samples(1500.0, 0.05)
     vals = F.values_on_axis(fgrid.nodes(), L)
     Fg = numerics.GridFunction(fgrid, vals, "frequency")
     lhs = numerics.grid_norm_sq(Fg)

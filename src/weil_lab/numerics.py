@@ -526,11 +526,14 @@ def forward_fourier_grid(psi: GridFunction, out: Grid,
 
     By default the symmetric guard h_time * max|z| <= pi/4 applies. A caller
     that knows the input's spectral content decays beyond |z| = band_limit
-    may pass that bound instead; the guard then only requires the alias
-    images (spaced 2pi/h_time) to clear max|z| + band_limit.
+    may pass that bound instead, finite and >= 0; the guard then only
+    requires the alias images (spaced 2pi/h_time) to clear max|z| + band_limit.
     """
     if psi.domain_tag != "time":
         raise GridMismatchError("forward_fourier_grid expects a time-domain input")
+    _require_finite(band_limit=band_limit)
+    if band_limit is not None and band_limit < 0:
+        raise ValueError("band_limit must be >= 0")
     z_absmax = max(abs(out.x_min), abs(out.x_max))
     if band_limit is None:
         if psi.grid.h * z_absmax > ALIAS_GUARD * (1 + 1e-12):

@@ -74,6 +74,9 @@ class TestFunction:
         elif self.kind == _COMBO:
             if len(self.coefficients) != len(self.parts) or not self.parts:
                 raise ValueError("combination needs matching, nonempty coefficients/parts")
+            numerics._require_finite(coefficients=self.coefficients)
+            if not all(isinstance(p, TestFunction) for p in self.parts):
+                raise TypeError("combination parts must be TestFunctions")
         elif self.kind != _ANTI:
             raise ValueError("unknown kind %r" % (self.kind,))
         elif len(self.parts) != 1:
@@ -299,6 +302,7 @@ def screw_kernel(t, s, zs):
     """G(t,s) = g(t-s) - g(t) - g(-s) + g(0), broadcast over arrays t and s
     (a float for scalar t and s). g(0) = 0 exactly (sin 0 = 0) and g is even
     bit for bit, so G = g(t-s) - (g(t) + g(s)) == G(s,t) bit for bit."""
+    numerics._require_finite(t=t, s=s)
     t, s = np.broadcast_arrays(np.asarray(t, dtype=float), s)
     vals = screw_g_array(np.stack([t - s, t, s]), zs)
     G = vals[0] - (vals[1] + vals[2])

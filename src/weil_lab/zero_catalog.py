@@ -88,6 +88,7 @@ def load_zeros(path, T: float) -> ZeroSet:
     """The ordinates <= T, possibly none, of a plain-text table (one finite
     decimal per line, ascending; blank lines and lines starting with '#'
     are skipped)."""
+    nu._require_finite(T=T)
     ordinates: List[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):

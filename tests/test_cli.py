@@ -46,10 +46,9 @@ def test_parse_grid_spec():
 def test_config_file_parsing(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("height_T = 60   # comment\n\ncutoff_Z = 700\n"
-                 "tol.xi_half_reference = 1e-3\n")
+                 "out = reports\n")
     vals = cli.load_config_file(p)
-    assert vals == {"height_T": "60", "cutoff_Z": "700",
-                    "tol.xi_half_reference": "1e-3"}
+    assert vals == {"height_T": "60", "cutoff_Z": "700", "out": "reports"}
     bad = tmp_path / "bad.cfg"
     bad.write_text("no equals sign here\n")
     with pytest.raises(ValueError):
@@ -73,12 +72,10 @@ def test_config_flag_overrides_file(tmp_path):
 
 
 def test_height_guard_is_config_error(tmp_path, capsys):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("tol.psi_norm_ = 1\n")
     misspelled = tmp_path / "misspelled.cfg"
     misspelled.write_text("heightT = 60\n")
-    inf_tol = tmp_path / "inf_tol.cfg"
-    inf_tol.write_text("tol.xi_half_reference = inf\n")
+    tol_key = tmp_path / "tol.cfg"
+    tol_key.write_text("tol.psi_norm = 5e-3\n")
     for argv, named in [
             (["verify", "special", "--height-T", "200"], "height_T"),
             # non-finite T and Z, which no later bound test would catch
@@ -90,18 +87,9 @@ def test_height_guard_is_config_error(tmp_path, capsys):
             # a cutoff whose grids no machine holds (352 TiB at Z = 1e12)
             (["verify", "weil", "--height-T", "20", "--cutoff-Z", "1e12"],
              "cutoff_Z"),
-            # a file key that names no setting
+            # file keys that name no setting; a row's bound is its check's
             (["verify", "special", "--config", str(misspelled)], "heightT"),
-            # tolerance ids that name no check, from a flag or the file
-            (["verify", "special", "--tol", "xi_halfreference=1e-30"],
-             "xi_halfreference"),
-            (["verify", "special", "--config", str(cfg_file)], "psi_norm_"),
-            # a tolerance flag without its value
-            (["verify", "special", "--tol", "xi_half_reference"], "ID=VALUE"),
-            # non-finite tolerances, which the JSON report cannot hold
-            (["verify", "special", "--tol", "xi_half_reference=nan"],
-             "xi_half_reference"),
-            (["verify", "special", "--config", str(inf_tol)], "xi_half_reference"),
+            (["verify", "special", "--config", str(tol_key)], "tol.psi_norm"),
             # no ordinate below T = 10 for a catalog suite
             (["verify", "hilbert_polya", "--height-T", "10"], "T = 10"),
             (["verify", "all", "--height-T", "10"], "T = 10"),
@@ -112,26 +100,45 @@ def test_height_guard_is_config_error(tmp_path, capsys):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and named in err
+    # and no flag sets a bound: argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "special", "--tol", "xi_half_reference=1",
+                  "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
     assert not list(tmp_path.glob("report_*.json"))
     assert not list(tmp_path.glob("*.csv"))
     # the cap admits the acceptance cutoff of the heavy_psi fixture
     assert cli.RunConfig(cutoff_Z=10000.0).cutoff_Z == 10000.0
 
 
+def test_readme_config_example_is_accepted(tmp_path):
+    # the '# run.cfg' block of README's CLI section, as a --config file
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    cli_section = text[text.index("\n## CLI\n"):]
+    block = cli_section[cli_section.index("```\n# run.cfg\n") + 4:]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(block[:block.index("```")])
+    cfg = cli.make_config(cli.build_parser().parse_args(
+        ["verify", "all", "--config", str(cfg_file)]))
+    assert (cfg.height_T, cfg.cutoff_Z, cfg.out_dir) == (100.0, 1000.0, "reports")
+
+
 def test_verify_special_passes_and_writes_report(tmp_path):
-    # the special suite needs no catalog (none lies below T = 10), and a
-    # tolerance id of another suite is accepted
-    rc = cli.main(["verify", "special", "--out", str(tmp_path),
-                   "--height-T", "10", "--tol", "gram_psd=1e-3"])
+    # the special suite needs no catalog (none lies below T = 10)
+    rc = cli.main(["verify", "special", "--out", str(tmp_path), "--height-T", "10"])
     assert rc == 0
     rows = json.load(open(tmp_path / "report_special.json"))
     assert {"check_id", "anchor", "value", "bound", "pass"} == set(rows[0])
     assert all(r["pass"] for r in rows)
 
 
-def test_verify_exit_one_on_check_failure(tmp_path):
-    rc = cli.main(["verify", "special", "--out", str(tmp_path),
-                   "--tol", "xi_half_reference=1e-30"])
+def test_verify_exit_one_on_check_failure(tmp_path, monkeypatch):
+    # a reference 1e-6 below xi(1/2) fails its 1e-10 bound and no other row
+    monkeypatch.setattr(ids, "XI_HALF_REF", sf.xi(0.5).xi.real * (1.0 - 1e-6))
+    rc = cli.main(["verify", "special", "--out", str(tmp_path)])
     assert rc == 1
     rows = json.load(open(tmp_path / "report_special.json"))
     failed = [r for r in rows if not r["pass"]]

@@ -509,8 +509,8 @@ def test_restriction_rhs_invariant_under_catalog_extension(catalog,
                                                            table_catalog):
     # extra far zeros contribute |F_gamma(gamma')|^2 ~ 0
     extended = zc.load_zeros(ZERO_TABLE, 110.0)
-    _, rhs_small = db.restriction_isometry_check(catalog.ordinates[0], catalog, Z=800.0)
-    _, rhs_big = db.restriction_isometry_check(extended.ordinates[0], extended, Z=800.0)
+    _, rhs_small = db.restriction_isometry_check(catalog.ordinates[0], catalog)
+    _, rhs_big = db.restriction_isometry_check(extended.ordinates[0], extended)
     # far zeros add |F(gamma')|^2 ~ 1e-24; the residual difference reflects
     # the table-vs-computed ordinate rounding, not the new entries
     assert abs(rhs_big - rhs_small) <= 1e-8

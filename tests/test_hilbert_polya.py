@@ -46,8 +46,8 @@ def test_s_theta_broadcasts_with_one_xi_call(monkeypatch):
                      for v in row] for row in z])
     sizes = count_xi_points(monkeypatch)
     got = hp.s_theta(theta, z)
-    hp.ExtensionParams(theta)
-    assert sizes == [z.size, 1]
+    hp.ExtensionParams(theta)       # evaluates no xi
+    assert sizes == [z.size]
     assert got.shape == z.shape
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 
@@ -82,15 +82,26 @@ def test_spectra_interlace_scan_is_capped_before_allocation():
         ids.spectra_interlace(zs)
 
 
-def test_extension_params_validation(catalog):
-    hp.ExtensionParams(math.pi / 2)       # w0 = i is fine
+def test_extension_params_validation():
+    assert hp.ExtensionParams(math.pi / 2).w0 == 1j
     with pytest.raises(ValueError):
         hp.ExtensionParams(-0.1)
     with pytest.raises(ValueError):
         hp.ExtensionParams(math.pi)
-    with pytest.raises(ValueError):
-        # w0 at a zero of S_{pi/2} (= a catalog ordinate)
-        hp.ExtensionParams(math.pi / 2, w0=complex(catalog.ordinates[0], 0.0))
+
+
+def test_s_theta_at_the_base_point_is_bounded_away_from_zero(catalog):
+    # ExtensionParams' claim: |S_theta(i)| >= min(xi(3/2), xi'(3/2)) > 0 for
+    # every theta, as both are positive; at a zero of S_{pi/2} = -xi the
+    # same bound fails
+    v = sf.xi(1.5)
+    xi, xi_prime = v.xi.real, v.xi_prime.real
+    assert (v.xi.imag, v.xi_prime.imag) == (0.0, 0.0)
+    assert xi > 0 and xi_prime > 0
+    floor = min(xi, xi_prime)
+    thetas = np.linspace(0.0, math.pi, 64, endpoint=False)
+    assert min(abs(hp.s_theta(t, 1j)) for t in thetas) >= floor
+    assert abs(hp.s_theta(math.pi / 2, catalog.ordinates[0])) < floor
 
 
 # ----------------------------------------------------------------------

@@ -216,8 +216,11 @@ def test_forward_guard_and_band_limit():
     with pytest.raises(nu.AliasingGuardError):
         nu.forward_fourier_grid(psi, fg)          # 0.1 * 30 > pi/4
     nu.forward_fourier_grid(psi, fg, band_limit=25.0)  # 2pi/0.1 > 30 + 25
-    with pytest.raises(nu.AliasingGuardError):
+    with pytest.raises(nu.AliasingGuardError, match="alias images at spacing 62.8 "):
         nu.forward_fourier_grid(psi, fg, band_limit=40.0)
+    # a negative band would pass aliased images the guard is there to refuse
+    with pytest.raises(ValueError, match="band_limit must be >= 0"):
+        nu.forward_fourier_grid(psi, fg, band_limit=-1e9)
 
 
 def _direct_sum(vals, grid, sign, scale, x):

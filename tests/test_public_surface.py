@@ -16,6 +16,8 @@ from weil_lab import special_fn as sf
 from weil_lab import weil_form as wf
 from weil_lab import zero_catalog as zc
 
+from conftest import ZERO_TABLE
+
 SRC = os.path.dirname(weil_lab.__file__)
 
 # Exported names that no code in the package reaches, each with its reason.
@@ -123,8 +125,31 @@ NON_FINITE_INPUTS = {
     ("K_apply", "Z"): lambda v, zs: db.K_apply(_TIME_GRID, v),
     ("theta_prime_at_zero", "gammas"): lambda v, zs: db.theta_prime_at_zero(
         np.array([zs.ordinates[0], v])),
-    ("restriction_isometry_check", "Z"): lambda v, zs: db.restriction_isometry_check(
-        zs.ordinates[0], zs, v),
+    ("K_apply", "band_limit"): lambda v, zs: db.K_apply(_TIME_GRID, 500.0, band_limit=v),
+    ("forward_fourier_grid", "band_limit"): lambda v, zs: nu.forward_fourier_grid(
+        _TIME_GRID, nu.symmetric_grid(400.0, 0.5), band_limit=v),
+    ("basis_table", "gammas"): lambda v, zs: db.basis_table([v], [1], [1.0]),
+    ("basis_table", "x"): lambda v, zs: db.basis_table(
+        [zs.ordinates[0]], [1], [1.0, v], log_deriv=[0.5, 0.5]),
+    ("basis_table", "log_deriv"): lambda v, zs: db.basis_table(
+        [zs.ordinates[0]], [1], [1.0, 2.0], log_deriv=[0.5, v]),
+    ("psi_combination", "gammas"): lambda v, zs: db.psi_combination(
+        [zs.ordinates[0], v], [1, 1], [1.0, 1.0], 500.0, nu.Grid(-1.0, 1.0, 5)),
+    ("psi_combination", "coeffs"): lambda v, zs: db.psi_combination(
+        [zs.ordinates[0]], [1], [v], 500.0, nu.Grid(-1.0, 1.0, 5)),
+    ("decompose_LW", "Z"): lambda v, zs: hp.decompose_LW(
+        wf.TestFunction.bump(), zs, v, nu.Grid(-1.0, 1.0, 5)),
+    ("eigen_residual", "gamma"): lambda v, zs: hp.eigen_residual(
+        hp.ExtensionParams(math.pi / 2), v, [2.0]),
+    ("eigen_residual", "eigenvalue"): lambda v, zs: hp.eigen_residual(
+        hp.ExtensionParams(math.pi / 2), zs.ordinates[0], [2.0], eigenvalue=v),
+    ("eigen_residual", "samples"): lambda v, zs: hp.eigen_residual(
+        hp.ExtensionParams(math.pi / 2), zs.ordinates[0], [2.0, v]),
+    ("TestFunction.combination", "coefficients"): lambda v, zs: wf.TestFunction.combination(
+        [1.0, v], [wf.TestFunction.bump()] * 2),
+    ("screw_kernel", "t"): lambda v, zs: wf.screw_kernel(np.array([0.5, v]), 0.4, zs),
+    ("screw_kernel", "s"): lambda v, zs: wf.screw_kernel(1.1, v, zs),
+    ("load_zeros", "T"): lambda v, zs: zc.load_zeros(ZERO_TABLE, v),
     ("symmetric_grid", "half_range"): lambda v, zs: nu.symmetric_grid(v, 0.1),
     ("symmetric_grid", "spacing"): lambda v, zs: nu.symmetric_grid(10.0, v),
     ("band_exact_grid", "x_min"): lambda v, zs: nu.band_exact_grid(v, 1.0, 10.0),

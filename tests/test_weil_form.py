@@ -161,6 +161,12 @@ def test_constructor_checks_every_kind(fields):
         wf.TestFunction(*fields)
 
 
+def test_combination_parts_must_be_test_functions():
+    # a callable part would be evaluated, but has no support or transform
+    with pytest.raises(TypeError, match="parts must be TestFunctions"):
+        wf.TestFunction.combination([1.0, 1.0], [_BUMP_D, np.ones_like])
+
+
 def test_constructor_coerces_fields():
     b = wf.TestFunction("bump", 1, 2)
     assert (type(b.center), type(b.half_width)) == (float, float)
