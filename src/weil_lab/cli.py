@@ -7,21 +7,20 @@ row's bound is its check's. A suite's function makes the work its checks
 share and returns their rows, each valued by its evaluator from that work;
 identities the acceptance suite also checks come from weil_lab.identities.
 
-Configuration: the keys zeros, height_T, cutoff_Z, grid and out of a
---config file, then the flags of the same names over them; a key neither
-gives keeps its RunConfig default. Any other file key, a
-height_T that is not finite or above zero_catalog.MAX_HEIGHT, a cutoff_Z
-outside [500, zero_catalog.MAX_CUTOFF], and a grid that numerics.Grid
-rejects, is a config error.
+Configuration: the flags --zeros, --height-T, --cutoff-Z, --grid and
+--out; a flag not given keeps its RunConfig default. A height_T that is
+not finite or above zero_catalog.MAX_HEIGHT, a cutoff_Z outside
+[500, zero_catalog.MAX_CUTOFF], and a grid that numerics.Grid rejects, is
+a config error.
 
-The catalog is the table that zeros names (a path), else the sweep
-(zeros = compute, the default). A command that reads it (every suite but
+The catalog is the table that --zeros names (a path), else the sweep
+(--zeros compute, the default). A command that reads it (every suite but
 'special', zeros compute, every export but omega) needs an ordinate below T.
 
 Each input is refused where it is read, by a ConfigError: the command
-line and config file in make_config, the catalog in RunConfig.catalog (a
-table that zero_catalog.load_zeros rejects, or no ordinate below T), an
-export's index, range or grid in run_export. Exit codes: 0 all checks
+line in make_config, the catalog in RunConfig.catalog (a table that
+zero_catalog.load_zeros rejects, or no ordinate below T), an export's
+index, range or grid in run_export. Exit codes: 0 all checks
 pass; 1 a check failed (zeros compute: a discrepant count), or a
 computation raised, with its traceback and no report; 2 a ConfigError;
 3 an OSError. Reports are strict JSON lists of rows {check_id, anchor,
@@ -40,7 +39,7 @@ import sys
 import time
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -56,8 +55,8 @@ _SEED = 20240601
 
 
 class ConfigError(ValueError):
-    """A command, config file, catalog or export argument the run refuses:
-    main prints it and exits 2."""
+    """A command, catalog or export argument the run refuses: main prints it
+    and exits 2."""
 
 
 @dataclass
@@ -117,21 +116,6 @@ def parse_range(text: str) -> np.ndarray:
         raise ConfigError("range %s needs %.6g points, above the export limit of %d"
                           % (text, n, nu.POINT_LIMIT))
     return np.minimum(a + step * np.arange(int(n)), b)
-
-
-def load_config_file(path: str) -> Dict[str, str]:
-    """Line-based 'key = value' configuration; '#' starts a comment."""
-    values: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("config line %d has no '=': %r" % (lineno, raw.rstrip()))
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
-    return values
 
 
 class Check(NamedTuple):
@@ -325,7 +309,7 @@ def run_verify(suite: str, cfg: RunConfig) -> int:
 
 def run_zeros(cfg: RunConfig) -> int:
     """zeros compute: sweep to height_T and check the count, exit 1 if it is
-    discrepant; writes no file. A table (zeros = PATH) is a ConfigError: the
+    discrepant; writes no file. A table (--zeros PATH) is a ConfigError: the
     command always sweeps."""
     if cfg.zero_source != "compute":
         raise ConfigError("zeros compute always sweeps and reads no table, "
@@ -387,8 +371,6 @@ def run_export(what: str, arg: Optional[str], cfg: RunConfig) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS,
-                        help="key = value configuration file")
     common.add_argument("--zeros", default=argparse.SUPPRESS,
                         help="ordinate table path, or 'compute' to sweep")
     common.add_argument("--height-T", type=float, default=argparse.SUPPRESS)
@@ -421,25 +403,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# config-file key, which is also the flag's argparse dest ->
-# (RunConfig field, parser of the file's text)
+# flag's argparse dest -> (RunConfig field, parser of its text)
 _KEYS = {"zeros": ("zero_source", str), "height_T": ("height_T", float),
          "cutoff_Z": ("cutoff_Z", float), "grid": ("grid", parse_grid_spec),
          "out": ("out_dir", str)}
 
 
 def make_config(args: argparse.Namespace) -> RunConfig:
-    """The --config file's values with the flags over them (module
-    docstring); a value its key's parser rejects is a ConfigError naming
-    the key."""
-    given = load_config_file(args.config) if "config" in args else {}
-    unknown = sorted(k for k in given if k not in _KEYS)
-    if unknown:
-        raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
-    given.update((k, v) for k, v in vars(args).items() if k in _KEYS)
+    """The RunConfig of the given flags (module docstring); a value its
+    setting's parser rejects is a ConfigError naming the setting."""
     fields = {}
-    for key, text in given.items():
-        name, parse = _KEYS[key]
+    for key, (name, parse) in _KEYS.items():
+        if key not in args:
+            continue
+        text = getattr(args, key)
         try:
             fields[name] = parse(text)
         except ValueError as exc:

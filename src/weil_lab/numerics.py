@@ -78,8 +78,7 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise ValueError("Grid requires finite endpoints")
+        _require_finite(x_min=self.x_min, x_max=self.x_max)
         if not (self.x_min < self.x_max):
             raise ValueError("Grid requires x_min < x_max")
         n = self.n_points
@@ -221,12 +220,12 @@ def fourier_integral(f: Callable[[np.ndarray], np.ndarray],
     """
     z_arr = np.asarray(z, dtype=complex)
     zf = z_arr.ravel()
+    _require_finite(support=support, z=zf)
     out = np.zeros(len(zf), dtype=complex)
     a, b = support
     if b > a and len(zf):
         if np.any(np.abs(zf.imag) > 50.0):
             raise ValueError("fourier_integral: |Im z| > 50 growth guard")
-        _require_finite(z=zf)
         width = min(_PANEL_PHASE / (1.0 + np.max(np.abs(zf))), (b - a) / 16.0)
         n_nodes = 32.0 * max(1.0, float(np.ceil((b - a) / width)))
         if n_nodes > POINT_LIMIT:

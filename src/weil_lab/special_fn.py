@@ -660,9 +660,10 @@ def omega_profile(x):
     16 terms are all a double holds: at e^{2|x|} >= 1 the factor
     exp(-pi n^2 e^{2|x|}) of every term n >= 16 is below e^{-256 pi} <
     1e-349, so it underflows to 0. Series validated for |x| <= 5, which
-    every element must satisfy (NaN does not).
+    every element must satisfy.
     """
     x_arr = np.asarray(x, dtype=float)
+    numerics._require_finite(x=x_arr)
     if not np.all(np.abs(x_arr) <= 5.0):
         raise ValueError("omega_profile validated for |x| <= 5")
     xf = np.abs(x_arr.ravel())

@@ -105,7 +105,9 @@ class TestFunction:
 
     # -- evaluation ----------------------------------------------------
     def __call__(self, x):
-        out = self._eval(np.atleast_1d(np.asarray(x, dtype=float)))
+        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+        numerics._require_finite(x=x_arr)
+        out = self._eval(x_arr)
         return complex(out[0]) if np.ndim(x) == 0 else out
 
     def _eval(self, x: np.ndarray) -> np.ndarray:

@@ -51,9 +51,9 @@ class ZeroSet:
     mults: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nu._require_finite(height_T=self.height_T)
         g = np.asarray(self.ordinates, dtype=float)
         m = self.multiplicities
+        nu._require_finite(height_T=self.height_T, ordinates=g, multiplicities=m)
         if len(g) != len(m):
             raise ValueError("ordinates and multiplicities must align")
         if len(g) and not np.all(np.diff(g) > 0):

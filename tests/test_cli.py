@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -37,45 +39,31 @@ def test_unknown_suite_is_usage_error(capsys):
         assert "invalid choice: %r" % argv[1] in capsys.readouterr().err
 
 
+def test_readme_cli_section_names_exactly_the_parser_options():
+    # every --name token of README's CLI section (not the bare -- separator)
+    # is a long option of weil-lab or of one of its commands, and each such
+    # option but --help is named there
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("\n## CLI\n"):]
+    section = section[:section.index("\n## ", 1)]
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == ["export", "verify", "zeros"]
+    options = {opt for p in [parser, *sub.choices.values()] for a in p._actions
+               for opt in a.option_strings if opt.startswith("--")}
+    assert named == options - {"--help"}
+
+
 def test_parse_grid_spec():
     assert cli.parse_grid_spec("-1:2:31") == nu.Grid(-1.0, 2.0, 31)
     with pytest.raises(ValueError):
         cli.parse_grid_spec("1,2,3")
 
 
-def test_config_file_parsing(tmp_path):
-    p = tmp_path / "run.cfg"
-    p.write_text("height_T = 60   # comment\n\ncutoff_Z = 700\n"
-                 "out = reports\n")
-    vals = cli.load_config_file(p)
-    assert vals == {"height_T": "60", "cutoff_Z": "700", "out": "reports"}
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("no equals sign here\n")
-    with pytest.raises(ValueError):
-        cli.load_config_file(bad)
-
-
-def test_config_flag_overrides_file(tmp_path):
-    p = tmp_path / "run.cfg"
-    p.write_text("height_T = 60\ncutoff_Z = 700\nzeros = %s\n" % ZERO_TABLE)
-    parser = cli.build_parser()
-    args = parser.parse_args(["verify", "special", "--config", str(p),
-                              "--height-T", "80"])
-    cfg = cli.make_config(args)
-    assert cfg.height_T == 80.0       # flag wins
-    assert cfg.cutoff_Z == 700.0      # file value survives
-    assert cfg.zero_source == ZERO_TABLE
-    assert cfg.catalog == zc.load_zeros(ZERO_TABLE, 80.0)     # the file's table
-    forced = cli.make_config(parser.parse_args(
-        ["verify", "special", "--config", str(p), "--zeros", "compute"]))
-    assert forced.zero_source == "compute"    # --zeros compute overrides the file
-
-
 def test_height_guard_is_config_error(tmp_path, capsys):
-    misspelled = tmp_path / "misspelled.cfg"
-    misspelled.write_text("heightT = 60\n")
-    tol_key = tmp_path / "tol.cfg"
-    tol_key.write_text("tol.psi_norm = 5e-3\n")
     for argv, named in [
             (["verify", "special", "--height-T", "200"], "height_T"),
             # non-finite T and Z, which no later bound test would catch
@@ -87,9 +75,6 @@ def test_height_guard_is_config_error(tmp_path, capsys):
             # a cutoff whose grids no machine holds (352 TiB at Z = 1e12)
             (["verify", "weil", "--height-T", "20", "--cutoff-Z", "1e12"],
              "cutoff_Z"),
-            # file keys that name no setting; a row's bound is its check's
-            (["verify", "special", "--config", str(misspelled)], "heightT"),
-            (["verify", "special", "--config", str(tol_key)], "tol.psi_norm"),
             # no ordinate below T = 10 for a catalog suite
             (["verify", "hilbert_polya", "--height-T", "10"], "T = 10"),
             (["verify", "all", "--height-T", "10"], "T = 10"),
@@ -100,30 +85,17 @@ def test_height_guard_is_config_error(tmp_path, capsys):
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and named in err
-    # and no flag sets a bound: argparse refuses it
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "special", "--tol", "xi_half_reference=1",
-                  "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    # no flag sets a bound, and no file sets a run: argparse refuses both
+    for argv, flag in ((["--tol", "xi_half_reference=1"], "--tol"),
+                       (["--config", "run.cfg"], "--config")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "special"] + argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + flag in capsys.readouterr().err
     assert not list(tmp_path.glob("report_*.json"))
     assert not list(tmp_path.glob("*.csv"))
     # the cap admits the acceptance cutoff of the heavy_psi fixture
     assert cli.RunConfig(cutoff_Z=10000.0).cutoff_Z == 10000.0
-
-
-def test_readme_config_example_is_accepted(tmp_path):
-    # the '# run.cfg' block of README's CLI section, as a --config file
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme, encoding="utf-8") as fh:
-        text = fh.read()
-    cli_section = text[text.index("\n## CLI\n"):]
-    block = cli_section[cli_section.index("```\n# run.cfg\n") + 4:]
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text(block[:block.index("```")])
-    cfg = cli.make_config(cli.build_parser().parse_args(
-        ["verify", "all", "--config", str(cfg_file)]))
-    assert (cfg.height_T, cfg.cutoff_Z, cfg.out_dir) == (100.0, 1000.0, "reports")
 
 
 def test_verify_special_passes_and_writes_report(tmp_path):
@@ -174,6 +146,23 @@ def test_xi_symmetry_reads_a_relative_error(monkeypatch):
     monkeypatch.setattr(ids, "xi_product", lambda s: product(s) * (1.0 + 1e-6))
     worst = ids.xi_theta_values(np.random.default_rng(cli._SEED), 110.0)[1]
     assert worst == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_transform_agreement_reads_a_relative_error(small_psi, monkeypatch):
+    # a gap of 1e-6 sum|terms| planted at one of the 17 direct-sum nodes,
+    # with sum|terms| = h sum_j w_j |psi_j| (trapezoid weights: 1/2 at both
+    # ends), reads 1e-6: the chirp-z and direct routes agree to ~1e-15
+    psi, Z = small_psi["psi1"], small_psi["Z"]
+    size = np.abs(psi.values)
+    terms = psi.grid.h * (np.sum(size) - 0.5 * (size[0] + size[-1]))
+    real = nu.fourier_grid_at
+
+    def planted(f, z):
+        out = real(f, z)
+        out[5] += 1e-6 * terms
+        return out
+    monkeypatch.setattr(nu, "fourier_grid_at", planted)
+    assert ids.transform_agreement(psi, Z) == pytest.approx(1e-6, rel=1e-2)
 
 
 def test_special_suite_draws_span_their_domains(monkeypatch):
@@ -235,14 +224,13 @@ def test_zeros_compute_without_ordinates_names_T(tmp_path, monkeypatch, capsys):
                     ("100", "computed 29 ordinates up to T=100 (count estimate 29.00, ok)")):
         assert cli.main(["zeros", "compute", "--height-T", T]) == 0
         assert capsys.readouterr().out.splitlines() == [line]
-    # a table, by flag or config file, is an error that names it, not a sweep
-    (tmp_path / "run.cfg").write_text("zeros = no_such_table.txt\n")
-    for given in (["--zeros", "no_such_table.txt"], ["--config", "run.cfg"]):
-        assert cli.main(["zeros", "compute", "--height-T", "30"] + given) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "always sweeps" in err and "'no_such_table.txt'" in err
+    # a table is an error that names it, not a sweep
+    assert cli.main(["zeros", "compute", "--height-T", "30",
+                     "--zeros", "no_such_table.txt"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "always sweeps" in err and "'no_such_table.txt'" in err
     assert cli.main(["export", "screw_g", "--height-T", "20", "--out", "out"]) == 0
-    assert sorted(os.listdir(tmp_path)) == ["out", "run.cfg"]
+    assert os.listdir(tmp_path) == ["out"]
     assert os.listdir(tmp_path / "out") == ["screw_g.csv"]
 
 
@@ -269,6 +257,9 @@ def test_table_from_an_earlier_zeros_import_loads_through_zeros(tmp_path):
         zs = cli.make_config(parse(["verify", "all", "--zeros", path,
                                     "--height-T", "30"])).catalog
         assert zs == table and zs.source == "table" and len(zs) == 3
+    # and --zeros compute is the sweep
+    assert cli.make_config(parse(["verify", "all", "--zeros", "compute"])
+                           ).zero_source == "compute"
 
 
 def test_export_screw_g_deterministic(tmp_path):

@@ -112,10 +112,18 @@ NON_FINITE_INPUTS = {
         zs.ordinates[0], v),
     ("fourier_integral", "z"): lambda v, zs: nu.fourier_integral(
         np.ones_like, (-1.0, 1.0), np.array([1.0, v])),
+    ("fourier_integral", "support"): lambda v, zs: nu.fourier_integral(
+        np.ones_like, (v, 1.0), 1.0),
+    ("TestFunction.__call__", "x"): lambda v, zs: wf.TestFunction.bump()(np.array([0.5, v])),
     ("transform_at", "z"): lambda v, zs: wf.transform_at(wf.TestFunction.bump(), v),
     ("fourier_grid_at", "z"): lambda v, zs: nu.fourier_grid_at(_TIME_GRID, v),
     ("compute_zeros", "T"): lambda v, zs: zc.compute_zeros(v),
     ("ZeroSet", "height_T"): lambda v, zs: zc.ZeroSet(zs.ordinates[:1], (1,), v, "table"),
+    ("ZeroSet", "ordinates"): lambda v, zs: zc.ZeroSet((v,), (1,), 100.0, "table"),
+    ("ZeroSet", "multiplicities"): lambda v, zs: zc.ZeroSet(
+        zs.ordinates[:1], (v,), 100.0, "table"),
+    ("Grid", "x_min"): lambda v, zs: nu.Grid(v, 1.0, 5),
+    ("Grid", "x_max"): lambda v, zs: nu.Grid(0.0, v, 5),
     ("panel_rule", "a"): lambda v, zs: nu.panel_rule(v, 1.0, 0.25),
     ("panel_rule", "b"): lambda v, zs: nu.panel_rule(0.0, v, 0.25),
     ("panel_rule", "width"): lambda v, zs: nu.panel_rule(0.0, 1.0, v),
@@ -165,6 +173,7 @@ NON_FINITE_INPUTS = {
     ("xi_on_critical_line", "t"): lambda v, zs: sf.xi_on_critical_line(np.array([1.0, v])),
     ("zeta_pair", "s"): lambda v, zs: sf.zeta_pair(np.array([2.0, complex(0.5, v)])),
     ("theta_xi", "z"): lambda v, zs: sf.theta_xi(v),
+    ("omega_profile", "x"): lambda v, zs: sf.omega_profile(np.array([0.1, v])),
     ("E_xi", "z"): lambda v, zs: sf.E_xi(np.array([1.0, v])),
     ("theta_on_axis", "x"): lambda v, zs: sf.theta_on_axis(np.array([1.0, v])),
     ("theta_on_axis", "log_deriv"): lambda v, zs: sf.theta_on_axis(

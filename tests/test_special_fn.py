@@ -514,13 +514,6 @@ def test_omega_range_guard():
         sf.omega_profile(5.5)
 
 
-@pytest.mark.parametrize("x", [float("nan"), [0.1, float("nan")]], ids=["nan", "[0.1, nan]"])
-def test_omega_rejects_nan(x):
-    # |nan| > 5 is False, so the guard asks |x| <= 5 of every point
-    with pytest.raises(ValueError):
-        sf.omega_profile(x)
-
-
 # ----------------------------------------------------------------------
 # critical-line helpers
 # ----------------------------------------------------------------------

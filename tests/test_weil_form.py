@@ -577,6 +577,38 @@ def test_screw_tail_bound_model(catalog):
         2.0 * math.log(100.0) / 100.0)
 
 
+def test_form_tail_bounds_are_the_declared_model(catalog):
+    # 2 tail_coefficient max |z|^k |psihat(z)|^2 over the 18 probes
+    # +-T 2^(j/8), j = 0..8: k = 2 for the pairing, 0 for the screw form
+    T = catalog.height_T
+    probes = T * 2.0 ** (np.arange(9) / 8.0)
+    probes = np.concatenate([probes, -probes])
+    rng = np.random.default_rng(243)
+    psi, phi = wf.random_combination(rng), wf.random_mean_zero(rng)
+    for fv, f, k in ((wf.weil_pairing(psi, psi, catalog), psi, 2),
+                     (wf.screw_form(phi, phi, catalog), phi, 0)):
+        envelope = np.abs(probes) ** k * np.abs(wf.transform_at(f, probes)) ** 2
+        assert fv.tail_bound == pytest.approx(
+            2.0 * zc.tail_coefficient(catalog) * np.max(envelope), rel=1e-12)
+
+
+def test_form_margins_subtract_every_declared_error(catalog, monkeypatch):
+    # screw_equals_weil: |<phi,phi>_G - <psi,psi>_W| less both tails, both
+    # quadrature errors and 1e-10; positivity_random: -(Re value + tail +
+    # quad). Each FormValue's fields are distinct, so a dropped or
+    # sign-flipped term moves the margin
+    sv = wf.FormValue(1.0 + 0.5j, 1e-3, 2e-4)
+    pv = wf.FormValue(0.25 - 0.5j, 3e-3, 5e-5)
+    monkeypatch.setattr(wf, "screw_form", lambda *args: sv)
+    monkeypatch.setattr(wf, "weil_pairing", lambda *args: pv)
+    margin = ids.screw_weil_margin(np.random.default_rng(137), 2, catalog)
+    assert margin == pytest.approx(1.25 - (1e-3 + 2e-4 + 3e-3 + 5e-5 + 1e-10),
+                                   rel=0.0, abs=1e-15)
+    margin = ids.positivity_margin(np.random.default_rng(137), 2, catalog,
+                                   lambda rng: None)
+    assert margin == pytest.approx(-(0.25 + 3e-3 + 5e-5), rel=0.0, abs=1e-15)
+
+
 # ----------------------------------------------------------------------
 # tau norm and spectral coefficients
 # ----------------------------------------------------------------------
