@@ -514,6 +514,13 @@ def test_omega_range_guard():
         sf.omega_profile(5.5)
 
 
+@pytest.mark.parametrize("x", [float("nan"), [0.1, float("nan")]], ids=["nan", "[0.1, nan]"])
+def test_omega_rejects_nan(x):
+    # |nan| > 5 is False, so a range guard alone would let NaN through
+    with pytest.raises(ValueError, match="x must be finite"):
+        sf.omega_profile(x)
+
+
 # ----------------------------------------------------------------------
 # critical-line helpers
 # ----------------------------------------------------------------------
